@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository gate: vet, build, the full test suite, a race-detector
-# shard over the concurrency-bearing packages, and CLI smoke runs.
+# shard over the packages that start goroutines, the benchmark module's
+# tests, and CLI smoke runs.
 # Run from the repo root; any failure fails the script.
 set -eu
 
@@ -23,12 +24,13 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (kernel/obs+contend/drivers/mem/pm/verify/cluster/shmring shard)"
-# ./internal/obs/... includes the contention observatory
-# (internal/obs/contend) and the distributed tracer (internal/obs/dist).
-go test -race ./internal/kernel/... ./internal/obs/... ./internal/drivers/... \
-    ./internal/mem/... ./internal/pm/... ./internal/verify/... \
-    ./internal/cluster/... ./internal/shmring/...
+echo "== go test -race (kernel/verify shard)"
+# The simulation is single-goroutine; only verify.RunObligations and the
+# kernel's big-lock concurrency test start goroutines.
+go test -race ./internal/kernel/ ./internal/verify/
+
+echo "== (cd perf && go test ./...)"
+(cd perf && go test ./...)
 
 echo "== fuzz smoke (10s per target)"
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzDiff$' -fuzztime 10s

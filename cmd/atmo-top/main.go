@@ -26,13 +26,11 @@ import (
 
 	"atmosphere/internal/bench"
 	"atmosphere/internal/drivers"
-	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/account"
 	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/obs/profile"
-	"atmosphere/internal/pm"
 )
 
 func main() {
@@ -121,36 +119,12 @@ func run(workload, mc string, seed uint64, ops, cores int) (*account.Ledger, *ob
 
 // runIPC is the Table 3 call/reply ping-pong with accounting attached.
 func runIPC(l *account.Ledger, tr *obs.Tracer, cobs *contend.Observatory, rounds int) error {
-	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 2, TLBSlots: 64})
-	if err != nil {
-		return err
-	}
-	k.AttachObs(tr, nil)
-	k.AttachLedger(l)
-	k.AttachContention(cobs)
-	r := k.SysNewThread(0, init, 0)
-	if r.Errno != kernel.OK {
-		return fmt.Errorf("new_thread: %v", r.Errno)
-	}
-	server := pm.Ptr(r.Vals[0])
-	re := k.SysNewEndpoint(0, init, 0)
-	if re.Errno != kernel.OK {
-		return fmt.Errorf("endpoint: %v", re.Errno)
-	}
-	k.PM.Thrd(server).Endpoints[0] = pm.Ptr(re.Vals[0])
-	k.PM.EndpointIncRef(pm.Ptr(re.Vals[0]), 1)
-	if r := k.SysRecv(0, server, 0, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-		return fmt.Errorf("park: %v", r.Errno)
-	}
-	for i := 0; i < rounds; i++ {
-		if r := k.SysCall(0, init, 0, kernel.SendArgs{Regs: [4]uint64{uint64(i)}}); r.Errno != kernel.EWOULDBLOCK {
-			return fmt.Errorf("call: %v", r.Errno)
-		}
-		if r := k.SysReplyRecv(0, server, 0, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-			return fmt.Errorf("reply_recv: %v", r.Errno)
-		}
-	}
-	return nil
+	_, _, _, err := bench.RunCallReply(0, rounds, func(k *kernel.Kernel) {
+		k.AttachObs(tr, nil)
+		k.AttachLedger(l)
+		k.AttachContention(cobs)
+	})
+	return err
 }
 
 func printSnapshot(l *account.Ledger, ops int) {

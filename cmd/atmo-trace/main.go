@@ -38,13 +38,11 @@ import (
 	"atmosphere/internal/cluster"
 	"atmosphere/internal/drivers"
 	"atmosphere/internal/faults"
-	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/obs/dist"
 	"atmosphere/internal/obs/profile"
-	"atmosphere/internal/pm"
 )
 
 func main() {
@@ -245,35 +243,12 @@ func runCluster(t *obs.Tracer, m *obs.Registry, seed uint64, merged bool) (uint6
 // runIPC traces a bare call/reply ping-pong — the Table 3 microbench
 // shape, instrumented.
 func runIPC(t *obs.Tracer, m *obs.Registry, cobs *contend.Observatory, rounds int) (uint64, error) {
-	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 2, TLBSlots: 64})
+	k, _, _, err := bench.RunCallReply(0, rounds, func(k *kernel.Kernel) {
+		k.AttachObs(t, m)
+		k.AttachContention(cobs)
+	})
 	if err != nil {
 		return 0, err
-	}
-	k.AttachObs(t, m)
-	if cobs != nil {
-		k.AttachContention(cobs)
-	}
-	r := k.SysNewThread(0, init, 0)
-	if r.Errno != kernel.OK {
-		return 0, fmt.Errorf("atmo-trace: new_thread: %v", r.Errno)
-	}
-	server := pm.Ptr(r.Vals[0])
-	re := k.SysNewEndpoint(0, init, 0)
-	if re.Errno != kernel.OK {
-		return 0, fmt.Errorf("atmo-trace: endpoint: %v", re.Errno)
-	}
-	k.PM.Thrd(server).Endpoints[0] = pm.Ptr(re.Vals[0])
-	k.PM.EndpointIncRef(pm.Ptr(re.Vals[0]), 1)
-	if r := k.SysRecv(0, server, 0, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-		return 0, fmt.Errorf("atmo-trace: park: %v", r.Errno)
-	}
-	for i := 0; i < rounds; i++ {
-		if r := k.SysCall(0, init, 0, kernel.SendArgs{Regs: [4]uint64{uint64(i)}}); r.Errno != kernel.EWOULDBLOCK {
-			return 0, fmt.Errorf("atmo-trace: call: %v", r.Errno)
-		}
-		if r := k.SysReplyRecv(0, server, 0, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-			return 0, fmt.Errorf("atmo-trace: reply_recv: %v", r.Errno)
-		}
 	}
 	return k.Machine.TotalCycles(), nil
 }

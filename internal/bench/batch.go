@@ -32,7 +32,7 @@ import (
 //
 // Everything is a pure function of the cycle model and kvrSeed: same
 // seed, same core count ⇒ the same trace, byte for byte, which
-// batchingfree_test.go pins per core.
+// TestBatchingDeterministic pins per core.
 
 const (
 	// kvrSeed seeds the deterministic request streams.

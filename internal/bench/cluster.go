@@ -44,7 +44,7 @@ func ClusterChaos() (Result, error) {
 		return Result{}, err
 	}
 	// The chaos phase runs with distributed tracing on: tracing is
-	// cycle-free (TestTracingIsFreeCluster), so every gated row below
+	// cycle-free (TestProbesAreFree), so every gated row below
 	// is untouched, and the ungated notes gain the tail-latency
 	// attribution and per-machine tracer pressure.
 	chaos, col, err := runCluster("cluster.chaos", clusterChaosPlan(), true)

@@ -3,7 +3,9 @@ package bench
 import (
 	"testing"
 
+	"atmosphere/internal/hw"
 	"atmosphere/internal/obs"
+	"atmosphere/internal/obs/contend"
 )
 
 // mcThroughput runs one multicore workload and returns ops per cycle of
@@ -96,29 +98,32 @@ func TestMulticoreCrossCoreDeterminism(t *testing.T) {
 	}
 }
 
-// Observability must stay free on the multicore paths too: attaching a
-// tracer may not move a single cycle of any workload's simulated wall
-// clock.
-func TestTracingIsFreeMulticore(t *testing.T) {
-	savedT, savedM := benchTracer, benchMetrics
-	defer SetObs(savedT, savedM)
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
-		SetObs(nil, nil)
-		opsOff, wallOff, err := runMulticore(wl, 4, mcSeed)
-		if err != nil {
-			t.Fatal(err)
+// The lock-order self-test at the bench layer: plant the same inversion
+// into two fresh observatories and require the checker to name both
+// acquisition sites, byte-identically across the runs.
+func TestContentionPlantedInversionDeterministic(t *testing.T) {
+	plant := func() string {
+		o := contend.New()
+		var big, ep hw.LockSim
+		big.SetIdentity("big", "kernel")
+		ep.SetIdentity("endpoint", "e3")
+		bigID := o.Register(&big)
+		epID := o.Register(&ep)
+		o.ArmOrder(contend.KernelOrder(), 2)
+		o.Acquired(1, epID, "edpt_poll")
+		o.Acquired(1, bigID, "syscall") // endpoint -> big: inversion
+		v := o.FirstInversion()
+		if v == nil {
+			t.Fatal("planted inversion not caught")
 		}
-		tr := obs.NewTracer(1 << 16)
-		SetObs(tr, obs.NewRegistry())
-		opsOn, wallOn, err := runMulticore(wl, 4, mcSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opsOn != opsOff || wallOn != wallOff {
-			t.Errorf("%s: tracing moved the run: ops %d->%d, wall %d->%d", wl, opsOff, opsOn, wallOff, wallOn)
-		}
-		if tr.Len() == 0 {
-			t.Errorf("%s: tracer attached but recorded nothing", wl)
-		}
+		return v.String()
+	}
+	first, second := plant(), plant()
+	if first != second {
+		t.Errorf("inversion report not deterministic:\n%s\n%s", first, second)
+	}
+	want := `lock-order inversion on core 1: acquiring big/kernel at "syscall" while holding endpoint/e3 acquired at "edpt_poll" (no endpoint -> big edge declared)`
+	if first != want {
+		t.Errorf("inversion report = %q, want %q", first, want)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Observability taps for the benchmark kernels. Each experiment boots
 // its own kernel, so cmd/atmo-bench installs the sinks once with SetObs
 // and every instrumented experiment wires them in at boot. Attaching
-// observability never charges a cycle (tracingfree_test.go holds Table 3
-// to that), so the measured numbers are identical with and without it.
+// observability never charges a cycle (TestProbesAreFree holds every
+// series to that), so the measured numbers are identical with and without it.
 var (
 	benchTracer  *obs.Tracer
 	benchMetrics *obs.Registry

@@ -49,41 +49,50 @@ func Table3SyscallLatency() (Result, error) {
 // atmoCallReplyCycles measures the Atmosphere call/reply round trip:
 // client SysCall, server SysReplyRecv, averaged over a warm ping-pong.
 func atmoCallReplyCycles() (float64, error) {
+	const rounds = 1000
+	_, _, cycles, err := RunCallReply(16, rounds, attachObs)
+	return float64(cycles) / rounds, err
+}
+
+// RunCallReply is the Table 3 call/reply ping-pong: it boots a 2-core
+// kernel, lets attach wire observers in, parks a server thread on an
+// endpoint the init thread (the client) calls, then runs warm unmeasured
+// and rounds measured round trips on core 0. It returns the kernel, the
+// client, and the core-0 cycles the measured rounds took.
+func RunCallReply(warm, rounds int, attach func(*kernel.Kernel)) (*kernel.Kernel, pm.Ptr, uint64, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 2, TLBSlots: 64})
 	if err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
-	attachObs(k)
+	attach(k)
 	r := k.SysNewThread(0, init, 0)
 	if r.Errno != kernel.OK {
-		return 0, fmt.Errorf("bench: new_thread: %v", r.Errno)
+		return nil, 0, 0, fmt.Errorf("bench: new_thread: %v", r.Errno)
 	}
 	server := pm.Ptr(r.Vals[0])
 	re := k.SysNewEndpoint(0, init, 0)
 	if re.Errno != kernel.OK {
-		return 0, fmt.Errorf("bench: endpoint: %v", re.Errno)
+		return nil, 0, 0, fmt.Errorf("bench: endpoint: %v", re.Errno)
 	}
 	k.PM.Thrd(server).Endpoints[0] = pm.Ptr(re.Vals[0])
 	k.PM.EndpointIncRef(pm.Ptr(re.Vals[0]), 1)
 	if r := k.SysRecv(0, server, 0, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-		return 0, fmt.Errorf("bench: park: %v", r.Errno)
+		return nil, 0, 0, fmt.Errorf("bench: park: %v", r.Errno)
 	}
-	// Warm up.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < warm; i++ {
 		k.SysCall(0, init, 0, kernel.SendArgs{})
 		k.SysReplyRecv(0, server, 0, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1})
 	}
-	const rounds = 1000
 	start := k.Machine.Core(0).Clock.Cycles()
 	for i := 0; i < rounds; i++ {
 		if r := k.SysCall(0, init, 0, kernel.SendArgs{Regs: [4]uint64{uint64(i)}}); r.Errno != kernel.EWOULDBLOCK {
-			return 0, fmt.Errorf("bench: call: %v", r.Errno)
+			return nil, 0, 0, fmt.Errorf("bench: call: %v", r.Errno)
 		}
 		if r := k.SysReplyRecv(0, server, 0, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
-			return 0, fmt.Errorf("bench: reply_recv: %v", r.Errno)
+			return nil, 0, 0, fmt.Errorf("bench: reply_recv: %v", r.Errno)
 		}
 	}
-	return float64(k.Machine.Core(0).Clock.Cycles()-start) / rounds, nil
+	return k, init, k.Machine.Core(0).Clock.Cycles() - start, nil
 }
 
 // atmoMapPageCycles measures SysMmap of one 4 KiB page with warm

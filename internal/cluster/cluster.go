@@ -157,7 +157,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Flows < 1 || cfg.Rate < 1 || cfg.Ticks == 0 {
 		return nil, fmt.Errorf("cluster: flows, rate, and ticks must be positive")
 	}
-	c := &Cluster{cfg: cfg, rand: hw.NewRand(cfg.Seed), hash: fnvOffset}
+	c := &Cluster{cfg: cfg, rand: hw.NewRand(cfg.Seed), hash: hw.FNVOffset}
 	inj, err := faults.NewInjector(cfg.Seed+1, cfg.Plan, func() uint64 { return c.tick * TickCycles })
 	if err != nil {
 		return nil, err

@@ -8,8 +8,8 @@ import (
 
 // Distributed-tracing hooks. With Config.DistTracing off, c.dist is
 // nil and every hook is a no-op: no header goes on the wire and the
-// run is byte-identical to an untraced build (the cluster analog of
-// TestTracingIsFree, pinned by TestTracingIsFreeCluster). With it on,
+// run is byte-identical to an untraced build (pinned by the cluster
+// rows of bench.TestProbesAreFree). With it on,
 // the client stamps a netproto trace header ahead of each kv request,
 // the LB and backends record per-hop spans on their own tracers and
 // forward the header with an updated hop count and parent span ref,

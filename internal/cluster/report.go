@@ -1,11 +1,6 @@
 package cluster
 
-// FNV-1a, matching the fault injector's trace hash so the two compose
-// into one replayability check.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+import "atmosphere/internal/hw"
 
 // Event codes mixed into the trace hash. Order and values are part of
 // the determinism contract: renumbering them changes every reference
@@ -30,15 +25,9 @@ const (
 	evProbeMiss
 )
 
-// mix folds one event into the run's trace hash.
-func (c *Cluster) mix(code, a, b uint64) {
-	for _, w := range [3]uint64{code, a, b} {
-		for i := 0; i < 8; i++ {
-			c.hash ^= (w >> (8 * i)) & 0xff
-			c.hash *= fnvPrime
-		}
-	}
-}
+// mix folds one event into the run's trace hash (FNV-1a, like the
+// fault injector's, so the two compose into one replayability check).
+func (c *Cluster) mix(code, a, b uint64) { c.hash = hw.FNV(c.hash, code, a, b) }
 
 // Report is a run's complete accounting. Everything is cumulative
 // across machine respawns.

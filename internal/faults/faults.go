@@ -233,7 +233,7 @@ func NewInjector(seed uint64, plan Plan, now func() uint64) (*Injector, error) {
 		plan:      plan,
 		now:       now,
 		nextAt:    make([]uint64, len(plan.Rules)),
-		traceHash: 14695981039346656037, // FNV-1a offset basis
+		traceHash: hw.FNVOffset,
 	}
 	for i, r := range plan.Rules {
 		if r.Period > 0 {
@@ -243,12 +243,7 @@ func NewInjector(seed uint64, plan Plan, now func() uint64) (*Injector, error) {
 	return in, nil
 }
 
-func (in *Injector) mix(w uint64) {
-	for i := 0; i < 8; i++ {
-		in.traceHash ^= (w >> (8 * i)) & 0xff
-		in.traceHash *= 1099511628211 // FNV-1a prime
-	}
-}
+func (in *Injector) mix(w uint64) { in.traceHash = hw.FNV(in.traceHash, w) }
 
 // Should reports whether the fault opportunity of kind k fires, and the
 // armed rule's Param. Exactly one random draw is consumed per

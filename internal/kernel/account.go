@@ -2,91 +2,50 @@ package kernel
 
 import (
 	"atmosphere/internal/obs/account"
-	"atmosphere/internal/pm"
 )
 
-// Ledger glue: the accounting ledger (internal/obs/account) mirrors the
-// allocator's page lifecycle under an attribution context the kernel
-// maintains. callerThread sets the context to the invoking thread's
-// container; the handful of syscalls that allocate or free on behalf of
-// a *different* container override it via ledgerCtx/ledgerSwap at the
-// site. IPC page transfers move a reference through the account.InFlight
-// pseudo-container (ledgerMove). Like the tracer, the ledger only reads
-// state — attaching it never changes a charged cycle.
+// Ledger glue, the funnel's accounting probe: the ledger
+// (internal/obs/account) mirrors the allocator's page lifecycle under an
+// attribution context the kernel maintains. A resolved caller sets the
+// context to its container; the handful of syscalls that allocate or
+// free on behalf of a *different* container override it at the site via
+// Ledger().SetContext/SwapContext (every Ledger method is nil-safe, so
+// the sites need no attach check). IPC page transfers move a reference
+// through the account.InFlight pseudo-container.
+
+type ledgerProbe struct{ l *account.Ledger }
+
+func (p ledgerProbe) on(k *Kernel, ev event, delta uint64) {
+	switch {
+	case ev == evResolved:
+		p.l.SetContext(k.cur.cntr)
+	case ev == evLeave && k.cur.kind == kindSyscall:
+		// Bill the syscall's cycles to the caller's container (0 =
+		// unattributed: invalid caller) and drop the attribution context
+		// before the lock releases. Interrupt dispatch bills nobody.
+		p.l.ChargeCycles(k.cur.cntr, delta)
+		p.l.SetContext(0)
+	}
+}
 
 // AttachLedger binds a ledger to the kernel's allocator, seeding it with
 // the current allocation state attributed to the root container. Pass
-// nil to detach. When a metrics registry is attached, the ledger's
-// aggregate gauges are registered too.
+// nil to detach.
 func (k *Kernel) AttachLedger(l *account.Ledger) {
 	k.big.Lock()
 	defer k.big.Unlock()
-	k.ledger = l
-	k.lcntr = 0
 	if l == nil {
 		k.Alloc.SetObserver(nil)
+		k.setProbe(probeLedger, nil)
 		return
 	}
 	l.Bind(k.Alloc, k.PM.RootContainer)
 	l.NameContainer(k.PM.RootContainer, "root")
-	if k.obs != nil && k.obs.metrics != nil {
-		l.RegisterMetrics(k.obs.metrics)
-	}
+	k.setProbe(probeLedger, ledgerProbe{l})
 }
 
 // Ledger returns the attached ledger (nil when detached).
-func (k *Kernel) Ledger() *account.Ledger { return k.ledger }
-
-// ledgerCtx sets the attribution context for the rest of the syscall.
-func (k *Kernel) ledgerCtx(c pm.Ptr) {
-	if k.ledger != nil {
-		k.ledger.SetContext(c)
-	}
-}
-
-// ledgerSwap sets the context and returns the previous one, for scoping
-// an override around a single operation.
-func (k *Kernel) ledgerSwap(c pm.Ptr) pm.Ptr {
-	if k.ledger == nil {
-		return 0
-	}
-	return k.ledger.SwapContext(c)
-}
-
-// ledgerSend parks a page reference on the InFlight pseudo-container:
-// resolveMsg just IncRef'd the page under the sender's context, and the
-// new reference belongs to the message, not the sender's mapping.
-func (k *Kernel) ledgerSend(p pm.Ptr, sender pm.Ptr) {
-	if k.ledger != nil {
-		k.ledger.MoveRef(p, sender, account.InFlight)
-	}
-}
-
-// ledgerRecv lands an in-flight page reference on the receiver's
-// container once deliver has mapped it.
-func (k *Kernel) ledgerRecv(p pm.Ptr, receiver pm.Ptr) {
-	if k.ledger != nil {
-		k.ledger.MoveRef(p, account.InFlight, receiver)
-	}
-}
-
-// ledgerDropInFlight scopes an attribution context of InFlight around
-// fn — dropMsg's DecRef releases the message's reference, not one of
-// the caller's own mappings.
-func (k *Kernel) ledgerDropInFlight(fn func()) {
-	if k.ledger == nil {
-		fn()
-		return
-	}
-	prev := k.ledger.SwapContext(account.InFlight)
-	fn()
-	k.ledger.SetContext(prev)
-}
-
-// ledgerAttr reassigns an object page's owning container (the child
-// container's own object page, allocated under the parent's context).
-func (k *Kernel) ledgerAttr(p pm.Ptr, c pm.Ptr) {
-	if k.ledger != nil {
-		k.ledger.Attribute(p, c)
-	}
+func (k *Kernel) Ledger() *account.Ledger {
+	p, _ := k.probes[probeLedger].(ledgerProbe)
+	return p.l
 }

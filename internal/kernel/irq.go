@@ -120,35 +120,12 @@ func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 // either wake a blocked handler with the interrupt message or pend the
 // edge. Devices call it with the core the interrupt targets.
 func (k *Kernel) RaiseIRQ(core int, irq int) {
-	k.big.Lock()
-	cclk := &k.Machine.Core(core).Clock
-	// Interrupt dispatch contends for the big lock like a syscall does
-	// (§3: interrupts serialize too); all of its work is lock-held.
-	arrival := cclk.Cycles()
-	wait := k.lock.Acquire(arrival)
-	if wait > 0 {
-		cclk.Charge(wait)
-		k.lockWait(core, arrival, wait)
-	}
-	if k.cobs != nil {
-		k.cobs.Acquired(core, k.bigID, "irq")
-	}
-	start := k.kclock.Cycles()
-	base := cclk.Cycles()
-	defer func() {
-		k.noteIRQ(core, irq, base, k.kclock.Cycles()-start)
-		cclk.Charge(k.kclock.Cycles() - start)
-		if k.cobs != nil {
-			// Interrupt dispatch has no calling container: attribute the
-			// wait to the "irq" pseudo-syscall, unowned.
-			k.cobs.AttributeWait(k.bigID, "irq", 0, core, wait)
-			k.cobs.Released(core, k.bigID)
-		}
-		k.lock.Release(cclk.Cycles())
-		k.big.Unlock()
-	}()
+	// Interrupt dispatch takes the big lock through the funnel like a
+	// syscall does (§3: interrupts serialize too), without the syscall
+	// trampoline, and owned by no container.
+	defer k.enterWith(core, kindIRQ, 0, nil)()
+	k.cur.sys, k.cur.line = "irq", irq
 	if k.IRQFilter != nil && !k.IRQFilter(core, irq) {
-		k.noteIRQDropped()
 		return // injected lost edge: never reaches the IDT
 	}
 	k.kclock.Charge(hw.CostInterruptDispatch)

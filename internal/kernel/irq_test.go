@@ -1,9 +1,13 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"atmosphere/internal/hw"
+	"atmosphere/internal/obs"
+	"atmosphere/internal/obs/account"
+	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -134,6 +138,63 @@ func TestIrqChargesInterruptDispatch(t *testing.T) {
 	k.RaiseIRQ(2, 9)
 	if delta := k.Machine.Core(2).Clock.Cycles() - before; delta < hw.CostInterruptDispatch {
 		t.Fatalf("interrupt charged %d cycles", delta)
+	}
+}
+
+// An interrupt raised on core 1 while core 0's big-lock syscall still
+// holds the frontier waits like a syscall does: the wait lands as a
+// lock.wait span on core 1's kernel track and as a sys=irq row owned by
+// no container, the dispatch as a span on core 1's irq track, the
+// frontier is released at core 1's clock, and the ledger bills nobody.
+func TestContendedIrqAttribution(t *testing.T) {
+	k, init := irqSetup(t)
+	tr, l, o := obs.NewTracer(0), account.NewLedger(), contend.New()
+	k.AttachObs(tr, obs.NewRegistry())
+	k.AttachLedger(l)
+	k.AttachContention(o)
+	k.EnableContention()
+	mustOK(t, k.SysNewEndpoint(0, init, 1)) // big plan: frontier moves to core 0's clock
+	cycles := func() (sum uint64) {
+		for _, r := range l.Rows() {
+			sum += r.Cycles
+		}
+		return sum
+	}
+	before, rows := cycles(), len(l.Rows())
+	wait := k.lock.Frontier() - k.Machine.Core(1).Clock.Cycles()
+	if wait == 0 {
+		t.Fatal("core 1 is not behind the big frontier")
+	}
+	k.RaiseIRQ(1, 9)
+	if k.PendingIRQ(9) != 1 {
+		t.Fatalf("pending = %d", k.PendingIRQ(9))
+	}
+	if f, c := k.lock.Frontier(), k.Machine.Core(1).Clock.Cycles(); f != c {
+		t.Errorf("big frontier %d not released at core 1's clock %d", f, c)
+	}
+	if cycles() != before || len(l.Rows()) != rows {
+		t.Errorf("ledger billed the interrupt: cycles %d -> %d, rows %d -> %d", before, cycles(), rows, len(l.Rows()))
+	}
+	var lockWait, irq bool
+	for _, e := range tr.Events() {
+		tk := tr.Tracks()[e.Track]
+		switch {
+		case e.Kind != obs.KindSpan || tk.PID != 1:
+		case tr.NameOf(e.Name) == "lock.wait" && tk.TIDName == "kernel" && e.Dur == wait:
+			lockWait = true
+		case tr.NameOf(e.Name) == "irq" && tk.TIDName == "irq" && e.Arg == 9:
+			irq = true
+		}
+	}
+	if !lockWait || !irq {
+		t.Errorf("core 1 spans: lock.wait=%v irq=%v, want both", lockWait, irq)
+	}
+	var rep strings.Builder
+	if err := o.WriteAttribution(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.String(), "wait big/kernel sys=irq cntr=- core=1 count=1 contended=1 ") {
+		t.Errorf("no sys=irq wait row for core 1:\n%s", rep.String())
 	}
 }
 

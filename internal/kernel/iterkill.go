@@ -127,7 +127,7 @@ func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
 				va := vas[0]
 				e := space[va]
 				cr3 := proc.PageTable.CR3()
-				k.ledgerCtx(proc.Owner) // the dropped ref is the victim's
+				k.Ledger().SetContext(proc.Owner) // the dropped ref is the victim's
 				if _, err := proc.PageTable.Unmap(va); err != nil {
 					return false, err
 				}

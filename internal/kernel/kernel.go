@@ -17,8 +17,6 @@ import (
 	"atmosphere/internal/hw"
 	"atmosphere/internal/iommu"
 	"atmosphere/internal/mem"
-	"atmosphere/internal/obs/account"
-	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/pm"
 )
 
@@ -111,8 +109,8 @@ type Kernel struct {
 	// Shard tables (shard.go): lazily created per-container and
 	// per-endpoint lock frontiers, the flat list in creation order (for
 	// enable/jitter/registration propagation), label sequence counters,
-	// the armed jitter parameters new shards inherit, the reusable
-	// held-frontier buffer of the funnel, and the test-only plan flip.
+	// the armed jitter parameters new shards inherit, and the test-only
+	// plan flip.
 	cntrShards map[pm.Ptr]*shard
 	edptShards map[pm.Ptr]*shard
 	shards     []*shard
@@ -120,15 +118,14 @@ type Kernel struct {
 	edptSeq    int
 	jitterSeed uint64
 	jitterMax  uint64
-	held       []frontier
 	planFlip   bool
 
-	// local accumulates, per syscall, the cycles spent on work that a
-	// real multicore kernel performs outside the big lock — per-core
-	// page-cache hand-outs and take-backs (zeroing included). The leave
-	// closure subtracts it from the lock hold time it reports to the
-	// contention model, so local work overlaps across cores.
-	local uint64
+	// cur is the in-flight funnel entry, probes the consumers its events
+	// fan out to (probe.go), and leaveFn the bound k.leave every entry
+	// returns — bound once at boot, so entering allocates nothing.
+	cur     call
+	probes  [nProbes]probe
+	leaveFn func()
 
 	// caches, when non-nil (EnableCoreCaches), are the per-core
 	// page-frame caches the hot mmap/munmap 4 KiB path allocates
@@ -146,30 +143,6 @@ type Kernel struct {
 	// their threads cannot enter the kernel (iterkill.go).
 	dying map[pm.Ptr]bool
 
-	// obs is the attached observability state (observe.go); nil unless
-	// AttachObs wired a tracer/registry in. It only ever reads clocks,
-	// so attaching it cannot change a charged cycle.
-	obs *kobs
-
-	// ledger is the attached accounting ledger (internal/obs/account);
-	// nil unless AttachLedger wired one in. Like obs it only reads
-	// state, so attaching it cannot change a charged cycle.
-	ledger *account.Ledger
-
-	// cobs is the attached contention observatory (internal/obs/contend);
-	// nil unless AttachContention wired one in. bigID is the big lock's
-	// frontier registration; cSys/cCntr carry the in-flight entry's
-	// attribution (syscall name from post, container from callerThread)
-	// until the leave closure bills each held frontier's wait.
-	cobs  *contend.Observatory
-	bigID contend.LockID
-	cSys  string
-	cCntr pm.Ptr
-
-	// lcntr is the container the in-flight syscall's cycles are billed
-	// to: the caller's owning container, resolved by callerThread.
-	lcntr pm.Ptr
-
 	// batchCore marks cores currently draining a syscall batch
 	// (syscalls_batch.go). While set, the funnel suppresses the per-op
 	// entry/dispatch/exit trampoline: the batch paid entry once and pays
@@ -183,8 +156,9 @@ type Kernel struct {
 	// double-grant bug the differential oracle must catch.
 	grantLeak bool
 
-	// Hooks let the verifier observe every transition (nil in
-	// benchmarks; charged nothing).
+	// PostSyscall, when set, sees every syscall's result as post records
+	// it — how the verifier observes each transition (nil in benchmarks;
+	// charged nothing).
 	PostSyscall func(name string, caller pm.Ptr, ret Ret)
 
 	// IRQFilter, when set, is consulted on every raised interrupt; a
@@ -210,6 +184,7 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 		edptShards: make(map[pm.Ptr]*shard),
 		batchCore:  make([]bool, machine.NumCores()),
 	}
+	k.leaveFn = k.leave
 	iom, err := iommu.New(alloc, kclock)
 	if err != nil {
 		return nil, 0, err
@@ -251,122 +226,95 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 // The returned leave function charges exit and attributes the syscall's
 // cycles to core.
 func (k *Kernel) enter(core int) (leave func()) {
-	return k.enterWith(core, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, nil)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, nil)
 }
 
 // enterPlan is the slowpath prologue for sharded ops: resolve runs
 // under the Go mutex and names the frontiers this syscall holds.
 func (k *Kernel) enterPlan(core int, resolve func() lockPlan) (leave func()) {
-	return k.enterWith(core, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, resolve)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, resolve)
 }
 
 // enterFastPlan is the IPC fastpath prologue: no dispatcher (arguments
 // stay in registers end to end, as in seL4's fastpath), sharded plan.
 func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func()) {
-	return k.enterWith(core, hw.CostSyscallEntry+hw.CostBigLock, resolve)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostBigLock, resolve)
 }
 
-// enterWith is the syscall funnel. Under the Go mutex it resolves the
-// lock plan, materializes the planned frontiers in DAG order (big,
-// containers by address, endpoint; shard.go), and virtually acquires
-// them in sequence: each frontier's wait pushes the arrival the next
-// one sees, so a core queues behind every planned frontier exactly as a
-// real nested acquisition would. The summed wait is charged to the core
-// (one lock.wait span); entry cost is charged once, whatever the plan.
-// The leave closure releases every held frontier at the same
-// heldUntil — syscall end minus the core-local share — and attributes
-// each frontier's own wait, so independent containers' syscalls overlap
-// in virtual time while every plan containing only the big lock costs
-// exactly what the pre-sharding funnel cost.
-func (k *Kernel) enterWith(core int, entryCost uint64, resolve func() lockPlan) (leave func()) {
+// enterWith is the funnel every syscall and interrupt passes through.
+// Under the Go mutex it resolves the lock plan, materializes the planned
+// frontiers in DAG order (big, containers by address, endpoint;
+// shard.go), and virtually acquires them in sequence: each frontier's
+// wait pushes the arrival the next one sees, so a core queues behind
+// every planned frontier exactly as a real nested acquisition would.
+// The summed wait is charged to the core; entry cost is charged once,
+// whatever the plan. It fills the in-flight record and reports
+// evAcquired (probe.go). Interrupts (kindIRQ) pay no trampoline; inside
+// a batch drain a syscall pays only the SQE dispatch and its lock.
+func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve func() lockPlan) (leave func()) {
 	k.big.Lock()
 	cclk := &k.Machine.Core(core).Clock
-	exitCost := uint64(hw.CostSyscallExit)
-	if core >= 0 && core < len(k.batchCore) && k.batchCore[core] {
-		// Inside a batch drain the per-op trampoline is gone: the op
-		// pays the SQE decode/dispatch and its lock, nothing else; the
-		// batch itself paid entry once and pays exit once
-		// (syscalls_batch.go).
-		entryCost = hw.CostBatchDispatch + hw.CostBigLock
-		exitCost = 0
+	exitCost := uint64(0)
+	if kind == kindSyscall {
+		exitCost = hw.CostSyscallExit
+		if core >= 0 && core < len(k.batchCore) && k.batchCore[core] {
+			// The batch itself paid entry once and pays exit once
+			// (syscalls_batch.go).
+			entryCost, exitCost = hw.CostBatchDispatch+hw.CostBigLock, 0
+		}
 	}
 	plan := planBig()
 	if resolve != nil {
 		plan = resolve()
 	}
-	held := k.held[:0]
+	held := k.cur.held[:0] // reuse the previous entry's buffer
 	if plan.big {
-		held = append(held, frontier{sim: &k.lock, id: k.bigID})
+		held = append(held, frontier{sim: &k.lock})
 	}
 	for i := 0; i < plan.ncntr; i++ {
-		s := k.cntrShard(plan.cntr[i])
-		held = append(held, frontier{sim: &s.sim, id: s.id})
+		held = append(held, frontier{sim: &k.cntrShard(plan.cntr[i]).sim})
 	}
 	if plan.edpt != pm.NoEndpoint {
-		s := k.edptShard(plan.edpt)
-		held = append(held, frontier{sim: &s.sim, id: s.id})
+		held = append(held, frontier{sim: &k.edptShard(plan.edpt).sim})
 	}
 	if k.planFlip {
 		for i, j := 0, len(held)-1; i < j; i, j = i+1, j-1 {
 			held[i], held[j] = held[j], held[i]
 		}
 	}
-	k.held = held // keep the buffer's capacity for the next entry
 	arrival := cclk.Cycles()
 	at := arrival
-	var wait uint64
 	for i := range held {
-		w := held[i].sim.Acquire(at)
-		held[i].wait = w
-		at += w
-		wait += w
-		if k.cobs != nil {
-			k.cobs.Acquired(core, held[i].id, "syscall")
-		}
+		held[i].wait = held[i].sim.Acquire(at)
+		at += held[i].wait
 	}
-	if wait > 0 {
-		cclk.Charge(wait)
-		k.lockWait(core, arrival, wait)
-	}
-	if k.cobs != nil {
-		// The syscall name and container are unknown yet, so
-		// attribution waits for the leave closure.
-		k.cSys, k.cCntr = "", 0
-	}
-	start := k.kclock.Cycles()
-	k.local = 0
-	if k.obs != nil {
-		k.obs.enter(k, core, start)
-	}
+	cclk.Charge(at - arrival)
+	k.cur = call{kind: kind, core: core, arrival: arrival, wait: at - arrival, held: held,
+		start: k.kclock.Cycles(), base: cclk.Cycles(), exit: exitCost}
+	k.emit(evAcquired, 0)
 	k.kclock.Charge(entryCost)
-	return func() {
-		k.kclock.Charge(exitCost)
-		delta := k.kclock.Cycles() - start
-		if k.obs != nil {
-			k.obs.leave(delta)
-		}
-		if k.ledger != nil {
-			// Bill the syscall's cycles to the caller's container (0 =
-			// unattributed: invalid caller, IRQ dispatch) and drop the
-			// attribution context before the lock releases.
-			k.ledger.ChargeCycles(k.lcntr, delta)
-			k.ledger.SetContext(0)
-			k.lcntr = 0
-		}
-		cclk.Charge(delta)
-		// The core-local share (page-cache hand-outs) does not extend
-		// the hold time other cores observe. Every held frontier
-		// advances to the same release point: the op held them all.
-		heldUntil := cclk.Cycles() - k.local
-		for i := len(held) - 1; i >= 0; i-- {
-			if k.cobs != nil {
-				k.cobs.AttributeWait(held[i].id, k.cSys, k.cCntr, core, held[i].wait)
-				k.cobs.Released(core, held[i].id)
-			}
-			held[i].sim.Release(heldUntil)
-		}
-		k.big.Unlock()
+	return k.leaveFn
+}
+
+// leave ends the in-flight entry: it charges exit, reports evLeave with
+// the cycles the entry charged, moves them onto the core clock, and
+// releases every held frontier at the same point — the entry's end
+// minus its core-local share (page-cache hand-outs do not extend the
+// hold time other cores observe) — so independent containers' syscalls
+// overlap in virtual time while every plan containing only the big lock
+// costs exactly what the pre-sharding funnel cost.
+func (k *Kernel) leave() {
+	c := &k.cur
+	k.kclock.Charge(c.exit)
+	delta := k.kclock.Cycles() - c.start
+	k.emit(evLeave, delta)
+	cclk := &k.Machine.Core(c.core).Clock
+	cclk.Charge(delta)
+	heldUntil := cclk.Cycles() - c.local
+	for i := len(c.held) - 1; i >= 0; i-- {
+		c.held[i].sim.Release(heldUntil)
 	}
+	k.big.Unlock()
 }
 
 // EnableContention turns on the deterministic contention model
@@ -439,41 +387,36 @@ func (k *Kernel) PageCachePages() mem.PageSet {
 	return k.caches.Pages()
 }
 
-// callerThread validates the invoking thread pointer. A blocked thread
-// cannot be executing user code, so a syscall from one is rejected (it
-// would otherwise end up queued on two endpoints at once); so is a
-// thread whose container is frozen by an in-progress iterative kill.
+// callerThread validates the invoking thread pointer and, when valid,
+// makes its container the entry's caller: the attribution context for
+// every page transition the syscall performs and the bill for its
+// cycles and lock wait (evResolved).
 func (k *Kernel) callerThread(tid pm.Ptr) (*pm.Thread, bool) {
+	t, okk := k.runnable(tid)
+	if okk {
+		k.cur.cntr = t.OwningCntr
+		k.emit(evResolved, 0)
+	}
+	return t, okk
+}
+
+// runnable reports whether tid can be executing user code. A blocked
+// thread cannot, so a syscall from one is rejected (it would otherwise
+// end up queued on two endpoints at once); so is a thread whose
+// container is frozen by an in-progress iterative kill.
+func (k *Kernel) runnable(tid pm.Ptr) (*pm.Thread, bool) {
 	t, okk := k.PM.TryThrd(tid)
 	if !okk || t.State == pm.ThreadExited ||
-		t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv {
+		t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv || k.frozen(t) {
 		return nil, false
-	}
-	if k.frozen(t) {
-		return nil, false
-	}
-	if k.ledger != nil {
-		// The caller's container is the attribution context for every
-		// page transition this syscall performs (overridden at the few
-		// sites acting on a different container) and the bill for its
-		// cycles at leave.
-		k.ledger.SetContext(t.OwningCntr)
-		k.lcntr = t.OwningCntr
-	}
-	if k.cobs != nil {
-		// And the container the entry's lock wait is attributed to.
-		k.cCntr = t.OwningCntr
 	}
 	return t, true
 }
 
+// post records the entry's result and hands it to PostSyscall; every
+// syscall return path calls it before the deferred leave runs.
 func (k *Kernel) post(name string, caller pm.Ptr, ret Ret) Ret {
-	if k.obs != nil {
-		k.obs.post(name, ret.Errno)
-	}
-	if k.cobs != nil {
-		k.cSys = name
-	}
+	k.cur.sys, k.cur.errno = name, ret.Errno
 	if k.PostSyscall != nil {
 		k.PostSyscall(name, caller, ret)
 	}

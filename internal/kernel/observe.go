@@ -4,18 +4,13 @@ import (
 	"fmt"
 
 	"atmosphere/internal/obs"
-	"atmosphere/internal/pm"
 )
 
-// Kernel-side observability (internal/obs). Tracepoints ride the
-// syscall funnel: enterWith stamps the entry cycle, post captures the
-// syscall name and errno, and the leave closure emits one span on the
-// invoking core's "kernel" track covering exactly the cycles the
-// syscall charged — so summing spans reproduces the per-core clock.
-// RaiseIRQ gets its own "irq" track. Everything here only reads clocks;
-// attaching observability never changes a charged cycle (the bench
-// guard in internal/bench asserts Table 3 is bit-identical with and
-// without it).
+// Kernel-side observability (internal/obs), the funnel's tracer probe.
+// Each entry becomes one span on the invoking core's "kernel" track
+// covering exactly the cycles it charged — so summing spans reproduces
+// the per-core clock — preceded by a "lock.wait" span when the plan
+// waited; interrupts get their own "irq" track.
 
 // kobs is the kernel's per-attach observability state, guarded by the
 // big lock like everything else in the kernel.
@@ -41,16 +36,6 @@ type kobs struct {
 
 	// Per-syscall counters/histograms, interned on first use.
 	sysStats map[string]*sysStat
-
-	// In-flight syscall state: name/errno set by post, start is the
-	// kernel clock at entry, base the invoking core's clock at entry
-	// (unchanged until leave charges the delta). No nesting: the big
-	// lock serializes entries.
-	curName  string
-	curErrno Errno
-	curStart uint64
-	curBase  uint64
-	curCore  int
 }
 
 // sysStat is one syscall's metric block.
@@ -70,7 +55,7 @@ func (k *Kernel) AttachObs(t *obs.Tracer, m *obs.Registry) {
 	k.big.Lock()
 	defer k.big.Unlock()
 	if t == nil && m == nil {
-		k.obs = nil
+		k.setProbe(probeTrace, nil)
 		return
 	}
 	o := &kobs{trace: t, metrics: m}
@@ -103,55 +88,80 @@ func (k *Kernel) AttachObs(t *obs.Tracer, m *obs.Registry) {
 			m.Gauge("trace.capacity", func() uint64 { return uint64(t.Cap()) })
 		}
 	}
-	k.obs = o
+	k.setProbe(probeTrace, o)
 }
 
 // Tracer returns the attached tracer (nil when detached); subsystems
 // living inside the kernel's machine (drivers, supervisor) trace
 // through it.
 func (k *Kernel) Tracer() *obs.Tracer {
-	if k.obs == nil {
+	o, _ := k.probes[probeTrace].(*kobs)
+	if o == nil {
 		return nil
 	}
-	return k.obs.trace
+	return o.trace
 }
 
 // Metrics returns the attached metrics registry (nil when detached).
 func (k *Kernel) Metrics() *obs.Registry {
-	if k.obs == nil {
+	o, _ := k.probes[probeTrace].(*kobs)
+	if o == nil {
 		return nil
 	}
-	return k.obs.metrics
+	return o.metrics
 }
 
-// obsEnter stamps the in-flight syscall state at entry (big lock held).
-func (o *kobs) enter(k *Kernel, core int, kstart uint64) {
-	o.curName = ""
-	o.curErrno = OK
-	o.curStart = kstart
-	o.curBase = k.Machine.Core(core).Clock.Cycles()
-	o.curCore = core
+func (o *kobs) on(k *Kernel, ev event, arg uint64) {
+	c := &k.cur
+	switch {
+	case ev == evAcquired && c.wait > 0:
+		// The spin: [arrival, arrival+wait) on the core's own timeline,
+		// immediately preceding the span the wait delayed.
+		if o.trace != nil {
+			o.trace.SpanArg(o.ktracks[c.core], o.nLockWait, c.arrival, c.arrival+c.wait, c.wait)
+		}
+		o.cLockWait.Inc()
+		o.hLockWait.Observe(c.wait)
+	case ev == evSwitch || ev == evDirectSwitch:
+		// The instant lands mid-span, at the core-timeline position of
+		// the kernel cycles charged so far.
+		if o.trace != nil {
+			name := o.nCtx
+			if ev == evDirectSwitch {
+				name = o.nDirect
+			}
+			o.trace.Instant(o.ktracks[c.core], name, c.base+(k.kclock.Cycles()-c.start), arg)
+		}
+		if ev == evDirectSwitch {
+			o.cDirect.Inc()
+		} else {
+			o.cCtx.Inc()
+		}
+	case ev == evLeave && c.kind == kindIRQ:
+		if arg == 0 {
+			o.cIRQDrop.Inc() // nothing charged: the filter dropped the edge
+			return
+		}
+		if o.trace != nil {
+			o.trace.SpanArg(o.itracks[c.core], o.nIRQ, c.base, c.base+arg, uint64(c.line))
+		}
+		o.cIRQ.Inc()
+	case ev == evLeave:
+		o.leave(c, arg)
+	}
 }
 
-// obsPost captures the syscall identity; post calls it on every return
-// path before the deferred leave runs.
-func (o *kobs) post(name string, errno Errno) {
-	o.curName = name
-	o.curErrno = errno
-}
-
-// obsLeave emits the syscall's span and metrics; called from the leave
-// closure with the cycles the syscall charged, before the big lock
-// drops. The span sits on the invoking core's timeline starting at the
-// core clock reading the delta is about to be charged onto.
-func (o *kobs) leave(delta uint64) {
-	name := o.curName
+// leave emits a syscall's span and metrics. The span sits on the
+// invoking core's timeline starting at the core clock reading the delta
+// is about to be charged onto.
+func (o *kobs) leave(c *call, delta uint64) {
+	name := c.sys
 	if o.trace != nil {
 		id := o.nKernel
 		if name != "" {
 			id = o.trace.Name(name)
 		}
-		o.trace.SpanArg(o.ktracks[o.curCore], id, o.curBase, o.curBase+delta, uint64(o.curErrno))
+		o.trace.SpanArg(o.ktracks[c.core], id, c.base, c.base+delta, uint64(c.errno))
 	}
 	if o.metrics != nil && name != "" {
 		st, ok := o.sysStats[name]
@@ -164,71 +174,9 @@ func (o *kobs) leave(delta uint64) {
 			o.sysStats[name] = st
 		}
 		st.count.Inc()
-		if o.curErrno != OK && o.curErrno != EWOULDBLOCK {
+		if c.errno != OK && c.errno != EWOULDBLOCK {
 			st.errs.Inc()
 		}
 		st.cycles.Observe(delta)
-	}
-}
-
-// noteSwitch records a scheduler handoff inside the current syscall:
-// direct (IPC fastpath handoff to the partner thread) or a full context
-// switch. The instant lands mid-span at the core-timeline position
-// corresponding to the kernel cycles charged so far.
-func (k *Kernel) noteSwitch(direct bool, to pm.Ptr) {
-	o := k.obs
-	if o == nil {
-		return
-	}
-	if o.trace != nil {
-		ts := o.curBase + (k.kclock.Cycles() - o.curStart)
-		name := o.nCtx
-		if direct {
-			name = o.nDirect
-		}
-		o.trace.Instant(o.ktracks[o.curCore], name, ts, uint64(to))
-	}
-	if direct {
-		o.cDirect.Inc()
-	} else {
-		o.cCtx.Inc()
-	}
-}
-
-// lockWait records one contended big-lock acquisition: a "lock.wait"
-// span on the core's kernel track covering exactly the spin — [arrival,
-// arrival+wait) on the core's own timeline, immediately preceding the
-// syscall span the wait delayed — plus count and cycle-distribution
-// metrics.
-func (k *Kernel) lockWait(core int, arrival, wait uint64) {
-	o := k.obs
-	if o == nil {
-		return
-	}
-	if o.trace != nil {
-		o.trace.SpanArg(o.ktracks[core], o.nLockWait, arrival, arrival+wait, wait)
-	}
-	o.cLockWait.Inc()
-	o.hLockWait.Observe(wait)
-}
-
-// noteIRQ records one dispatched interrupt as a span on the target
-// core's irq track ([base, base+delta) of the core's timeline, arg =
-// line), and counts it.
-func (k *Kernel) noteIRQ(core, irq int, base, delta uint64) {
-	o := k.obs
-	if o == nil || delta == 0 {
-		return // delta 0: the edge was filtered before dispatch
-	}
-	if o.trace != nil {
-		o.trace.SpanArg(o.itracks[core], o.nIRQ, base, base+delta, uint64(irq))
-	}
-	o.cIRQ.Inc()
-}
-
-// noteIRQDropped counts an edge the fault filter swallowed.
-func (k *Kernel) noteIRQDropped() {
-	if k.obs != nil {
-		k.obs.cIRQDrop.Inc()
 	}
 }

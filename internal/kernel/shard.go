@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atmosphere/internal/hw"
-	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/pm"
 )
 
@@ -45,20 +44,17 @@ type lockPlan struct {
 // pre-sharding funnel.
 func planBig() lockPlan { return lockPlan{big: true} }
 
-// frontier is one acquired entry of a plan: the simulator, its
-// observatory registration, and the wait this entry charged (filled at
-// acquisition, attributed at leave).
+// frontier is one acquired entry of a plan: the simulator and the wait
+// this entry charged (filled at acquisition, attributed at leave).
 type frontier struct {
 	sim  *hw.LockSim
-	id   contend.LockID
 	wait uint64
 }
 
 // shard is one per-object lock frontier.
 type shard struct {
 	sim  hw.LockSim
-	id   contend.LockID // observatory registration; -1 while detached
-	salt uint64         // decorrelates the shard's jitter stream
+	salt uint64 // decorrelates the shard's jitter stream
 }
 
 // shardMix is the splitmix64 finalizer — derives per-shard jitter seeds
@@ -80,7 +76,6 @@ func shardMix(x uint64) uint64 {
 // Creation order is program order (plans resolve under the Go mutex),
 // so registration order — and with it every report — is deterministic.
 func (k *Kernel) armShard(s *shard, salt uint64) {
-	s.id = -1
 	s.salt = shardMix(salt)
 	if k.lock.Enabled() {
 		s.sim.Enable()
@@ -88,9 +83,7 @@ func (k *Kernel) armShard(s *shard, salt uint64) {
 	if k.jitterMax > 0 {
 		s.sim.SetJitter(k.jitterSeed^s.salt, k.jitterMax)
 	}
-	if k.cobs != nil {
-		s.id = k.cobs.Register(&s.sim)
-	}
+	k.Contention().Register(&s.sim)
 	k.shards = append(k.shards, s)
 }
 

@@ -176,20 +176,16 @@ func (k *Kernel) batchDispatch(core int, tid pm.Ptr, s shmring.SQE) Ret {
 	}
 }
 
-// batchBegin validates the caller and raises the core's batch flag. It
-// mirrors callerThread's checks without touching the ledger context —
-// the batch wrapper is not a funnel entry; each drained op sets its own
-// attribution.
+// batchBegin validates the caller and raises the core's batch flag. The
+// batch wrapper is not a funnel entry, so it resolves no caller; each
+// drained op sets its own attribution.
 func (k *Kernel) batchBegin(core int, tid pm.Ptr) bool {
 	k.big.Lock()
 	defer k.big.Unlock()
 	if core < 0 || core >= len(k.batchCore) || k.batchCore[core] {
 		return false
 	}
-	t, okk := k.PM.TryThrd(tid)
-	if !okk || t.State == pm.ThreadExited ||
-		t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv ||
-		k.frozen(t) {
+	if _, okk := k.runnable(tid); !okk {
 		return false
 	}
 	k.batchCore[core] = true
@@ -201,9 +197,8 @@ func (k *Kernel) batchBegin(core int, tid pm.Ptr) bool {
 func (k *Kernel) batchCallerRunnable(tid pm.Ptr) bool {
 	k.big.Lock()
 	defer k.big.Unlock()
-	t, okk := k.PM.TryThrd(tid)
-	return okk && (t.State == pm.ThreadRunnable || t.State == pm.ThreadRunning) &&
-		!k.frozen(t)
+	_, okk := k.runnable(tid)
+	return okk
 }
 
 // batchEnd lowers the core's batch flag and posts the batch result.

@@ -140,7 +140,7 @@ func (k *Kernel) SysIommuAttach(core int, tid pm.Ptr, dev iommu.DeviceID) Ret {
 // destroyIOMMUDomain tears down a dying process's DMA domain: detach
 // devices, unpin every mapped page, credit the table pages, destroy.
 func (k *Kernel) destroyIOMMUDomain(proc *pm.Process) error {
-	k.ledgerCtx(proc.Owner) // DMA refs and table pages are the victim's
+	k.Ledger().SetContext(proc.Owner) // DMA refs and table pages are the victim's
 	d, err := k.IOMMU.Domain(proc.IOMMUDomain)
 	if err != nil {
 		return err

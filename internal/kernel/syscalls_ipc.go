@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"atmosphere/internal/hw"
+	"atmosphere/internal/obs/account"
 	"atmosphere/internal/pm"
 )
 
@@ -102,7 +103,9 @@ func (k *Kernel) resolveMsg(core int, t *pm.Thread, args SendArgs) (pm.Msg, Errn
 		if err := k.Alloc.IncRef(e.Phys); err != nil {
 			return msg, EINVAL
 		}
-		k.ledgerSend(e.Phys, proc.Owner)
+		// The new reference belongs to the message, not to the sender's
+		// mapping: park it on the in-flight pseudo-container.
+		k.Ledger().MoveRef(e.Phys, proc.Owner, account.InFlight)
 		msg.HasPage = true
 		msg.Page = e.Phys
 		msg.PageSize = e.Size
@@ -146,11 +149,13 @@ func (k *Kernel) resolveMsg(core int, t *pm.Thread, args SendArgs) (pm.Msg, Errn
 // holds.
 func (k *Kernel) dropMsg(msg *pm.Msg) {
 	if msg.HasPage {
-		k.ledgerDropInFlight(func() {
-			if _, err := k.Alloc.DecRef(msg.Page); err != nil {
-				panic(err)
-			}
-		})
+		// The DecRef releases the message's reference, not one of the
+		// caller's own mappings.
+		prev := k.Ledger().SwapContext(account.InFlight)
+		if _, err := k.Alloc.DecRef(msg.Page); err != nil {
+			panic(err)
+		}
+		k.Ledger().SetContext(prev)
 		msg.HasPage = false
 	}
 }
@@ -164,7 +169,7 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 		proc := k.PM.Proc(rt.OwningProc)
 		// Page-table nodes this mapping materializes belong to the
 		// receiver's container, whichever side drove the rendezvous.
-		k.ledgerCtx(proc.Owner)
+		k.Ledger().SetContext(proc.Owner)
 		if err := k.PM.ChargePages(proc.Owner, pagesIn4K(msg.PageSize)); err != nil {
 			k.dropMsg(&msg)
 			return err
@@ -193,7 +198,7 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 				return err
 			}
 		}
-		k.ledgerRecv(msg.Page, proc.Owner)
+		k.Ledger().MoveRef(msg.Page, account.InFlight, proc.Owner)
 	}
 	if msg.HasEndpoint {
 		// The transferred endpoint may have been destroyed while the

@@ -127,7 +127,7 @@ func (k *Kernel) allocUser(core int, size hw.PageSize) (hw.PhysAddr, error) {
 		if err != nil {
 			return 0, err
 		}
-		k.local += local
+		k.cur.local += local
 		return phys, nil
 	}
 	switch size {
@@ -201,7 +201,7 @@ func (k *Kernel) freeUser(core int, phys hw.PhysAddr, size hw.PageSize) {
 			if err != nil {
 				panic(err)
 			}
-			k.local += local
+			k.cur.local += local
 			return
 		}
 	}
@@ -239,7 +239,7 @@ func (k *Kernel) shootdown(core int, cr3 hw.PhysAddr, va hw.VirtAddr, size hw.Pa
 // free-list order it produces) is deterministic — output consistency
 // (§4.3) requires the kernel to be a function of its pre-state.
 func (k *Kernel) unmapAll(proc *pm.Process) {
-	k.ledgerCtx(proc.Owner) // the torn-down refs are the victim's, not the killer's
+	k.Ledger().SetContext(proc.Owner) // the torn-down refs are the victim's, not the killer's
 	space := proc.PageTable.AddressSpace()
 	vas := make([]hw.VirtAddr, 0, len(space))
 	for va := range space {

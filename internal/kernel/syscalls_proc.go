@@ -25,7 +25,7 @@ func (k *Kernel) SysNewContainer(core int, tid pm.Ptr, quota uint64, cpus []int)
 	}
 	// The child's object page (== the child pointer) is its own first
 	// quota page, but it was allocated under the parent's context.
-	k.ledgerAttr(child, child)
+	k.Ledger().Attribute(child, child)
 	return k.post("new_container", tid, ok(uint64(child)))
 }
 
@@ -62,7 +62,7 @@ func (k *Kernel) SysNewProcessIn(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 	if !k.PM.IsAncestor(caller.Owner, cntr) {
 		return k.post("new_proc_in", tid, fail(EPERM))
 	}
-	k.ledgerCtx(cntr) // object pages belong to the target container
+	k.Ledger().SetContext(cntr) // object pages belong to the target container
 	proc, err := k.PM.NewProcess(cntr, 0)
 	if err != nil {
 		return k.post("new_proc_in", tid, fail(errnoOf(err)))
@@ -102,7 +102,7 @@ func (k *Kernel) SysNewThreadIn(core int, tid pm.Ptr, proc pm.Ptr, onCore int) R
 	if !k.controlsProcess(caller, t.OwningProc, target, proc) {
 		return k.post("new_thread_in", tid, fail(EPERM))
 	}
-	k.ledgerCtx(target.Owner) // the thread page belongs to the target
+	k.Ledger().SetContext(target.Owner) // the thread page belongs to the target
 	th, err := k.PM.NewThread(proc, onCore)
 	if err != nil {
 		return k.post("new_thread_in", tid, fail(errnoOf(err)))

@@ -15,7 +15,7 @@
 //
 // Observer contract: the PageObserver is synchronous, must never call
 // back into the allocator, and is charged zero cycles — attaching one
-// cannot move a benchmark number (bench.TestTracingIsFree pins this).
+// cannot move a benchmark number (bench.TestProbesAreFree pins this).
 package mem
 
 import (

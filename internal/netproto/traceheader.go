@@ -3,6 +3,8 @@ package netproto
 import (
 	"encoding/binary"
 	"errors"
+
+	"atmosphere/internal/hw"
 )
 
 // Distributed-trace context header. When cluster-level tracing is on,
@@ -53,13 +55,11 @@ type TraceHeader struct {
 // traceCheck folds an FNV-1a hash of the 15 non-check header bytes to
 // one byte. A single flipped bit anywhere in the header changes it.
 func traceCheck(b []byte) byte {
-	h := uint64(14695981039346656037)
+	h := hw.FNVOffset
 	for i := 0; i < TraceHeaderLen; i++ {
-		if i == 3 {
-			continue
+		if i != 3 {
+			h = hw.FNVByte(h, b[i])
 		}
-		h ^= uint64(b[i])
-		h *= 1099511628211
 	}
 	var c byte
 	for i := 0; i < 8; i++ {
@@ -125,12 +125,5 @@ func UpdateTraceHeader(payload []byte, hop uint8, parent uint32) error {
 // straggler reply from a finished request can never be mis-joined to
 // the flow's next one.
 func TraceID(seed uint64, flow int, seq uint64, attempt int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range [4]uint64{seed, uint64(flow), seq, uint64(attempt)} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
+	return hw.FNV(hw.FNVOffset, seed, uint64(flow), seq, uint64(attempt))
 }

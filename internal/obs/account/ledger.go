@@ -14,7 +14,7 @@
 // Like the tracer, everything here is nil-safe (every method on a nil
 // *Ledger is a no-op) and charges zero simulated cycles: the ledger only
 // ever reads clocks and allocator metadata, so attaching it cannot move
-// a benchmark number (bench.TestTracingIsFree holds Table 3 to that).
+// a benchmark number (bench.TestProbesAreFree holds Table 3 to that).
 package account
 
 import (

@@ -21,6 +21,7 @@
 package dist
 
 import (
+	"atmosphere/internal/hw"
 	"atmosphere/internal/obs"
 )
 
@@ -225,7 +226,8 @@ func (c *Collector) newAttempt(r *request, tick uint64) uint64 {
 		sentTick:      tick,
 		backoffBefore: r.backoffTicks,
 	}
-	a.traceID = traceID(c.cfg.Seed, r.flow, r.seq, a.index)
+	// netproto.TraceID's derivation; a cluster test pins the equality.
+	a.traceID = hw.FNV(hw.FNVOffset, c.cfg.Seed, uint64(r.flow), r.seq, uint64(a.index))
 	r.attempts = append(r.attempts, a)
 	c.byTrace[a.traceID] = a
 	return a.traceID
@@ -465,18 +467,4 @@ func (c *Collector) ServiceHistogram() *obs.Histogram {
 		}
 	}
 	return merged
-}
-
-// traceID mirrors netproto.TraceID (FNV-1a over seed/flow/seq/attempt)
-// without importing netproto — obs stays dependency-free below the
-// wire-format layer; the equality is pinned by a cluster test.
-func traceID(seed uint64, flow int, seq uint64, attempt int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range [4]uint64{seed, uint64(flow), seq, uint64(attempt)} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
 }

@@ -18,6 +18,8 @@
 // dump.
 package obs
 
+import "atmosphere/internal/hw"
+
 // DefaultEventCapacity is the ring size NewTracer uses for capacity <= 0
 // (64 Ki events * 40 bytes ≈ 2.5 MiB).
 const DefaultEventCapacity = 1 << 16
@@ -280,22 +282,10 @@ func (t *Tracer) Hash() uint64 {
 	if t == nil {
 		return 0
 	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(w uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= 1099511628211 // FNV-1a prime
-		}
-	}
-	mix(t.dropped)
+	h := hw.FNV(hw.FNVOffset, t.dropped)
 	for i := 0; i < t.n; i++ {
 		e := &t.ring[(t.head+i)%len(t.ring)]
-		mix(uint64(e.Kind))
-		mix(uint64(e.Track))
-		mix(uint64(e.Name))
-		mix(e.TS)
-		mix(e.Dur)
-		mix(e.Arg)
+		h = hw.FNV(h, uint64(e.Kind), uint64(e.Track), uint64(e.Name), e.TS, e.Dur, e.Arg)
 	}
 	return h
 }
