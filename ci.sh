@@ -55,7 +55,9 @@ for f in docs/*.md; do
 done
 
 echo "== atmo-fuzz -diff smoke"
-go run ./cmd/atmo-fuzz -diff -seeds 4 -steps 2000
+# 24 seeds: as many as fit in the wall time 4 seeds took before the
+# allocator's page sets became frame bitmaps (~5 s on 2 vCPUs).
+go run ./cmd/atmo-fuzz -diff -seeds 24 -steps 2000
 
 echo "== atmo-trace smoke"
 smoke_dir=$(mktemp -d /tmp/atmo-ci-smoke.XXXXXX)

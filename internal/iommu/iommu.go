@@ -186,7 +186,7 @@ func (u *IOMMU) Translate(dev DeviceID, iova hw.VirtAddr) (hw.PhysAddr, bool) {
 
 // PageClosure returns every page owned by the IOMMU subsystem: the root
 // context page plus every domain's table nodes.
-func (u *IOMMU) PageClosure() mem.PageSet {
+func (u *IOMMU) PageClosure() *mem.PageSet {
 	s := mem.NewPageSet(u.root)
 	for _, d := range u.domains {
 		s.Union(d.Table.PageClosure())

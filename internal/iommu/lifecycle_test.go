@@ -159,7 +159,7 @@ func TestLifecycleChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := len(u.PageClosure())
+	baseline := u.PageClosure().Len()
 	for round := 0; round < 32; round++ {
 		d, err := u.CreateDomain()
 		if err != nil {
@@ -183,7 +183,7 @@ func TestLifecycleChurn(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		wf(t, u)
-		if got := len(u.PageClosure()); got != baseline {
+		if got := u.PageClosure().Len(); got != baseline {
 			t.Fatalf("round %d: page closure %d pages, baseline %d — lifecycle leaks", round, got, baseline)
 		}
 	}

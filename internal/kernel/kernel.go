@@ -380,7 +380,7 @@ func (k *Kernel) CoreCaches() *mem.CoreCaches { return k.caches }
 // PageCachePages returns the kernel's own view of the frames parked in
 // per-core caches — what verify.MemoryWF compares against the
 // allocator's OwnerPCache closure. Empty when caches are disabled.
-func (k *Kernel) PageCachePages() mem.PageSet {
+func (k *Kernel) PageCachePages() *mem.PageSet {
 	if k.caches == nil {
 		return mem.NewPageSet()
 	}

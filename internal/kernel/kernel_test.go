@@ -64,6 +64,26 @@ func TestMmapMunmap(t *testing.T) {
 	}
 }
 
+// A warm single-page mmap/munmap pair allocates a fixed, small number of
+// host objects however many table nodes the address space has: the
+// quota paths count nodes without copying the node set.
+func TestMmapMunmapAllocs(t *testing.T) {
+	k, init := boot(t)
+	// Nineteen table nodes, too many for a copy of the node set to stay
+	// on the stack.
+	for i := 0; i < 16; i++ {
+		mustOK(t, k.SysMmap(0, init, hw.VirtAddr(0x40000000+i*hw.PageSize2M), 1, hw.Size4K, pt.RW))
+	}
+	pair := func() {
+		mustOK(t, k.SysMmap(0, init, 0x400000, 1, hw.Size4K, pt.RW))
+		mustOK(t, k.SysMunmap(0, init, 0x400000, 1, hw.Size4K))
+	}
+	pair() // create the table nodes for 0x400000
+	if got := testing.AllocsPerRun(100, pair); got > 1 {
+		t.Fatalf("warm mmap/munmap pair allocates %v objects, want at most 1", got)
+	}
+}
+
 func TestMmapDoubleMapRejected(t *testing.T) {
 	k, init := boot(t)
 	mustOK(t, k.SysMmap(0, init, 0x1000, 1, hw.Size4K, pt.RW))

@@ -61,7 +61,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 	if err != nil {
 		return k.post("iommu_map", tid, fail(errnoOf(err)))
 	}
-	nodesBefore := d.Table.PageClosure().Len()
+	nodesBefore := d.Table.NodeCount()
 	if err := k.Alloc.IncRef(e.Phys); err != nil {
 		return k.post("iommu_map", tid, fail(EINVAL))
 	}
@@ -71,7 +71,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 		}
 		return k.post("iommu_map", tid, fail(errnoOf(err)))
 	}
-	nodesAfter := d.Table.PageClosure().Len()
+	nodesAfter := d.Table.NodeCount()
 	if nodesAfter > nodesBefore {
 		if err := k.PM.ChargePages(proc.Owner, uint64(nodesAfter-nodesBefore)); err != nil {
 			// Roll the mapping back; prune the fresh nodes.
@@ -82,7 +82,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 				panic(derr)
 			}
 			d.Table.PruneEmpty()
-			now := d.Table.PageClosure().Len()
+			now := d.Table.NodeCount()
 			if now < nodesBefore {
 				k.PM.CreditPages(proc.Owner, uint64(nodesBefore-now))
 			}
@@ -166,7 +166,7 @@ func (k *Kernel) destroyIOMMUDomain(proc *pm.Process) error {
 			return err
 		}
 	}
-	nodes := d.Table.PageClosure().Len()
+	nodes := d.Table.NodeCount()
 	if err := k.IOMMU.DestroyDomain(proc.IOMMUDomain); err != nil {
 		return err
 	}

@@ -174,7 +174,7 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 			k.dropMsg(&msg)
 			return err
 		}
-		nodesBefore := proc.PageTable.PageClosure().Len()
+		nodesBefore := proc.PageTable.NodeCount()
 		if err := proc.PageTable.Map(rt.IPC.RecvVA, msg.Page, msg.PageSize, msg.PagePerm); err != nil {
 			k.PM.CreditPages(proc.Owner, pagesIn4K(msg.PageSize))
 			k.dropMsg(&msg)
@@ -182,14 +182,14 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 		}
 		// Charge any page-table nodes the mapping materialized; if the
 		// receiver's quota cannot carry them, the transfer is undone.
-		nodesAfter := proc.PageTable.PageClosure().Len()
+		nodesAfter := proc.PageTable.NodeCount()
 		if nodesAfter > nodesBefore {
 			if err := k.PM.ChargePages(proc.Owner, uint64(nodesAfter-nodesBefore)); err != nil {
 				if _, uerr := proc.PageTable.Unmap(rt.IPC.RecvVA); uerr != nil {
 					panic(uerr)
 				}
 				proc.PageTable.PruneEmpty()
-				now := proc.PageTable.PageClosure().Len()
+				now := proc.PageTable.NodeCount()
 				if now < nodesBefore {
 					k.PM.CreditPages(proc.Owner, uint64(nodesBefore-now))
 				}

@@ -54,7 +54,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 		}
 	}
 
-	nodesBefore := table.PageClosure().Len()
+	nodesBefore := table.NodeCount()
 	type mapped struct {
 		va   hw.VirtAddr
 		phys hw.PhysAddr
@@ -73,7 +73,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 		// Drop any now-empty table nodes this syscall (or earlier
 		// history) left behind, then settle the accounting delta.
 		table.PruneEmpty()
-		nodesNow := table.PageClosure().Len()
+		nodesNow := table.NodeCount()
 		if nodesNow < nodesBefore {
 			k.PM.CreditPages(cntr, uint64(nodesBefore-nodesNow))
 		} else if nodesNow > nodesBefore {
@@ -104,7 +104,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 		done = append(done, mapped{dst, phys})
 	}
 	// Charge the page-table nodes this mapping created.
-	nodesAfter := table.PageClosure().Len()
+	nodesAfter := table.NodeCount()
 	if nodesAfter > nodesBefore {
 		if err := k.PM.ChargePages(cntr, uint64(nodesAfter-nodesBefore)); err != nil {
 			rollback()

@@ -544,56 +544,66 @@ func (a *Allocator) Split(p hw.PhysAddr) error {
 // --- explicit allocator state (ghost view) ----------------------------------
 
 // Snapshot is the abstract state of the allocator: the page sets the
-// paper's specifications quantify over. Building it is O(frames); the
-// kernel exposes it to the verifier, never to hot paths.
+// paper's specifications quantify over. Each set is a frame bitmap, so
+// building it is one pass over the page array plus O(frames/64) words
+// per set; the kernel exposes it to the verifier, never to hot paths.
 type Snapshot struct {
-	Free4K    PageSet
-	Free2M    PageSet
-	Free1G    PageSet
-	Allocated PageSet
-	Mapped    PageSet
-	Merged    PageSet
-	Boot      PageSet
+	Free4K    *PageSet
+	Free2M    *PageSet
+	Free1G    *PageSet
+	Allocated *PageSet
+	Mapped    *PageSet
+	Merged    *PageSet
+	Boot      *PageSet
 	// PCache is the subset of Allocated parked in per-core page-frame
 	// caches (OwnerPCache). Specs treat these as free at the abstract
 	// level — the cache is an implementation detail of the allocator —
 	// while the closure checks still see them as allocated.
-	PCache PageSet
+	PCache *PageSet
 }
 
-// Snapshot captures the allocator's abstract state.
+// Snapshot captures the allocator's abstract state. Its eight sets share
+// one backing array sized to the frame count, so it allocates the same
+// few objects whatever the machine size.
 func (a *Allocator) Snapshot() Snapshot {
+	nw := wordsFor(len(a.pages))
+	slab := make([]uint64, 8*nw)
+	sets := new([8]PageSet)
+	for i := range sets {
+		// Capacity is capped so an Insert past the last frame reallocates
+		// instead of writing into the neighbouring set.
+		sets[i].words = slab[i*nw : (i+1)*nw : (i+1)*nw]
+	}
 	s := Snapshot{
-		Free4K: NewPageSet(), Free2M: NewPageSet(), Free1G: NewPageSet(),
-		Allocated: NewPageSet(), Mapped: NewPageSet(), Merged: NewPageSet(),
-		Boot: NewPageSet(), PCache: NewPageSet(),
+		Free4K: &sets[0], Free2M: &sets[1], Free1G: &sets[2],
+		Allocated: &sets[3], Mapped: &sets[4], Merged: &sets[5],
+		Boot: &sets[6], PCache: &sets[7],
 	}
 	for i := range a.pages {
-		p := a.mem.FrameAddr(i)
 		pg := &a.pages[i]
 		switch pg.State {
 		case StateFree:
 			switch pg.Size {
 			case Size4K:
-				s.Free4K.Insert(p)
+				s.Free4K.addFrame(i)
 			case Size2M:
-				s.Free2M.Insert(p)
+				s.Free2M.addFrame(i)
 			case Size1G:
-				s.Free1G.Insert(p)
+				s.Free1G.addFrame(i)
 			}
 		case StateAllocated:
 			if pg.Owner == OwnerBoot {
-				s.Boot.Insert(p)
+				s.Boot.addFrame(i)
 			} else {
-				s.Allocated.Insert(p)
+				s.Allocated.addFrame(i)
 				if pg.Owner == OwnerPCache {
-					s.PCache.Insert(p)
+					s.PCache.addFrame(i)
 				}
 			}
 		case StateMapped:
-			s.Mapped.Insert(p)
+			s.Mapped.addFrame(i)
 		case StateMerged:
-			s.Merged.Insert(p)
+			s.Merged.addFrame(i)
 		}
 	}
 	return s
@@ -601,25 +611,27 @@ func (a *Allocator) Snapshot() Snapshot {
 
 // AllocatedTo returns the set of pages allocated to owner — the raw
 // material of per-subsystem page_closure() checks.
-func (a *Allocator) AllocatedTo(owner Owner) PageSet {
-	s := NewPageSet()
+func (a *Allocator) AllocatedTo(owner Owner) *PageSet {
+	s := newPageSetFrames(len(a.pages))
 	for i := range a.pages {
 		if a.pages[i].State == StateAllocated && a.pages[i].Owner == owner {
-			s.Insert(a.mem.FrameAddr(i))
+			s.addFrame(i)
 		}
 	}
 	return s
 }
 
-// WalkFreeList returns the frame addresses on the free list of sc in list
-// order, for invariant checks that the list and the metadata agree.
-func (a *Allocator) WalkFreeList(sc SizeClass) []hw.PhysAddr {
-	var out []hw.PhysAddr
+// FreeListIs reports whether the free list of sc holds exactly the pages
+// of want: every listed page is in want, no page is listed twice, and the
+// list is as long as want. A cyclic list fails the second condition.
+func (a *Allocator) FreeListIs(sc SizeClass, want *PageSet) bool {
+	seen := newPageSetFrames(len(a.pages))
 	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
-		out = append(out, a.mem.FrameAddr(int(i)))
-		if len(out) > len(a.pages) {
-			panic("mem: free list cycle")
+		p := a.mem.FrameAddr(int(i))
+		if !want.Contains(p) || seen.Contains(p) {
+			return false
 		}
+		seen.addFrame(int(i))
 	}
-	return out
+	return seen.Len() == want.Len()
 }

@@ -320,7 +320,7 @@ func checkPartition(t *testing.T, a *Allocator) {
 	if total != a.Frames() {
 		t.Fatalf("partition covers %d of %d frames", total, a.Frames())
 	}
-	sets := []PageSet{s.Free4K, s.Free2M, s.Free1G, s.Allocated, s.Mapped, s.Merged, s.Boot}
+	sets := []*PageSet{s.Free4K, s.Free2M, s.Free1G, s.Allocated, s.Mapped, s.Merged, s.Boot}
 	for i := range sets {
 		for j := i + 1; j < len(sets); j++ {
 			if !sets[i].Disjoint(sets[j]) {
@@ -328,20 +328,19 @@ func checkPartition(t *testing.T, a *Allocator) {
 			}
 		}
 	}
-	list4k := NewPageSet(a.WalkFreeList(Size4K)...)
-	if !list4k.Equal(s.Free4K) {
-		t.Fatalf("4K free list (%d) disagrees with metadata (%d)", list4k.Len(), s.Free4K.Len())
+	if !a.FreeListIs(Size4K, s.Free4K) {
+		t.Fatalf("4K free list disagrees with metadata (%d)", s.Free4K.Len())
 	}
-	list2m := NewPageSet(a.WalkFreeList(Size2M)...)
-	if !list2m.Equal(s.Free2M) {
+	if !a.FreeListIs(Size2M, s.Free2M) {
 		t.Fatal("2M free list disagrees with metadata")
 	}
 }
 
 func TestFreeListWalkMatchesCount(t *testing.T) {
 	a := newTestAlloc(64)
-	if got := len(a.WalkFreeList(Size4K)); got != a.FreeCount4K() {
-		t.Fatalf("walk %d != count %d", got, a.FreeCount4K())
+	free := a.Snapshot().Free4K
+	if !a.FreeListIs(Size4K, free) || free.Len() != a.FreeCount4K() {
+		t.Fatalf("walk of %d free pages != count %d", free.Len(), a.FreeCount4K())
 	}
 }
 

@@ -131,7 +131,7 @@ func (cc *CoreCaches) Drain() error {
 // Pages returns the set of frames currently parked in any core's
 // cache — the kernel's own view, which verify.MemoryWF compares
 // against the allocator's AllocatedTo(OwnerPCache) closure.
-func (cc *CoreCaches) Pages() PageSet {
+func (cc *CoreCaches) Pages() *PageSet {
 	s := NewPageSet()
 	for _, st := range cc.frames {
 		for _, p := range st {

@@ -330,7 +330,7 @@ func (m *ProcessManager) FreeProcess(proc Ptr) error {
 			ErrBusy, proc, len(p.Threads), len(p.Children))
 	}
 	c := m.Cntr(p.Owner)
-	nodes := p.PageTable.PageClosure().Len()
+	nodes := p.PageTable.NodeCount()
 	if err := p.PageTable.Destroy(); err != nil {
 		return err
 	}

@@ -79,7 +79,7 @@ type PageTable struct {
 	// Nodes is the flat set of all table-node pages of every level —
 	// the flat permission storage of §4.1 applied to the page table
 	// (tracked permissions of each PML level stored at the top, §6.2).
-	nodes mem.PageSet
+	nodes *mem.PageSet
 
 	// Ghost abstract state: one map per page size (§6.2).
 	ghost4K map[hw.VirtAddr]MapEntry
@@ -160,11 +160,15 @@ func (t *PageTable) MappedCount() int {
 
 // PageClosure returns the set of pages used by the page table itself: its
 // table nodes. A page table owns no other objects (§4.2).
-func (t *PageTable) PageClosure() mem.PageSet { return t.nodes.Clone() }
+func (t *PageTable) PageClosure() *mem.PageSet { return t.nodes.Clone() }
+
+// NodeCount returns the number of table nodes, PageClosure().Len()
+// without the copy.
+func (t *PageTable) NodeCount() int { return t.nodes.Len() }
 
 // MappedFrames returns the set of physical pages currently mapped, for
 // isolation checks.
-func (t *PageTable) MappedFrames() mem.PageSet {
+func (t *PageTable) MappedFrames() *mem.PageSet {
 	s := mem.NewPageSet()
 	for _, e := range t.ghost4K {
 		s.Insert(e.Phys)

@@ -237,9 +237,9 @@ func mmapFailFrame(old, new State, tid Ptr) error {
 
 // allocatedSansCache returns the allocated pages that belong to kernel
 // subsystems — the allocated set minus the per-core page-cache frames.
-func allocatedSansCache(st State) mem.PageSet {
+func allocatedSansCache(st State) *mem.PageSet {
 	s := st.Mem.Allocated.Clone()
-	for p := range st.Mem.PCache {
+	for _, p := range st.Mem.PCache.Sorted() {
 		s.Remove(p)
 	}
 	return s

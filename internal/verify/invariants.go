@@ -383,10 +383,10 @@ func MemoryWF(k *kernel.Kernel) error {
 		return fmt.Errorf("page states cover %d of %d frames", total, k.Alloc.Frames())
 	}
 	// Free lists agree with the metadata.
-	if !mem.NewPageSet(k.Alloc.WalkFreeList(mem.Size4K)...).Equal(snap.Free4K) {
+	if !k.Alloc.FreeListIs(mem.Size4K, snap.Free4K) {
 		return fmt.Errorf("4K free list disagrees with page states")
 	}
-	if !mem.NewPageSet(k.Alloc.WalkFreeList(mem.Size2M)...).Equal(snap.Free2M) {
+	if !k.Alloc.FreeListIs(mem.Size2M, snap.Free2M) {
 		return fmt.Errorf("2M free list disagrees with page states")
 	}
 	// Process-manager closure: exactly the object pages.
@@ -476,7 +476,7 @@ func MemoryWF(k *kernel.Kernel) error {
 			}
 		}
 	}
-	for p := range snap.Mapped {
+	for _, p := range snap.Mapped.Sorted() {
 		rc, err := k.Alloc.RefCount(p)
 		if err != nil {
 			return err
@@ -514,7 +514,7 @@ func QuotaWF(k *kernel.Kernel) error {
 		for pp := range c.Procs {
 			proc := pmgr.ProcPerms[pp]
 			want += 1 // process object
-			want += uint64(proc.PageTable.PageClosure().Len())
+			want += uint64(proc.PageTable.NodeCount())
 			for _, e := range proc.PageTable.AddressSpace() {
 				want += e.Size.Bytes() / hw.PageSize4K
 			}
@@ -523,7 +523,7 @@ func QuotaWF(k *kernel.Kernel) error {
 				if err != nil {
 					return err
 				}
-				want += uint64(d.Table.PageClosure().Len())
+				want += uint64(d.Table.NodeCount())
 			}
 		}
 		want += uint64(len(c.OwnedThreads))

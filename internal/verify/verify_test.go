@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -482,5 +483,45 @@ func TestMutationSchedulerLostThreadCaught(t *testing.T) {
 	th.IPC.WaitingOn = 0
 	if err := SchedulerWF(c.K); err == nil {
 		t.Fatal("lost runnable thread not caught")
+	}
+}
+
+// With several mapped pages' refcounts wrong, MemoryWF names the lowest
+// one, identically on every run (the mapped set is walked ascending).
+func TestMemoryWFReportsLowestRefcountMismatch(t *testing.T) {
+	var first string
+	for run := 0; run < 20; run++ {
+		c, init := newChecker(t)
+		musts(t)(c.Mmap(0, init, 0x600000, 8, hw.Size4K, pt.RW))
+		proc := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc)
+		var lo, hi hw.PhysAddr
+		for _, e := range proc.PageTable.AddressSpace() {
+			if lo == 0 || e.Phys < lo {
+				lo = e.Phys
+			}
+			if e.Phys > hi {
+				hi = e.Phys
+			}
+		}
+		// Plant the higher mismatch first so insertion order cannot
+		// explain the report.
+		for _, p := range []hw.PhysAddr{hi, lo} {
+			if err := c.K.Alloc.IncRef(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := MemoryWF(c.K)
+		if err == nil {
+			t.Fatal("refcount mismatches not caught")
+		}
+		want := fmt.Sprintf("mapped page %#x refcount 2, references 1", lo)
+		if err.Error() != want {
+			t.Fatalf("run %d: MemoryWF = %q, want %q", run, err, want)
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d: report %q differs from run 0's %q", run, err, first)
+		}
 	}
 }
