@@ -26,7 +26,7 @@ func runExperiment(b *testing.B, id string) {
 	var res bench.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = e.Run()
+		res, err = e.Run(bench.Sinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestAllExperimentsProduceRows(t *testing.T) {
 		t.Skip("full evaluation in -short mode")
 	}
 	for _, e := range bench.All() {
-		res, err := e.Run()
+		res, err := e.Run(bench.Sinks{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

@@ -142,89 +142,4 @@ if [ ! -s "$smoke_dir/BENCH_cluster.json" ]; then
     exit 1
 fi
 
-echo "== atmo-trace -workload cluster -merged smoke (byte determinism)"
-go run ./cmd/atmo-trace -workload cluster -merged -seed 1107 \
-    -o "$smoke_dir/merged_a.json" > "$smoke_dir/merged_a.txt"
-go run ./cmd/atmo-trace -workload cluster -merged -seed 1107 \
-    -o "$smoke_dir/merged_b.json" > "$smoke_dir/merged_b.txt"
-if [ ! -s "$smoke_dir/merged_a.json" ]; then
-    echo "atmo-trace: merged smoke produced an empty export" >&2
-    exit 1
-fi
-if ! cmp -s "$smoke_dir/merged_a.json" "$smoke_dir/merged_b.json"; then
-    echo "atmo-trace: merged export is not byte-deterministic across same-seed runs" >&2
-    exit 1
-fi
-# The "wrote <path>" line names the (different) output files; everything
-# else on stdout must be identical.
-grep -v '^wrote ' "$smoke_dir/merged_a.txt" > "$smoke_dir/merged_a.flt"
-grep -v '^wrote ' "$smoke_dir/merged_b.txt" > "$smoke_dir/merged_b.flt"
-if ! cmp -s "$smoke_dir/merged_a.flt" "$smoke_dir/merged_b.flt"; then
-    echo "atmo-trace: merged attribution report is not deterministic" >&2
-    exit 1
-fi
-if ! grep -q "distributed trace attribution" "$smoke_dir/merged_a.txt"; then
-    echo "atmo-trace: merged smoke printed no attribution report" >&2
-    cat "$smoke_dir/merged_a.txt" >&2
-    exit 1
-fi
-
-echo "== atmo-trace -workload kvstore-batch smoke (byte determinism)"
-go run ./cmd/atmo-trace -workload kvstore-batch -cores 4 \
-    -o "$smoke_dir/kvb_a.json" > "$smoke_dir/kvb_a.txt"
-go run ./cmd/atmo-trace -workload kvstore-batch -cores 4 \
-    -o "$smoke_dir/kvb_b.json" > "$smoke_dir/kvb_b.txt"
-if [ ! -s "$smoke_dir/kvb_a.json" ]; then
-    echo "atmo-trace: kvstore-batch smoke produced an empty trace" >&2
-    exit 1
-fi
-if ! cmp -s "$smoke_dir/kvb_a.json" "$smoke_dir/kvb_b.json"; then
-    echo "atmo-trace: kvstore-batch trace is not byte-deterministic across same-seed runs" >&2
-    exit 1
-fi
-
-echo "== atmo-trace -contention smoke (byte determinism)"
-go run ./cmd/atmo-trace -workload multicore -cores 4 -ops 60 -contention \
-    -o "$smoke_dir/contend_a.json" > "$smoke_dir/contend_a.txt"
-go run ./cmd/atmo-trace -workload multicore -cores 4 -ops 60 -contention \
-    -o "$smoke_dir/contend_b.json" > "$smoke_dir/contend_b.txt"
-if ! cmp -s "$smoke_dir/contend_a.json" "$smoke_dir/contend_b.json"; then
-    echo "atmo-trace: -contention trace is not byte-deterministic across same-seed runs" >&2
-    exit 1
-fi
-grep -v '^wrote ' "$smoke_dir/contend_a.txt" > "$smoke_dir/contend_a.flt"
-grep -v '^wrote ' "$smoke_dir/contend_b.txt" > "$smoke_dir/contend_b.flt"
-if ! cmp -s "$smoke_dir/contend_a.flt" "$smoke_dir/contend_b.flt"; then
-    echo "atmo-trace: contention report is not deterministic" >&2
-    exit 1
-fi
-if ! grep -q "== contention: locks ==" "$smoke_dir/contend_a.txt"; then
-    echo "atmo-trace: -contention smoke printed no contention report" >&2
-    cat "$smoke_dir/contend_a.txt" >&2
-    exit 1
-fi
-if ! grep -q '"lock\.' "$smoke_dir/contend_a.json"; then
-    echo "atmo-trace: -contention trace has no lock counter tracks" >&2
-    exit 1
-fi
-
-echo "== atmo-trace -contention 16-core sharded smoke (byte determinism)"
-# The multicore workload includes the many-container ipc sub-workload;
-# at 16 cores its lock plans touch dozens of container and endpoint
-# frontiers, and the export must still be byte-deterministic.
-go run ./cmd/atmo-trace -workload multicore -cores 16 -ops 40 -contention \
-    -o "$smoke_dir/shard_a.json" > "$smoke_dir/shard_a.txt"
-go run ./cmd/atmo-trace -workload multicore -cores 16 -ops 40 -contention \
-    -o "$smoke_dir/shard_b.json" > "$smoke_dir/shard_b.txt"
-if ! cmp -s "$smoke_dir/shard_a.json" "$smoke_dir/shard_b.json"; then
-    echo "atmo-trace: sharded 16-core -contention trace is not byte-deterministic" >&2
-    exit 1
-fi
-grep -v '^wrote ' "$smoke_dir/shard_a.txt" > "$smoke_dir/shard_a.flt"
-grep -v '^wrote ' "$smoke_dir/shard_b.txt" > "$smoke_dir/shard_b.flt"
-if ! cmp -s "$smoke_dir/shard_a.flt" "$smoke_dir/shard_b.flt"; then
-    echo "atmo-trace: sharded 16-core contention report is not deterministic" >&2
-    exit 1
-fi
-
 echo "ci: all checks passed"

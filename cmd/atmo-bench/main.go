@@ -47,18 +47,17 @@ func main() {
 		return
 	}
 
-	var tracer *obs.Tracer
-	var registry *obs.Registry
+	var sinks bench.Sinks
 	if *traceOut != "" || *profileOut != "" || *jsonOut {
-		tracer = obs.NewTracer(0)
+		sinks.Tracer = obs.NewTracer(0)
 	}
 	if *metricsOut != "" {
-		registry = obs.NewRegistry()
+		sinks.Metrics = obs.NewRegistry()
 		// The accounting gauges ride the metrics dump: the ledger rebinds
 		// per experiment boot, so the dump reflects the last kernel.
-		bench.SetLedger(account.NewLedger())
+		sinks.Ledger = account.NewLedger()
 	}
-	bench.SetObs(tracer, registry)
+	tracer, registry := sinks.Tracer, sinks.Metrics
 
 	var run []bench.Experiment
 	if *series != "" {
@@ -82,7 +81,7 @@ func main() {
 	}
 	var results []bench.Result
 	for _, e := range run {
-		res, err := e.Run()
+		res, err := e.Run(sinks)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)

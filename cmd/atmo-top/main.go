@@ -23,18 +23,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"atmosphere/internal/bench"
-	"atmosphere/internal/drivers"
-	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/account"
 	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/obs/profile"
 )
 
+// workloads are the names atmo-top accepts from the bench workload
+// table: the single-kernel runs whose ledger it can audit.
+var workloads = []string{"kvstore", "chaos", "ipc", "multicore"}
+
 func main() {
-	workload := flag.String("workload", "kvstore", "workload: kvstore, chaos, ipc, multicore")
+	workload := flag.String("workload", "kvstore", "workload: "+strings.Join(workloads, ", "))
 	seed := flag.Uint64("seed", 1, "workload seed")
 	ops := flag.Int("ops", 300, "operations (kv ops or ipc round trips; per-core mmaps for multicore)")
 	cores := flag.Int("cores", 4, "core count for the multicore workload")
@@ -44,31 +48,32 @@ func main() {
 	byClass := flag.Bool("by-class", false, "with -locks: roll the per-lock table up to one row per lock class (big, container, endpoint)")
 	profileOut := flag.String("profile", "", "also write <prefix>.folded and <prefix>.pb.gz cycle profiles")
 	flag.Parse()
-
-	full, tr, cobs, err := run(*workload, *mc, *seed, *ops, *cores)
-	if err != nil {
-		fail(err)
+	w, ok := bench.WorkloadByName(*workload)
+	if !ok || !slices.Contains(workloads, *workload) {
+		fail(fmt.Errorf("unknown workload %q (%s)", *workload, strings.Join(workloads, ", ")))
 	}
+	// For multicore, -mc picks one sub-workload of the series. For alloc
+	// the per-core page caches are on, so the "page-cache"
+	// pseudo-container row shows the frames parked in per-core caches at
+	// the end of the run; for ipc the contention snapshot shows the
+	// per-container/per-endpoint sharded frontiers.
+	opts := bench.WorkloadOpts{Seed: *seed, Ops: *ops, Cores: *cores, Sub: []string{*mc}}
+
+	full := run(w, opts)
 	switch {
 	case *locks && *diff:
-		_, _, half, err := run(*workload, *mc, *seed, *ops/2, *cores)
-		if err != nil {
-			fail(err)
-		}
-		printLocksDiff(half, cobs, *ops)
+		opts.Ops /= 2
+		printLocksDiff(run(w, opts).Contend, full.Contend, *ops)
 	case *locks:
-		printLocks(cobs, *ops, *byClass)
+		printLocks(full.Contend, *ops, *byClass)
 	case *diff:
-		half, _, _, err := run(*workload, *mc, *seed, *ops/2, *cores)
-		if err != nil {
-			fail(err)
-		}
-		printDiff(half, full, *ops)
+		opts.Ops /= 2
+		printDiff(run(w, opts).Ledger, full.Ledger, *ops)
 	default:
-		printSnapshot(full, *ops)
+		printSnapshot(full.Ledger, *ops)
 	}
 	if *profileOut != "" {
-		p, err := profile.WriteFiles(*profileOut, tr)
+		p, err := profile.WriteFiles(*profileOut, full.Tracer)
 		if err != nil {
 			fail(err)
 		}
@@ -76,55 +81,19 @@ func main() {
 	}
 }
 
-// run executes the workload with a fresh ledger + tracer + contention
-// observatory attached and returns all three after a final closure
-// audit. Each run gets its own observatory (like the ledger), so the
-// -diff halves never share frontier registrations.
-func run(workload, mc string, seed uint64, ops, cores int) (*account.Ledger, *obs.Tracer, *contend.Observatory, error) {
-	l := account.NewLedger()
-	tr := obs.NewTracer(0)
-	cobs := contend.New()
-	var err error
-	switch workload {
-	case "multicore":
-		// One sub-workload of the multicore series, chosen by -mc. For
-		// alloc the per-core page caches are on, so the "page-cache"
-		// pseudo-container row shows the frames parked in per-core
-		// caches at the end of the run; for ipc the contention snapshot
-		// shows the per-container/per-endpoint sharded frontiers.
-		bench.SetContention(cobs)
-		_, _, _, err = bench.RunMulticore(mc, cores, seed, ops, tr, nil, l)
-		bench.SetContention(nil)
-	case "kvstore":
-		_, err = drivers.RunChaosKV(drivers.ChaosConfig{
-			Seed: seed, Ops: ops, Trace: tr, Ledger: l, Contend: cobs,
-		})
-	case "chaos":
-		_, err = drivers.RunChaosKV(drivers.ChaosConfig{
-			Seed: seed, Ops: ops, Plan: drivers.DefaultChaosPlan(), Trace: tr, Ledger: l, Contend: cobs,
-		})
-	case "ipc":
-		err = runIPC(l, tr, cobs, ops)
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown workload %q (kvstore, chaos, ipc, multicore)", workload)
+// run executes the workload with a fresh ledger, tracer and contention
+// observatory attached and returns them after a final closure audit.
+// Each run gets its own sinks, so the -diff halves never share frontier
+// registrations.
+func run(w bench.Workload, opts bench.WorkloadOpts) bench.Sinks {
+	s := bench.Sinks{Tracer: obs.NewTracer(0), Ledger: account.NewLedger(), Contend: contend.New()}
+	if _, err := w.Run(s, opts); err != nil {
+		fail(err)
 	}
-	if err != nil {
-		return nil, nil, nil, err
+	if err := s.Ledger.Audit(); err != nil {
+		fail(fmt.Errorf("closure audit failed: %w", err))
 	}
-	if err := l.Audit(); err != nil {
-		return nil, nil, nil, fmt.Errorf("closure audit failed: %w", err)
-	}
-	return l, tr, cobs, nil
-}
-
-// runIPC is the Table 3 call/reply ping-pong with accounting attached.
-func runIPC(l *account.Ledger, tr *obs.Tracer, cobs *contend.Observatory, rounds int) error {
-	_, _, _, err := bench.RunCallReply(0, rounds, func(k *kernel.Kernel) {
-		k.AttachObs(tr, nil)
-		k.AttachLedger(l)
-		k.AttachContention(cobs)
-	})
-	return err
+	return s
 }
 
 func printSnapshot(l *account.Ledger, ops int) {

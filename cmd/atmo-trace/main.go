@@ -32,13 +32,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"atmosphere/internal/bench"
-	"atmosphere/internal/cluster"
-	"atmosphere/internal/drivers"
-	"atmosphere/internal/faults"
-	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/obs/dist"
@@ -46,214 +44,128 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "kvstore", "workload to trace: kvstore, kvstore-batch, chaos, ipc, multicore, cluster")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	ops := flag.Int("ops", 200, "operations (kv ops or ipc round trips; per-core for multicore)")
-	cores := flag.Int("cores", 4, "core count for the multicore workload")
-	out := flag.String("o", "trace.json", "Perfetto trace output path")
-	metricsOut := flag.String("metrics", "", "metrics dump output path (empty = skip)")
-	profileOut := flag.String("profile", "", "write <prefix>.folded and <prefix>.pb.gz cycle profiles (empty = skip)")
-	events := flag.Int("events", obs.DefaultEventCapacity, "tracer ring capacity (events)")
-	merged := flag.Bool("merged", false, "cluster workload: distributed tracing on, write the merged multi-machine trace to -o")
-	contention := flag.Bool("contention", false, "attach a contention observatory: counter tracks in the trace plus a contention report on stdout")
-	flag.Parse()
-	if *merged && *workload != "cluster" {
-		fmt.Fprintln(os.Stderr, "atmo-trace: -merged requires -workload cluster")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "atmo-trace:", err)
+		os.Exit(1)
 	}
-	if *contention && *workload == "cluster" {
-		fmt.Fprintln(os.Stderr, "atmo-trace: -contention covers the single-machine workloads (kvstore, kvstore-batch, chaos, ipc, multicore)")
-		os.Exit(2)
+}
+
+// run is the whole command: it parses args, runs the workload with the
+// tracer and registry (plus the observatory with -contention) attached,
+// writes the exports and prints the reports to stdout. Bad flag
+// combinations exit with status 2, like bad flags do.
+func run(args []string, stdout io.Writer) error {
+	var names, single []string
+	for _, w := range bench.Workloads() {
+		names = append(names, w.Name)
+		if !w.Cluster {
+			single = append(single, w.Name)
+		}
+	}
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	workload := fs.String("workload", "kvstore", "workload to trace: "+strings.Join(names, ", "))
+	seed := fs.Uint64("seed", 1, "workload seed")
+	ops := fs.Int("ops", 200, "operations (kv ops or ipc round trips; per-core for multicore)")
+	cores := fs.Int("cores", 4, "core count for the multicore workload")
+	out := fs.String("o", "trace.json", "Perfetto trace output path")
+	metricsOut := fs.String("metrics", "", "metrics dump output path (empty = skip)")
+	profileOut := fs.String("profile", "", "write <prefix>.folded and <prefix>.pb.gz cycle profiles (empty = skip)")
+	events := fs.Int("events", obs.DefaultEventCapacity, "tracer ring capacity (events)")
+	merged := fs.Bool("merged", false, "cluster workload: distributed tracing on, write the merged multi-machine trace to -o")
+	contention := fs.Bool("contention", false, "attach a contention observatory: counter tracks in the trace plus a contention report on stdout")
+	fs.Parse(args)
+	w, known := bench.WorkloadByName(*workload)
+	if *merged && !w.Cluster {
+		usage("-merged requires -workload cluster")
+	}
+	if *contention && w.Cluster {
+		usage("-contention covers the single-machine workloads (%s)", strings.Join(single, ", "))
+	}
+	if !known {
+		usage("unknown workload %q (%s)", *workload, strings.Join(names, ", "))
 	}
 
 	tracer := obs.NewTracer(*events)
-	registry := obs.NewRegistry()
-	var cobs *contend.Observatory
+	sinks := bench.Sinks{Tracer: tracer, Metrics: obs.NewRegistry()}
 	if *contention {
-		cobs = contend.New()
+		sinks.Contend = contend.New()
+	}
+	res, err := w.Run(sinks, bench.WorkloadOpts{
+		Seed: *seed, Ops: *ops, Cores: *cores, DistTracing: *merged,
+	})
+	if err != nil {
+		return err
+	}
+	if res.Summary != "" {
+		fmt.Fprintln(stdout, res.Summary)
 	}
 
-	var totalCycles uint64
-	var distCol *dist.Collector
-	var err error
-	switch *workload {
-	case "kvstore":
-		totalCycles, err = runKV(tracer, registry, *seed, *ops, drivers.ChaosConfig{Contend: cobs})
-	case "chaos":
-		totalCycles, err = runKV(tracer, registry, *seed, *ops,
-			drivers.ChaosConfig{Plan: drivers.DefaultChaosPlan(), Contend: cobs})
-	case "ipc":
-		totalCycles, err = runIPC(tracer, registry, cobs, *ops)
-	case "multicore":
-		totalCycles, err = runMulticore(tracer, registry, cobs, *cores, *seed, *ops)
-	case "kvstore-batch":
-		totalCycles, err = runKVBatch(tracer, registry, cobs, *cores, *seed, *ops)
-	case "cluster":
-		totalCycles, distCol, err = runCluster(tracer, registry, *seed, *merged)
-	default:
-		fmt.Fprintf(os.Stderr, "atmo-trace: unknown workload %q (kvstore, kvstore-batch, chaos, ipc, multicore, cluster)\n", *workload)
-		os.Exit(2)
-	}
+	err = writeFile(*out, func(f io.Writer) error {
+		if *merged {
+			return dist.WriteMerged(f, res.Dist)
+		}
+		return obs.WriteTrace(f, tracer)
+	})
 	if err != nil {
-		fail(err)
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fail(err)
-	}
-	if *merged {
-		err = dist.WriteMerged(f, distCol)
-	} else {
-		err = obs.WriteTrace(f, tracer)
-	}
-	if err != nil {
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
+		return err
 	}
 	if *metricsOut != "" {
-		mf, err := os.Create(*metricsOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := registry.WriteText(mf); err != nil {
-			fail(err)
-		}
-		if err := mf.Close(); err != nil {
-			fail(err)
+		if err := writeFile(*metricsOut, sinks.Metrics.WriteText); err != nil {
+			return err
 		}
 	}
 
 	if *profileOut != "" {
 		p, err := profile.WriteFiles(*profileOut, tracer)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println(p.Describe(*profileOut))
+		fmt.Fprintln(stdout, p.Describe(*profileOut))
 	}
 
 	if *merged {
-		if err := distCol.Attribution(5).WriteText(os.Stdout); err != nil {
-			fail(err)
+		if err := res.Dist.Attribution(5).WriteText(stdout); err != nil {
+			return err
 		}
-		for _, line := range distCol.PressureNotes() {
-			fmt.Println(line)
+		for _, line := range res.Dist.PressureNotes() {
+			fmt.Fprintln(stdout, line)
 		}
 	}
 
-	if cobs != nil {
-		if err := cobs.WriteReport(os.Stdout); err != nil {
-			fail(err)
+	if sinks.Contend != nil {
+		if err := sinks.Contend.WriteReport(stdout); err != nil {
+			return err
 		}
 	}
 
 	coverage := 0.0
-	if totalCycles > 0 {
-		coverage = 100 * float64(tracer.SpanTotal()) / float64(totalCycles)
+	if res.Cycles > 0 {
+		coverage = 100 * float64(tracer.SpanTotal()) / float64(res.Cycles)
 	}
-	fmt.Printf("%s: %d events (%d dropped), trace hash %016x\n",
+	fmt.Fprintf(stdout, "%s: %d events (%d dropped), trace hash %016x\n",
 		*workload, tracer.Len(), tracer.Dropped(), tracer.Hash())
-	fmt.Printf("spans cover %d of %d charged cycles (%.1f%%)\n",
-		tracer.SpanTotal(), totalCycles, coverage)
-	fmt.Printf("wrote %s — open it at https://ui.perfetto.dev\n", *out)
+	fmt.Fprintf(stdout, "spans cover %d of %d charged cycles (%.1f%%)\n",
+		tracer.SpanTotal(), res.Cycles, coverage)
+	fmt.Fprintf(stdout, "wrote %s — open it at https://ui.perfetto.dev\n", *out)
+	return nil
 }
 
-// runKV drives the chaos-harness kvstore workload (fault-free when
-// cfg.Plan is empty) with the tracer attached end to end.
-func runKV(t *obs.Tracer, m *obs.Registry, seed uint64, ops int, cfg drivers.ChaosConfig) (uint64, error) {
-	cfg.Seed = seed
-	cfg.Ops = ops
-	cfg.Trace = t
-	cfg.Metrics = m
-	report, err := drivers.RunChaosKV(cfg)
-	if report == nil {
-		return 0, err
-	}
-	return report.TotalCycles, err
+// usage reports a bad flag combination the way the flag package
+// reports a bad flag: message on stderr, exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "atmo-trace: "+format+"\n", args...)
+	os.Exit(2)
 }
 
-// runMulticore traces the multicore scalability series' three
-// sub-workloads back to back on a cores-wide machine: contention-aware
-// big lock, per-core page caches, work stealing — the lock.wait spans
-// show up on every contended core's timeline. When cobs is non-nil all
-// three sub-workloads report into it; each booted kernel registers a
-// distinct big-lock frontier (big/kernel, big/kernel#1, ...).
-func runMulticore(t *obs.Tracer, m *obs.Registry, cobs *contend.Observatory, cores int, seed uint64, ops int) (uint64, error) {
-	if cobs != nil {
-		bench.SetContention(cobs)
-		defer bench.SetContention(nil)
-	}
-	var total uint64
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
-		_, _, tc, err := bench.RunMulticore(wl, cores, seed, ops, t, m, nil)
-		if err != nil {
-			return total, fmt.Errorf("atmo-trace: multicore %s: %w", wl, err)
-		}
-		total += tc
-	}
-	return total, nil
-}
-
-// runKVBatch traces the batched kv-rpc workload: per-core client/server
-// pairs moving request pages by grant through submission-ring
-// doorbells. The SysBatch spans wrap the per-op spans of everything a
-// doorbell drains, so the amortized trampoline is visible on the
-// timeline.
-func runKVBatch(t *obs.Tracer, m *obs.Registry, cobs *contend.Observatory, cores int, seed uint64, ops int) (uint64, error) {
-	if cobs != nil {
-		bench.SetContention(cobs)
-		defer bench.SetContention(nil)
-	}
-	_, _, tc, err := bench.RunKVRPC(true, cores, seed, ops, t, m, nil)
+// writeFile creates path and streams write into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return tc, fmt.Errorf("atmo-trace: kvstore-batch: %w", err)
+		return err
 	}
-	return tc, nil
-}
-
-// runCluster traces the multi-machine chaos scenario: the bench
-// series' kill-one-backend plan, with the fault injector's instants and
-// the cluster's kill/respawn/evict/reinstate events on one timeline.
-// With merged set, distributed tracing is on and the returned collector
-// holds every participant's request spans for the merged export.
-func runCluster(t *obs.Tracer, m *obs.Registry, seed uint64, merged bool) (uint64, *dist.Collector, error) {
-	cfg := cluster.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Tracer = t
-	cfg.Metrics = m
-	cfg.DistTracing = merged
-	cfg.Plan = faults.Plan{Rules: []faults.Rule{{
-		Kind:   faults.MachineKill,
-		Period: 800 * cluster.TickCycles,
-		Until:  801 * cluster.TickCycles,
-		Target: 3, // backend 1
-	}}}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return 0, nil, err
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	r := c.Run()
-	fmt.Printf("cluster: %d responses, %d lost, reconverge kill %d cycles, trace hash %016x\n",
-		r.Responses, r.GaveUp, r.ReconvergeKillCycles, r.TraceHash)
-	return r.KernelCycles, c.Dist(), nil
-}
-
-// runIPC traces a bare call/reply ping-pong — the Table 3 microbench
-// shape, instrumented.
-func runIPC(t *obs.Tracer, m *obs.Registry, cobs *contend.Observatory, rounds int) (uint64, error) {
-	k, _, _, err := bench.RunCallReply(0, rounds, func(k *kernel.Kernel) {
-		k.AttachObs(t, m)
-		k.AttachContention(cobs)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return k.Machine.TotalCycles(), nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "atmo-trace:", err)
-	os.Exit(1)
+	return f.Close()
 }

@@ -1,0 +1,82 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestRunTwiceByteIdentical runs each invocation twice through the
+// command itself — the workload table with the sinks atmo-trace
+// attaches — and requires byte-identical exports and identical stdout
+// (trace hash line and reports included) apart from the "wrote <path>"
+// line, which names each run's own output file. The content checks
+// guard against a run that is deterministic because it recorded
+// nothing.
+func TestRunTwiceByteIdentical(t *testing.T) {
+	cases := []struct {
+		args   []string
+		stdout []string // substrings stdout must contain
+		export []string // substrings the export must contain
+	}{
+		{args: []string{"-workload", "cluster", "-merged", "-seed", "1107"},
+			stdout: []string{"distributed trace attribution"}},
+		{args: []string{"-workload", "kvstore-batch", "-cores", "4"}},
+		{args: []string{"-workload", "multicore", "-cores", "4", "-ops", "60", "-contention"},
+			stdout: []string{"== contention: locks =="}, export: []string{`"lock.`}},
+		// At 16 cores the ipc sub-workload's lock plans touch dozens of
+		// container and endpoint frontiers.
+		{args: []string{"-workload", "multicore", "-cores", "16", "-ops", "40", "-contention"}},
+	}
+	hashLine := regexp.MustCompile(`(?m)^\S+: \d+ events \(\d+ dropped\), trace hash [0-9a-f]{16}$`)
+	for _, c := range cases {
+		name := strings.Join(c.args, " ")
+		t.Run(name, func(t *testing.T) {
+			var exports, stdouts [2]string
+			for i := range exports {
+				out := filepath.Join(t.TempDir(), "trace.json")
+				var stdout bytes.Buffer
+				if err := run(append(c.args, "-o", out), &stdout); err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exports[i] = string(b)
+				var kept []string
+				for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+					if !strings.HasPrefix(line, "wrote ") {
+						kept = append(kept, line)
+					}
+				}
+				stdouts[i] = strings.Join(kept, "")
+			}
+			if exports[0] == "" {
+				t.Fatal("empty export")
+			}
+			if exports[0] != exports[1] {
+				t.Error("export is not byte-identical across same-seed runs")
+			}
+			if stdouts[0] != stdouts[1] {
+				t.Errorf("stdout differs across same-seed runs:\n%s\n---\n%s", stdouts[0], stdouts[1])
+			}
+			if !hashLine.MatchString(stdouts[0]) {
+				t.Errorf("stdout has no trace hash line:\n%s", stdouts[0])
+			}
+			for _, want := range c.stdout {
+				if !strings.Contains(stdouts[0], want) {
+					t.Errorf("stdout lacks %q:\n%s", want, stdouts[0])
+				}
+			}
+			for _, want := range c.export {
+				if !strings.Contains(exports[0], want) {
+					t.Errorf("export lacks %q", want)
+				}
+			}
+		})
+	}
+}

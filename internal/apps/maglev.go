@@ -196,9 +196,6 @@ func (m *Maglev) ActiveBackends() int {
 	return n
 }
 
-// BackendAddr returns backend i's address.
-func (m *Maglev) BackendAddr(i int) netproto.IPv4 { return m.vips[i] }
-
 // ProcessCycles is the measured per-packet forwarding cost: header
 // parse, flow hash, one table load (the 64K-entry table misses L1), and
 // the incremental checksum rewrite.

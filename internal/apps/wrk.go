@@ -20,44 +20,7 @@ type WrkClient struct {
 	next  int
 	frame [2048]byte
 
-	// Retry policy (SetRetryPolicy); nil now disables it entirely.
-	now         func() uint64
-	deadline    uint64
-	backoffBase uint64
-	backoffCap  uint64
-	budget      int
-
 	Sent, Responses, Handshakes uint64
-	Retries, Timeouts, GaveUp   uint64
-}
-
-// WrkStats is the client-side request accounting a chaos run reports.
-type WrkStats struct {
-	Sent, Responses, Handshakes uint64
-	Retries, Timeouts, GaveUp   uint64
-}
-
-// Stats snapshots the client's counters.
-func (w *WrkClient) Stats() WrkStats {
-	return WrkStats{
-		Sent: w.Sent, Responses: w.Responses, Handshakes: w.Handshakes,
-		Retries: w.Retries, Timeouts: w.Timeouts, GaveUp: w.GaveUp,
-	}
-}
-
-// SetRetryPolicy arms per-request deadlines: a connection whose SYN or
-// request has seen no reply for deadline cycles times out, backs off
-// (base doubling per attempt, capped), and retransmits, up to budget
-// retries before the connection gives up permanently. now supplies the
-// deterministic clock. With a policy armed, Next returns nil instead of
-// a keep-alive ACK when no connection has anything useful to send — a
-// dead server exhausts the budget instead of spinning.
-func (w *WrkClient) SetRetryPolicy(now func() uint64, deadline, backoffBase, backoffCap uint64, budget int) {
-	w.now = now
-	w.deadline = deadline
-	w.backoffBase = backoffBase
-	w.backoffCap = backoffCap
-	w.budget = budget
 }
 
 type wrkState uint8
@@ -68,18 +31,12 @@ const (
 	wrkReady   // SYN|ACK seen; first data segment completes the handshake
 	wrkIdle    // established, no request in flight
 	wrkWaiting // request in flight
-	wrkGaveUp  // retry budget exhausted; terminal
 )
 
 type wrkConn struct {
 	state    wrkState
 	port     uint16
 	seq, ack uint32
-
-	// Retry bookkeeping (active only with a policy armed).
-	sentAt    uint64
-	nextTryAt uint64 // nonzero: backing off until this time
-	attempts  int
 }
 
 // NewWrkClient builds a client with n connections requesting path.
@@ -111,9 +68,6 @@ func (w *WrkClient) Next() []byte {
 				panic(err)
 			}
 			c.state = wrkSynSent
-			if w.now != nil {
-				c.sentAt = w.now()
-			}
 			w.Sent++
 			return w.frame[:n]
 		case wrkReady, wrkIdle:
@@ -125,21 +79,9 @@ func (w *WrkClient) Next() []byte {
 			}
 			c.seq += uint32(len(w.request))
 			c.state = wrkWaiting
-			if w.now != nil {
-				c.sentAt = w.now()
-			}
 			w.Sent++
 			return w.frame[:n]
-		case wrkSynSent, wrkWaiting:
-			if f := w.retry(c); f != nil {
-				return f
-			}
 		}
-	}
-	if w.now != nil {
-		// Policy armed: nothing useful to send right now — every
-		// connection is backing off, mid-flight, or has given up.
-		return nil
 	}
 	// Every connection is mid-flight: emit a bare ACK on the last one.
 	c := &w.conns[w.next]
@@ -150,54 +92,6 @@ func (w *WrkClient) Next() []byte {
 	}
 	w.Sent++
 	return w.frame[:n]
-}
-
-// retry runs the deadline/backoff state machine for an in-flight
-// connection and returns a retransmitted frame when one is due.
-func (w *WrkClient) retry(c *wrkConn) []byte {
-	if w.now == nil {
-		return nil
-	}
-	t := w.now()
-	if c.nextTryAt != 0 {
-		if t < c.nextTryAt {
-			return nil
-		}
-		// Backoff elapsed: retransmit the outstanding segment.
-		c.nextTryAt = 0
-		c.sentAt = t
-		w.Retries++
-		w.Sent++
-		var n int
-		var err error
-		if c.state == wrkSynSent {
-			n, err = netproto.BuildTCP(w.frame[:], w.cliMAC, w.srvMAC, w.cliIP, w.srvIP,
-				c.port, 80, c.seq, 0, netproto.TCPSyn, nil)
-		} else {
-			n, err = netproto.BuildTCP(w.frame[:], w.cliMAC, w.srvMAC, w.cliIP, w.srvIP,
-				c.port, 80, c.seq-uint32(len(w.request)), c.ack, netproto.TCPAck|netproto.TCPPsh, w.request)
-		}
-		if err != nil {
-			panic(err)
-		}
-		return w.frame[:n]
-	}
-	if t-c.sentAt < w.deadline {
-		return nil
-	}
-	w.Timeouts++
-	if c.attempts >= w.budget {
-		w.GaveUp++
-		c.state = wrkGaveUp
-		return nil
-	}
-	c.attempts++
-	backoff := w.backoffBase << (c.attempts - 1)
-	if backoff > w.backoffCap {
-		backoff = w.backoffCap
-	}
-	c.nextTryAt = t + backoff
-	return nil
 }
 
 // Consume processes one server->client frame (wired to the device's
@@ -218,16 +112,12 @@ func (w *WrkClient) Consume(frame []byte) {
 				c.seq++
 				c.ack = p.Seq + 1
 				c.state = wrkReady
-				c.attempts = 0
-				c.nextTryAt = 0
 				w.Handshakes++
 			}
 		case len(p.Payload) > 0:
 			if c.state == wrkWaiting {
 				c.ack = p.Seq + uint32(len(p.Payload))
 				c.state = wrkIdle
-				c.attempts = 0
-				c.nextTryAt = 0
 				w.Responses++
 			}
 		}

@@ -7,8 +7,6 @@ import (
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/mem"
-	"atmosphere/internal/obs"
-	"atmosphere/internal/obs/account"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 	"atmosphere/internal/sel4"
@@ -56,13 +54,13 @@ const (
 var kvrCores = []int{1, 4, 16}
 
 // BatchThroughput is the "batch" experiment.
-func BatchThroughput() (Result, error) {
+func BatchThroughput(s Sinks) (Result, error) {
 	res := Result{
 		ID:    "batch",
 		Title: "Syscall batching rings + zero-copy grant transfer (simulated)",
 	}
 	for _, b := range []int{1, 8, 32} {
-		cyc, err := nopBatchCycles(b)
+		cyc, err := nopBatchCycles(b, s.Attach)
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: nop batch=%d: %w", b, err)
 		}
@@ -72,11 +70,11 @@ func BatchThroughput() (Result, error) {
 	res.Rows = append(res.Rows, Row{
 		Name: "nop seL4 (no rings)", Value: sel4NopCycles(), Unit: "cycles"})
 
-	copy4k, err := xferScalarCopyCycles()
+	copy4k, err := xferScalarCopyCycles(s.Attach)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: scalar xfer: %w", err)
 	}
-	grant4k, err := xferGrantCycles()
+	grant4k, err := xferGrantCycles(s.Attach)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: grant xfer: %w", err)
 	}
@@ -92,7 +90,7 @@ func BatchThroughput() (Result, error) {
 			label = "batched"
 		}
 		for _, n := range kvrCores {
-			ops, wall, _, err := runKVRPC(batched, n, kvrSeed, 0)
+			ops, wall, _, err := RunKVRPC(batched, n, kvrSeed, 0, s.Attach)
 			if err != nil {
 				return Result{}, fmt.Errorf("bench: kv-rpc %s %dc: %w", label, n, err)
 			}
@@ -133,12 +131,12 @@ func BatchThroughput() (Result, error) {
 // doorbell through SysBatch over real mapped ring pages. The rings'
 // user-side traffic charges a scratch clock so the row reads pure
 // kernel crossing cost, the Table-3 convention.
-func nopBatchCycles(b int) (float64, error) {
+func nopBatchCycles(b int, attach func(*kernel.Kernel)) (float64, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 1, TLBSlots: 64})
 	if err != nil {
 		return 0, err
 	}
-	attachObs(k)
+	attach(k)
 	const sqVA, cqVA = hw.VirtAddr(0x500000), hw.VirtAddr(0x501000)
 	if r := k.SysMmap(0, init, sqVA, 2, hw.Size4K, pt.RW); r.Errno != kernel.OK {
 		return 0, fmt.Errorf("ring pages: %v", r.Errno)
@@ -193,12 +191,12 @@ func sel4NopCycles() float64 {
 // xferScalarCopyCycles moves one 4 KiB value by register IPC: the
 // kernel's messages carry 4 scalar registers (32 bytes), so the value
 // takes 128 call/reply round trips.
-func xferScalarCopyCycles() (float64, error) {
+func xferScalarCopyCycles(attach func(*kernel.Kernel)) (float64, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 2, TLBSlots: 64})
 	if err != nil {
 		return 0, err
 	}
-	attachObs(k)
+	attach(k)
 	server, err := benchPair(k, init)
 	if err != nil {
 		return 0, err
@@ -231,12 +229,12 @@ func xferScalarCopyCycles() (float64, error) {
 // xferGrantCycles moves one 4 KiB value by page grant: a buffered send
 // revokes the sender's mapping and parks the page on the in-flight
 // ledger container; the receive maps it into the receiver's space.
-func xferGrantCycles() (float64, error) {
+func xferGrantCycles(attach func(*kernel.Kernel)) (float64, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 1024, Cores: 2, TLBSlots: 64})
 	if err != nil {
 		return 0, err
 	}
-	attachObs(k)
+	attach(k)
 	server, err := benchPair(k, init)
 	if err != nil {
 		return 0, err
@@ -298,19 +296,6 @@ func userRings(k *kernel.Kernel, tid pm.Ptr, sqVA, cqVA hw.VirtAddr, clk *hw.Clo
 		shmring.New(k.Machine.Mem, clk, ce.Phys, shmring.SlotsPerPage()), nil
 }
 
-// RunKVRPC runs the kv-rpc workload for the CLIs with the given
-// observability sinks attached (any may be nil). perCore scales the
-// per-core request count; <= 0 selects the series default. Returns
-// (requests served, simulated wall-clock cycles, total cycles summed
-// across cores).
-func RunKVRPC(batched bool, cores int, seed uint64, perCore int,
-	tr *obs.Tracer, reg *obs.Registry, led *account.Ledger) (ops, wall, total uint64, err error) {
-	savedT, savedM, savedL := benchTracer, benchMetrics, benchLedger
-	benchTracer, benchMetrics, benchLedger = tr, reg, led
-	defer func() { benchTracer, benchMetrics, benchLedger = savedT, savedM, savedL }()
-	return runKVRPC(batched, cores, seed, perCore)
-}
-
 // kvrCore is one core's serving pair: a client process and a server
 // process in a core-pinned container, a request endpoint (slot 0) and
 // a reply endpoint (slot 1) shared between them.
@@ -332,12 +317,17 @@ func kvrReq(seed uint64, c, i int) uint64 {
 	return apps.PackKVReq(i%2 == 0, h)
 }
 
-// runKVRPC boots a cores-wide kernel with contention, per-core caches,
-// and work stealing (the multicore series' machine model) and serves
-// the same deterministic request stream either classically (one
-// call/reply rendezvous per request) or through batched rings with
-// request pages moving by grant.
-func runKVRPC(batched bool, cores int, seed uint64, perCore int) (ops, wall, total uint64, err error) {
+// RunKVRPC boots a cores-wide kernel with contention, per-core caches,
+// and work stealing (the multicore series' machine model), lets attach
+// wire observers in, and serves the same deterministic request stream
+// either classically (one call/reply rendezvous per request) or through
+// batched rings with request pages moving by grant. Every reply is
+// checked: a SET must store and a GET must hit, so a run that outgrows
+// a core's table fails instead of serving misses. perCore scales the
+// per-core request count; <= 0 selects the series default. Returns
+// (requests served, simulated wall-clock cycles, total cycles summed
+// across cores).
+func RunKVRPC(batched bool, cores int, seed uint64, perCore int, attach func(*kernel.Kernel)) (ops, wall, total uint64, err error) {
 	gen := kvrPages * kvrReqsPerPage // requests per ring generation
 	reqs := kvrRounds * gen
 	if perCore > 0 {
@@ -349,7 +339,7 @@ func runKVRPC(batched bool, cores int, seed uint64, perCore int) (ops, wall, tot
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	attachObs(k)
+	attach(k)
 	k.EnableCoreCaches(mcBatch)
 	k.PM.EnableWorkStealing()
 
@@ -469,6 +459,9 @@ func kvrUnbatched(k *kernel.Kernel, c int, w *kvrCore, seed uint64, reqs int) (u
 			return ops, fmt.Errorf("call %d: %v", i, r.Errno)
 		}
 		rep := w.store.ServeReg(clk, req)
+		if err := kvrCheck(i, req, rep); err != nil {
+			return ops, err
+		}
 		if r := k.SysReplyRecv(c, w.server, 0, kernel.SendArgs{Regs: [4]uint64{rep}},
 			kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 			return ops, fmt.Errorf("reply_recv %d: %v", i, r.Errno)
@@ -476,6 +469,19 @@ func kvrUnbatched(k *kernel.Kernel, c int, w *kvrCore, seed uint64, reqs int) (u
 		ops++
 	}
 	return ops, nil
+}
+
+// kvrCheck fails request i on a bad reply word: a SET must store
+// (reply 1) and a GET must hit (a stored value is never 0). It runs in
+// Go and charges nothing.
+func kvrCheck(i int, req, rep uint64) error {
+	if req&1 == 1 && rep != 1 {
+		return fmt.Errorf("request %d: SET replied %d (table full)", i, rep)
+	}
+	if req&1 == 0 && rep == 0 {
+		return fmt.Errorf("request %d: GET missed", i)
+	}
+	return nil
 }
 
 // kvrDoorbell rings one batch and drains its completions, asserting
@@ -549,7 +555,11 @@ func kvrBatchedRound(k *kernel.Kernel, c int, w *kvrCore, seed uint64, round int
 		clk.ChargeBytes(2 * hw.PageSize4K) // read requests, write replies
 		for j := 0; j < kvrReqsPerPage; j++ {
 			addr := e.Phys + hw.PhysAddr(8*j)
-			rep := w.store.ServeReg(clk, k.Machine.Mem.ReadU64(addr))
+			req := k.Machine.Mem.ReadU64(addr)
+			rep := w.store.ServeReg(clk, req)
+			if err := kvrCheck(base+p*kvrReqsPerPage+j, req, rep); err != nil {
+				return 0, err
+			}
 			k.Machine.Mem.WriteU64(addr, rep)
 			ops++
 		}

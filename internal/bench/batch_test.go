@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"atmosphere/internal/obs"
@@ -20,14 +21,14 @@ func TestBatchingDeterministic(t *testing.T) {
 		do := func() run {
 			tr := obs.NewTracer(1 << 16)
 			ops, wall, _, err := RunKVRPC(true, cores, kvrSeed, 0,
-				tr, obs.NewRegistry(), account.NewLedger())
+				Sinks{Tracer: tr, Metrics: obs.NewRegistry(), Ledger: account.NewLedger()}.Attach)
 			if err != nil {
 				t.Fatalf("%dc: %v", cores, err)
 			}
 			if tr.Len() == 0 {
 				t.Fatalf("%dc: tracer attached but recorded nothing", cores)
 			}
-			return run{ops, wall, perCoreTraceHashes(tr, cores)}
+			return run{ops, wall, tr.CoreHashes(cores)}
 		}
 		a, b := do(), do()
 		if a.ops != b.ops || a.wall != b.wall {
@@ -39,6 +40,19 @@ func TestBatchingDeterministic(t *testing.T) {
 				t.Errorf("%dc: core %d trace hash differs across same-seed runs: %#x vs %#x",
 					cores, c, a.hashes[c], b.hashes[c])
 			}
+		}
+	}
+}
+
+// Past 32,768 requests per core a core's 16,384-slot table is full: the
+// first SET that cannot store must fail the run, naming the core and
+// the request, on both serving paths — not serve misses and exit clean.
+func TestKVRPCFailsPastCapacity(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		_, _, _, err := RunKVRPC(batched, 1, kvrSeed, 40960, Sinks{}.Attach)
+		if err == nil || !strings.Contains(err.Error(), "core 0") ||
+			!strings.Contains(err.Error(), "request 32768: SET") {
+			t.Errorf("batched=%v: err = %v, want a full-table SET failure at core 0 request 32768", batched, err)
 		}
 	}
 }

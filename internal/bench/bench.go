@@ -66,25 +66,31 @@ func formatVal(v float64) string {
 	}
 }
 
-// Experiment names an experiment runner.
+// Experiment names an experiment runner. Run attaches the sinks to
+// every kernel the experiment boots.
 type Experiment struct {
 	ID  string
-	Run func() (Result, error)
+	Run func(Sinks) (Result, error)
+}
+
+// unobserved adapts an experiment that boots no kernel the sinks reach.
+func unobserved(run func() (Result, error)) func(Sinks) (Result, error) {
+	return func(Sinks) (Result, error) { return run() }
 }
 
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", Table1ProofEffort},
-		{"table2", Table2VerificationTime},
+		{"table1", unobserved(Table1ProofEffort)},
+		{"table2", unobserved(Table2VerificationTime)},
 		{"table3", Table3SyscallLatency},
-		{"fig2", Fig2PerFunctionTimes},
-		{"fig3", Fig3DevelopmentHistory},
-		{"fig4", Fig4IxgbePerformance},
-		{"fig5", Fig5NvmePerformance},
-		{"fig6", Fig6MaglevHttpd},
-		{"fig7", Fig7KVStore},
-		{"ablation", AblationFlatVsRecursive},
+		{"fig2", unobserved(Fig2PerFunctionTimes)},
+		{"fig3", unobserved(Fig3DevelopmentHistory)},
+		{"fig4", unobserved(Fig4IxgbePerformance)},
+		{"fig5", unobserved(Fig5NvmePerformance)},
+		{"fig6", unobserved(Fig6MaglevHttpd)},
+		{"fig7", unobserved(Fig7KVStore)},
+		{"ablation", unobserved(AblationFlatVsRecursive)},
 		{"degraded", DegradedNvmeThroughput},
 		{"multicore", MulticoreScaling},
 		{"batch", BatchThroughput},

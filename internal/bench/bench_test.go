@@ -41,7 +41,7 @@ func TestResultRendering(t *testing.T) {
 }
 
 func TestTable3ShapeMatchesPaper(t *testing.T) {
-	res, err := Table3SyscallLatency()
+	res, err := Table3SyscallLatency(Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDegradedThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep in -short mode")
 	}
-	res, err := DegradedNvmeThroughput()
+	res, err := DegradedNvmeThroughput(Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}

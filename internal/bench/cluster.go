@@ -34,12 +34,14 @@ func clusterChaosPlan() faults.Plan {
 }
 
 // ClusterChaos runs the steady and chaos phases and tabulates both.
-func ClusterChaos() (Result, error) {
+func ClusterChaos(s Sinks) (Result, error) {
 	res := Result{
 		ID:    "cluster",
 		Title: "Cluster serving tier: Maglev failover under machine kill (simulated)",
 	}
-	steady, _, err := runCluster("cluster.steady", faults.Plan{}, false)
+	cfg := cluster.DefaultConfig()
+	cfg.Name = "cluster.steady"
+	steady, _, err := runCluster(cfg, s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -47,7 +49,8 @@ func ClusterChaos() (Result, error) {
 	// cycle-free (TestProbesAreFree), so every gated row below
 	// is untouched, and the ungated notes gain the tail-latency
 	// attribution and per-machine tracer pressure.
-	chaos, col, err := runCluster("cluster.chaos", clusterChaosPlan(), true)
+	cfg.Name, cfg.Plan, cfg.DistTracing = "cluster.chaos", clusterChaosPlan(), true
+	chaos, col, err := runCluster(cfg, s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -56,7 +59,6 @@ func ClusterChaos() (Result, error) {
 			chaos.Kills, chaos.Respawns)
 	}
 
-	cfg := cluster.DefaultConfig()
 	kreq := func(r cluster.Report) float64 {
 		wall := float64(r.Ticks) * cluster.TickCycles
 		return float64(r.Responses) * hw.ClockHz / wall / 1e3
@@ -97,13 +99,10 @@ func ClusterChaos() (Result, error) {
 	return res, nil
 }
 
-func runCluster(name string, plan faults.Plan, traced bool) (cluster.Report, *dist.Collector, error) {
-	cfg := cluster.DefaultConfig()
-	cfg.Name = name
-	cfg.Plan = plan
-	cfg.Tracer = benchTracer
-	cfg.Metrics = benchMetrics
-	cfg.DistTracing = traced
+// runCluster runs one cluster scenario with the sinks' tracer and
+// registry on its kernels; no ledger or observatory reaches them.
+func runCluster(cfg cluster.Config, s Sinks) (cluster.Report, *dist.Collector, error) {
+	cfg.Tracer, cfg.Metrics = s.Tracer, s.Metrics
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return cluster.Report{}, nil, fmt.Errorf("bench: cluster: %w", err)

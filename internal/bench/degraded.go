@@ -7,6 +7,7 @@ import (
 	"atmosphere/internal/drivers"
 	"atmosphere/internal/faults"
 	"atmosphere/internal/hw"
+	"atmosphere/internal/kernel"
 	"atmosphere/internal/nvme"
 )
 
@@ -20,7 +21,7 @@ const degradedIOs = 1024
 // crossover the retry/backoff cycles saturate the core and throughput
 // degrades CPU-bound — but it degrades, every loss is a counted
 // bounded-retry exhaustion, and nothing hangs or panics.
-func DegradedNvmeThroughput() (Result, error) {
+func DegradedNvmeThroughput(s Sinks) (Result, error) {
 	res := Result{
 		ID:    "degraded",
 		Title: "NVMe write throughput under fault injection (4KiB sequential)",
@@ -28,7 +29,7 @@ func DegradedNvmeThroughput() (Result, error) {
 	rates := []float64{0, 0.05, 0.10, 0.20, 0.40}
 	var base float64
 	for _, rate := range rates {
-		iops, stats, lost, err := degradedRun(rate)
+		iops, stats, lost, err := degradedRun(rate, s.Attach)
 		if err != nil {
 			return res, err
 		}
@@ -56,12 +57,12 @@ func DegradedNvmeThroughput() (Result, error) {
 // degradedRun drives the write workload at one fault rate and returns
 // the CPU-side IOPS, the driver counters, and the commands lost to
 // retry exhaustion.
-func degradedRun(rate float64) (float64, drivers.DriverStats, int, error) {
+func degradedRun(rate float64, attach func(*kernel.Kernel)) (float64, drivers.DriverStats, int, error) {
 	env, err := drivers.NewStorageEnv(drivers.CfgDriverLinked, 4096, 64)
 	if err != nil {
 		return 0, drivers.DriverStats{}, 0, err
 	}
-	attachObs(env.K)
+	attach(env.K)
 	if rate > 0 {
 		inj, err := faults.NewInjector(8021, faults.Plan{Rules: []faults.Rule{
 			{Kind: faults.NvmeCmdError, Rate: rate},

@@ -3,14 +3,10 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 
 	"atmosphere/internal/apps"
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
-	"atmosphere/internal/obs"
-	"atmosphere/internal/obs/account"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -48,6 +44,9 @@ const (
 
 var mcCores = []int{1, 2, 4, 8, 16, 32, 64}
 
+// mcWorkloads are the series' sub-workloads, in presentation order.
+var mcWorkloads = []string{"ipc", "kvstore", "alloc"}
+
 // mcFrames sizes the machine for a core count: the legacy 16384-frame
 // shape up to 8 cores (keeping those reference rows bit-identical to
 // the pre-sharding series) and a larger bank beyond, where the alloc
@@ -61,7 +60,7 @@ func mcFrames(n int) int {
 
 // MulticoreScaling measures simulated throughput of the ipc, kvstore,
 // and alloc workloads across core counts.
-func MulticoreScaling() (Result, error) {
+func MulticoreScaling(s Sinks) (Result, error) {
 	res := Result{
 		ID:    "multicore",
 		Title: "Multicore scalability under sharded lock frontiers (simulated)",
@@ -73,10 +72,10 @@ func MulticoreScaling() (Result, error) {
 	}
 	type speedup struct{ one, four, sixteen float64 }
 	ups := map[string]*speedup{}
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
+	for _, wl := range mcWorkloads {
 		ups[wl] = &speedup{}
 		for _, n := range mcCores {
-			ops, wall, err := runMulticore(wl, n, mcSeed)
+			ops, wall, _, err := RunMulticore(wl, n, mcSeed, 0, s.Attach)
 			if err != nil {
 				return Result{}, fmt.Errorf("bench: multicore %s %dc: %w", wl, n, err)
 			}
@@ -99,7 +98,7 @@ func MulticoreScaling() (Result, error) {
 			}
 		}
 	}
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
+	for _, wl := range mcWorkloads {
 		if u := ups[wl]; u.one > 0 {
 			res.Notes = append(res.Notes,
 				fmt.Sprintf("%s speedup over 1 core: %.2fx at 4, %.2fx at 16",
@@ -109,32 +108,14 @@ func MulticoreScaling() (Result, error) {
 	return res, nil
 }
 
-// RunMulticore runs one sub-workload of the multicore series ("ipc",
-// "kvstore", "alloc") on a cores-wide machine with the given
-// observability sinks attached (any may be nil), for the CLIs. perCore
-// scales the per-core operation count; <= 0 selects the series
-// defaults. Returns (operations completed, simulated wall-clock cycles,
-// total cycles summed across cores).
-func RunMulticore(workload string, cores int, seed uint64, perCore int,
-	tr *obs.Tracer, reg *obs.Registry, led *account.Ledger) (ops, wall, total uint64, err error) {
-	savedT, savedM, savedL := benchTracer, benchMetrics, benchLedger
-	benchTracer, benchMetrics, benchLedger = tr, reg, led
-	defer func() { benchTracer, benchMetrics, benchLedger = savedT, savedM, savedL }()
-	return runMulticoreN(workload, cores, seed, perCore)
-}
-
-// runMulticore runs a workload at the series' default sizing.
-func runMulticore(workload string, n int, seed uint64) (ops, wall uint64, err error) {
-	ops, wall, _, err = runMulticoreN(workload, n, seed, 0)
-	return ops, wall, err
-}
-
-// runMulticoreN boots an n-core kernel with contention, per-core
-// caches, and work stealing enabled, runs one workload driving all
-// cores in lock step, and returns (operations completed, simulated
-// wall-clock cycles = max per-core cycle delta, total cycles across
-// cores).
-func runMulticoreN(workload string, n int, seed uint64, perCore int) (ops, wall, total uint64, err error) {
+// RunMulticore boots an n-core kernel with contention, per-core
+// caches, and work stealing enabled, lets attach wire observers in,
+// runs one sub-workload of the series ("ipc", "kvstore", "alloc")
+// driving all cores in lock step, and returns (operations completed,
+// simulated wall-clock cycles = max per-core cycle delta, total cycles
+// across cores). perCore scales the per-core operation count; <= 0
+// selects the series defaults.
+func RunMulticore(workload string, n int, seed uint64, perCore int, attach func(*kernel.Kernel)) (ops, wall, total uint64, err error) {
 	frames := mcFrames(n)
 	ipcRounds, kvRounds, allocPages := mcIPCRounds, mcKVRounds, mcAllocPages
 	if perCore > 0 {
@@ -153,7 +134,7 @@ func runMulticoreN(workload string, n int, seed uint64, perCore int) (ops, wall,
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	attachObs(k)
+	attach(k)
 	k.EnableCoreCaches(mcBatch)
 	k.PM.EnableWorkStealing()
 
@@ -164,7 +145,7 @@ func runMulticoreN(workload string, n int, seed uint64, perCore int) (ops, wall,
 		for c := 0; c < n; c++ {
 			r := k.SysNewThread(0, init, c)
 			if r.Errno != kernel.OK {
-				return nil, fmt.Errorf("new_thread core %d: %v", c, r.Errno)
+				return nil, fmt.Errorf("%s new_thread core %d: %v", workload, c, r.Errno)
 			}
 			workers[c] = pm.Ptr(r.Vals[0])
 		}
@@ -357,34 +338,4 @@ func mcMix(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// perCoreTraceHashes folds a tracer's event stream into one FNV-1a hash
-// per core, keyed by each track's Perfetto pid (the core number).
-// Machine-wide tracks (obs.MachinePID) are skipped. The determinism
-// test compares these across repeated same-seed runs.
-func perCoreTraceHashes(tr *obs.Tracer, cores int) []uint64 {
-	hs := make([]uint64, cores)
-	sums := make([]hash.Hash64, cores)
-	for c := range sums {
-		sums[c] = fnv.New64a()
-	}
-	tracks := tr.Tracks()
-	var buf [8 * 5]byte
-	for _, e := range tr.Events() {
-		pid := tracks[e.Track].PID
-		if pid < 0 || pid >= cores {
-			continue
-		}
-		binary.LittleEndian.PutUint64(buf[0:], uint64(e.Kind)<<32|uint64(uint32(e.Name)))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(e.Track))
-		binary.LittleEndian.PutUint64(buf[16:], e.TS)
-		binary.LittleEndian.PutUint64(buf[24:], e.Dur)
-		binary.LittleEndian.PutUint64(buf[32:], e.Arg)
-		sums[pid].Write(buf[:])
-	}
-	for c := range sums {
-		hs[c] = sums[c].Sum64()
-	}
-	return hs
 }

@@ -12,7 +12,7 @@ import (
 // simulated wall clock (unit-free; ratios of these are speedups).
 func mcThroughput(t *testing.T, workload string, cores int) float64 {
 	t.Helper()
-	ops, wall, err := runMulticore(workload, cores, mcSeed)
+	ops, wall, _, err := RunMulticore(workload, cores, mcSeed, 0, Sinks{}.Attach)
 	if err != nil {
 		t.Fatalf("%s %dc: %v", workload, cores, err)
 	}
@@ -53,19 +53,16 @@ func TestMulticoreScaling(t *testing.T) {
 func mcRunTraced(t *testing.T, cores int, seed uint64) ([]uint64, uint64, uint64) {
 	t.Helper()
 	tr := obs.NewTracer(1 << 16)
-	savedT, savedM := benchTracer, benchMetrics
-	SetObs(tr, nil)
-	defer SetObs(savedT, savedM)
 	var ops, wall uint64
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
-		o, w, err := runMulticore(wl, cores, seed)
+	for _, wl := range mcWorkloads {
+		o, w, _, err := RunMulticore(wl, cores, seed, 0, Sinks{Tracer: tr}.Attach)
 		if err != nil {
 			t.Fatalf("%s %dc: %v", wl, cores, err)
 		}
 		ops += o
 		wall += w
 	}
-	return perCoreTraceHashes(tr, cores), ops, wall
+	return tr.CoreHashes(cores), ops, wall
 }
 
 // Same seed, same core count: repeated runs must produce byte-identical

@@ -7,48 +7,34 @@ import (
 	"atmosphere/internal/obs/contend"
 )
 
-// Observability taps for the benchmark kernels. Each experiment boots
-// its own kernel, so cmd/atmo-bench installs the sinks once with SetObs
-// and every instrumented experiment wires them in at boot. Attaching
-// observability never charges a cycle (TestProbesAreFree holds every
-// series to that), so the measured numbers are identical with and without it.
-var (
-	benchTracer  *obs.Tracer
-	benchMetrics *obs.Registry
-	benchLedger  *account.Ledger
-	benchContend *contend.Observatory
-)
-
-// SetObs installs the tracer/registry every subsequent experiment
-// attaches to its kernel (nil/nil disables).
-func SetObs(t *obs.Tracer, m *obs.Registry) {
-	benchTracer = t
-	benchMetrics = m
+// Sinks are the observers a run attaches to the kernels it boots: the
+// cycle-accurate tracer, the metrics registry, the page-ownership
+// ledger and the contention observatory. The zero value attaches
+// nothing. Attaching never charges a cycle (TestProbesAreFree holds
+// every series to that), so the measured numbers are identical with and
+// without sinks. The cluster's kernels take only the tracer and the
+// registry, through cluster.Config.
+type Sinks struct {
+	Tracer  *obs.Tracer
+	Metrics *obs.Registry
+	Ledger  *account.Ledger
+	Contend *contend.Observatory
 }
 
-// SetLedger installs a page-ownership ledger every subsequent
-// experiment binds to its kernel's allocator (nil disables). Rebinding
-// the same ledger per boot resets it, so after a run it reflects the
-// last experiment's kernel — enough for the closure audit and the
-// attribution rows, which is what -profile consumers want.
-func SetLedger(l *account.Ledger) { benchLedger = l }
-
-// SetContention installs a contention observatory every subsequent
-// experiment attaches to its kernel (nil disables). Unlike the ledger
-// the observatory accumulates across boots — repeated experiments
-// register their big locks as distinct frontiers, so an `atmo-trace`
-// session over several workloads reports all of them.
-func SetContention(o *contend.Observatory) { benchContend = o }
-
-// attachObs wires the installed sinks into a freshly booted kernel.
-func attachObs(k *kernel.Kernel) {
-	if benchTracer != nil || benchMetrics != nil {
-		k.AttachObs(benchTracer, benchMetrics)
+// Attach wires the sinks into a freshly booted kernel; it is the attach
+// hook every kernel-level runner takes. A ledger rebinds per boot, so
+// after a run of several kernels it reflects the last one — enough for
+// the closure audit and the attribution rows. An observatory
+// accumulates across boots: each kernel registers its own frontiers
+// (big/kernel, big/kernel#1, ...).
+func (s Sinks) Attach(k *kernel.Kernel) {
+	if s.Tracer != nil || s.Metrics != nil {
+		k.AttachObs(s.Tracer, s.Metrics)
 	}
-	if benchLedger != nil {
-		k.AttachLedger(benchLedger)
+	if s.Ledger != nil {
+		k.AttachLedger(s.Ledger)
 	}
-	if benchContend != nil {
-		k.AttachContention(benchContend)
+	if s.Contend != nil {
+		k.AttachContention(s.Contend)
 	}
 }

@@ -21,25 +21,13 @@ import (
 // probes is one run's observer set. The zero value attaches nothing;
 // on() builds the full set a row's probe-on run attaches.
 type probes struct {
-	tr     *obs.Tracer
-	reg    *obs.Registry
-	led    *account.Ledger
-	cobs   *contend.Observatory
+	Sinks
 	report []byte // contention report, or the cluster's merged export
 }
 
 func on() *probes {
-	return &probes{tr: obs.NewTracer(1 << 16), reg: obs.NewRegistry(),
-		led: account.NewLedger(), cobs: contend.New()}
-}
-
-// install points the benchmark kernels' sinks at p until the returned
-// function restores the detached default.
-func (p *probes) install() func() {
-	SetObs(p.tr, p.reg)
-	SetLedger(p.led)
-	SetContention(p.cobs)
-	return func() { (&probes{}).install() }
+	return &probes{Sinks: Sinks{Tracer: obs.NewTracer(1 << 16), Metrics: obs.NewRegistry(),
+		Ledger: account.NewLedger(), Contend: contend.New()}}
 }
 
 func fnvOf(b []byte) uint64 {
@@ -50,28 +38,27 @@ func fnvOf(b []byte) uint64 {
 
 // probeTable3 runs the Table 3 call/reply and map-a-page kernels.
 func probeTable3(t *testing.T, p *probes) []uint64 {
-	defer p.install()()
-	ipc, err := atmoCallReplyCycles()
+	ipc, err := atmoCallReplyCycles(p.Attach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := atmoMapPageCycles()
+	mp, err := atmoMapPageCycles(p.Attach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.led != nil {
-		if p.tr.Len() == 0 {
+	if p.Ledger != nil {
+		if p.Tracer.Len() == 0 {
 			t.Error("tracer attached but recorded no events — the guard proved nothing")
 		}
 		// The profiler folds the span stream the tracer saw, and the
 		// ledger's closure audit passes on the kernel it was bound to.
-		if profile.Fold(p.tr).TotalCycles() == 0 {
+		if profile.Fold(p.Tracer).TotalCycles() == 0 {
 			t.Error("profiler folded zero cycles from the benchmark trace")
 		}
-		if err := p.led.Audit(); err != nil {
+		if err := p.Ledger.Audit(); err != nil {
 			t.Errorf("ledger audit on benchmark kernel: %v", err)
 		}
-		if p.led.LivePages() == 0 {
+		if p.Ledger.LivePages() == 0 {
 			t.Error("ledger attached but tracked no pages — the guard proved nothing")
 		}
 	}
@@ -83,32 +70,31 @@ func probeTable3(t *testing.T, p *probes) []uint64 {
 // then the total operation count. The observatory accumulates across
 // the grid, so its fixed order is part of the report.
 func probeMulticore(t *testing.T, p *probes) []uint64 {
-	defer p.install()()
 	var walls []uint64
 	var ops uint64
-	for _, wl := range []string{"ipc", "kvstore", "alloc"} {
-		events := uint64(p.tr.Len()) + p.tr.Dropped()
+	for _, wl := range mcWorkloads {
+		events := uint64(p.Tracer.Len()) + p.Tracer.Dropped()
 		for _, n := range mcCores {
-			o, wall, err := runMulticore(wl, n, mcSeed)
+			o, wall, _, err := RunMulticore(wl, n, mcSeed, 0, p.Attach)
 			if err != nil {
 				t.Fatalf("%s %dc: %v", wl, n, err)
 			}
 			walls = append(walls, wall)
 			ops += o
 		}
-		if p.tr != nil && uint64(p.tr.Len())+p.tr.Dropped() == events {
+		if p.Tracer != nil && uint64(p.Tracer.Len())+p.Tracer.Dropped() == events {
 			t.Errorf("%s: tracer attached but recorded nothing", wl)
 		}
 	}
-	if p.cobs != nil {
+	if p.Contend != nil {
 		var waits uint64
-		for _, s := range p.cobs.Summary() {
+		for _, s := range p.Contend.Summary() {
 			waits += s.WaitCycles
 		}
 		if waits == 0 {
 			t.Error("observatory attached but recorded no wait cycles — the guard proved nothing")
 		}
-		if p.cobs.RunqDelays().Count() == 0 {
+		if p.Contend.RunqDelays().Count() == 0 {
 			t.Error("observatory attached but saw no run-queue delays")
 		}
 	}
@@ -125,12 +111,11 @@ func probeCluster(plan faults.Plan, hash uint64) func(*testing.T, *probes) []uin
 	return func(t *testing.T, p *probes) []uint64 {
 		cfg := cluster.DefaultConfig()
 		cfg.Plan = plan
-		cfg.Tracer, cfg.Metrics, cfg.DistTracing = p.tr, p.reg, p.tr != nil
-		c, err := cluster.New(cfg)
+		cfg.DistTracing = p.Tracer != nil
+		r, col, err := runCluster(cfg, p.Sinks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := c.Run()
 		if (r.TraceHash == hash) == cfg.DistTracing {
 			t.Errorf("trace hash %#x with dist tracing %v, untraced baseline %#x", r.TraceHash, cfg.DistTracing, hash)
 		}
@@ -147,7 +132,7 @@ func probeCluster(plan faults.Plan, hash uint64) func(*testing.T, *probes) []uin
 				t.Errorf("irregular=%d rejects=%d, want 0/0", r.DistIrregular, r.DistHeaderRejects)
 			}
 			var b bytes.Buffer
-			if err := dist.WriteMerged(&b, c.Dist()); err != nil {
+			if err := dist.WriteMerged(&b, col); err != nil {
 				t.Fatal(err)
 			}
 			p.report = b.Bytes()
@@ -215,17 +200,17 @@ func TestProbesAreFree(t *testing.T) {
 				}
 			}
 			var dump bytes.Buffer
-			if err := p.reg.WriteText(&dump); err != nil {
+			if err := p.Metrics.WriteText(&dump); err != nil {
 				t.Fatal(err)
 			}
 			if p.report == nil {
 				var b bytes.Buffer
-				if err := p.cobs.WriteReport(&b); err != nil {
+				if err := p.Contend.WriteReport(&b); err != nil {
 					t.Fatal(err)
 				}
 				p.report = b.Bytes()
 			}
-			got := [3]uint64{p.tr.Hash(), fnvOf(dump.Bytes()), fnvOf(p.report)}
+			got := [3]uint64{p.Tracer.Hash(), fnvOf(dump.Bytes()), fnvOf(p.report)}
 			if want := [3]uint64{row.trace, row.metrics, row.report}; got != want {
 				t.Errorf("probe streams (trace, metrics, report) hash %#x, pinned %#x", got, want)
 			}
@@ -256,13 +241,13 @@ func probeAlone(t *testing.T, name string, p *probes) {
 // The tracer and metrics registry alone leave every multicore series
 // point on its wall-clock baseline.
 func TestTracingIsFreeMulticore(t *testing.T) {
-	probeAlone(t, "multicore", &probes{tr: obs.NewTracer(1 << 16), reg: obs.NewRegistry()})
+	probeAlone(t, "multicore", &probes{Sinks: Sinks{Tracer: obs.NewTracer(1 << 16), Metrics: obs.NewRegistry()}})
 }
 
 // The contention observatory alone leaves every multicore series point
 // on its wall-clock baseline.
 func TestContentionObsIsFree(t *testing.T) {
-	probeAlone(t, "multicore", &probes{cobs: contend.New()})
+	probeAlone(t, "multicore", &probes{Sinks: Sinks{Contend: contend.New()}})
 }
 
 // Distributed tracing alone charges both cluster scenarios the
@@ -270,20 +255,19 @@ func TestContentionObsIsFree(t *testing.T) {
 func TestTracingIsFreeCluster(t *testing.T) {
 	for _, name := range []string{"steady", "chaos"} {
 		t.Run(name, func(t *testing.T) {
-			probeAlone(t, "cluster-"+name, &probes{tr: obs.NewTracer(1 << 16)})
+			probeAlone(t, "cluster-"+name, &probes{Sinks: Sinks{Tracer: obs.NewTracer(1 << 16)}})
 		})
 	}
 }
 
-// The contention observatory never wires into the cluster loop:
-// installed on the benchmark kernels, it records nothing while both
-// cluster scenarios reproduce their untraced baselines and trace hashes.
+// The contention observatory never wires into the cluster loop: in the
+// sinks a cluster run is given, it records nothing while both cluster
+// scenarios reproduce their untraced baselines and trace hashes.
 func TestContentionObsIsFreeCluster(t *testing.T) {
-	p := &probes{cobs: contend.New()}
-	defer p.install()()
-	probeAlone(t, "cluster-steady", &probes{})
-	probeAlone(t, "cluster-chaos", &probes{})
-	if n := len(p.cobs.Summary()); n != 0 {
+	cobs := contend.New()
+	probeAlone(t, "cluster-steady", &probes{Sinks: Sinks{Contend: cobs}})
+	probeAlone(t, "cluster-chaos", &probes{Sinks: Sinks{Contend: cobs}})
+	if n := len(cobs.Summary()); n != 0 {
 		t.Errorf("observatory recorded %d locks from the cluster loop", n)
 	}
 }
@@ -293,9 +277,9 @@ func TestContentionObsIsFreeCluster(t *testing.T) {
 // contention report for a Table 3 call/reply plus mmap run.
 func TestProbeAttachOrderIrrelevant(t *testing.T) {
 	attach := [3]func(*kernel.Kernel, *probes){
-		func(k *kernel.Kernel, p *probes) { k.AttachObs(p.tr, p.reg) },
-		func(k *kernel.Kernel, p *probes) { k.AttachLedger(p.led) },
-		func(k *kernel.Kernel, p *probes) { k.AttachContention(p.cobs) },
+		func(k *kernel.Kernel, p *probes) { k.AttachObs(p.Tracer, p.Metrics) },
+		func(k *kernel.Kernel, p *probes) { k.AttachLedger(p.Ledger) },
+		func(k *kernel.Kernel, p *probes) { k.AttachContention(p.Contend) },
 	}
 	var first string
 	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
@@ -313,7 +297,7 @@ func TestProbeAttachOrderIrrelevant(t *testing.T) {
 			t.Fatalf("mmap: %v", r.Errno)
 		}
 		var b bytes.Buffer
-		for _, err := range []error{obs.WriteTrace(&b, p.tr), p.reg.WriteText(&b), p.cobs.WriteReport(&b)} {
+		for _, err := range []error{obs.WriteTrace(&b, p.Tracer), p.Metrics.WriteText(&b), p.Contend.WriteReport(&b)} {
 			if err != nil {
 				t.Fatal(err)
 			}

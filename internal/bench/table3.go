@@ -14,12 +14,12 @@ import (
 // Table3SyscallLatency reproduces Table 3: the cycle cost of an IPC
 // call/reply round trip and of mapping a page, for Atmosphere and the
 // seL4 baseline, both measured on the shared cycle model.
-func Table3SyscallLatency() (Result, error) {
-	atmoIPC, err := atmoCallReplyCycles()
+func Table3SyscallLatency(s Sinks) (Result, error) {
+	atmoIPC, err := atmoCallReplyCycles(s.Attach)
 	if err != nil {
 		return Result{}, err
 	}
-	atmoMap, err := atmoMapPageCycles()
+	atmoMap, err := atmoMapPageCycles(s.Attach)
 	if err != nil {
 		return Result{}, err
 	}
@@ -48,9 +48,9 @@ func Table3SyscallLatency() (Result, error) {
 
 // atmoCallReplyCycles measures the Atmosphere call/reply round trip:
 // client SysCall, server SysReplyRecv, averaged over a warm ping-pong.
-func atmoCallReplyCycles() (float64, error) {
+func atmoCallReplyCycles(attach func(*kernel.Kernel)) (float64, error) {
 	const rounds = 1000
-	_, _, cycles, err := RunCallReply(16, rounds, attachObs)
+	_, _, cycles, err := RunCallReply(16, rounds, attach)
 	return float64(cycles) / rounds, err
 }
 
@@ -98,12 +98,12 @@ func RunCallReply(warm, rounds int, attach func(*kernel.Kernel)) (*kernel.Kernel
 // atmoMapPageCycles measures SysMmap of one 4 KiB page with warm
 // intermediate tables (the steady-state map cost, as the paper's
 // microbenchmark measures it).
-func atmoMapPageCycles() (float64, error) {
+func atmoMapPageCycles(attach func(*kernel.Kernel)) (float64, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 4096, Cores: 2, TLBSlots: 64})
 	if err != nil {
 		return 0, err
 	}
-	attachObs(k)
+	attach(k)
 	// Warm the region's intermediate tables.
 	if r := k.SysMmap(0, init, 0x40000000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
 		return 0, fmt.Errorf("bench: warm mmap: %v", r.Errno)

@@ -517,9 +517,6 @@ func (c *Cluster) instant(name obs.NameID, arg uint64) {
 	}
 }
 
-// Tick returns the current tick (test hook).
-func (c *Cluster) Tick() uint64 { return c.tick }
-
 // Maglev exposes the front tier's table (test hook).
 func (c *Cluster) Maglev() *apps.Maglev { return c.maglev }
 

@@ -102,6 +102,3 @@ func (c *Cluster) Report() Report {
 	r.TraceHash = c.hash ^ c.inj.TraceHash()
 	return r
 }
-
-// FaultCounts surfaces the injector's per-kind tally for logs.
-func (c *Cluster) FaultCounts() string { return c.inj.Counts() }

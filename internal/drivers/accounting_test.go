@@ -6,26 +6,39 @@ import (
 	"strings"
 	"testing"
 
+	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/account"
 	"atmosphere/internal/obs/profile"
 )
 
+// sinks are the observers a chaos test run attaches.
+type sinks struct {
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
+	Ledger  *account.Ledger
+}
+
+func (s sinks) attach(k *kernel.Kernel) {
+	k.AttachObs(s.Trace, s.Metrics)
+	if s.Ledger != nil {
+		k.AttachLedger(s.Ledger)
+	}
+}
+
 // ledgeredChaos runs the chaos workload with tracer, registry, and
 // page-ownership ledger all attached.
-func ledgeredChaos(t *testing.T, seed uint64, ops int) (*ChaosReport, ChaosConfig) {
+func ledgeredChaos(t *testing.T, seed uint64, ops int) (*ChaosReport, sinks) {
 	t.Helper()
-	cfg := ChaosConfig{
+	s := sinks{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry(), Ledger: account.NewLedger()}
+	rep, err := RunChaosKV(ChaosConfig{
 		Seed: seed, Ops: ops, Plan: DefaultChaosPlan(), Batch: 4, QSize: 16,
-		Trace:   obs.NewTracer(0),
-		Metrics: obs.NewRegistry(),
-		Ledger:  account.NewLedger(),
-	}
-	rep, err := RunChaosKV(cfg)
+		Attach: s.attach,
+	})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v (report: %v)", err, rep)
 	}
-	return rep, cfg
+	return rep, s
 }
 
 // rowsByName indexes ledger rows by container name.
@@ -46,7 +59,7 @@ func rowsByName(l *account.Ledger) map[string]account.ContainerRow {
 // so zero violations means the invariant held across every teardown
 // intermediate state too.
 func TestAccountingAcrossRespawn(t *testing.T) {
-	rep, cfg := ledgeredChaos(t, 42, 300)
+	rep, s := ledgeredChaos(t, 42, 300)
 	if rep.Violations != 0 {
 		t.Fatalf("%d invariant/audit violations: %v", rep.Violations, rep)
 	}
@@ -60,7 +73,7 @@ func TestAccountingAcrossRespawn(t *testing.T) {
 		t.Fatalf("driver stats inconsistent across respawn: %s", rep.Driver.String())
 	}
 
-	rows := rowsByName(cfg.Ledger)
+	rows := rowsByName(s.Ledger)
 	gens := 0
 	for name, row := range rows {
 		if !strings.HasPrefix(name, "nvme.gen") {
@@ -82,16 +95,16 @@ func TestAccountingAcrossRespawn(t *testing.T) {
 	if want := int(rep.Restarts) + 1; gens != want {
 		t.Fatalf("ledger saw %d driver generations, want %d (restarts=%d)", gens, want, rep.Restarts)
 	}
-	if got := cfg.Ledger.ContainerPages(account.InFlight); got != 0 {
+	if got := s.Ledger.ContainerPages(account.InFlight); got != 0 {
 		t.Fatalf("in-flight pages at end of run = %d, want 0", got)
 	}
-	if err := cfg.Ledger.Audit(); err != nil {
+	if err := s.Ledger.Audit(); err != nil {
 		t.Fatalf("final audit: %v", err)
 	}
 
 	// The fixed-name container gauges track the *current* generation.
 	var sb strings.Builder
-	if err := cfg.Metrics.WriteText(&sb); err != nil {
+	if err := s.Metrics.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"account.cntr.nvme.pages", "account.cntr.nvme.cycles", "account.pages.live"} {
@@ -113,7 +126,7 @@ func TestAccountingUnchangedByLedger(t *testing.T) {
 	}
 	ledgered, err := RunChaosKV(ChaosConfig{
 		Seed: 9, Ops: 150, Plan: DefaultChaosPlan(), Batch: 4, QSize: 16,
-		Ledger: account.NewLedger(),
+		Attach: sinks{Ledger: account.NewLedger()}.attach,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +140,10 @@ func TestAccountingUnchangedByLedger(t *testing.T) {
 // byte on the folded profile and the accounting rows — the attribution
 // pipeline is as deterministic as the simulation under it.
 func TestAccountingDeterminism(t *testing.T) {
-	_, cfg1 := ledgeredChaos(t, 1234, 200)
-	_, cfg2 := ledgeredChaos(t, 1234, 200)
-	f1 := profile.Fold(cfg1.Trace).FoldedString()
-	f2 := profile.Fold(cfg2.Trace).FoldedString()
+	_, s1 := ledgeredChaos(t, 1234, 200)
+	_, s2 := ledgeredChaos(t, 1234, 200)
+	f1 := profile.Fold(s1.Trace).FoldedString()
+	f2 := profile.Fold(s2.Trace).FoldedString()
 	if f1 != f2 {
 		t.Error("same-seed folded profiles are not byte-identical")
 	}
@@ -138,10 +151,10 @@ func TestAccountingDeterminism(t *testing.T) {
 		t.Error("folded profile is empty")
 	}
 	var r1, r2 bytes.Buffer
-	for _, row := range cfg1.Ledger.Rows() {
+	for _, row := range s1.Ledger.Rows() {
 		fmt.Fprintf(&r1, "%s %d %d %d\n", row.Name, row.ObjPages, row.UserPages, row.Cycles)
 	}
-	for _, row := range cfg2.Ledger.Rows() {
+	for _, row := range s2.Ledger.Rows() {
 		fmt.Fprintf(&r2, "%s %d %d %d\n", row.Name, row.ObjPages, row.UserPages, row.Cycles)
 	}
 	if r1.String() != r2.String() {

@@ -11,8 +11,6 @@ import (
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/nvme"
 	"atmosphere/internal/obs"
-	"atmosphere/internal/obs/account"
-	"atmosphere/internal/obs/contend"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/verify"
 )
@@ -40,25 +38,17 @@ type ChaosConfig struct {
 	// HeartbeatTimeout overrides the supervisor deadline (cycles).
 	HeartbeatTimeout uint64
 
-	// Trace/Metrics, when set, are attached to the booted kernel and
-	// threaded through the injector, supervisor, driver, and workload.
-	// Observability never charges cycles, so the report is identical
-	// with or without them (driver counters aside: a registry makes
-	// them cumulative across respawned generations, which the report
-	// already was).
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
-
-	// Ledger, when set, is attached to the kernel and audited at every
-	// verify point (plus once at the end); an audit failure counts as an
-	// invariant violation in the report. Driver container generations
-	// are named "nvme.gen<N>" in the ledger.
-	Ledger *account.Ledger
-
-	// Contend, when set, is attached to the kernel: the big lock
-	// registers as a frontier and the scheduler's run-queue delays feed
-	// it. Like the other sinks it never charges a cycle.
-	Contend *contend.Observatory
+	// Attach, when set, wires observers into the booted kernel before
+	// anything runs. The harness reads them back from the kernel: the
+	// tracer and registry are threaded through the injector,
+	// supervisor, driver, and workload; an attached ledger is audited
+	// at every verify point (plus once at the end), an audit failure
+	// counting as an invariant violation, and names the driver
+	// container generations "nvme.gen<N>". Observability never charges
+	// cycles, so the report is identical with or without it (driver
+	// counters aside: a registry makes them cumulative across respawned
+	// generations, which the report already was).
+	Attach func(*kernel.Kernel)
 }
 
 // ChaosReport is the deterministic outcome of a chaos run: two runs
@@ -139,7 +129,7 @@ type chaosHarness struct {
 	sup  *kernel.Supervisor
 	drv  *NvmeDriver
 
-	// Tracing state (zero when cfg.Trace is nil).
+	// Tracing state (zero without a tracer).
 	tr                     *obs.Tracer
 	appTrack, harnessTrack obs.TrackID
 	nSet, nGet, nWait      obs.NameID
@@ -178,16 +168,12 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.AttachObs(cfg.Trace, cfg.Metrics)
-	if cfg.Ledger != nil {
-		k.AttachLedger(cfg.Ledger)
-	}
-	if cfg.Contend != nil {
-		k.AttachContention(cfg.Contend)
+	if cfg.Attach != nil {
+		cfg.Attach(k)
 	}
 	h := &chaosHarness{cfg: cfg, k: k, init: init}
 	h.report.Ops = cfg.Ops
-	if t := cfg.Trace; t != nil {
+	if t := k.Tracer(); t != nil {
 		h.tr = t
 		h.appTrack = t.Track(0, kernel.CoreName(0), "app")
 		h.harnessTrack = t.Track(0, kernel.CoreName(0), "harness")
@@ -202,8 +188,8 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.inj.SetTracer(cfg.Trace)
-	h.inj.RegisterMetrics(cfg.Metrics)
+	h.inj.SetTracer(k.Tracer())
+	h.inj.RegisterMetrics(k.Metrics())
 	h.dev = nvme.New(k.Machine.Mem, k.IOMMU, 2, 4096)
 	h.dev.SetInjector(h.inj)
 	k.IRQFilter = func(core, irq int) bool { return !h.inj.Hit(faults.IRQDrop) }
@@ -283,7 +269,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 			}
 			// The closure audit rides the same cadence: a page leaked
 			// across a wedge/respawn shows up as a violation here.
-			if err := cfg.Ledger.Audit(); err != nil {
+			if err := k.Ledger().Audit(); err != nil {
 				h.report.Violations++
 			}
 		}
@@ -304,7 +290,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	h.report.Checked += watcher.Checked
 	h.report.Violations += len(watcher.Violations)
 	h.report.TotalCycles = k.Machine.TotalCycles()
-	if err := cfg.Ledger.Audit(); err != nil {
+	if err := k.Ledger().Audit(); err != nil {
 		h.report.Violations++
 		return &h.report, fmt.Errorf("drivers: final ledger audit: %w", err)
 	}
@@ -380,7 +366,7 @@ func (h *chaosHarness) flush(records [][]byte, lba uint64) error {
 func (h *chaosHarness) recoverWedge() error {
 	h.report.WedgeEvents++
 	h.drv.NoteWedged()
-	if h.cfg.Metrics == nil {
+	if h.k.Metrics() == nil {
 		// Standalone counters die with the generation: fold them now.
 		// (Registry-backed counters are shared with the successor, so the
 		// last generation's Stats() is already the cumulative total.)
@@ -445,7 +431,7 @@ func (h *chaosHarness) spawnDriver() (pm.Ptr, *NvmeDriver, error) {
 	if err != nil {
 		return fail(fmt.Errorf("drivers: chaos setup: %w", err))
 	}
-	if l := h.cfg.Ledger; l != nil {
+	if l := k.Ledger(); l != nil {
 		l.NameContainer(cntr, fmt.Sprintf("nvme.gen%d", h.gen))
 		// Fixed gauge name: re-registration repoints the live gauges at
 		// the new generation's container, like the shared stat counters.

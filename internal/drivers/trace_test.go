@@ -11,7 +11,8 @@ import (
 // and returns the tracer, registry dump, and report.
 func tracedChaos(t *testing.T, seed uint64, plan bool) (*obs.Tracer, string, *ChaosReport) {
 	t.Helper()
-	cfg := ChaosConfig{Seed: seed, Ops: 150, Trace: obs.NewTracer(0), Metrics: obs.NewRegistry()}
+	s := sinks{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry()}
+	cfg := ChaosConfig{Seed: seed, Ops: 150, Attach: s.attach}
 	if plan {
 		cfg.Plan = DefaultChaosPlan()
 	}
@@ -20,10 +21,10 @@ func tracedChaos(t *testing.T, seed uint64, plan bool) (*obs.Tracer, string, *Ch
 		t.Fatalf("chaos run failed: %v", err)
 	}
 	var m bytes.Buffer
-	if err := cfg.Metrics.WriteText(&m); err != nil {
+	if err := s.Metrics.WriteText(&m); err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Trace, m.String(), report
+	return s.Trace, m.String(), report
 }
 
 // TestTraceDeterminism is the reproducibility acceptance check: two

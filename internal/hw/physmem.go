@@ -54,31 +54,12 @@ func (m *PhysMem) WriteU64(addr PhysAddr, v uint64) {
 	binary.LittleEndian.PutUint64(m.data[addr:], v)
 }
 
-// ReadU32 reads a little-endian 32-bit word at addr.
-func (m *PhysMem) ReadU32(addr PhysAddr) uint32 {
-	m.check(addr, 4)
-	return binary.LittleEndian.Uint32(m.data[addr:])
-}
-
-// WriteU32 writes a little-endian 32-bit word at addr.
-func (m *PhysMem) WriteU32(addr PhysAddr, v uint32) {
-	m.check(addr, 4)
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
-}
-
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *PhysMem) Read(addr PhysAddr, n uint64) []byte {
 	m.check(addr, n)
 	out := make([]byte, n)
 	copy(out, m.data[addr:uint64(addr)+n])
 	return out
-}
-
-// ReadInto copies len(dst) bytes starting at addr into dst without
-// allocating.
-func (m *PhysMem) ReadInto(addr PhysAddr, dst []byte) {
-	m.check(addr, uint64(len(dst)))
-	copy(dst, m.data[addr:])
 }
 
 // Write copies src into physical memory at addr.

@@ -1,10 +1,7 @@
 package mck
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
@@ -198,35 +195,5 @@ func runSchedule(seed uint64, rounds int, opt Options) (hashes []uint64, steals,
 		return nil, 0, 0, fmt.Errorf("lock order: %s", v)
 	}
 	_, contended, _ = k.LockStats()
-	return perCoreTraceHashes(tracer, cores), k.PM.Steals(), contended, nil
-}
-
-// perCoreTraceHashes folds the tracer's event stream into one FNV-1a
-// hash per core, keyed by each track's Perfetto pid (the core number);
-// machine-wide tracks are skipped. Same recipe as the multicore bench
-// determinism gate, reimplemented here so the harness stands alone.
-func perCoreTraceHashes(tr *obs.Tracer, cores int) []uint64 {
-	hs := make([]uint64, cores)
-	sums := make([]hash.Hash64, cores)
-	for c := range sums {
-		sums[c] = fnv.New64a()
-	}
-	tracks := tr.Tracks()
-	var buf [8 * 5]byte
-	for _, e := range tr.Events() {
-		pid := tracks[e.Track].PID
-		if pid < 0 || pid >= cores {
-			continue
-		}
-		binary.LittleEndian.PutUint64(buf[0:], uint64(e.Kind)<<32|uint64(uint32(e.Name)))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(e.Track))
-		binary.LittleEndian.PutUint64(buf[16:], e.TS)
-		binary.LittleEndian.PutUint64(buf[24:], e.Dur)
-		binary.LittleEndian.PutUint64(buf[32:], e.Arg)
-		sums[pid].Write(buf[:])
-	}
-	for c := range sums {
-		hs[c] = sums[c].Sum64()
-	}
-	return hs
+	return tracer.CoreHashes(cores), k.PM.Steals(), contended, nil
 }

@@ -20,10 +20,8 @@ type Generator struct {
 	count uint64
 	frame []byte
 
-	// errs counts frames that failed to build; lastErr keeps the most
-	// recent failure for diagnostics. Both surface through the NIC's
-	// device stats instead of panicking the driver process.
-	errs    uint64
+	// lastErr keeps the most recent frame-build failure for
+	// diagnostics instead of panicking the driver process.
 	lastErr error
 }
 
@@ -44,9 +42,6 @@ func (g *Generator) SetPayload(fn func(i uint64, buf []byte) int) { g.payloadFn 
 
 // Count returns the number of frames generated.
 func (g *Generator) Count() uint64 { return g.count }
-
-// Errors returns the number of frames that failed to build.
-func (g *Generator) Errors() uint64 { return g.errs }
 
 // Err returns the most recent build failure, if any.
 func (g *Generator) Err() error { return g.lastErr }
@@ -72,7 +67,6 @@ func (g *Generator) Next() []byte {
 	if err != nil {
 		// A malformed frame must not take the driver process down: nil
 		// tells the device to stop the burst and count the error.
-		g.errs++
 		g.lastErr = err
 		return nil
 	}

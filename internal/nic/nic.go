@@ -251,13 +251,3 @@ func (d *Device) DeliverRX(n int) (int, error) {
 	}
 	return delivered, nil
 }
-
-// RXDescDone reports whether descriptor i has completed (driver-side
-// poll; the driver charges its own cycles).
-func (d *Device) RXDescDone(i int) bool {
-	da, ok := d.descAt(&d.rx, i)
-	if !ok {
-		return false
-	}
-	return d.mem.Read(da+descStatus, 1)[0]&StatusDD != 0
-}

@@ -133,9 +133,6 @@ func (d *Device) CreateQueues(sq, cq hw.PhysAddr, size int) {
 	d.stalled = nil
 }
 
-// QueueSize returns the programmed queue depth.
-func (d *Device) QueueSize() int { return d.qSize }
-
 // DeviceID returns the PCIe function identity the device DMAs as.
 func (d *Device) DeviceID() iommu.DeviceID { return d.dev }
 

@@ -157,9 +157,6 @@ func (o *Observatory) ArmOrder(d *Order, cores int) {
 	o.order = &orderChecker{order: d, held: make([][]heldLock, cores)}
 }
 
-// OrderArmed reports whether the checker is armed.
-func (o *Observatory) OrderArmed() bool { return o != nil && o.order != nil }
-
 // Acquired pushes lock id onto core's held stack after validating the
 // acquisition against the ordering. site names the acquisition site
 // ("syscall", "irq", ...) so an inversion report points at code, not

@@ -181,14 +181,6 @@ func (c *Collector) Participants() int {
 	return len(c.names)
 }
 
-// ParticipantName returns participant i's name.
-func (c *Collector) ParticipantName(i int) string {
-	if c == nil || i < 0 || i >= len(c.names) {
-		return "?"
-	}
-	return c.names[i]
-}
-
 // Tracer returns participant i's tracer (nil-safe; nil off-range).
 func (c *Collector) Tracer(i int) *obs.Tracer {
 	if c == nil || i < 0 || i >= len(c.tracers) {

@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"bufio"
 	"io"
-	"strconv"
 
-	"atmosphere/internal/hw"
 	"atmosphere/internal/obs"
 )
 
@@ -16,130 +13,48 @@ import (
 // binding to the enclosing req.* slices: client send → lb-forward →
 // backend → lb-return → client receipt. Open at ui.perfetto.dev.
 //
-// Like obs.WriteTrace the writer is hand-rolled: the byte stream is a
-// pure function of the collector's contents, so two same-seed runs
-// export byte-identical files (pinned by a golden test and a run-twice
-// cmp in CI). Flow ids are written as hex strings, not JSON numbers —
-// 64-bit trace IDs would lose precision in readers that parse numbers
-// as float64.
-
-// mergedCyclesPerMicro mirrors the obs exporter's timestamp unit.
-const mergedCyclesPerMicro = float64(hw.ClockHz) / 1e6
-
-func mergedTS(b *bufio.Writer, cycles uint64) {
-	b.WriteString(strconv.FormatFloat(float64(cycles)/mergedCyclesPerMicro, 'f', 4, 64))
-}
-
-func mergedStr(b *bufio.Writer, s string) {
-	b.WriteString(strconv.Quote(s))
-}
+// The bytes come from obs.TraceWriter, so the stream is a pure function
+// of the collector's contents: two same-seed runs export byte-identical
+// files (pinned by a golden test and a run-twice test of atmo-trace).
 
 // WriteMerged writes the cluster-wide merged trace.
 func WriteMerged(w io.Writer, c *Collector) error {
-	b := bufio.NewWriter(w)
-	b.WriteString("{\"traceEvents\":[")
-	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("\n")
-		}
-		first = false
-	}
+	tw := obs.NewTraceWriter(w)
 	if c != nil {
 		// Track metadata: one process per participant, threads per track.
 		for i, tr := range c.tracers {
-			pid := i + 1
-			sep()
-			b.WriteString("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
-			b.WriteString(strconv.Itoa(pid))
-			b.WriteString(",\"tid\":0,\"args\":{\"name\":")
-			mergedStr(b, c.names[i])
-			b.WriteString("}}")
+			tw.Process(i+1, c.names[i])
 			for _, track := range tr.Tracks() {
-				sep()
-				b.WriteString("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
-				b.WriteString(strconv.Itoa(pid))
-				b.WriteString(",\"tid\":")
-				b.WriteString(strconv.Itoa(track.TID))
-				b.WriteString(",\"args\":{\"name\":")
-				mergedStr(b, track.TIDName)
-				b.WriteString("}}")
+				tw.Thread(i+1, track.TID, track.TIDName)
 			}
 		}
 		// Per-participant events, client first, oldest first.
 		for i, tr := range c.tracers {
-			pid := i + 1
-			tracks := tr.Tracks()
-			for _, e := range tr.Events() {
-				if int(e.Track) >= len(tracks) {
-					continue
-				}
-				sep()
-				b.WriteString("{\"name\":")
-				mergedStr(b, tr.NameOf(e.Name))
-				switch e.Kind {
-				case obs.KindSpan:
-					b.WriteString(",\"ph\":\"X\"")
-				case obs.KindInstant:
-					b.WriteString(",\"ph\":\"i\",\"s\":\"t\"")
-				}
-				b.WriteString(",\"pid\":")
-				b.WriteString(strconv.Itoa(pid))
-				b.WriteString(",\"tid\":")
-				b.WriteString(strconv.Itoa(tracks[e.Track].TID))
-				b.WriteString(",\"ts\":")
-				mergedTS(b, e.TS)
-				if e.Kind == obs.KindSpan {
-					b.WriteString(",\"dur\":")
-					mergedTS(b, e.Dur)
-				}
-				if e.Arg != 0 {
-					b.WriteString(",\"args\":{\"arg\":")
-					b.WriteString(strconv.FormatUint(e.Arg, 10))
-					b.WriteString("}")
-				}
-				b.WriteString("}")
-			}
+			tw.Events(tr, func(obs.Track) int { return i + 1 })
 		}
 		// Flow arrows, in completion order. Irregular chains (none in a
-		// healthy run) have no hop spans to bind to and are skipped.
+		// healthy run) have no hop spans to bind to and are skipped. All
+		// participants share tid 1 (each tracer registers exactly the
+		// "requests" track).
 		clientPID := ClientSlot + 1
 		for _, rec := range c.completed {
 			if rec.Irregular {
 				continue
 			}
-			writeFlow(b, sep, "s", clientPID, rec.cycles(c, rec.SentTick), rec.TraceID)
-			for _, h := range rec.Hops {
-				writeFlow(b, sep, "t", h.Machine+1, h.SpanTS, rec.TraceID)
+			flow := func(ph string, pid int, ts uint64) {
+				tw.Flow("req.flow", "req", ph, rec.TraceID, pid, 1, ts)
 			}
-			writeFlow(b, sep, "f", clientPID, rec.cycles(c, rec.EndTick), rec.TraceID)
+			flow("s", clientPID, rec.cycles(c, rec.SentTick))
+			for _, h := range rec.Hops {
+				flow("t", h.Machine+1, h.SpanTS)
+			}
+			flow("f", clientPID, rec.cycles(c, rec.EndTick))
 		}
 	}
-	b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	return b.Flush()
+	return tw.Close()
 }
 
 // cycles converts one of the record's ticks via the owning collector.
 func (rec TraceRec) cycles(c *Collector, tick uint64) uint64 {
 	return tick * c.cfg.TickCycles
-}
-
-// writeFlow emits one flow-arrow event. All participants share tid 1
-// (each tracer registers exactly the "requests" track).
-func writeFlow(b *bufio.Writer, sep func(), ph string, pid int, ts uint64, id uint64) {
-	sep()
-	b.WriteString("{\"name\":\"req.flow\",\"cat\":\"req\",\"ph\":\"")
-	b.WriteString(ph)
-	b.WriteString("\",\"id\":\"0x")
-	b.WriteString(strconv.FormatUint(id, 16))
-	b.WriteString("\",\"pid\":")
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(",\"tid\":1,\"ts\":")
-	mergedTS(b, ts)
-	if ph == "f" {
-		b.WriteString(",\"bp\":\"e\"")
-	}
-	b.WriteString("}")
 }

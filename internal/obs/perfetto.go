@@ -32,17 +32,7 @@ func writeStr(b *bufio.Writer, s string) {
 
 // WriteTrace writes the tracer's live events as trace_event JSON.
 func WriteTrace(w io.Writer, t *Tracer) error {
-	b := bufio.NewWriter(w)
-	b.WriteString("{\"traceEvents\":[")
-	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("\n")
-		}
-		first = false
-	}
+	tw := NewTraceWriter(w)
 	// Track metadata, in registration order (deterministic). One
 	// process_name per distinct pid (first track of the pid wins), one
 	// thread_name per track.
@@ -50,29 +40,74 @@ func WriteTrace(w io.Writer, t *Tracer) error {
 	for _, tr := range t.Tracks() {
 		if !seenPid[tr.PID] {
 			seenPid[tr.PID] = true
-			sep()
-			b.WriteString("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
-			b.WriteString(strconv.Itoa(tr.PID))
-			b.WriteString(",\"tid\":0,\"args\":{\"name\":")
-			writeStr(b, tr.PIDName)
-			b.WriteString("}}")
+			tw.Process(tr.PID, tr.PIDName)
 		}
-		sep()
-		b.WriteString("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
-		b.WriteString(strconv.Itoa(tr.PID))
-		b.WriteString(",\"tid\":")
-		b.WriteString(strconv.Itoa(tr.TID))
-		b.WriteString(",\"args\":{\"name\":")
-		writeStr(b, tr.TIDName)
-		b.WriteString("}}")
+		tw.Thread(tr.PID, tr.TID, tr.TIDName)
 	}
+	tw.Events(t, func(tr Track) int { return tr.PID })
+	return tw.Close()
+}
+
+// TraceWriter streams one trace_event JSON document. WriteTrace drives
+// it for one tracer; dist.WriteMerged drives it for every cluster
+// participant under its own pid, plus the flow arrows between them.
+type TraceWriter struct {
+	b     *bufio.Writer
+	first bool
+}
+
+// NewTraceWriter opens a document on w; Close ends it.
+func NewTraceWriter(w io.Writer) *TraceWriter {
+	tw := &TraceWriter{b: bufio.NewWriter(w), first: true}
+	tw.b.WriteString("{\"traceEvents\":[")
+	return tw
+}
+
+// next starts the next event on its own line.
+func (tw *TraceWriter) next() {
+	if !tw.first {
+		tw.b.WriteString(",\n")
+	} else {
+		tw.b.WriteString("\n")
+	}
+	tw.first = false
+}
+
+// Process names pid's process track.
+func (tw *TraceWriter) Process(pid int, name string) {
+	b := tw.b
+	tw.next()
+	b.WriteString("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
+	b.WriteString(strconv.Itoa(pid))
+	b.WriteString(",\"tid\":0,\"args\":{\"name\":")
+	writeStr(b, name)
+	b.WriteString("}}")
+}
+
+// Thread names the (pid, tid) thread track.
+func (tw *TraceWriter) Thread(pid, tid int, name string) {
+	b := tw.b
+	tw.next()
+	b.WriteString("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+	b.WriteString(strconv.Itoa(pid))
+	b.WriteString(",\"tid\":")
+	b.WriteString(strconv.Itoa(tid))
+	b.WriteString(",\"args\":{\"name\":")
+	writeStr(b, name)
+	b.WriteString("}}")
+}
+
+// Events writes t's live events, oldest first, each drawn under the
+// pid its track maps to.
+func (tw *TraceWriter) Events(t *Tracer, pid func(Track) int) {
+	b := tw.b
 	tracks := t.Tracks()
 	for _, e := range t.Events() {
 		if int(e.Track) >= len(tracks) {
 			continue // unregistered track: unreachable via the public API
 		}
 		tr := tracks[e.Track]
-		sep()
+		tw.next()
 		b.WriteString("{\"name\":")
 		writeStr(b, t.NameOf(e.Name))
 		switch e.Kind {
@@ -84,7 +119,7 @@ func WriteTrace(w io.Writer, t *Tracer) error {
 			b.WriteString(",\"ph\":\"C\"")
 		}
 		b.WriteString(",\"pid\":")
-		b.WriteString(strconv.Itoa(tr.PID))
+		b.WriteString(strconv.Itoa(pid(tr)))
 		b.WriteString(",\"tid\":")
 		b.WriteString(strconv.Itoa(tr.TID))
 		b.WriteString(",\"ts\":")
@@ -106,6 +141,37 @@ func WriteTrace(w io.Writer, t *Tracer) error {
 		}
 		b.WriteString("}")
 	}
-	b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	return b.Flush()
+}
+
+// Flow writes one flow-arrow event of flow id: ph is "s" (start), "t"
+// (step) or "f" (finish, bound to the enclosing slice). The id is a hex
+// string, not a JSON number — 64-bit ids would lose precision in
+// readers that parse numbers as float64.
+func (tw *TraceWriter) Flow(name, cat, ph string, id uint64, pid, tid int, ts uint64) {
+	b := tw.b
+	tw.next()
+	b.WriteString("{\"name\":")
+	writeStr(b, name)
+	b.WriteString(",\"cat\":")
+	writeStr(b, cat)
+	b.WriteString(",\"ph\":")
+	writeStr(b, ph)
+	b.WriteString(",\"id\":\"0x")
+	b.WriteString(strconv.FormatUint(id, 16))
+	b.WriteString("\",\"pid\":")
+	b.WriteString(strconv.Itoa(pid))
+	b.WriteString(",\"tid\":")
+	b.WriteString(strconv.Itoa(tid))
+	b.WriteString(",\"ts\":")
+	writeTS(b, ts)
+	if ph == "f" {
+		b.WriteString(",\"bp\":\"e\"")
+	}
+	b.WriteString("}")
+}
+
+// Close ends the document and flushes it.
+func (tw *TraceWriter) Close() error {
+	tw.b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
+	return tw.b.Flush()
 }

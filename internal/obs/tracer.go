@@ -289,3 +289,24 @@ func (t *Tracer) Hash() uint64 {
 	}
 	return h
 }
+
+// CoreHashes folds the live events into one FNV-1a hash per core,
+// keyed by each track's Perfetto pid (the core number); machine-wide
+// tracks (MachinePID) and pids past cores are skipped. Each event
+// contributes five words: kind<<32|name, track, ts, dur, arg. The
+// multicore determinism gates compare these across same-seed runs.
+func (t *Tracer) CoreHashes(cores int) []uint64 {
+	hs := make([]uint64, cores)
+	for c := range hs {
+		hs[c] = hw.FNVOffset
+	}
+	tracks := t.Tracks()
+	for _, e := range t.Events() {
+		pid := tracks[e.Track].PID
+		if pid < 0 || pid >= cores {
+			continue
+		}
+		hs[pid] = hw.FNV(hs[pid], uint64(e.Kind)<<32|uint64(uint32(e.Name)), uint64(e.Track), e.TS, e.Dur, e.Arg)
+	}
+	return hs
+}

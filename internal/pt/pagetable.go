@@ -127,16 +127,6 @@ func (t *PageTable) CR3() hw.PhysAddr { return t.cr3 }
 // verification code).
 func (t *PageTable) Mem() *hw.PhysMem { return t.alloc.Mem() }
 
-// Mapping4K returns the abstract 4 KiB mapping (live reference; callers
-// must not mutate).
-func (t *PageTable) Mapping4K() map[hw.VirtAddr]MapEntry { return t.ghost4K }
-
-// Mapping2M returns the abstract 2 MiB mapping.
-func (t *PageTable) Mapping2M() map[hw.VirtAddr]MapEntry { return t.ghost2M }
-
-// Mapping1G returns the abstract 1 GiB mapping.
-func (t *PageTable) Mapping1G() map[hw.VirtAddr]MapEntry { return t.ghost1G }
-
 // AddressSpace returns a fresh merged view of all three abstract maps —
 // the Ψ.get_address_space(proc) of the paper's specifications.
 func (t *PageTable) AddressSpace() map[hw.VirtAddr]MapEntry {

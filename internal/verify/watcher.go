@@ -70,9 +70,6 @@ func Watch(k *kernel.Kernel, every uint64) *StepWatcher {
 	return w
 }
 
-// Detach restores the kernel's previous PostSyscall hook.
-func (w *StepWatcher) Detach() { w.K.PostSyscall = w.prev }
-
 // Err returns the first violation, or nil.
 func (w *StepWatcher) Err() error {
 	if len(w.Violations) == 0 {
