@@ -110,36 +110,21 @@ if ! grep -q "^class container locks=" "$smoke_dir/byclass.txt"; then
     exit 1
 fi
 
-echo "== atmo-bench -json -check smoke"
-go run ./cmd/atmo-bench -experiment table3 -json -outdir "$smoke_dir" \
+echo "== atmo-bench -series all -json -check"
+# Every gated row in bench_all_reference.txt, and one BENCH_<id>.json per
+# experiment id.
+go run ./cmd/atmo-bench -series all -json -outdir "$smoke_dir" \
     -check bench_all_reference.txt
-if [ ! -s "$smoke_dir/BENCH_table3.json" ]; then
-    echo "atmo-bench: smoke run produced no BENCH_table3.json" >&2
+ids=$(go run ./cmd/atmo-bench -list)
+if [ -z "$ids" ]; then
+    echo "atmo-bench: -list printed no experiment ids" >&2
     exit 1
 fi
-
-echo "== atmo-bench -series multicore smoke"
-go run ./cmd/atmo-bench -series multicore -json -outdir "$smoke_dir" \
-    -check bench_all_reference.txt
-if [ ! -s "$smoke_dir/BENCH_multicore.json" ]; then
-    echo "atmo-bench: smoke run produced no BENCH_multicore.json" >&2
-    exit 1
-fi
-
-echo "== atmo-bench -series batch smoke"
-go run ./cmd/atmo-bench -series batch -json -outdir "$smoke_dir" \
-    -check bench_all_reference.txt
-if [ ! -s "$smoke_dir/BENCH_batch.json" ]; then
-    echo "atmo-bench: smoke run produced no BENCH_batch.json" >&2
-    exit 1
-fi
-
-echo "== atmo-bench -series cluster smoke"
-go run ./cmd/atmo-bench -series cluster -json -outdir "$smoke_dir" \
-    -check bench_all_reference.txt
-if [ ! -s "$smoke_dir/BENCH_cluster.json" ]; then
-    echo "atmo-bench: smoke run produced no BENCH_cluster.json" >&2
-    exit 1
-fi
+for id in $ids; do
+    if [ ! -s "$smoke_dir/BENCH_$id.json" ]; then
+        echo "atmo-bench: -series all produced no BENCH_$id.json" >&2
+        exit 1
+    fi
+done
 
 echo "ci: all checks passed"

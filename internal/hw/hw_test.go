@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +62,116 @@ func TestPhysMemSliceAliases(t *testing.T) {
 	if m.Read(16, 1)[0] != 0xab {
 		t.Fatal("Slice should alias physical memory")
 	}
+	m.WriteU64(16, 0x1122)
+	if s[0] != 0x22 || s[1] != 0x11 {
+		t.Fatalf("Slice view missed a later write: % x", s[:2])
+	}
+	m.ZeroPage(0)
+	m.Write(17, []byte{0xcd})
+	if s[0] != 0 || s[1] != 0xcd {
+		t.Fatalf("Slice view went stale across ZeroPage: % x", s[:2])
+	}
+}
+
+// backed counts the frames that have host memory.
+func (m *PhysMem) backed() int {
+	n := 0
+	for _, f := range m.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestPhysMemUnbackedReadsZero(t *testing.T) {
+	m := NewPhysMem(4)
+	if got := m.ReadU64(PageSize4K + 8); got != 0 {
+		t.Fatalf("ReadU64 of an unbacked frame = %#x", got)
+	}
+	for i, b := range m.Read(PageSize4K-4, PageSize4K+8) {
+		if b != 0 {
+			t.Fatalf("Read byte %d of unbacked frames = %#x", i, b)
+		}
+	}
+	m.WriteU64(2*PageSize4K, 0)
+	m.WriteU64(2*PageSize4K-4, 0)
+	m.Write(3*PageSize4K-8, make([]byte, 16))
+	m.ZeroPage(3 * PageSize4K)
+	if n := m.backed(); n != 0 {
+		t.Fatalf("reads, zero writes and ZeroPage backed %d frames", n)
+	}
+}
+
+func TestPhysMemFirstWriteBacksOneFrame(t *testing.T) {
+	m := NewPhysMem(4)
+	m.WriteU64(2*PageSize4K+8, 1)
+	if n := m.backed(); n != 1 || m.frames[2] == nil {
+		t.Fatalf("a first non-zero WriteU64 backed %d frames (frame 2: %v)", n, m.frames[2] != nil)
+	}
+	m.Write(PageSize4K+100, []byte{0, 0, 7})
+	if n := m.backed(); n != 2 || m.frames[1] == nil {
+		t.Fatalf("a first non-zero Write backed %d frames in all (frame 1: %v)", n, m.frames[1] != nil)
+	}
+	// Zeros into a backed frame still land.
+	m.WriteU64(2*PageSize4K+8, 0)
+	if got := m.ReadU64(2*PageSize4K + 8); got != 0 {
+		t.Fatalf("zero write into a backed frame lost: %#x", got)
+	}
+}
+
+func TestPhysMemZeroPageKeepsBacking(t *testing.T) {
+	m := NewPhysMem(2)
+	m.WriteU64(PageSize4K+16, 0xff)
+	f := m.frames[1]
+	m.ZeroPage(PageSize4K)
+	if m.frames[1] != f {
+		t.Fatal("ZeroPage dropped or replaced a backed frame's backing")
+	}
+	if got := m.ReadU64(PageSize4K + 16); got != 0 {
+		t.Fatalf("ZeroPage left %#x", got)
+	}
+	m.ZeroPage(0)
+	if m.frames[0] != nil {
+		t.Fatal("ZeroPage backed an unbacked frame")
+	}
+}
+
+func TestPhysMemCrossFrameRoundTrip(t *testing.T) {
+	m := NewPhysMem(3)
+	const at = PageSize4K - 3 // straddles frames 0 and 1
+	m.WriteU64(at, 0x0102030405060708)
+	if got := m.ReadU64(at); got != 0x0102030405060708 {
+		t.Fatalf("ReadU64 across a frame boundary = %#x", got)
+	}
+	if got := m.Read(at, 8); got[0] != 0x08 || got[7] != 0x01 {
+		t.Fatalf("Read sees % x", got)
+	}
+	src := make([]byte, PageSize4K+10) // spans frames 1 and 2 from the middle of 1
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	m.Write(PageSize4K+PageSize4K/2, src)
+	if got := m.Read(PageSize4K+PageSize4K/2, uint64(len(src))); string(got) != string(src) {
+		t.Fatal("Write/Read across a frame boundary do not round-trip")
+	}
+	if m.backed() != 3 {
+		t.Fatalf("backed frames = %d, want 3", m.backed())
+	}
+}
+
+func TestPhysMemSliceCrossingFramePanics(t *testing.T) {
+	m := NewPhysMem(2)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Slice across a frame boundary should panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "[0xff8,+16)") {
+			t.Fatalf("panic does not name the range: %v", r)
+		}
+	}()
+	m.Slice(PageSize4K-8, 16)
 }
 
 func TestVAIndicesRoundTrip(t *testing.T) {

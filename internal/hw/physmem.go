@@ -10,9 +10,16 @@ import (
 // stored inside PhysMem and walked by the software MMU, and the simulated
 // NIC and NVMe devices DMA directly into it, so the kernel's pointer
 // arithmetic is exercised for real rather than mocked.
+//
+// RAM is sparse: a frame with no backing reads as zero and gets its
+// 4 KiB of host memory on its first non-zero write, so a machine's host
+// footprint scales with what it writes rather than with its configured
+// RAM. Reads and writes of zeros never create backing, and a backed
+// frame keeps it for the machine's lifetime. Read, Write, ReadU64 and
+// WriteU64 copy across frame boundaries; a Slice view lies inside one
+// frame.
 type PhysMem struct {
-	data   []byte
-	frames int
+	frames []*[PageSize4K]byte
 }
 
 // NewPhysMem creates a simulated physical memory with the given number of
@@ -21,14 +28,14 @@ func NewPhysMem(frames int) *PhysMem {
 	if frames <= 0 {
 		panic("hw: PhysMem needs at least one frame")
 	}
-	return &PhysMem{data: make([]byte, frames*PageSize4K), frames: frames}
+	return &PhysMem{frames: make([]*[PageSize4K]byte, frames)}
 }
 
 // Frames returns the number of 4 KiB frames.
-func (m *PhysMem) Frames() int { return m.frames }
+func (m *PhysMem) Frames() int { return len(m.frames) }
 
 // Size returns the total size in bytes.
-func (m *PhysMem) Size() uint64 { return uint64(len(m.data)) }
+func (m *PhysMem) Size() uint64 { return uint64(len(m.frames)) * PageSize4K }
 
 // Contains reports whether [addr, addr+n) lies inside physical memory.
 func (m *PhysMem) Contains(addr PhysAddr, n uint64) bool {
@@ -42,55 +49,115 @@ func (m *PhysMem) check(addr PhysAddr, n uint64) {
 	}
 }
 
+// split returns the index of the frame holding addr and addr's offset
+// inside it.
+func split(addr PhysAddr) (int, uint64) {
+	return int(uint64(addr) / PageSize4K), uint64(addr) % PageSize4K
+}
+
+// back returns frame i's backing, allocating it first if it has none.
+func (m *PhysMem) back(i int) *[PageSize4K]byte {
+	if m.frames[i] == nil {
+		m.frames[i] = new([PageSize4K]byte)
+	}
+	return m.frames[i]
+}
+
+// allZero reports whether b holds only zeros.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ReadU64 reads a little-endian 64-bit word at addr.
 func (m *PhysMem) ReadU64(addr PhysAddr) uint64 {
 	m.check(addr, 8)
-	return binary.LittleEndian.Uint64(m.data[addr:])
+	i, off := split(addr)
+	if off > PageSize4K-8 { // the word straddles two frames
+		return binary.LittleEndian.Uint64(m.Read(addr, 8))
+	}
+	if f := m.frames[i]; f != nil {
+		return binary.LittleEndian.Uint64(f[off:])
+	}
+	return 0
 }
 
 // WriteU64 writes a little-endian 64-bit word at addr.
 func (m *PhysMem) WriteU64(addr PhysAddr, v uint64) {
 	m.check(addr, 8)
-	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	i, off := split(addr)
+	if off > PageSize4K-8 { // the word straddles two frames
+		m.Write(addr, binary.LittleEndian.AppendUint64(nil, v))
+		return
+	}
+	if m.frames[i] != nil || v != 0 {
+		binary.LittleEndian.PutUint64(m.back(i)[off:], v)
+	}
 }
 
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *PhysMem) Read(addr PhysAddr, n uint64) []byte {
 	m.check(addr, n)
 	out := make([]byte, n)
-	copy(out, m.data[addr:uint64(addr)+n])
+	for dst := out; len(dst) > 0; {
+		i, off := split(addr)
+		c := min(uint64(len(dst)), PageSize4K-off)
+		if f := m.frames[i]; f != nil { // an unbacked frame reads as zero
+			copy(dst[:c], f[off:])
+		}
+		dst, addr = dst[c:], addr+PhysAddr(c)
+	}
 	return out
 }
 
-// Write copies src into physical memory at addr.
+// Write copies src into physical memory at addr, frame by frame. Zeros
+// bound for an unbacked frame are already in place, so that chunk backs
+// nothing.
 func (m *PhysMem) Write(addr PhysAddr, src []byte) {
 	m.check(addr, uint64(len(src)))
-	copy(m.data[addr:], src)
+	for len(src) > 0 {
+		i, off := split(addr)
+		c := min(uint64(len(src)), PageSize4K-off)
+		if m.frames[i] != nil || !allZero(src[:c]) {
+			copy(m.back(i)[off:], src[:c])
+		}
+		src, addr = src[c:], addr+PhysAddr(c)
+	}
 }
 
-// Slice returns a live view of [addr, addr+n). Devices use it for DMA; the
-// kernel proper never holds live views across syscalls.
+// Slice returns a live view of [addr, addr+n), which must lie inside one
+// frame; the frame gets backing if it has none. Devices use it for DMA;
+// the kernel proper never holds live views across syscalls.
 func (m *PhysMem) Slice(addr PhysAddr, n uint64) []byte {
 	m.check(addr, n)
-	return m.data[addr : uint64(addr)+n : uint64(addr)+n]
+	i, off := split(addr)
+	if n > PageSize4K-off {
+		panic(fmt.Sprintf("hw: Slice [%#x,+%d) crosses a frame boundary", addr, n))
+	}
+	return m.back(i)[off : off+n : off+n]
 }
 
 // ZeroPage clears the 4 KiB frame at addr, which must be frame-aligned.
+// A backed frame is cleared in place and keeps its backing, so live
+// Slice views of it stay valid.
 func (m *PhysMem) ZeroPage(addr PhysAddr) {
 	if !Aligned4K(uint64(addr)) {
 		panic(fmt.Sprintf("hw: ZeroPage of unaligned address %#x", addr))
 	}
 	m.check(addr, PageSize4K)
-	b := m.data[addr : uint64(addr)+PageSize4K]
-	for i := range b {
-		b[i] = 0
+	if f := m.frames[uint64(addr)/PageSize4K]; f != nil {
+		clear(f[:])
 	}
 }
 
 // FrameAddr returns the physical address of frame index i.
 func (m *PhysMem) FrameAddr(i int) PhysAddr {
-	if i < 0 || i >= m.frames {
-		panic(fmt.Sprintf("hw: frame index %d out of range %d", i, m.frames))
+	if i < 0 || i >= len(m.frames) {
+		panic(fmt.Sprintf("hw: frame index %d out of range %d", i, len(m.frames)))
 	}
 	return PhysAddr(uint64(i) * PageSize4K)
 }

@@ -1,0 +1,64 @@
+//go:build !race
+
+package kernel
+
+import (
+	"testing"
+
+	"atmosphere/internal/hw"
+	"atmosphere/internal/pm"
+	"atmosphere/internal/pt"
+)
+
+// The hot syscall pairs allocate no host memory once the kernel is warm:
+// endpoint and run-queue FIFOs reuse their backing arrays, and mmap's
+// rollback state lives on the stack. (The race runtime may allocate on
+// its own, so this file builds without -race.)
+
+func TestCallReplyAllocatesNothing(t *testing.T) {
+	k, init := boot(t)
+	server := pm.Ptr(mustOK(t, k.SysNewThread(0, init, 0)).Vals[0])
+	ep := pm.Ptr(mustOK(t, k.SysNewEndpoint(0, init, 0)).Vals[0])
+	k.PM.Thrd(server).Endpoints[0] = ep
+	k.PM.EndpointIncRef(ep, 1)
+	if r := k.SysRecv(0, server, 0, RecvArgs{EdptSlot: -1}); r.Errno != EWOULDBLOCK {
+		t.Fatal(r.Errno)
+	}
+	pinZeroAllocs(t, "call/reply_recv", func() {
+		if r := k.SysCall(0, init, 0, SendArgs{}); r.Errno != EWOULDBLOCK {
+			t.Fatal(r.Errno)
+		}
+		if r := k.SysReplyRecv(0, server, 0, SendArgs{}, RecvArgs{EdptSlot: -1}); r.Errno != EWOULDBLOCK {
+			t.Fatal(r.Errno)
+		}
+	})
+}
+
+func TestMmapMunmapAllocatesNothing(t *testing.T) {
+	k, init := boot(t)
+	pinZeroAllocs(t, "mmap/munmap", func() {
+		mustOK(t, k.SysMmap(0, init, 0x400000, 1, hw.Size4K, pt.RW))
+		mustOK(t, k.SysMunmap(0, init, 0x400000, 1, hw.Size4K))
+	})
+}
+
+func TestSendAsyncRecvAllocatesNothing(t *testing.T) {
+	k, init := boot(t)
+	mustOK(t, k.SysNewEndpoint(0, init, 0))
+	pinZeroAllocs(t, "send_async/recv", func() {
+		mustOK(t, k.SysSendAsync(0, init, 0, SendArgs{Regs: [4]uint64{7}}))
+		if r := mustOK(t, k.SysRecv(0, init, 0, RecvArgs{EdptSlot: -1})); r.Vals[0] != 7 {
+			t.Fatalf("recv got %d, want 7", r.Vals[0])
+		}
+	})
+}
+
+// pinZeroAllocs runs f once to warm the kernel, then requires that f
+// allocates nothing on average.
+func pinZeroAllocs(t *testing.T, name string, f func()) {
+	t.Helper()
+	f()
+	if n := testing.AllocsPerRun(100, f); n != 0 {
+		t.Fatalf("%s allocates %.2f times per pair on a warm kernel, want 0", name, n)
+	}
+}

@@ -139,7 +139,7 @@ func (k *Kernel) RaiseIRQ(core int, irq int) {
 	}
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
 		handler := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		ht := k.PM.Thrd(handler)
 		ht.IPC.Msg = pm.Msg{Regs: [4]uint64{uint64(irq), st.pending + 1}}
 		ht.IPC.WaitingOn = 0

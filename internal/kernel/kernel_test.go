@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -35,6 +36,22 @@ func TestBoot(t *testing.T) {
 	root := k.PM.Cntr(k.PM.RootContainer)
 	if root.UsedPages > root.QuotaPages {
 		t.Fatalf("boot overcommitted: used %d quota %d", root.UsedPages, root.QuotaPages)
+	}
+}
+
+// TestBootHostMemory pins the host memory a boot costs. Simulated RAM is
+// sparse, so booting a 128 MiB machine allocates only the frame table
+// and the frames the kernel writes, not the configured RAM.
+func TestBootHostMemory(t *testing.T) {
+	const limit = 4 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := Boot(hw.Config{Frames: 32768, Cores: 8, TLBSlots: 1536}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+		t.Fatalf("Boot of a 32,768-frame machine allocated %d bytes, want under %d", n, limit)
 	}
 }
 

@@ -253,7 +253,7 @@ func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
 		// Rendezvous: pop the receiver, deliver, wake it.
 		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		rt := k.PM.Thrd(rptr)
 		err := k.deliver(rt, msg)
 		rt.IPC.WaitingOn = 0
@@ -302,7 +302,7 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 	if rendezvous {
 		k.kclock.Charge(hw.CostEndpointOp)
 		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		rt := k.PM.Thrd(rptr)
 		err := k.deliver(rt, msg)
 		rt.IPC.WaitingOn = 0
@@ -335,7 +335,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 		// Asynchronously buffered messages drain ahead of any blocked
 		// senders: no partner to wake, just the buffer pop.
 		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[1:]
+		ep.Buffer = ep.Buffer[:copy(ep.Buffer, ep.Buffer[1:])]
 		k.kclock.Charge(hw.CostEndpointBuffer)
 		if err := k.deliver(t, msg); err != nil {
 			return k.post("recv", tid, fail(errnoOf(err)))
@@ -345,7 +345,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 	if !ep.QueuedRecv && len(ep.Queue) > 0 {
 		// Rendezvous: pop the sender, take its message, wake it.
 		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		st := k.PM.Thrd(sptr)
 		msg := st.IPC.Msg
 		st.IPC.Msg = pm.Msg{}
@@ -389,7 +389,7 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
 	server := ep.Queue[0]
-	ep.Queue = ep.Queue[1:]
+	ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 	st := k.PM.Thrd(server)
 	err := k.deliver(st, msg)
 	st.IPC.WaitingOn = 0
@@ -430,7 +430,7 @@ func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
 	client := ep.Queue[0]
-	ep.Queue = ep.Queue[1:]
+	ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 	ct := k.PM.Thrd(client)
 	err := k.deliver(ct, msg)
 	ct.IPC.WaitingOn = 0
@@ -464,7 +464,7 @@ func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, rec
 		}
 		k.kclock.Charge(hw.CostEndpointOp)
 		client := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		ct := k.PM.Thrd(client)
 		err := k.deliver(ct, msg)
 		ct.IPC.WaitingOn = 0
@@ -482,7 +482,7 @@ func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, rec
 	if len(ep.Buffer) > 0 {
 		// Buffered messages drain first, exactly as in SysRecv.
 		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[1:]
+		ep.Buffer = ep.Buffer[:copy(ep.Buffer, ep.Buffer[1:])]
 		k.kclock.Charge(hw.CostEndpointBuffer)
 		if err := k.deliver(t, msg); err != nil {
 			return k.post("reply_recv", tid, fail(errnoOf(err)))
@@ -492,7 +492,7 @@ func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, rec
 	if !ep.QueuedRecv && len(ep.Queue) > 0 {
 		// A sender is already queued: rendezvous inline.
 		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
 		st := k.PM.Thrd(sptr)
 		msg := st.IPC.Msg
 		st.IPC.Msg = pm.Msg{}

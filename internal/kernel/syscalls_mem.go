@@ -55,17 +55,14 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 	}
 
 	nodesBefore := table.NodeCount()
-	type mapped struct {
-		va   hw.VirtAddr
-		phys hw.PhysAddr
-	}
-	var done []mapped
+	n := 0 // pages mapped so far
 	rollback := func() {
-		for _, mpd := range done {
-			if _, err := table.Unmap(mpd.va); err != nil {
+		for i := 0; i < n; i++ {
+			e, err := table.Unmap(va + hw.VirtAddr(i)*step)
+			if err != nil {
 				panic(err)
 			}
-			if _, err := k.Alloc.DecRef(mpd.phys); err != nil {
+			if _, err := k.Alloc.DecRef(e.Phys); err != nil {
 				panic(err)
 			}
 			k.PM.CreditPages(cntr, pagesIn4K(size))
@@ -101,7 +98,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 			rollback()
 			return k.post("mmap", tid, fail(EINVAL))
 		}
-		done = append(done, mapped{dst, phys})
+		n++
 	}
 	// Charge the page-table nodes this mapping created.
 	nodesAfter := table.NodeCount()

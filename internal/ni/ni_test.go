@@ -1,6 +1,7 @@
 package ni
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -215,6 +216,38 @@ func TestObserveDetectsContentChange(t *testing.T) {
 	after := Observe(s.K, s.B)
 	if eq, _ := ViewEqual(before, after); eq {
 		t.Fatal("page content change invisible to Observe")
+	}
+}
+
+// TestPageHashSuperpage: a 2 MiB mapping hashes its 16 KiB prefix frame
+// by frame, to the same FNV value as one pass over the bytes Read
+// returns, and sees writes on both sides of a frame boundary.
+func TestPageHashSuperpage(t *testing.T) {
+	k, init, err := kernel.Boot(hw.Config{Frames: 2048, Cores: 1, TLBSlots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x40000000
+	if r := k.SysMmap(0, init, va, 1, hw.Size2M, pt.RW); r.Errno != kernel.OK {
+		t.Fatal(r.Errno)
+	}
+	table := k.PM.Proc(k.PM.Thrd(init).OwningProc).PageTable
+	e, ok := table.Lookup(va)
+	if !ok || e.Size != hw.Size2M {
+		t.Fatalf("no 2 MiB mapping at %#x: %+v", va, e)
+	}
+	blank := pageHash(k, e.Phys, hw.Size2M)
+	if !k.Machine.MMU.Store(table.CR3(), va+2*hw.PageSize4K-3, []byte{1, 2, 3, 4, 5, 6}) {
+		t.Fatal("store across the frame boundary failed")
+	}
+	got := pageHash(k, e.Phys, hw.Size2M)
+	want := fnv.New64a()
+	want.Write(k.Machine.Mem.Read(e.Phys, 4*hw.PageSize4K))
+	if got != want.Sum64() {
+		t.Fatalf("pageHash = %#x, FNV over Read = %#x", got, want.Sum64())
+	}
+	if got == blank {
+		t.Fatal("pageHash missed a write across a frame boundary")
 	}
 }
 

@@ -85,14 +85,16 @@ func Observe(k *kernel.Kernel, cntr pm.Ptr) string {
 	return b.String()
 }
 
-// pageHash hashes a mapped page's contents.
+// pageHash hashes a mapped page's contents, one frame at a time.
 func pageHash(k *kernel.Kernel, phys hw.PhysAddr, size hw.PageSize) uint64 {
 	h := fnv.New64a()
 	n := size.Bytes()
 	if n > hw.PageSize4K*4 {
 		n = hw.PageSize4K * 4 // hash a superpage prefix; enough to catch writes
 	}
-	h.Write(k.Machine.Mem.Slice(phys, n))
+	for off := uint64(0); off < n; off += hw.PageSize4K {
+		h.Write(k.Machine.Mem.Read(phys+hw.PhysAddr(off), hw.PageSize4K))
+	}
 	return h.Sum64()
 }
 

@@ -51,6 +51,32 @@ func TestDMAFaultWithoutMapping(t *testing.T) {
 	}
 }
 
+// TestDMAFaultMisalignedPRP: the model has no PRP2, so a PRP with a page
+// offset would carry a 4 KiB block into the next frame, which the
+// translation never covered. Both directions fault without touching
+// that frame or the media.
+func TestDMAFaultMisalignedPRP(t *testing.T) {
+	for _, op := range []byte{OpRead, OpWrite} {
+		m, d, sq, _, buf := setup(t, 8)
+		next := buf + hw.PageSize4K
+		m.WriteU64(next, 0x5a5a5a5a5a5a5a5a)
+		d.media[2*BlockSize] = 0xee
+		m.Write(buf+8, []byte{1, 2, 3})
+		if err := submitOne(t, m, d, sq, 0, op, 1, buf+8, 2); err != ErrDMAFault {
+			t.Fatalf("op %#x with PRP buf+8: expected DMA fault, got %v", op, err)
+		}
+		if d.Faults != 1 || d.Reads != 0 || d.Writes != 0 {
+			t.Fatalf("op %#x: faults=%d reads=%d writes=%d", op, d.Faults, d.Reads, d.Writes)
+		}
+		if got := m.ReadU64(next); got != 0x5a5a5a5a5a5a5a5a {
+			t.Fatalf("op %#x reached into the next frame: %#x", op, got)
+		}
+		if got := d.MediaAt(2); got[0] != 0xee || got[1] != 0 {
+			t.Fatalf("op %#x changed the media: % x", op, got[:4])
+		}
+	}
+}
+
 // TestInjectedCmdError: an injected command error completes with
 // StatusInternal and leaves the media untouched.
 func TestInjectedCmdError(t *testing.T) {

@@ -178,8 +178,11 @@ func (d *Device) execute(idx int) error {
 			status = StatusBadLBA
 			break
 		}
+		// The model has no PRP2, so the block must fill the one page the
+		// PRP names: an offset would carry the DMA into the next frame,
+		// which the translation never covered.
 		buf, ok := d.translate(prp)
-		if !ok || !d.mem.Contains(buf, BlockSize) {
+		if !ok || !hw.Aligned4K(uint64(prp)) || !d.mem.Contains(buf, BlockSize) {
 			d.Faults++
 			return ErrDMAFault
 		}

@@ -143,8 +143,9 @@ func (m *ProcessManager) PickNext(core int) Ptr {
 		}
 		return 0
 	}
-	next := s.queues[core][0]
-	s.queues[core] = s.queues[core][1:]
+	q := s.queues[core]
+	next := q[0]
+	s.queues[core] = q[:copy(q, q[1:])]
 	t := m.Thrd(next)
 	t.State = ThreadRunning
 	s.current[core] = next
