@@ -55,9 +55,10 @@ for f in docs/*.md; do
 done
 
 echo "== atmo-fuzz -diff smoke"
-# 24 seeds: as many as fit in the wall time 4 seeds took before the
-# allocator's page sets became frame bitmaps (~5 s on 2 vCPUs).
-go run ./cmd/atmo-fuzz -diff -seeds 24 -steps 2000
+# 128 seeds: as many as fit in the wall time 24 seeds took (~5 s on 2
+# vCPUs) before the differential oracle stopped snapshotting the
+# allocator and rebuilding Ψ on every step.
+go run ./cmd/atmo-fuzz -diff -seeds 128 -steps 2000
 
 echo "== atmo-trace smoke"
 smoke_dir=$(mktemp -d /tmp/atmo-ci-smoke.XXXXXX)

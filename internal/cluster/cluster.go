@@ -130,6 +130,7 @@ type Cluster struct {
 	nameStall, namePartition obs.NameID
 
 	frame [2048]byte // scratch for reply/probe construction
+	due   []inflight // scratch for one link's due frames in deliver
 	rep   Report
 	hash  uint64
 }
@@ -319,10 +320,12 @@ func (c *Cluster) supervise() {
 
 // deliver moves due frames: the client link's LB-bound frames into the
 // LB inbox and client-bound frames into the client; backend links
-// likewise by direction.
+// likewise by direction. Nothing the loop calls delivers, so one
+// buffer serves every link.
 func (c *Cluster) deliver() {
 	for _, l := range c.links {
-		for _, f := range l.due(c.tick) {
+		c.due = l.due(c.tick, c.due[:0])
+		for _, f := range c.due {
 			c.rep.Delivered++
 			c.mix(evDeliver, uint64(l.id), uint64(len(f.data)))
 			if f.toClient {

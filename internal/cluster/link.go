@@ -20,10 +20,9 @@ type inflight struct {
 	toLB     bool
 }
 
-// due removes and returns the frames whose delivery tick has arrived,
-// preserving send order.
-func (l *link) due(tick uint64) []inflight {
-	var out []inflight
+// due removes the frames whose delivery tick has arrived and appends
+// them to out in send order.
+func (l *link) due(tick uint64, out []inflight) []inflight {
 	keep := l.queue[:0]
 	for _, f := range l.queue {
 		if f.at <= tick {

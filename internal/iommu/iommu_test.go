@@ -118,9 +118,8 @@ func TestPageClosureAccounting(t *testing.T) {
 	p, _ := alloc.AllocUserPage4K()
 	u.Map(d.ID, 0x40000000, p)
 	closure := u.PageClosure()
-	owned := alloc.AllocatedTo(mem.OwnerIOMMU)
-	if !closure.Equal(owned) {
-		t.Fatalf("closure %d pages, allocator says %d", closure.Len(), owned.Len())
+	if owned, ok := alloc.AllocatedToIs(mem.OwnerIOMMU, closure); !ok {
+		t.Fatalf("closure %d pages, allocator says %d", closure.Len(), owned)
 	}
 	if err := u.CheckWF(); err != nil {
 		t.Fatal(err)
@@ -129,7 +128,7 @@ func TestPageClosureAccounting(t *testing.T) {
 
 func TestDestroyDomainReclaimsPages(t *testing.T) {
 	u, alloc := newIOMMU(t)
-	before := alloc.AllocatedTo(mem.OwnerIOMMU).Len()
+	before, _ := alloc.AllocatedToIs(mem.OwnerIOMMU, nil)
 	d, _ := u.CreateDomain()
 	p, _ := alloc.AllocUserPage4K()
 	if err := u.Map(d.ID, 0x2000, p); err != nil {
@@ -138,7 +137,7 @@ func TestDestroyDomainReclaimsPages(t *testing.T) {
 	if err := u.DestroyDomain(d.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := alloc.AllocatedTo(mem.OwnerIOMMU).Len(); got != before {
+	if got, _ := alloc.AllocatedToIs(mem.OwnerIOMMU, nil); got != before {
 		t.Fatalf("domain destroy leaked: %d -> %d pages", before, got)
 	}
 }

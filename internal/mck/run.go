@@ -311,6 +311,10 @@ func applyInterp(ip *spec.Interp, c call, ret kernel.Ret) error {
 // the independently evolved Ψ′ after every step. It returns the first
 // divergence (nil if the whole program agrees), the run's coverage, and
 // a boot error if the machine could not be constructed.
+//
+// The kernel's Ψ is refilled in place each step, and without the
+// allocator snapshot: Diff compares objects and address spaces, not
+// page sets. Allocator state is checked by TotalWF every WFEvery steps.
 func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	st := newStats()
 	frames, cores := opt.shape(p)
@@ -322,6 +326,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 		opt.Hook(k)
 	}
 	ip := spec.NewInterp(spec.Abstract(k.PM, k.Alloc, k.IOMMU))
+	var psi spec.State
 	regs := bootRegistries(k, init)
 
 	// Shared rendezvous endpoint in init's slot 0, adopted by every new
@@ -354,7 +359,8 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 				return &DiffResult{Step: i, Op: op, Err: err}, st, nil
 			}
 		}
-		if err := ip.Diff(spec.Abstract(k.PM, k.Alloc, k.IOMMU)); err != nil {
+		psi.LoadObjects(k.PM, k.IOMMU)
+		if err := ip.Diff(psi); err != nil {
 			return &DiffResult{Step: i, Op: op, Err: err}, st, nil
 		}
 		regs.record(c, ret)

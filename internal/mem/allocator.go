@@ -562,22 +562,35 @@ type Snapshot struct {
 	PCache *PageSet
 }
 
-// Snapshot captures the allocator's abstract state. Its eight sets share
-// one backing array sized to the frame count, so it allocates the same
-// few objects whatever the machine size.
-func (a *Allocator) Snapshot() Snapshot {
+// Snapshot captures the allocator's abstract state in a fresh Snapshot.
+func (a *Allocator) Snapshot() (s Snapshot) { a.SnapshotInto(&s); return s }
+
+// SnapshotInto refills s with the allocator's abstract state. It reuses
+// s's eight sets when they already cover the frame count; otherwise the
+// sets get one backing array sized to the frame count, so a fresh
+// snapshot allocates the same few objects whatever the machine size.
+func (a *Allocator) SnapshotInto(s *Snapshot) {
 	nw := wordsFor(len(a.pages))
-	slab := make([]uint64, 8*nw)
-	sets := new([8]PageSet)
-	for i := range sets {
-		// Capacity is capped so an Insert past the last frame reallocates
-		// instead of writing into the neighbouring set.
-		sets[i].words = slab[i*nw : (i+1)*nw : (i+1)*nw]
+	all := [8]**PageSet{&s.Free4K, &s.Free2M, &s.Free1G, &s.Allocated,
+		&s.Mapped, &s.Merged, &s.Boot, &s.PCache}
+	reuse := true
+	for _, set := range all {
+		reuse = reuse && *set != nil && len((*set).words) >= nw
 	}
-	s := Snapshot{
-		Free4K: &sets[0], Free2M: &sets[1], Free1G: &sets[2],
-		Allocated: &sets[3], Mapped: &sets[4], Merged: &sets[5],
-		Boot: &sets[6], PCache: &sets[7],
+	if reuse {
+		for _, set := range all {
+			clear((*set).words)
+			(*set).n = 0
+		}
+	} else {
+		slab := make([]uint64, 8*nw)
+		sets := new([8]PageSet)
+		for i, set := range all {
+			// Capacity is capped so an Insert past the last frame
+			// reallocates instead of writing into the neighbouring set.
+			sets[i].words = slab[i*nw : (i+1)*nw : (i+1)*nw]
+			*set = &sets[i]
+		}
 	}
 	for i := range a.pages {
 		pg := &a.pages[i]
@@ -606,32 +619,33 @@ func (a *Allocator) Snapshot() Snapshot {
 			s.Merged.addFrame(i)
 		}
 	}
-	return s
 }
 
-// AllocatedTo returns the set of pages allocated to owner — the raw
-// material of per-subsystem page_closure() checks.
-func (a *Allocator) AllocatedTo(owner Owner) *PageSet {
-	s := newPageSetFrames(len(a.pages))
+// AllocatedToIs reports whether the pages allocated to owner are exactly
+// want — a per-subsystem page_closure() check — in one pass over the
+// page array that builds no set. n counts the pages allocated to owner.
+func (a *Allocator) AllocatedToIs(owner Owner, want *PageSet) (n int, ok bool) {
+	ok = true
 	for i := range a.pages {
 		if a.pages[i].State == StateAllocated && a.pages[i].Owner == owner {
-			s.addFrame(i)
+			n++
+			ok = ok && want.containsFrame(i)
 		}
 	}
-	return s
+	return n, ok && n == want.Len()
 }
 
 // FreeListIs reports whether the free list of sc holds exactly the pages
-// of want: every listed page is in want, no page is listed twice, and the
-// list is as long as want. A cyclic list fails the second condition.
+// of want: the walk visits only members of want and ends after exactly
+// want.Len() pages. No page can be listed twice: a repeat is a cycle,
+// and a cyclic walk never ends, so it fails once it outruns want.
 func (a *Allocator) FreeListIs(sc SizeClass, want *PageSet) bool {
-	seen := newPageSetFrames(len(a.pages))
+	n := 0
 	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
-		p := a.mem.FrameAddr(int(i))
-		if !want.Contains(p) || seen.Contains(p) {
+		if n == want.Len() || !want.containsFrame(int(i)) {
 			return false
 		}
-		seen.addFrame(int(i))
+		n++
 	}
-	return seen.Len() == want.Len()
+	return n == want.Len()
 }

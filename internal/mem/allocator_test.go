@@ -344,13 +344,26 @@ func TestFreeListWalkMatchesCount(t *testing.T) {
 	}
 }
 
-func TestAllocatedTo(t *testing.T) {
+func TestAllocatedToIs(t *testing.T) {
 	a := newTestAlloc(16)
 	p1, _ := a.AllocPage4K(OwnerProcessMgr)
 	p2, _ := a.AllocPage4K(OwnerPageTable)
-	pm := a.AllocatedTo(OwnerProcessMgr)
-	if !pm.Contains(p1) || pm.Contains(p2) || pm.Len() != 1 {
-		t.Fatalf("AllocatedTo wrong: %v", pm.Sorted())
+	for _, tc := range []struct {
+		want   *PageSet
+		wantOK bool
+	}{
+		{NewPageSet(p1), true},
+		{nil, false},                // owner page missing
+		{NewPageSet(p1, p2), false}, // another owner's page extra
+		{NewPageSet(p2), false},     // same size, wrong page
+	} {
+		n, ok := a.AllocatedToIs(OwnerProcessMgr, tc.want)
+		if n != 1 || ok != tc.wantOK {
+			t.Errorf("AllocatedToIs(pm, %v) = %d, %v; want 1, %v", tc.want.Sorted(), n, ok, tc.wantOK)
+		}
+	}
+	if n, ok := a.AllocatedToIs(OwnerIOMMU, nil); n != 0 || !ok {
+		t.Fatalf("AllocatedToIs(iommu, nil) = %d, %v; want 0, true", n, ok)
 	}
 }
 

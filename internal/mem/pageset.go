@@ -73,6 +73,12 @@ func (s *PageSet) locate(p hw.PhysAddr) (int, uint64, bool) {
 	return int(f / 64), uint64(1) << (f % 64), true
 }
 
+// containsFrame reports whether frame i is in the set.
+func (s *PageSet) containsFrame(i int) bool {
+	w := s.bitmap()
+	return i/64 < len(w) && w[i/64]&(uint64(1)<<(i%64)) != 0
+}
+
 // bitmap returns the words of s, nil for a nil set.
 func (s *PageSet) bitmap() []uint64 {
 	if s == nil {

@@ -18,8 +18,9 @@ import (
 // Cached frames remain fully visible to the closure accounting: they
 // are StateAllocated/OwnerPCache in the page metadata array, the
 // ledger mirrors them under the PageCache pseudo-container, and
-// verify.MemoryWF checks that the kernel's view of the caches matches
-// AllocatedTo(OwnerPCache) exactly.
+// verify.MemoryWF checks with AllocatedToIs(OwnerPCache, ...) that
+// the kernel's view of the caches is exactly the allocator's
+// OwnerPCache pages.
 //
 // Determinism: the caches are plain LIFO stacks refilled in free-list
 // pop order, so for a fixed seed and drive order the sequence of
@@ -129,8 +130,8 @@ func (cc *CoreCaches) Drain() error {
 }
 
 // Pages returns the set of frames currently parked in any core's
-// cache — the kernel's own view, which verify.MemoryWF compares
-// against the allocator's AllocatedTo(OwnerPCache) closure.
+// cache — the kernel's own view, which verify.MemoryWF passes to the
+// allocator's AllocatedToIs(OwnerPCache, ...) closure check.
 func (cc *CoreCaches) Pages() *PageSet {
 	s := NewPageSet()
 	for _, st := range cc.frames {

@@ -82,8 +82,8 @@ func TestCoreCacheFreeAndDrain(t *testing.T) {
 	if n := cc.Len(0); n > 4 {
 		t.Fatalf("cache holds %d frames after drain, want <= 4", n)
 	}
-	if got := a.AllocatedTo(OwnerPCache); !got.Equal(cc.Pages()) {
-		t.Fatalf("allocator sees %d cached frames, cache claims %d", got.Len(), cc.Pages().Len())
+	if got, ok := a.AllocatedToIs(OwnerPCache, cc.Pages()); !ok {
+		t.Fatalf("allocator sees %d cached frames, cache claims %d", got, cc.Pages().Len())
 	}
 	if err := cc.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
@@ -91,7 +91,7 @@ func TestCoreCacheFreeAndDrain(t *testing.T) {
 	if a.FreeCount4K() != freeBefore {
 		t.Fatalf("free count %d after full drain, want %d", a.FreeCount4K(), freeBefore)
 	}
-	if a.AllocatedTo(OwnerPCache).Len() != 0 {
+	if n, _ := a.AllocatedToIs(OwnerPCache, nil); n != 0 {
 		t.Fatalf("frames still owned by page-cache after Drain")
 	}
 }

@@ -129,8 +129,16 @@ func (t *PageTable) Mem() *hw.PhysMem { return t.alloc.Mem() }
 
 // AddressSpace returns a fresh merged view of all three abstract maps —
 // the Ψ.get_address_space(proc) of the paper's specifications.
-func (t *PageTable) AddressSpace() map[hw.VirtAddr]MapEntry {
-	out := make(map[hw.VirtAddr]MapEntry, len(t.ghost4K)+len(t.ghost2M)+len(t.ghost1G))
+func (t *PageTable) AddressSpace() map[hw.VirtAddr]MapEntry { return t.AddressSpaceInto(nil) }
+
+// AddressSpaceInto clears out, refills it with the merged view of all
+// three abstract maps, and returns it; a nil out gets a new map.
+func (t *PageTable) AddressSpaceInto(out map[hw.VirtAddr]MapEntry) map[hw.VirtAddr]MapEntry {
+	if out == nil {
+		out = make(map[hw.VirtAddr]MapEntry, t.MappedCount())
+	} else {
+		clear(out)
+	}
 	for va, e := range t.ghost4K {
 		out[va] = e
 	}

@@ -271,8 +271,7 @@ func TestPageClosureAndDestroy(t *testing.T) {
 	if closure.Len() != 4 { // PML4 + PDPT + PD + PT
 		t.Fatalf("closure = %d nodes", closure.Len())
 	}
-	alloc := f.alloc.AllocatedTo(mem.OwnerPageTable)
-	if !closure.Equal(alloc) {
+	if _, ok := f.alloc.AllocatedToIs(mem.OwnerPageTable, closure); !ok {
 		t.Fatal("closure disagrees with allocator ownership")
 	}
 	if err := f.pt.Destroy(); err == nil {
@@ -284,7 +283,7 @@ func TestPageClosureAndDestroy(t *testing.T) {
 	if err := f.pt.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.AllocatedTo(mem.OwnerPageTable).Len() != 0 {
+	if n, _ := f.alloc.AllocatedToIs(mem.OwnerPageTable, nil); n != 0 {
 		t.Fatal("destroy leaked node pages")
 	}
 }

@@ -23,6 +23,7 @@ package spec
 // map/unmap are not — the generator never produces them.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -1335,16 +1336,16 @@ func sortedPtrKeys[V any](m map[Ptr]V) []Ptr {
 
 // Diff compares the abstract state of the concrete kernel against the
 // interpreter's Ψ′ and reports the first field-level divergence in a
-// deterministic (sorted) order. Physical addresses, the allocator
-// snapshot, and the Runnable/Running distinction are outside the
-// comparison — they are witnesses below the specification.
+// deterministic order: object kind by kind, lowest key first. Physical
+// addresses, the allocator snapshot, and the Runnable/Running
+// distinction are outside the comparison — they are witnesses below the
+// specification.
 func (ip *Interp) Diff(k State) error {
 	s := &ip.St
 	if k.RootContainer != s.RootContainer {
 		return fmt.Errorf("root container: kernel %#x, spec %#x", k.RootContainer, s.RootContainer)
 	}
-	for _, p := range sortedPtrKeys(s.Containers) {
-		sc := s.Containers[p]
+	if err := lowest(s.Containers, func(p Ptr, sc Container) error {
 		kc, ok := k.Containers[p]
 		if !ok {
 			return fmt.Errorf("container %#x: missing in kernel", p)
@@ -1371,14 +1372,14 @@ func (ip *Interp) Diff(k State) error {
 		case !setsEqual(kc.OwnedThreads, sc.OwnedThreads):
 			return fmt.Errorf("container %#x: owned_threads kernel=%v spec=%v", p, SortedPtrs(kc.OwnedThreads), SortedPtrs(sc.OwnedThreads))
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(k.Containers) {
-		if _, ok := s.Containers[p]; !ok {
-			return fmt.Errorf("container %#x: present in kernel, absent in spec", p)
-		}
+	if err := kernelOnly(k.Containers, s.Containers, "container %#x: present in kernel, absent in spec"); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(s.Procs) {
-		sp := s.Procs[p]
+	if err := lowest(s.Procs, func(p Ptr, sp Proc) error {
 		kp, ok := k.Procs[p]
 		if !ok {
 			return fmt.Errorf("proc %#x: missing in kernel", p)
@@ -1395,14 +1396,14 @@ func (ip *Interp) Diff(k State) error {
 		case kp.IOMMUDomain != sp.IOMMUDomain:
 			return fmt.Errorf("proc %#x: iommu_domain kernel=%d spec=%d", p, kp.IOMMUDomain, sp.IOMMUDomain)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(k.Procs) {
-		if _, ok := s.Procs[p]; !ok {
-			return fmt.Errorf("proc %#x: present in kernel, absent in spec", p)
-		}
+	if err := kernelOnly(k.Procs, s.Procs, "proc %#x: present in kernel, absent in spec"); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(s.Threads) {
-		st := s.Threads[p]
+	if err := lowest(s.Threads, func(p Ptr, st Thread) error {
 		kt, ok := k.Threads[p]
 		if !ok {
 			return fmt.Errorf("thread %#x: missing in kernel", p)
@@ -1421,14 +1422,14 @@ func (ip *Interp) Diff(k State) error {
 		case kt.WaitingOn != st.WaitingOn:
 			return fmt.Errorf("thread %#x: waiting_on kernel=%#x spec=%#x", p, kt.WaitingOn, st.WaitingOn)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(k.Threads) {
-		if _, ok := s.Threads[p]; !ok {
-			return fmt.Errorf("thread %#x: present in kernel, absent in spec", p)
-		}
+	if err := kernelOnly(k.Threads, s.Threads, "thread %#x: present in kernel, absent in spec"); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(s.Endpoints) {
-		se := s.Endpoints[p]
+	if err := lowest(s.Endpoints, func(p Ptr, se Endpoint) error {
 		ke, ok := k.Endpoints[p]
 		if !ok {
 			return fmt.Errorf("endpoint %#x: missing in kernel", p)
@@ -1445,66 +1446,86 @@ func (ip *Interp) Diff(k State) error {
 		case !bufsEqual(ke.Buffered, se.Buffered):
 			return fmt.Errorf("endpoint %#x: buffered kernel=%v spec=%v", p, ke.Buffered, se.Buffered)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(k.Endpoints) {
-		if _, ok := s.Endpoints[p]; !ok {
-			return fmt.Errorf("endpoint %#x: present in kernel, absent in spec", p)
-		}
+	if err := kernelOnly(k.Endpoints, s.Endpoints, "endpoint %#x: present in kernel, absent in spec"); err != nil {
+		return err
 	}
-	for _, p := range sortedPtrKeys(s.AddressSpaces) {
-		sas := s.AddressSpaces[p]
+	if err := lowest(s.AddressSpaces, func(p Ptr, sas map[hw.VirtAddr]pt.MapEntry) error {
 		kas, ok := k.AddressSpaces[p]
 		if !ok {
 			return fmt.Errorf("address space %#x: missing in kernel", p)
 		}
-		if err := diffSpace(fmt.Sprintf("address space %#x", p), kas, sas); err != nil {
-			return err
+		if err := diffSpace(kas, sas); err != nil {
+			return fmt.Errorf("address space %#x: %w", p, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for p := range k.AddressSpaces {
-		if _, ok := s.AddressSpaces[p]; !ok {
-			return fmt.Errorf("address space %#x: present in kernel, absent in spec", p)
-		}
+	if err := kernelOnly(k.AddressSpaces, s.AddressSpaces, "address space %#x: present in kernel, absent in spec"); err != nil {
+		return err
 	}
-	for id, sd := range s.DMASpaces {
+	if err := lowest(s.DMASpaces, func(id iommu.DomainID, sd map[hw.VirtAddr]pt.MapEntry) error {
 		kd, ok := k.DMASpaces[id]
 		if !ok {
 			return fmt.Errorf("dma space %d: missing in kernel", id)
 		}
-		if err := diffSpace(fmt.Sprintf("dma space %d", id), kd, sd); err != nil {
-			return err
+		if err := diffSpace(kd, sd); err != nil {
+			return fmt.Errorf("dma space %d: %w", id, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for id := range k.DMASpaces {
-		if _, ok := s.DMASpaces[id]; !ok {
-			return fmt.Errorf("dma space %d: present in kernel, absent in spec", id)
-		}
-	}
-	return nil
+	return kernelOnly(k.DMASpaces, s.DMASpaces, "dma space %d: present in kernel, absent in spec")
 }
 
-// diffSpace compares two address spaces modulo physical addresses.
-func diffSpace(what string, kas, sas map[hw.VirtAddr]pt.MapEntry) error {
-	vas := make([]hw.VirtAddr, 0, len(sas))
-	for va := range sas {
-		vas = append(vas, va)
+// lowest returns the error check reports for the lowest key of m it
+// fails on: ranging a map in any order, it reports what a loop over
+// sorted keys would report first, without sorting.
+func lowest[K cmp.Ordered, V any](m map[K]V, check func(K, V) error) error {
+	var low K
+	var lowErr error
+	for key, v := range m {
+		if lowErr != nil && key > low {
+			continue
+		}
+		if err := check(key, v); err != nil {
+			low, lowErr = key, err
+		}
 	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	for _, va := range vas {
-		se := sas[va]
+	return lowErr
+}
+
+// kernelOnly reports the lowest key of k that s lacks, formatted into
+// format.
+func kernelOnly[K cmp.Ordered, V, W any](k map[K]V, s map[K]W, format string) error {
+	return lowest(k, func(key K, _ V) error {
+		if _, ok := s[key]; !ok {
+			return fmt.Errorf(format, key)
+		}
+		return nil
+	})
+}
+
+// diffSpace compares two address spaces modulo physical addresses and
+// reports the lowest diverging VA.
+func diffSpace(kas, sas map[hw.VirtAddr]pt.MapEntry) error {
+	if err := lowest(sas, func(va hw.VirtAddr, se pt.MapEntry) error {
 		ke, ok := kas[va]
 		if !ok {
-			return fmt.Errorf("%s: va %#x mapped in spec, not in kernel", what, uint64(va))
+			return fmt.Errorf("va %#x mapped in spec, not in kernel", uint64(va))
 		}
 		if ke.Size != se.Size || ke.Perm != se.Perm {
-			return fmt.Errorf("%s: va %#x kernel=(%v,%v) spec=(%v,%v)",
-				what, uint64(va), ke.Size, ke.Perm, se.Size, se.Perm)
+			return fmt.Errorf("va %#x kernel=(%v,%v) spec=(%v,%v)",
+				uint64(va), ke.Size, ke.Perm, se.Size, se.Perm)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for va := range kas {
-		if _, ok := sas[va]; !ok {
-			return fmt.Errorf("%s: va %#x mapped in kernel, not in spec", what, uint64(va))
-		}
-	}
-	return nil
+	return kernelOnly(kas, sas, "va %#x mapped in kernel, not in spec")
 }

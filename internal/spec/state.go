@@ -100,54 +100,60 @@ type State struct {
 	Mem mem.Snapshot
 }
 
-// Abstract is the abstraction function: it builds Ψ from the concrete
-// kernel components. It performs deep copies so a retained State is a
-// true snapshot.
-func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) State {
-	st := State{
-		RootContainer: p.RootContainer,
-		Containers:    make(map[Ptr]Container, len(p.CntrPerms)),
-		Procs:         make(map[Ptr]Proc, len(p.ProcPerms)),
-		Threads:       make(map[Ptr]Thread, len(p.ThrdPerms)),
-		Endpoints:     make(map[Ptr]Endpoint, len(p.EdptPerms)),
-		AddressSpaces: make(map[Ptr]map[hw.VirtAddr]pt.MapEntry, len(p.ProcPerms)),
-		DMASpaces:     make(map[iommu.DomainID]map[hw.VirtAddr]pt.MapEntry),
-		Mem:           alloc.Snapshot(),
-	}
+// Abstract is the abstraction function: it builds a fresh Ψ from the
+// concrete kernel components. It performs deep copies so a retained
+// State is a true snapshot.
+func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) (st State) {
+	st.Load(p, alloc, iom)
+	return st
+}
+
+// Load refills st in place with Ψ of the concrete kernel components,
+// reusing the maps and slices a previous Load left in it. Their contents
+// are overwritten by the next Load, so a loaded State must not be kept
+// (or shared with anything that keeps it) past the next Load into it;
+// take Abstract for a snapshot that outlives the step.
+func (st *State) Load(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) {
+	st.LoadObjects(p, iom)
+	alloc.SnapshotInto(&st.Mem)
+}
+
+// LoadObjects is Load without the allocator: it refills everything in Ψ
+// except Mem, which it leaves as it was. Every entry is overwritten and
+// the entries of dead objects are deleted, so st ends up equal to a
+// fresh Abstract apart from Mem.
+func (st *State) LoadObjects(p *pm.ProcessManager, iom *iommu.IOMMU) {
+	st.RootContainer = p.RootContainer
+	st.Containers = prune(st.Containers, p.CntrPerms)
 	for ptr, c := range p.CntrPerms {
-		ac := Container{
+		old := st.Containers[ptr]
+		st.Containers[ptr] = Container{
 			Parent:       c.Parent,
-			Children:     append([]Ptr(nil), c.Children...),
+			Children:     append(old.Children[:0], c.Children...),
 			Depth:        c.Depth,
-			Path:         append([]Ptr(nil), c.Path...),
-			Subtree:      make(map[Ptr]bool, len(c.Subtree)),
+			Path:         append(old.Path[:0], c.Path...),
+			Subtree:      refillSet(old.Subtree, c.Subtree),
 			QuotaPages:   c.QuotaPages,
 			UsedPages:    c.UsedPages,
-			CPUs:         append([]int(nil), c.CPUs...),
-			Procs:        make(map[Ptr]bool, len(c.Procs)),
-			OwnedThreads: make(map[Ptr]bool, len(c.OwnedThreads)),
+			CPUs:         append(old.CPUs[:0], c.CPUs...),
+			Procs:        refillSet(old.Procs, c.Procs),
+			OwnedThreads: refillSet(old.OwnedThreads, c.OwnedThreads),
 		}
-		for s := range c.Subtree {
-			ac.Subtree[s] = true
-		}
-		for s := range c.Procs {
-			ac.Procs[s] = true
-		}
-		for s := range c.OwnedThreads {
-			ac.OwnedThreads[s] = true
-		}
-		st.Containers[ptr] = ac
 	}
+	st.Procs = prune(st.Procs, p.ProcPerms)
+	st.AddressSpaces = prune(st.AddressSpaces, p.ProcPerms)
 	for ptr, pr := range p.ProcPerms {
+		old := st.Procs[ptr]
 		st.Procs[ptr] = Proc{
 			Owner:       pr.Owner,
 			Parent:      pr.Parent,
-			Children:    append([]Ptr(nil), pr.Children...),
-			Threads:     append([]Ptr(nil), pr.Threads...),
+			Children:    append(old.Children[:0], pr.Children...),
+			Threads:     append(old.Threads[:0], pr.Threads...),
 			IOMMUDomain: pr.IOMMUDomain,
 		}
-		st.AddressSpaces[ptr] = pr.PageTable.AddressSpace()
+		st.AddressSpaces[ptr] = pr.PageTable.AddressSpaceInto(st.AddressSpaces[ptr])
 	}
+	st.Threads = prune(st.Threads, p.ThrdPerms)
 	for ptr, t := range p.ThrdPerms {
 		st.Threads[ptr] = Thread{
 			OwningProc: t.OwningProc,
@@ -158,25 +164,56 @@ func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) Stat
 			WaitingOn:  t.IPC.WaitingOn,
 		}
 	}
+	st.Endpoints = prune(st.Endpoints, p.EdptPerms)
 	for ptr, e := range p.EdptPerms {
-		var buf []BufMsg
+		old := st.Endpoints[ptr]
+		buf := old.Buffered[:0]
 		for _, m := range e.Buffer {
 			buf = append(buf, BufMsg{HasPage: m.HasPage, Size: m.PageSize, Perm: m.PagePerm})
 		}
 		st.Endpoints[ptr] = Endpoint{
-			Queue:      append([]Ptr(nil), e.Queue...),
+			Queue:      append(old.Queue[:0], e.Queue...),
 			QueuedRecv: e.QueuedRecv,
 			RefCount:   e.RefCount,
 			OwnerCntr:  e.OwnerCntr,
 			Buffered:   buf,
 		}
 	}
+	var domains map[iommu.DomainID]*iommu.Domain
 	if iom != nil {
-		for id, d := range iom.Domains() {
-			st.DMASpaces[id] = d.Table.AddressSpace()
+		domains = iom.Domains()
+	}
+	st.DMASpaces = prune(st.DMASpaces, domains)
+	for id, d := range domains {
+		st.DMASpaces[id] = d.Table.AddressSpaceInto(st.DMASpaces[id])
+	}
+}
+
+// prune returns m with every key absent from live deleted, or a new map
+// sized to live when m is nil.
+func prune[K comparable, V, L any](m map[K]V, live map[K]L) map[K]V {
+	if m == nil {
+		return make(map[K]V, len(live))
+	}
+	for k := range m {
+		if _, ok := live[k]; !ok {
+			delete(m, k)
 		}
 	}
-	return st
+	return m
+}
+
+// refillSet returns set holding exactly the keys of src, reusing set.
+func refillSet[V any](set map[Ptr]bool, src map[Ptr]V) map[Ptr]bool {
+	if set == nil {
+		set = make(map[Ptr]bool, len(src))
+	} else {
+		clear(set)
+	}
+	for k := range src {
+		set[k] = true
+	}
+	return set
 }
 
 // --- equality helpers (the frame conditions of every specification) ---------

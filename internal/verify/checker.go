@@ -14,8 +14,9 @@ import (
 // Checker wraps a kernel so that every syscall is checked against its
 // executable specification and the full well-formedness suite — the
 // dynamic counterpart of "the implementation refines the specification"
-// (§4). Each method snapshots the abstract state Ψ, performs the
-// syscall, snapshots Ψ', and evaluates the spec predicate plus TotalWF.
+// (§4). Each method loads the abstract state Ψ, performs the syscall,
+// loads Ψ', and evaluates the spec predicate plus TotalWF. Ψ and Ψ' are
+// refilled in place on every step, so a predicate must not keep them.
 type Checker struct {
 	K *kernel.Kernel
 	// Violations collects every spec/invariant failure when Collect is
@@ -28,6 +29,9 @@ type Checker struct {
 	// SkipWF disables the invariant suite (spec-only checking) for
 	// workloads where O(state) scans per step are too slow.
 	SkipWF bool
+
+	// old and new hold Ψ and Ψ' of the current step.
+	old, new spec.State
 }
 
 // NewChecker boots a kernel under checking and validates the boot state.
@@ -41,10 +45,6 @@ func NewChecker(cfg hw.Config) (*Checker, pm.Ptr, error) {
 		return nil, 0, fmt.Errorf("boot state ill-formed: %w", err)
 	}
 	return c, init, nil
-}
-
-func (c *Checker) abstract() spec.State {
-	return spec.Abstract(c.K.PM, c.K.Alloc, c.K.IOMMU)
 }
 
 func (c *Checker) report(name string, err error) error {
@@ -62,11 +62,11 @@ func (c *Checker) report(name string, err error) error {
 // step runs one syscall between snapshots and applies the spec predicate.
 func (c *Checker) step(name string, do func() kernel.Ret,
 	post func(old, new spec.State, ret kernel.Ret) error) (kernel.Ret, error) {
-	old := c.abstract()
+	c.old.Load(c.K.PM, c.K.Alloc, c.K.IOMMU)
 	ret := do()
-	new := c.abstract()
+	c.new.Load(c.K.PM, c.K.Alloc, c.K.IOMMU)
 	c.Transitions++
-	if err := c.report(name+" spec", post(old, new, ret)); err != nil {
+	if err := c.report(name+" spec", post(c.old, c.new, ret)); err != nil {
 		return ret, err
 	}
 	if !c.SkipWF {

@@ -403,10 +403,9 @@ func MemoryWF(k *kernel.Kernel) error {
 	for p := range k.PM.EdptPerms {
 		objPages.Insert(p)
 	}
-	pmOwned := k.Alloc.AllocatedTo(mem.OwnerProcessMgr)
-	if !objPages.Equal(pmOwned) {
+	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerProcessMgr, objPages); !ok {
 		return fmt.Errorf("process-manager closure %d pages, allocator says %d",
-			objPages.Len(), pmOwned.Len())
+			objPages.Len(), n)
 	}
 	// Virtual-memory closure: union of per-process table closures,
 	// pairwise disjoint.
@@ -418,37 +417,35 @@ func MemoryWF(k *kernel.Kernel) error {
 		}
 		ptPages.Union(cl)
 	}
-	ptOwned := k.Alloc.AllocatedTo(mem.OwnerPageTable)
-	if !ptPages.Equal(ptOwned) {
+	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerPageTable, ptPages); !ok {
 		return fmt.Errorf("page-table closure %d pages, allocator says %d",
-			ptPages.Len(), ptOwned.Len())
+			ptPages.Len(), n)
 	}
 	// IOMMU closure.
-	iommuOwned := k.Alloc.AllocatedTo(mem.OwnerIOMMU)
-	if !k.IOMMU.PageClosure().Equal(iommuOwned) {
+	iommuPages := k.IOMMU.PageClosure()
+	if _, ok := k.Alloc.AllocatedToIs(mem.OwnerIOMMU, iommuPages); !ok {
 		return fmt.Errorf("iommu closure disagrees with allocator")
 	}
 	// Page-cache closure: the frames the kernel believes are parked in
 	// per-core caches are exactly the allocator's OwnerPCache pages
 	// (both empty while caches are disabled).
-	pcacheOwned := k.Alloc.AllocatedTo(mem.OwnerPCache)
-	pcacheKernel := k.PageCachePages()
-	if !pcacheKernel.Equal(pcacheOwned) {
+	pcachePages := k.PageCachePages()
+	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerPCache, pcachePages); !ok {
 		return fmt.Errorf("page-cache closure %d pages, allocator says %d",
-			pcacheKernel.Len(), pcacheOwned.Len())
+			pcachePages.Len(), n)
 	}
-	// Closures are pairwise disjoint (owners distinct by construction;
-	// verify anyway) and cover the allocated set.
-	if !objPages.Disjoint(ptPages) || !objPages.Disjoint(iommuOwned) || !ptPages.Disjoint(iommuOwned) {
+	// Each closure now equals its owner's allocated pages, so it lies in
+	// the allocated set. Closures are pairwise disjoint (owners distinct
+	// by construction; verify anyway), so they cover the allocated set
+	// exactly when their sizes sum to its size.
+	if !objPages.Disjoint(ptPages) || !objPages.Disjoint(iommuPages) || !ptPages.Disjoint(iommuPages) {
 		return fmt.Errorf("subsystem closures overlap")
 	}
-	if !pcacheOwned.Disjoint(objPages) || !pcacheOwned.Disjoint(ptPages) || !pcacheOwned.Disjoint(iommuOwned) {
+	if !pcachePages.Disjoint(objPages) || !pcachePages.Disjoint(ptPages) || !pcachePages.Disjoint(iommuPages) {
 		return fmt.Errorf("page-cache closure overlaps another subsystem")
 	}
-	union := objPages.Clone().Union(ptPages).Union(iommuOwned).Union(pcacheOwned)
-	if !union.Equal(snap.Allocated) {
-		return fmt.Errorf("closures cover %d pages, allocated set has %d",
-			union.Len(), snap.Allocated.Len())
+	if n := objPages.Len() + ptPages.Len() + iommuPages.Len() + pcachePages.Len(); n != snap.Allocated.Len() {
+		return fmt.Errorf("closures cover %d pages, allocated set has %d", n, snap.Allocated.Len())
 	}
 	// Mapping reference counts: every mapped page's refcount equals the
 	// number of address-space mappings + DMA mappings + in-flight IPC
