@@ -111,6 +111,23 @@ if ! grep -q "^class container locks=" "$smoke_dir/byclass.txt"; then
     exit 1
 fi
 
+echo "== atmo-top -locks kvstore stage"
+# Each yield holds only its core's run-queue frontier, so the kvstore
+# workload's yields never wait: a runq class with zero wait cycles, and
+# no yield wait attributed to any container frontier (the old plan had
+# all 16 cores' yields queue on container/root).
+go run ./cmd/atmo-top -workload multicore -mc kvstore -cores 16 -locks -by-class > "$smoke_dir/kvlocks.txt"
+if ! grep -q "^class runq .* waitcycles=0 " "$smoke_dir/kvlocks.txt"; then
+    echo "atmo-top: kvstore -locks shows no wait-free runq class row" >&2
+    cat "$smoke_dir/kvlocks.txt" >&2
+    exit 1
+fi
+if grep -q "^wait container/.* sys=yield " "$smoke_dir/kvlocks.txt"; then
+    echo "atmo-top: kvstore yields wait on a container frontier" >&2
+    cat "$smoke_dir/kvlocks.txt" >&2
+    exit 1
+fi
+
 echo "== atmo-bench -series all -json -check"
 # Every gated row in bench_all_reference.txt, and one BENCH_<id>.json per
 # experiment id.

@@ -102,17 +102,17 @@ func runChecked(first uint64, seeds, steps int) {
 
 // runDiff is the lockstep differential mode: kernel vs. pure spec
 // interpreter, field-level Ψ comparison after every op, with the
-// runtime lock-order checker armed on every booted kernel. The first
-// divergence is shrunk to a minimal repro and written to reproOut; a
-// lock-order inversion fails the seed with the checker's two-site
-// report.
+// runtime lock-order and run-queue coverage checks armed on every
+// booted kernel. The first divergence is shrunk to a minimal repro and
+// written to reproOut; a lock-order inversion or run-queue coverage
+// violation fails the seed with the checker's report.
 func runDiff(first uint64, seeds, steps int, reproOut string) {
 	total := mck.Stats{Ops: map[string]int{}, Errnos: map[string]int{}}
 	baseOpt := mck.Options{WFEvery: 256}
 	for s := 0; s < seeds; s++ {
 		seed := first + uint64(s)
 		p := mck.Generate(seed, steps)
-		opt, inversion := baseOpt.WithLockOrder()
+		opt, violation := baseOpt.WithLockOrder()
 		res, st, err := mck.RunDiff(p, opt)
 		total.Merge(st)
 		if err != nil {
@@ -130,7 +130,7 @@ func runDiff(first uint64, seeds, steps int, reproOut string) {
 			}
 			os.Exit(1)
 		}
-		if v := inversion(); v != nil {
+		if v := violation(); v != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, v)
 			os.Exit(1)
 		}

@@ -13,16 +13,17 @@ import (
 
 // The multicore scalability series (the `-series multicore` run):
 // throughput of three workloads at 1/2/4/8/16/32/64 cores under the
-// sharded lock frontiers (per-container and per-endpoint; see
-// docs/CONCURRENCY.md), the per-core page-frame caches, and work
-// stealing. The paper's Atmosphere deliberately ships a big-lock kernel
-// (§3, §7.2); this series shows what the sharded cost model buys back:
-// IPC, formerly pinned at 1.0x because every round trip serialized on
-// the one big-lock frontier, now runs each core's ping-pong in its own
-// container on its own endpoint and scales with core count, while
-// allocation and the kv-store scale until their serialized remainder
-// (big-lock refills, the shared run queues) saturates — Amdahl's law on
-// whatever the plans still share.
+// sharded lock frontiers (per-container, per-endpoint and per-core run
+// queue; see docs/CONCURRENCY.md), the per-core page-frame caches, and
+// work stealing. The paper's Atmosphere deliberately ships a big-lock
+// kernel (§3, §7.2); this series shows what the sharded cost model buys
+// back: IPC, formerly pinned at 1.0x because every round trip
+// serialized on the one big-lock frontier, now runs each core's
+// ping-pong in its own container on its own endpoint and scales with
+// core count; the kv-store's yields hold only their own core's run
+// queue and scale likewise; allocation scales until its serialized
+// remainder (the shared container's mmaps, big-lock refills) saturates
+// — Amdahl's law on whatever the plans still share.
 //
 // Everything is a pure function of the cycle model and mcSeed: same
 // seed, same core count ⇒ the same trace, byte for byte, which

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atmosphere/internal/hw"
+	"atmosphere/internal/kernel"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/contend"
 )
@@ -122,5 +123,36 @@ func TestContentionPlantedInversionDeterministic(t *testing.T) {
 	want := `lock-order inversion on core 1: acquiring big/kernel at "syscall" while holding endpoint/e3 acquired at "edpt_poll" (no endpoint -> big edge declared)`
 	if first != want {
 		t.Errorf("inversion report = %q, want %q", first, want)
+	}
+}
+
+// Every series workload runs clean under the armed checks at 4 and 16
+// cores: no lock-order inversion, and every run queue a syscall mutates
+// is one its plan holds — with the yields on their cores' run-queue
+// frontiers, which the series must actually acquire.
+func TestMulticorePlansCoverRunQueues(t *testing.T) {
+	for _, wl := range mcWorkloads {
+		for _, n := range []int{4, 16} {
+			o := contend.New()
+			_, _, _, err := RunMulticore(wl, n, mcSeed, 0, func(k *kernel.Kernel) {
+				k.AttachContention(o)
+				k.ArmLockOrder()
+			})
+			if err != nil {
+				t.Fatalf("%s %dc: %v", wl, n, err)
+			}
+			if err := o.Violation(); err != nil {
+				t.Errorf("%s %dc: %v", wl, n, err)
+			}
+			var runq uint64
+			for _, c := range o.ByClass() {
+				if c.Class == "runq" {
+					runq = c.Acquisitions
+				}
+			}
+			if runq == 0 && wl != "alloc" {
+				t.Errorf("%s %dc: no run-queue frontier acquired", wl, n)
+			}
+		}
 	}
 }

@@ -158,14 +158,14 @@ var probeRows = []struct {
 }{
 	{name: "table3", run: probeTable3,
 		base:  []uint64{1060 * 1000, 1980 * 1000},
-		trace: 0x7ee3191b428bdd6a, metrics: 0x7f1c13215a20b6b8, report: 0x1b06146c9f66aa3b},
+		trace: 0xb09fc0e8c9be786e, metrics: 0xff3e52b54f17131c, report: 0x27092430b2a520a7},
 	{name: "multicore", run: probeMulticore,
 		base: []uint64{
 			424000, 424000, 424000, 424000, 424000, 424000, 424000, // ipc
-			274112, 277000, 283886, 467748, 932612, 1862340, 3721796, // kvstore
+			274112, 274112, 274558, 274558, 276718, 278788, 278788, // kvstore
 			584794, 620174, 788322, 1573868, 3144960, 6287144, 12571512, // alloc
 		},
-		trace: 0xb631290cb1451cdb, metrics: 0x6c52ddb9a5d55ee6, report: 0xe73c9fb3fa141ed7},
+		trace: 0x7c25ed6ecb68b62a, metrics: 0xe8742305b46edd6e, report: 0x9c0b715a9e80a402},
 	{name: "cluster-steady", run: probeCluster(faults.Plan{}, 0x540cd10528418b6b),
 		base:  []uint64{14194486, 15968, 80000, 80000, 80000, 0},
 		trace: 0xa8c7f832281a39c5, metrics: 0xcfd2f1a3ad209143, report: 0xcf1d11b6b525075d},

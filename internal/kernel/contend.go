@@ -1,18 +1,21 @@
 package kernel
 
 import (
+	"atmosphere/internal/hw"
 	"atmosphere/internal/obs/contend"
 )
 
 // Contention-observatory glue (internal/obs/contend), the funnel's
-// contention probe. The big lock registers as the frontier "big/kernel";
-// container and endpoint shards register as "container/<name>" and
-// "endpoint/<name>" frontiers as their plans first touch them
-// (shard.go). Each acquisition reports into the observatory (and, when
-// the lock-order checker is armed, is validated against the declared
-// ordering), and each held frontier's wait is attributed at leave to
-// the (syscall, container, core) the entry resolved meanwhile —
-// interrupts under the pseudo-syscall "irq", owned by no container.
+// contention probe. The big lock registers as the frontier "big/kernel"
+// and each core's run queue as "runq/cpu<q>"; container and endpoint
+// shards register as "container/<name>" and "endpoint/<name>" frontiers
+// as their plans first touch them (shard.go). Each acquisition reports
+// into the observatory (and, when the lock-order checker is armed, is
+// validated against the declared ordering), the entry is bracketed for
+// the run-queue coverage check, and each held frontier's wait is
+// attributed at leave to the (syscall, container, core) the entry
+// resolved meanwhile — interrupts under the pseudo-syscall "irq", owned
+// by no container.
 
 type contendProbe struct{ o *contend.Observatory }
 
@@ -27,7 +30,9 @@ func (p contendProbe) on(k *Kernel, ev event, _ uint64) {
 		for _, f := range c.held {
 			p.o.Acquired(c.core, p.o.Register(f.sim), site)
 		}
+		p.o.BeginEntry(c.core)
 	case evLeave:
+		p.o.EndEntry(c.sys)
 		for i := len(c.held) - 1; i >= 0; i-- {
 			id := p.o.Register(c.held[i].sim) // registered already: a lookup
 			p.o.AttributeWait(id, c.sys, c.cntr, c.core, c.held[i].wait)
@@ -74,10 +79,19 @@ func (k *Kernel) Contention() *contend.Observatory {
 
 // ArmLockOrder arms the attached observatory's runtime lock-order
 // checker with the kernel's declared ordering (contend.KernelOrder) for
-// this machine's core count. No-op without an observatory; the checker
-// stays off by default — tests and schedule exploration arm it.
+// this machine's core count, and with it the run-queue coverage check:
+// every run queue the scheduler mutates inside a syscall or interrupt
+// must be one whose frontier the entry's plan holds. No-op without an
+// observatory; both stay off by default — tests, the fuzz targets and
+// schedule exploration arm them.
 func (k *Kernel) ArmLockOrder() {
 	k.big.Lock()
 	defer k.big.Unlock()
-	k.Contention().ArmOrder(contend.KernelOrder(), k.Machine.NumCores())
+	o := k.Contention()
+	o.ArmOrder(contend.KernelOrder(), k.Machine.NumCores())
+	runqs := make([]*hw.LockSim, len(k.runqs))
+	for q, s := range k.runqs {
+		runqs[q] = &s.sim
+	}
+	o.CoverRunqs(runqs)
 }

@@ -80,7 +80,7 @@ func (k *Kernel) SysIrqUnregister(core int, tid pm.Ptr, irq int) Ret {
 // otherwise the caller blocks receiving on the bound endpoint and is
 // woken by the next interrupt.
 func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planIrqWait(core, tid, irq) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("irq_wait", tid, fail(EINVAL))
@@ -121,9 +121,10 @@ func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 // edge. Devices call it with the core the interrupt targets.
 func (k *Kernel) RaiseIRQ(core int, irq int) {
 	// Interrupt dispatch takes the big lock through the funnel like a
-	// syscall does (§3: interrupts serialize too), without the syscall
-	// trampoline, and owned by no container.
-	defer k.enterWith(core, kindIRQ, 0, nil)()
+	// syscall does (§3: interrupts serialize too), plus the run queue of
+	// the handler it may wake, without the syscall trampoline, and owned
+	// by no container.
+	defer k.enterWith(core, kindIRQ, 0, func() lockPlan { return k.planRaiseIRQ(irq) })()
 	k.cur.sys, k.cur.line = "irq", irq
 	if k.IRQFilter != nil && !k.IRQFilter(core, irq) {
 		return // injected lost edge: never reaches the IDT

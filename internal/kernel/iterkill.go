@@ -27,7 +27,7 @@ const killUnitCost = hw.CostCacheTouch * 8
 // kernel); subsequent invocations tear it down piecewise. Returns OK
 // when the subtree is fully reclaimed, EAGAIN when work remains.
 func (k *Kernel) SysKillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budget int) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planKillContainer(cntr) })()
 	defer k.gcShards() // objects reclaimed this installment lose their shards
 	t, okk := k.callerThread(tid)
 	if !okk {

@@ -106,14 +106,17 @@ type Kernel struct {
 	// CostBigLock is paid and every plan is free.
 	lock hw.LockSim
 
-	// Shard tables (shard.go): lazily created per-container and
-	// per-endpoint lock frontiers, the flat list in creation order (for
-	// enable/jitter/registration propagation), label sequence counters,
-	// the armed jitter parameters new shards inherit, and the test-only
-	// plan flip.
+	// Shard tables (shard.go): the per-core run-queue frontiers created
+	// at boot, lazily created per-container and per-endpoint lock
+	// frontiers, the flat list of live shards in creation order (for
+	// enable/jitter/registration propagation), the counts of retired
+	// ones, label sequence counters, the armed jitter parameters new
+	// shards inherit, and the test-only plan flip.
+	runqs      []*shard
 	cntrShards map[pm.Ptr]*shard
 	edptShards map[pm.Ptr]*shard
 	shards     []*shard
+	retired    lockTally
 	cntrSeq    int
 	edptSeq    int
 	jitterSeed uint64
@@ -185,6 +188,10 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 		batchCore:  make([]bool, machine.NumCores()),
 	}
 	k.leaveFn = k.leave
+	k.newRunqShards()
+	// The largest plan is the big lock, two containers, an endpoint and
+	// every run queue; sized now, no entry ever grows the buffer.
+	k.cur.held = make([]frontier, 0, 4+len(k.runqs))
 	iom, err := iommu.New(alloc, kclock)
 	if err != nil {
 		return nil, 0, err
@@ -243,14 +250,15 @@ func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func())
 
 // enterWith is the funnel every syscall and interrupt passes through.
 // Under the Go mutex it resolves the lock plan, materializes the planned
-// frontiers in DAG order (big, containers by address, endpoint;
-// shard.go), and virtually acquires them in sequence: each frontier's
-// wait pushes the arrival the next one sees, so a core queues behind
-// every planned frontier exactly as a real nested acquisition would.
-// The summed wait is charged to the core; entry cost is charged once,
-// whatever the plan. It fills the in-flight record and reports
-// evAcquired (probe.go). Interrupts (kindIRQ) pay no trampoline; inside
-// a batch drain a syscall pays only the SQE dispatch and its lock.
+// frontiers in DAG order (big, containers by address, endpoint, run
+// queues by core; shard.go), and virtually acquires them in sequence:
+// each frontier's wait pushes the arrival the next one sees, so a core
+// queues behind every planned frontier exactly as a real nested
+// acquisition would. The summed wait is charged to the core; entry cost
+// is charged once, whatever the plan. It fills the in-flight record and
+// reports evAcquired (probe.go). Interrupts (kindIRQ) pay no
+// trampoline; inside a batch drain a syscall pays only the SQE dispatch
+// and its lock.
 func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve func() lockPlan) (leave func()) {
 	k.big.Lock()
 	cclk := &k.Machine.Core(core).Clock
@@ -280,6 +288,15 @@ func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve fu
 	if k.planFlip {
 		for i, j := 0, len(held)-1; i < j; i, j = i+1, j-1 {
 			held[i], held[j] = held[j], held[i]
+		}
+	}
+	if plan.allRunq {
+		for _, s := range k.runqs {
+			held = append(held, frontier{sim: &s.sim})
+		}
+	} else {
+		for _, q := range plan.runq[:plan.nrunq] {
+			held = append(held, frontier{sim: &k.runqs[q].sim})
 		}
 	}
 	arrival := cclk.Cycles()
@@ -318,8 +335,9 @@ func (k *Kernel) leave() {
 }
 
 // EnableContention turns on the deterministic contention model
-// (hw.LockSim) for every frontier: the big lock and all container and
-// endpoint shards, existing and future (armShard inherits the setting).
+// (hw.LockSim) for every frontier: the big lock and all run-queue,
+// container and endpoint shards, existing and future (armShard inherits
+// the setting).
 // Meaningful only for workloads that drive cores in lock-step from
 // aligned clocks — the multicore scalability series; legacy single-core
 // benchmarks keep the uncontended model.
@@ -350,17 +368,16 @@ func (k *Kernel) SetLockJitter(seed, max uint64) {
 }
 
 // LockStats reports the contention model's (acquisitions, contended
-// acquisitions, total wait cycles) summed over every frontier — the big
-// lock plus all container and endpoint shards; zeros while disabled.
+// acquisitions, total wait cycles) summed over every frontier the kernel
+// ever had — the big lock, the live shards, and the retired ones
+// (gcShards), so the sums never decrease; zeros while disabled.
 func (k *Kernel) LockStats() (acquisitions, contended, waitCycles uint64) {
-	acquisitions, contended, waitCycles = k.lock.Stats()
+	t := k.retired
+	t.add(&k.lock)
 	for _, s := range k.shards {
-		a, c, w := s.sim.Stats()
-		acquisitions += a
-		contended += c
-		waitCycles += w
+		t.add(&s.sim)
 	}
-	return acquisitions, contended, waitCycles
+	return t.acq, t.contended, t.wait
 }
 
 // EnableCoreCaches routes the hot 4 KiB user-page allocation path
@@ -442,10 +459,12 @@ func errnoOf(err error) Errno {
 }
 
 // SysYield rotates the caller's core to the next runnable thread. Its
-// lock plan is the caller's container frontier alone: a yield touches
-// only that container's run state.
+// lock plan is the core's run-queue frontier alone (planYield): a yield
+// touches that queue and two threads' scheduling state, no container
+// state, so yields on different cores overlap and no yield queues
+// behind a container's mmap traffic.
 func (k *Kernel) SysYield(core int, tid pm.Ptr) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planCaller(tid) })()
+	defer k.enterPlan(core, func() lockPlan { return k.planYield(core) })()
 	if _, okk := k.callerThread(tid); !okk {
 		return k.post("yield", tid, fail(EINVAL))
 	}

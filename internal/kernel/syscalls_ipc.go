@@ -236,7 +236,7 @@ func firstFreeSlot(t *pm.Thread) int {
 // receiver is waiting it completes immediately; otherwise the caller
 // blocks (EWOULDBLOCK reports "blocked", completion arrives at wake).
 func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.enterPlan(core, func() lockPlan { return k.planIPC(ipcSend, core, tid, slot, args.SendPage || args.GrantPage) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("send", tid, fail(EINVAL))
@@ -279,7 +279,9 @@ func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // Endpoint transfers are rejected: a descriptor sitting in a buffer
 // would hold an unaccounted reference across the buffer's lifetime.
 func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.enterPlan(core, func() lockPlan {
+		return k.planIPC(ipcSendAsync, core, tid, slot, args.SendPage || args.GrantPage)
+	})()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("send_async", tid, fail(EINVAL))
@@ -319,7 +321,7 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 // caller blocks and the message is delivered at wake via the thread's
 // IPC state.
 func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, false) })()
+	defer k.enterPlan(core, func() lockPlan { return k.planIPC(ipcRecv, core, tid, slot, false) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("recv", tid, fail(EINVAL))
@@ -371,7 +373,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 // caller waiting for the reply, and switches directly to the server —
 // one syscall, one direct handoff, no scheduler pass.
 func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(ipcCall, core, tid, slot, args.SendPage || args.GrantPage) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("call", tid, fail(EINVAL))
@@ -412,7 +414,7 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // SysReply is the reply fastpath: it delivers to a client blocked
 // receiving on the endpoint and switches directly back to it.
 func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(ipcReply, core, tid, slot, args.SendPage || args.GrantPage) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("reply", tid, fail(EINVAL))
@@ -447,7 +449,9 @@ func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // deliver the reply to the waiting client, switch to it if co-located,
 // and leave the server blocked receiving on the same endpoint.
 func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, recv RecvArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.enterFastPlan(core, func() lockPlan {
+		return k.planIPC(ipcReplyRecv, core, tid, slot, args.SendPage || args.GrantPage)
+	})()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("reply_recv", tid, fail(EINVAL))

@@ -73,7 +73,7 @@ func (k *Kernel) SysNewProcessIn(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 // SysNewThread creates a thread in the caller's process, affine to core
 // onCore (which must be reserved by the container).
 func (k *Kernel) SysNewThread(core int, tid pm.Ptr, onCore int) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planNewThread(onCore) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_thread", tid, fail(EINVAL))
@@ -89,7 +89,7 @@ func (k *Kernel) SysNewThread(core int, tid pm.Ptr, onCore int) Ret {
 // own process, a descendant process, or any process in a descendant
 // container.
 func (k *Kernel) SysNewThreadIn(core int, tid pm.Ptr, proc pm.Ptr, onCore int) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planNewThread(onCore) })()
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_thread_in", tid, fail(EINVAL))
@@ -140,7 +140,7 @@ func (k *Kernel) controlsProcess(caller *pm.Process, callerPtr pm.Ptr, target *p
 // SysExitThread terminates the calling thread, releasing its endpoint
 // descriptors and its object page.
 func (k *Kernel) SysExitThread(core int, tid pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planExit(core, tid) })()
 	defer k.gcShards() // endpoints may die with their last descriptor
 	if _, okk := k.callerThread(tid); !okk {
 		return k.post("exit_thread", tid, fail(EINVAL))
@@ -157,7 +157,7 @@ func (k *Kernel) SysExitThread(core int, tid pm.Ptr) Ret {
 // its descendant processes (within the same container), their threads,
 // address spaces, and IOMMU domains.
 func (k *Kernel) SysKillProcess(core int, tid pm.Ptr, proc pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planKillProc(proc) })()
 	defer k.gcShards() // endpoints may die with the process's descriptors
 	t, okk := k.callerThread(tid)
 	if !okk {
@@ -238,7 +238,7 @@ func (k *Kernel) reapThread(th pm.Ptr) error {
 // are woken with EDEADOBJ), and the carved quota returns to the parent —
 // the paper's terminate-and-harvest revocation model (§3).
 func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.enterPlan(core, func() lockPlan { return k.planKillContainer(cntr) })()
 	defer k.gcShards() // the dying subtree's containers and endpoints
 	t, okk := k.callerThread(tid)
 	if !okk {

@@ -8,11 +8,12 @@ import (
 // WithLockOrder returns a copy of opt whose boot hook additionally
 // attaches a fresh contention observatory to each booted kernel and
 // arms the runtime lock-order checker against the kernel's declared
-// ordering (contend.KernelOrder). The returned function reports the
-// first ordering inversion any of those kernels observed (nil if
-// none) — fuzz targets and atmo-fuzz call it after the run and fail
-// with the checker's two-site report.
-func (opt Options) WithLockOrder() (Options, func() *contend.Inversion) {
+// ordering (contend.KernelOrder), and with it the run-queue coverage
+// check. The returned function reports the first violation any of
+// those kernels observed (nil if none) — fuzz targets and atmo-fuzz
+// call it after the run and fail with the checker's two-site inversion
+// report or its one-line coverage report.
+func (opt Options) WithLockOrder() (Options, func() error) {
 	var observed []*contend.Observatory
 	prev := opt.Hook
 	opt.Hook = func(k *kernel.Kernel) {
@@ -24,10 +25,10 @@ func (opt Options) WithLockOrder() (Options, func() *contend.Inversion) {
 		k.ArmLockOrder()
 		observed = append(observed, o)
 	}
-	return opt, func() *contend.Inversion {
+	return opt, func() error {
 		for _, o := range observed {
-			if v := o.FirstInversion(); v != nil {
-				return v
+			if err := o.Violation(); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -47,7 +47,7 @@ func FuzzDiffBatch(f *testing.F) {
 		if len(p.Ops) > fuzzOps {
 			p.Ops = p.Ops[:fuzzOps]
 		}
-		opt, inversion := Options{WFEvery: 64}.WithLockOrder()
+		opt, violation := Options{WFEvery: 64}.WithLockOrder()
 		res, _, err := RunDiff(p, opt)
 		if err != nil {
 			t.Fatalf("boot: %v", err)
@@ -55,7 +55,7 @@ func FuzzDiffBatch(f *testing.F) {
 		if res != nil {
 			t.Fatalf("divergence: %v\nrepro:\n%s", res, p.EncodeRepro())
 		}
-		if v := inversion(); v != nil {
+		if v := violation(); v != nil {
 			t.Fatalf("%s\nrepro:\n%s", v, p.EncodeRepro())
 		}
 	})
@@ -68,7 +68,7 @@ func FuzzDiffBatch(f *testing.F) {
 func TestBatchDiffSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		p := GenerateBatched(seed, 250)
-		opt, inversion := Options{WFEvery: 32}.WithLockOrder()
+		opt, violation := Options{WFEvery: 32}.WithLockOrder()
 		res, st, err := RunDiff(p, opt)
 		if err != nil {
 			t.Fatalf("seed %d: boot: %v", seed, err)
@@ -76,7 +76,7 @@ func TestBatchDiffSeeds(t *testing.T) {
 		if res != nil {
 			t.Fatalf("seed %d diverged: %v\nrepro:\n%s", seed, res, p.EncodeRepro())
 		}
-		if v := inversion(); v != nil {
+		if v := violation(); v != nil {
 			t.Fatalf("seed %d: %s", seed, v)
 		}
 		if st.Ops["batch"] == 0 {

@@ -47,7 +47,7 @@ func FuzzDiff(f *testing.F) {
 		if len(p.Ops) > fuzzOps {
 			p.Ops = p.Ops[:fuzzOps]
 		}
-		opt, inversion := Options{WFEvery: 64}.WithLockOrder()
+		opt, violation := Options{WFEvery: 64}.WithLockOrder()
 		res, _, err := RunDiff(p, opt)
 		if err != nil {
 			t.Fatalf("boot: %v", err)
@@ -55,7 +55,7 @@ func FuzzDiff(f *testing.F) {
 		if res != nil {
 			t.Fatalf("divergence: %v\nrepro:\n%s", res, p.EncodeRepro())
 		}
-		if v := inversion(); v != nil {
+		if v := violation(); v != nil {
 			t.Fatalf("%s\nrepro:\n%s", v, p.EncodeRepro())
 		}
 	})
@@ -71,11 +71,11 @@ func FuzzChecked(f *testing.F) {
 		if len(p.Ops) > fuzzOps {
 			p.Ops = p.Ops[:fuzzOps]
 		}
-		opt, inversion := Options{}.WithLockOrder()
+		opt, violation := Options{}.WithLockOrder()
 		if _, err := RunChecked(p, opt); err != nil {
 			t.Fatalf("checked run: %v\nrepro:\n%s", err, p.EncodeRepro())
 		}
-		if v := inversion(); v != nil {
+		if v := violation(); v != nil {
 			t.Fatalf("%s\nrepro:\n%s", v, p.EncodeRepro())
 		}
 	})

@@ -81,7 +81,8 @@ func runSchedule(seed uint64, rounds int, opt Options) (hashes []uint64, steals,
 	k.AttachObs(tracer, nil)
 	// Schedule exploration runs with the lock-order checker armed: any
 	// interleaving the perturbations produce must still respect the
-	// declared ordering DAG (contend.KernelOrder).
+	// declared ordering DAG (contend.KernelOrder), and every run queue a
+	// syscall mutates — steals included — must be one its plan holds.
 	cobs := contend.New()
 	k.AttachContention(cobs)
 	k.ArmLockOrder()
@@ -191,7 +192,7 @@ func runSchedule(seed uint64, rounds int, opt Options) (hashes []uint64, steals,
 	if err := verify.TotalWF(k); err != nil {
 		return nil, 0, 0, fmt.Errorf("final: invariants: %w", err)
 	}
-	if v := cobs.FirstInversion(); v != nil {
+	if v := cobs.Violation(); v != nil {
 		return nil, 0, 0, fmt.Errorf("lock order: %s", v)
 	}
 	_, contended, _ = k.LockStats()

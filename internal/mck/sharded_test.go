@@ -66,7 +66,7 @@ func TestShardedAbstractEquivalence(t *testing.T) {
 		if st.Steps != len(p.Ops) {
 			t.Fatalf("seed %d: executed %d of %d ops", seed, st.Steps, len(p.Ops))
 		}
-		if v := cobs.FirstInversion(); v != nil {
+		if v := cobs.Violation(); v != nil {
 			t.Fatalf("seed %d: lock order: %s", seed, v)
 		}
 		// Prove the sharded plans actually ran: container and endpoint

@@ -83,19 +83,22 @@ func (d *Order) Rules() []string {
 
 // KernelOrder returns the kernel's declared lock ordering
 // (docs/CONCURRENCY.md "Lock ordering"): the big lock outermost, then
-// container frontiers, then endpoint frontiers — the DAG the sharded
-// funnel acquires every lock plan in. The container self-edge permits
-// the one intra-class nesting the kernel performs: cross-container IPC
-// holds the two containers of a rendezvous at once, acquired in
-// ascending object address order (the plan builder sorts, so the
-// nesting is still a total order). Endpoints stay strictly innermost:
-// no endpoint -> container or endpoint -> big edge exists, which is
-// exactly what the planted-inversion tests drive against.
+// container frontiers, then endpoint frontiers, then the per-core
+// run-queue frontiers — the DAG the sharded funnel acquires every lock
+// plan in. The two self-edges permit the intra-class nestings the
+// kernel performs, each in a total order the plan builder sorts:
+// cross-container IPC holds the two containers of a rendezvous at once
+// (ascending object address), and a plan touching several cores' run
+// queues holds them in ascending core index. No edge leads out of
+// runq or back from endpoint to container or big, which is exactly
+// what the planted-inversion tests drive against.
 func KernelOrder() *Order {
 	d := NewOrder()
 	d.Declare("big", "container")
 	d.Declare("container", "container")
 	d.Declare("container", "endpoint")
+	d.Declare("endpoint", "runq")
+	d.Declare("runq", "runq")
 	return d
 }
 
@@ -132,12 +135,18 @@ func (v *Inversion) String() string {
 	return b.String()
 }
 
-// orderChecker is the armed checker state.
+// Error makes an inversion a checker failure.
+func (v *Inversion) Error() string { return v.String() }
+
+// orderChecker is the armed checker state: the ordering and per-core
+// held stacks, plus the run-queue coverage check (coverage.go), which
+// reads the same stacks.
 type orderChecker struct {
 	order      *Order
 	held       [][]heldLock // per-core held stacks
 	first      *Inversion
 	inversions uint64
+	cover      coverage
 }
 
 // ArmOrder arms the runtime lock-order checker against the given
@@ -154,7 +163,7 @@ func (o *Observatory) ArmOrder(d *Order, cores int) {
 	if cores < 1 {
 		cores = 1
 	}
-	o.order = &orderChecker{order: d, held: make([][]heldLock, cores)}
+	o.order = &orderChecker{order: d, held: make([][]heldLock, cores), cover: coverage{active: -1}}
 }
 
 // Acquired pushes lock id onto core's held stack after validating the
@@ -226,4 +235,17 @@ func (o *Observatory) InversionCount() uint64 {
 		return 0
 	}
 	return o.order.inversions
+}
+
+// Violation returns the armed checks' first finding: the first
+// lock-order inversion, else the first run-queue coverage violation;
+// nil when both are clean or the checker never armed.
+func (o *Observatory) Violation() error {
+	if v := o.FirstInversion(); v != nil {
+		return v
+	}
+	if u := o.FirstUncovered(); u != nil {
+		return u
+	}
+	return nil
 }

@@ -11,7 +11,8 @@ import (
 // per-core and per-container histograms, steals record their
 // thief←victim provenance, and blocked-on edges accumulate per
 // (container, endpoint). With a tracer attached, steals and blocks also
-// land as instants on a machine-wide "sched" track.
+// land as instants on a machine-wide "sched" track. Run-queue mutations
+// (RunqTouched) feed the coverage check in coverage.go.
 
 // stealPair keys steal provenance: thief took work from victim.
 type stealPair struct {

@@ -50,6 +50,10 @@ type SchedObserver interface {
 	// Blocked reports a thread of container cntr blocking on object on
 	// (the endpoint of an IPC rendezvous).
 	Blocked(thrd, cntr, on Ptr, now uint64)
+	// RunqTouched reports a mutation of core's run queue: its FIFO or
+	// its current thread. The kernel's coverage check compares these
+	// against the run-queue frontiers the syscall's lock plan holds.
+	RunqTouched(core int)
 }
 
 // SetSchedObserver attaches (or, with nil, detaches) a scheduler
@@ -82,6 +86,13 @@ func (s *Scheduler) Queue(core int) []Ptr {
 	return append([]Ptr(nil), s.queues[core]...)
 }
 
+// touched reports a mutation of core's run queue to the observer.
+func (s *Scheduler) touched(core int) {
+	if s.obs != nil {
+		s.obs.RunqTouched(core)
+	}
+}
+
 // enqueue appends a runnable thread to its core's queue.
 func (s *Scheduler) enqueue(t *Thread) {
 	if t.State != ThreadRunnable {
@@ -89,6 +100,7 @@ func (s *Scheduler) enqueue(t *Thread) {
 	}
 	if s.obs != nil {
 		t.ReadyAt = s.clock.Cycles()
+		s.obs.RunqTouched(t.Core)
 	}
 	s.queues[t.Core] = append(s.queues[t.Core], t.Ptr)
 }
@@ -115,11 +127,13 @@ func (s *Scheduler) remove(t *Thread) {
 	for i, p := range q {
 		if p == t.Ptr {
 			s.queues[t.Core] = append(q[:i], q[i+1:]...)
+			s.touched(t.Core)
 			break
 		}
 	}
 	if s.current[t.Core] == t.Ptr {
 		s.current[t.Core] = 0
+		s.touched(t.Core)
 	}
 }
 
@@ -129,6 +143,9 @@ func (s *Scheduler) remove(t *Thread) {
 func (m *ProcessManager) PickNext(core int) Ptr {
 	s := m.sched
 	m.clock.Charge(hw.CostSchedPick)
+	if s.current[core] != 0 || len(s.queues[core]) > 0 {
+		s.touched(core)
+	}
 	if cur := s.current[core]; cur != 0 {
 		t := m.Thrd(cur)
 		if t.State == ThreadRunning {
@@ -151,6 +168,30 @@ func (m *ProcessManager) PickNext(core int) Ptr {
 	s.current[core] = next
 	s.noteRun(t, core)
 	return next
+}
+
+// PickSteals reports whether PickNext(core) would reach the stealer
+// once thread gone (0 for none) has left core: stealing is on, core's
+// queue holds no other thread, and no other running thread sits on the
+// core to be requeued. It charges nothing, so a lock plan can ask
+// before the syscall runs — a steal pops another core's queue, so only
+// a plan for which this holds needs every core's run-queue frontier.
+func (m *ProcessManager) PickSteals(core int, gone Ptr) bool {
+	s := m.sched
+	if !s.stealing {
+		return false
+	}
+	for _, p := range s.queues[core] {
+		if p != gone {
+			return false
+		}
+	}
+	cur := s.current[core]
+	if cur == 0 || cur == gone {
+		return true
+	}
+	t, ok := m.ThrdPerms[cur]
+	return !ok || t.State != ThreadRunning
 }
 
 // EnableWorkStealing lets an idle core migrate runnable threads from
@@ -224,9 +265,11 @@ func (m *ProcessManager) trySteal(core int) Ptr {
 			continue // container does not reserve the thief's core
 		}
 		s.queues[victim] = append(q[:i], q[i+1:]...)
+		s.touched(victim)
 		t.Core = core
 		t.State = ThreadRunning
 		s.current[core] = t.Ptr
+		s.touched(core)
 		s.steals++
 		m.clock.Charge(hw.CostSchedSteal)
 		if s.obs != nil {
@@ -251,6 +294,7 @@ func (m *ProcessManager) Dispatch(thrd Ptr) error {
 	}
 	s := m.sched
 	core := t.Core
+	s.touched(core)
 	if cur := s.current[core]; cur != 0 {
 		ct := m.Thrd(cur)
 		ct.State = ThreadRunnable
@@ -276,6 +320,7 @@ func (m *ProcessManager) DirectSwitch(thrd Ptr) {
 	}
 	s := m.sched
 	s.remove(t)
+	s.touched(t.Core)
 	if cur := s.current[t.Core]; cur != 0 {
 		ct := m.Thrd(cur)
 		ct.State = ThreadRunnable
@@ -298,6 +343,7 @@ func (m *ProcessManager) BlockCurrent(thrd Ptr, state ThreadState) {
 	s := m.sched
 	if s.current[t.Core] == thrd {
 		s.current[t.Core] = 0
+		s.touched(t.Core)
 	} else {
 		s.remove(t) // blocking a runnable (not yet dispatched) thread
 	}
