@@ -102,9 +102,9 @@ func runChecked(first uint64, seeds, steps int) {
 
 // runDiff is the lockstep differential mode: kernel vs. pure spec
 // interpreter, field-level Ψ comparison after every op, with the
-// runtime lock-order and run-queue coverage checks armed on every
-// booted kernel. The first divergence is shrunk to a minimal repro and
-// written to reproOut; a lock-order inversion or run-queue coverage
+// runtime lock-order, run-queue coverage and post-release checks armed
+// on every booted kernel. The first divergence is shrunk to a minimal
+// repro and written to reproOut; a lock-order inversion or footprint
 // violation fails the seed with the checker's report.
 func runDiff(first uint64, seeds, steps int, reproOut string) {
 	total := mck.Stats{Ops: map[string]int{}, Errnos: map[string]int{}}

@@ -21,6 +21,9 @@ type Row struct {
 	Paper float64
 	// Unit labels both values.
 	Unit string
+	// PaperOnly marks a row this repository does not measure: its
+	// measured cell prints "-" and its JSON carries no "measured".
+	PaperOnly bool
 }
 
 // Result is one regenerated table or figure.
@@ -43,11 +46,14 @@ func (r Result) String() string {
 	}
 	fmt.Fprintf(&b, "%-*s  %14s  %14s  %s\n", width, "case", "measured", "paper", "unit")
 	for _, row := range r.Rows {
-		paper := "-"
+		measured, paper := "-", "-"
+		if !row.PaperOnly {
+			measured = formatVal(row.Value)
+		}
 		if row.Paper != 0 {
 			paper = formatVal(row.Paper)
 		}
-		fmt.Fprintf(&b, "%-*s  %14s  %14s  %s\n", width, row.Name, formatVal(row.Value), paper, row.Unit)
+		fmt.Fprintf(&b, "%-*s  %14s  %14s  %s\n", width, row.Name, measured, paper, row.Unit)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)

@@ -150,6 +150,36 @@ func TestWriteResultJSON(t *testing.T) {
 	}
 }
 
+// A paper-only row prints "-" where a measurement would go and carries
+// no "measured" in JSON; a measured zero still prints and serializes.
+func TestPaperOnlyRows(t *testing.T) {
+	r := Result{ID: "table1", Title: "Proof effort", Rows: []Row{
+		{Name: "seL4", Paper: 20, Unit: "ratio", PaperOnly: true},
+		{Name: "here", Value: 0, Paper: 3.32, Unit: "ratio"},
+	}}
+	lines := strings.Split(r.String(), "\n")
+	if f := strings.Fields(lines[2]); len(f) != 4 || f[1] != "-" || f[2] != "20" {
+		t.Errorf("paper-only row = %q, want measured \"-\"", lines[2])
+	}
+	if f := strings.Fields(lines[3]); len(f) != 4 || f[1] != "0" {
+		t.Errorf("measured row = %q, want measured 0", lines[3])
+	}
+	var b bytes.Buffer
+	if err := WriteResultJSON(&b, r, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), `"measured"`); n != 1 {
+		t.Errorf("JSON carries %d measured fields, want 1:\n%s", n, b.String())
+	}
+	ref, err := ParseReference(strings.NewReader(r.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ref["table1"]["seL4"]; ok {
+		t.Error("the reference parser kept a paper-only row")
+	}
+}
+
 func TestCompareClusterUnits(t *testing.T) {
 	// The cluster series' units are direction-aware: requests lost and
 	// reconvergence cycles gate downward, throughput upward.

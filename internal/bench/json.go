@@ -12,10 +12,10 @@ import (
 // values, and the trace hash of the run that produced them.
 
 type jsonRow struct {
-	Case     string  `json:"case"`
-	Measured float64 `json:"measured"`
-	Paper    float64 `json:"paper,omitempty"`
-	Unit     string  `json:"unit"`
+	Case     string   `json:"case"`
+	Measured *float64 `json:"measured,omitempty"` // nil for a paper-only row
+	Paper    float64  `json:"paper,omitempty"`
+	Unit     string   `json:"unit"`
 }
 
 type jsonResult struct {
@@ -37,9 +37,11 @@ func WriteResultJSON(w io.Writer, r Result, traceHash uint64) error {
 		out.TraceHash = fmt.Sprintf("%016x", traceHash)
 	}
 	for _, row := range r.Rows {
-		out.Rows = append(out.Rows, jsonRow{
-			Case: row.Name, Measured: row.Value, Paper: row.Paper, Unit: row.Unit,
-		})
+		jr := jsonRow{Case: row.Name, Paper: row.Paper, Unit: row.Unit}
+		if !row.PaperOnly {
+			jr.Measured = &row.Value
+		}
+		out.Rows = append(out.Rows, jr)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -42,6 +42,25 @@ func TestMmapMunmapAllocatesNothing(t *testing.T) {
 	})
 }
 
+// The post-release check adds nothing on the hot path: a cached 1-page
+// pair under contention counts each munmap's shootdown after release,
+// and checking it allocates nothing.
+func TestCachedMmapMunmapArmedAllocatesNothing(t *testing.T) {
+	k, init, o := bootArmed(t)
+	k.EnableCoreCaches(4)
+	k.EnableContention()
+	pinZeroAllocs(t, "cached mmap/munmap", func() {
+		mustOK(t, k.SysMmap(0, init, 0x400000, 1, hw.Size4K, pt.RW))
+		mustOK(t, k.SysMunmap(0, init, 0x400000, 1, hw.Size4K))
+	})
+	if err := o.Violation(); err != nil {
+		t.Fatal(err)
+	}
+	if o.CheckedFlushes() == 0 {
+		t.Fatal("no munmap counted its shootdown after release: the pin proves nothing")
+	}
+}
+
 func TestSendAsyncRecvAllocatesNothing(t *testing.T) {
 	k, init := boot(t)
 	mustOK(t, k.SysNewEndpoint(0, init, 0))

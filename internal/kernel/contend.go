@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"fmt"
+
 	"atmosphere/internal/hw"
+	"atmosphere/internal/mem"
 	"atmosphere/internal/obs/contend"
 )
 
@@ -12,14 +15,15 @@ import (
 // as their plans first touch them (shard.go). Each acquisition reports
 // into the observatory (and, when the lock-order checker is armed, is
 // validated against the declared ordering), the entry is bracketed for
-// the run-queue coverage check, and each held frontier's wait is
-// attributed at leave to the (syscall, container, core) the entry
-// resolved meanwhile — interrupts under the pseudo-syscall "irq", owned
-// by no container.
+// the run-queue coverage and post-release checks, every frame whose
+// shootdown the entry counts after release is reported, and each held
+// frontier's wait is attributed at leave to the (syscall, container,
+// core) the entry resolved meanwhile — interrupts under the
+// pseudo-syscall "irq", owned by no container.
 
 type contendProbe struct{ o *contend.Observatory }
 
-func (p contendProbe) on(k *Kernel, ev event, _ uint64) {
+func (p contendProbe) on(k *Kernel, ev event, arg uint64) {
 	c := &k.cur
 	switch ev {
 	case evAcquired:
@@ -31,6 +35,8 @@ func (p contendProbe) on(k *Kernel, ev event, _ uint64) {
 			p.o.Acquired(c.core, p.o.Register(f.sim), site)
 		}
 		p.o.BeginEntry(c.core)
+	case evFlushAfterRelease:
+		p.o.FlushedAfterRelease(hw.PhysAddr(arg))
 	case evLeave:
 		p.o.EndEntry(c.sys)
 		for i := len(c.held) - 1; i >= 0; i-- {
@@ -79,11 +85,13 @@ func (k *Kernel) Contention() *contend.Observatory {
 
 // ArmLockOrder arms the attached observatory's runtime lock-order
 // checker with the kernel's declared ordering (contend.KernelOrder) for
-// this machine's core count, and with it the run-queue coverage check:
-// every run queue the scheduler mutates inside a syscall or interrupt
-// must be one whose frontier the entry's plan holds. No-op without an
-// observatory; both stay off by default — tests, the fuzz targets and
-// schedule exploration arm them.
+// this machine's core count, and with it two footprint checks. Run-queue
+// coverage: every run queue the scheduler mutates inside a syscall or
+// interrupt must be one whose frontier the entry's plan holds.
+// Post-release: every frame whose shootdown an entry counts after
+// release must end the entry on the invoking core's cache stack. No-op
+// without an observatory; all stay off by default — tests, the fuzz
+// targets and schedule exploration arm them.
 func (k *Kernel) ArmLockOrder() {
 	k.big.Lock()
 	defer k.big.Unlock()
@@ -94,4 +102,25 @@ func (k *Kernel) ArmLockOrder() {
 		runqs[q] = &s.sim
 	}
 	o.CoverRunqs(runqs)
+	o.CheckFlushes(k.frameHome)
+}
+
+// frameHome is the post-release check's locator (contend.FrameHome):
+// the core whose page cache holds frame p, else -1 and where p is.
+func (k *Kernel) frameHome(p hw.PhysAddr) (int, string) {
+	if k.caches != nil {
+		if q := k.caches.Holder(p); q >= 0 {
+			return q, ""
+		}
+	}
+	switch m, err := k.Alloc.Meta(p); {
+	case err != nil:
+		return -1, err.Error()
+	case m.State == mem.StateFree:
+		return -1, "the shared free list"
+	case m.State == mem.StateMapped:
+		return -1, fmt.Sprintf("a mapping with refcount %d", m.RefCount)
+	default:
+		return -1, fmt.Sprintf("state %s, owner %s", m.State, m.Owner)
+	}
 }

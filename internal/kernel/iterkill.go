@@ -131,11 +131,13 @@ func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
 				if _, err := proc.PageTable.Unmap(va); err != nil {
 					return false, err
 				}
+				k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
+				// Free after flush, as SysMunmap does; the core running
+				// this installment initiates the shootdown.
+				k.shootdown(k.cur.core, cr3, va, e.Size)
 				if _, err := k.Alloc.DecRef(e.Phys); err != nil {
 					return false, err
 				}
-				k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
-				k.shootdown(0, cr3, va, e.Size)
 				return true, nil
 			}
 			// 2b. The IOMMU domain.

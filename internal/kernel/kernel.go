@@ -307,7 +307,7 @@ func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve fu
 	}
 	cclk.Charge(at - arrival)
 	k.cur = call{kind: kind, core: core, arrival: arrival, wait: at - arrival, held: held,
-		start: k.kclock.Cycles(), base: cclk.Cycles(), exit: exitCost}
+		start: k.kclock.Cycles(), base: cclk.Cycles(), big: plan.big, exit: exitCost}
 	k.emit(evAcquired, 0)
 	k.kclock.Charge(entryCost)
 	return k.leaveFn
@@ -316,10 +316,12 @@ func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve fu
 // leave ends the in-flight entry: it charges exit, reports evLeave with
 // the cycles the entry charged, moves them onto the core clock, and
 // releases every held frontier at the same point — the entry's end
-// minus its core-local share (page-cache hand-outs do not extend the
-// hold time other cores observe) — so independent containers' syscalls
-// overlap in virtual time while every plan containing only the big lock
-// costs exactly what the pre-sharding funnel cost.
+// minus its post-release share (page-cache hand-outs, and the
+// shootdowns of frames that stay in the invoking core's cache, do not
+// extend the hold time other cores observe) — so independent
+// containers' syscalls overlap in virtual time while every plan
+// containing only the big lock costs exactly what the pre-sharding
+// funnel cost.
 func (k *Kernel) leave() {
 	c := &k.cur
 	k.kclock.Charge(c.exit)

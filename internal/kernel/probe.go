@@ -11,6 +11,8 @@ import "atmosphere/internal/pm"
 //   - evResolved: callerThread validated the caller; cntr is final.
 //   - evSwitch / evDirectSwitch: the scheduler handed the core to the
 //     thread in arg (noteSwitch).
+//   - evFlushAfterRelease: the entry counted the TLB shootdown of the
+//     frame in arg as post-release work (SysMunmap).
 //   - evLeave: the entry is done; sys and errno are final and arg is
 //     the kernel cycles it charged, about to move onto the core clock.
 //
@@ -38,8 +40,9 @@ type call struct {
 	held    []frontier // the plan's frontiers, in acquisition order
 	start   uint64     // kernel clock at entry
 	base    uint64     // core clock at entry, after the wait
+	big     bool       // the plan holds the big lock
 	exit    uint64     // exit cost leave charges
-	local   uint64     // core-local share of the cycles (page-cache work)
+	local   uint64     // post-release share of the cycles: page-cache work and own-cache shootdowns
 	cntr    pm.Ptr     // caller's container; 0 while unresolved and for interrupts
 	sys     string     // syscall name; "irq" for interrupts
 	errno   Errno
@@ -54,6 +57,7 @@ const (
 	evResolved
 	evSwitch
 	evDirectSwitch
+	evFlushAfterRelease
 	evLeave
 )
 

@@ -1,0 +1,165 @@
+package kernel
+
+import (
+	"testing"
+
+	"atmosphere/internal/hw"
+	"atmosphere/internal/mem"
+	"atmosphere/internal/obs/contend"
+	"atmosphere/internal/pm"
+)
+
+// remoteFlush is what one 4 KiB shootdown costs its initiator on an
+// 8-core machine: an IPI round trip to each of the 7 other cores.
+const remoteFlush = 7 * (hw.CostInterruptDispatch/2 + hw.CostInvlpg)
+
+// bootShootdown boots 8 cores in one container with per-core caches
+// (batch 4), contention on and the lock-order checks armed. th[c] is a
+// thread of init's process on core c (th[0] is init), and each core's
+// cache is warm: a 1-page mmap there hits the cache.
+func bootShootdown(t *testing.T) (*Kernel, []pm.Ptr, *contend.Observatory) {
+	t.Helper()
+	k, init, err := Boot(hw.Config{Frames: 4096, Cores: 8, TLBSlots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.EnableCoreCaches(4)
+	o := contend.New()
+	k.AttachContention(o)
+	k.ArmLockOrder()
+	th := []pm.Ptr{init}
+	for c := 1; c < 8; c++ {
+		th = append(th, pm.Ptr(mustOK(t, k.SysNewThread(0, init, c)).Vals[0]))
+	}
+	k.EnableContention()
+	for c, tid := range th {
+		va := warmVA(c)
+		mustOK(t, k.SysMmap(c, tid, va, 1, hw.Size4K, ptRW()))
+		mustOK(t, k.SysMunmap(c, tid, va, 1, hw.Size4K))
+	}
+	return k, th, o
+}
+
+// warmVA is core c's own mapping window in the shared address space.
+func warmVA(c int) hw.VirtAddr { return hw.VirtAddr(0x4000_0000 + c<<24) }
+
+// frontierGap is how far lock frontier l sits before core's clock.
+func frontierGap(k *Kernel, l *hw.LockSim, core int) uint64 {
+	return k.Machine.Core(core).Clock.Cycles() - l.Frontier()
+}
+
+// A munmap of a private frame counts its shootdown after release: the
+// container frontier sits at least the 7 remote round trips before
+// core 0's clock, and core 1's mmap, arriving when the munmap did,
+// waits that much less than the munmap took.
+func TestMunmapShootdownAfterRelease(t *testing.T) {
+	k, th, o := bootShootdown(t)
+	va := warmVA(0)
+	mustOK(t, k.SysMmap(0, th[0], va, 1, hw.Size4K, ptRW()))
+	alignClocks(k)
+	arrival := k.Machine.Core(1).Clock.Cycles()
+	mustOK(t, k.SysMunmap(0, th[0], va, 1, hw.Size4K))
+	if k.cur.big {
+		t.Fatal("the munmap's plan holds the big lock: the test proves nothing")
+	}
+	root := &k.cntrShards[k.PM.RootContainer].sim
+	if gap := frontierGap(k, root, 0); gap < remoteFlush {
+		t.Errorf("container/root frontier sits %d cycles before core 0's clock, want at least the %d-cycle shootdown", gap, remoteFlush)
+	}
+	took := k.Machine.Core(0).Clock.Cycles() - arrival
+	mustOK(t, k.SysMmap(1, th[1], warmVA(1), 1, hw.Size4K, ptRW()))
+	if k.cur.wait+remoteFlush > took {
+		t.Errorf("core 1's mmap waited %d of the munmap's %d cycles, want at most %d", k.cur.wait, took, took-remoteFlush)
+	}
+	if err := o.Violation(); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.CheckedFlushes(); n != 9 {
+		t.Errorf("post-release flushes = %d, want 9 (8 warm-up munmaps and this one)", n)
+	}
+}
+
+// Every shootdown whose frame can leave the invoking core before the
+// flush ends stays inside the hold: the frontier the next taker waits
+// on covers it.
+func TestMunmapShootdownStaysInHold(t *testing.T) {
+	t.Run("draining munmap", func(t *testing.T) {
+		k, th, o := bootShootdown(t)
+		va := warmVA(0)
+		mustOK(t, k.SysMmap(0, th[0], va, 9, hw.Size4K, ptRW()))
+		// Fill the cache to its drain threshold one page at a time;
+		// the next page's munmap drains it.
+		next := va
+		for k.caches.Len(0)+1 <= 2*k.caches.Batch() {
+			mustOK(t, k.SysMunmap(0, th[0], next, 1, hw.Size4K))
+			next += hw.PageSize4K
+		}
+		e, _ := k.PM.Proc(k.PM.Thrd(th[0]).OwningProc).PageTable.Lookup(next)
+		_, _, _, drains := k.caches.Stats()
+		mustOK(t, k.SysMunmap(0, th[0], next, 1, hw.Size4K))
+		if err := o.Violation(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, d := k.caches.Stats(); d != drains+1 || !k.cur.big {
+			t.Fatalf("munmap drained %d times holding big=%v, want one drain under the big lock", d-drains, k.cur.big)
+		}
+		if m, _ := k.Alloc.Meta(e.Phys); m.State != mem.StateFree {
+			t.Fatalf("unmapped frame is %v, want it drained to the free list", m.State)
+		}
+		for _, l := range []*hw.LockSim{&k.lock, &k.cntrShards[k.PM.RootContainer].sim} {
+			if gap := frontierGap(k, l, 0); gap >= remoteFlush {
+				t.Errorf("%s/%s frontier sits %d cycles before core 0's clock: the %d-cycle shootdown left the hold",
+					l.Class(), l.Instance(), gap, remoteFlush)
+			}
+		}
+	})
+
+	// sendPage has th[1] receive the page th[0] maps at va, over a
+	// fresh endpoint in both threads' slot 0; it returns the endpoint.
+	sendPage := func(t *testing.T, k *Kernel, th []pm.Ptr, va hw.VirtAddr, grant bool) pm.Ptr {
+		t.Helper()
+		ep := pm.Ptr(mustOK(t, k.SysNewEndpoint(0, th[0], 0)).Vals[0])
+		k.PM.Thrd(th[1]).Endpoints[0] = ep
+		k.PM.EndpointIncRef(ep, 1)
+		mustOK(t, k.SysMmap(0, th[0], va, 1, hw.Size4K, ptRW()))
+		if r := k.SysRecv(1, th[1], 0, RecvArgs{PageVA: warmVA(1), EdptSlot: -1}); r.Errno != EWOULDBLOCK {
+			t.Fatalf("recv: %v", r.Errno)
+		}
+		mustOK(t, k.SysSend(0, th[0], 0, SendArgs{SendPage: !grant, GrantPage: grant, PageVA: va}))
+		return ep
+	}
+
+	t.Run("shared frame", func(t *testing.T) {
+		k, th, o := bootShootdown(t)
+		va := warmVA(0)
+		sendPage(t, k, th, va, false)
+		e, _ := k.PM.Proc(k.PM.Thrd(th[0]).OwningProc).PageTable.Lookup(va)
+		if rc, _ := k.Alloc.RefCount(e.Phys); rc != 2 {
+			t.Fatalf("refcount = %d, want 2", rc)
+		}
+		mustOK(t, k.SysMunmap(0, th[0], va, 1, hw.Size4K))
+		if err := o.Violation(); err != nil {
+			t.Fatal(err)
+		}
+		if k.cur.big {
+			t.Fatal("the munmap's plan holds the big lock: the test proves nothing")
+		}
+		if gap := frontierGap(k, &k.cntrShards[k.PM.RootContainer].sim, 0); gap >= remoteFlush {
+			t.Errorf("container/root frontier sits %d cycles before core 0's clock: the shared frame's shootdown left the hold", gap)
+		}
+	})
+
+	t.Run("grant", func(t *testing.T) {
+		k, th, o := bootShootdown(t)
+		ep := sendPage(t, k, th, warmVA(0), true)
+		if err := o.Violation(); err != nil {
+			t.Fatal(err)
+		}
+		if _, covered := k.PM.Proc(k.PM.Thrd(th[0]).OwningProc).PageTable.Lookup(warmVA(0)); covered {
+			t.Fatal("the grant left the sender's mapping: the test proves nothing")
+		}
+		if gap := frontierGap(k, &k.edptShards[ep].sim, 0); gap >= remoteFlush {
+			t.Errorf("endpoint frontier sits %d cycles before core 0's clock: the grant's shootdown left the hold", gap)
+		}
+	})
+}

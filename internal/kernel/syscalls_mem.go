@@ -148,6 +148,12 @@ func (k *Kernel) allocUser(core int, size hw.PageSize) (hw.PhysAddr, error) {
 // releases the underlying pages (the page itself is freed only when its
 // last mapping reference drops). Quota for the pages is credited back;
 // page-table nodes stay installed (and stay charged), as in most kernels.
+// Each page is freed after its flush, the order of Linux's mmu_gather:
+// clear the PTE and credit quota, shoot the translation down on every
+// core, then drop the reference. The kernel must finish invalidating
+// every TLB before a frame is reused (§4.2), not before the container's
+// other cores may touch its page table, so a shootdown whose frame stays
+// in the invoking core's cache counts after release (flushAfterRelease).
 func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planMunmap(core, tid, count, size) })()
 	t, okk := k.callerThread(tid)
@@ -179,11 +185,41 @@ func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size
 		if err != nil {
 			panic(err) // validated above; kernel invariant if it fires
 		}
-		k.freeUser(core, e.Phys, size)
 		k.PM.CreditPages(proc.Owner, pagesIn4K(size))
+		flushed := k.kclock.Cycles()
 		k.shootdown(core, table.CR3(), dst, size)
+		if k.flushAfterRelease(e.Phys, size) {
+			k.cur.local += k.kclock.Cycles() - flushed
+			k.emit(evFlushAfterRelease, uint64(e.Phys))
+		}
+		k.freeUser(core, e.Phys, size)
 	}
 	return k.post("munmap", tid, ok())
+}
+
+// flushAfterRelease reports whether an unmap's shootdown of phys may
+// count after the entry releases its frontiers: dropping the frame's
+// last reference parks it in the invoking core's own page cache, under
+// a plan without the big lock, so no drain can publish it to the shared
+// free lists. No other core can take the frame from there, and the
+// invoking core zeroes it before reuse. Every other frame keeps its
+// shootdown inside the hold: a draining munmap's, a shared frame's (an
+// unmap of its other mapping could free it for reuse), a superpage's,
+// an uncached kernel's. The armed post-release check
+// (contend.Observatory.FlushedAfterRelease) holds the kernel to this.
+func (k *Kernel) flushAfterRelease(phys hw.PhysAddr, size hw.PageSize) bool {
+	return !k.cur.big && k.toPageCache(phys, size)
+}
+
+// toPageCache reports whether dropping one mapping reference to phys
+// parks the frame in a page cache: caches on, a 4 KiB frame at its last
+// reference.
+func (k *Kernel) toPageCache(phys hw.PhysAddr, size hw.PageSize) bool {
+	if k.caches == nil || size != hw.Size4K {
+		return false
+	}
+	rc, err := k.Alloc.RefCount(phys)
+	return err == nil && rc == 1
 }
 
 // freeUser releases one mapping reference from an unmap on core. The
@@ -192,15 +228,13 @@ func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size
 // takes the global DecRef path. Teardown paths (unmapAll, rollback)
 // keep plain DecRef: they have no natural core.
 func (k *Kernel) freeUser(core int, phys hw.PhysAddr, size hw.PageSize) {
-	if k.caches != nil && size == hw.Size4K {
-		if rc, err := k.Alloc.RefCount(phys); err == nil && rc == 1 {
-			local, err := k.caches.FreeUser4K(core, phys)
-			if err != nil {
-				panic(err)
-			}
-			k.cur.local += local
-			return
+	if k.toPageCache(phys, size) {
+		local, err := k.caches.FreeUser4K(core, phys)
+		if err != nil {
+			panic(err)
 		}
+		k.cur.local += local
+		return
 	}
 	if _, err := k.Alloc.DecRef(phys); err != nil {
 		panic(err)
@@ -223,8 +257,9 @@ func (k *Kernel) shootdown(core int, cr3 hw.PhysAddr, va hw.VirtAddr, size hw.Pa
 			tlb.Invalidate(cr3, va+hw.VirtAddr(p*hw.PageSize4K))
 		}
 		if c != core {
-			// IPI send + remote invlpg + ack, charged to the initiator
-			// (it spins for the acks under the big lock).
+			// IPI send + remote invlpg + ack, charged to the initiator,
+			// which spins for the acks — inside its plan's hold unless
+			// SysMunmap counts the flush after release.
 			k.kclock.Charge(hw.CostInterruptDispatch/2 + hw.CostInvlpg)
 		}
 	}

@@ -9,10 +9,10 @@ import (
 // attaches a fresh contention observatory to each booted kernel and
 // arms the runtime lock-order checker against the kernel's declared
 // ordering (contend.KernelOrder), and with it the run-queue coverage
-// check. The returned function reports the first violation any of
-// those kernels observed (nil if none) — fuzz targets and atmo-fuzz
-// call it after the run and fail with the checker's two-site inversion
-// report or its one-line coverage report.
+// and post-release checks. The returned function reports the first
+// violation any of those kernels observed (nil if none) — fuzz targets
+// and atmo-fuzz call it after the run and fail with the checker's
+// two-site inversion report or a footprint check's one-line report.
 func (opt Options) WithLockOrder() (Options, func() error) {
 	var observed []*contend.Observatory
 	prev := opt.Hook

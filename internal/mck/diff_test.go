@@ -3,6 +3,8 @@ package mck
 import (
 	"fmt"
 	"testing"
+
+	"atmosphere/internal/kernel"
 )
 
 // TestRunDiffSeeds is the differential oracle's bread and butter: many
@@ -38,5 +40,88 @@ func TestRunCheckedSeeds(t *testing.T) {
 				t.Fatalf("checked run: %v", err)
 			}
 		})
+	}
+}
+
+// cacheChurnProgram drives the per-core page caches through both
+// munmap paths: init (core 0) and a second thread of its process (core
+// 1) each map 9 pages and unmap them one by one, rounds times. Each
+// round's unmaps fill the core's cache past its drain threshold (batch
+// 4): most park their frame in the cache, one drains it. A grant and
+// its receive ride along.
+func cacheChurnProgram(rounds int) Program {
+	p := Program{Frames: DefaultFrames, Cores: DefaultCores}
+	// Process registry index 0 is init's; the thread lands on core 1.
+	p.Ops = append(p.Ops, Op{Kind: KNewThreadIn, Actor: 0, A: 0, B: 1})
+	for r := 0; r < rounds; r++ {
+		for actor := uint8(0); actor < 2; actor++ {
+			base := uint16(actor) * 64
+			// count = B%16 - 1
+			p.Ops = append(p.Ops, Op{Kind: KMmap, Actor: actor, A: base, B: 10})
+			for i := uint16(0); i < 9; i++ {
+				p.Ops = append(p.Ops, Op{Kind: KMunmap, Actor: actor, A: base + i, B: 2})
+			}
+		}
+	}
+	// Grant page 200 (B = 2*200) over the shared endpoint in slot 0.
+	p.Ops = append(p.Ops,
+		Op{Kind: KMmap, Actor: 0, A: 200, B: 2},
+		Op{Kind: KSendAsync, Actor: 0, A: 0, B: 400},
+		Op{Kind: KRecv, Actor: 1, A: 0},
+	)
+	return p
+}
+
+// TestDiffWithCoreCaches runs the differential oracle and the checked
+// runner on kernels booted as every kernel benchmark boots them:
+// per-core page caches, contention on, and the lock-order, run-queue
+// coverage and post-release checks armed. Generated programs almost
+// never unmap a page they mapped, so the cache churn program makes the
+// run non-vacuous: some munmap counts its shootdown after release, and
+// some munmap drains its cache and so keeps its shootdown in the hold.
+func TestDiffWithCoreCaches(t *testing.T) {
+	var kernels []*kernel.Kernel
+	opt, violation := Options{WFEvery: 256, Hook: func(k *kernel.Kernel) {
+		k.EnableCoreCaches(4)
+		k.EnableContention()
+		kernels = append(kernels, k)
+	}}.WithLockOrder()
+	diff := func(name string, p Program) {
+		res, _, err := RunDiff(p, opt)
+		if err != nil {
+			t.Fatalf("%s: boot: %v", name, err)
+		}
+		if res != nil {
+			t.Fatalf("%s: divergence: %v", name, res)
+		}
+	}
+	checked := func(name string, p Program) {
+		if _, err := RunChecked(p, opt); err != nil {
+			t.Fatalf("%s: checked run: %v", name, err)
+		}
+	}
+	churn := cacheChurnProgram(16)
+	diff("churn", churn)
+	checked("churn", churn)
+	for seed := uint64(1); seed <= 8; seed++ {
+		diff(fmt.Sprintf("seed %d", seed), Generate(seed, 2000))
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		checked(fmt.Sprintf("seed %d", seed), Generate(seed, 400))
+	}
+	if err := violation(); err != nil {
+		t.Fatal(err)
+	}
+	var late, drains uint64
+	for _, k := range kernels {
+		late += k.Contention().CheckedFlushes()
+		_, _, _, d := k.CoreCaches().Stats()
+		drains += d
+	}
+	if late == 0 {
+		t.Error("no munmap counted its shootdown after release")
+	}
+	if drains == 0 {
+		t.Error("no munmap drained its cache: the stays-in-hold path never ran")
 	}
 }

@@ -142,6 +142,19 @@ func (cc *CoreCaches) Pages() *PageSet {
 	return s
 }
 
+// Holder returns the core whose cache stack holds p, or -1 if none
+// does.
+func (cc *CoreCaches) Holder(p hw.PhysAddr) int {
+	for core, st := range cc.frames {
+		for _, f := range st {
+			if f == p {
+				return core
+			}
+		}
+	}
+	return -1
+}
+
 // Len reports how many frames core currently holds cached.
 func (cc *CoreCaches) Len(core int) int { return len(cc.frames[core]) }
 

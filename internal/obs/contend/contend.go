@@ -1,12 +1,13 @@
 // Package contend is the contention observatory: one registry that
 // every lock frontier (hw.LockSim) reports into, plus the scheduler's
-// run-queue delay stream (pm.SchedObserver) and a runtime lock-order
-// checker validating acquisitions against a declared ordering DAG.
+// run-queue delay stream (pm.SchedObserver), a runtime lock-order
+// checker validating acquisitions against a declared ordering DAG, and
+// the footprint checks that ride it (run-queue coverage, post-release
+// flushes).
 //
-// The kernel today has exactly one frontier — the big lock — but the
-// observatory is written for 1..N: a sharded kernel registers each
-// per-endpoint/per-container frontier under its class and the same
-// attribution, counter tracks, and ordering checks apply unchanged.
+// The kernel registers its big lock and every container, endpoint and
+// run-queue frontier under its class; the same attribution, counter
+// tracks and ordering checks apply to all of them.
 //
 // Like the rest of internal/obs, everything here only reads the
 // deterministic cycle clocks and charges nothing: attaching an

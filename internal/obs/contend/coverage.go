@@ -47,7 +47,6 @@ func (u *Uncovered) Error() string { return u.String() }
 // often the entry touches it.
 type coverage struct {
 	runq    []LockID   // runq[q]: the frontier guarding core q's run queue; nil while unarmed
-	active  int        // core of the in-flight funnel entry, -1 outside one
 	missed  []int      // queues the in-flight entry touched uncovered
 	pending *Uncovered // the entry's first violation, named at EndEntry
 	first   *Uncovered
@@ -68,25 +67,9 @@ func (o *Observatory) CoverRunqs(runqs []*hw.LockSim) {
 	}
 }
 
-// BeginEntry opens core's funnel entry: run-queue touches until EndEntry
-// are checked against core's held stack. No-op unless armed.
-func (o *Observatory) BeginEntry(core int) {
-	if o == nil || o.order == nil || o.order.cover.runq == nil {
-		return
-	}
-	if core < 0 || core >= len(o.order.held) {
-		core = 0 // the stack Acquired pushed onto
-	}
-	o.order.cover.active = core
-}
-
-// EndEntry closes the in-flight funnel entry. sys names the syscall it
-// ran; the entry's first violation, if any, is reported under it.
-func (o *Observatory) EndEntry(sys string) {
-	if o == nil || o.order == nil {
-		return
-	}
-	c := &o.order.cover
+// end closes the entry for the coverage check: its first violation, if
+// any, is reported under sys.
+func (c *coverage) end(sys string) {
 	if c.pending != nil {
 		c.pending.Syscall = sys
 		if c.first == nil {
@@ -94,7 +77,6 @@ func (o *Observatory) EndEntry(sys string) {
 		}
 		c.pending = nil
 	}
-	c.active = -1
 	c.missed = c.missed[:0]
 }
 
@@ -106,11 +88,11 @@ func (o *Observatory) RunqTouched(q int) {
 		return
 	}
 	c := &o.order.cover
-	if c.active < 0 || q < 0 || q >= len(c.runq) {
+	core := o.order.entry
+	if core < 0 || q < 0 || q >= len(c.runq) {
 		return
 	}
-	stack := o.order.held[c.active]
-	for _, h := range stack {
+	for _, h := range o.order.held[core] {
 		if h.id == c.runq[q] {
 			return
 		}
@@ -125,11 +107,7 @@ func (o *Observatory) RunqTouched(q int) {
 	if c.first != nil || c.pending != nil {
 		return
 	}
-	held := make([]string, len(stack))
-	for i, h := range stack {
-		held[i] = o.ident(h.id)
-	}
-	c.pending = &Uncovered{Core: c.active, Queue: q, Held: held, Missing: o.ident(c.runq[q])}
+	c.pending = &Uncovered{Core: core, Queue: q, Held: o.heldIdents(core), Missing: o.ident(c.runq[q])}
 }
 
 // ident is a registered lock's class/instance label.

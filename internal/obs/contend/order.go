@@ -139,14 +139,17 @@ func (v *Inversion) String() string {
 func (v *Inversion) Error() string { return v.String() }
 
 // orderChecker is the armed checker state: the ordering and per-core
-// held stacks, plus the run-queue coverage check (coverage.go), which
-// reads the same stacks.
+// held stacks, plus the two footprint checks that read the same stacks
+// inside a bracketed funnel entry: run-queue coverage (coverage.go) and
+// post-release flushes (flush.go).
 type orderChecker struct {
 	order      *Order
 	held       [][]heldLock // per-core held stacks
 	first      *Inversion
 	inversions uint64
+	entry      int // core of the in-flight funnel entry, -1 outside one
 	cover      coverage
+	flush      flushCheck
 }
 
 // ArmOrder arms the runtime lock-order checker against the given
@@ -163,7 +166,43 @@ func (o *Observatory) ArmOrder(d *Order, cores int) {
 	if cores < 1 {
 		cores = 1
 	}
-	o.order = &orderChecker{order: d, held: make([][]heldLock, cores), cover: coverage{active: -1}}
+	o.order = &orderChecker{order: d, held: make([][]heldLock, cores), entry: -1}
+}
+
+// BeginEntry opens core's funnel entry: until EndEntry, run-queue
+// touches and post-release flushes are checked against core's held
+// stack. No-op unless armed.
+func (o *Observatory) BeginEntry(core int) {
+	if o == nil || o.order == nil {
+		return
+	}
+	if core < 0 || core >= len(o.order.held) {
+		core = 0 // the stack Acquired pushed onto
+	}
+	o.order.entry = core
+}
+
+// EndEntry closes the in-flight funnel entry. sys names the syscall it
+// ran; each check's first violation in the entry is reported under it.
+// The held stack is still the entry's: the kernel releases after.
+func (o *Observatory) EndEntry(sys string) {
+	if o == nil || o.order == nil {
+		return
+	}
+	o.order.cover.end(sys)
+	o.endFlushes(sys)
+	o.order.entry = -1
+}
+
+// heldIdents renders core's held stack as class/instance labels, in
+// acquisition order, for a violation report.
+func (o *Observatory) heldIdents(core int) []string {
+	stack := o.order.held[core]
+	held := make([]string, len(stack))
+	for i, h := range stack {
+		held[i] = o.ident(h.id)
+	}
+	return held
 }
 
 // Acquired pushes lock id onto core's held stack after validating the
@@ -238,13 +277,17 @@ func (o *Observatory) InversionCount() uint64 {
 }
 
 // Violation returns the armed checks' first finding: the first
-// lock-order inversion, else the first run-queue coverage violation;
-// nil when both are clean or the checker never armed.
+// lock-order inversion, else the first run-queue coverage violation,
+// else the first post-release violation; nil when all are clean or the
+// checker never armed.
 func (o *Observatory) Violation() error {
 	if v := o.FirstInversion(); v != nil {
 		return v
 	}
 	if u := o.FirstUncovered(); u != nil {
+		return u
+	}
+	if u := o.FirstUnflushed(); u != nil {
 		return u
 	}
 	return nil
