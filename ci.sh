@@ -110,6 +110,13 @@ if ! grep -q "^class container locks=" "$smoke_dir/byclass.txt"; then
     cat "$smoke_dir/byclass.txt" >&2
     exit 1
 fi
+# Each class row reports its frontiers' occupancy; the alloc workload's
+# mmaps hold container/root, so the container class's cannot be zero.
+if ! grep -q "^class container .* holdcycles=[1-9]" "$smoke_dir/byclass.txt"; then
+    echo "atmo-top: -by-class smoke shows no container-class occupancy" >&2
+    cat "$smoke_dir/byclass.txt" >&2
+    exit 1
+fi
 
 echo "== atmo-top -locks kvstore stage"
 # Each yield holds only its core's run-queue frontier, so the kvstore

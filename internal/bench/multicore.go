@@ -22,8 +22,11 @@ import (
 // ping-pong in its own container on its own endpoint and scales with
 // core count; the kv-store's yields hold only their own core's run
 // queue and scale likewise; allocation scales until its serialized
-// remainder (the shared container's mmaps, big-lock refills) saturates
-// — Amdahl's law on whatever the plans still share.
+// remainder saturates — Amdahl's law on whatever the plans still
+// share. That remainder is the shared container's frontier: from 16
+// cores up it is held for the whole run, ≈285 cycles per mmap (the
+// page-table and quota work, plus refills amortized), because the
+// trampoline and the page zero run outside every hold.
 //
 // Everything is a pure function of the cycle model and mcSeed: same
 // seed, same core count ⇒ the same trace, byte for byte, which

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -153,6 +154,35 @@ func TestMulticorePlansCoverRunQueues(t *testing.T) {
 			if runq == 0 && wl != "alloc" {
 				t.Errorf("%s %dc: no run-queue frontier acquired", wl, n)
 			}
+		}
+	}
+}
+
+// The alloc row explains its own ceiling. From 16 cores up the shared
+// container's frontier is held for the whole run, so the row is one
+// mmap per container/root hold: 2.2 GHz over the hold per mmap. (At 4
+// and 8 cores the frontier is held for about half and three-quarters
+// of the wall, not yet saturated.)
+func TestAllocCeilingIsContainerHold(t *testing.T) {
+	for _, n := range []int{16, 32, 64} {
+		o := contend.New()
+		ops, wall, _, err := RunMulticore("alloc", n, mcSeed, 0, Sinks{Contend: o}.Attach)
+		if err != nil {
+			t.Fatalf("alloc %dc: %v", n, err)
+		}
+		var hold uint64
+		for _, l := range o.Summary() {
+			if l.Ident == "container/root" {
+				hold = l.HoldCycles
+			}
+		}
+		if share := float64(hold) / float64(wall); share < 0.99 {
+			t.Errorf("alloc %dc: container/root held %d of %d wall cycles (%.3f), want >= 0.99", n, hold, wall, share)
+		}
+		mops := float64(ops) * hw.ClockHz / float64(wall) / 1e6
+		ceiling := hw.ClockHz / (float64(hold) / float64(ops)) / 1e6
+		if math.Abs(ceiling/mops-1) > 0.01 {
+			t.Errorf("alloc %dc: %.2f Mops/s, but a %.1f-cycle hold per mmap allows %.2f", n, mops, float64(hold)/float64(ops), ceiling)
 		}
 	}
 }

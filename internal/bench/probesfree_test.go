@@ -158,14 +158,14 @@ var probeRows = []struct {
 }{
 	{name: "table3", run: probeTable3,
 		base:  []uint64{1060 * 1000, 1980 * 1000},
-		trace: 0xb09fc0e8c9be786e, metrics: 0xff3e52b54f17131c, report: 0x27092430b2a520a7},
+		trace: 0xb09fc0e8c9be786e, metrics: 0xff3e52b54f17131c, report: 0x067a3f392c0520de},
 	{name: "multicore", run: probeMulticore,
 		base: []uint64{
 			424000, 424000, 424000, 424000, 424000, 424000, 424000, // ipc
 			274112, 274112, 274558, 274558, 276718, 278788, 278788, // kvstore
-			584794, 620174, 788322, 1573868, 3144960, 6287144, 12571512, // alloc
+			584794, 613144, 699652, 874158, 1369330, 2735514, 5467882, // alloc
 		},
-		trace: 0x7c25ed6ecb68b62a, metrics: 0xe8742305b46edd6e, report: 0x9c0b715a9e80a402},
+		trace: 0x58f940dc72fb587e, metrics: 0xe3573a8ea4ef5eed, report: 0x72fccadb33b33035},
 	{name: "cluster-steady", run: probeCluster(faults.Plan{}, 0x540cd10528418b6b),
 		base:  []uint64{14194486, 15968, 80000, 80000, 80000, 0},
 		trace: 0xa8c7f832281a39c5, metrics: 0xcfd2f1a3ad209143, report: 0xcf1d11b6b525075d},

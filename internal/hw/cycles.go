@@ -16,20 +16,25 @@ const ClockHz = 2_200_000_000
 const (
 	// CostSyscallEntry prices the sysenter trampoline: swapgs, stack
 	// switch, register save (the 172 lines of trusted assembly in §5).
+	// It touches only the core's own kernel stack, so it runs before
+	// the syscall's lock plan is requested.
 	CostSyscallEntry = 110
-	// CostSyscallExit prices sysexit and register restore.
+	// CostSyscallExit prices sysexit and register restore, which run
+	// after the lock plan is released.
 	CostSyscallExit = 110
 	// CostSyscallDispatch prices the slowpath dispatcher: argument copy
 	// from user registers, range validation, and the syscall table
-	// indirect call. The IPC fastpath (call/reply) skips it, as seL4's
-	// fastpath does.
+	// indirect call. It works out which syscall, and so which lock
+	// plan, is running, so it too runs before the plan is requested.
+	// The IPC fastpath (call/reply) skips it, as seL4's fastpath does.
 	CostSyscallDispatch = 150
-	// CostBigLock prices acquiring and releasing the kernel big lock
-	// (§3) on an uncontended cache-hot path. This is deliberately the
-	// *uncontended* cost — what a single-core run pays; contention is
-	// not a constant but a function of concurrent holders, derived
-	// deterministically by LockSim (lock.go) and charged on top when
-	// the contention model is enabled.
+	// CostBigLock prices acquiring and releasing a syscall's lock plan
+	// (the kernel big lock of §3, or its sharded frontiers) on an
+	// uncontended cache-hot path: the one part of the entry cost inside
+	// the hold. This is deliberately the *uncontended* cost — what a
+	// single-core run pays; contention is not a constant but a function
+	// of concurrent holders, derived deterministically by LockSim
+	// (lock.go) and charged on top when the contention model is enabled.
 	CostBigLock = 40
 	// CostContextSwitch prices a full thread context switch: register
 	// file save/restore, CR3 reload, and the direct-cost part of the

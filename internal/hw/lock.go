@@ -8,9 +8,13 @@ package hw
 // virtual clocks: the lock keeps a monotone *frontier* — the global
 // cycle timestamp at which the last holder released — and an arriving
 // core whose clock reads earlier than the frontier waits exactly the
-// difference. This is a conservative FIFO (ticket-lock) arbiter: cores
-// are served in arrival order of their virtual timestamps, ties resolved
-// by the program's (deterministic) call order.
+// difference. This is a conservative FIFO (ticket-lock) arbiter that
+// serves calls in the program's (deterministic) call order, not in
+// order of their virtual timestamps: a call arriving before the
+// frontier waits up to it even when the previous holder acquired later
+// in virtual time. While the cores' clocks stay close that is the same
+// order; once they diverge, a lagging core's wait is mostly catch-up to
+// the cores ahead of it rather than time another core held the lock.
 //
 // The model is opt-in (Enable). It interprets per-core clock readings as
 // timestamps on one global timeline, which is only meaningful for
@@ -55,8 +59,9 @@ type LockObserver interface {
 	// LockAcquire fires after the wait is computed: arrival is the
 	// (jittered) arrival timestamp, wait the cycles the core will spin.
 	LockAcquire(l *LockSim, arrival, wait uint64)
-	// LockRelease fires after the frontier update with the new frontier.
-	LockRelease(l *LockSim, frontier uint64)
+	// LockRelease fires after the frontier update with the holder's
+	// release point (under jitter it can lie behind the frontier).
+	LockRelease(l *LockSim, heldUntil uint64)
 }
 
 // SetIdentity names the lock: a class shared with every frontier of the
@@ -169,7 +174,7 @@ func (l *LockSim) Release(heldUntil uint64) {
 		l.freeAt = heldUntil
 	}
 	if l.obs != nil {
-		l.obs.LockRelease(l, l.freeAt)
+		l.obs.LockRelease(l, heldUntil)
 	}
 }
 

@@ -51,6 +51,22 @@ func TestLockSimFrontier(t *testing.T) {
 	}
 }
 
+// Calls are served in call order, not timestamp order: a holder that
+// acquired at 1,000 and released at 1,300 makes a later call arriving
+// at 100 wait 1,200, although that call's core reached the lock first
+// in virtual time.
+func TestLockSimServesInCallOrder(t *testing.T) {
+	var l LockSim
+	l.Enable()
+	if w := l.Acquire(1000); w != 0 {
+		t.Fatalf("first acquire waited %d", w)
+	}
+	l.Release(1300)
+	if w := l.Acquire(100); w != 1200 {
+		t.Fatalf("earlier-timestamped later call waited %d, want 1200", w)
+	}
+}
+
 // Under seeded arrival jitter the counters must stay coherent at every
 // step: the contended count and the wait total never disagree (a wait
 // was charged iff an acquisition was contended, and every contended

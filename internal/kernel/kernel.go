@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"atmosphere/internal/hw"
@@ -233,19 +234,19 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 // The returned leave function charges exit and attributes the syscall's
 // cycles to core.
 func (k *Kernel) enter(core int) (leave func()) {
-	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, nil)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch, nil)
 }
 
 // enterPlan is the slowpath prologue for sharded ops: resolve runs
 // under the Go mutex and names the frontiers this syscall holds.
 func (k *Kernel) enterPlan(core int, resolve func() lockPlan) (leave func()) {
-	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, resolve)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostSyscallDispatch, resolve)
 }
 
 // enterFastPlan is the IPC fastpath prologue: no dispatcher (arguments
 // stay in registers end to end, as in seL4's fastpath), sharded plan.
 func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func()) {
-	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry+hw.CostBigLock, resolve)
+	return k.enterWith(core, kindSyscall, hw.CostSyscallEntry, resolve)
 }
 
 // enterWith is the funnel every syscall and interrupt passes through.
@@ -254,26 +255,37 @@ func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func())
 // queues by core; shard.go), and virtually acquires them in sequence:
 // each frontier's wait pushes the arrival the next one sees, so a core
 // queues behind every planned frontier exactly as a real nested
-// acquisition would. The summed wait is charged to the core; entry cost
-// is charged once, whatever the plan. It fills the in-flight record and
-// reports evAcquired (probe.go). Interrupts (kindIRQ) pay no
-// trampoline; inside a batch drain a syscall pays only the SQE dispatch
-// and its lock.
-func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve func() lockPlan) (leave func()) {
+// acquisition would. pre is the trampoline the core runs before it
+// requests the plan: entry, plus the dispatcher on the slow path, which
+// works out which syscall (and so which plan) is running. Neither
+// touches state a frontier guards. A syscall also pays CostBigLock for
+// its plan; an interrupt pays neither, and inside a batch drain pre is
+// the SQE dispatch. The summed wait is charged to the core clock, the
+// entry cost (once, whatever the plan) to the kernel clock. It fills
+// the in-flight record and reports evAcquired (probe.go).
+func (k *Kernel) enterWith(core int, kind callKind, pre uint64, resolve func() lockPlan) (leave func()) {
 	k.big.Lock()
 	cclk := &k.Machine.Core(core).Clock
-	exitCost := uint64(0)
+	var lockCost, exitCost uint64
 	if kind == kindSyscall {
-		exitCost = hw.CostSyscallExit
+		lockCost, exitCost = hw.CostBigLock, hw.CostSyscallExit
 		if core >= 0 && core < len(k.batchCore) && k.batchCore[core] {
 			// The batch itself paid entry once and pays exit once
 			// (syscalls_batch.go).
-			entryCost, exitCost = hw.CostBatchDispatch+hw.CostBigLock, 0
+			pre, exitCost = hw.CostBatchDispatch, 0
 		}
 	}
 	plan := planBig()
 	if resolve != nil {
+		// Resolution happens before start is read: a resolver that
+		// charged (through pm's Cntr/Proc/Thrd/Edpt rather than the
+		// Try accessors) would lose those cycles without a trace.
+		before := k.kclock.Cycles()
 		plan = resolve()
+		if n := k.kclock.Cycles() - before; n != 0 {
+			k.big.Unlock()
+			panic(fmt.Sprintf("kernel: core %d's lock-plan resolution charged %d cycles", core, n))
+		}
 	}
 	held := k.cur.held[:0] // reuse the previous entry's buffer
 	if plan.big {
@@ -300,28 +312,28 @@ func (k *Kernel) enterWith(core int, kind callKind, entryCost uint64, resolve fu
 		}
 	}
 	arrival := cclk.Cycles()
-	at := arrival
+	at := arrival + pre
 	for i := range held {
 		held[i].wait = held[i].sim.Acquire(at)
 		at += held[i].wait
 	}
-	cclk.Charge(at - arrival)
-	k.cur = call{kind: kind, core: core, arrival: arrival, wait: at - arrival, held: held,
+	wait := at - arrival - pre
+	cclk.Charge(wait)
+	k.cur = call{kind: kind, core: core, arrival: arrival, wait: wait, held: held,
 		start: k.kclock.Cycles(), base: cclk.Cycles(), big: plan.big, exit: exitCost}
 	k.emit(evAcquired, 0)
-	k.kclock.Charge(entryCost)
+	k.kclock.Charge(pre + lockCost)
 	return k.leaveFn
 }
 
 // leave ends the in-flight entry: it charges exit, reports evLeave with
 // the cycles the entry charged, moves them onto the core clock, and
 // releases every held frontier at the same point — the entry's end
-// minus its post-release share (page-cache hand-outs, and the
-// shootdowns of frames that stay in the invoking core's cache, do not
-// extend the hold time other cores observe) — so independent
-// containers' syscalls overlap in virtual time while every plan
-// containing only the big lock costs exactly what the pre-sharding
-// funnel cost.
+// minus the exit trampoline and the post-release share (page-cache
+// hand-outs, and the shootdowns of frames that stay in the invoking
+// core's cache, do not extend the hold time other cores observe). A
+// hold is thus CostBigLock plus the work under the plan, and another
+// core's trampoline overlaps it in virtual time.
 func (k *Kernel) leave() {
 	c := &k.cur
 	k.kclock.Charge(c.exit)
@@ -329,7 +341,7 @@ func (k *Kernel) leave() {
 	k.emit(evLeave, delta)
 	cclk := &k.Machine.Core(c.core).Clock
 	cclk.Charge(delta)
-	heldUntil := cclk.Cycles() - c.local
+	heldUntil := cclk.Cycles() - c.exit - c.local
 	for i := len(c.held) - 1; i >= 0; i-- {
 		c.held[i].sim.Release(heldUntil)
 	}

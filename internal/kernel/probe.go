@@ -35,7 +35,7 @@ const (
 type call struct {
 	kind    callKind
 	core    int
-	arrival uint64     // core clock when the plan's first frontier was requested
+	arrival uint64     // core clock at entry; the plan is requested after the trampoline (enterWith's pre)
 	wait    uint64     // total lock wait; held[i].wait is each frontier's share
 	held    []frontier // the plan's frontiers, in acquisition order
 	start   uint64     // kernel clock at entry

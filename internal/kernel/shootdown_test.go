@@ -49,9 +49,10 @@ func frontierGap(k *Kernel, l *hw.LockSim, core int) uint64 {
 }
 
 // A munmap of a private frame counts its shootdown after release: the
-// container frontier sits at least the 7 remote round trips before
-// core 0's clock, and core 1's mmap, arriving when the munmap did,
-// waits that much less than the munmap took.
+// container frontier sits exactly the post-release share (the 7 remote
+// round trips and the cache park) plus the exit trampoline before core
+// 0's clock, and core 1's mmap, arriving when the munmap did, waits the
+// munmap's time less its own entry and dispatch and that gap.
 func TestMunmapShootdownAfterRelease(t *testing.T) {
 	k, th, o := bootShootdown(t)
 	va := warmVA(0)
@@ -62,14 +63,17 @@ func TestMunmapShootdownAfterRelease(t *testing.T) {
 	if k.cur.big {
 		t.Fatal("the munmap's plan holds the big lock: the test proves nothing")
 	}
-	root := &k.cntrShards[k.PM.RootContainer].sim
-	if gap := frontierGap(k, root, 0); gap < remoteFlush {
-		t.Errorf("container/root frontier sits %d cycles before core 0's clock, want at least the %d-cycle shootdown", gap, remoteFlush)
+	if k.cur.local < remoteFlush {
+		t.Fatalf("post-release share = %d cycles, want at least the %d-cycle shootdown", k.cur.local, remoteFlush)
+	}
+	gap := frontierGap(k, &k.cntrShards[k.PM.RootContainer].sim, 0)
+	if want := k.cur.local + hw.CostSyscallExit; gap != want {
+		t.Errorf("container/root frontier sits %d cycles before core 0's clock, want %d: the post-release share plus exit", gap, want)
 	}
 	took := k.Machine.Core(0).Clock.Cycles() - arrival
 	mustOK(t, k.SysMmap(1, th[1], warmVA(1), 1, hw.Size4K, ptRW()))
-	if k.cur.wait+remoteFlush > took {
-		t.Errorf("core 1's mmap waited %d of the munmap's %d cycles, want at most %d", k.cur.wait, took, took-remoteFlush)
+	if want := took - (hw.CostSyscallEntry + hw.CostSyscallDispatch) - gap; k.cur.wait != want {
+		t.Errorf("core 1's mmap waited %d of the munmap's %d cycles, want %d", k.cur.wait, took, want)
 	}
 	if err := o.Violation(); err != nil {
 		t.Fatal(err)

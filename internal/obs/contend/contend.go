@@ -46,6 +46,12 @@ type lockState struct {
 	// maxDepth is the deepest holder queue any arrival joined.
 	maxDepth uint64
 
+	// Occupancy: heldFrom is the current holder's acquisition point
+	// (arrival + wait), and hold sums release point minus acquisition
+	// point over every entry — the cycles the frontier was held.
+	heldFrom uint64
+	hold     uint64
+
 	// Counter-track state (lazy, only with a tracer attached): waitCum
 	// is the cumulative wait-cycle counter whose slope is the lock's
 	// wait rate; lastDepth dedupes queue-depth samples.
@@ -199,6 +205,7 @@ func (o *Observatory) LockAcquire(l *hw.LockSim, arrival, wait uint64) {
 		st.maxDepth = depth
 	}
 	st.pending = append(st.pending, arrival+wait)
+	st.heldFrom = arrival + wait
 	if wait > 0 {
 		st.waitHist.Observe(wait)
 		st.waitCum += wait
@@ -212,9 +219,17 @@ func (o *Observatory) LockAcquire(l *hw.LockSim, arrival, wait uint64) {
 	}
 }
 
-// LockRelease implements hw.LockObserver. The queue model keys off
-// acquisition timestamps alone, so releases carry no extra signal here.
-func (o *Observatory) LockRelease(l *hw.LockSim, frontier uint64) {}
+// LockRelease implements hw.LockObserver: the frontier was occupied
+// from the holder's acquisition to heldUntil. (A jittered arrival can
+// put the acquisition past a short hold's release; that entry adds
+// nothing.)
+func (o *Observatory) LockRelease(l *hw.LockSim, heldUntil uint64) {
+	if id, ok := o.lockIx[l]; ok {
+		if st := o.locks[id]; heldUntil > st.heldFrom {
+			st.hold += heldUntil - st.heldFrom
+		}
+	}
+}
 
 // NameContainer gives a container a display name for attribution rows.
 func (o *Observatory) NameContainer(c hw.PhysAddr, name string) {

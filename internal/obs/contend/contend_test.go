@@ -117,6 +117,41 @@ func TestQueueDepthPruning(t *testing.T) {
 	}
 }
 
+// Occupancy is release point minus acquisition point (arrival plus
+// wait), summed over entries per frontier and per class, and shown as
+// holdcycles= in both report tables.
+func TestHoldCyclesAreOccupancy(t *testing.T) {
+	o := New()
+	a, b := lock("container", "c1"), lock("container", "c2")
+	o.Register(a)
+	o.Register(b)
+	a.Acquire(100)
+	a.Release(400) // held [100, 400)
+	if w := a.Acquire(200); w != 200 {
+		t.Fatalf("second acquire waited %d, want 200", w)
+	}
+	a.Release(450) // held [400, 450)
+	b.Acquire(0)
+	b.Release(25)
+	if got := o.Summary()[0]; got.Ident != "container/c1" || got.HoldCycles != 350 {
+		t.Errorf("busiest lock = %s holding %d cycles, want container/c1 holding 350", got.Ident, got.HoldCycles)
+	}
+	if got := o.ByClass()[0].HoldCycles; got != 375 {
+		t.Errorf("container class holds %d cycles, want 375", got)
+	}
+	var locks, classes strings.Builder
+	if err := o.WriteLocks(&locks); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteLocksByClass(&classes); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(locks.String(), "lock container/c1 acq=2 contended=1 waitcycles=200 holdcycles=350 ") ||
+		!strings.HasPrefix(classes.String(), "class container locks=2 acq=3 contended=1 waitcycles=200 holdcycles=375 ") {
+		t.Errorf("report rows lack occupancy:\n%s%s", locks.String(), classes.String())
+	}
+}
+
 func TestCounterTracks(t *testing.T) {
 	o := New()
 	tr := obs.NewTracer(1024)

@@ -21,6 +21,7 @@ type LockSummary struct {
 	Acquisitions uint64
 	Contended    uint64
 	WaitCycles   uint64
+	HoldCycles   uint64 // occupancy: release minus acquisition point, summed over entries
 	MaxQueue     uint64
 	P50, P99     uint64 // wait-cycle quantiles over contended acquisitions
 }
@@ -36,7 +37,7 @@ func (o *Observatory) Summary() []LockSummary {
 		a, c, w := st.sim.Stats()
 		out = append(out, LockSummary{
 			Ident:        st.class + "/" + st.inst,
-			Acquisitions: a, Contended: c, WaitCycles: w,
+			Acquisitions: a, Contended: c, WaitCycles: w, HoldCycles: st.hold,
 			MaxQueue: st.maxDepth,
 			P50:      st.waitHist.Quantile(0.50),
 			P99:      st.waitHist.Quantile(0.99),
@@ -60,6 +61,7 @@ type ClassSummary struct {
 	Acquisitions uint64
 	Contended    uint64
 	WaitCycles   uint64
+	HoldCycles   uint64 // occupancy summed over the class's frontiers
 	MaxQueue     uint64 // deepest holder queue any instance saw
 	P50, P99     uint64 // quantiles over the merged wait histogram
 }
@@ -88,6 +90,7 @@ func (o *Observatory) ByClass() []ClassSummary {
 		cs.Acquisitions += a
 		cs.Contended += c
 		cs.WaitCycles += w
+		cs.HoldCycles += st.hold
 		if st.maxDepth > cs.MaxQueue {
 			cs.MaxQueue = st.maxDepth
 		}
@@ -118,8 +121,8 @@ func (o *Observatory) WriteLocksByClass(w io.Writer) error {
 		return nil
 	}
 	for _, c := range o.ByClass() {
-		if _, err := fmt.Fprintf(w, "class %s locks=%d acq=%d contended=%d waitcycles=%d maxqueue=%d p50=%d p99=%d\n",
-			c.Class, c.Locks, c.Acquisitions, c.Contended, c.WaitCycles, c.MaxQueue, c.P50, c.P99); err != nil {
+		if _, err := fmt.Fprintf(w, "class %s locks=%d acq=%d contended=%d waitcycles=%d holdcycles=%d maxqueue=%d p50=%d p99=%d\n",
+			c.Class, c.Locks, c.Acquisitions, c.Contended, c.WaitCycles, c.HoldCycles, c.MaxQueue, c.P50, c.P99); err != nil {
 			return err
 		}
 	}
@@ -132,8 +135,8 @@ func (o *Observatory) WriteLocks(w io.Writer) error {
 		return nil
 	}
 	for _, l := range o.Summary() {
-		if _, err := fmt.Fprintf(w, "lock %s acq=%d contended=%d waitcycles=%d maxqueue=%d p50=%d p99=%d\n",
-			l.Ident, l.Acquisitions, l.Contended, l.WaitCycles, l.MaxQueue, l.P50, l.P99); err != nil {
+		if _, err := fmt.Fprintf(w, "lock %s acq=%d contended=%d waitcycles=%d holdcycles=%d maxqueue=%d p50=%d p99=%d\n",
+			l.Ident, l.Acquisitions, l.Contended, l.WaitCycles, l.HoldCycles, l.MaxQueue, l.P50, l.P99); err != nil {
 			return err
 		}
 	}
