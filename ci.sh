@@ -60,21 +60,9 @@ echo "== atmo-fuzz -diff smoke"
 # allocator and rebuilding Ψ on every step.
 go run ./cmd/atmo-fuzz -diff -seeds 128 -steps 2000
 
-echo "== atmo-trace smoke"
+echo "== atmo-top smoke"
 smoke_dir=$(mktemp -d /tmp/atmo-ci-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
-go run ./cmd/atmo-trace -workload kvstore -seed 1 -ops 50 \
-    -o "$smoke_dir/trace.json" -profile "$smoke_dir/trace"
-if [ ! -s "$smoke_dir/trace.json" ]; then
-    echo "atmo-trace: smoke run produced an empty trace" >&2
-    exit 1
-fi
-if [ ! -s "$smoke_dir/trace.folded" ] || [ ! -s "$smoke_dir/trace.pb.gz" ]; then
-    echo "atmo-trace: smoke run produced no profile exports" >&2
-    exit 1
-fi
-
-echo "== atmo-top smoke"
 go run ./cmd/atmo-top -workload chaos -seed 7 -ops 200 > "$smoke_dir/top.txt"
 if ! grep -q "^nvme.gen0" "$smoke_dir/top.txt"; then
     echo "atmo-top: smoke run shows no driver container row" >&2

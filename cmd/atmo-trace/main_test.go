@@ -13,15 +13,18 @@ import (
 // command itself — the workload table with the sinks atmo-trace
 // attaches — and requires byte-identical exports and identical stdout
 // (trace hash line and reports included) apart from the "wrote <path>"
-// line, which names each run's own output file. The content checks
+// lines, which name each run's own output files. The content checks
 // guard against a run that is deterministic because it recorded
 // nothing.
 func TestRunTwiceByteIdentical(t *testing.T) {
+	profileExts := []string{".folded", ".pb.gz"}
 	cases := []struct {
-		args   []string
-		stdout []string // substrings stdout must contain
-		export []string // substrings the export must contain
+		args    []string
+		stdout  []string // substrings stdout must contain
+		export  []string // substrings the export must contain
+		profile bool     // also pass -profile; each profile export must be non-empty
 	}{
+		{args: []string{"-workload", "kvstore", "-seed", "1", "-ops", "50"}, profile: true},
 		{args: []string{"-workload", "cluster", "-merged", "-seed", "1107"},
 			stdout: []string{"distributed trace attribution"}},
 		{args: []string{"-workload", "kvstore-batch", "-cores", "4"}},
@@ -34,12 +37,21 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 	hashLine := regexp.MustCompile(`(?m)^\S+: \d+ events \(\d+ dropped\), trace hash [0-9a-f]{16}$`)
 	for _, c := range cases {
 		name := strings.Join(c.args, " ")
+		if c.profile {
+			name += " -profile"
+		}
 		t.Run(name, func(t *testing.T) {
 			var exports, stdouts [2]string
+			var profiles [2][]string
 			for i := range exports {
-				out := filepath.Join(t.TempDir(), "trace.json")
+				dir := t.TempDir()
+				out := filepath.Join(dir, "trace.json")
+				args := append(c.args, "-o", out)
+				if c.profile {
+					args = append(args, "-profile", filepath.Join(dir, "trace"))
+				}
 				var stdout bytes.Buffer
-				if err := run(append(c.args, "-o", out), &stdout); err != nil {
+				if err := run(args, &stdout); err != nil {
 					t.Fatal(err)
 				}
 				b, err := os.ReadFile(out)
@@ -47,6 +59,15 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				exports[i] = string(b)
+				if c.profile {
+					for _, ext := range profileExts {
+						b, err := os.ReadFile(filepath.Join(dir, "trace"+ext))
+						if err != nil {
+							t.Fatal(err)
+						}
+						profiles[i] = append(profiles[i], string(b))
+					}
+				}
 				var kept []string
 				for _, line := range strings.SplitAfter(stdout.String(), "\n") {
 					if !strings.HasPrefix(line, "wrote ") {
@@ -60,6 +81,14 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 			}
 			if exports[0] != exports[1] {
 				t.Error("export is not byte-identical across same-seed runs")
+			}
+			for j, p := range profiles[0] {
+				if p == "" {
+					t.Errorf("empty %s export", profileExts[j])
+				}
+				if p != profiles[1][j] {
+					t.Errorf("%s export is not byte-identical across same-seed runs", profileExts[j])
+				}
 			}
 			if stdouts[0] != stdouts[1] {
 				t.Errorf("stdout differs across same-seed runs:\n%s\n---\n%s", stdouts[0], stdouts[1])

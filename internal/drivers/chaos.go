@@ -182,7 +182,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 		h.nWait = t.Name("chaos.wedge_wait")
 	}
 
-	watcher := verify.Watch(k, 1)
+	watcher := verify.Watch(k)
 
 	h.inj, err = faults.NewInjector(cfg.Seed, cfg.Plan, k.Machine.TotalCycles)
 	if err != nil {
@@ -287,7 +287,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	h.report.TraceHash = h.inj.TraceHash()
 	h.report.TraceLen = h.inj.TraceLen()
 	h.report.Steps = watcher.Steps
-	h.report.Checked += watcher.Checked
+	h.report.Checked += watcher.Steps
 	h.report.Violations += len(watcher.Violations)
 	h.report.TotalCycles = k.Machine.TotalCycles()
 	if err := k.Ledger().Audit(); err != nil {

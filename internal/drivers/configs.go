@@ -40,55 +40,37 @@ func (c NetConfig) String() string {
 	return "?"
 }
 
-// NetEnv is a booted kernel with a driver process, an application
-// process, and (for c1/c2) kernel-established shared rings between them.
-type NetEnv struct {
+// deployment is the boot NetEnv and StorageEnv share: a kernel, and the
+// driver and application threads of one configuration on their cores.
+type deployment struct {
 	K   *kernel.Kernel
-	Dev *nic.Device
-	Gen *nic.Generator
-	Drv *IxgbeDriver
 	Cfg NetConfig
 
 	DrvTid, AppTid   pm.Ptr
 	DrvCore, AppCore int
-
-	// Rings, one per direction, each with a per-side view so costs land
-	// on the right core's clock.
-	d2aDrv, d2aApp *shmring.Ring
-	a2dDrv, a2dApp *shmring.Ring
-
-	// ipcSlot is the endpoint both sides use in the c1 configuration.
-	ipcSlot int
-
-	txPending [][]byte
 }
 
-// drvClock and appClock return the two sides' cycle accumulators.
-func (e *NetEnv) drvClock() *hw.Clock { return &e.K.Machine.Core(e.DrvCore).Clock }
-func (e *NetEnv) appClock() *hw.Clock { return &e.K.Machine.Core(e.AppCore).Clock }
+// ipcSlot is the descriptor slot of the endpoint both sides share
+// (shareEndpoint); the c1 configuration crosses the kernel through it.
+const ipcSlot = 0
 
-// NewNetEnv boots a kernel and assembles the configuration. The device
-// sits behind the IOMMU in every configuration (drivers are untrusted
-// user processes, §3).
-func NewNetEnv(cfg NetConfig, gen *nic.Generator) (*NetEnv, error) {
+// deploy boots a kernel and places cfg's threads: the linked
+// configuration runs both sides as the init thread on core 0; c2 and c1
+// give each side its own process, the driver on core 1 and the
+// application on core 2 (c2) or beside the driver (c1).
+func deploy(cfg NetConfig) (deployment, error) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 8192, Cores: 4, TLBSlots: 512})
 	if err != nil {
-		return nil, err
+		return deployment{}, err
 	}
-	e := &NetEnv{K: k, Cfg: cfg, Gen: gen}
-	e.Dev = nic.New(k.Machine.Mem, k.IOMMU, 1)
-	e.Dev.AttachGenerator(gen)
-
+	d := deployment{K: k, Cfg: cfg}
 	switch cfg {
 	case CfgDriverLinked:
-		e.DrvTid, e.AppTid = init, init
-		e.DrvCore, e.AppCore = 0, 0
+		d.DrvTid, d.AppTid = init, init
 	case CfgC2, CfgC1:
-		e.DrvCore = 1
+		d.DrvCore, d.AppCore = 1, 1
 		if cfg == CfgC2 {
-			e.AppCore = 2
-		} else {
-			e.AppCore = 1
+			d.AppCore = 2
 		}
 		mk := func(core int) (pm.Ptr, error) {
 			r := k.SysNewProcess(0, init)
@@ -101,14 +83,62 @@ func NewNetEnv(cfg NetConfig, gen *nic.Generator) (*NetEnv, error) {
 			}
 			return pm.Ptr(rt.Vals[0]), nil
 		}
-		if e.DrvTid, err = mk(e.DrvCore); err != nil {
-			return nil, err
+		if d.DrvTid, err = mk(d.DrvCore); err != nil {
+			return deployment{}, err
 		}
-		if e.AppTid, err = mk(e.AppCore); err != nil {
-			return nil, err
+		if d.AppTid, err = mk(d.AppCore); err != nil {
+			return deployment{}, err
 		}
 	}
+	return d, nil
+}
 
+// shareEndpoint creates an endpoint in the driver thread's ipcSlot and
+// installs it in the application thread's too, the way a trusted parent
+// wires both sides up at setup time.
+func (d *deployment) shareEndpoint() error {
+	r := d.K.SysNewEndpoint(d.DrvCore, d.DrvTid, ipcSlot)
+	if r.Errno != kernel.OK {
+		return fmt.Errorf("drivers: endpoint: %v", r.Errno)
+	}
+	ep := pm.Ptr(r.Vals[0])
+	d.K.PM.Thrd(d.AppTid).Endpoints[ipcSlot] = ep
+	d.K.PM.EndpointIncRef(ep, 1)
+	return nil
+}
+
+// drvClock and appClock return the two sides' cycle accumulators.
+func (d *deployment) drvClock() *hw.Clock { return &d.K.Machine.Core(d.DrvCore).Clock }
+func (d *deployment) appClock() *hw.Clock { return &d.K.Machine.Core(d.AppCore).Clock }
+
+// NetEnv is a booted kernel with a driver process, an application
+// process, and (for c1/c2) kernel-established shared rings between them.
+type NetEnv struct {
+	deployment
+	Dev *nic.Device
+	Gen *nic.Generator
+	Drv *IxgbeDriver
+
+	// Rings, one per direction, each with a per-side view so costs land
+	// on the right core's clock.
+	d2aDrv, d2aApp *shmring.Ring
+	a2dDrv, a2dApp *shmring.Ring
+
+	txPending [][]byte
+}
+
+// NewNetEnv boots a kernel and assembles the configuration. The device
+// sits behind the IOMMU in every configuration (drivers are untrusted
+// user processes, §3).
+func NewNetEnv(cfg NetConfig, gen *nic.Generator) (*NetEnv, error) {
+	dep, err := deploy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	k := dep.K
+	e := &NetEnv{deployment: dep, Gen: gen}
+	e.Dev = nic.New(k.Machine.Mem, k.IOMMU, 1)
+	e.Dev.AttachGenerator(gen)
 	e.Drv, err = SetupIxgbe(k, e.DrvTid, e.DrvCore, e.Dev, 256, true)
 	if err != nil {
 		return nil, err
@@ -126,17 +156,9 @@ func NewNetEnv(cfg NetConfig, gen *nic.Generator) (*NetEnv, error) {
 // exact mechanism §3 describes for building shared-memory channels.
 func (e *NetEnv) setupRings() error {
 	k := e.K
-	// Endpoint shared by both threads (slot 0), installed by the
-	// trusted parent at setup time.
-	r := k.SysNewEndpoint(e.DrvCore, e.DrvTid, 0)
-	if r.Errno != kernel.OK {
-		return fmt.Errorf("drivers: endpoint: %v", r.Errno)
+	if err := e.shareEndpoint(); err != nil {
+		return err
 	}
-	ep := pm.Ptr(r.Vals[0])
-	k.PM.Thrd(e.AppTid).Endpoints[0] = ep
-	k.PM.EndpointIncRef(ep, 1)
-	e.ipcSlot = 0
-
 	const drvRingVA = hw.VirtAddr(0x500000000)
 	const appRingVA = hw.VirtAddr(0x600000000)
 	var phys [2]hw.PhysAddr
@@ -147,10 +169,10 @@ func (e *NetEnv) setupRings() error {
 			return fmt.Errorf("drivers: ring mmap: %v", r.Errno)
 		}
 		// App blocks receiving the page, driver sends it.
-		if r := k.SysRecv(e.AppCore, e.AppTid, 0, kernel.RecvArgs{PageVA: ava, EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
+		if r := k.SysRecv(e.AppCore, e.AppTid, ipcSlot, kernel.RecvArgs{PageVA: ava, EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 			return fmt.Errorf("drivers: ring recv: %v", r.Errno)
 		}
-		if r := k.SysSend(e.DrvCore, e.DrvTid, 0, kernel.SendArgs{SendPage: true, PageVA: dva}); r.Errno != kernel.OK {
+		if r := k.SysSend(e.DrvCore, e.DrvTid, ipcSlot, kernel.SendArgs{SendPage: true, PageVA: dva}); r.Errno != kernel.OK {
 			return fmt.Errorf("drivers: ring send: %v", r.Errno)
 		}
 		proc := k.PM.Proc(k.PM.Thrd(e.DrvTid).OwningProc)
@@ -302,13 +324,13 @@ func (e *NetEnv) runC1(totalPackets, batch int, work AppWork, done *int) error {
 	k := e.K
 	mem := k.Machine.Mem
 	// Driver parks in receive.
-	if r := k.SysRecv(e.DrvCore, e.DrvTid, e.ipcSlot, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
+	if r := k.SysRecv(e.DrvCore, e.DrvTid, ipcSlot, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 		return fmt.Errorf("drivers: park recv: %v", r.Errno)
 	}
 	entries := make([]shmring.Entry, batch)
 	for *done < totalPackets {
 		// App invokes the driver (direct switch to driver).
-		if r := k.SysCall(e.AppCore, e.AppTid, e.ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(batch)}}); r.Errno != kernel.EWOULDBLOCK {
+		if r := k.SysCall(e.AppCore, e.AppTid, ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(batch)}}); r.Errno != kernel.EWOULDBLOCK {
 			return fmt.Errorf("drivers: call: %v", r.Errno)
 		}
 		// Driver side: receive from the NIC, publish to the ring.
@@ -321,7 +343,7 @@ func (e *NetEnv) runC1(totalPackets, batch int, work AppWork, done *int) error {
 			e.d2aDrv.Push(shmring.PackBufferDesc(e.Drv.bufPhys[(e.Drv.rxNext-n+i+e.Drv.ringSize)%e.Drv.ringSize], uint16(len(f)), 0))
 		}
 		// Driver replies and re-parks (direct switch back to app).
-		if r := k.SysReplyRecv(e.DrvCore, e.DrvTid, e.ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(n)}}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
+		if r := k.SysReplyRecv(e.DrvCore, e.DrvTid, ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(n)}}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 			return fmt.Errorf("drivers: reply_recv: %v", r.Errno)
 		}
 		// App consumes.
@@ -340,59 +362,25 @@ func (e *NetEnv) runC1(totalPackets, batch int, work AppWork, done *int) error {
 
 // StorageEnv is the NVMe counterpart of NetEnv.
 type StorageEnv struct {
-	K   *kernel.Kernel
+	deployment
 	Dev *nvme.Device
 	Drv *NvmeDriver
-	Cfg NetConfig
-
-	DrvTid, AppTid   pm.Ptr
-	DrvCore, AppCore int
-	ipcSlot          int
 }
 
 // NewStorageEnv boots a kernel with an NVMe device and driver in the
 // given configuration.
 func NewStorageEnv(cfg NetConfig, capacityBlocks, qSize int) (*StorageEnv, error) {
-	k, init, err := kernel.Boot(hw.Config{Frames: 8192, Cores: 4, TLBSlots: 512})
+	dep, err := deploy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &StorageEnv{K: k, Cfg: cfg}
+	k := dep.K
+	e := &StorageEnv{deployment: dep}
 	e.Dev = nvme.New(k.Machine.Mem, k.IOMMU, 2, capacityBlocks)
-	switch cfg {
-	case CfgDriverLinked:
-		e.DrvTid, e.AppTid = init, init
-	case CfgC2, CfgC1:
-		e.DrvCore = 1
-		if cfg == CfgC2 {
-			e.AppCore = 2
-		} else {
-			e.AppCore = 1
-		}
-		mk := func(core int) (pm.Ptr, error) {
-			r := k.SysNewProcess(0, init)
-			if r.Errno != kernel.OK {
-				return 0, fmt.Errorf("drivers: new_proc: %v", r.Errno)
-			}
-			rt := k.SysNewThreadIn(0, init, pm.Ptr(r.Vals[0]), core)
-			if rt.Errno != kernel.OK {
-				return 0, fmt.Errorf("drivers: new_thread: %v", rt.Errno)
-			}
-			return pm.Ptr(rt.Vals[0]), nil
-		}
-		if e.DrvTid, err = mk(e.DrvCore); err != nil {
+	if cfg != CfgDriverLinked {
+		if err := e.shareEndpoint(); err != nil {
 			return nil, err
 		}
-		if e.AppTid, err = mk(e.AppCore); err != nil {
-			return nil, err
-		}
-		r := k.SysNewEndpoint(e.DrvCore, e.DrvTid, 0)
-		if r.Errno != kernel.OK {
-			return nil, fmt.Errorf("drivers: endpoint: %v", r.Errno)
-		}
-		ep := pm.Ptr(r.Vals[0])
-		k.PM.Thrd(e.AppTid).Endpoints[0] = ep
-		k.PM.EndpointIncRef(ep, 1)
 	}
 	e.Drv, err = SetupNvme(k, e.DrvTid, e.DrvCore, e.Dev, qSize, true)
 	if err != nil {
@@ -400,9 +388,6 @@ func NewStorageEnv(cfg NetConfig, capacityBlocks, qSize int) (*StorageEnv, error
 	}
 	return e, nil
 }
-
-func (e *StorageEnv) drvClock() *hw.Clock { return &e.K.Machine.Core(e.DrvCore).Clock }
-func (e *StorageEnv) appClock() *hw.Clock { return &e.K.Machine.Core(e.AppCore).Clock }
 
 // StorageRates is the outcome of a storage run.
 type StorageRates struct {
@@ -424,7 +409,7 @@ const AtmoWriteEfficiency = 0.906
 func (e *StorageEnv) RunSequential(op byte, totalIOs, batch int) (StorageRates, error) {
 	drv0, app0 := e.drvClock().Cycles(), e.appClock().Cycles()
 	if e.Cfg == CfgC1 {
-		if r := e.K.SysRecv(e.DrvCore, e.DrvTid, e.ipcSlot, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
+		if r := e.K.SysRecv(e.DrvCore, e.DrvTid, ipcSlot, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 			return StorageRates{}, fmt.Errorf("drivers: park recv: %v", r.Errno)
 		}
 	}
@@ -432,7 +417,7 @@ func (e *StorageEnv) RunSequential(op byte, totalIOs, batch int) (StorageRates, 
 	done := 0
 	for done < totalIOs {
 		if e.Cfg == CfgC1 {
-			if r := e.K.SysCall(e.AppCore, e.AppTid, e.ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(batch)}}); r.Errno != kernel.EWOULDBLOCK {
+			if r := e.K.SysCall(e.AppCore, e.AppTid, ipcSlot, kernel.SendArgs{Regs: [4]uint64{uint64(batch)}}); r.Errno != kernel.EWOULDBLOCK {
 				return StorageRates{}, fmt.Errorf("drivers: call: %v", r.Errno)
 			}
 		}
@@ -445,7 +430,7 @@ func (e *StorageEnv) RunSequential(op byte, totalIOs, batch int) (StorageRates, 
 			return StorageRates{}, fmt.Errorf("drivers: %d of %d completions", got, batch)
 		}
 		if e.Cfg == CfgC1 {
-			if r := e.K.SysReplyRecv(e.DrvCore, e.DrvTid, e.ipcSlot, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
+			if r := e.K.SysReplyRecv(e.DrvCore, e.DrvTid, ipcSlot, kernel.SendArgs{}, kernel.RecvArgs{EdptSlot: -1}); r.Errno != kernel.EWOULDBLOCK {
 				return StorageRates{}, fmt.Errorf("drivers: reply_recv: %v", r.Errno)
 			}
 		}

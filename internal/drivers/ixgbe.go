@@ -12,23 +12,18 @@ package drivers
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/nic"
 	"atmosphere/internal/obs"
-	"atmosphere/internal/obs/account"
 	"atmosphere/internal/pm"
-	"atmosphere/internal/pt"
 )
 
 // IxgbeDriver is the poll-mode ixgbe driver state.
 type IxgbeDriver struct {
-	K    *kernel.Kernel
-	Tid  pm.Ptr
-	Core int
-	Dev  *nic.Device
+	driver
+	Dev *nic.Device
 
 	ringSize int
 	// Physical addresses are what the driver touches through its own
@@ -55,11 +50,6 @@ type IxgbeDriver struct {
 
 	stats *statSet
 
-	// Accounting (nil/zero when no ledger is attached to the kernel):
-	// data-path cycles are billed to the driver's container.
-	ledger *account.Ledger
-	cntr   pm.Ptr
-
 	// Tracing (nil/zero when no tracer is attached to the kernel).
 	tr       *obs.Tracer
 	track    obs.TrackID
@@ -80,7 +70,7 @@ func ringPages(n int) int {
 // descriptor rings and packet buffers, optionally exposes them through
 // the process's IOMMU domain, and programs the device.
 func SetupIxgbe(k *kernel.Kernel, tid pm.Ptr, core int, dev *nic.Device, ringSize int, useIOMMU bool) (*IxgbeDriver, error) {
-	d := &IxgbeDriver{K: k, Tid: tid, Core: core, Dev: dev, ringSize: ringSize}
+	d := &IxgbeDriver{driver: newDriver(k, tid, core, "ixgbe", 0x200000000, useIOMMU), Dev: dev, ringSize: ringSize}
 	d.stats = newStatSet(k.Metrics(), "ixgbe")
 	if t := k.Tracer(); t != nil {
 		d.tr = t
@@ -88,97 +78,22 @@ func SetupIxgbe(k *kernel.Kernel, tid pm.Ptr, core int, dev *nic.Device, ringSiz
 		d.nRx = t.Name("ixgbe.rx_burst")
 		d.nTx = t.Name("ixgbe.tx_burst")
 	}
-	proc := k.PM.Proc(k.PM.Thrd(tid).OwningProc)
-	d.ledger = k.Ledger()
-	d.cntr = proc.Owner
-
-	vaBase := hw.VirtAddr(0x200000000)
-	mapRange := func(pages int) (hw.VirtAddr, error) {
-		va := vaBase
-		vaBase += hw.VirtAddr((pages + 1) * hw.PageSize4K)
-		if r := k.SysMmap(core, tid, va, pages, hw.Size4K, pt.RW); r.Errno != kernel.OK {
-			return 0, fmt.Errorf("drivers: mmap: %v", r.Errno)
-		}
-		if useIOMMU {
-			for i := 0; i < pages; i++ {
-				if r := k.SysIommuMap(core, tid, va+hw.VirtAddr(i*hw.PageSize4K)); r.Errno != kernel.OK {
-					return 0, fmt.Errorf("drivers: iommu_map: %v", r.Errno)
-				}
-			}
-		}
-		return va, nil
-	}
-	physOf := func(va hw.VirtAddr) (hw.PhysAddr, error) {
-		e, ok := proc.PageTable.Lookup(va)
-		if !ok {
-			return 0, fmt.Errorf("%w: ixgbe va %#x", ErrUnmapped, va)
-		}
-		return e.Phys + hw.PhysAddr(uint64(va)&(hw.PageSize4K-1)), nil
-	}
-
-	if useIOMMU {
-		if r := k.SysIommuCreateDomain(core, tid); r.Errno != kernel.OK && r.Errno != kernel.EALREADY {
-			return nil, fmt.Errorf("drivers: iommu domain: %v", r.Errno)
-		}
-		if r := k.SysIommuAttach(core, tid, dev.DeviceID()); r.Errno != kernel.OK {
-			return nil, fmt.Errorf("drivers: iommu attach: %v", r.Errno)
-		}
-	}
-	dmaOf := func(va hw.VirtAddr) (hw.PhysAddr, error) {
-		if useIOMMU {
-			return hw.PhysAddr(va), nil // iova = driver virtual address
-		}
-		return physOf(va)
-	}
-	// mapBuf maps one buffer page and records its phys/DMA addresses.
-	mapBuf := func(phys, dma *[]hw.PhysAddr) error {
-		bva, err := mapRange(1)
-		if err != nil {
-			return err
-		}
-		bp, err := physOf(bva)
-		if err != nil {
-			return err
-		}
-		bd, err := dmaOf(bva)
-		if err != nil {
-			return err
-		}
-		*phys = append(*phys, bp)
-		*dma = append(*dma, bd)
-		return nil
-	}
-	// RX ring + buffers.
-	rxVA, err := mapRange(ringPages(ringSize))
-	if err != nil {
+	if err := d.attach(dev.DeviceID()); err != nil {
 		return nil, err
 	}
-	if d.ringPhys, err = physOf(rxVA); err != nil {
+	// Each ring, then its buffers one page apiece.
+	var err error
+	if d.ringPhys, d.ringDMA, err = d.mapDMA(ringPages(ringSize)); err != nil {
 		return nil, err
 	}
-	if d.ringDMA, err = dmaOf(rxVA); err != nil {
+	if d.bufPhys, d.bufDMA, err = d.mapBuffers(ringSize); err != nil {
 		return nil, err
 	}
-	for i := 0; i < ringSize; i++ {
-		if err := mapBuf(&d.bufPhys, &d.bufDMA); err != nil {
-			return nil, err
-		}
-	}
-	// TX ring + buffers.
-	txVA, err := mapRange(ringPages(ringSize))
-	if err != nil {
+	if d.txRingPhys, d.txRingDMA, err = d.mapDMA(ringPages(ringSize)); err != nil {
 		return nil, err
 	}
-	if d.txRingPhys, err = physOf(txVA); err != nil {
+	if d.txBufPhys, d.txBufDMA, err = d.mapBuffers(ringSize); err != nil {
 		return nil, err
-	}
-	if d.txRingDMA, err = dmaOf(txVA); err != nil {
-		return nil, err
-	}
-	for i := 0; i < ringSize; i++ {
-		if err := mapBuf(&d.txBufPhys, &d.txBufDMA); err != nil {
-			return nil, err
-		}
 	}
 
 	mem := k.Machine.Mem
@@ -193,17 +108,6 @@ func SetupIxgbe(k *kernel.Kernel, tid pm.Ptr, core int, dev *nic.Device, ringSiz
 	dev.WriteRDT(ringSize - 1) // all but one descriptor available
 	d.clock().Charge(3 * hw.CostMMIOWrite)
 	return d, nil
-}
-
-func (d *IxgbeDriver) clock() *hw.Clock { return &d.K.Machine.Core(d.Core).Clock }
-
-// chargeLedger bills user-space driver cycles since start (direct MMIO
-// and polling, no kernel crossing so no syscall attribution) to the
-// driver's container.
-func (d *IxgbeDriver) chargeLedger(start uint64) {
-	if d.ledger != nil {
-		d.ledger.ChargeCycles(d.cntr, d.clock().Cycles()-start)
-	}
 }
 
 // RxBurst polls up to max completed RX descriptors, collects frame

@@ -8,9 +8,7 @@ import (
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/nvme"
 	"atmosphere/internal/obs"
-	"atmosphere/internal/obs/account"
 	"atmosphere/internal/pm"
-	"atmosphere/internal/pt"
 )
 
 // NvmeDriver is the poll-mode NVMe driver (§6.5.2): one I/O queue pair
@@ -23,10 +21,8 @@ import (
 // against a cycle budget, and every fault increments a DriverStats
 // counter the supervisor and harnesses read.
 type NvmeDriver struct {
-	K    *kernel.Kernel
-	Tid  pm.Ptr
-	Core int
-	Dev  *nvme.Device
+	driver
+	Dev *nvme.Device
 
 	qSize          int
 	sqPhys, cqPhys hw.PhysAddr
@@ -50,11 +46,6 @@ type NvmeDriver struct {
 
 	stats *statSet
 
-	// Accounting (nil/zero when no ledger is attached to the kernel):
-	// data-path cycles are billed to the driver's container.
-	ledger *account.Ledger
-	cntr   pm.Ptr
-
 	// Tracing (nil/zero when no tracer is attached to the kernel).
 	tr                       *obs.Tracer
 	track                    obs.TrackID
@@ -76,7 +67,8 @@ type nvmeCmd struct {
 // exposure, and device queue programming.
 func SetupNvme(k *kernel.Kernel, tid pm.Ptr, core int, dev *nvme.Device, qSize int, useIOMMU bool) (*NvmeDriver, error) {
 	d := &NvmeDriver{
-		K: k, Tid: tid, Core: core, Dev: dev, qSize: qSize, phase: 1,
+		driver: newDriver(k, tid, core, "nvme", 0x300000000, useIOMMU),
+		Dev:    dev, qSize: qSize, phase: 1,
 		inflightCmds: make(map[uint16]*nvmeCmd),
 	}
 	d.stats = newStatSet(k.Metrics(), "nvme")
@@ -87,98 +79,22 @@ func SetupNvme(k *kernel.Kernel, tid pm.Ptr, core int, dev *nvme.Device, qSize i
 		d.nPoll = t.Name("nvme.poll")
 		d.nBackoff = t.Name("nvme.backoff")
 	}
-	proc := k.PM.Proc(k.PM.Thrd(tid).OwningProc)
-	d.ledger = k.Ledger()
-	d.cntr = proc.Owner
-	vaBase := hw.VirtAddr(0x300000000)
-	mapRange := func(pages int) (hw.VirtAddr, error) {
-		va := vaBase
-		vaBase += hw.VirtAddr((pages + 1) * hw.PageSize4K)
-		if r := k.SysMmap(core, tid, va, pages, hw.Size4K, pt.RW); r.Errno != kernel.OK {
-			return 0, fmt.Errorf("drivers: mmap: %v", r.Errno)
-		}
-		if useIOMMU {
-			for i := 0; i < pages; i++ {
-				if r := k.SysIommuMap(core, tid, va+hw.VirtAddr(i*hw.PageSize4K)); r.Errno != kernel.OK {
-					return 0, fmt.Errorf("drivers: iommu_map: %v", r.Errno)
-				}
-			}
-		}
-		return va, nil
-	}
-	physOf := func(va hw.VirtAddr) (hw.PhysAddr, error) {
-		e, ok := proc.PageTable.Lookup(va)
-		if !ok {
-			return 0, fmt.Errorf("%w: nvme va %#x", ErrUnmapped, va)
-		}
-		return e.Phys + hw.PhysAddr(uint64(va)&(hw.PageSize4K-1)), nil
-	}
-	dmaOf := func(va hw.VirtAddr) (hw.PhysAddr, error) {
-		if useIOMMU {
-			return hw.PhysAddr(va), nil
-		}
-		return physOf(va)
-	}
-	if useIOMMU {
-		if r := k.SysIommuCreateDomain(core, tid); r.Errno != kernel.OK && r.Errno != kernel.EALREADY {
-			return nil, fmt.Errorf("drivers: iommu domain: %v", r.Errno)
-		}
-		if r := k.SysIommuAttach(core, tid, dev.DeviceID()); r.Errno != kernel.OK {
-			return nil, fmt.Errorf("drivers: iommu attach: %v", r.Errno)
-		}
-	}
-	sqPages := (qSize*nvme.SQESize + hw.PageSize4K - 1) / hw.PageSize4K
-	cqPages := (qSize*nvme.CQESize + hw.PageSize4K - 1) / hw.PageSize4K
-	sqVA, err := mapRange(sqPages)
-	if err != nil {
+	if err := d.attach(dev.DeviceID()); err != nil {
 		return nil, err
 	}
-	cqVA, err := mapRange(cqPages)
-	if err != nil {
+	var err error
+	if d.sqPhys, d.sqDMA, err = d.mapDMA((qSize*nvme.SQESize + hw.PageSize4K - 1) / hw.PageSize4K); err != nil {
 		return nil, err
 	}
-	if d.sqPhys, err = physOf(sqVA); err != nil {
+	if d.cqPhys, d.cqDMA, err = d.mapDMA((qSize*nvme.CQESize + hw.PageSize4K - 1) / hw.PageSize4K); err != nil {
 		return nil, err
 	}
-	if d.sqDMA, err = dmaOf(sqVA); err != nil {
+	if d.bufPhys, d.bufDMA, err = d.mapBuffers(qSize); err != nil {
 		return nil, err
-	}
-	if d.cqPhys, err = physOf(cqVA); err != nil {
-		return nil, err
-	}
-	if d.cqDMA, err = dmaOf(cqVA); err != nil {
-		return nil, err
-	}
-	for i := 0; i < qSize; i++ {
-		bva, err := mapRange(1)
-		if err != nil {
-			return nil, err
-		}
-		bp, err := physOf(bva)
-		if err != nil {
-			return nil, err
-		}
-		bd, err := dmaOf(bva)
-		if err != nil {
-			return nil, err
-		}
-		d.bufPhys = append(d.bufPhys, bp)
-		d.bufDMA = append(d.bufDMA, bd)
 	}
 	dev.CreateQueues(d.sqDMA, d.cqDMA, qSize)
 	d.clock().Charge(4 * hw.CostMMIOWrite) // admin: queue registers
 	return d, nil
-}
-
-func (d *NvmeDriver) clock() *hw.Clock { return &d.K.Machine.Core(d.Core).Clock }
-
-// chargeLedger bills user-space driver cycles since start (direct MMIO
-// and polling, no kernel crossing so no syscall attribution) to the
-// driver's container.
-func (d *NvmeDriver) chargeLedger(start uint64) {
-	if d.ledger != nil {
-		d.ledger.ChargeCycles(d.cntr, d.clock().Cycles()-start)
-	}
 }
 
 // Stats returns the driver's fault/retry counter block — a snapshot of

@@ -272,15 +272,14 @@ func TestGrantBufferedDropOnEndpointDeath(t *testing.T) {
 }
 
 // TestGrantDoubleGrantSignature pins the planted double-grant bug's
-// shape (SetGrantLeakForTest): the sender keeps its mapping while the
+// shape (MutantGrantLeak): the sender keeps its mapping while the
 // message also holds a reference — two owners for one page. The mck
 // differential oracle must catch this divergence (TestGrantLeakCaught);
 // here we pin the concrete signature the oracle keys on.
 func TestGrantDoubleGrantSignature(t *testing.T) {
 	k, _, tidA, l := bootGrantPair(t)
 	usedBefore := k.PM.Cntr(k.PM.Proc(k.PM.Thrd(tidA).OwningProc).Owner).UsedPages
-	k.SetGrantLeakForTest(true)
-	defer k.SetGrantLeakForTest(false)
+	k.SetMutantForTest(MutantGrantLeak)
 	mustOK(t, k.SysSendAsync(0, tidA, 0, SendArgs{GrantPage: true, PageVA: 0x400000}))
 	e, ok := k.PM.Proc(k.PM.Thrd(tidA).OwningProc).PageTable.Lookup(0x400000)
 	if !ok {

@@ -25,12 +25,8 @@ type irqState struct {
 // dies only when unregistered or when the endpoint's container dies).
 func (k *Kernel) SysIrqRegister(core int, tid pm.Ptr, irq int, slot int) Ret {
 	defer k.enter(core)()
-	t, okk := k.callerThread(tid)
-	if !okk {
-		return k.post("irq_register", tid, fail(EINVAL))
-	}
-	if irq < 0 || irq >= 256 || slot < 0 || slot >= pm.MaxEndpoints ||
-		t.Endpoints[slot] == pm.NoEndpoint {
+	_, ep, okk := k.callerEndpoint(tid, slot)
+	if !okk || irq < 0 || irq >= 256 {
 		return k.post("irq_register", tid, fail(EINVAL))
 	}
 	if k.irqs == nil {
@@ -39,7 +35,6 @@ func (k *Kernel) SysIrqRegister(core int, tid pm.Ptr, irq int, slot int) Ret {
 	if _, bound := k.irqs[irq]; bound {
 		return k.post("irq_register", tid, fail(EALREADY))
 	}
-	ep := t.Endpoints[slot]
 	k.PM.EndpointIncRef(ep, 1)
 	k.irqs[irq] = &irqState{endpoint: ep}
 	k.kclock.Charge(hw.CostMMIOWrite) // unmask at the interrupt controller
@@ -58,13 +53,7 @@ func (k *Kernel) SysIrqUnregister(core int, tid pm.Ptr, irq int) Ret {
 	if !bound {
 		return k.post("irq_unregister", tid, fail(ENOENT))
 	}
-	holds := false
-	for _, e := range t.Endpoints {
-		if e == st.endpoint {
-			holds = true
-		}
-	}
-	if !holds {
+	if !holdsEndpoint(t, st.endpoint) {
 		return k.post("irq_unregister", tid, fail(EPERM))
 	}
 	delete(k.irqs, irq)
@@ -89,13 +78,7 @@ func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 	if !bound {
 		return k.post("irq_wait", tid, fail(ENOENT))
 	}
-	holds := false
-	for _, e := range t.Endpoints {
-		if e == st.endpoint {
-			holds = true
-		}
-	}
-	if !holds {
+	if !holdsEndpoint(t, st.endpoint) {
 		return k.post("irq_wait", tid, fail(EPERM))
 	}
 	if st.pending > 0 {
@@ -107,11 +90,8 @@ func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 	ep := k.PM.Edpt(st.endpoint)
 	t.IPC.RecvVA = 0
 	t.IPC.RecvEdptSlot = -1
-	t.IPC.WaitingOn = st.endpoint
 	k.kclock.Charge(hw.CostEndpointOp)
-	k.PM.BlockCurrent(tid, pm.ThreadBlockedRecv)
-	ep.QueuedRecv = true
-	ep.Queue = append(ep.Queue, tid)
+	k.block(t, ep, pm.ThreadBlockedRecv)
 	k.PM.PickNext(core)
 	return k.post("irq_wait", tid, fail(EWOULDBLOCK))
 }
@@ -139,13 +119,8 @@ func (k *Kernel) RaiseIRQ(core int, irq int) {
 		return
 	}
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
-		handler := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		ht := k.PM.Thrd(handler)
-		ht.IPC.Msg = pm.Msg{Regs: [4]uint64{uint64(irq), st.pending + 1}}
-		ht.IPC.WaitingOn = 0
+		k.handOff(ep, pm.Msg{Regs: [4]uint64{uint64(irq), st.pending + 1}})
 		st.pending = 0
-		k.PM.Wake(handler, nil)
 		return
 	}
 	st.pending++
@@ -159,14 +134,6 @@ func (k *Kernel) IRQBindings() map[int]pm.Ptr {
 		out[irq] = st.endpoint
 	}
 	return out
-}
-
-// PendingIRQ reports the pended count on a line (tests).
-func (k *Kernel) PendingIRQ(irq int) uint64 {
-	if st, okk := k.irqs[irq]; okk {
-		return st.pending
-	}
-	return 0
 }
 
 // dropIRQBindingsFor removes bindings whose endpoint is being destroyed

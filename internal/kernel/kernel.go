@@ -111,8 +111,8 @@ type Kernel struct {
 	// at boot, lazily created per-container and per-endpoint lock
 	// frontiers, the flat list of live shards in creation order (for
 	// enable/jitter/registration propagation), the counts of retired
-	// ones, label sequence counters, the armed jitter parameters new
-	// shards inherit, and the test-only plan flip.
+	// ones, label sequence counters, and the armed jitter parameters new
+	// shards inherit.
 	runqs      []*shard
 	cntrShards map[pm.Ptr]*shard
 	edptShards map[pm.Ptr]*shard
@@ -122,7 +122,6 @@ type Kernel struct {
 	edptSeq    int
 	jitterSeed uint64
 	jitterMax  uint64
-	planFlip   bool
 
 	// cur is the in-flight funnel entry, probes the consumers its events
 	// fan out to (probe.go), and leaveFn the bound k.leave every entry
@@ -155,10 +154,8 @@ type Kernel struct {
 	// single execution stream, so its own flag cannot race.
 	batchCore []bool
 
-	// grantLeak, when set by SetGrantLeakForTest, makes resolveMsg skip
-	// revoking the sender's mapping on a grant transfer — the planted
-	// double-grant bug the differential oracle must catch.
-	grantLeak bool
+	// mutant is the planted bug, if any (SetMutantForTest).
+	mutant Mutant
 
 	// PostSyscall, when set, sees every syscall's result as post records
 	// it — how the verifier observes each transition (nil in benchmarks;
@@ -297,7 +294,7 @@ func (k *Kernel) enterWith(core int, kind callKind, pre uint64, resolve func() l
 	if plan.edpt != pm.NoEndpoint {
 		held = append(held, frontier{sim: &k.edptShard(plan.edpt).sim})
 	}
-	if k.planFlip {
+	if k.mutant == MutantPlanFlip {
 		for i, j := 0, len(held)-1; i < j; i, j = i+1, j-1 {
 			held[i], held[j] = held[j], held[i]
 		}
@@ -488,27 +485,31 @@ func (k *Kernel) SysYield(core int, tid pm.Ptr) Ret {
 	return k.post("yield", tid, ok())
 }
 
-// SetGrantLeakForTest plants the double-grant bug: resolveMsg skips
-// revoking the sender's mapping on a grant transfer, so sender and
-// receiver both end up owning the page — exactly the aliasing a
-// linear-ownership discipline forbids. The differential oracle must
-// catch the diverged address spaces and quota. Test harnesses only.
-func (k *Kernel) SetGrantLeakForTest(v bool) {
-	k.big.Lock()
-	defer k.big.Unlock()
-	k.grantLeak = v
-}
+// Mutant names a bug the kernel can plant for its oracles to catch
+// (SetMutantForTest). The zero Mutant plants nothing.
+type Mutant uint8
 
-// unblockForTest force-wakes a blocked thread, unlinking it from its
-// endpoint queue and dropping any in-flight message references. Only
-// tests use it (the simulation has no timer to time out rendezvous).
-func (k *Kernel) unblockForTest(tid pm.Ptr) {
+// The planted bugs.
+const (
+	// MutantGrantLeak is the double grant: resolveMsg skips revoking the
+	// sender's mapping on a grant transfer, so sender and receiver both
+	// end up owning the page — exactly the aliasing a linear-ownership
+	// discipline forbids. The differential oracle must catch the
+	// diverged address spaces and quota.
+	MutantGrantLeak Mutant = iota + 1
+	// MutantPlanFlip reverses the acquisition order of every lock plan's
+	// big, container and endpoint frontiers — endpoint before container
+	// before big; run queues stay innermost — a cross-shard lock-order
+	// inversion for the armed checker to catch. It changes which
+	// frontier the checker sees first, not a single charged cycle's
+	// amount.
+	MutantPlanFlip
+)
+
+// SetMutantForTest plants m, replacing any mutant planted before (the
+// zero Mutant removes it). Test harnesses only.
+func (k *Kernel) SetMutantForTest(m Mutant) {
 	k.big.Lock()
 	defer k.big.Unlock()
-	t, okk := k.PM.TryThrd(tid)
-	if !okk || (t.State != pm.ThreadBlockedSend && t.State != pm.ThreadBlockedRecv) {
-		return
-	}
-	k.unlinkFromEndpoint(tid, t)
-	k.PM.Wake(tid, ErrEndpointDead)
+	k.mutant = m
 }

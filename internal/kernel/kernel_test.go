@@ -745,3 +745,17 @@ func TestMunmapShootsDownAllTLBs(t *testing.T) {
 		t.Fatal("remote shootdowns not charged")
 	}
 }
+
+// unblockForTest force-wakes a blocked thread, unlinking it from its
+// endpoint queue and dropping any in-flight message references (the
+// simulation has no timer to time out a rendezvous).
+func (k *Kernel) unblockForTest(tid pm.Ptr) {
+	k.big.Lock()
+	defer k.big.Unlock()
+	t, okk := k.PM.TryThrd(tid)
+	if !okk || (t.State != pm.ThreadBlockedSend && t.State != pm.ThreadBlockedRecv) {
+		return
+	}
+	k.unlinkFromEndpoint(tid, t)
+	k.PM.Wake(tid, ErrEndpointDead)
+}

@@ -232,18 +232,6 @@ func (k *Kernel) gcShards() {
 	k.shards = live
 }
 
-// SetLockPlanFlipForTest reverses the acquisition order of every lock
-// plan's big, container and endpoint frontiers — endpoint before
-// container before big; run queues stay innermost — planting a
-// cross-shard lock-order inversion for the armed checker to catch. Test
-// harnesses only; the flip changes which frontier the checker sees
-// first, not a single charged cycle's amount.
-func (k *Kernel) SetLockPlanFlipForTest(v bool) {
-	k.big.Lock()
-	defer k.big.Unlock()
-	k.planFlip = v
-}
-
 // planCaller is the plan of a syscall that touches only the caller's
 // own container state (the mmap/munmap fast paths build on it): the
 // caller's container frontier. An unresolvable caller falls back to the

@@ -175,7 +175,7 @@ func (s *Supervisor) recover(core int, name string, w *watch) error {
 		}
 		// Yield-equivalent pause between invocations: other work runs
 		// while the teardown is in progress.
-		clk := s.K.Machine.Core(core).Clock
+		clk := &s.K.Machine.Core(core).Clock
 		base := clk.Cycles()
 		clk.Charge(hw.CostContextSwitch)
 		if l := s.K.Ledger(); l != nil {

@@ -96,3 +96,55 @@ func TestSupervisorRestartsSilentDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSupervisorPauseChargesCore: the pause between bounded-kill rounds
+// runs on the supervisor's core, so a recovery advances core 0 by the
+// kill syscalls' own cycles plus one context switch per pause. A twin
+// kernel replays the same kills to measure them.
+func TestSupervisorPauseChargesCore(t *testing.T) {
+	cfg := hw.Config{Frames: 2048, Cores: 2, TLBSlots: 128}
+	twin, twinInit, err := kernel.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinVictim := buildVictim(t, twin, twinInit)
+	twinClk := &twin.Machine.Core(0).Clock
+	var kills, pauses uint64
+	for {
+		before := twinClk.Cycles()
+		r := twin.SysKillContainerBounded(0, twinInit, twinVictim, 1)
+		kills += twinClk.Cycles() - before
+		if r.Errno == kernel.OK {
+			break
+		}
+		if r.Errno != kernel.EAGAIN {
+			t.Fatalf("twin kill: %v", r.Errno)
+		}
+		pauses++
+	}
+	if pauses == 0 {
+		t.Fatal("teardown was not iterative")
+	}
+
+	k, init, err := kernel.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := buildVictim(t, k, init)
+	sup := kernel.NewSupervisor(k, init, 10_000)
+	sup.KillBudget = 1
+	clk := &k.Machine.Core(0).Clock
+	var torndown uint64
+	sup.Register("drv", victim, func() (pm.Ptr, error) {
+		torndown = clk.Cycles()
+		return buildVictim(t, k, init), nil
+	})
+	clk.Charge(20_000)
+	start := clk.Cycles()
+	if _, err := sup.Check(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := torndown-start, kills+pauses*hw.CostContextSwitch; got != want {
+		t.Fatalf("teardown advanced core 0 by %d cycles, want %d (kills %d + %d pauses)", got, want, kills, pauses)
+	}
+}

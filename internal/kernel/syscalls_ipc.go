@@ -71,14 +71,10 @@ func (k *Kernel) SysNewEndpoint(core int, tid pm.Ptr, slot int) Ret {
 func (k *Kernel) SysCloseEndpoint(core int, tid pm.Ptr, slot int) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planCloseEndpoint(tid, slot) })()
 	defer k.gcShards() // runs before leave: drop the shard if the endpoint died
-	t, okk := k.callerThread(tid)
+	t, ep, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("close_endpoint", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("close_endpoint", tid, fail(EINVAL))
-	}
-	ep := t.Endpoints[slot]
 	t.Endpoints[slot] = pm.NoEndpoint
 	if err := k.PM.EndpointDecRef(ep); err != nil {
 		return k.post("close_endpoint", tid, fail(errnoOf(err)))
@@ -110,7 +106,7 @@ func (k *Kernel) resolveMsg(core int, t *pm.Thread, args SendArgs) (pm.Msg, Errn
 		msg.Page = e.Phys
 		msg.PageSize = e.Size
 		msg.PagePerm = e.Perm
-		if args.GrantPage && !k.grantLeak {
+		if args.GrantPage && k.mutant != MutantGrantLeak {
 			// Ownership moves with the message. The refcount cannot hit
 			// zero here: the message's reference was just taken above.
 			base := args.PageVA &^ hw.VirtAddr(e.Size.Bytes()-1)
@@ -232,40 +228,108 @@ func firstFreeSlot(t *pm.Thread) int {
 	return -1
 }
 
+// callerEndpoint validates the invoking thread and its descriptor slot,
+// returning the thread and the endpoint the slot names.
+func (k *Kernel) callerEndpoint(tid pm.Ptr, slot int) (*pm.Thread, pm.Ptr, bool) {
+	t, okk := k.callerThread(tid)
+	if !okk || slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
+		return nil, pm.NoEndpoint, false
+	}
+	return t, t.Endpoints[slot], true
+}
+
+// holdsEndpoint reports whether t holds a descriptor to ep.
+func holdsEndpoint(t *pm.Thread, ep pm.Ptr) bool {
+	for _, e := range t.Endpoints {
+		if e == ep {
+			return true
+		}
+	}
+	return false
+}
+
+// handOff pops the receiver at the head of ep's queue, delivers msg to
+// it and wakes it with the delivery's outcome. It returns the receiver.
+func (k *Kernel) handOff(ep *pm.Endpoint, msg pm.Msg) *pm.Thread {
+	rptr := ep.Queue[0]
+	ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
+	rt := k.PM.Thrd(rptr)
+	err := k.deliver(rt, msg)
+	rt.IPC.WaitingOn = 0
+	k.PM.Wake(rptr, err)
+	return rt
+}
+
+// receive delivers the next message waiting on ep to t: a buffered one
+// first (no partner to wake, just the buffer pop), else the head
+// sender's, waking that sender. The result carries the message's
+// scalars, or the delivery's error; got is false when nothing waits.
+func (k *Kernel) receive(t *pm.Thread, ep *pm.Endpoint) (r Ret, got bool) {
+	var msg pm.Msg
+	var err error
+	switch {
+	case len(ep.Buffer) > 0:
+		msg = ep.Buffer[0]
+		ep.Buffer = ep.Buffer[:copy(ep.Buffer, ep.Buffer[1:])]
+		k.kclock.Charge(hw.CostEndpointBuffer)
+		err = k.deliver(t, msg)
+	case !ep.QueuedRecv && len(ep.Queue) > 0:
+		sptr := ep.Queue[0]
+		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
+		st := k.PM.Thrd(sptr)
+		msg, st.IPC.Msg = st.IPC.Msg, pm.Msg{}
+		st.IPC.WaitingOn = 0
+		err = k.deliver(t, msg)
+		k.PM.Wake(sptr, nil)
+	default:
+		return Ret{}, false
+	}
+	if err != nil {
+		return fail(errnoOf(err)), true
+	}
+	return Ret{Vals: msg.Regs}, true
+}
+
+// block parks the caller t at the tail of ep's queue in state: as a
+// sender (its resolved message already in t.IPC.Msg) or as a receiver.
+func (k *Kernel) block(t *pm.Thread, ep *pm.Endpoint, state pm.ThreadState) {
+	t.IPC.WaitingOn = ep.Ptr
+	k.PM.BlockCurrent(t.Ptr, state)
+	ep.QueuedRecv = state == pm.ThreadBlockedRecv
+	ep.Queue = append(ep.Queue, t.Ptr)
+}
+
+// switchTo hands core directly to t, a partner just woken on it — the
+// fastpaths' direct switch, with no scheduler pass. A partner on
+// another core waits on its own run queue.
+func (k *Kernel) switchTo(core int, t *pm.Thread) {
+	if t.Core == core && t.State == pm.ThreadRunnable {
+		k.noteSwitch(true, t.Ptr)
+		k.PM.DirectSwitch(t.Ptr)
+	}
+}
+
 // SysSend sends on the endpoint in the caller's descriptor slot. If a
 // receiver is waiting it completes immediately; otherwise the caller
 // blocks (EWOULDBLOCK reports "blocked", completion arrives at wake).
 func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planIPC(ipcSend, core, tid, slot, args.SendPage || args.GrantPage) })()
-	t, okk := k.callerThread(tid)
+	t, eptr, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("send", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("send", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
+	ep := k.PM.Edpt(eptr)
 	msg, errno := k.resolveMsg(core, t, args)
 	if errno != OK {
 		return k.post("send", tid, fail(errno))
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
-		// Rendezvous: pop the receiver, deliver, wake it.
-		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		rt := k.PM.Thrd(rptr)
-		err := k.deliver(rt, msg)
-		rt.IPC.WaitingOn = 0
-		k.PM.Wake(rptr, err)
+		k.handOff(ep, msg)
 		return k.post("send", tid, ok())
 	}
-	// Block the sender with the resolved message.
 	t.IPC.Msg = msg
-	t.IPC.WaitingOn = t.Endpoints[slot]
-	k.PM.BlockCurrent(tid, pm.ThreadBlockedSend)
-	ep.QueuedRecv = false
-	ep.Queue = append(ep.Queue, tid)
+	k.block(t, ep, pm.ThreadBlockedSend)
 	k.PM.PickNext(core)
 	return k.post("send", tid, fail(EWOULDBLOCK))
 }
@@ -282,17 +346,11 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 	defer k.enterPlan(core, func() lockPlan {
 		return k.planIPC(ipcSendAsync, core, tid, slot, args.SendPage || args.GrantPage)
 	})()
-	t, okk := k.callerThread(tid)
-	if !okk {
+	t, eptr, okk := k.callerEndpoint(tid, slot)
+	if !okk || args.SendEdpt {
 		return k.post("send_async", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("send_async", tid, fail(EINVAL))
-	}
-	if args.SendEdpt {
-		return k.post("send_async", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
+	ep := k.PM.Edpt(eptr)
 	rendezvous := ep.QueuedRecv && len(ep.Queue) > 0
 	if !rendezvous && len(ep.Buffer) >= pm.MaxEndpointBuffer {
 		return k.post("send_async", tid, fail(EAGAIN))
@@ -303,12 +361,7 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 	}
 	if rendezvous {
 		k.kclock.Charge(hw.CostEndpointOp)
-		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		rt := k.PM.Thrd(rptr)
-		err := k.deliver(rt, msg)
-		rt.IPC.WaitingOn = 0
-		k.PM.Wake(rptr, err)
+		k.handOff(ep, msg)
 		return k.post("send_async", tid, ok())
 	}
 	k.kclock.Charge(hw.CostEndpointBuffer)
@@ -317,53 +370,23 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 }
 
 // SysRecv receives on the endpoint in the caller's descriptor slot. If a
-// sender is waiting its message is delivered immediately; otherwise the
-// caller blocks and the message is delivered at wake via the thread's
-// IPC state.
+// message is buffered or a sender is waiting, it is delivered
+// immediately; otherwise the caller blocks and the message is delivered
+// at wake via the thread's IPC state.
 func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planIPC(ipcRecv, core, tid, slot, false) })()
-	t, okk := k.callerThread(tid)
+	t, eptr, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("recv", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("recv", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
+	ep := k.PM.Edpt(eptr)
 	t.IPC.RecvVA = args.PageVA
 	t.IPC.RecvEdptSlot = args.EdptSlot
 	k.kclock.Charge(hw.CostEndpointOp)
-	if len(ep.Buffer) > 0 {
-		// Asynchronously buffered messages drain ahead of any blocked
-		// senders: no partner to wake, just the buffer pop.
-		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[:copy(ep.Buffer, ep.Buffer[1:])]
-		k.kclock.Charge(hw.CostEndpointBuffer)
-		if err := k.deliver(t, msg); err != nil {
-			return k.post("recv", tid, fail(errnoOf(err)))
-		}
-		return k.post("recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
+	if r, got := k.receive(t, ep); got {
+		return k.post("recv", tid, r)
 	}
-	if !ep.QueuedRecv && len(ep.Queue) > 0 {
-		// Rendezvous: pop the sender, take its message, wake it.
-		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		st := k.PM.Thrd(sptr)
-		msg := st.IPC.Msg
-		st.IPC.Msg = pm.Msg{}
-		st.IPC.WaitingOn = 0
-		err := k.deliver(t, msg)
-		k.PM.Wake(sptr, nil)
-		if err != nil {
-			return k.post("recv", tid, fail(errnoOf(err)))
-		}
-		return k.post("recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
-	}
-	// Block the receiver.
-	t.IPC.WaitingOn = t.Endpoints[slot]
-	k.PM.BlockCurrent(tid, pm.ThreadBlockedRecv)
-	ep.QueuedRecv = true
-	ep.Queue = append(ep.Queue, tid)
+	k.block(t, ep, pm.ThreadBlockedRecv)
 	k.PM.PickNext(core)
 	return k.post("recv", tid, fail(EWOULDBLOCK))
 }
@@ -374,14 +397,11 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 // one syscall, one direct handoff, no scheduler pass.
 func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(ipcCall, core, tid, slot, args.SendPage || args.GrantPage) })()
-	t, okk := k.callerThread(tid)
+	t, eptr, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("call", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("call", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
+	ep := k.PM.Edpt(eptr)
 	if !ep.QueuedRecv || len(ep.Queue) == 0 {
 		return k.post("call", tid, fail(EWOULDBLOCK))
 	}
@@ -390,24 +410,12 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 		return k.post("call", tid, fail(errno))
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
-	server := ep.Queue[0]
-	ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-	st := k.PM.Thrd(server)
-	err := k.deliver(st, msg)
-	st.IPC.WaitingOn = 0
-	k.PM.Wake(server, err)
+	server := k.handOff(ep, msg)
 	// Caller blocks awaiting the reply on the same endpoint.
 	t.IPC.RecvVA = 0
 	t.IPC.RecvEdptSlot = -1
-	t.IPC.WaitingOn = t.Endpoints[slot]
-	k.PM.BlockCurrent(tid, pm.ThreadBlockedRecv)
-	ep.QueuedRecv = true
-	ep.Queue = append(ep.Queue, tid)
-	// Direct handoff to the server if it shares the caller's core.
-	if st.Core == core {
-		k.noteSwitch(true, server)
-		k.PM.DirectSwitch(server)
-	}
+	k.block(t, ep, pm.ThreadBlockedRecv)
+	k.switchTo(core, server)
 	return k.post("call", tid, fail(EWOULDBLOCK))
 }
 
@@ -415,14 +423,11 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // receiving on the endpoint and switches directly back to it.
 func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(ipcReply, core, tid, slot, args.SendPage || args.GrantPage) })()
-	t, okk := k.callerThread(tid)
+	t, eptr, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("reply", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("reply", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
+	ep := k.PM.Edpt(eptr)
 	if !ep.QueuedRecv || len(ep.Queue) == 0 {
 		return k.post("reply", tid, fail(EWOULDBLOCK))
 	}
@@ -431,16 +436,8 @@ func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 		return k.post("reply", tid, fail(errno))
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
-	client := ep.Queue[0]
-	ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-	ct := k.PM.Thrd(client)
-	err := k.deliver(ct, msg)
-	ct.IPC.WaitingOn = 0
-	k.PM.Wake(client, err)
-	if ct.Core == core {
-		k.noteSwitch(true, client)
-		k.PM.DirectSwitch(client)
-	}
+	client := k.handOff(ep, msg)
+	k.switchTo(core, client)
 	return k.post("reply", tid, ok())
 }
 
@@ -452,67 +449,29 @@ func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, rec
 	defer k.enterFastPlan(core, func() lockPlan {
 		return k.planIPC(ipcReplyRecv, core, tid, slot, args.SendPage || args.GrantPage)
 	})()
-	t, okk := k.callerThread(tid)
+	t, eptr, okk := k.callerEndpoint(tid, slot)
 	if !okk {
 		return k.post("reply_recv", tid, fail(EINVAL))
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("reply_recv", tid, fail(EINVAL))
-	}
-	ep := k.PM.Edpt(t.Endpoints[slot])
-	// Reply half.
+	ep := k.PM.Edpt(eptr)
+	// Reply half: the switch to the client runs once the receive half
+	// has settled the server.
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
 		msg, errno := k.resolveMsg(core, t, args)
 		if errno != OK {
 			return k.post("reply_recv", tid, fail(errno))
 		}
 		k.kclock.Charge(hw.CostEndpointOp)
-		client := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		ct := k.PM.Thrd(client)
-		err := k.deliver(ct, msg)
-		ct.IPC.WaitingOn = 0
-		k.PM.Wake(client, err)
-		defer func() {
-			if ct.Core == core && ct.State == pm.ThreadRunnable {
-				k.noteSwitch(true, client)
-				k.PM.DirectSwitch(client)
-			}
-		}()
+		client := k.handOff(ep, msg)
+		defer k.switchTo(core, client)
 	}
 	// Receive half.
 	t.IPC.RecvVA = recv.PageVA
 	t.IPC.RecvEdptSlot = recv.EdptSlot
-	if len(ep.Buffer) > 0 {
-		// Buffered messages drain first, exactly as in SysRecv.
-		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[:copy(ep.Buffer, ep.Buffer[1:])]
-		k.kclock.Charge(hw.CostEndpointBuffer)
-		if err := k.deliver(t, msg); err != nil {
-			return k.post("reply_recv", tid, fail(errnoOf(err)))
-		}
-		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
+	if r, got := k.receive(t, ep); got {
+		return k.post("reply_recv", tid, r)
 	}
-	if !ep.QueuedRecv && len(ep.Queue) > 0 {
-		// A sender is already queued: rendezvous inline.
-		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[:copy(ep.Queue, ep.Queue[1:])]
-		st := k.PM.Thrd(sptr)
-		msg := st.IPC.Msg
-		st.IPC.Msg = pm.Msg{}
-		st.IPC.WaitingOn = 0
-		err := k.deliver(t, msg)
-		k.PM.Wake(sptr, nil)
-		if err != nil {
-			return k.post("reply_recv", tid, fail(errnoOf(err)))
-		}
-		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
-	}
-	// Block waiting for the next request.
-	t.IPC.WaitingOn = t.Endpoints[slot]
-	k.PM.BlockCurrent(tid, pm.ThreadBlockedRecv)
-	ep.QueuedRecv = true
-	ep.Queue = append(ep.Queue, tid)
+	k.block(t, ep, pm.ThreadBlockedRecv)
 	return k.post("reply_recv", tid, fail(EWOULDBLOCK))
 }
 

@@ -199,23 +199,31 @@ func (k *Kernel) processSubtree(proc pm.Ptr) []pm.Ptr {
 // references, and IOMMU domains.
 func (k *Kernel) reapProcesses(victims []pm.Ptr) error {
 	for _, p := range victims {
-		proc := k.PM.Proc(p)
-		for _, th := range append([]pm.Ptr(nil), proc.Threads...) {
-			if err := k.reapThread(th); err != nil {
-				return err
-			}
-		}
-		k.unmapAll(proc)
-		if proc.IOMMUDomain != 0 {
-			if err := k.destroyIOMMUDomain(proc); err != nil {
-				return err
-			}
+		if err := k.emptyProcess(p); err != nil {
+			return err
 		}
 	}
 	for i := len(victims) - 1; i >= 0; i-- {
 		if err := k.PM.FreeProcess(victims[i]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// emptyProcess reaps every thread of process p and releases its address
+// space and IOMMU domain, leaving the process object for its caller to
+// free.
+func (k *Kernel) emptyProcess(p pm.Ptr) error {
+	proc := k.PM.Proc(p)
+	for _, th := range append([]pm.Ptr(nil), proc.Threads...) {
+		if err := k.reapThread(th); err != nil {
+			return err
+		}
+	}
+	k.unmapAll(proc)
+	if proc.IOMMUDomain != 0 {
+		return k.destroyIOMMUDomain(proc)
 	}
 	return nil
 }
@@ -272,17 +280,8 @@ func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 
 	// 2. Reap every process in the subtree.
 	for _, p := range sortedPtrSet(k.PM.ProcsOf(cntr)) {
-		proc := k.PM.Proc(p)
-		for _, th := range append([]pm.Ptr(nil), proc.Threads...) {
-			if err := k.reapThread(th); err != nil {
-				return k.post("kill_container", tid, fail(errnoOf(err)))
-			}
-		}
-		k.unmapAll(proc)
-		if proc.IOMMUDomain != 0 {
-			if err := k.destroyIOMMUDomain(proc); err != nil {
-				return k.post("kill_container", tid, fail(errnoOf(err)))
-			}
+		if err := k.emptyProcess(p); err != nil {
+			return k.post("kill_container", tid, fail(errnoOf(err)))
 		}
 	}
 	// Free processes children-first within each container.

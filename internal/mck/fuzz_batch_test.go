@@ -96,7 +96,7 @@ func TestBatchDiffSeeds(t *testing.T) {
 // so only the differential oracle can see it, as a kernel-vs-spec
 // used_pages/address-space divergence.
 func grantLeakOptions() Options {
-	return Options{Hook: func(k *kernel.Kernel) { k.SetGrantLeakForTest(true) }}
+	return Options{Hook: func(k *kernel.Kernel) { k.SetMutantForTest(kernel.MutantGrantLeak) }}
 }
 
 // grantLeakSeed is a batch-dialect seed whose program drives a grant

@@ -84,13 +84,13 @@ func TestShardedAbstractEquivalence(t *testing.T) {
 }
 
 // TestPlantedCrossShardInversion plants a cross-shard ordering bug —
-// the test-only plan flip acquires the endpoint frontier before its
+// MutantPlanFlip acquires the endpoint frontier before its
 // container — and demands the armed checker catch it under schedule
 // exploration, deterministically: two identical sweeps must fail with
 // byte-identical inversion reports.
 func TestPlantedCrossShardInversion(t *testing.T) {
 	opt := Options{
-		Hook: func(k *kernel.Kernel) { k.SetLockPlanFlipForTest(true) },
+		Hook: func(k *kernel.Kernel) { k.SetMutantForTest(kernel.MutantPlanFlip) },
 	}
 	_, err1 := ExploreSchedules([]uint64{7}, 40, opt)
 	if err1 == nil {

@@ -77,9 +77,6 @@ type Ledger struct {
 	audits     uint64
 	auditFails uint64
 	anomalies  uint64 // events the ledger could not attribute exactly
-
-	auditEvery uint64 // MaybeAudit period (0 = never)
-	auditTick  uint64
 	lastErr    error
 }
 
@@ -474,26 +471,6 @@ func sortedCntrs(h map[hw.PhysAddr]uint32) []hw.PhysAddr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// SetAuditEvery makes MaybeAudit run a full audit every n calls
-// (0 disables).
-func (l *Ledger) SetAuditEvery(n uint64) {
-	if l != nil {
-		l.auditEvery = n
-	}
-}
-
-// MaybeAudit runs Audit on the configured period; cheap otherwise.
-func (l *Ledger) MaybeAudit() error {
-	if l == nil || l.auditEvery == 0 {
-		return nil
-	}
-	l.auditTick++
-	if l.auditTick%l.auditEvery != 0 {
-		return nil
-	}
-	return l.Audit()
 }
 
 // Audit compares the ledger's mirror against the allocator's ground

@@ -188,7 +188,6 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.Attribute(0x1000, root)
 	l.ChargeCycles(root, 10)
 	l.NameContainer(root, "x")
-	l.SetAuditEvery(1)
 	l.RegisterMetrics(nil)
 	l.RegisterContainerMetrics(nil, "x", root)
 	if l.Rows() != nil || l.ContainerPages(root) != 0 || l.LivePages() != 0 ||
@@ -197,9 +196,6 @@ func TestLedgerNilSafe(t *testing.T) {
 	}
 	if err := l.Audit(); err != nil {
 		t.Fatalf("nil audit: %v", err)
-	}
-	if err := l.MaybeAudit(); err != nil {
-		t.Fatalf("nil maybe-audit: %v", err)
 	}
 }
 
@@ -229,20 +225,5 @@ func TestLedgerRowsAndMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics dump missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestLedgerMaybeAuditPeriod(t *testing.T) {
-	l, a := bound(t, 64)
-	l.SetAuditEvery(3)
-	_ = a
-	for i := 0; i < 7; i++ {
-		if err := l.MaybeAudit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	audits, _ := l.AuditStats()
-	if audits != 2 {
-		t.Fatalf("audits = %d, want 2", audits)
 	}
 }

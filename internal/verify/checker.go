@@ -19,11 +19,6 @@ import (
 // refilled in place on every step, so a predicate must not keep them.
 type Checker struct {
 	K *kernel.Kernel
-	// Violations collects every spec/invariant failure when Collect is
-	// true; otherwise the first failure is returned as a panic-free
-	// error from Err.
-	Collect    bool
-	Violations []error
 	// Transitions counts checked syscalls.
 	Transitions int
 	// SkipWF disables the invariant suite (spec-only checking) for
@@ -51,12 +46,7 @@ func (c *Checker) report(name string, err error) error {
 	if err == nil {
 		return nil
 	}
-	err = fmt.Errorf("%s: %w", name, err)
-	if c.Collect {
-		c.Violations = append(c.Violations, err)
-		return nil
-	}
-	return err
+	return fmt.Errorf("%s: %w", name, err)
 }
 
 // step runs one syscall between snapshots and applies the spec predicate.

@@ -353,20 +353,6 @@ func TestMutationPageTableCaught(t *testing.T) {
 	}
 }
 
-func TestCollectMode(t *testing.T) {
-	c, init := newChecker(t)
-	c.Collect = true
-	// Corrupt quota, then run a yield: the WF failure is collected, not
-	// returned.
-	c.K.PM.Cntr(c.K.PM.RootContainer).UsedPages++
-	if _, err := c.Yield(0, init); err != nil {
-		t.Fatalf("collect mode returned error: %v", err)
-	}
-	if len(c.Violations) == 0 {
-		t.Fatal("collect mode recorded no violations")
-	}
-}
-
 func TestCheckedIterativeKill(t *testing.T) {
 	c, init := newChecker(t)
 	r := musts(t)(c.NewContainer(0, init, 200, []int{0}))

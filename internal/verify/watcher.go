@@ -18,32 +18,24 @@ import (
 // TotalWF (page-closure leak freedom included, via MemoryWF/QuotaWF).
 type StepWatcher struct {
 	K *kernel.Kernel
-	// Every checks only each Nth transition when > 1 (full-suite scans
-	// are O(state); chaos workloads run tens of thousands of steps).
-	Every uint64
 
-	Steps      uint64 // transitions observed
-	Checked    uint64 // transitions checked
+	Steps      uint64 // transitions observed, each one checked
 	Violations []error
 
 	prev func(name string, caller pm.Ptr, ret kernel.Ret)
 }
 
 // Watch installs a step watcher on the kernel, chaining any existing
-// PostSyscall hook. every selects the checking stride (0 and 1 both
-// mean every transition). When the kernel carries a metrics registry,
-// the watcher's counters are published as "verify.*" gauges and the
-// cycle gap between checked transitions as a histogram.
-func Watch(k *kernel.Kernel, every uint64) *StepWatcher {
-	if every == 0 {
-		every = 1
-	}
-	w := &StepWatcher{K: k, Every: every, prev: k.PostSyscall}
+// PostSyscall hook. When the kernel carries a metrics registry, the
+// watcher's counters are published as "verify.*" gauges and the cycle
+// gap between checked transitions as a histogram.
+func Watch(k *kernel.Kernel) *StepWatcher {
+	w := &StepWatcher{K: k, prev: k.PostSyscall}
 	var gap *obs.Histogram
 	var lastChecked uint64
 	if m := k.Metrics(); m != nil {
 		m.Gauge("verify.steps", func() uint64 { return w.Steps })
-		m.Gauge("verify.checked", func() uint64 { return w.Checked })
+		m.Gauge("verify.checked", func() uint64 { return w.Steps })
 		m.Gauge("verify.violations", func() uint64 { return uint64(len(w.Violations)) })
 		gap = m.Histogram("verify.step.cycles", nil)
 		lastChecked = k.Machine.TotalCycles()
@@ -53,10 +45,6 @@ func Watch(k *kernel.Kernel, every uint64) *StepWatcher {
 			w.prev(name, caller, ret)
 		}
 		w.Steps++
-		if w.Steps%w.Every != 0 {
-			return
-		}
-		w.Checked++
 		if gap != nil {
 			now := k.Machine.TotalCycles()
 			gap.Observe(now - lastChecked)
