@@ -10,7 +10,7 @@
 //	atmo-bench -series cluster   # the multi-machine chaos scenario
 //	atmo-bench -list            # list experiment ids
 //	atmo-bench -json -outdir .  # also write BENCH_<id>.json per experiment
-//	atmo-bench -check bench_all_reference.txt  # exit nonzero on >10% regression
+//	atmo-bench -check bench_all_reference.txt  # exit nonzero if a gated row moved
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 	profileOut := flag.String("profile", "", "write <prefix>.folded and <prefix>.pb.gz cycle profiles of the instrumented experiments")
 	jsonOut := flag.Bool("json", false, "write BENCH_<id>.json per experiment (machine-readable trajectory)")
 	outdir := flag.String("outdir", ".", "directory for BENCH_<id>.json files")
-	check := flag.String("check", "", "reference dump to compare against (exit 1 on >10% regression)")
-	tolerance := flag.Float64("tolerance", 10, "regression tolerance for -check, in percent")
+	check := flag.String("check", "", "reference dump to compare against (exit 1 if any gated row differs)")
 	flag.Parse()
 
 	if *list {
@@ -140,16 +139,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "atmo-bench: %v\n", err)
 			os.Exit(1)
 		}
-		regressions := bench.CompareToReference(results, ref, *tolerance)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "atmo-bench: %d regression(s) beyond %.0f%% vs %s:\n",
-				len(regressions), *tolerance, *check)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
+		diffs := bench.CompareToReference(results, ref)
+		if len(diffs) > 0 {
+			fmt.Fprintf(os.Stderr, "atmo-bench: %d gated row(s) differ from %s:\n", len(diffs), *check)
+			for _, d := range diffs {
+				fmt.Fprintf(os.Stderr, "  %s\n", d)
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("no regressions beyond %.0f%% vs %s\n", *tolerance, *check)
+		fmt.Printf("every gated row matches %s\n", *check)
 	}
 }
 

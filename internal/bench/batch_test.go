@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"atmosphere/internal/hw"
 	"atmosphere/internal/obs"
 	"atmosphere/internal/obs/account"
 )
@@ -53,6 +54,26 @@ func TestKVRPCFailsPastCapacity(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "core 0") ||
 			!strings.Contains(err.Error(), "request 32768: SET") {
 			t.Errorf("batched=%v: err = %v, want a full-table SET failure at core 0 request 32768", batched, err)
+		}
+	}
+}
+
+// Each core's batched kv-rpc pair lives in a container reserving only
+// that core, so a page grant's shootdown interrupts no other core, and
+// the workload scales linearly: per-core Mops/s at 4 and 16 cores
+// stays within 1% of the 1-core row.
+func TestBatchedKVRPCScalesWithCores(t *testing.T) {
+	perCore := func(cores int) float64 {
+		ops, wall, _, err := RunKVRPC(true, cores, kvrSeed, 0, Sinks{}.Attach)
+		if err != nil {
+			t.Fatalf("%dc: %v", cores, err)
+		}
+		return float64(ops) * hw.ClockHz / float64(wall) / 1e6 / float64(cores)
+	}
+	one := perCore(1)
+	for _, n := range []int{4, 16} {
+		if got := perCore(n); got < 0.99*one || got > 1.01*one {
+			t.Errorf("%dc: %.2f Mops/s per core, want within 1%% of the 1-core %.2f", n, got, one)
 		}
 	}
 }

@@ -9,13 +9,16 @@ import (
 	"strings"
 )
 
-// Regression comparator against the frozen reference dump
-// (bench_all_reference.txt, the seed's `atmo-bench` output). Only
-// deterministic simulated quantities gate: cycle latencies (higher is
-// worse) and simulated throughputs (lower is worse). Host-dependent
-// measurements (wall-clock seconds/ms of the obligation suite) and
-// static quantities (line counts, ratios, paper-only history) are
-// never compared — they move with the build machine, not the model.
+// Exact comparator against the frozen reference dump
+// (bench_all_reference.txt, the last re-baselined `atmo-bench` output).
+// Only deterministic simulated quantities gate: cycle latencies and
+// request counts (lower is better) and simulated throughputs (higher is
+// better). Each is a pure function of the cycle model, so any change in
+// its printed value, better or worse, is a behaviour change that must
+// land with a re-baseline. Host-dependent measurements (wall-clock
+// seconds/ms of the obligation suite) and static quantities (line
+// counts, ratios, paper-only history) are never compared — they move
+// with the build machine, not the model.
 
 // RefRow is one measured cell of the reference dump.
 type RefRow struct {
@@ -78,11 +81,12 @@ var (
 )
 
 // CompareToReference checks results against ref and returns one line
-// per regression beyond tolPct percent in the unit's worse direction.
-// Rows with a zero on either side, unit mismatches, unknown units, and
-// experiments absent from the reference are skipped.
-func CompareToReference(results []Result, ref Reference, tolPct float64) []string {
-	var regressions []string
+// per gated row whose printed value differs from the reference, saying
+// whether it moved in the unit's better or worse direction. Rows and
+// experiments absent from the reference, unit mismatches and ungated
+// units are skipped.
+func CompareToReference(results []Result, ref Reference) []string {
+	var diffs []string
 	for _, res := range results {
 		refRows, ok := ref[res.ID]
 		if !ok {
@@ -90,28 +94,24 @@ func CompareToReference(results []Result, ref Reference, tolPct float64) []strin
 		}
 		for _, row := range res.Rows {
 			rr, ok := refRows[row.Name]
-			if !ok || rr.Value == 0 || row.Value == 0 {
+			if !ok {
 				continue
 			}
 			uf := strings.Fields(row.Unit)
-			if len(uf) == 0 || uf[0] != rr.Unit {
+			if len(uf) == 0 || uf[0] != rr.Unit || !lowerIsBetter[rr.Unit] && !higherIsBetter[rr.Unit] {
 				continue
 			}
-			var worsePct float64
-			switch unit := uf[0]; {
-			case lowerIsBetter[unit]:
-				worsePct = 100 * (row.Value - rr.Value) / rr.Value
-			case higherIsBetter[unit]:
-				worsePct = 100 * (rr.Value - row.Value) / rr.Value
-			default:
+			got, want := formatVal(row.Value), formatVal(rr.Value)
+			if got == want {
 				continue
 			}
-			if worsePct > tolPct {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s/%s: %s %s vs reference %s (%.1f%% worse)",
-					res.ID, row.Name, formatVal(row.Value), rr.Unit, formatVal(rr.Value), worsePct))
+			dir := "worse"
+			if (row.Value < rr.Value) == lowerIsBetter[rr.Unit] {
+				dir = "better"
 			}
+			diffs = append(diffs, fmt.Sprintf("%s/%s: %s %s vs reference %s (%s)",
+				res.ID, row.Name, got, rr.Unit, want, dir))
 		}
 	}
-	return regressions
+	return diffs
 }

@@ -88,31 +88,40 @@ func TestCompareDirections(t *testing.T) {
 			{Name: "anything", Value: 1, Unit: "cycles"}, // not in reference: skipped
 		}},
 	}
-	regs := CompareToReference(res, ref, 10)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2:\n%s", len(regs), strings.Join(regs, "\n"))
+	diffs := CompareToReference(res, ref)
+	want := []string{
+		"table3/call/reply atmosphere: 1111 cycles vs reference 1000 (worse)",
+		"table3/map a page atmosphere: 1500 cycles vs reference 2000 (better)",
+		"fig4/64B linked: 17 Mpps vs reference 20 (worse)",
 	}
-	if !strings.Contains(regs[0], "call/reply atmosphere") || !strings.Contains(regs[0], "worse") {
-		t.Errorf("latency regression not reported: %q", regs[0])
-	}
-	if !strings.Contains(regs[1], "64B linked") {
-		t.Errorf("throughput regression not reported: %q", regs[1])
+	if strings.Join(diffs, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("got:\n%s\nwant:\n%s", strings.Join(diffs, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-func TestCompareTolerance(t *testing.T) {
+// The gate is exact: a row fails on any change in its printed value,
+// however small, and passes only when it prints the same digits.
+func TestCompareExact(t *testing.T) {
 	ref := fixtureRef(t)
-	within := []Result{{ID: "table3", Rows: []Row{
-		{Name: "call/reply atmosphere", Value: 1099, Unit: "cycles"}, // +9.9%
-	}}}
-	if regs := CompareToReference(within, ref, 10); len(regs) != 0 {
-		t.Fatalf("within-tolerance delta flagged: %v", regs)
-	}
-	zero := []Result{{ID: "table3", Rows: []Row{
-		{Name: "call/reply atmosphere", Value: 0, Unit: "cycles"},
-	}}}
-	if regs := CompareToReference(zero, ref, 10); len(regs) != 0 {
-		t.Fatalf("zero measurement flagged: %v", regs)
+	for _, tc := range []struct {
+		value float64
+		want  string // "" = passes
+	}{
+		{1000, ""},
+		{1000.2, ""}, // prints as 1000
+		{1001, "1001 cycles vs reference 1000 (worse)"},
+		{999, "999 cycles vs reference 1000 (better)"},
+		{0, "0 cycles vs reference 1000 (better)"},
+	} {
+		diffs := CompareToReference([]Result{{ID: "table3", Rows: []Row{
+			{Name: "call/reply atmosphere", Value: tc.value, Unit: "cycles"},
+		}}}, ref)
+		switch {
+		case tc.want == "" && len(diffs) != 0:
+			t.Errorf("%v: flagged %v", tc.value, diffs)
+		case tc.want != "" && (len(diffs) != 1 || !strings.HasSuffix(diffs[0], tc.want)):
+			t.Errorf("%v: got %v, want one line ending %q", tc.value, diffs, tc.want)
+		}
 	}
 }
 
@@ -197,16 +206,20 @@ chaos throughput            800.00      -  Kreq/s
 		{Name: "chaos requests lost", Value: 20, Unit: "reqs"},         // more lost requests: worse
 		{Name: "chaos throughput", Value: 500, Unit: "Kreq/s"},         // lower throughput: worse
 	}}}
-	regs := CompareToReference(res, ref, 10)
-	if len(regs) != 3 {
-		t.Fatalf("got %d regressions, want 3:\n%s", len(regs), strings.Join(regs, "\n"))
-	}
 	improved := []Result{{ID: "cluster", Rows: []Row{
 		{Name: "chaos reconverge kill", Value: 100000, Unit: "cycles"},
 		{Name: "chaos requests lost", Value: 2, Unit: "reqs"},
 		{Name: "chaos throughput", Value: 900, Unit: "Kreq/s"},
 	}}}
-	if regs := CompareToReference(improved, ref, 10); len(regs) != 0 {
-		t.Fatalf("improvements flagged as regressions: %v", regs)
+	for dir, results := range map[string][]Result{"(worse)": res, "(better)": improved} {
+		diffs := CompareToReference(results, ref)
+		if len(diffs) != 3 {
+			t.Fatalf("got %d lines for 3 moved rows:\n%s", len(diffs), strings.Join(diffs, "\n"))
+		}
+		for _, d := range diffs {
+			if !strings.HasSuffix(d, dir) {
+				t.Errorf("row reported as %q, want %s", d, dir)
+			}
+		}
 	}
 }

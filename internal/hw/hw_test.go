@@ -333,7 +333,7 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 	if _, ok := tlb.Lookup(0x2000, 0x5010); ok {
 		t.Fatal("different cr3 should miss")
 	}
-	tlb.Invalidate(0x1000, 0x5000)
+	tlb.InvalidateRange(0x1000, 0x5000, PageSize4K)
 	if _, ok := tlb.Lookup(0x1000, 0x5000); ok {
 		t.Fatal("invalidated entry should miss")
 	}
@@ -353,6 +353,46 @@ func TestTLBFlush(t *testing.T) {
 	if _, _, flushes := tlb.Stats(); flushes != 1 {
 		t.Fatal("flush count not recorded")
 	}
+}
+
+// A range invalidation drops every 4 KiB key of cr3 inside the range —
+// all of a 2 MiB superpage's, not just its first — and nothing else;
+// Each then visits exactly the survivors.
+func TestTLBInvalidateRange(t *testing.T) {
+	tlb := NewTLB(1024)
+	const cr3, other = PhysAddr(0x1000), PhysAddr(0x2000)
+	const base = VirtAddr(0x4000_0000)
+	for _, off := range []VirtAddr{0, PageSize4K * 16, PageSize4K * 0x100, PageSize2M - PageSize4K} {
+		tlb.Insert(cr3, base+off, Translation{Phys: 0x20_0000 + PhysAddr(off), Size: Size2M})
+	}
+	survivors := []struct {
+		cr3 PhysAddr
+		va  VirtAddr
+	}{
+		{cr3, base - PageSize4K},         // just below the range
+		{cr3, base + PageSize2M},         // just past it
+		{other, base + PageSize4K*0x100}, // inside, but another address space
+	}
+	for _, s := range survivors {
+		tlb.Insert(s.cr3, s.va, Translation{Phys: 0x9000, Size: Size4K})
+	}
+	tlb.InvalidateRange(cr3, base, PageSize2M)
+	seen := 0
+	tlb.Each(func(c PhysAddr, vpage VirtAddr, _ Translation) bool {
+		seen++
+		if c == cr3 && vpage >= base && vpage < base+PageSize2M {
+			t.Errorf("superpage key %#x survived the range invalidation", vpage)
+		}
+		return true
+	})
+	if seen != len(survivors) {
+		t.Errorf("Each visited %d entries, want the %d outside the range", seen, len(survivors))
+	}
+	tlb.Flush()
+	tlb.Each(func(PhysAddr, VirtAddr, Translation) bool {
+		t.Error("Each visited an entry after a flush")
+		return false
+	})
 }
 
 func TestClock(t *testing.T) {

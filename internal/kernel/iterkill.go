@@ -126,7 +126,6 @@ func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
 				sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
 				va := vas[0]
 				e := space[va]
-				cr3 := proc.PageTable.CR3()
 				k.Ledger().SetContext(proc.Owner) // the dropped ref is the victim's
 				if _, err := proc.PageTable.Unmap(va); err != nil {
 					return false, err
@@ -134,7 +133,7 @@ func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
 				k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
 				// Free after flush, as SysMunmap does; the core running
 				// this installment initiates the shootdown.
-				k.shootdown(k.cur.core, cr3, va, e.Size)
+				k.shootdown(k.cur.core, proc, va, e.Size)
 				if _, err := k.Alloc.DecRef(e.Phys); err != nil {
 					return false, err
 				}

@@ -420,7 +420,7 @@ func (k *Kernel) PageCachePages() *mem.PageSet {
 // every page transition the syscall performs and the bill for its
 // cycles and lock wait (evResolved).
 func (k *Kernel) callerThread(tid pm.Ptr) (*pm.Thread, bool) {
-	t, okk := k.runnable(tid)
+	t, okk := k.runnable(k.cur.core, tid)
 	if okk {
 		k.cur.cntr = t.OwningCntr
 		k.emit(evResolved, 0)
@@ -428,14 +428,21 @@ func (k *Kernel) callerThread(tid pm.Ptr) (*pm.Thread, bool) {
 	return t, okk
 }
 
-// runnable reports whether tid can be executing user code. A blocked
-// thread cannot, so a syscall from one is rejected (it would otherwise
-// end up queued on two endpoints at once); so is a thread whose
-// container is frozen by an in-progress iterative kill.
-func (k *Kernel) runnable(tid pm.Ptr) (*pm.Thread, bool) {
+// runnable reports whether tid can be executing user code on core. A
+// blocked thread cannot, so a syscall from one is rejected (it would
+// otherwise end up queued on two endpoints at once); so is a thread
+// whose container is frozen by an in-progress iterative kill, and one
+// trapping on a core its container does not reserve. That last check
+// is the premise scoped TLB shootdowns rest on — an address space is
+// loaded only on its container's cores — not kernel work, so it reads
+// the container uncharged.
+func (k *Kernel) runnable(core int, tid pm.Ptr) (*pm.Thread, bool) {
 	t, okk := k.PM.TryThrd(tid)
 	if !okk || t.State == pm.ThreadExited ||
 		t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv || k.frozen(t) {
+		return nil, false
+	}
+	if c, _ := k.PM.TryCntr(t.OwningCntr); !c.Reserves(core) {
 		return nil, false
 	}
 	return t, true
@@ -504,6 +511,11 @@ const (
 	// frontier the checker sees first, not a single charged cycle's
 	// amount.
 	MutantPlanFlip
+	// MutantShootdownLocalOnly confines every unmap's TLB invalidation
+	// and every teardown's flush to the initiating core: the other
+	// reserved cores keep the stale translations (each IPI is still
+	// charged). The TLB-coherence oracle must catch them.
+	MutantShootdownLocalOnly
 )
 
 // SetMutantForTest plants m, replacing any mutant planted before (the

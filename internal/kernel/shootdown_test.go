@@ -167,3 +167,151 @@ func TestMunmapShootdownStaysInHold(t *testing.T) {
 		}
 	})
 }
+
+// reservedSpace is a 4-core boot with container cntr reserving cores 1
+// and 2 and holding process proc, whose thread th on core 1 maps one
+// 4 KiB page at reservedVA.
+type reservedSpace struct {
+	k        *Kernel
+	init, th pm.Ptr
+	cntr     pm.Ptr
+	proc     *pm.Process
+}
+
+const reservedVA = hw.VirtAddr(0x40_0000)
+
+func bootReserved(t *testing.T) *reservedSpace {
+	t.Helper()
+	k, init := boot(t)
+	s := &reservedSpace{k: k, init: init}
+	s.cntr = pm.Ptr(mustOK(t, k.SysNewContainer(0, init, 64, []int{1, 2})).Vals[0])
+	p := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, init, s.cntr)).Vals[0])
+	s.proc = k.PM.Proc(p)
+	s.th = pm.Ptr(mustOK(t, k.SysNewThreadIn(0, init, p, 1)).Vals[0])
+	mustOK(t, k.SysMmap(1, s.th, reservedVA, 1, hw.Size4K, ptRW()))
+	return s
+}
+
+// warm caches the page at va on each core, as threads running there
+// would.
+func (s *reservedSpace) warm(t *testing.T, cr3 hw.PhysAddr, va hw.VirtAddr, cores ...int) {
+	t.Helper()
+	tr, ok := s.k.Machine.MMU.Walk(cr3, va)
+	if !ok {
+		t.Fatalf("walk of %#x failed", va)
+	}
+	for _, c := range cores {
+		s.k.Machine.Core(c).TLB.Insert(cr3, va, tr)
+	}
+}
+
+// Every unmap site shoots down only the cores the address space's
+// container reserves, charging one IPI round trip per reserved core
+// but the initiator (a teardown: one flush IPI per reserved core), and
+// leaves every other core's TLB alone. Each row's cycles are the
+// initiating core's: the work besides the shootdown, plus the IPIs.
+func TestShootdownScopedToReservation(t *testing.T) {
+	const ipi, flush = hw.CostInterruptDispatch/2 + hw.CostInvlpg, hw.CostInterruptDispatch / 2
+	for _, tc := range []struct {
+		name  string
+		core  int    // initiating core
+		want  uint64 // its cycles for the op
+		errno Errno
+		op    func(s *reservedSpace) Ret
+	}{
+		{"munmap", 1, 620 + ipi, OK, func(s *reservedSpace) Ret {
+			return s.k.SysMunmap(1, s.th, reservedVA, 1, hw.Size4K)
+		}},
+		{"grant", 1, 5364 + ipi, OK, func(s *reservedSpace) Ret {
+			return s.k.SysSend(1, s.th, 0, SendArgs{GrantPage: true, PageVA: reservedVA})
+		}},
+		// Core 0 is outside the reservation: both reserved cores are
+		// remote.
+		{"kill installment", 0, 668 + 2*ipi, EAGAIN, func(s *reservedSpace) Ret {
+			return s.k.SysKillContainerBounded(0, s.init, s.cntr, 1)
+		}},
+		{"kill_container", 0, 952 + 2*flush, OK, func(s *reservedSpace) Ret {
+			return s.k.SysKillContainer(0, s.init, s.cntr)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := bootReserved(t)
+			k := s.k
+			if tc.name == "grant" {
+				// A receiver in a second process of the container,
+				// parked on core 2.
+				q := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, s.init, s.cntr)).Vals[0])
+				rcv := pm.Ptr(mustOK(t, k.SysNewThreadIn(0, s.init, q, 2)).Vals[0])
+				ep := pm.Ptr(mustOK(t, k.SysNewEndpoint(1, s.th, 0)).Vals[0])
+				k.PM.Thrd(rcv).Endpoints[0] = ep
+				k.PM.EndpointIncRef(ep, 1)
+				if r := k.SysRecv(2, rcv, 0, RecvArgs{PageVA: reservedVA, EdptSlot: -1}); r.Errno != EWOULDBLOCK {
+					t.Fatalf("recv: %v", r.Errno)
+				}
+			}
+			cr3 := s.proc.PageTable.CR3()
+			s.warm(t, cr3, reservedVA, 1, 2)
+			// Core 3 holds another address space's translation.
+			mustOK(t, k.SysMmap(0, s.init, reservedVA, 1, hw.Size4K, ptRW()))
+			initCR3 := k.PM.Proc(k.PM.Thrd(s.init).OwningProc).PageTable.CR3()
+			s.warm(t, initCR3, reservedVA, 3)
+
+			before := k.Machine.Core(tc.core).Clock.Cycles()
+			if r := tc.op(s); r.Errno != tc.errno {
+				t.Fatalf("%s: %v, want %v", tc.name, r.Errno, tc.errno)
+			}
+			if got := k.Machine.Core(tc.core).Clock.Cycles() - before; got != tc.want {
+				t.Errorf("core %d charged %d cycles, want %d", tc.core, got, tc.want)
+			}
+			for _, c := range []int{1, 2} {
+				if _, hit := k.Machine.Core(c).TLB.Lookup(cr3, reservedVA); hit {
+					t.Errorf("reserved core %d still translates the unmapped page", c)
+				}
+			}
+			if _, hit := k.Machine.Core(3).TLB.Lookup(initCR3, reservedVA); !hit {
+				t.Error("core 3, outside the reservation, lost another address space's entry")
+			}
+		})
+	}
+}
+
+// A 2 MiB unmap drops every 4 KiB key the superpage's translations were
+// cached under, not only those of its first 64 KiB.
+func TestSuperpageShootdownCoversWholePage(t *testing.T) {
+	k, init := boot(t)
+	const va = hw.VirtAddr(0x4000_0000)
+	mustOK(t, k.SysMmap(0, init, va, 1, hw.Size2M, ptRW()))
+	cr3 := k.PM.Proc(k.PM.Thrd(init).OwningProc).PageTable.CR3()
+	tr, ok := k.Machine.MMU.Walk(cr3, va+0x10_0000)
+	if !ok {
+		t.Fatal("walk of the superpage's middle failed")
+	}
+	k.Machine.Core(1).TLB.Insert(cr3, va+0x10_0000, tr)
+	mustOK(t, k.SysMunmap(0, init, va, 1, hw.Size2M))
+	if _, hit := k.Machine.Core(1).TLB.Lookup(cr3, va+0x10_0000); hit {
+		t.Fatal("core 1 still translates 0x40100000 after the 2 MiB munmap")
+	}
+}
+
+// A syscall traps only on a core its caller's container reserves: a
+// thread of a container pinned to core 1 that calls munmap, or rings a
+// doorbell, on core 2 gets EINVAL and its mapping stays.
+func TestSyscallOffReservationRejected(t *testing.T) {
+	k, init := boot(t)
+	cntr := pm.Ptr(mustOK(t, k.SysNewContainer(0, init, 16, []int{1})).Vals[0])
+	p := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, init, cntr)).Vals[0])
+	th := pm.Ptr(mustOK(t, k.SysNewThreadIn(0, init, p, 1)).Vals[0])
+	mustOK(t, k.SysMmap(1, th, reservedVA, 3, hw.Size4K, ptRW()))
+	if r := k.SysMunmap(2, th, reservedVA, 1, hw.Size4K); r.Errno != EINVAL {
+		t.Fatalf("munmap on core 2 = %v, want EINVAL", r.Errno)
+	}
+	if _, covered := k.PM.Proc(p).PageTable.Lookup(reservedVA); !covered {
+		t.Fatal("the refused munmap removed the mapping")
+	}
+	sq, cq := reservedVA+hw.PageSize4K, reservedVA+2*hw.PageSize4K
+	if r := k.SysBatch(2, th, sq, cq, 0); r.Errno != EINVAL {
+		t.Fatalf("doorbell on core 2 = %v, want EINVAL", r.Errno)
+	}
+	mustOK(t, k.SysBatch(1, th, sq, cq, 0))
+	mustOK(t, k.SysMunmap(1, th, reservedVA, 1, hw.Size4K))
+}

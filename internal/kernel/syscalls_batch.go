@@ -113,7 +113,7 @@ func (k *Kernel) SysBatchRings(core int, tid pm.Ptr, sq, cq *shmring.Ring, max i
 	drained := 0
 	status := OK
 	for drained < max {
-		if !k.batchCallerRunnable(tid) {
+		if !k.batchCallerRunnable(core, tid) {
 			break // the previous op blocked/killed/froze the caller
 		}
 		if cq.Cap()-cq.Len() < 1 {
@@ -185,7 +185,7 @@ func (k *Kernel) batchBegin(core int, tid pm.Ptr) bool {
 	if core < 0 || core >= len(k.batchCore) || k.batchCore[core] {
 		return false
 	}
-	if _, okk := k.runnable(tid); !okk {
+	if _, okk := k.runnable(core, tid); !okk {
 		return false
 	}
 	k.batchCore[core] = true
@@ -194,10 +194,10 @@ func (k *Kernel) batchBegin(core int, tid pm.Ptr) bool {
 
 // batchCallerRunnable reports whether the caller can still drain its
 // ring: alive, not blocked by a previous op, not frozen by a kill.
-func (k *Kernel) batchCallerRunnable(tid pm.Ptr) bool {
+func (k *Kernel) batchCallerRunnable(core int, tid pm.Ptr) bool {
 	k.big.Lock()
 	defer k.big.Unlock()
-	_, okk := k.runnable(tid)
+	_, okk := k.runnable(core, tid)
 	return okk
 }
 

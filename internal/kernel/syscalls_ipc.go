@@ -117,7 +117,7 @@ func (k *Kernel) resolveMsg(core int, t *pm.Thread, args SendArgs) (pm.Msg, Errn
 				panic(err)
 			}
 			k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
-			k.shootdown(core, proc.PageTable.CR3(), base, e.Size)
+			k.shootdown(core, proc, base, e.Size)
 		}
 	}
 	if args.SendEdpt {

@@ -150,10 +150,11 @@ func (k *Kernel) allocUser(core int, size hw.PageSize) (hw.PhysAddr, error) {
 // page-table nodes stay installed (and stay charged), as in most kernels.
 // Each page is freed after its flush, the order of Linux's mmu_gather:
 // clear the PTE and credit quota, shoot the translation down on every
-// core, then drop the reference. The kernel must finish invalidating
-// every TLB before a frame is reused (§4.2), not before the container's
-// other cores may touch its page table, so a shootdown whose frame stays
-// in the invoking core's cache counts after release (flushAfterRelease).
+// core the container reserves, then drop the reference. The kernel must
+// finish invalidating every TLB that can hold the translation before a
+// frame is reused (§4.2), not before the container's other cores may
+// touch its page table, so a shootdown whose frame stays in the invoking
+// core's cache counts after release (flushAfterRelease).
 func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planMunmap(core, tid, count, size) })()
 	t, okk := k.callerThread(tid)
@@ -187,7 +188,7 @@ func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size
 		}
 		k.PM.CreditPages(proc.Owner, pagesIn4K(size))
 		flushed := k.kclock.Cycles()
-		k.shootdown(core, table.CR3(), dst, size)
+		k.shootdown(core, proc, dst, size)
 		if k.flushAfterRelease(e.Phys, size) {
 			k.cur.local += k.kclock.Cycles() - flushed
 			k.emit(evFlushAfterRelease, uint64(e.Phys))
@@ -241,20 +242,20 @@ func (k *Kernel) freeUser(core int, phys hw.PhysAddr, size hw.PageSize) {
 	}
 }
 
-// shootdown performs the TLB maintenance an unmap architecturally
-// requires: invalidate the translation on every core (threads of the
-// same process may run anywhere, §4.2 "consistency of page table
-// updates"), charging the IPI round trip for each remote core. The
-// local invlpg itself is charged by pt.Unmap.
-func (k *Kernel) shootdown(core int, cr3 hw.PhysAddr, va hw.VirtAddr, size hw.PageSize) {
-	pages := int(size.Bytes() / hw.PageSize4K)
-	if pages > 16 {
-		pages = 16 // superpages flush in bulk; model the capped cost
-	}
-	for c := 0; c < k.Machine.NumCores(); c++ {
-		tlb := k.Machine.Core(c).TLB
-		for p := 0; p < pages; p++ {
-			tlb.Invalidate(cr3, va+hw.VirtAddr(p*hw.PageSize4K))
+// shootdown performs the TLB maintenance unmapping one page of proc's
+// address space architecturally requires (§4.2, "consistency of page
+// table updates"): invalidate the page on every core proc's container
+// reserves — the only cores its threads run on, so the only TLBs that
+// can hold the translation, as Linux scopes a flush to mm_cpumask —
+// charging the IPI round trip for each reserved core but the initiator.
+// A superpage's translations, cached under each 4 KiB key, go in the
+// same one invalidation per core. The local invlpg itself is charged by
+// pt.Unmap.
+func (k *Kernel) shootdown(core int, proc *pm.Process, va hw.VirtAddr, size hw.PageSize) {
+	cr3 := proc.PageTable.CR3()
+	for _, c := range k.reservation(proc) {
+		if k.mutant != MutantShootdownLocalOnly || c == core {
+			k.Machine.Core(c).TLB.InvalidateRange(cr3, va, size.Bytes())
 		}
 		if c != core {
 			// IPI send + remote invlpg + ack, charged to the initiator,
@@ -263,6 +264,15 @@ func (k *Kernel) shootdown(core int, cr3 hw.PhysAddr, va hw.VirtAddr, size hw.Pa
 			k.kclock.Charge(hw.CostInterruptDispatch/2 + hw.CostInvlpg)
 		}
 	}
+}
+
+// reservation returns the cores proc's container reserves. It charges
+// nothing: each unmap site reads it right after crediting quota to that
+// container, and PM.CreditPages charged the dereference; a teardown
+// credits it once per page released.
+func (k *Kernel) reservation(proc *pm.Process) []int {
+	c, _ := k.PM.TryCntr(proc.Owner)
+	return c.CPUs
 }
 
 // unmapAll tears down a process's entire address space, releasing page
@@ -289,9 +299,11 @@ func (k *Kernel) unmapAll(proc *pm.Process) {
 		k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
 	}
 	// Whole-address-space teardown flushes rather than per-page
-	// shootdowns: one IPI round per core.
-	for c := 0; c < k.Machine.NumCores(); c++ {
-		k.Machine.Core(c).TLB.Flush()
+	// shootdowns: one IPI round per core the container reserves.
+	for _, c := range k.reservation(proc) {
+		if k.mutant != MutantShootdownLocalOnly || c == k.cur.core {
+			k.Machine.Core(c).TLB.Flush()
+		}
 		k.kclock.Charge(hw.CostInterruptDispatch / 2)
 	}
 }

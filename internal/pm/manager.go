@@ -242,7 +242,7 @@ func (m *ProcessManager) freeObjectPageNoCredit(page Ptr) {
 func (m *ProcessManager) NewThread(proc Ptr, core int) (Ptr, error) {
 	p := m.Proc(proc)
 	c := m.Cntr(p.Owner)
-	if !containsInt(c.CPUs, core) {
+	if !c.Reserves(core) {
 		return 0, fmt.Errorf("%w: core %d not in container %#x", ErrBadCPU, core, p.Owner)
 	}
 	page, err := m.allocObjectPage(p.Owner)
@@ -353,13 +353,4 @@ func removePtr(s []Ptr, p Ptr) []Ptr {
 		}
 	}
 	return s
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -107,6 +107,16 @@ type Container struct {
 	OwnedThreads map[Ptr]struct{}
 }
 
+// Reserves reports whether core is in c's CPU reservation.
+func (c *Container) Reserves(core int) bool {
+	for _, cpu := range c.CPUs {
+		if cpu == core {
+			return true
+		}
+	}
+	return false
+}
+
 // InSubtree reports whether c's subtree (not including c) contains p.
 func (c *Container) InSubtree(p Ptr) bool {
 	_, ok := c.Subtree[p]

@@ -261,7 +261,7 @@ func (m *ProcessManager) trySteal(core int) Ptr {
 	q := s.queues[victim]
 	for i := len(q) - 1; i >= 0; i-- {
 		t := m.Thrd(q[i])
-		if !containsInt(m.Cntr(t.OwningCntr).CPUs, core) {
+		if !m.Cntr(t.OwningCntr).Reserves(core) {
 			continue // container does not reserve the thief's core
 		}
 		s.queues[victim] = append(q[:i], q[i+1:]...)

@@ -22,7 +22,7 @@ func (m *ProcessManager) NewContainer(parent Ptr, quota uint64, cpus []int) (Ptr
 		return 0, fmt.Errorf("%w: child quota must cover the container object", ErrQuotaExceeded)
 	}
 	for _, cpu := range cpus {
-		if !containsInt(pc.CPUs, cpu) {
+		if !pc.Reserves(cpu) {
 			return 0, fmt.Errorf("%w: core %d not reserved by parent %#x", ErrBadCPU, cpu, parent)
 		}
 	}

@@ -224,14 +224,7 @@ func ThreadsWF(k *kernel.Kernel) error {
 		if t.OwningCntr != p.Owner {
 			return fmt.Errorf("thread %#x owning_cntr ghost stale", ptr)
 		}
-		c := pmgr.CntrPerms[p.Owner]
-		coreOK := false
-		for _, cpu := range c.CPUs {
-			if cpu == t.Core {
-				coreOK = true
-			}
-		}
-		if !coreOK {
+		if !pmgr.CntrPerms[p.Owner].Reserves(t.Core) {
 			return fmt.Errorf("thread %#x on unreserved core %d", ptr, t.Core)
 		}
 		for i, e := range t.Endpoints {
@@ -559,16 +552,59 @@ func CPUReservationWF(k *kernel.Kernel) error {
 		}
 		parent := k.PM.CntrPerms[c.Parent]
 		for _, cpu := range c.CPUs {
-			held := false
-			for _, pc := range parent.CPUs {
-				if pc == cpu {
-					held = true
-				}
-			}
-			if !held {
+			if !parent.Reserves(cpu) {
 				return fmt.Errorf("container %#x reserves core %d its parent does not hold", ptr, cpu)
 			}
 		}
+	}
+	return nil
+}
+
+// TLBWF is TLB coherence (§4.2, consistency of page-table updates): a
+// cached translation is a mapping still in force where it can be used.
+// Every valid entry on core d names the page-table root of a live
+// process whose container reserves d, and the MMU's walk of the entry's
+// page gives the same frame with rights at least as wide — so no core
+// reaches a frame through a mapping the kernel removed or narrowed. It
+// charges no cycles, and allocates nothing when no entry is valid.
+func TLBWF(k *kernel.Kernel) error {
+	var err error
+	for d := 0; d < k.Machine.NumCores() && err == nil; d++ {
+		k.Machine.Core(d).TLB.Each(func(cr3 hw.PhysAddr, vpage hw.VirtAddr, tr hw.Translation) bool {
+			err = tlbEntryWF(k, d, cr3, vpage, tr)
+			return err == nil
+		})
+	}
+	return err
+}
+
+// tlbEntryWF checks one valid entry of core's TLB.
+func tlbEntryWF(k *kernel.Kernel, core int, cr3 hw.PhysAddr, vpage hw.VirtAddr, tr hw.Translation) error {
+	var proc *pm.Process
+	for _, p := range k.PM.ProcPerms {
+		if p.PageTable.CR3() == cr3 {
+			proc = p
+			break
+		}
+	}
+	if proc == nil {
+		return fmt.Errorf("core %d caches va %#x under cr3 %#x, the root of no live process", core, vpage, cr3)
+	}
+	if !k.PM.CntrPerms[proc.Owner].Reserves(core) {
+		return fmt.Errorf("core %d caches va %#x of process %#x, whose container %#x does not reserve the core",
+			core, vpage, proc.Ptr, proc.Owner)
+	}
+	w, mapped := k.Machine.MMU.Walk(cr3, vpage)
+	if !mapped {
+		return fmt.Errorf("core %d caches va %#x of process %#x, which no longer maps it", core, vpage, proc.Ptr)
+	}
+	if frame := w.Phys &^ (hw.PageSize4K - 1); frame != tr.Phys&^(hw.PageSize4K-1) {
+		return fmt.Errorf("core %d translates va %#x of process %#x to frame %#x, its page table to %#x",
+			core, vpage, proc.Ptr, tr.Phys&^(hw.PageSize4K-1), frame)
+	}
+	if tr.Writable && !w.Writable || tr.User && !w.User || !tr.NX && w.NX {
+		return fmt.Errorf("core %d caches va %#x of process %#x with rights %+v wider than its page table's %+v",
+			core, vpage, proc.Ptr, tr, w)
 	}
 	return nil
 }
@@ -591,6 +627,7 @@ func WFChecks() []NamedCheck {
 		{"cpu_reservation_wf", CPUReservationWF},
 		{"memory_wf", MemoryWF},
 		{"quota_wf", QuotaWF},
+		{"tlb_wf", TLBWF},
 	}
 }
 
