@@ -81,3 +81,33 @@ func pinZeroAllocs(t *testing.T, name string, f func()) {
 		t.Fatalf("%s allocates %.2f times per pair on a warm kernel, want 0", name, n)
 	}
 }
+
+// A kill run to completion does host work linear in its victim: the
+// allocations of kill_container do not grow with the number of pages,
+// as they would if the walk rescanned the address space for each unit.
+func TestKillAllocationsFlatInPages(t *testing.T) {
+	allocs := func(pages int) float64 {
+		k, init, err := Boot(hw.Config{Frames: 8192, Cores: 1, TLBSlots: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 3
+		var victims []pm.Ptr // one per run, plus AllocsPerRun's warm-up
+		for i := 0; i <= runs; i++ {
+			cntr := pm.Ptr(mustOK(t, k.SysNewContainer(0, init, uint64(pages)+16, []int{0})).Vals[0])
+			p := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, init, cntr)).Vals[0])
+			th := pm.Ptr(mustOK(t, k.SysNewThreadIn(0, init, p, 0)).Vals[0])
+			mustOK(t, k.SysMmap(0, th, 0x400000, pages, hw.Size4K, pt.RW))
+			victims = append(victims, cntr)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			if r := k.SysKillContainer(0, init, victims[0]); r.Errno != OK {
+				t.Fatal(r.Errno)
+			}
+			victims = victims[1:]
+		})
+	}
+	if small, large := allocs(64), allocs(512); large > small {
+		t.Errorf("kill_container allocates %.0f times for 512 pages, %.0f for 64", large, small)
+	}
+}

@@ -1,25 +1,27 @@
 package kernel
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/pm"
 )
 
-// Iterative container termination. §4.3 notes that Atmosphere's
-// long-running kill syscalls hold the big lock for unbounded time and
-// names bounded, seL4-style iterative kills as future work; this file
-// implements that extension. SysKillContainerBounded performs at most
-// `budget` units of teardown per invocation and returns EAGAIN until
-// the subtree is gone. Every unit leaves the kernel well-formed — the
-// checker validates all invariants between invocations — and the
-// freeze set keeps half-dead containers from issuing syscalls in the
-// meantime.
+// Teardown. kill_proc, kill_container and kill_container_bounded run
+// one walk, reap, over the objects they destroy. §4.3 notes that
+// Atmosphere's long-running kill syscalls hold the big lock for
+// unbounded time and names bounded, seL4-style iterative kills as
+// future work; SysKillContainerBounded implements that extension by
+// running the walk for at most `budget` units per invocation and
+// returning EAGAIN until the subtree is gone. Every unit leaves the
+// kernel well-formed — the checker validates all invariants between
+// invocations — and the freeze set keeps half-dead containers from
+// issuing syscalls in the meantime.
 
-// workUnit is one bounded teardown step's cost weight (every unit is
-// O(1) kernel work plus at most one page free).
-const killUnitCost = hw.CostCacheTouch * 8
+// unbounded is the budget of a kill that runs to completion.
+const unbounded = math.MaxInt
 
 // SysKillContainerBounded terminates a strict descendant of the
 // caller's container doing at most budget units of work. The first
@@ -37,12 +39,6 @@ func (k *Kernel) SysKillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budg
 		return k.post("kill_container_bounded", tid, fail(EINVAL))
 	}
 	if _, exists := k.PM.TryCntr(cntr); !exists {
-		// Either never existed or already fully reclaimed by earlier
-		// invocations; only the latter had a freeze entry.
-		if k.dying[cntr] {
-			delete(k.dying, cntr)
-			return k.post("kill_container_bounded", tid, ok())
-		}
 		return k.post("kill_container_bounded", tid, fail(ENOENT))
 	}
 	callerCntr := k.PM.Proc(t.OwningProc).Owner
@@ -50,7 +46,7 @@ func (k *Kernel) SysKillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budg
 		return k.post("kill_container_bounded", tid, fail(EPERM))
 	}
 	// Freeze: one O(subtree) registration, after which threads of the
-	// dying set cannot issue syscalls.
+	// dying set cannot issue syscalls. Each unlink clears its own entry.
 	if k.dying == nil {
 		k.dying = make(map[pm.Ptr]bool)
 	}
@@ -59,129 +55,228 @@ func (k *Kernel) SysKillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budg
 			k.dying[c] = true
 		}
 	}
-
-	for budget > 0 {
-		k.kclock.Charge(killUnitCost)
-		did, err := k.killOneUnit(cntr)
-		if err != nil {
-			return k.post("kill_container_bounded", tid, fail(errnoOf(err)))
-		}
-		if !did {
-			break
-		}
-		budget--
+	dying, procs := k.subtreeVictims(cntr)
+	done, err := k.reap(dying, procs, budget)
+	if err != nil {
+		return k.post("kill_container_bounded", tid, fail(errnoOf(err)))
 	}
-	if _, alive := k.PM.TryCntr(cntr); alive {
+	if !done {
 		return k.post("kill_container_bounded", tid, fail(EAGAIN))
 	}
-	// Fully reclaimed: clear the freeze entries (descendants were
-	// removed as their containers died).
-	delete(k.dying, cntr)
 	return k.post("kill_container_bounded", tid, ok())
-}
-
-// killOneUnit performs one well-formedness-preserving teardown step in
-// the dying subtree of cntr and reports whether it found work.
-// Deterministic: candidates are visited in sorted pointer order,
-// deepest containers first.
-func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
-	if _, alive := k.PM.TryCntr(cntr); !alive {
-		return false, nil
-	}
-	subtree := make([]pm.Ptr, 0, 8)
-	for c := range k.PM.SubtreeOf(cntr) {
-		subtree = append(subtree, c)
-	}
-	sort.Slice(subtree, func(i, j int) bool {
-		di, dj := k.PM.Cntr(subtree[i]).Depth, k.PM.Cntr(subtree[j]).Depth
-		if di != dj {
-			return di > dj
-		}
-		return subtree[i] < subtree[j]
-	})
-	for _, c := range subtree {
-		cc := k.PM.Cntr(c)
-		// 1. Endpoints owned here (their waiters may be anywhere).
-		for _, eptr := range sortedEdpts(k.PM.EdptPerms) {
-			e, still := k.PM.TryEdpt(eptr)
-			if still && e.OwnerCntr == c {
-				k.destroyEndpoint(eptr, k.PM.SubtreeOf(cntr))
-				return true, nil
-			}
-		}
-		// 2. Process work, smallest pointer first.
-		procs := make([]pm.Ptr, 0, len(cc.Procs))
-		for p := range cc.Procs {
-			procs = append(procs, p)
-		}
-		sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-		for _, p := range procs {
-			proc := k.PM.Proc(p)
-			// 2a. One page of address space.
-			if space := proc.PageTable.AddressSpace(); len(space) > 0 {
-				vas := make([]hw.VirtAddr, 0, len(space))
-				for va := range space {
-					vas = append(vas, va)
-				}
-				sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-				va := vas[0]
-				e := space[va]
-				k.Ledger().SetContext(proc.Owner) // the dropped ref is the victim's
-				if _, err := proc.PageTable.Unmap(va); err != nil {
-					return false, err
-				}
-				k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
-				// Free after flush, as SysMunmap does; the core running
-				// this installment initiates the shootdown.
-				k.shootdown(k.cur.core, proc, va, e.Size)
-				if _, err := k.Alloc.DecRef(e.Phys); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			// 2b. The IOMMU domain.
-			if proc.IOMMUDomain != 0 {
-				if err := k.destroyIOMMUDomain(proc); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			// 2c. One thread.
-			if len(proc.Threads) > 0 {
-				ths := append([]pm.Ptr(nil), proc.Threads...)
-				sort.Slice(ths, func(i, j int) bool { return ths[i] < ths[j] })
-				if err := k.reapThread(ths[0]); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			// 2d. The process itself, once childless.
-			if len(proc.Children) == 0 {
-				if err := k.PM.FreeProcess(p); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-		}
-		// 3. The container itself, once empty.
-		if len(cc.Procs) == 0 && len(cc.Children) == 0 && c != cntr {
-			if err := k.PM.UnlinkContainer(c); err != nil {
-				return false, err
-			}
-			delete(k.dying, c)
-			return true, nil
-		}
-		if c == cntr && len(cc.Procs) == 0 && len(cc.Children) == 0 {
-			if err := k.PM.UnlinkContainer(c); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // frozen reports whether a thread's container is in a dying subtree.
 func (k *Kernel) frozen(t *pm.Thread) bool {
 	return k.dying != nil && k.dying[t.OwningCntr]
+}
+
+// subtreeVictims returns cntr's subtree and its processes: container
+// by container in pointer order, each process tree in preorder, so
+// parents come before children.
+func (k *Kernel) subtreeVictims(cntr pm.Ptr) (map[pm.Ptr]struct{}, []pm.Ptr) {
+	dying := k.PM.SubtreeOf(cntr)
+	var procs []pm.Ptr
+	for _, c := range sortedKeys(dying) {
+		for _, p := range sortedKeys(k.PM.Cntr(c).Procs) {
+			// A parent lives in its child's container (ProcessesWF).
+			if root, _ := k.PM.TryProc(p); root.Parent == 0 {
+				procs = k.processSubtree(procs, p)
+			}
+		}
+	}
+	return dying, procs
+}
+
+// processSubtree appends proc and all its descendant processes to out,
+// parents before children.
+func (k *Kernel) processSubtree(out []pm.Ptr, proc pm.Ptr) []pm.Ptr {
+	out = append(out, proc)
+	for _, ch := range k.PM.Proc(proc).Children {
+		out = k.processSubtree(out, ch)
+	}
+	return out
+}
+
+// reap tears down procs, listed parents before children, and the
+// containers in dying, doing at most budget units of work; it reports
+// whether it finished. A unit releases one object — a thread, endpoint,
+// page, device binding, DMA page, domain, process or container — and
+// charges only the work it does. The order is a function of the pre-state
+// (output consistency, §4.3), and a walk cut into installments does
+// the same units in the same order as one run to completion:
+//  1. every thread, so no dying thread waits on an endpoint or can
+//     refill a TLB;
+//  2. every endpoint a dying container owns;
+//  3. each process's pages in address order, then its IOMMU domain;
+//  4. the processes, children first;
+//  5. the containers, deepest first, then by pointer.
+func (k *Kernel) reap(dying map[pm.Ptr]struct{}, procs []pm.Ptr, budget int) (bool, error) {
+	unit := func() bool {
+		if budget == 0 {
+			return false
+		}
+		budget--
+		return true
+	}
+	for _, p := range procs {
+		proc := k.PM.Proc(p)
+		for len(proc.Threads) > 0 {
+			if !unit() {
+				return false, nil
+			}
+			if err := k.reapThread(proc.Threads[0]); err != nil {
+				return false, err
+			}
+		}
+	}
+	if len(dying) > 0 {
+		for _, eptr := range sortedKeys(k.PM.EdptPerms) {
+			if _, owned := dying[k.PM.EdptPerms[eptr].OwnerCntr]; !owned {
+				continue
+			}
+			if !unit() {
+				return false, nil
+			}
+			k.destroyEndpoint(eptr)
+		}
+	}
+	for _, p := range procs {
+		proc := k.PM.Proc(p)
+		k.Ledger().SetContext(proc.Owner) // the dropped refs are the victim's, not the killer's
+		if done, err := k.reapSpace(proc, unit); !done {
+			return false, err
+		}
+		if done, err := k.reapDomain(proc, unit); !done {
+			return false, err
+		}
+	}
+	for i := len(procs) - 1; i >= 0; i-- {
+		if !unit() {
+			return false, nil
+		}
+		if err := k.PM.FreeProcess(procs[i]); err != nil {
+			return false, err
+		}
+	}
+	for _, c := range k.unlinkOrder(dying) {
+		if !unit() {
+			return false, nil
+		}
+		if err := k.PM.UnlinkContainer(c); err != nil {
+			return false, err
+		}
+		delete(k.dying, c)
+	}
+	return true, nil
+}
+
+// reapThread forcibly terminates a thread: if blocked on an endpoint it
+// is unlinked from the queue (dropping any page reference its pending
+// message holds), then freed.
+func (k *Kernel) reapThread(th pm.Ptr) error {
+	t := k.PM.Thrd(th)
+	if t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv {
+		k.unlinkFromEndpoint(th, t)
+	}
+	k.PM.MarkExited(th)
+	return k.PM.FreeThread(th)
+}
+
+// reapSpace unmaps proc's pages, one unit each in address order,
+// crediting quota and dropping each page's reference. Before the first
+// it flushes the TLB of every core proc's container reserves, one IPI
+// round each: no thread of proc is left to refill a TLB, so that one
+// flush covers every page, and every free comes after it.
+func (k *Kernel) reapSpace(proc *pm.Process, unit func() bool) (bool, error) {
+	space := proc.PageTable.AddressSpace()
+	for i, va := range sortedKeys(space) {
+		if !unit() {
+			return false, nil
+		}
+		if i == 0 {
+			for _, c := range k.reservation(proc) {
+				if k.mutant != MutantShootdownLocalOnly || c == k.cur.core {
+					k.Machine.Core(c).TLB.Flush()
+				}
+				k.kclock.Charge(hw.CostInterruptDispatch / 2)
+			}
+		}
+		e := space[va]
+		if _, err := proc.PageTable.Unmap(va); err != nil {
+			return false, err
+		}
+		k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
+		if _, err := k.Alloc.DecRef(e.Phys); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// reapDomain tears down proc's IOMMU domain: one unit per attached
+// device, which it detaches; one per DMA page in IOVA order, which it
+// unmaps and unpins; and one to destroy the empty domain and credit its
+// table pages. With every device detached first, no DMA can reach a
+// page once it is unpinned.
+func (k *Kernel) reapDomain(proc *pm.Process, unit func() bool) (bool, error) {
+	if proc.IOMMUDomain == 0 {
+		return true, nil
+	}
+	d, err := k.IOMMU.Domain(proc.IOMMUDomain)
+	if err != nil {
+		return false, err
+	}
+	for _, dev := range sortedKeys(d.Devices) {
+		if !unit() {
+			return false, nil
+		}
+		if err := k.IOMMU.DetachDevice(dev); err != nil {
+			return false, err
+		}
+	}
+	space := d.Table.AddressSpace()
+	for _, va := range sortedKeys(space) {
+		if !unit() {
+			return false, nil
+		}
+		if _, err := d.Table.Unmap(va); err != nil {
+			return false, err
+		}
+		if _, err := k.Alloc.DecRef(space[va].Phys); err != nil {
+			return false, err
+		}
+	}
+	if !unit() {
+		return false, nil
+	}
+	nodes := d.Table.NodeCount()
+	if err := k.IOMMU.DestroyDomain(proc.IOMMUDomain); err != nil {
+		return false, err
+	}
+	k.PM.CreditPages(proc.Owner, uint64(nodes))
+	proc.IOMMUDomain = 0
+	return true, nil
+}
+
+// unlinkOrder lists the dying containers deepest first, then by
+// pointer, reading each one's depth once.
+func (k *Kernel) unlinkOrder(dying map[pm.Ptr]struct{}) []pm.Ptr {
+	depth := make(map[pm.Ptr]int, len(dying))
+	for c := range dying {
+		depth[c] = k.PM.Cntr(c).Depth
+	}
+	order := sortedKeys(depth)
+	slices.SortStableFunc(order, func(a, b pm.Ptr) int { return cmp.Compare(depth[b], depth[a]) })
+	return order
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for key := range m {
+		out = append(out, key)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -138,11 +139,89 @@ func TestUnboundedKillClearsStaleFreeze(t *testing.T) {
 	}
 }
 
+// kill_container and a bounded kill whose budget never runs out run the
+// same walk. Over buildVictim's container plus four sibling child
+// containers, on 20 fresh boots, both leave the same free list — the
+// next eight allocations match across kernels and boots — and their
+// cycles differ only by the bounded kill's freeze, one container
+// dereference.
+func TestKillContainerFreesInFixedOrder(t *testing.T) {
+	kills := []func(k *Kernel, init, cntr pm.Ptr) Ret{
+		func(k *Kernel, init, cntr pm.Ptr) Ret { return k.SysKillContainer(0, init, cntr) },
+		func(k *Kernel, init, cntr pm.Ptr) Ret { return k.SysKillContainerBounded(0, init, cntr, 1<<30) },
+	}
+	var want []pm.Ptr
+	for run := 0; run < 20; run++ {
+		var cycles [2]uint64
+		for i, kill := range kills {
+			k, init := boot(t)
+			cntr, victim := buildVictim(t, k, init)
+			for j := 0; j < 4; j++ {
+				mustOK(t, k.SysNewContainer(0, victim, 4, []int{0}))
+			}
+			before := k.Machine.Core(0).Clock.Cycles()
+			mustOK(t, kill(k, init, cntr))
+			cycles[i] = k.Machine.Core(0).Clock.Cycles() - before
+			var next []pm.Ptr
+			for j := 0; j < 8; j++ {
+				next = append(next, pm.Ptr(mustOK(t, k.SysNewContainer(0, init, 1, []int{0})).Vals[0]))
+			}
+			if want == nil {
+				want = next
+			} else if !slices.Equal(next, want) {
+				t.Fatalf("boot %d, kill %d: next allocations %#x, want %#x", run, i, next, want)
+			}
+		}
+		if cycles[1] != cycles[0]+hw.CostCacheTouch {
+			t.Fatalf("boot %d: bounded kill %d cycles, kill_container %d: want a difference of one dereference", run, cycles[1], cycles[0])
+		}
+	}
+}
+
+// A bounded-kill installment does O(1) work however large the victim's
+// DMA window: at budget 1, the costliest installment of the kill is the
+// same for an 8-page and a 32-page window, in cycles and in pages
+// freed.
+func TestBoundedKillDMAWindowInUnits(t *testing.T) {
+	worst := func(window int) (cycles uint64, freed int) {
+		k, init := boot(t)
+		cntr := pm.Ptr(mustOK(t, k.SysNewContainer(0, init, 200, []int{0})).Vals[0])
+		p := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, init, cntr)).Vals[0])
+		th := pm.Ptr(mustOK(t, k.SysNewThreadIn(0, init, p, 0)).Vals[0])
+		mustOK(t, k.SysMmap(0, th, 0x400000, window, hw.Size4K, ptRW()))
+		mustOK(t, k.SysIommuCreateDomain(0, th))
+		for i := 0; i < window; i++ {
+			mustOK(t, k.SysIommuMap(0, th, 0x400000+hw.VirtAddr(i)*hw.PageSize4K))
+		}
+		mustOK(t, k.SysIommuAttach(0, th, 3))
+		for {
+			free := k.Alloc.FreeCount4K()
+			before := k.Machine.Core(0).Clock.Cycles()
+			r := k.SysKillContainerBounded(0, init, cntr, 1)
+			cycles = max(cycles, k.Machine.Core(0).Clock.Cycles()-before)
+			freed = max(freed, k.Alloc.FreeCount4K()-free)
+			switch r.Errno {
+			case OK:
+				return cycles, freed
+			case EAGAIN:
+			default:
+				t.Fatalf("bounded kill: %v", r.Errno)
+			}
+		}
+	}
+	c8, f8 := worst(8)
+	c32, f32 := worst(32)
+	if c8 != c32 || f8 != f32 {
+		t.Errorf("largest installment: %d cycles and %d pages freed for an 8-page window, %d and %d for 32 pages", c8, f8, c32, f32)
+	}
+}
+
 // BenchmarkKillLatency compares the big-lock hold time of the unbounded
-// kill against one bounded step as the subtree grows — the §4.3 timing
-// argument for the iterative design, in simulated cycles.
+// kill against one bounded installment (budget 64) on the same
+// 1,000-page victim — the §4.3 timing argument for the iterative
+// design, in simulated cycles.
 func BenchmarkKillLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	victim := func() (*Kernel, pm.Ptr, pm.Ptr) {
 		k, init, err := Boot(hw.Config{Frames: 8192, Cores: 1, TLBSlots: 64})
 		if err != nil {
 			b.Fatal(err)
@@ -152,10 +231,17 @@ func BenchmarkKillLatency(b *testing.B) {
 		rp := k.SysNewProcessIn(0, init, cntr)
 		rt := k.SysNewThreadIn(0, init, pm.Ptr(rp.Vals[0]), 0)
 		k.SysMmap(0, pm.Ptr(rt.Vals[0]), 0x400000, 1000, hw.Size4K, ptRW())
-
+		return k, init, cntr
+	}
+	for i := 0; i < b.N; i++ {
+		k, init, cntr := victim()
 		before := k.Machine.Core(0).Clock.Cycles()
 		k.SysKillContainer(0, init, cntr)
-		unbounded := k.Machine.Core(0).Clock.Cycles() - before
-		b.ReportMetric(float64(unbounded), "unbounded-kill-cycles")
+		b.ReportMetric(float64(k.Machine.Core(0).Clock.Cycles()-before), "unbounded-kill-cycles")
+
+		k, init, cntr = victim()
+		before = k.Machine.Core(0).Clock.Cycles()
+		k.SysKillContainerBounded(0, init, cntr, 64)
+		b.ReportMetric(float64(k.Machine.Core(0).Clock.Cycles()-before), "bounded-step-cycles")
 	}
 }

@@ -226,9 +226,10 @@ func TestShootdownScopedToReservation(t *testing.T) {
 			return s.k.SysSend(1, s.th, 0, SendArgs{GrantPage: true, PageVA: reservedVA})
 		}},
 		// Core 0 is outside the reservation: both reserved cores are
-		// remote.
-		{"kill installment", 0, 668 + 2*ipi, EAGAIN, func(s *reservedSpace) Ret {
-			return s.k.SysKillContainerBounded(0, s.init, s.cntr, 1)
+		// remote. The first unit reaps the thread, the second flushes
+		// and unmaps the page.
+		{"kill installment", 0, 704 + 2*flush, EAGAIN, func(s *reservedSpace) Ret {
+			return s.k.SysKillContainerBounded(0, s.init, s.cntr, 2)
 		}},
 		{"kill_container", 0, 952 + 2*flush, OK, func(s *reservedSpace) Ret {
 			return s.k.SysKillContainer(0, s.init, s.cntr)

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"sort"
-
 	"atmosphere/internal/hw"
 	"atmosphere/internal/iommu"
 	"atmosphere/internal/pm"
@@ -135,42 +133,4 @@ func (k *Kernel) SysIommuAttach(core int, tid pm.Ptr, dev iommu.DeviceID) Ret {
 		return k.post("iommu_attach", tid, fail(errnoOf(err)))
 	}
 	return k.post("iommu_attach", tid, ok())
-}
-
-// destroyIOMMUDomain tears down a dying process's DMA domain: detach
-// devices, unpin every mapped page, credit the table pages, destroy.
-func (k *Kernel) destroyIOMMUDomain(proc *pm.Process) error {
-	k.Ledger().SetContext(proc.Owner) // DMA refs and table pages are the victim's
-	d, err := k.IOMMU.Domain(proc.IOMMUDomain)
-	if err != nil {
-		return err
-	}
-	devs := make([]iommu.DeviceID, 0, len(d.Devices))
-	for dev := range d.Devices {
-		devs = append(devs, dev)
-	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	for _, dev := range devs {
-		if err := k.IOMMU.DetachDevice(dev); err != nil {
-			return err
-		}
-	}
-	space := d.Table.AddressSpace()
-	vas := make([]hw.VirtAddr, 0, len(space))
-	for va := range space {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	for _, va := range vas {
-		if _, err := k.Alloc.DecRef(space[va].Phys); err != nil {
-			return err
-		}
-	}
-	nodes := d.Table.NodeCount()
-	if err := k.IOMMU.DestroyDomain(proc.IOMMUDomain); err != nil {
-		return err
-	}
-	k.PM.CreditPages(proc.Owner, uint64(nodes))
-	proc.IOMMUDomain = 0
-	return nil
 }

@@ -496,23 +496,20 @@ func (k *Kernel) unlinkFromEndpoint(thrd pm.Ptr, t *pm.Thread) {
 }
 
 // destroyEndpoint tears down an endpoint whose owning container is dying:
-// queued waiters outside the dying set are woken with EDEADOBJ, every
+// every queued waiter is woken with EDEADOBJ (reap frees the dying
+// threads first, so each lives outside the dying subtree), every
 // descriptor pointing at the endpoint is revoked, and the endpoint page
 // returns to the (dying) owner's quota so accounting stays exact through
 // the teardown.
-func (k *Kernel) destroyEndpoint(eptr pm.Ptr, dying map[pm.Ptr]struct{}) {
+func (k *Kernel) destroyEndpoint(eptr pm.Ptr) {
 	e := k.PM.Edpt(eptr)
-	for _, q := range append([]pm.Ptr(nil), e.Queue...) {
+	for _, q := range e.Queue {
 		qt := k.PM.Thrd(q)
 		if qt.State == pm.ThreadBlockedSend {
 			k.dropMsg(&qt.IPC.Msg)
 		}
 		qt.IPC.WaitingOn = 0
-		if _, isDying := dying[qt.OwningCntr]; !isDying {
-			k.PM.Wake(q, ErrEndpointDead)
-		}
-		// Threads inside the dying set stay blocked; the reaper frees
-		// them momentarily.
+		k.PM.Wake(q, ErrEndpointDead)
 	}
 	e.Queue = nil
 	// Buffered asynchronous messages die with the endpoint: drop their

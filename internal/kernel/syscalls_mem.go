@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"sort"
-
 	"atmosphere/internal/hw"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
@@ -226,7 +224,7 @@ func (k *Kernel) toPageCache(phys hw.PhysAddr, size hw.PageSize) bool {
 // freeUser releases one mapping reference from an unmap on core. The
 // hot case — a 4 KiB page at its last reference, caches enabled — parks
 // the frame in the core's page cache (core-local work); everything else
-// takes the global DecRef path. Teardown paths (unmapAll, rollback)
+// takes the global DecRef path. Teardown (reap) and mmap's rollback
 // keep plain DecRef: they have no natural core.
 func (k *Kernel) freeUser(core int, phys hw.PhysAddr, size hw.PageSize) {
 	if k.toPageCache(phys, size) {
@@ -267,43 +265,10 @@ func (k *Kernel) shootdown(core int, proc *pm.Process, va hw.VirtAddr, size hw.P
 }
 
 // reservation returns the cores proc's container reserves. It charges
-// nothing: each unmap site reads it right after crediting quota to that
-// container, and PM.CreditPages charged the dereference; a teardown
-// credits it once per page released.
+// nothing: each unmap site reads it next to crediting quota to that
+// container, and PM.CreditPages charges the dereference (a teardown
+// reads it for its flush, just before the first page it credits).
 func (k *Kernel) reservation(proc *pm.Process) []int {
 	c, _ := k.PM.TryCntr(proc.Owner)
 	return c.CPUs
-}
-
-// unmapAll tears down a process's entire address space, releasing page
-// references and crediting quota. Used by process and container kill.
-// Addresses are processed in sorted order so teardown (and hence the
-// free-list order it produces) is deterministic — output consistency
-// (§4.3) requires the kernel to be a function of its pre-state.
-func (k *Kernel) unmapAll(proc *pm.Process) {
-	k.Ledger().SetContext(proc.Owner) // the torn-down refs are the victim's, not the killer's
-	space := proc.PageTable.AddressSpace()
-	vas := make([]hw.VirtAddr, 0, len(space))
-	for va := range space {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	for _, va := range vas {
-		e := space[va]
-		if _, err := proc.PageTable.Unmap(va); err != nil {
-			panic(err)
-		}
-		if _, err := k.Alloc.DecRef(e.Phys); err != nil {
-			panic(err)
-		}
-		k.PM.CreditPages(proc.Owner, pagesIn4K(e.Size))
-	}
-	// Whole-address-space teardown flushes rather than per-page
-	// shootdowns: one IPI round per core the container reserves.
-	for _, c := range k.reservation(proc) {
-		if k.mutant != MutantShootdownLocalOnly || c == k.cur.core {
-			k.Machine.Core(c).TLB.Flush()
-		}
-		k.kclock.Charge(hw.CostInterruptDispatch / 2)
-	}
 }

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"sort"
-
-	"atmosphere/internal/pm"
-)
+import "atmosphere/internal/pm"
 
 // Process, thread, and container syscalls (§3: access control and
 // revocation).
@@ -171,73 +167,10 @@ func (k *Kernel) SysKillProcess(core int, tid pm.Ptr, proc pm.Ptr) Ret {
 	if proc == t.OwningProc || !k.controlsProcess(caller, t.OwningProc, target, proc) {
 		return k.post("kill_proc", tid, fail(EPERM))
 	}
-	// Collect the process subtree (the victim and every descendant).
-	victims := k.processSubtree(proc)
-	if err := k.reapProcesses(victims); err != nil {
+	if _, err := k.reap(nil, k.processSubtree(nil, proc), unbounded); err != nil {
 		return k.post("kill_proc", tid, fail(errnoOf(err)))
 	}
 	return k.post("kill_proc", tid, ok())
-}
-
-// processSubtree returns proc and all its descendant processes,
-// parents before children.
-func (k *Kernel) processSubtree(proc pm.Ptr) []pm.Ptr {
-	var out []pm.Ptr
-	var rec func(p pm.Ptr)
-	rec = func(p pm.Ptr) {
-		out = append(out, p)
-		for _, ch := range k.PM.Proc(p).Children {
-			rec(ch)
-		}
-	}
-	rec(proc)
-	return out
-}
-
-// reapProcesses destroys the given processes (children last in the list,
-// so freed in reverse), including threads, address spaces, endpoint
-// references, and IOMMU domains.
-func (k *Kernel) reapProcesses(victims []pm.Ptr) error {
-	for _, p := range victims {
-		if err := k.emptyProcess(p); err != nil {
-			return err
-		}
-	}
-	for i := len(victims) - 1; i >= 0; i-- {
-		if err := k.PM.FreeProcess(victims[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emptyProcess reaps every thread of process p and releases its address
-// space and IOMMU domain, leaving the process object for its caller to
-// free.
-func (k *Kernel) emptyProcess(p pm.Ptr) error {
-	proc := k.PM.Proc(p)
-	for _, th := range append([]pm.Ptr(nil), proc.Threads...) {
-		if err := k.reapThread(th); err != nil {
-			return err
-		}
-	}
-	k.unmapAll(proc)
-	if proc.IOMMUDomain != 0 {
-		return k.destroyIOMMUDomain(proc)
-	}
-	return nil
-}
-
-// reapThread forcibly terminates a thread: if blocked on an endpoint it
-// is unlinked from the queue (dropping any page reference its pending
-// message holds), then freed.
-func (k *Kernel) reapThread(th pm.Ptr) error {
-	t := k.PM.Thrd(th)
-	if t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv {
-		k.unlinkFromEndpoint(th, t)
-	}
-	k.PM.MarkExited(th)
-	return k.PM.FreeThread(th)
 }
 
 // SysKillContainer terminates a strict descendant of the caller's
@@ -259,86 +192,9 @@ func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 	if !k.PM.IsAncestor(callerCntr, cntr) {
 		return k.post("kill_container", tid, fail(EPERM))
 	}
-	killed := k.PM.SubtreeOf(cntr)
-
-	// All iteration below runs in sorted pointer order: teardown must be
-	// a deterministic function of the pre-state (output consistency,
-	// §4.3), and Go map order is randomized.
-
-	// 1. Destroy endpoints owned by the dying subtree. Outside waiters
-	// are woken with an error and their descriptors revoked.
-	for _, eptr := range sortedEdpts(k.PM.EdptPerms) {
-		e, still := k.PM.TryEdpt(eptr)
-		if !still {
-			continue
-		}
-		if _, dying := killed[e.OwnerCntr]; !dying {
-			continue
-		}
-		k.destroyEndpoint(eptr, killed)
-	}
-
-	// 2. Reap every process in the subtree.
-	for _, p := range sortedPtrSet(k.PM.ProcsOf(cntr)) {
-		if err := k.emptyProcess(p); err != nil {
-			return k.post("kill_container", tid, fail(errnoOf(err)))
-		}
-	}
-	// Free processes children-first within each container.
-	for _, p := range sortedPtrSet(k.PM.ProcsOf(cntr)) {
-		if err := k.freeProcessTree(p); err != nil {
-			return k.post("kill_container", tid, fail(errnoOf(err)))
-		}
-	}
-
-	// 3. Unlink containers deepest-first so parents empty out.
-	var order []pm.Ptr
-	for c := range killed {
-		order = append(order, c)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return k.PM.Cntr(order[i]).Depth > k.PM.Cntr(order[j]).Depth
-	})
-	for _, c := range order {
-		if err := k.PM.UnlinkContainer(c); err != nil {
-			return k.post("kill_container", tid, fail(errnoOf(err)))
-		}
-		delete(k.dying, c) // clear any stale iterative-kill freeze
+	dying, procs := k.subtreeVictims(cntr)
+	if _, err := k.reap(dying, procs, unbounded); err != nil {
+		return k.post("kill_container", tid, fail(errnoOf(err)))
 	}
 	return k.post("kill_container", tid, ok())
-}
-
-// sortedPtrSet returns a set's members in ascending pointer order.
-func sortedPtrSet(s map[pm.Ptr]struct{}) []pm.Ptr {
-	out := make([]pm.Ptr, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedEdpts returns the endpoint map's keys in ascending order.
-func sortedEdpts(m map[pm.Ptr]*pm.Endpoint) []pm.Ptr {
-	out := make([]pm.Ptr, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// freeProcessTree frees proc if it still exists, recursing into children
-// first.
-func (k *Kernel) freeProcessTree(proc pm.Ptr) error {
-	p, okk := k.PM.TryProc(proc)
-	if !okk {
-		return nil
-	}
-	for _, ch := range append([]pm.Ptr(nil), p.Children...) {
-		if err := k.freeProcessTree(ch); err != nil {
-			return err
-		}
-	}
-	return k.PM.FreeProcess(proc)
 }

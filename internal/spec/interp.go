@@ -1058,9 +1058,10 @@ func (ip *Interp) reapThread(th Ptr) {
 	ip.freeThread(th)
 }
 
-// unmapAllProc mirrors kernel.unmapAll: every mapping is released and its
-// pages credited; table nodes stay charged until the process dies.
-func (ip *Interp) unmapAllProc(v Ptr) {
+// releaseSpace specifies the page phase of the kernel's teardown
+// (kernel.reapSpace): every mapping is released and its pages credited;
+// table nodes stay charged until the process dies.
+func (ip *Interp) releaseSpace(v Ptr) {
 	as := ip.St.AddressSpaces[v]
 	var total uint64
 	for _, e := range as {
@@ -1070,7 +1071,7 @@ func (ip *Interp) unmapAllProc(v Ptr) {
 	ip.credit(ip.St.Procs[v].Owner, total)
 }
 
-// destroyDomainProc mirrors kernel.destroyIOMMUDomain for the only shape
+// destroyDomainProc mirrors kernel.reapDomain for the only shape
 // the generator produces: an empty domain whose table is a bare root.
 func (ip *Interp) destroyDomainProc(v Ptr) {
 	p := ip.St.Procs[v]
@@ -1141,7 +1142,7 @@ func (ip *Interp) KillProcess(tid Ptr, proc Ptr, ret kernel.Ret) error {
 		for _, th := range append([]Ptr(nil), ip.St.Procs[v].Threads...) {
 			ip.reapThread(th)
 		}
-		ip.unmapAllProc(v)
+		ip.releaseSpace(v)
 		ip.destroyDomainProc(v)
 	}
 	for i := len(victims) - 1; i >= 0; i-- {
@@ -1150,9 +1151,10 @@ func (ip *Interp) KillProcess(tid Ptr, proc Ptr, ret kernel.Ret) error {
 	return nil
 }
 
-// destroyEndpointDying mirrors kernel.destroyEndpoint for an endpoint
-// owned by a dying container: outside waiters wake with EDEADOBJ, dying
-// waiters stay blocked for the reaper, every descriptor naming the
+// destroyEndpointDying specifies the death of an endpoint owned by a
+// dying container: outside waiters wake with EDEADOBJ, dying waiters
+// stay blocked until their threads are freed (the kernel frees them
+// first, so its destroyEndpoint sees none), every descriptor naming the
 // endpoint is revoked (in any thread, dying or not), pending send
 // transfers of it are scrubbed, and the endpoint's page returns to its
 // (dying) owner.
@@ -1192,14 +1194,15 @@ func (ip *Interp) destroyEndpointDying(eptr Ptr, killed map[Ptr]bool) {
 	ip.credit(e.OwnerCntr, 1)
 }
 
-// freeProcessTree mirrors kernel.freeProcessTree (children first).
-func (ip *Interp) freeProcessTree(v Ptr) {
+// freeProcTree frees v and its descendant processes, children first, as
+// the kernel's teardown does.
+func (ip *Interp) freeProcTree(v Ptr) {
 	p, ok := ip.St.Procs[v]
 	if !ok {
 		return
 	}
 	for _, ch := range append([]Ptr(nil), p.Children...) {
-		ip.freeProcessTree(ch)
+		ip.freeProcTree(ch)
 	}
 	ip.freeProcess(v)
 }
@@ -1245,11 +1248,11 @@ func (ip *Interp) KillContainer(tid Ptr, cntr Ptr, ret kernel.Ret) error {
 		for _, th := range append([]Ptr(nil), ip.St.Procs[v].Threads...) {
 			ip.reapThread(th)
 		}
-		ip.unmapAllProc(v)
+		ip.releaseSpace(v)
 		ip.destroyDomainProc(v)
 	}
 	for _, v := range procs {
-		ip.freeProcessTree(v)
+		ip.freeProcTree(v)
 	}
 	// 3. Unlink the containers deepest-first so parents empty out.
 	var order []Ptr

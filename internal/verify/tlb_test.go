@@ -33,8 +33,9 @@ func TestTLBWFCatchesLocalOnlyShootdown(t *testing.T) {
 		{"grant", hw.Size4K, func(c *Checker, _, th, _ pm.Ptr) (kernel.Ret, error) {
 			return c.Send(1, th, 0, kernel.SendArgs{GrantPage: true, PageVA: va})
 		}},
+		// The first unit reaps the thread, the second unmaps the page.
 		{"kill installment", hw.Size4K, func(c *Checker, init, _, cntr pm.Ptr) (kernel.Ret, error) {
-			return c.KillContainerBounded(0, init, cntr, 1)
+			return c.KillContainerBounded(0, init, cntr, 2)
 		}},
 		{"kill_container", hw.Size4K, func(c *Checker, init, _, cntr pm.Ptr) (kernel.Ret, error) {
 			return c.KillContainer(0, init, cntr)

@@ -389,6 +389,41 @@ func TestCheckedIterativeKill(t *testing.T) {
 	}
 }
 
+// Every installment of a bounded kill stays well-formed, at budgets 1
+// and 2, when a dying thread is blocked on a dying endpoint: the walk
+// reaps threads before it destroys endpoints, so no thread is left
+// waiting on a dead one.
+func TestCheckedIterativeKillBlockedWaiter(t *testing.T) {
+	for _, budget := range []int{1, 2} {
+		c, init := newChecker(t)
+		m := musts(t)
+		cntr := pm.Ptr(m(c.NewContainer(0, init, 200, []int{0})).Vals[0])
+		proc := pm.Ptr(m(c.NewProcessIn(0, init, cntr)).Vals[0])
+		victim := pm.Ptr(m(c.NewThreadIn(0, init, proc, 0)).Vals[0])
+		m(c.Mmap(0, victim, 0x400000, 12, hw.Size4K, pt.RW))
+		m(c.NewEndpoint(0, victim, 0))
+		ep := c.K.PM.Thrd(victim).Endpoints[0]
+		waiter := pm.Ptr(m(c.NewThreadIn(0, init, proc, 0)).Vals[0])
+		c.K.PM.Thrd(waiter).Endpoints[0] = ep
+		c.K.PM.EndpointIncRef(ep, 1)
+		if r := m(c.Recv(0, waiter, 0, kernel.RecvArgs{EdptSlot: -1})); r.Errno != kernel.EWOULDBLOCK {
+			t.Fatalf("recv: %v", r.Errno)
+		}
+		for steps := 1; ; steps++ {
+			r, err := c.KillContainerBounded(0, init, cntr, budget)
+			if err != nil {
+				t.Fatalf("budget %d, installment %d: %v", budget, steps, err)
+			}
+			if r.Errno == kernel.OK {
+				break
+			}
+			if r.Errno != kernel.EAGAIN || steps > 100 {
+				t.Fatalf("budget %d, installment %d: %v", budget, steps, r.Errno)
+			}
+		}
+	}
+}
+
 func TestCheckedIrqFlow(t *testing.T) {
 	c, init := newChecker(t)
 	musts(t)(c.NewEndpoint(0, init, 0))
