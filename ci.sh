@@ -60,6 +60,24 @@ echo "== atmo-fuzz -diff smoke"
 # allocator and rebuilding Ψ on every step.
 go run ./cmd/atmo-fuzz -diff -seeds 128 -steps 2000
 
+echo "== atmo-fuzz checked and -chaos sweeps"
+# The two oracle sweeps docs/TESTING.md documents: four 2,000-op seeds
+# with the per-syscall specs and every invariant checked after every
+# step, and two fault-injected seeds whose fault traces are pinned. A
+# change that moves a pin edits it and records before -> after in
+# CHANGES.md.
+go run ./cmd/atmo-fuzz -seeds 4 -steps 2000
+chaos=$(go run ./cmd/atmo-fuzz -chaos -seeds 2)
+printf '%s\n' "$chaos"
+for pin in "1 0xfeb9d2691a3f1efb" "2 0xb66119e735ba392d"; do
+    seed=${pin% *}
+    hash=${pin#* }
+    if ! printf '%s\n' "$chaos" | grep -q "^seed $seed: .*, trace hash $hash\$"; then
+        echo "atmo-fuzz -chaos: seed $seed did not print fault-trace hash $hash" >&2
+        exit 1
+    fi
+done
+
 echo "== atmo-top smoke"
 smoke_dir=$(mktemp -d /tmp/atmo-ci-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT

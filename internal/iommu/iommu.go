@@ -184,20 +184,20 @@ func (u *IOMMU) Translate(dev DeviceID, iova hw.VirtAddr) (hw.PhysAddr, bool) {
 	return e.Phys + hw.PhysAddr(off), true
 }
 
-// PageClosure returns every page owned by the IOMMU subsystem: the root
-// context page plus every domain's table nodes.
-func (u *IOMMU) PageClosure() *mem.PageSet {
-	s := mem.NewPageSet(u.root)
+// PageClosureInto adds every page owned by the IOMMU subsystem to s:
+// the root context page plus every domain's table nodes.
+func (u *IOMMU) PageClosureInto(s *mem.PageSet) {
+	s.Insert(u.root)
 	for _, d := range u.domains {
-		s.Union(d.Table.PageClosure())
+		d.Table.PageClosureInto(s)
 	}
-	return s
 }
 
 // CheckWF validates the IOMMU structural invariants: context entries
 // reference live domains, domain device sets mirror the context map, and
-// every domain table passes its own structural check.
-func (u *IOMMU) CheckWF() error {
+// every domain table passes its own structural check, which uses seen as
+// scratch (see pt.PageTable.CheckStructure).
+func (u *IOMMU) CheckWF(seen *mem.PageSet) error {
 	for dev, id := range u.contexts {
 		d, ok := u.domains[id]
 		if !ok {
@@ -216,7 +216,7 @@ func (u *IOMMU) CheckWF() error {
 				return fmt.Errorf("iommu: domain %d lists device %d not bound to it", id, dev)
 			}
 		}
-		if err := d.Table.CheckStructure(); err != nil {
+		if err := d.Table.CheckStructure(seen); err != nil {
 			return fmt.Errorf("iommu domain %d: %w", id, err)
 		}
 	}

@@ -117,18 +117,26 @@ func TestPageClosureAccounting(t *testing.T) {
 	d, _ := u.CreateDomain()
 	p, _ := alloc.AllocUserPage4K()
 	u.Map(d.ID, 0x40000000, p)
-	closure := u.PageClosure()
-	if owned, ok := alloc.AllocatedToIs(mem.OwnerIOMMU, closure); !ok {
-		t.Fatalf("closure %d pages, allocator says %d", closure.Len(), owned)
+	// The IOMMU owns every allocated page on this machine.
+	closure, owned := pageClosure(u), alloc.Snapshot().Allocated
+	if !closure.Equal(owned) {
+		t.Fatalf("closure %d pages, allocator says %d", closure.Len(), owned.Len())
 	}
-	if err := u.CheckWF(); err != nil {
+	if err := u.CheckWF(nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// pageClosure returns the unit's page closure as a fresh set.
+func pageClosure(u *IOMMU) *mem.PageSet {
+	s := mem.NewPageSet()
+	u.PageClosureInto(s)
+	return s
+}
+
 func TestDestroyDomainReclaimsPages(t *testing.T) {
 	u, alloc := newIOMMU(t)
-	before, _ := alloc.AllocatedToIs(mem.OwnerIOMMU, nil)
+	before := alloc.Snapshot().Allocated.Len()
 	d, _ := u.CreateDomain()
 	p, _ := alloc.AllocUserPage4K()
 	if err := u.Map(d.ID, 0x2000, p); err != nil {
@@ -137,7 +145,7 @@ func TestDestroyDomainReclaimsPages(t *testing.T) {
 	if err := u.DestroyDomain(d.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := alloc.AllocatedToIs(mem.OwnerIOMMU, nil); got != before {
+	if got := alloc.Snapshot().Allocated.Len(); got != before {
 		t.Fatalf("domain destroy leaked: %d -> %d pages", before, got)
 	}
 }
@@ -148,7 +156,7 @@ func TestCheckWFCatchesCorruption(t *testing.T) {
 	u.AttachDevice(5, d.ID)
 	// Corrupt: remove from domain set but leave context binding.
 	delete(d.Devices, 5)
-	if err := u.CheckWF(); err == nil {
+	if err := u.CheckWF(nil); err == nil {
 		t.Fatal("corrupted device sets passed CheckWF")
 	}
 }

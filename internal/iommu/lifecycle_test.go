@@ -13,7 +13,7 @@ import (
 // step that introduced it.
 func wf(t *testing.T, u *IOMMU) {
 	t.Helper()
-	if err := u.CheckWF(); err != nil {
+	if err := u.CheckWF(nil); err != nil {
 		t.Fatalf("well-formedness broken: %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestLifecycleChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := u.PageClosure().Len()
+	baseline := pageClosure(u).Len()
 	for round := 0; round < 32; round++ {
 		d, err := u.CreateDomain()
 		if err != nil {
@@ -183,7 +183,7 @@ func TestLifecycleChurn(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		wf(t, u)
-		if got := u.PageClosure().Len(); got != baseline {
+		if got := pageClosure(u).Len(); got != baseline {
 			t.Fatalf("round %d: page closure %d pages, baseline %d — lifecycle leaks", round, got, baseline)
 		}
 	}

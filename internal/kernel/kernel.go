@@ -405,14 +405,14 @@ func (k *Kernel) EnableCoreCaches(batch int) {
 // EnableCoreCaches ran).
 func (k *Kernel) CoreCaches() *mem.CoreCaches { return k.caches }
 
-// PageCachePages returns the kernel's own view of the frames parked in
-// per-core caches — what verify.MemoryWF compares against the
-// allocator's OwnerPCache closure. Empty when caches are disabled.
-func (k *Kernel) PageCachePages() *mem.PageSet {
-	if k.caches == nil {
-		return mem.NewPageSet()
+// PageCachePagesInto adds the kernel's own view of the frames parked in
+// per-core caches to s — what verify.MemoryWF compares against the
+// allocator's OwnerPCache closure. It adds nothing when caches are
+// disabled.
+func (k *Kernel) PageCachePagesInto(s *mem.PageSet) {
+	if k.caches != nil {
+		k.caches.PagesInto(s)
 	}
-	return k.caches.Pages()
 }
 
 // callerThread validates the invoking thread pointer and, when valid,

@@ -123,7 +123,7 @@ func TestMmapQuotaRollback(t *testing.T) {
 	rt := mustOK(t, k.SysNewThreadIn(0, init, proc, 0))
 	tid := pm.Ptr(rt.Vals[0])
 	usedBefore := k.PM.Cntr(child).UsedPages
-	nodesBefore := k.PM.Proc(proc).PageTable.PageClosure().Len()
+	nodesBefore := k.PM.Proc(proc).PageTable.NodeCount()
 	// 12-page quota minus (container 1 + proc 1 + PML4 1 + thread 1) = 8
 	// left; 16 user pages plus 3 table nodes cannot fit.
 	if r := k.SysMmap(0, tid, 0x400000, 16, hw.Size4K, pt.RW); r.Errno != EQUOTA {
@@ -132,7 +132,7 @@ func TestMmapQuotaRollback(t *testing.T) {
 	if got := k.PM.Cntr(child).UsedPages; got != usedBefore {
 		t.Fatalf("rollback leaked quota: %d != %d", got, usedBefore)
 	}
-	if got := k.PM.Proc(proc).PageTable.PageClosure().Len(); got != nodesBefore {
+	if got := k.PM.Proc(proc).PageTable.NodeCount(); got != nodesBefore {
 		t.Fatalf("rollback leaked table nodes: %d != %d", got, nodesBefore)
 	}
 	if got := len(k.PM.Proc(proc).PageTable.AddressSpace()); got != 0 {
@@ -558,7 +558,7 @@ func TestKillProcessDestroysIommuDomain(t *testing.T) {
 	if _, okk := k.IOMMU.Translate(9, 0x60000); okk {
 		t.Fatal("device translation survived process kill")
 	}
-	if err := k.IOMMU.CheckWF(); err != nil {
+	if err := k.IOMMU.CheckWF(nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,9 +2,11 @@ package mck
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"atmosphere/internal/kernel"
+	"atmosphere/internal/pm"
 )
 
 // TestRunDiffSeeds is the differential oracle's bread and butter: many
@@ -26,6 +28,45 @@ func TestRunDiffSeeds(t *testing.T) {
 				t.Fatalf("no ops executed")
 			}
 		})
+	}
+}
+
+// TestRunDiffChecksFinalState plants a refcount leak after the first
+// successful mmap. The differential oracle cannot see it (Diff compares
+// objects and address spaces, not page counts), so only TotalWF can,
+// and a 200-op program never reaches the first periodic check at
+// WFEvery 256: only the check after the last op catches it. The
+// program then shrinks to the one mmap.
+func TestRunDiffChecksFinalState(t *testing.T) {
+	opt := Options{WFEvery: 256, Hook: func(k *kernel.Kernel) {
+		leaked := false
+		k.PostSyscall = func(name string, caller pm.Ptr, ret kernel.Ret) {
+			if leaked || name != "mmap" || ret.Errno != kernel.OK {
+				return
+			}
+			leaked = true
+			for _, e := range k.PM.Proc(k.PM.Thrd(caller).OwningProc).PageTable.AddressSpace() {
+				if err := k.Alloc.IncRef(e.Phys); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+		}
+	}}
+	p := Generate(2, 200)
+	res, _, err := RunDiff(p, opt)
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	if res == nil {
+		t.Fatal("the planted refcount leak went unchecked")
+	}
+	if res.Step != len(p.Ops)-1 || !strings.HasPrefix(res.Err.Error(), "invariants: memory_wf: mapped page ") {
+		t.Fatalf("caught as %v, want the final check's refcount report", res)
+	}
+	min := Shrink(p, func(q Program) bool { return Fails(q, opt) })
+	if len(min.Ops) != 1 || min.Ops[0].Kind != KMmap {
+		t.Fatalf("shrunk to %d ops, want the one mmap:\n%s", len(min.Ops), min.EncodeRepro())
 	}
 }
 

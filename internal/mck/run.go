@@ -20,7 +20,7 @@ type Options struct {
 	// uses it to install a kernel.PostSyscall perturbation.
 	Hook func(*kernel.Kernel)
 	// WFEvery > 0 additionally runs the full invariant suite
-	// (verify.TotalWF) every WFEvery steps.
+	// (verify.TotalWF) every WFEvery steps and once after the last.
 	WFEvery int
 }
 
@@ -314,7 +314,8 @@ func applyInterp(ip *spec.Interp, c call, ret kernel.Ret) error {
 //
 // The kernel's Ψ is refilled in place each step, and without the
 // allocator snapshot: Diff compares objects and address spaces, not
-// page sets. Allocator state is checked by TotalWF every WFEvery steps.
+// page sets. Allocator state is checked by TotalWF every WFEvery steps
+// and after the last op, so no step goes unchecked.
 func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	st := newStats()
 	frames, cores := opt.shape(p)
@@ -371,6 +372,15 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 			if err := verify.TotalWF(k); err != nil {
 				return &DiffResult{Step: i, Op: op, Err: fmt.Errorf("invariants: %w", err)}, st, nil
 			}
+		}
+	}
+	if opt.WFEvery > 0 {
+		if err := verify.TotalWF(k); err != nil {
+			res := &DiffResult{Step: len(p.Ops) - 1, Err: fmt.Errorf("invariants: %w", err)}
+			if res.Step >= 0 {
+				res.Op = p.Ops[res.Step]
+			}
+			return res, st, nil
 		}
 	}
 	return nil, st, nil

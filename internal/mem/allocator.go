@@ -192,6 +192,16 @@ func (a *Allocator) Meta(p hw.PhysAddr) (PageMeta, error) {
 	return a.pages[i], nil
 }
 
+// FrameMeta returns frame i's metadata in place, for the verifier's
+// walk over the page array: a read-only view, since every transition
+// goes through the allocator API. i must be below Frames().
+func (a *Allocator) FrameMeta(i int) *PageMeta { return &a.pages[i] }
+
+// FreeListHead returns the frame at the head of sc's free list, or -1
+// when the list is empty; each member's Next names the following frame,
+// and the last member's Next is -1.
+func (a *Allocator) FreeListHead(sc SizeClass) int { return int(a.head[sc]) }
+
 // --- intrusive free lists -------------------------------------------------
 
 func (a *Allocator) pushFree(sc SizeClass, i int32) {
@@ -619,33 +629,4 @@ func (a *Allocator) SnapshotInto(s *Snapshot) {
 			s.Merged.addFrame(i)
 		}
 	}
-}
-
-// AllocatedToIs reports whether the pages allocated to owner are exactly
-// want — a per-subsystem page_closure() check — in one pass over the
-// page array that builds no set. n counts the pages allocated to owner.
-func (a *Allocator) AllocatedToIs(owner Owner, want *PageSet) (n int, ok bool) {
-	ok = true
-	for i := range a.pages {
-		if a.pages[i].State == StateAllocated && a.pages[i].Owner == owner {
-			n++
-			ok = ok && want.containsFrame(i)
-		}
-	}
-	return n, ok && n == want.Len()
-}
-
-// FreeListIs reports whether the free list of sc holds exactly the pages
-// of want: the walk visits only members of want and ends after exactly
-// want.Len() pages. No page can be listed twice: a repeat is a cycle,
-// and a cyclic walk never ends, so it fails once it outruns want.
-func (a *Allocator) FreeListIs(sc SizeClass, want *PageSet) bool {
-	n := 0
-	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
-		if n == want.Len() || !want.containsFrame(int(i)) {
-			return false
-		}
-		n++
-	}
-	return n == want.Len()
 }

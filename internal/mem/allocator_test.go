@@ -328,42 +328,34 @@ func checkPartition(t *testing.T, a *Allocator) {
 			}
 		}
 	}
-	if !a.FreeListIs(Size4K, s.Free4K) {
+	if !freeList(t, a, Size4K).Equal(s.Free4K) {
 		t.Fatalf("4K free list disagrees with metadata (%d)", s.Free4K.Len())
 	}
-	if !a.FreeListIs(Size2M, s.Free2M) {
+	if !freeList(t, a, Size2M).Equal(s.Free2M) {
 		t.Fatal("2M free list disagrees with metadata")
 	}
+}
+
+// freeList returns the frames on sc's free list, failing the test if
+// the list repeats a frame.
+func freeList(t *testing.T, a *Allocator, sc SizeClass) *PageSet {
+	t.Helper()
+	s := NewPageSet()
+	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
+		p := a.mem.FrameAddr(int(i))
+		if s.Contains(p) {
+			t.Fatalf("%v free list repeats %#x", sc, p)
+		}
+		s.Insert(p)
+	}
+	return s
 }
 
 func TestFreeListWalkMatchesCount(t *testing.T) {
 	a := newTestAlloc(64)
 	free := a.Snapshot().Free4K
-	if !a.FreeListIs(Size4K, free) || free.Len() != a.FreeCount4K() {
+	if !freeList(t, a, Size4K).Equal(free) || free.Len() != a.FreeCount4K() {
 		t.Fatalf("walk of %d free pages != count %d", free.Len(), a.FreeCount4K())
-	}
-}
-
-func TestAllocatedToIs(t *testing.T) {
-	a := newTestAlloc(16)
-	p1, _ := a.AllocPage4K(OwnerProcessMgr)
-	p2, _ := a.AllocPage4K(OwnerPageTable)
-	for _, tc := range []struct {
-		want   *PageSet
-		wantOK bool
-	}{
-		{NewPageSet(p1), true},
-		{nil, false},                // owner page missing
-		{NewPageSet(p1, p2), false}, // another owner's page extra
-		{NewPageSet(p2), false},     // same size, wrong page
-	} {
-		n, ok := a.AllocatedToIs(OwnerProcessMgr, tc.want)
-		if n != 1 || ok != tc.wantOK {
-			t.Errorf("AllocatedToIs(pm, %v) = %d, %v; want 1, %v", tc.want.Sorted(), n, ok, tc.wantOK)
-		}
-	}
-	if n, ok := a.AllocatedToIs(OwnerIOMMU, nil); n != 0 || !ok {
-		t.Fatalf("AllocatedToIs(iommu, nil) = %d, %v; want 0, true", n, ok)
 	}
 }
 

@@ -5,11 +5,12 @@
 // the four-state page lifecycle (free, mapped, merged, allocated).
 //
 // The allocator exposes its internal state explicitly — the sets of free,
-// allocated, mapped, and merged pages — because the paper's leak-freedom
-// and non-interference arguments require exact knowledge of all memory in
-// the system ("Explicit memory allocator state", §4.2). internal/verify
-// checks those sets against the metadata array and against the
-// page_closure() of every subsystem after every kernel transition.
+// allocated, mapped, and merged pages, and the per-frame metadata itself —
+// because the paper's leak-freedom and non-interference arguments require
+// exact knowledge of all memory in the system ("Explicit memory allocator
+// state", §4.2). internal/verify walks the metadata array after every
+// checked kernel transition, checking the free lists and the
+// page_closure() of every subsystem against it.
 package mem
 
 import (
@@ -73,12 +74,6 @@ func (s *PageSet) locate(p hw.PhysAddr) (int, uint64, bool) {
 	return int(f / 64), uint64(1) << (f % 64), true
 }
 
-// containsFrame reports whether frame i is in the set.
-func (s *PageSet) containsFrame(i int) bool {
-	w := s.bitmap()
-	return i/64 < len(w) && w[i/64]&(uint64(1)<<(i%64)) != 0
-}
-
 // bitmap returns the words of s, nil for a nil set.
 func (s *PageSet) bitmap() []uint64 {
 	if s == nil {
@@ -113,6 +108,12 @@ func (s *PageSet) Remove(p hw.PhysAddr) {
 func (s *PageSet) Contains(p hw.PhysAddr) bool {
 	w, b, ok := s.locate(p)
 	return ok && s.words[w]&b != 0
+}
+
+// Clear empties the set, keeping its bitmap for reuse.
+func (s *PageSet) Clear() {
+	clear(s.words)
+	s.n = 0
 }
 
 // Len returns the cardinality.

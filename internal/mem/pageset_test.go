@@ -164,37 +164,3 @@ func TestSnapshotAllocsIndependentOfFrames(t *testing.T) {
 		t.Fatalf("Snapshot allocs at 4096/32768 frames = %v/%v, want the same and at most 2", allocs[0], allocs[1])
 	}
 }
-
-func TestFreeListIs(t *testing.T) {
-	a := newTestAlloc(64)
-	if _, err := a.AllocPage4K(OwnerProcessMgr); err != nil {
-		t.Fatal(err)
-	}
-	free := a.Snapshot().Free4K
-	if !a.FreeListIs(Size4K, free) || !a.FreeListIs(Size2M, NewPageSet()) {
-		t.Fatal("intact free lists rejected")
-	}
-	extra := free.Clone()
-	extra.Insert(0) // boot page, never on a list
-	if a.FreeListIs(Size4K, extra) {
-		t.Fatal("list shorter than the set accepted")
-	}
-	short := free.Clone()
-	short.Remove(free.Sorted()[0])
-	if a.FreeListIs(Size4K, short) {
-		t.Fatal("listed page outside the set accepted")
-	}
-	// Splice the list into a cycle: its second node points back to the
-	// head. The walk must fail, not loop or panic.
-	head := a.head[Size4K]
-	second := a.pages[head].Next
-	saved := a.pages[second].Next
-	a.pages[second].Next = head
-	if a.FreeListIs(Size4K, free) {
-		t.Fatal("cyclic free list accepted")
-	}
-	a.pages[second].Next = saved
-	if !a.FreeListIs(Size4K, free) {
-		t.Fatal("restored free list rejected")
-	}
-}

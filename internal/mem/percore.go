@@ -18,9 +18,8 @@ import (
 // Cached frames remain fully visible to the closure accounting: they
 // are StateAllocated/OwnerPCache in the page metadata array, the
 // ledger mirrors them under the PageCache pseudo-container, and
-// verify.MemoryWF checks with AllocatedToIs(OwnerPCache, ...) that
-// the kernel's view of the caches is exactly the allocator's
-// OwnerPCache pages.
+// verify.MemoryWF checks that the kernel's view of the caches is
+// exactly the allocator's OwnerPCache pages.
 //
 // Determinism: the caches are plain LIFO stacks refilled in free-list
 // pop order, so for a fixed seed and drive order the sequence of
@@ -129,17 +128,15 @@ func (cc *CoreCaches) Drain() error {
 	return nil
 }
 
-// Pages returns the set of frames currently parked in any core's
-// cache — the kernel's own view, which verify.MemoryWF passes to the
-// allocator's AllocatedToIs(OwnerPCache, ...) closure check.
-func (cc *CoreCaches) Pages() *PageSet {
-	s := NewPageSet()
+// PagesInto adds the frames parked in every core's cache to s — the
+// kernel's own view, which verify.MemoryWF compares with the
+// allocator's OwnerPCache pages.
+func (cc *CoreCaches) PagesInto(s *PageSet) {
 	for _, st := range cc.frames {
 		for _, p := range st {
 			s.Insert(p)
 		}
 	}
-	return s
 }
 
 // Holder returns the core whose cache stack holds p, or -1 if none

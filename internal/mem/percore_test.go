@@ -82,8 +82,10 @@ func TestCoreCacheFreeAndDrain(t *testing.T) {
 	if n := cc.Len(0); n > 4 {
 		t.Fatalf("cache holds %d frames after drain, want <= 4", n)
 	}
-	if got, ok := a.AllocatedToIs(OwnerPCache, cc.Pages()); !ok {
-		t.Fatalf("allocator sees %d cached frames, cache claims %d", got, cc.Pages().Len())
+	cached := NewPageSet()
+	cc.PagesInto(cached)
+	if got := a.Snapshot().PCache; !got.Equal(cached) {
+		t.Fatalf("allocator sees %d cached frames, cache claims %d", got.Len(), cached.Len())
 	}
 	if err := cc.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
@@ -91,7 +93,7 @@ func TestCoreCacheFreeAndDrain(t *testing.T) {
 	if a.FreeCount4K() != freeBefore {
 		t.Fatalf("free count %d after full drain, want %d", a.FreeCount4K(), freeBefore)
 	}
-	if n, _ := a.AllocatedToIs(OwnerPCache, nil); n != 0 {
+	if a.Snapshot().PCache.Len() != 0 {
 		t.Fatalf("frames still owned by page-cache after Drain")
 	}
 }

@@ -183,7 +183,7 @@ func TestThreadLifecycle(t *testing.T) {
 	if _, ok := m.Cntr(m.RootContainer).OwnedThreads[tid]; !ok {
 		t.Fatal("ghost owned_thrds missing thread")
 	}
-	if q := m.Sched().Queue(1); len(q) != 1 || q[0] != tid {
+	if q := m.Sched().QueueInto(1, nil); len(q) != 1 || q[0] != tid {
 		t.Fatalf("run queue = %v", q)
 	}
 	m.MarkExited(tid)

@@ -118,7 +118,7 @@ func TestPropSchedulerConservation(t *testing.T) {
 		// Conservation: every thread is in exactly one place.
 		placed := map[Ptr]int{}
 		for core := 0; core < 2; core++ {
-			for _, q := range m.Sched().Queue(core) {
+			for _, q := range m.Sched().QueueInto(core, nil) {
 				placed[q]++
 			}
 			if cur := m.Sched().Current(core); cur != 0 {
@@ -193,7 +193,13 @@ func TestPropObjectPagesMatchPermissions(t *testing.T) {
 	for p := range m.EdptPerms {
 		objPages.Insert(p)
 	}
-	if owned, ok := m.Alloc().AllocatedToIs(mem.OwnerProcessMgr, objPages); !ok {
-		t.Fatalf("allocator says %d PM pages, permissions say %d", owned, objPages.Len())
+	a, owned := m.Alloc(), mem.NewPageSet()
+	for i := 0; i < a.Frames(); i++ {
+		if pg := a.FrameMeta(i); pg.State == mem.StateAllocated && pg.Owner == mem.OwnerProcessMgr {
+			owned.Insert(a.Mem().FrameAddr(i))
+		}
+	}
+	if !owned.Equal(objPages) {
+		t.Fatalf("allocator says %d PM pages, permissions say %d", owned.Len(), objPages.Len())
 	}
 }

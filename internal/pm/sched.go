@@ -81,9 +81,10 @@ func (s *Scheduler) Cores() int { return len(s.queues) }
 // Current returns the thread running on core (0 if idle).
 func (s *Scheduler) Current(core int) Ptr { return s.current[core] }
 
-// Queue returns a copy of core's run queue (for invariant checks).
-func (s *Scheduler) Queue(core int) []Ptr {
-	return append([]Ptr(nil), s.queues[core]...)
+// QueueInto returns buf[:0] with core's run queue appended, in order
+// (for invariant checks).
+func (s *Scheduler) QueueInto(core int, buf []Ptr) []Ptr {
+	return append(buf[:0], s.queues[core]...)
 }
 
 // touched reports a mutation of core's run queue to the observer.

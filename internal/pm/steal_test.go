@@ -48,7 +48,7 @@ func TestWorkStealing(t *testing.T) {
 		t.Fatalf("steals = %d", m.Steals())
 	}
 	// Victim queue shrank by exactly the stolen thread.
-	q := m.Sched().Queue(0)
+	q := m.Sched().QueueInto(0, nil)
 	if len(q) != 2 || q[0] != ts[0] || q[1] != ts[1] {
 		t.Fatalf("victim queue = %v", q)
 	}

@@ -156,12 +156,37 @@ func (t *PageTable) MappedCount() int {
 	return len(t.ghost4K) + len(t.ghost2M) + len(t.ghost1G)
 }
 
-// PageClosure returns the set of pages used by the page table itself: its
-// table nodes. A page table owns no other objects (§4.2).
-func (t *PageTable) PageClosure() *mem.PageSet { return t.nodes.Clone() }
+// MappedPages4K returns how many 4 KiB pages the abstract maps cover:
+// each mapping weighted by its page size.
+func (t *PageTable) MappedPages4K() uint64 {
+	return uint64(len(t.ghost4K)) + uint64(len(t.ghost2M))*hw.Pages4KPer2M +
+		uint64(len(t.ghost1G))*hw.Pages4KPer1G
+}
 
-// NodeCount returns the number of table nodes, PageClosure().Len()
-// without the copy.
+// CountMappingsInto adds one to refs[e.Phys] for every abstract mapping
+// e: the references the table holds on the frames it maps.
+func (t *PageTable) CountMappingsInto(refs map[hw.PhysAddr]uint32) {
+	for _, e := range t.ghost4K {
+		refs[e.Phys]++
+	}
+	for _, e := range t.ghost2M {
+		refs[e.Phys]++
+	}
+	for _, e := range t.ghost1G {
+		refs[e.Phys]++
+	}
+}
+
+// PageClosureInto adds the pages used by the page table itself, its
+// table nodes, to s, and reports whether none of them was in s already.
+// A page table owns no other objects (§4.2).
+func (t *PageTable) PageClosureInto(s *mem.PageSet) (disjoint bool) {
+	disjoint = t.nodes.Disjoint(s)
+	s.Union(t.nodes)
+	return disjoint
+}
+
+// NodeCount returns the number of table nodes.
 func (t *PageTable) NodeCount() int { return t.nodes.Len() }
 
 // MappedFrames returns the set of physical pages currently mapped, for

@@ -42,7 +42,7 @@ func (f *fixture) checkAll(t *testing.T) {
 	if err := f.pt.CheckRefinement(f.mmu); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.pt.CheckStructure(); err != nil {
+	if err := f.pt.CheckStructure(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -267,12 +267,19 @@ func TestPageClosureAndDestroy(t *testing.T) {
 	if err := f.pt.Map4K(0x1000, p, RW); err != nil {
 		t.Fatal(err)
 	}
-	closure := f.pt.PageClosure()
+	closure := mem.NewPageSet()
+	if !f.pt.PageClosureInto(closure) {
+		t.Fatal("closure overlaps the empty set")
+	}
 	if closure.Len() != 4 { // PML4 + PDPT + PD + PT
 		t.Fatalf("closure = %d nodes", closure.Len())
 	}
-	if _, ok := f.alloc.AllocatedToIs(mem.OwnerPageTable, closure); !ok {
+	// The table's nodes are the only allocated pages on this machine.
+	if !f.alloc.Snapshot().Allocated.Equal(closure) {
 		t.Fatal("closure disagrees with allocator ownership")
+	}
+	if f.pt.PageClosureInto(closure) {
+		t.Fatal("closure added twice reports no overlap")
 	}
 	if err := f.pt.Destroy(); err == nil {
 		t.Fatal("destroy with live mapping should fail")
@@ -283,7 +290,7 @@ func TestPageClosureAndDestroy(t *testing.T) {
 	if err := f.pt.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := f.alloc.AllocatedToIs(mem.OwnerPageTable, nil); n != 0 {
+	if f.alloc.Snapshot().Allocated.Len() != 0 {
 		t.Fatal("destroy leaked node pages")
 	}
 }
@@ -367,7 +374,7 @@ func TestPruneEmpty(t *testing.T) {
 	vaB := hw.VirtAddr(1) << 39 // different PML4 entry
 	f.pt.Map4K(vaA, f.userPage(t), RW)
 	f.pt.Map4K(vaB, f.userPage(t), RW)
-	nodesFull := f.pt.PageClosure().Len()
+	nodesFull := f.pt.NodeCount()
 	if _, err := f.pt.Unmap(vaB); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +382,7 @@ func TestPruneEmpty(t *testing.T) {
 	if freed != 3 { // B's PDPT+PD+PT chain
 		t.Fatalf("pruned %d nodes, want 3", freed)
 	}
-	if f.pt.PageClosure().Len() != nodesFull-3 {
+	if f.pt.NodeCount() != nodesFull-3 {
 		t.Fatal("closure not reduced")
 	}
 	// A's mapping still resolves; structure and refinement intact.
@@ -394,7 +401,7 @@ func TestPruneEmptyNeverFreesRoot(t *testing.T) {
 	if f.pt.PruneEmpty() != 0 {
 		t.Fatal("empty table pruned its root")
 	}
-	if f.pt.PageClosure().Len() != 1 {
+	if f.pt.NodeCount() != 1 {
 		t.Fatal("root freed")
 	}
 }

@@ -127,55 +127,63 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 // CheckStructure validates the structural invariants of the radix tree:
 // every non-leaf present entry points at a page in the flat node set,
 // every node page is allocated to the page-table subsystem, and no node
-// is reachable twice (acyclicity / no sharing).
-func (t *PageTable) CheckStructure() error {
-	m := t.alloc.Mem()
-	seen := mem.NewPageSet(t.cr3)
-	visit := func(table hw.PhysAddr) error {
-		if !t.nodes.Contains(table) {
-			return fmt.Errorf("pt: reachable node %#x not in flat node set", table)
-		}
-		meta, err := t.alloc.Meta(table)
-		if err != nil {
-			return err
-		}
-		if meta.State != mem.StateAllocated || meta.Owner != t.owner {
-			return fmt.Errorf("pt: node %#x is %v/%v, want allocated/%v", table, meta.State, meta.Owner, t.owner)
-		}
-		return nil
+// is reachable twice (acyclicity / no sharing). seen is scratch: the
+// check clears it and fills it with the reachable nodes, and a nil seen
+// gets a fresh set.
+func (t *PageTable) CheckStructure(seen *mem.PageSet) error {
+	if seen == nil {
+		seen = mem.NewPageSet()
 	}
-	if err := visit(t.cr3); err != nil {
+	seen.Clear()
+	if err := t.checkNode(t.cr3); err != nil {
 		return err
 	}
-	var walk func(table hw.PhysAddr, level int) error
-	walk = func(table hw.PhysAddr, level int) error {
-		for i := 0; i < hw.EntriesPerTable; i++ {
-			e := m.ReadU64(slotAddr(table, i))
-			if e&hw.PtePresent == 0 {
-				continue
-			}
-			if level == 1 || e&hw.PteHuge != 0 {
-				continue // terminal mapping, not a node
-			}
-			next := hw.PhysAddr(e & hw.PteAddrMask)
-			if seen.Contains(next) {
-				return fmt.Errorf("pt: node %#x reachable twice", next)
-			}
-			seen.Insert(next)
-			if err := visit(next); err != nil {
-				return err
-			}
-			if err := walk(next, level-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.cr3, 4); err != nil {
+	seen.Insert(t.cr3)
+	if err := t.checkSubtree(seen, t.cr3, 4); err != nil {
 		return err
 	}
 	if !seen.Equal(t.nodes) {
 		return fmt.Errorf("pt: flat node set has %d pages, %d reachable", t.nodes.Len(), seen.Len())
+	}
+	return nil
+}
+
+// checkNode checks one reachable node: it is in the flat node set and
+// allocated to the table's owner.
+func (t *PageTable) checkNode(table hw.PhysAddr) error {
+	if !t.nodes.Contains(table) {
+		return fmt.Errorf("pt: reachable node %#x not in flat node set", table)
+	}
+	meta, err := t.alloc.Meta(table)
+	if err != nil {
+		return err
+	}
+	if meta.State != mem.StateAllocated || meta.Owner != t.owner {
+		return fmt.Errorf("pt: node %#x is %v/%v, want allocated/%v", table, meta.State, meta.Owner, t.owner)
+	}
+	return nil
+}
+
+// checkSubtree checks the nodes below table, a node at level (4 is the
+// root), adding each to seen once it passes checkNode.
+func (t *PageTable) checkSubtree(seen *mem.PageSet, table hw.PhysAddr, level int) error {
+	m := t.alloc.Mem()
+	for i := 0; i < hw.EntriesPerTable; i++ {
+		e := m.ReadU64(slotAddr(table, i))
+		if e&hw.PtePresent == 0 || level == 1 || e&hw.PteHuge != 0 {
+			continue // empty, or a terminal mapping rather than a node
+		}
+		next := hw.PhysAddr(e & hw.PteAddrMask)
+		if seen.Contains(next) {
+			return fmt.Errorf("pt: node %#x reachable twice", next)
+		}
+		if err := t.checkNode(next); err != nil {
+			return err
+		}
+		seen.Insert(next)
+		if err := t.checkSubtree(seen, next, level-1); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -11,6 +11,8 @@ package verify
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
@@ -316,13 +318,59 @@ func EndpointsWF(k *kernel.Kernel) error {
 	return nil
 }
 
+// scratch is the working storage of the checks that need sets, maps or
+// buffers, kept from call to call so that a check allocates nothing on
+// a warm kernel. TotalWF runs on several goroutines at once
+// (RunObligations), so each call takes its own from scratchPool.
+type scratch struct {
+	// The page closure each subsystem claims, with what the page-array
+	// walk found of the frames the allocator gives it.
+	obj, pt, iommu, pcache closure
+	// seen is the page-table structure checks' reachable-node set.
+	seen mem.PageSet
+	// refs counts the references each mapped frame's count must equal.
+	refs map[hw.PhysAddr]uint32
+	// procs holds the live processes in ascending pointer order.
+	procs []pm.Ptr
+	// queue and placed serve SchedulerWF.
+	queue  []pm.Ptr
+	placed map[pm.Ptr]placement
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{refs: make(map[hw.PhysAddr]uint32), placed: make(map[pm.Ptr]placement)}
+}}
+
+// withScratch runs check with a scratch from the pool.
+func withScratch(k *kernel.Kernel, check func(*scratch, *kernel.Kernel) error) error {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return check(s, k)
+}
+
+// placement is where SchedulerWF found a thread.
+type placement struct {
+	core    int
+	current bool // the core's current thread, not one of its queue's
+}
+
+func (p placement) String() string {
+	if p.current {
+		return fmt.Sprintf("current %d", p.core)
+	}
+	return fmt.Sprintf("queue %d", p.core)
+}
+
 // SchedulerWF: run queues hold exactly the runnable threads of their
 // core, currents are running, and no thread appears twice.
-func SchedulerWF(k *kernel.Kernel) error {
-	s := k.PM.Sched()
-	placed := make(map[pm.Ptr]string)
-	for core := 0; core < s.Cores(); core++ {
-		for _, th := range s.Queue(core) {
+func SchedulerWF(k *kernel.Kernel) error { return withScratch(k, (*scratch).schedulerWF) }
+
+func (s *scratch) schedulerWF(k *kernel.Kernel) error {
+	sched := k.PM.Sched()
+	clear(s.placed)
+	for core := 0; core < sched.Cores(); core++ {
+		s.queue = sched.QueueInto(core, s.queue)
+		for _, th := range s.queue {
 			t, ok := k.PM.TryThrd(th)
 			if !ok {
 				return fmt.Errorf("core %d queues dead thread %#x", core, th)
@@ -333,12 +381,12 @@ func SchedulerWF(k *kernel.Kernel) error {
 			if t.Core != core {
 				return fmt.Errorf("thread %#x on core %d queue but affine to %d", th, core, t.Core)
 			}
-			if where, dup := placed[th]; dup {
+			if where, dup := s.placed[th]; dup {
 				return fmt.Errorf("thread %#x placed twice (%s)", th, where)
 			}
-			placed[th] = fmt.Sprintf("queue %d", core)
+			s.placed[th] = placement{core: core}
 		}
-		if cur := s.Current(core); cur != 0 {
+		if cur := sched.Current(core); cur != 0 {
 			t, ok := k.PM.TryThrd(cur)
 			if !ok {
 				return fmt.Errorf("core %d runs dead thread %#x", core, cur)
@@ -346,17 +394,17 @@ func SchedulerWF(k *kernel.Kernel) error {
 			if t.State != pm.ThreadRunning || t.Core != core {
 				return fmt.Errorf("core %d current %#x is %v/core %d", core, cur, t.State, t.Core)
 			}
-			if where, dup := placed[cur]; dup {
+			if where, dup := s.placed[cur]; dup {
 				return fmt.Errorf("thread %#x placed twice (%s)", cur, where)
 			}
-			placed[cur] = fmt.Sprintf("current %d", core)
+			s.placed[cur] = placement{core: core, current: true}
 		}
 	}
 	// Every runnable/running thread is placed exactly once.
 	for ptr, t := range k.PM.ThrdPerms {
 		switch t.State {
 		case pm.ThreadRunnable, pm.ThreadRunning:
-			if _, ok := placed[ptr]; !ok {
+			if _, ok := s.placed[ptr]; !ok {
 				return fmt.Errorf("%v thread %#x lost by the scheduler", t.State, ptr)
 			}
 		}
@@ -364,131 +412,260 @@ func SchedulerWF(k *kernel.Kernel) error {
 	return nil
 }
 
+// closure is one subsystem's page closure and what the page-array walk
+// found of the frames the allocator gives the subsystem.
+type closure struct {
+	set   mem.PageSet // the pages the subsystem claims
+	owned int         // frames allocated to the subsystem
+	stray bool        // one of those frames is missing from set
+}
+
+// reset empties c for a new check.
+func (c *closure) reset() {
+	c.set.Clear()
+	c.owned, c.stray = 0, false
+}
+
+// own records that the allocator gives frame p to c's subsystem.
+func (c *closure) own(p hw.PhysAddr) {
+	c.owned++
+	c.stray = c.stray || !c.set.Contains(p)
+}
+
+// exact reports whether the subsystem claims exactly its frames.
+func (c *closure) exact() bool { return !c.stray && c.owned == c.set.Len() }
+
 // MemoryWF is the §4.2 safety and leak-freedom theorem, executably:
 // the page-state partition, per-subsystem closure exactness and pairwise
 // disjointness, mapping reference-count exactness, and per-table radix
-// structure and refinement.
-func MemoryWF(k *kernel.Kernel) error {
-	snap := k.Alloc.Snapshot()
-	total := snap.Free4K.Len() + snap.Free2M.Len() + snap.Free1G.Len() +
-		snap.Allocated.Len() + snap.Mapped.Len() + snap.Merged.Len() + snap.Boot.Len()
-	if total != k.Alloc.Frames() {
-		return fmt.Errorf("page states cover %d of %d frames", total, k.Alloc.Frames())
+// structure and refinement. One ascending walk over the page array
+// gathers everything the partition, closure and reference-count
+// predicates need, and they are then judged in a fixed order, so the
+// first violation reported does not depend on where the walk met it.
+func MemoryWF(k *kernel.Kernel) error { return withScratch(k, (*scratch).memoryWF) }
+
+func (s *scratch) memoryWF(k *kernel.Kernel) error {
+	a := k.Alloc
+	overlap := s.claim(k)
+	s.countRefs(k)
+	w := s.walkFrames(a)
+	if w.states != a.Frames() {
+		return fmt.Errorf("page states cover %d of %d frames", w.states, a.Frames())
 	}
 	// Free lists agree with the metadata.
-	if !k.Alloc.FreeListIs(mem.Size4K, snap.Free4K) {
+	if !freeListIs(a, mem.Size4K, w.free[mem.Size4K]) {
 		return fmt.Errorf("4K free list disagrees with page states")
 	}
-	if !k.Alloc.FreeListIs(mem.Size2M, snap.Free2M) {
+	if !freeListIs(a, mem.Size2M, w.free[mem.Size2M]) {
 		return fmt.Errorf("2M free list disagrees with page states")
 	}
-	// Process-manager closure: exactly the object pages.
-	objPages := mem.NewPageSet()
-	for p := range k.PM.CntrPerms {
-		objPages.Insert(p)
+	// Each closure is exactly its owner's allocated pages. The
+	// virtual-memory closure is the union of the per-process table
+	// closures, which are pairwise disjoint.
+	obj, pt, iommu, pcache := &s.obj, &s.pt, &s.iommu, &s.pcache
+	if !obj.exact() {
+		return fmt.Errorf("process-manager closure %d pages, allocator says %d", obj.set.Len(), obj.owned)
 	}
-	for p := range k.PM.ProcPerms {
-		objPages.Insert(p)
+	if overlap != 0 {
+		return fmt.Errorf("page-table closure of %#x overlaps another", overlap)
 	}
-	for p := range k.PM.ThrdPerms {
-		objPages.Insert(p)
+	if !pt.exact() {
+		return fmt.Errorf("page-table closure %d pages, allocator says %d", pt.set.Len(), pt.owned)
 	}
-	for p := range k.PM.EdptPerms {
-		objPages.Insert(p)
-	}
-	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerProcessMgr, objPages); !ok {
-		return fmt.Errorf("process-manager closure %d pages, allocator says %d",
-			objPages.Len(), n)
-	}
-	// Virtual-memory closure: union of per-process table closures,
-	// pairwise disjoint.
-	ptPages := mem.NewPageSet()
-	for ptr, proc := range k.PM.ProcPerms {
-		cl := proc.PageTable.PageClosure()
-		if !cl.Disjoint(ptPages) {
-			return fmt.Errorf("page-table closure of %#x overlaps another", ptr)
-		}
-		ptPages.Union(cl)
-	}
-	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerPageTable, ptPages); !ok {
-		return fmt.Errorf("page-table closure %d pages, allocator says %d",
-			ptPages.Len(), n)
-	}
-	// IOMMU closure.
-	iommuPages := k.IOMMU.PageClosure()
-	if _, ok := k.Alloc.AllocatedToIs(mem.OwnerIOMMU, iommuPages); !ok {
+	if !iommu.exact() {
 		return fmt.Errorf("iommu closure disagrees with allocator")
 	}
-	// Page-cache closure: the frames the kernel believes are parked in
-	// per-core caches are exactly the allocator's OwnerPCache pages
-	// (both empty while caches are disabled).
-	pcachePages := k.PageCachePages()
-	if n, ok := k.Alloc.AllocatedToIs(mem.OwnerPCache, pcachePages); !ok {
-		return fmt.Errorf("page-cache closure %d pages, allocator says %d",
-			pcachePages.Len(), n)
+	// The frames the kernel believes are parked in per-core caches are
+	// exactly the allocator's OwnerPCache pages (both empty while caches
+	// are disabled).
+	if !pcache.exact() {
+		return fmt.Errorf("page-cache closure %d pages, allocator says %d", pcache.set.Len(), pcache.owned)
 	}
 	// Each closure now equals its owner's allocated pages, so it lies in
 	// the allocated set. Closures are pairwise disjoint (owners distinct
 	// by construction; verify anyway), so they cover the allocated set
 	// exactly when their sizes sum to its size.
-	if !objPages.Disjoint(ptPages) || !objPages.Disjoint(iommuPages) || !ptPages.Disjoint(iommuPages) {
+	if !obj.set.Disjoint(&pt.set) || !obj.set.Disjoint(&iommu.set) || !pt.set.Disjoint(&iommu.set) {
 		return fmt.Errorf("subsystem closures overlap")
 	}
-	if !pcachePages.Disjoint(objPages) || !pcachePages.Disjoint(ptPages) || !pcachePages.Disjoint(iommuPages) {
+	if !pcache.set.Disjoint(&obj.set) || !pcache.set.Disjoint(&pt.set) || !pcache.set.Disjoint(&iommu.set) {
 		return fmt.Errorf("page-cache closure overlaps another subsystem")
 	}
-	if n := objPages.Len() + ptPages.Len() + iommuPages.Len() + pcachePages.Len(); n != snap.Allocated.Len() {
-		return fmt.Errorf("closures cover %d pages, allocated set has %d", n, snap.Allocated.Len())
+	if n := obj.set.Len() + pt.set.Len() + iommu.set.Len() + pcache.set.Len(); n != w.allocated {
+		return fmt.Errorf("closures cover %d pages, allocated set has %d", n, w.allocated)
 	}
 	// Mapping reference counts: every mapped page's refcount equals the
 	// number of address-space mappings + DMA mappings + in-flight IPC
-	// messages holding it.
-	refs := make(map[hw.PhysAddr]uint32)
-	for _, proc := range k.PM.ProcPerms {
-		for _, e := range proc.PageTable.AddressSpace() {
-			refs[e.Phys]++
+	// messages holding it, and every referenced page is mapped.
+	if w.mismatch >= 0 {
+		p := hw.PhysAddr(uint64(w.mismatch) * hw.PageSize4K)
+		return fmt.Errorf("mapped page %#x refcount %d, references %d", p, a.FrameMeta(w.mismatch).RefCount, s.refs[p])
+	}
+	if n := len(s.refs) - w.referenced; n != 0 {
+		return fmt.Errorf("%d referenced pages not in mapped state", n)
+	}
+	// Per-table structure and refinement against the hardware MMU.
+	for _, ptr := range s.procs {
+		table := k.PM.ProcPerms[ptr].PageTable
+		if err := table.CheckStructure(&s.seen); err != nil {
+			return fmt.Errorf("process %#x: %w", ptr, err)
+		}
+		if err := table.CheckRefinement(k.Machine.MMU); err != nil {
+			return fmt.Errorf("process %#x: %w", ptr, err)
 		}
 	}
-	for _, d := range k.IOMMU.Domains() {
-		for _, e := range d.Table.AddressSpace() {
-			refs[e.Phys]++
+	return k.IOMMU.CheckWF(&s.seen)
+}
+
+// claim fills each closure's set with the pages its subsystem claims
+// and s.procs with the live processes in ascending pointer order. It
+// returns the first process, in that order, whose page-table closure
+// overlaps an earlier one's, or 0.
+func (s *scratch) claim(k *kernel.Kernel) (overlap pm.Ptr) {
+	for _, c := range [...]*closure{&s.obj, &s.pt, &s.iommu, &s.pcache} {
+		c.reset()
+	}
+	for p := range k.PM.CntrPerms {
+		s.obj.set.Insert(p)
+	}
+	for p := range k.PM.ProcPerms {
+		s.obj.set.Insert(p)
+	}
+	for p := range k.PM.ThrdPerms {
+		s.obj.set.Insert(p)
+	}
+	for p := range k.PM.EdptPerms {
+		s.obj.set.Insert(p)
+	}
+	s.procs = s.procs[:0]
+	for p := range k.PM.ProcPerms {
+		s.procs = append(s.procs, p)
+	}
+	slices.Sort(s.procs)
+	for _, p := range s.procs {
+		if !k.PM.ProcPerms[p].PageTable.PageClosureInto(&s.pt.set) && overlap == 0 {
+			overlap = p
 		}
+	}
+	k.IOMMU.PageClosureInto(&s.iommu.set)
+	k.PageCachePagesInto(&s.pcache.set)
+	return overlap
+}
+
+// countRefs fills s.refs with the references every frame's mapping
+// count must equal: address-space mappings, DMA mappings, and pages
+// riding in-flight IPC messages.
+func (s *scratch) countRefs(k *kernel.Kernel) {
+	clear(s.refs)
+	for _, proc := range k.PM.ProcPerms {
+		proc.PageTable.CountMappingsInto(s.refs)
+	}
+	for _, d := range k.IOMMU.Domains() {
+		d.Table.CountMappingsInto(s.refs)
 	}
 	for _, t := range k.PM.ThrdPerms {
 		if t.State == pm.ThreadBlockedSend && t.IPC.Msg.HasPage {
-			refs[t.IPC.Msg.Page]++
+			s.refs[t.IPC.Msg.Page]++
 		}
 	}
 	for _, e := range k.PM.EdptPerms {
 		for _, m := range e.Buffer {
 			if m.HasPage {
-				refs[m.Page]++
+				s.refs[m.Page]++
 			}
 		}
 	}
-	for _, p := range snap.Mapped.Sorted() {
-		rc, err := k.Alloc.RefCount(p)
-		if err != nil {
-			return err
+}
+
+// frameWalk is what one ascending walk over the page array finds.
+type frameWalk struct {
+	states     int    // frames in a valid state: the partition's cover
+	free       [3]int // free frames per size class
+	allocated  int    // allocated frames other than boot's
+	referenced int    // mapped frames something references
+	// mismatch is the lowest mapped frame whose count differs from its
+	// references, or -1.
+	mismatch int
+}
+
+// walkFrames makes the one pass over the page array: it counts the
+// frames in each state, checks every allocated frame against its
+// owner's closure, and finds the lowest mapped frame whose reference
+// count differs from s.refs.
+func (s *scratch) walkFrames(a *mem.Allocator) (w frameWalk) {
+	// Counters live in locals, not in w, so the loop keeps them in
+	// registers.
+	var states, free4K, free2M, free1G, allocated, referenced int
+	w.mismatch = -1
+	for i, n := 0, a.Frames(); i < n; i++ {
+		pg := a.FrameMeta(i)
+		switch pg.State {
+		case mem.StateFree:
+			switch pg.Size {
+			case mem.Size4K:
+				free4K++
+			case mem.Size2M:
+				free2M++
+			case mem.Size1G:
+				free1G++
+			default:
+				continue
+			}
+			states++
+		case mem.StateMerged:
+			states++
+		case mem.StateMapped:
+			states++
+			p := hw.PhysAddr(uint64(i) * hw.PageSize4K)
+			refs := s.refs[p]
+			if refs > 0 {
+				referenced++
+			}
+			if pg.RefCount != refs && w.mismatch < 0 {
+				w.mismatch = i
+			}
+		case mem.StateAllocated:
+			states++
+			if pg.Owner == mem.OwnerBoot {
+				continue
+			}
+			allocated++
+			p := hw.PhysAddr(uint64(i) * hw.PageSize4K)
+			switch pg.Owner {
+			case mem.OwnerProcessMgr:
+				s.obj.own(p)
+			case mem.OwnerPageTable:
+				s.pt.own(p)
+			case mem.OwnerIOMMU:
+				s.iommu.own(p)
+			case mem.OwnerPCache:
+				s.pcache.own(p)
+			}
 		}
-		if rc != refs[p] {
-			return fmt.Errorf("mapped page %#x refcount %d, references %d", p, rc, refs[p])
-		}
-		delete(refs, p)
 	}
-	if len(refs) != 0 {
-		return fmt.Errorf("%d referenced pages not in mapped state", len(refs))
-	}
-	// Per-table structure and refinement against the hardware MMU.
-	for ptr, proc := range k.PM.ProcPerms {
-		if err := proc.PageTable.CheckStructure(); err != nil {
-			return fmt.Errorf("process %#x: %w", ptr, err)
+	w.states, w.allocated, w.referenced = states, allocated, referenced
+	w.free = [3]int{free4K, free2M, free1G}
+	return w
+}
+
+// freeListIs reports whether sc's free list holds exactly the free
+// frames of size class sc, of which the walk counted want: the list
+// visits only such frames and ends after exactly want of them. No frame
+// can be listed twice: a repeat is a cycle, and a cyclic walk never
+// ends, so it fails once it outruns want.
+func freeListIs(a *mem.Allocator, sc mem.SizeClass, want int) bool {
+	n, frames := 0, a.Frames()
+	for i := a.FreeListHead(sc); i >= 0; n++ {
+		if n == want || i >= frames {
+			return false
 		}
-		if err := proc.PageTable.CheckRefinement(k.Machine.MMU); err != nil {
-			return fmt.Errorf("process %#x: %w", ptr, err)
+		pg := a.FrameMeta(i)
+		if pg.State != mem.StateFree || pg.Size != sc {
+			return false
 		}
+		i = int(pg.Next)
 	}
-	return k.IOMMU.CheckWF()
+	return n == want
 }
 
 // QuotaWF: every container's UsedPages is at most its quota and equals
@@ -505,9 +682,7 @@ func QuotaWF(k *kernel.Kernel) error {
 			proc := pmgr.ProcPerms[pp]
 			want += 1 // process object
 			want += uint64(proc.PageTable.NodeCount())
-			for _, e := range proc.PageTable.AddressSpace() {
-				want += e.Size.Bytes() / hw.PageSize4K
-			}
+			want += proc.PageTable.MappedPages4K()
 			if proc.IOMMUDomain != 0 {
 				d, err := k.IOMMU.Domain(proc.IOMMUDomain)
 				if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
+	"atmosphere/internal/mem"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -203,8 +204,9 @@ func Obligations() []Obligation {
 				return err
 			}
 			proc := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc)
+			var seen mem.PageSet
 			for i := 0; i < 50; i++ {
-				if err := proc.PageTable.CheckStructure(); err != nil {
+				if err := proc.PageTable.CheckStructure(&seen); err != nil {
 					return err
 				}
 			}
@@ -407,7 +409,7 @@ func ptObligation(n int, size hw.PageSize, unmap bool) error {
 		}
 	}
 	proc := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc)
-	if err := proc.PageTable.CheckStructure(); err != nil {
+	if err := proc.PageTable.CheckStructure(nil); err != nil {
 		return err
 	}
 	return proc.PageTable.CheckRefinement(c.K.Machine.MMU)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atmosphere/internal/hw"
+	"atmosphere/internal/mem"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -45,12 +46,17 @@ func TestCheckedWithCoreCaches(t *testing.T) {
 	// Kill the container with live mappings and cached frames: teardown
 	// takes the global DecRef path and must leave the cache closure
 	// intact.
-	cachedBefore := c.K.PageCachePages().Len()
+	cached := func() int {
+		s := mem.NewPageSet()
+		c.K.PageCachePagesInto(s)
+		return s.Len()
+	}
+	cachedBefore := cached()
 	musts(t)(c.KillContainer(0, init, a))
 	if err := TotalWF(c.K); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.K.PageCachePages().Len(); got != cachedBefore {
+	if got := cached(); got != cachedBefore {
 		t.Fatalf("teardown disturbed the page cache: %d -> %d frames", cachedBefore, got)
 	}
 }
