@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -38,19 +39,29 @@ import (
 var workloads = []string{"kvstore", "chaos", "ipc", "multicore"}
 
 func main() {
-	workload := flag.String("workload", "kvstore", "workload: "+strings.Join(workloads, ", "))
-	seed := flag.Uint64("seed", 1, "workload seed")
-	ops := flag.Int("ops", 300, "operations (kv ops or ipc round trips; per-core mmaps for multicore)")
-	cores := flag.Int("cores", 4, "core count for the multicore workload")
-	mc := flag.String("mc", "alloc", "multicore sub-workload: ipc, kvstore, alloc")
-	diff := flag.Bool("diff", false, "show the per-container delta between ops/2 and ops")
-	locks := flag.Bool("locks", false, "print the contention snapshot (per-lock waits, attribution, run-queue delays) instead of the accounting view")
-	byClass := flag.Bool("by-class", false, "with -locks: roll the per-lock table up to one row per lock class (big, container, endpoint)")
-	profileOut := flag.String("profile", "", "also write <prefix>.folded and <prefix>.pb.gz cycle profiles")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "atmo-top:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs the workload (twice
+// with -diff) and prints the chosen view to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	workload := fs.String("workload", "kvstore", "workload: "+strings.Join(workloads, ", "))
+	seed := fs.Uint64("seed", 1, "workload seed")
+	ops := fs.Int("ops", 300, "operations (kv ops or ipc round trips; per-core mmaps for multicore)")
+	cores := fs.Int("cores", 4, "core count for the multicore workload")
+	mc := fs.String("mc", "alloc", "multicore sub-workload: ipc, kvstore, alloc")
+	diff := fs.Bool("diff", false, "show the per-container delta between ops/2 and ops")
+	locks := fs.Bool("locks", false, "print the contention snapshot (per-lock waits, attribution, run-queue delays) instead of the accounting view")
+	byClass := fs.Bool("by-class", false, "with -locks: roll the per-lock table up to one row per lock class (big, container, endpoint)")
+	profileOut := fs.String("profile", "", "also write <prefix>.folded and <prefix>.pb.gz cycle profiles")
+	fs.Parse(args)
 	w, ok := bench.WorkloadByName(*workload)
 	if !ok || !slices.Contains(workloads, *workload) {
-		fail(fmt.Errorf("unknown workload %q (%s)", *workload, strings.Join(workloads, ", ")))
+		return fmt.Errorf("unknown workload %q (%s)", *workload, strings.Join(workloads, ", "))
 	}
 	// For multicore, -mc picks one sub-workload of the series. For alloc
 	// the per-core page caches are on, so the "page-cache"
@@ -59,72 +70,85 @@ func main() {
 	// per-container/per-endpoint sharded frontiers.
 	opts := bench.WorkloadOpts{Seed: *seed, Ops: *ops, Cores: *cores, Sub: []string{*mc}}
 
-	full := run(w, opts)
+	full, err := runWorkload(w, opts)
+	if err != nil {
+		return err
+	}
+	var half bench.Sinks
+	if *diff {
+		opts.Ops /= 2
+		if half, err = runWorkload(w, opts); err != nil {
+			return err
+		}
+	}
 	switch {
 	case *locks && *diff:
-		opts.Ops /= 2
-		printLocksDiff(run(w, opts).Contend, full.Contend, *ops)
+		printLocksDiff(stdout, half.Contend, full.Contend, *ops)
 	case *locks:
-		printLocks(full.Contend, *ops, *byClass)
+		err = printLocks(stdout, full.Contend, *ops, *byClass)
 	case *diff:
-		opts.Ops /= 2
-		printDiff(run(w, opts).Ledger, full.Ledger, *ops)
+		printDiff(stdout, half.Ledger, full.Ledger, *ops)
 	default:
-		printSnapshot(full.Ledger, *ops)
+		printSnapshot(stdout, full.Ledger, *ops)
 	}
-	if *profileOut != "" {
-		p, err := profile.WriteFiles(*profileOut, full.Tracer)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(p.Describe(*profileOut))
+	if err != nil {
+		return err
 	}
+	if *profileOut == "" {
+		return nil
+	}
+	p, err := profile.WriteFiles(*profileOut, full.Tracer)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, p.Describe(*profileOut))
+	return nil
 }
 
-// run executes the workload with a fresh ledger, tracer and contention
-// observatory attached and returns them after a final closure audit.
-// Each run gets its own sinks, so the -diff halves never share frontier
-// registrations.
-func run(w bench.Workload, opts bench.WorkloadOpts) bench.Sinks {
+// runWorkload executes the workload with a fresh ledger, tracer and
+// contention observatory attached and returns them after a final
+// closure audit. Each run gets its own sinks, so the -diff halves never
+// share frontier registrations.
+func runWorkload(w bench.Workload, opts bench.WorkloadOpts) (bench.Sinks, error) {
 	s := bench.Sinks{Tracer: obs.NewTracer(0), Ledger: account.NewLedger(), Contend: contend.New()}
 	if _, err := w.Run(s, opts); err != nil {
-		fail(err)
+		return s, err
 	}
 	if err := s.Ledger.Audit(); err != nil {
-		fail(fmt.Errorf("closure audit failed: %w", err))
+		return s, fmt.Errorf("closure audit failed: %w", err)
 	}
-	return s
+	return s, nil
 }
 
-func printSnapshot(l *account.Ledger, ops int) {
+func printSnapshot(stdout io.Writer, l *account.Ledger, ops int) {
 	rows := l.Rows()
 	var totalCycles uint64
 	for _, r := range rows {
 		totalCycles += r.Cycles
 	}
-	fmt.Printf("%-16s %8s %8s %8s %14s %6s\n", "CONTAINER", "OBJ", "USER", "PAGES", "CYCLES", "CYC%")
+	fmt.Fprintf(stdout, "%-16s %8s %8s %8s %14s %6s\n", "CONTAINER", "OBJ", "USER", "PAGES", "CYCLES", "CYC%")
 	for _, r := range rows {
 		pct := 0.0
 		if totalCycles > 0 {
 			pct = 100 * float64(r.Cycles) / float64(totalCycles)
 		}
-		fmt.Printf("%-16s %8d %8d %8d %14d %5.1f%%\n",
+		fmt.Fprintf(stdout, "%-16s %8d %8d %8d %14d %5.1f%%\n",
 			r.Name, r.ObjPages, r.UserPages, r.Pages(), r.Cycles, pct)
 	}
 	audits, fails := l.AuditStats()
-	fmt.Printf("\n%d ops: %d pages live (watermark %d), fragmentation %d%%\n",
+	fmt.Fprintf(stdout, "\n%d ops: %d pages live (watermark %d), fragmentation %d%%\n",
 		ops, l.LivePages(), l.Watermark(), l.FragPercent())
-	fmt.Printf("audits %d (failed %d), attribution anomalies %d\n",
+	fmt.Fprintf(stdout, "audits %d (failed %d), attribution anomalies %d\n",
 		audits, fails, l.Anomalies())
 }
 
-func printDiff(half, full *account.Ledger, ops int) {
+func printDiff(stdout io.Writer, half, full *account.Ledger, ops int) {
 	halfRows := make(map[string]account.ContainerRow)
 	for _, r := range half.Rows() {
 		halfRows[r.Name] = r
 	}
-	fmt.Printf("delta over ops %d..%d:\n", ops/2, ops)
-	fmt.Printf("%-16s %10s %14s\n", "CONTAINER", "ΔPAGES", "ΔCYCLES")
+	fmt.Fprintf(stdout, "delta over ops %d..%d:\n", ops/2, ops)
+	fmt.Fprintf(stdout, "%-16s %10s %14s\n", "CONTAINER", "ΔPAGES", "ΔCYCLES")
 	for _, r := range full.Rows() {
 		h := halfRows[r.Name]
 		dp := int64(r.Pages()) - int64(h.Pages())
@@ -132,9 +156,9 @@ func printDiff(half, full *account.Ledger, ops int) {
 		if dp == 0 && dc == 0 {
 			continue
 		}
-		fmt.Printf("%-16s %+10d %+14d\n", r.Name, dp, dc)
+		fmt.Fprintf(stdout, "%-16s %+10d %+14d\n", r.Name, dp, dc)
 	}
-	fmt.Printf("\nlive pages %d -> %d (watermark %d -> %d)\n",
+	fmt.Fprintf(stdout, "\nlive pages %d -> %d (watermark %d -> %d)\n",
 		half.LivePages(), full.LivePages(), half.Watermark(), full.Watermark())
 }
 
@@ -144,55 +168,46 @@ func printDiff(half, full *account.Ledger, ops int) {
 // row per lock class — the readable view once sharding multiplies the
 // frontier count. Every section is sorted, so equal runs print
 // byte-identically — golden tests diff this output directly.
-func printLocks(o *contend.Observatory, ops int, byClass bool) {
-	fmt.Printf("contention after %d ops:\n", ops)
+func printLocks(stdout io.Writer, o *contend.Observatory, ops int, byClass bool) error {
+	fmt.Fprintf(stdout, "contention after %d ops:\n", ops)
 	if !byClass {
-		if err := o.WriteReport(os.Stdout); err != nil {
-			fail(err)
+		return o.WriteReport(stdout)
+	}
+	for _, sec := range []struct {
+		title string
+		write func(io.Writer) error
+	}{
+		{"locks by class", o.WriteLocksByClass},
+		{"attribution", o.WriteAttribution},
+		{"scheduler", o.WriteSched},
+		{"order", o.WriteOrder},
+	} {
+		fmt.Fprintf(stdout, "== contention: %s ==\n", sec.title)
+		if err := sec.write(stdout); err != nil {
+			return err
 		}
-		return
 	}
-	fmt.Println("== contention: locks by class ==")
-	if err := o.WriteLocksByClass(os.Stdout); err != nil {
-		fail(err)
-	}
-	fmt.Println("== contention: attribution ==")
-	if err := o.WriteAttribution(os.Stdout); err != nil {
-		fail(err)
-	}
-	fmt.Println("== contention: scheduler ==")
-	if err := o.WriteSched(os.Stdout); err != nil {
-		fail(err)
-	}
-	fmt.Println("== contention: order ==")
-	if err := o.WriteOrder(os.Stdout); err != nil {
-		fail(err)
-	}
+	return nil
 }
 
 // printLocksDiff shows what each lock frontier accumulated over the
 // second half of the run: the half-ops observatory is an exact prefix
 // of the full one (determinism), so the deltas are exact.
-func printLocksDiff(half, full *contend.Observatory, ops int) {
+func printLocksDiff(stdout io.Writer, half, full *contend.Observatory, ops int) {
 	halfRows := make(map[string]contend.LockSummary)
 	for _, s := range half.Summary() {
 		halfRows[s.Ident] = s
 	}
-	fmt.Printf("contention delta over ops %d..%d:\n", ops/2, ops)
-	fmt.Printf("%-24s %10s %10s %14s\n", "LOCK", "ΔACQ", "ΔCONTEND", "ΔWAITCYCLES")
+	fmt.Fprintf(stdout, "contention delta over ops %d..%d:\n", ops/2, ops)
+	fmt.Fprintf(stdout, "%-24s %10s %10s %14s\n", "LOCK", "ΔACQ", "ΔCONTEND", "ΔWAITCYCLES")
 	for _, s := range full.Summary() {
 		h := halfRows[s.Ident]
-		fmt.Printf("%-24s %+10d %+10d %+14d\n", s.Ident,
+		fmt.Fprintf(stdout, "%-24s %+10d %+10d %+14d\n", s.Ident,
 			int64(s.Acquisitions)-int64(h.Acquisitions),
 			int64(s.Contended)-int64(h.Contended),
 			int64(s.WaitCycles)-int64(h.WaitCycles))
 	}
-	fmt.Printf("\nsteals %d -> %d, runq delays observed %d -> %d\n",
+	fmt.Fprintf(stdout, "\nsteals %d -> %d, runq delays observed %d -> %d\n",
 		half.Steals(), full.Steals(),
 		half.RunqDelays().Count(), full.RunqDelays().Count())
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "atmo-top:", err)
-	os.Exit(1)
 }

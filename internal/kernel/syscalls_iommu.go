@@ -79,11 +79,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 			if _, derr := k.Alloc.DecRef(e.Phys); derr != nil {
 				panic(derr)
 			}
-			d.Table.PruneEmpty()
-			now := d.Table.NodeCount()
-			if now < nodesBefore {
-				k.PM.CreditPages(proc.Owner, uint64(nodesBefore-now))
-			}
+			k.pruneNodes(proc.Owner, d.Table, nodesBefore)
 			return k.post("iommu_map", tid, fail(EQUOTA))
 		}
 	}

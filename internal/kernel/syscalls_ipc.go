@@ -172,6 +172,8 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 		}
 		nodesBefore := proc.PageTable.NodeCount()
 		if err := proc.PageTable.Map(rt.IPC.RecvVA, msg.Page, msg.PageSize, msg.PagePerm); err != nil {
+			// A failed map leaves the table as it was: only the page's
+			// charge is undone.
 			k.PM.CreditPages(proc.Owner, pagesIn4K(msg.PageSize))
 			k.dropMsg(&msg)
 			return err
@@ -184,11 +186,7 @@ func (k *Kernel) deliver(rt *pm.Thread, msg pm.Msg) error {
 				if _, uerr := proc.PageTable.Unmap(rt.IPC.RecvVA); uerr != nil {
 					panic(uerr)
 				}
-				proc.PageTable.PruneEmpty()
-				now := proc.PageTable.NodeCount()
-				if now < nodesBefore {
-					k.PM.CreditPages(proc.Owner, uint64(nodesBefore-now))
-				}
+				k.pruneNodes(proc.Owner, proc.PageTable, nodesBefore)
 				k.PM.CreditPages(proc.Owner, pagesIn4K(msg.PageSize))
 				k.dropMsg(&msg)
 				return err

@@ -65,15 +65,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 			}
 			k.PM.CreditPages(cntr, pagesIn4K(size))
 		}
-		// Drop any now-empty table nodes this syscall (or earlier
-		// history) left behind, then settle the accounting delta.
-		table.PruneEmpty()
-		nodesNow := table.NodeCount()
-		if nodesNow < nodesBefore {
-			k.PM.CreditPages(cntr, uint64(nodesBefore-nodesNow))
-		} else if nodesNow > nodesBefore {
-			panic("kernel: rollback left uncharged page-table nodes")
-		}
+		k.pruneNodes(cntr, table, nodesBefore)
 	}
 
 	for i := 0; i < count; i++ {
@@ -94,7 +86,7 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 			}
 			k.PM.CreditPages(cntr, pagesIn4K(size))
 			rollback()
-			return k.post("mmap", tid, fail(EINVAL))
+			return k.post("mmap", tid, fail(errnoOf(err)))
 		}
 		n++
 	}
@@ -107,6 +99,23 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 		}
 	}
 	return k.post("mmap", tid, ok(uint64(va)))
+}
+
+// pruneNodes is the node half of every map site's rollback, run once
+// the failed syscall's own mappings are gone: it frees each table node
+// no mapping reaches any longer (this syscall's, and any earlier
+// history left behind) and settles cntr's quota. The table held
+// nodesBefore nodes, all charged, when the syscall began; the nodes it
+// gained since were never charged, so only the prune's cut below
+// nodesBefore is credited.
+func (k *Kernel) pruneNodes(cntr pm.Ptr, table *pt.PageTable, nodesBefore int) {
+	table.PruneEmpty()
+	now := table.NodeCount()
+	if now < nodesBefore {
+		k.PM.CreditPages(cntr, uint64(nodesBefore-now))
+	} else if now > nodesBefore {
+		panic("kernel: rollback left uncharged page-table nodes")
+	}
 }
 
 // allocUser hands out a user page of the requested size, merging free

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"atmosphere/internal/faults"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
 )
@@ -28,6 +29,37 @@ func TestRunDiffSeeds(t *testing.T) {
 				t.Fatalf("no ops executed")
 			}
 		})
+	}
+}
+
+// TestDiffUnderAllocFaults runs generated programs through the
+// differential oracle with one allocation in ten refused, armed through
+// Options.Hook as atmo-fuzz -chaos arms it, and every invariant checked
+// after every op. Step 8 of seed 4 is an mmap, and step 8 of seed 6 a
+// batched one, whose page-table node is refused: the kernel must
+// report the ENOMEM the interpreter trusts after argument validation,
+// where it once reported EINVAL.
+func TestDiffUnderAllocFaults(t *testing.T) {
+	plan := faults.Plan{Rules: []faults.Rule{{Kind: faults.AllocExhaust, Rate: 0.10}}}
+	for _, seed := range []uint64{4, 6} {
+		var inj *faults.Injector
+		opt := Options{WFEvery: 1, Hook: func(k *kernel.Kernel) {
+			var err error
+			if inj, err = faults.NewInjector(seed, plan, k.Machine.TotalCycles); err != nil {
+				t.Fatal(err)
+			}
+			k.Alloc.SetFaultHook(func() bool { return inj.Hit(faults.AllocExhaust) })
+		}}
+		res, _, err := RunDiff(Generate(seed, 100), opt)
+		if err != nil {
+			t.Fatalf("seed %d: boot: %v", seed, err)
+		}
+		if res != nil {
+			t.Fatalf("seed %d: %v", seed, res)
+		}
+		if inj.InjectedTotal() == 0 {
+			t.Fatalf("seed %d: no allocation was refused", seed)
+		}
 	}
 }
 

@@ -16,8 +16,12 @@ type Options struct {
 	// Frames/Cores override the program's machine shape when nonzero.
 	Frames int
 	Cores  int
-	// Hook runs after boot, before the first op — the mutation self-test
-	// uses it to install a kernel.PostSyscall perturbation.
+	// Hook runs after boot, before the first op: the one way to arm
+	// anything on the run's kernel. The mutation self-test installs a
+	// kernel.PostSyscall perturbation with it, WithLockOrder attaches
+	// the contention observatory and arms its checks, atmo-fuzz -chaos
+	// arms a fault injector and its sinks, and perf's checked workload
+	// marks each syscall's completion cycle.
 	Hook func(*kernel.Kernel)
 	// WFEvery > 0 additionally runs the full invariant suite
 	// (verify.TotalWF) every WFEvery steps and once after the last.

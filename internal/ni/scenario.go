@@ -45,14 +45,13 @@ type Scenario struct {
 	SlotAV, SlotBV int
 }
 
-// Config sizes the scenario.
+// Config sizes the scenario: the machine Build boots and each
+// container's quota.
 type Config struct {
-	Frames     int
-	QuotaA     uint64
-	QuotaB     uint64
-	QuotaV     uint64
-	HWConfig   hw.Config
-	UseDefault bool
+	QuotaA   uint64
+	QuotaB   uint64
+	QuotaV   uint64
+	HWConfig hw.Config
 }
 
 // DefaultConfig returns the standard scenario sizing.

@@ -218,9 +218,20 @@ func (t *PageTable) read(addr hw.PhysAddr) uint64 {
 	return t.alloc.Mem().ReadU64(addr)
 }
 
+// fresh logs the table nodes one map call installs, root-most first.
+type fresh struct {
+	slots, nodes [3]hw.PhysAddr
+	n            int
+}
+
 // ensureTable returns the next-level table pointed to by the entry at
-// slot, allocating and installing a zeroed node if the entry is empty.
-func (t *PageTable) ensureTable(slot hw.PhysAddr) (hw.PhysAddr, error) {
+// slot, allocating and installing a zeroed node if the entry is empty
+// and logging it in f. If the node cannot be allocated, the nodes f
+// logs are taken out again, so a map that fails for want of memory
+// leaves the table as it found it. (No later step of a map can fail
+// once it has installed a node: everything below a fresh node is
+// empty.)
+func (t *PageTable) ensureTable(f *fresh, slot hw.PhysAddr) (hw.PhysAddr, error) {
 	e := t.read(slot)
 	if e&hw.PtePresent != 0 {
 		if e&hw.PteHuge != 0 {
@@ -230,10 +241,20 @@ func (t *PageTable) ensureTable(slot hw.PhysAddr) (hw.PhysAddr, error) {
 	}
 	node, err := t.alloc.AllocPage4K(t.owner)
 	if err != nil {
+		for f.n > 0 {
+			f.n--
+			t.write(f.slots[f.n], 0, false)
+			t.nodes.Remove(f.nodes[f.n])
+			if ferr := t.alloc.FreePage(f.nodes[f.n]); ferr != nil {
+				panic(ferr)
+			}
+		}
 		return 0, err
 	}
 	t.nodes.Insert(node)
 	t.write(slot, uint64(node)|tableFlags, false)
+	f.slots[f.n], f.nodes[f.n] = slot, node
+	f.n++
 	return node, nil
 }
 
@@ -249,15 +270,16 @@ func (t *PageTable) Map4K(va hw.VirtAddr, phys hw.PhysAddr, perm Perm) error {
 	if t.covered(va) {
 		return fmt.Errorf("%w: %#x", ErrAlreadyMapped, va)
 	}
-	l3, err := t.ensureTable(slotAddr(t.cr3, hw.L4Index(va)))
+	var f fresh
+	l3, err := t.ensureTable(&f, slotAddr(t.cr3, hw.L4Index(va)))
 	if err != nil {
 		return err
 	}
-	l2, err := t.ensureTable(slotAddr(l3, hw.L3Index(va)))
+	l2, err := t.ensureTable(&f, slotAddr(l3, hw.L3Index(va)))
 	if err != nil {
 		return err
 	}
-	l1, err := t.ensureTable(slotAddr(l2, hw.L2Index(va)))
+	l1, err := t.ensureTable(&f, slotAddr(l2, hw.L2Index(va)))
 	if err != nil {
 		return err
 	}
@@ -278,11 +300,12 @@ func (t *PageTable) Map2M(va hw.VirtAddr, phys hw.PhysAddr, perm Perm) error {
 	if t.covered(va) {
 		return fmt.Errorf("%w: %#x", ErrAlreadyMapped, va)
 	}
-	l3, err := t.ensureTable(slotAddr(t.cr3, hw.L4Index(va)))
+	var f fresh
+	l3, err := t.ensureTable(&f, slotAddr(t.cr3, hw.L4Index(va)))
 	if err != nil {
 		return err
 	}
-	l2, err := t.ensureTable(slotAddr(l3, hw.L3Index(va)))
+	l2, err := t.ensureTable(&f, slotAddr(l3, hw.L3Index(va)))
 	if err != nil {
 		return err
 	}
@@ -303,7 +326,8 @@ func (t *PageTable) Map1G(va hw.VirtAddr, phys hw.PhysAddr, perm Perm) error {
 	if t.covered(va) {
 		return fmt.Errorf("%w: %#x", ErrAlreadyMapped, va)
 	}
-	l3, err := t.ensureTable(slotAddr(t.cr3, hw.L4Index(va)))
+	var f fresh
+	l3, err := t.ensureTable(&f, slotAddr(t.cr3, hw.L4Index(va)))
 	if err != nil {
 		return err
 	}
@@ -316,7 +340,8 @@ func (t *PageTable) Map1G(va hw.VirtAddr, phys hw.PhysAddr, perm Perm) error {
 	return nil
 }
 
-// Map dispatches on size.
+// Map dispatches on size. Each Map* either installs the mapping or
+// fails and leaves the table as it found it.
 func (t *PageTable) Map(va hw.VirtAddr, phys hw.PhysAddr, size hw.PageSize, perm Perm) error {
 	switch size {
 	case hw.Size4K:

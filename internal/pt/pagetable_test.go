@@ -405,3 +405,34 @@ func TestPruneEmptyNeverFreesRoot(t *testing.T) {
 		t.Fatal("root freed")
 	}
 }
+
+// TestMapFailureLeavesTableUnchanged refuses each table node a map into
+// an empty region needs, in turn: the map must fail with the
+// allocator's error and leave the node set, the free list and the
+// translations as it found them.
+func TestMapFailureLeavesTableUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		size  hw.PageSize
+		nodes int // nodes a map into an empty table installs
+	}{{hw.Size4K, 3}, {hw.Size2M, 2}, {hw.Size1G, 1}} {
+		for refuse := 1; refuse <= c.nodes; refuse++ {
+			f := newFixture(t, 64)
+			nodes, free := f.pt.NodeCount(), f.alloc.FreeCount4K()
+			n := 0
+			f.alloc.SetFaultHook(func() bool { n++; return n == refuse })
+			err := f.pt.Map(0, 0, c.size, RW)
+			f.alloc.SetFaultHook(nil)
+			if !errors.Is(err, mem.ErrOutOfMemory) {
+				t.Fatalf("%v, node %d refused: Map returned %v, want out of memory", c.size, refuse, err)
+			}
+			if f.pt.NodeCount() != nodes || f.alloc.FreeCount4K() != free {
+				t.Fatalf("%v, node %d refused: %d nodes and %d free pages, want %d and %d",
+					c.size, refuse, f.pt.NodeCount(), f.alloc.FreeCount4K(), nodes, free)
+			}
+			if _, ok := f.pt.Lookup(0); ok {
+				t.Fatalf("%v, node %d refused: the failed map left a mapping", c.size, refuse)
+			}
+			f.checkAll(t)
+		}
+	}
+}
