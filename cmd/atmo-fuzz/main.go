@@ -47,55 +47,65 @@ import (
 )
 
 func main() {
-	steps := flag.Int("steps", 2000, "ops per seed")
-	seed := flag.Uint64("seed", 1, "first seed")
-	seeds := flag.Int("seeds", 1, "number of independent seeds")
-	diff := flag.Bool("diff", false, "differential mode: lockstep kernel-vs-spec-interpreter oracle")
-	repro := flag.String("repro", "", "replay a repro file through the differential oracle and exit")
-	reproOut := flag.String("repro-out", "atmo-fuzz-failure.repro", "with -diff: where to write a minimized failing program")
-	chaos := flag.Bool("chaos", false, "differential mode with allocator faults injected")
-	traceOut := flag.String("trace", "", "with -chaos: write the last seed's Perfetto trace to this path")
-	metricsOut := flag.String("metrics", "", "with -chaos: write a metrics dump to this path")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: it parses args, runs the chosen oracle and
+// returns the exit status (1 for a failed seed, 2 for a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	steps := fs.Int("steps", 2000, "ops per seed")
+	seed := fs.Uint64("seed", 1, "first seed")
+	seeds := fs.Int("seeds", 1, "number of independent seeds")
+	diff := fs.Bool("diff", false, "differential mode: lockstep kernel-vs-spec-interpreter oracle")
+	repro := fs.String("repro", "", "replay a repro file through the differential oracle and exit")
+	reproOut := fs.String("repro-out", "atmo-fuzz-failure.repro", "with -diff: where to write a minimized failing program")
+	chaos := fs.Bool("chaos", false, "differential mode with allocator faults injected")
+	traceOut := fs.String("trace", "", "with -chaos: write the last seed's Perfetto trace to this path")
+	metricsOut := fs.String("metrics", "", "with -chaos: write a metrics dump to this path")
+	fs.Parse(args)
+
+	o := out{stdout, stderr}
 	switch {
 	case *repro != "":
-		runRepro(*repro)
-		return
+		return o.runRepro(*repro)
 	case *chaos:
-		runDiff(*seed, *seeds, *steps, "", newChaos(*traceOut, *metricsOut))
-		return
+		return o.runDiff(*seed, *seeds, *steps, "", newChaos(*traceOut, *metricsOut))
 	}
 	if *traceOut != "" || *metricsOut != "" {
-		fmt.Fprintln(os.Stderr, "atmo-fuzz: -trace/-metrics require -chaos")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "atmo-fuzz: -trace/-metrics require -chaos")
+		return 2
 	}
 	if *diff {
-		runDiff(*seed, *seeds, *steps, *reproOut, nil)
-		return
+		return o.runDiff(*seed, *seeds, *steps, *reproOut, nil)
 	}
-	runChecked(*seed, *seeds, *steps)
+	return o.runChecked(*seed, *seeds, *steps)
 }
+
+// out holds the command's two streams.
+type out struct{ stdout, stderr io.Writer }
 
 // runChecked is the default mode: every generated program runs on a
 // kernel wrapped by verify.Checker, so each transition is validated
 // against its specification predicate and the invariant suite.
-func runChecked(first uint64, seeds, steps int) {
+func (o out) runChecked(first uint64, seeds, steps int) int {
 	total := mck.Stats{Ops: map[string]int{}, Errnos: map[string]int{}}
 	for s := 0; s < seeds; s++ {
 		seed := first + uint64(s)
 		st, err := mck.RunChecked(mck.Generate(seed, steps), mck.Options{})
 		total.Merge(st)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d FAILED after %d ops: %v\n", seed, st.Steps, err)
-			os.Exit(1)
+			fmt.Fprintf(o.stderr, "seed %d FAILED after %d ops: %v\n", seed, st.Steps, err)
+			return 1
 		}
-		fmt.Printf("seed %d: %d checked transitions, all specs and invariants held\n", seed, st.Steps)
+		fmt.Fprintf(o.stdout, "seed %d: %d checked transitions, all specs and invariants held\n", seed, st.Steps)
 	}
-	fmt.Printf("\ntotal: %d checked transitions\n\nsyscall coverage:\n", total.Steps)
-	printSorted(total.Ops)
-	fmt.Println("\nerrno coverage:")
-	printSorted(total.Errnos)
+	fmt.Fprintf(o.stdout, "\ntotal: %d checked transitions\n\nsyscall coverage:\n", total.Steps)
+	o.printSorted(total.Ops)
+	fmt.Fprintln(o.stdout, "\nerrno coverage:")
+	o.printSorted(total.Errnos)
+	return 0
 }
 
 // runDiff is the lockstep differential mode: kernel vs. pure spec
@@ -107,7 +117,7 @@ func runChecked(first uint64, seeds, steps int) {
 // faults (ch non-nil) every booted kernel also gets ch's injector and
 // sinks, and TotalWF runs after every op; a divergence is reported
 // unshrunk, since the repro format has no line for a fault.
-func runDiff(first uint64, seeds, steps int, reproOut string, ch *chaos) {
+func (o out) runDiff(first uint64, seeds, steps int, reproOut string, ch *chaos) int {
 	total := mck.Stats{Ops: map[string]int{}, Errnos: map[string]int{}}
 	baseOpt := mck.Options{WFEvery: 256}
 	if ch != nil {
@@ -124,80 +134,85 @@ func runDiff(first uint64, seeds, steps int, reproOut string, ch *chaos) {
 		res, st, err := mck.RunDiff(p, opt)
 		total.Merge(st)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: boot failed: %v\n", seed, err)
-			os.Exit(1)
+			fmt.Fprintf(o.stderr, "seed %d: boot failed: %v\n", seed, err)
+			return 1
 		}
 		if res != nil {
-			fmt.Fprintf(os.Stderr, "seed %d DIVERGED: %v\n", seed, res)
+			fmt.Fprintf(o.stderr, "seed %d DIVERGED: %v\n", seed, res)
 			if ch != nil {
-				fmt.Fprintf(os.Stderr, "under faults: %s\n", ch)
-				os.Exit(1)
+				fmt.Fprintf(o.stderr, "under faults: %s\n", ch)
+				return 1
 			}
-			fmt.Fprintln(os.Stderr, "shrinking...")
+			fmt.Fprintln(o.stderr, "shrinking...")
 			min := mck.Shrink(p, func(q mck.Program) bool { return mck.Fails(q, baseOpt) })
 			if werr := os.WriteFile(reproOut, min.EncodeRepro(), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "atmo-fuzz: writing repro: %v\n", werr)
+				fmt.Fprintf(o.stderr, "atmo-fuzz: writing repro: %v\n", werr)
 			} else {
-				fmt.Fprintf(os.Stderr, "minimized to %d ops; wrote %s (replay with -repro)\n",
+				fmt.Fprintf(o.stderr, "minimized to %d ops; wrote %s (replay with -repro)\n",
 					len(min.Ops), reproOut)
 			}
-			os.Exit(1)
+			return 1
 		}
 		if v := violation(); v != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, v)
-			os.Exit(1)
+			fmt.Fprintf(o.stderr, "seed %d: %s\n", seed, v)
+			return 1
 		}
 		if ch != nil {
-			ch.injected += ch.inj.InjectedTotal()
-			fmt.Printf("seed %d: %d ops in lockstep under faults, every errno, field of Ψ and invariant held; %s\n",
+			ch.fold()
+			fmt.Fprintf(o.stdout, "seed %d: %d ops in lockstep under faults, every errno, field of Ψ and invariant held; %s\n",
 				seed, st.Steps, ch)
 			continue
 		}
-		fmt.Printf("seed %d: %d ops in lockstep, kernel and spec agreed on every field of Ψ\n", seed, st.Steps)
+		fmt.Fprintf(o.stdout, "seed %d: %d ops in lockstep, kernel and spec agreed on every field of Ψ\n", seed, st.Steps)
 	}
-	fmt.Printf("\ntotal: %d differential transitions\n", total.Steps)
+	fmt.Fprintf(o.stdout, "\ntotal: %d differential transitions\n", total.Steps)
 	if ch != nil {
-		ch.finish()
+		if err := ch.finish(o.stdout); err != nil {
+			fmt.Fprintf(o.stderr, "atmo-fuzz: %v\n", err)
+			return 1
+		}
 	}
-	fmt.Println("\nsyscall coverage:")
-	printSorted(total.Ops)
-	fmt.Println("\nerrno coverage:")
-	printSorted(total.Errnos)
+	fmt.Fprintln(o.stdout, "\nsyscall coverage:")
+	o.printSorted(total.Ops)
+	fmt.Fprintln(o.stdout, "\nerrno coverage:")
+	o.printSorted(total.Errnos)
+	return 0
 }
 
 // runRepro replays a minimized repro file through the differential
 // oracle; exit status reports whether the divergence still reproduces.
-func runRepro(path string) {
+func (o out) runRepro(path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "atmo-fuzz: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(o.stderr, "atmo-fuzz: %v\n", err)
+		return 2
 	}
 	p, err := mck.ParseRepro(data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "atmo-fuzz: %s: %v\n", path, err)
-		os.Exit(2)
+		fmt.Fprintf(o.stderr, "atmo-fuzz: %s: %v\n", path, err)
+		return 2
 	}
 	res, st, err := mck.RunDiff(p, mck.Options{WFEvery: 1})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: boot failed: %v\n", path, err)
-		os.Exit(1)
+		fmt.Fprintf(o.stderr, "%s: boot failed: %v\n", path, err)
+		return 1
 	}
 	if res != nil {
-		fmt.Printf("%s: still diverges after %d ops: %v\n", path, st.Steps, res)
-		os.Exit(1)
+		fmt.Fprintf(o.stdout, "%s: still diverges after %d ops: %v\n", path, st.Steps, res)
+		return 1
 	}
-	fmt.Printf("%s: %d ops replayed, kernel and spec agree (divergence fixed)\n", path, st.Steps)
+	fmt.Fprintf(o.stdout, "%s: %d ops replayed, kernel and spec agree (divergence fixed)\n", path, st.Steps)
+	return 0
 }
 
-func printSorted(m map[string]int) {
+func (o out) printSorted(m map[string]int) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-24s %7d\n", k, m[k])
+		fmt.Fprintf(o.stdout, "  %-24s %7d\n", k, m[k])
 	}
 }
 
@@ -208,21 +223,27 @@ var chaosPlan = faults.Plan{Rules: []faults.Rule{{Kind: faults.AllocExhaust, Rat
 // chaos arms -chaos's fault injector and sinks on each booted kernel.
 // Each seed gets a fresh injector, seeded like its program, and a fresh
 // tracer (one kernel, one timeline); the last seed's trace is the one
-// exported. The metrics registry is shared, so counters accumulate
-// across seeds, while each gauge reads the last seed's kernel and
-// injector.
+// exported. The metrics registry is shared, so the kernel's counters
+// accumulate across seeds, and the faults.* gauges, registered once,
+// read the sweep's per-kind totals, which fold in each seed's injector
+// when the seed ends.
 type chaos struct {
 	traceOut, metricsOut string
 	tracer               *obs.Tracer
 	registry             *obs.Registry
 	inj                  *faults.Injector
-	injected             uint64
+	opportunities        [faults.KindCount]uint64
+	injected             [faults.KindCount]uint64
 }
 
 func newChaos(traceOut, metricsOut string) *chaos {
 	ch := &chaos{traceOut: traceOut, metricsOut: metricsOut}
 	if metricsOut != "" {
 		ch.registry = obs.NewRegistry()
+		for k := faults.Kind(0); k < faults.KindCount; k++ {
+			ch.registry.Gauge("faults."+k.String()+".opportunities", func() uint64 { return ch.opportunities[k] })
+			ch.registry.Gauge("faults."+k.String()+".injected", func() uint64 { return ch.injected[k] })
+		}
 	}
 	return ch
 }
@@ -240,9 +261,16 @@ func (ch *chaos) arm(seed uint64) func(*kernel.Kernel) {
 			panic(err) // chaosPlan is fixed and valid
 		}
 		inj.SetTracer(ch.tracer)
-		inj.RegisterMetrics(ch.registry)
 		k.Alloc.SetFaultHook(func() bool { return inj.Hit(faults.AllocExhaust) })
 		ch.inj = inj
+	}
+}
+
+// fold adds the finished seed's injector to the sweep's totals.
+func (ch *chaos) fold() {
+	for k := range ch.injected {
+		ch.opportunities[k] += ch.inj.Opportunities[k]
+		ch.injected[k] += ch.inj.Injected[k]
 	}
 }
 
@@ -253,30 +281,36 @@ func (ch *chaos) String() string {
 }
 
 // finish prints the sweep's fault total and writes the exports.
-func (ch *chaos) finish() {
-	fmt.Printf("chaos: %d faults injected\n", ch.injected)
+func (ch *chaos) finish(stdout io.Writer) error {
+	var total uint64
+	for _, n := range ch.injected {
+		total += n
+	}
+	fmt.Fprintf(stdout, "chaos: %d faults injected\n", total)
 	if ch.tracer != nil {
-		writeOut(ch.traceOut, func(w io.Writer) error { return obs.WriteTrace(w, ch.tracer) })
-		fmt.Printf("wrote trace (%d events) to %s\n", ch.tracer.Len(), ch.traceOut)
+		if err := writeOut(ch.traceOut, func(w io.Writer) error { return obs.WriteTrace(w, ch.tracer) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote trace (%d events) to %s\n", ch.tracer.Len(), ch.traceOut)
 	}
 	if ch.registry != nil {
-		writeOut(ch.metricsOut, ch.registry.WriteText)
-		fmt.Printf("wrote metrics to %s\n", ch.metricsOut)
+		if err := writeOut(ch.metricsOut, ch.registry.WriteText); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote metrics to %s\n", ch.metricsOut)
 	}
+	return nil
 }
 
-// writeOut creates path and streams write into it; a failure ends the
-// run with status 1.
-func writeOut(path string, write func(io.Writer) error) {
+// writeOut creates path and streams write into it.
+func writeOut(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "atmo-fuzz: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

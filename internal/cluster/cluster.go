@@ -131,6 +131,7 @@ type Cluster struct {
 
 	frame [2048]byte // scratch for reply/probe construction
 	due   []inflight // scratch for one link's due frames in deliver
+	free  [][]byte   // frame buffers no link, inbox or consumer holds
 	rep   Report
 	hash  uint64
 }
@@ -252,7 +253,7 @@ func (c *Cluster) injectFaults() {
 	for _, l := range c.links {
 		if hit, param := c.inj.ShouldFor(faults.LinkPartition, uint64(l.id)); hit {
 			l.partitionedUntil = c.tick + ticksFromCycles(param)
-			dropped := l.flush()
+			dropped := c.flush(l)
 			c.rep.DroppedLink += dropped
 			c.mix(evPartition, uint64(l.id), dropped)
 			c.instant(c.namePartition, uint64(l.id))
@@ -281,6 +282,7 @@ func (c *Cluster) killMachine(m *machine) {
 	m.diedAt = c.tick
 	m.stalledUntil = 0
 	c.rep.DroppedDead += uint64(len(m.inbox))
+	c.free = append(c.free, m.inbox...)
 	m.inbox = m.inbox[:0]
 	m.Kills++
 	c.rep.Kills++
@@ -321,7 +323,8 @@ func (c *Cluster) supervise() {
 // deliver moves due frames: the client link's LB-bound frames into the
 // LB inbox and client-bound frames into the client; backend links
 // likewise by direction. Nothing the loop calls delivers, so one
-// buffer serves every link.
+// buffer serves every link. A frame the client consumes, or that finds
+// its machine dead, gives its buffer back at once.
 func (c *Cluster) deliver() {
 	for _, l := range c.links {
 		c.due = l.due(c.tick, c.due[:0])
@@ -330,10 +333,12 @@ func (c *Cluster) deliver() {
 			c.mix(evDeliver, uint64(l.id), uint64(len(f.data)))
 			if f.toClient {
 				c.client.consume(f.data, c.tick)
+				c.free = append(c.free, f.data)
 			} else {
 				m := c.machineFor(l, f)
 				if m == nil || !m.alive {
 					c.rep.DroppedDead++
+					c.free = append(c.free, f.data)
 					continue
 				}
 				c.distArrive(f.data, m.id)
@@ -403,6 +408,7 @@ func (c *Cluster) lbStep() {
 	if len(lb.inbox) > 0 {
 		lb.crossKernel()
 	}
+	c.free = append(c.free, lb.inbox...)
 	lb.inbox = lb.inbox[:0]
 }
 
@@ -469,18 +475,25 @@ func (c *Cluster) backendsStep() {
 		if len(m.inbox) > 0 {
 			m.crossKernel()
 		}
+		c.free = append(c.free, m.inbox...)
 		m.inbox = m.inbox[:0]
 	}
 }
 
-// send queues a frame on a link, applying the link's fault state.
+// send queues a copy of a frame on a link, applying the link's fault
+// state. The copy reuses a released buffer when there is one.
 func (c *Cluster) send(l *link, data []byte, toClient, toLB bool) {
 	if c.tick < l.partitionedUntil {
 		c.rep.DroppedLink++
 		c.mix(evLinkDrop, uint64(l.id), c.tick)
 		return
 	}
-	buf := append([]byte(nil), data...)
+	var buf []byte
+	if n := len(c.free); n > 0 {
+		buf = c.free[n-1][:0]
+		c.free = c.free[:n-1]
+	}
+	buf = append(buf, data...)
 	delay := uint64(1) + l.delayExtra
 	l.delayExtra = 0
 	if l.corruptNext {

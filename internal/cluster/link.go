@@ -35,8 +35,12 @@ func (l *link) due(tick uint64, out []inflight) []inflight {
 	return out
 }
 
-// flush drops everything in flight and reports how many frames died.
-func (l *link) flush() uint64 {
+// flush drops everything in flight on l, giving each frame's buffer
+// back for reuse, and reports how many frames died.
+func (c *Cluster) flush(l *link) uint64 {
+	for _, f := range l.queue {
+		c.free = append(c.free, f.data)
+	}
 	n := uint64(len(l.queue))
 	l.queue = l.queue[:0]
 	return n

@@ -343,6 +343,27 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 	}
 }
 
+// A TLB allocates its slots on the first Insert: looking up,
+// invalidating, flushing and walking an empty one allocate nothing.
+func TestTLBAllocatesOnFirstInsert(t *testing.T) {
+	tlb := NewTLB(256)
+	if n := testing.AllocsPerRun(10, func() {
+		tlb.Lookup(0x1000, 0x5000)
+		tlb.InvalidateRange(0x1000, 0, PageSize2M)
+		tlb.Flush()
+		tlb.Each(func(PhysAddr, VirtAddr, Translation) bool { return true })
+	}); n != 0 || tlb.entries != nil {
+		t.Fatalf("empty TLB allocated %.0f times (slots %v)", n, tlb.entries != nil)
+	}
+	tlb.Insert(0x1000, 0x5000, Translation{Phys: 0x9000})
+	if len(tlb.entries) != 256 {
+		t.Fatalf("first Insert allocated %d slots, want 256", len(tlb.entries))
+	}
+	if tr, ok := tlb.Lookup(0x1000, 0x5000); !ok || tr.Phys != 0x9000 {
+		t.Fatalf("lookup after the first Insert = %+v, %v", tr, ok)
+	}
+}
+
 func TestTLBFlush(t *testing.T) {
 	tlb := NewTLB(8)
 	tlb.Insert(0, 0, Translation{Phys: 1})

@@ -9,7 +9,8 @@ package hw
 // entry still agrees with the page table (§4.2, consistency of page
 // table updates).
 type TLB struct {
-	entries []tlbEntry
+	entries []tlbEntry // nil until the first Insert
+	slots   int
 	live    int // valid entries: an empty TLB is walked in O(1)
 	hits    uint64
 	misses  uint64
@@ -23,26 +24,29 @@ type tlbEntry struct {
 	tr    Translation
 }
 
-// NewTLB returns a TLB with the given number of slots (rounded up to 1).
+// NewTLB returns a TLB with the given number of slots (rounded up to
+// 1). The slots are allocated by the first Insert, so a core whose TLB
+// is never filled costs no host memory.
 func NewTLB(slots int) *TLB {
 	if slots < 1 {
 		slots = 1
 	}
-	return &TLB{entries: make([]tlbEntry, slots)}
+	return &TLB{slots: slots}
 }
 
 func (t *TLB) slot(cr3 PhysAddr, vpage VirtAddr) *tlbEntry {
-	h := (uint64(vpage)>>12 ^ uint64(cr3)>>12) % uint64(len(t.entries))
+	h := (uint64(vpage)>>12 ^ uint64(cr3)>>12) % uint64(t.slots)
 	return &t.entries[h]
 }
 
 // Lookup returns a cached translation for the page containing va.
 func (t *TLB) Lookup(cr3 PhysAddr, va VirtAddr) (Translation, bool) {
 	vpage := va &^ (PageSize4K - 1)
-	e := t.slot(cr3, vpage)
-	if e.valid && e.cr3 == cr3 && e.vpage == vpage {
-		t.hits++
-		return e.tr, true
+	if t.live > 0 {
+		if e := t.slot(cr3, vpage); e.valid && e.cr3 == cr3 && e.vpage == vpage {
+			t.hits++
+			return e.tr, true
+		}
 	}
 	t.misses++
 	return Translation{}, false
@@ -50,6 +54,9 @@ func (t *TLB) Lookup(cr3 PhysAddr, va VirtAddr) (Translation, bool) {
 
 // Insert caches a translation for the 4 KiB page containing va.
 func (t *TLB) Insert(cr3 PhysAddr, va VirtAddr, tr Translation) {
+	if t.entries == nil {
+		t.entries = make([]tlbEntry, t.slots)
+	}
 	vpage := va &^ (PageSize4K - 1)
 	e := t.slot(cr3, vpage)
 	if !e.valid {

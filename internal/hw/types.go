@@ -36,8 +36,11 @@ const (
 	Pages2MPer1G = PageSize1G / PageSize2M // 512
 )
 
-// PageSize enumerates the supported mapping granularities.
-type PageSize int
+// PageSize enumerates the supported mapping granularities. It is one
+// byte so that it packs into the page metadata array (mem.PageMeta)
+// without padding; kernel.validSize rejects any other value at the
+// syscall boundary.
+type PageSize uint8
 
 // Supported page sizes.
 const (

@@ -3,6 +3,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -110,4 +111,30 @@ func TestKillAllocationsFlatInPages(t *testing.T) {
 	if small, large := allocs(64), allocs(512); large > small {
 		t.Errorf("kill_container allocates %.0f times for 512 pages, %.0f for 64", large, small)
 	}
+}
+
+// A boot's host bytes are dominated by the page metadata array, one
+// packed mem.PageMeta per frame; TLB slots are allocated only by a
+// core's first Insert, so the shape every mck run boots allocates at
+// most 32 bytes per frame. The least of three boots is taken, so a
+// stray runtime allocation cannot fail the pin.
+func TestBootBytesPerFrame(t *testing.T) {
+	const frames, limit = 8192, 32
+	var least uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := Boot(hw.Config{Frames: frames, Cores: 4, TLBSlots: 256}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	if least > frames*limit {
+		t.Fatalf("Boot of an 8,192-frame, 4-core machine allocated %d bytes (%.1f per frame), want at most %d per frame",
+			least, float64(least)/frames, limit)
+	}
+	t.Logf("boot allocated %d bytes, %.1f per frame", least, float64(least)/frames)
 }

@@ -63,6 +63,40 @@ func TestDiffUnderAllocFaults(t *testing.T) {
 	}
 }
 
+// TestDiffRefusedPageDelivery grants a page with send_async and receives
+// it from the buffer at recv's VA 0, which needs two fresh table nodes.
+// Refusing either node fails the recv with ENOMEM and leaves the
+// receiver's table as it was: the interpreter must trust that ENOMEM,
+// as it does mmap's, and leave Ψ′ unchanged.
+func TestDiffRefusedPageDelivery(t *testing.T) {
+	p := Program{Ops: []Op{{Kind: KMmap, B: 3}, {Kind: KSendAsync, B: 2}, {Kind: KRecv}}}
+	for refuse := 1; refuse <= 2; refuse++ {
+		sent, n := false, 0
+		opt := Options{WFEvery: 1, Hook: func(k *kernel.Kernel) {
+			k.PostSyscall = func(name string, _ pm.Ptr, ret kernel.Ret) {
+				sent = sent || name == "send_async" && ret.Errno == kernel.OK
+			}
+			k.Alloc.SetFaultHook(func() bool {
+				if sent {
+					n++
+				}
+				return sent && n == refuse
+			})
+		}}
+		res, st, err := RunDiff(p, opt)
+		if err != nil {
+			t.Fatalf("refusing allocation %d after the send: boot: %v", refuse, err)
+		}
+		if res != nil {
+			t.Fatalf("refusing allocation %d after the send: %v", refuse, res)
+		}
+		if st.Steps != 3 || st.Errnos[kernel.ENOMEM.String()] != 1 {
+			t.Fatalf("refusing allocation %d after the send: %d steps, errnos %v, want 3 steps and one ENOMEM",
+				refuse, st.Steps, st.Errnos)
+		}
+	}
+}
+
 // TestRunDiffChecksFinalState plants a refcount leak after the first
 // successful mmap. The differential oracle cannot see it (Diff compares
 // objects and address spaces, not page counts), so only TotalWF can,

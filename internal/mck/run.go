@@ -91,6 +91,7 @@ type registries struct {
 	threads []pm.Ptr
 	procs   []pm.Ptr
 	cntrs   []pm.Ptr
+	live    []pm.Ptr // resolve's reused buffer: the threads still alive, in creation order
 }
 
 func bootRegistries(k *kernel.Kernel, init pm.Ptr) *registries {
@@ -147,12 +148,13 @@ const mmapBase = 0x4000_0000
 // modulo "valid range plus a little", so out-of-range probes stay in
 // the mix. Returns ok=false when no thread exists to issue the call.
 func resolve(k *kernel.Kernel, regs *registries, op Op, cores int) (call, bool) {
-	var live []pm.Ptr
+	live := regs.live[:0]
 	for _, t := range regs.threads {
 		if _, ok := k.PM.TryThrd(t); ok {
 			live = append(live, t)
 		}
 	}
+	regs.live = live
 	if len(live) == 0 {
 		return call{}, false
 	}

@@ -82,7 +82,8 @@ const nilIdx = int32(-1)
 // struct-page array the paper describes. The Prev/Next links make the
 // page a node of its free list; keeping the node inside the metadata is
 // what gives the allocator constant-time removal when a scanned page is
-// merged into a superpage (§4.2).
+// merged into a superpage (§4.2). The three one-byte fields and four
+// 32-bit ones pack into 20 bytes per frame with no padding.
 type PageMeta struct {
 	State PageState
 	Size  SizeClass

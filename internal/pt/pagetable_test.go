@@ -215,13 +215,24 @@ func TestMapOtherEntriesUnchanged(t *testing.T) {
 	f.checkAll(t)
 }
 
+// enumerate materializes every terminal mapping the concrete tables
+// encode, keyed by base virtual address.
+func enumerate(t *PageTable) map[hw.VirtAddr]MapEntry {
+	out := make(map[hw.VirtAddr]MapEntry)
+	_ = t.eachMapping(func(va hw.VirtAddr, e MapEntry) error {
+		out[va] = e
+		return nil
+	})
+	return out
+}
+
 func TestStepConsistency(t *testing.T) {
 	// §4.2: non-leaf page-table writes never change the abstract
 	// address space; each leaf write changes exactly one entry.
 	f := newFixture(t, 256)
-	prev := f.pt.Enumerate()
+	prev := enumerate(f.pt)
 	f.pt.OnStep = func(leaf bool) {
-		cur := f.pt.Enumerate()
+		cur := enumerate(f.pt)
 		if !leaf {
 			if len(cur) != len(prev) {
 				t.Fatalf("non-leaf step changed address space: %d -> %d", len(prev), len(cur))

@@ -13,11 +13,11 @@ import (
 // never charge cycles — they are ghost code, the analogue of proof
 // functions erased at compile time.
 
-// Enumerate walks the concrete radix tree and returns every terminal
-// mapping it encodes, keyed by base virtual address. This is the
-// "resolve_mapping" side of the §6.2 forall, materialized.
-func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
-	out := make(map[hw.VirtAddr]MapEntry)
+// eachMapping walks the concrete radix tree in ascending virtual-address
+// order and calls fn on every terminal mapping it encodes, stopping at
+// the first error fn returns. This is the "resolve_mapping" side of the
+// §6.2 forall, visited in place rather than materialized.
+func (t *PageTable) eachMapping(fn func(va hw.VirtAddr, e MapEntry) error) error {
 	m := t.alloc.Mem()
 	for i4 := 0; i4 < hw.EntriesPerTable; i4++ {
 		e4 := m.ReadU64(slotAddr(t.cr3, i4))
@@ -31,8 +31,9 @@ func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
 				continue
 			}
 			if e3&hw.PteHuge != 0 {
-				va := hw.VAFromIndices(i4, i3, 0, 0)
-				out[va] = entryFromPte(e3, hw.Size1G)
+				if err := fn(hw.VAFromIndices(i4, i3, 0, 0), entryFromPte(e3, hw.Size1G)); err != nil {
+					return err
+				}
 				continue
 			}
 			l2 := hw.PhysAddr(e3 & hw.PteAddrMask)
@@ -42,8 +43,9 @@ func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
 					continue
 				}
 				if e2&hw.PteHuge != 0 {
-					va := hw.VAFromIndices(i4, i3, i2, 0)
-					out[va] = entryFromPte(e2, hw.Size2M)
+					if err := fn(hw.VAFromIndices(i4, i3, i2, 0), entryFromPte(e2, hw.Size2M)); err != nil {
+						return err
+					}
 					continue
 				}
 				l1 := hw.PhysAddr(e2 & hw.PteAddrMask)
@@ -52,13 +54,14 @@ func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
 					if e1&hw.PtePresent == 0 {
 						continue
 					}
-					va := hw.VAFromIndices(i4, i3, i2, i1)
-					out[va] = entryFromPte(e1, hw.Size4K)
+					if err := fn(hw.VAFromIndices(i4, i3, i2, i1), entryFromPte(e1, hw.Size4K)); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
-	return out
+	return nil
 }
 
 // CheckRefinement validates both directions of the refinement theorem:
@@ -96,14 +99,13 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 		return err
 	}
 	// Direction 2 checks each concrete mapping against the ghost maps
-	// directly — the flat design needs no intermediate reconstruction of
-	// the address space, so this pass allocates nothing beyond the
-	// enumeration itself.
-	concrete := t.Enumerate()
-	if len(concrete) != t.MappedCount() {
-		return fmt.Errorf("pt: concrete has %d mappings, abstract %d", len(concrete), t.MappedCount())
-	}
-	for va, ce := range concrete {
+	// during one ascending walk, counting as it goes: the flat design
+	// needs no reconstruction of the address space, so this pass
+	// allocates nothing, and a hidden mapping is reported at its lowest
+	// virtual address.
+	n := 0
+	if err := t.eachMapping(func(va hw.VirtAddr, ce MapEntry) error {
+		n++
 		var ae MapEntry
 		var ok bool
 		switch ce.Size {
@@ -120,6 +122,12 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 		if ae != ce {
 			return fmt.Errorf("pt: %#x concrete %+v != abstract %+v", va, ce, ae)
 		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	if n != t.MappedCount() {
+		return fmt.Errorf("pt: concrete has %d mappings, abstract %d", n, t.MappedCount())
 	}
 	return nil
 }

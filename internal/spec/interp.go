@@ -673,11 +673,15 @@ func (ip *Interp) resolveGrant(op string, proc Ptr, va hw.VirtAddr, ret kernel.R
 
 // deliverPage mirrors the page half of kernel.deliver, with the
 // kernel's exact failure order: the page count is charged first
-// (EQUOTA), then the mapping is validated (EINVAL), then any
-// materialized table nodes are charged (EQUOTA, rolled back with the
-// same prune the failed-mmap transition runs). A failed delivery drops
-// the message's page reference below the abstraction line.
-func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m BufMsg) kernel.Errno {
+// (EQUOTA), then the mapping is validated (EINVAL), then the table
+// nodes it materializes are allocated (ENOMEM), then they are charged
+// (EQUOTA, rolled back with the same prune the failed-mmap transition
+// runs). refused reports that the observed delivery returned ENOMEM:
+// allocator exhaustion is trusted once validation has passed and a
+// node is needed, and Ψ stays as it was, since the kernel's failed map
+// leaves the table unchanged. A failed delivery drops the message's
+// page reference below the abstraction line.
+func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m BufMsg, refused bool) kernel.Errno {
 	owner := ip.St.Procs[proc].Owner
 	pages := m.Size.Bytes() / hw.PageSize4K
 	if !ip.chargeFits(owner, pages) {
@@ -693,6 +697,9 @@ func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m BufMsg) kernel.Errno {
 		if !kset[k] {
 			need[k] = true
 		}
+	}
+	if refused && len(need) > 0 {
+		return kernel.ENOMEM
 	}
 	if !ip.chargeFits(owner, pages+uint64(len(need))) {
 		ip.mmapPrune(proc, owner)
@@ -714,11 +721,12 @@ func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m BufMsg) kernel.Errno {
 // first (its failure voids the endpoint install — the kernel returns
 // early), then the endpoint descriptor. The woken receiver's errno is
 // below the abstraction line (it surfaces through its own syscall's
-// return, which the harness does not observe for a wake).
+// return, which the harness does not observe for a wake), so no
+// refused node can be witnessed here.
 func (ip *Interp) deliverTo(rptr Ptr, msg BufMsg, xfer Ptr) {
 	if msg.HasPage {
 		rt := ip.St.Threads[rptr]
-		if ip.deliverPage(rt.OwningProc, ip.recvVA[rptr], msg) != kernel.OK {
+		if ip.deliverPage(rt.OwningProc, ip.recvVA[rptr], msg, false) != kernel.OK {
 			return
 		}
 	}
@@ -913,7 +921,7 @@ func (ip *Interp) Recv(tid Ptr, slot int, reqSlot int, recvVA hw.VirtAddr, ret k
 		e.Buffered = e.Buffered[1:]
 		ip.St.Endpoints[ep] = e
 		if m.HasPage {
-			if errno := ip.deliverPage(t.OwningProc, recvVA, m); errno != kernel.OK {
+			if errno := ip.deliverPage(t.OwningProc, recvVA, m, ret.Errno == kernel.ENOMEM); errno != kernel.OK {
 				return expect("recv", errno, ret)
 			}
 		}
@@ -936,7 +944,7 @@ func (ip *Interp) Recv(tid Ptr, slot int, reqSlot int, recvVA hw.VirtAddr, ret k
 		ip.St.Threads[sptr] = st
 		ip.wake(sptr)
 		if hadPage {
-			if errno := ip.deliverPage(t.OwningProc, recvVA, page); errno != kernel.OK {
+			if errno := ip.deliverPage(t.OwningProc, recvVA, page, ret.Errno == kernel.ENOMEM); errno != kernel.OK {
 				return expect("recv", errno, ret)
 			}
 		}

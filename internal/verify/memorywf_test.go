@@ -108,7 +108,9 @@ func leafSlot(k *kernel.Kernel, table *pt.PageTable, va hw.VirtAddr) hw.PhysAddr
 
 // TestMemoryWFPlantedFaults plants one fault per MemoryWF predicate on a
 // warm kernel and pins the exact report. Each row's message is the one
-// the check produced before it became a single frame walk. Pairwise
+// the check produced before it became a single frame walk, except that
+// hidden mappings are reported at the lowest of their addresses, where
+// the refinement check once reported only a count mismatch. Pairwise
 // disjointness has no message of its own: every page carries one owner,
 // so a page two subsystems claim already fails the closure check of the
 // one that does not own it.
@@ -216,6 +218,17 @@ func TestMemoryWFPlantedFaults(t *testing.T) {
 			return fmt.Sprintf("process %#x: pt: 0x400000 permission mismatch: "+
 				"hw={Phys:%d Size:4KiB Writable:false User:true NX:true} ghost={Write:true User:true Exec:false}",
 				proc, firstMapping(t, w.k, proc))
+		}},
+		{"page-table hidden mappings", func(t *testing.T, w warm) string {
+			// Two leaves the ghost maps do not hold, planted highest
+			// first, each a copy of a live one.
+			proc := w.procs[2]
+			table := w.k.PM.Proc(proc).PageTable
+			leaf := w.k.Machine.Mem.ReadU64(leafSlot(w.k, table, 0x400000))
+			for _, va := range []hw.VirtAddr{0x500000, 0x480000} {
+				w.k.Machine.Mem.WriteU64(leafSlot(w.k, table, va), leaf)
+			}
+			return fmt.Sprintf("process %#x: pt: concrete mapping 0x480000 missing from abstract state", proc)
 		}},
 		{"iommu", func(t *testing.T, w warm) string {
 			id := w.k.PM.Proc(w.procs[0]).IOMMUDomain
