@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"atmosphere/internal/drivers"
 	"atmosphere/internal/kernel"
@@ -18,10 +20,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives eight interrupt rounds and narrates each to w.
+func run(w io.Writer) error {
 	gen := nic.NewGenerator(11, 32, 60)
 	env, err := drivers.NewNetEnv(drivers.CfgDriverLinked, gen)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	k := env.K
 	const nicIRQ = 32
@@ -29,15 +38,15 @@ func main() {
 	// Bind the device's interrupt to an endpoint in the driver's
 	// descriptor table.
 	if r := k.SysNewEndpoint(0, env.DrvTid, 5); r.Errno != kernel.OK {
-		log.Fatalf("endpoint: %v", r.Errno)
+		return fmt.Errorf("endpoint: %v", r.Errno)
 	}
 	if r := k.SysIrqRegister(0, env.DrvTid, nicIRQ, 5); r.Errno != kernel.OK {
-		log.Fatalf("irq_register: %v", r.Errno)
+		return fmt.Errorf("irq_register: %v", r.Errno)
 	}
 	env.Dev.OnRxInterrupt = func() { k.RaiseIRQ(0, nicIRQ) }
 	// A sibling keeps the core busy while the driver sleeps.
 	if r := k.SysNewThread(0, env.DrvTid, 0); r.Errno != kernel.OK {
-		log.Fatalf("sibling: %v", r.Errno)
+		return fmt.Errorf("sibling: %v", r.Errno)
 	}
 
 	received, wakeups, coalesced := 0, 0, uint64(0)
@@ -48,37 +57,38 @@ func main() {
 			// Asleep. Traffic arrives in two bursts before the driver
 			// gets to run — the second burst coalesces.
 			if _, err := env.Dev.DeliverRX(8); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if _, err := env.Dev.DeliverRX(8); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			wakeups++
 			msg := k.PM.Thrd(env.DrvTid).IPC.Msg
 			coalesced += msg.Regs[1]
-			fmt.Printf("round %d: woken by irq %d (%d interrupt(s) coalesced)\n",
+			fmt.Fprintf(w, "round %d: woken by irq %d (%d interrupt(s) coalesced)\n",
 				round, msg.Regs[0], msg.Regs[1])
 		case kernel.OK:
 			wakeups++
 			coalesced += r.Vals[1]
-			fmt.Printf("round %d: consumed %d pending interrupt(s) without sleeping\n",
+			fmt.Fprintf(w, "round %d: consumed %d pending interrupt(s) without sleeping\n",
 				round, r.Vals[1])
 		default:
-			log.Fatalf("irq_wait: %v", r.Errno)
+			return fmt.Errorf("irq_wait: %v", r.Errno)
 		}
 		n := env.Drv.RxBurst(32)
 		for _, f := range env.Drv.Frames[:n] {
 			if _, err := netproto.ParseUDP(f); err != nil {
-				log.Fatalf("bad frame: %v", err)
+				return fmt.Errorf("bad frame: %v", err)
 			}
 		}
 		received += n
 	}
-	fmt.Printf("\nreceived %d packets across %d wakeups (%d raw interrupts)\n",
+	fmt.Fprintf(w, "\nreceived %d packets across %d wakeups (%d raw interrupts)\n",
 		received, wakeups, coalesced)
-	fmt.Printf("driver thread %#x never polled an idle device: every wakeup had work\n",
+	fmt.Fprintf(w, "driver thread %#x never polled an idle device: every wakeup had work\n",
 		pm.Ptr(env.DrvTid))
 	if env.Dev.Faults != 0 {
-		log.Fatalf("%d DMA faults", env.Dev.Faults)
+		return fmt.Errorf("%d DMA faults", env.Dev.Faults)
 	}
+	return nil
 }

@@ -7,8 +7,11 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
@@ -17,68 +20,80 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the A/B/V scenario and narrates it to w.
+func run(w io.Writer) error {
 	s, err := ni.Build(ni.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	v := ni.NewService(s)
 	k := s.K
-	fmt.Printf("A=%#x B=%#x V=%#x (cores 1, 2, 3; dedicated endpoints A-V and B-V)\n", s.A, s.B, s.V)
+	fmt.Fprintf(w, "A=%#x B=%#x V=%#x (cores 1, 2, 3; dedicated endpoints A-V and B-V)\n", s.A, s.B, s.V)
 
 	// A asks V to increment a number through a shared page.
-	step(v) // V waits on A's channel
+	if err := v.Step(); err != nil { // V waits on A's channel
+		return err
+	}
 	if r := k.SysMmap(1, s.TA, 0x40000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
-		log.Fatalf("A mmap: %v", r.Errno)
+		return fmt.Errorf("A mmap: %v", r.Errno)
 	}
 	tableA := k.PM.Proc(s.PA).PageTable
 	var req [8]byte
 	binary.LittleEndian.PutUint64(req[:], 41)
 	k.Machine.MMU.Store(tableA.CR3(), 0x40000, req[:])
 	if r := k.SysCall(1, s.TA, s.SlotAV, kernel.SendArgs{Regs: [4]uint64{7}, SendPage: true, PageVA: 0x40000}); r.Errno != kernel.EWOULDBLOCK {
-		log.Fatalf("A call: %v", r.Errno)
+		return fmt.Errorf("A call: %v", r.Errno)
 	}
-	step(v) // V handles, replies, releases
+	if err := v.Step(); err != nil { // V handles, replies, releases
+		return err
+	}
 	resp, _ := k.Machine.MMU.Load(tableA.CR3(), 0x40008, 8)
-	fmt.Printf("A sent 41, V wrote back %d into the shared page; reply regs %v\n",
+	fmt.Fprintf(w, "A sent 41, V wrote back %d into the shared page; reply regs %v\n",
 		binary.LittleEndian.Uint64(resp), k.PM.Thrd(s.TA).IPC.Msg.Regs[:2])
 
 	// Isolation invariants hold throughout.
 	if err := s.CheckIsolation(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("memory_iso and endpoint_iso: OK (A and B share nothing)")
+	fmt.Fprintln(w, "memory_iso and endpoint_iso: OK (A and B share nothing)")
 
 	// B's observable state is untouched by the entire A<->V exchange.
 	obsB := ni.Observe(k, s.B)
 
 	// A dies mid-transaction: it calls V with a page, then is killed
-	// before V handles the request.
-	step(v) // V waits on B's channel
-	step(v) // V waits on A's channel again
+	// before V handles the request. V first waits on B's channel, then
+	// on A's again.
+	for i := 0; i < 2; i++ {
+		if err := v.Step(); err != nil {
+			return err
+		}
+	}
 	if r := k.SysMmap(1, s.TA, 0x50000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
-		log.Fatalf("A mmap2: %v", r.Errno)
+		return fmt.Errorf("A mmap2: %v", r.Errno)
 	}
 	if r := k.SysCall(1, s.TA, s.SlotAV, kernel.SendArgs{SendPage: true, PageVA: 0x50000}); r.Errno != kernel.EWOULDBLOCK {
-		log.Fatalf("A call2: %v", r.Errno)
+		return fmt.Errorf("A call2: %v", r.Errno)
 	}
 	if r := k.SysKillContainer(0, s.Init, s.A); r.Errno != kernel.OK {
-		log.Fatalf("kill A: %v", r.Errno)
+		return fmt.Errorf("kill A: %v", r.Errno)
 	}
-	fmt.Println("killed container A mid-transaction")
-	step(v) // V handles the orphaned request and releases the page
+	fmt.Fprintln(w, "killed container A mid-transaction")
+	if err := v.Step(); err != nil { // V handles the orphaned request and releases the page
+		return err
+	}
 	if err := v.CheckCorrectness(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("V released the dead client's page (released=%d) and returned to baseline\n", v.Released)
+	fmt.Fprintf(w, "V released the dead client's page (released=%d) and returned to baseline\n", v.Released)
 
 	if after := ni.Observe(k, s.B); after != obsB {
-		log.Fatal("B's observable state changed — non-interference violated!")
+		return errors.New("B's observable state changed — non-interference violated")
 	}
-	fmt.Println("B's observable state is bit-identical through all of A's activity and death")
-}
-
-func step(v *ni.Service) {
-	if err := v.Step(); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(w, "B's observable state is bit-identical through all of A's activity and death")
+	return nil
 }

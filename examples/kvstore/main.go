@@ -6,8 +6,11 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"atmosphere/internal/apps"
 	"atmosphere/internal/drivers"
@@ -15,9 +18,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run serves the traffic and reports the store's counters to w.
+func run(w io.Writer) error {
 	store, err := apps.NewKVStore(1_000_000, 16, 16)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Traffic: 90% GET / 10% SET over a 20K-key working set, carried in
@@ -45,22 +55,23 @@ func main() {
 
 	env, err := drivers.NewNetEnv(drivers.CfgDriverLinked, gen)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var replies int
 	env.Dev.TxSink = func(frame []byte) { replies++ }
 
 	rates, err := env.RunRx(16384, 32, store.Serve)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("served %d requests at %.2f Mreq/s\n", rates.Packets, rates.Mpps)
-	fmt.Printf("table: %d entries used of 1M; gets=%d (hits=%d, misses=%d) sets=%d\n",
+	fmt.Fprintf(w, "served %d requests at %.2f Mreq/s\n", rates.Packets, rates.Mpps)
+	fmt.Fprintf(w, "table: %d entries used of 1M; gets=%d (hits=%d, misses=%d) sets=%d\n",
 		store.Used(), store.Gets, store.Hits, store.Misses, store.Sets)
-	fmt.Printf("replies on the wire: %d\n", replies)
+	fmt.Fprintf(w, "replies on the wire: %d\n", replies)
 	if store.Hits == 0 {
-		log.Fatal("no hits — workload broken")
+		return errors.New("no hits — workload broken")
 	}
 	hitRate := float64(store.Hits) / float64(store.Gets) * 100
-	fmt.Printf("hit rate: %.1f%% (keys become hits once their SET has arrived)\n", hitRate)
+	fmt.Fprintf(w, "hit rate: %.1f%% (keys become hits once their SET has arrived)\n", hitRate)
+	return nil
 }

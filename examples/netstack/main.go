@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"atmosphere/internal/apps"
 	"atmosphere/internal/drivers"
@@ -17,6 +19,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run forwards the traffic and reports the distribution to w.
+func run(w io.Writer) error {
 	// The load balancer: 8 backends, Maglev permutation table.
 	var names []string
 	var addrs []netproto.IPv4
@@ -26,17 +35,17 @@ func main() {
 	}
 	maglev, err := apps.NewMaglev(names, addrs, apps.DefaultTableSize)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	counts := maglev.TableCounts()
-	fmt.Printf("maglev table populated: %d entries across %d backends (min %d, max %d per backend)\n",
+	fmt.Fprintf(w, "maglev table populated: %d entries across %d backends (min %d, max %d per backend)\n",
 		apps.DefaultTableSize, len(names), minOf(counts), maxOf(counts))
 
 	// atmo-c2: driver on core 1, Maglev on core 2, shared rings between.
 	gen := nic.NewGenerator(2026, 1024, 60) // 1024 flows of 64B UDP
 	env, err := drivers.NewNetEnv(drivers.CfgC2, gen)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Count what leaves on the wire per backend.
 	txPerBackend := map[netproto.IPv4]int{}
@@ -47,20 +56,21 @@ func main() {
 	}
 	rates, err := env.RunRx(8192, 32, maglev.Forward)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("forwarded %d packets at %.2f Mpps (paper's atmo-c2 Maglev: 13.3 Mpps)\n",
+	fmt.Fprintf(w, "forwarded %d packets at %.2f Mpps (paper's atmo-c2 Maglev: 13.3 Mpps)\n",
 		maglev.Forwarded, rates.Mpps)
-	fmt.Printf("driver core spent %d cycles, app core %d cycles\n", rates.DrvCycles, rates.AppCycles)
+	fmt.Fprintf(w, "driver core spent %d cycles, app core %d cycles\n", rates.DrvCycles, rates.AppCycles)
 
-	fmt.Println("per-backend distribution on the wire:")
+	fmt.Fprintln(w, "per-backend distribution on the wire:")
 	for i, a := range addrs {
-		fmt.Printf("  %s (%s): %d packets\n", names[i], a, txPerBackend[a])
+		fmt.Fprintf(w, "  %s (%s): %d packets\n", names[i], a, txPerBackend[a])
 	}
 	if env.Dev.Faults != 0 {
-		log.Fatalf("%d DMA faults — IOMMU containment failed", env.Dev.Faults)
+		return fmt.Errorf("%d DMA faults — IOMMU containment failed", env.Dev.Faults)
 	}
-	fmt.Println("zero DMA faults: every device access translated through the IOMMU domain")
+	fmt.Fprintln(w, "zero DMA faults: every device access translated through the IOMMU domain")
+	return nil
 }
 
 func minOf(xs []int) int {

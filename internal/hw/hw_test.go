@@ -120,6 +120,29 @@ func TestPhysMemFirstWriteBacksOneFrame(t *testing.T) {
 	}
 }
 
+// The frame index covers only a prefix of the frames, grown in whole
+// 2 MiB chunks up to the highest frame backed; reads, zero writes and
+// ZeroPage past it leave it alone, and the configured size is kept.
+func TestPhysMemIndexGrowsWithBacking(t *testing.T) {
+	const frames = 1 << 20
+	m := NewPhysMem(frames)
+	last := PhysAddr(frames-1) * PageSize4K
+	m.ReadU64(last)
+	m.WriteU64(last, 0)
+	m.ZeroPage(last)
+	if len(m.frames) != 0 || m.Frames() != frames || m.Size() != frames*PageSize4K || !m.Contains(last, PageSize4K) {
+		t.Fatalf("index %d frames, Frames %d, Size %#x", len(m.frames), m.Frames(), m.Size())
+	}
+	m.WriteU64(700*PageSize4K, 1)
+	if len(m.frames) != 2*Pages4KPer2M {
+		t.Fatalf("backing frame 700 grew the index to %d frames, want %d", len(m.frames), 2*Pages4KPer2M)
+	}
+	m.WriteU64(last, 1)
+	if len(m.frames) != frames || m.ReadU64(last) != 1 || m.ReadU64(700*PageSize4K) != 1 {
+		t.Fatalf("backing the last frame grew the index to %d frames", len(m.frames))
+	}
+}
+
 func TestPhysMemZeroPageKeepsBacking(t *testing.T) {
 	m := NewPhysMem(2)
 	m.WriteU64(PageSize4K+16, 0xff)

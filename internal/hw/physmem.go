@@ -14,13 +14,18 @@ import (
 // RAM is sparse: a frame with no backing reads as zero and gets its
 // 4 KiB of host memory on its first non-zero write, so a machine's host
 // footprint scales with what it writes rather than with its configured
-// RAM. Reads and writes of zeros never create backing, and a backed
-// frame keeps it for the machine's lifetime. Read, Write, ReadU64 and
-// WriteU64 copy across frame boundaries; a Slice view lies inside one
-// frame.
+// RAM. The frame index itself covers only a prefix of the frames, which
+// grows in whole 2 MiB chunks on a frame's first backing. Reads and
+// writes of zeros never create backing, and a backed frame keeps it for
+// the machine's lifetime. Read, Write, ReadU64 and WriteU64 copy across
+// frame boundaries; a Slice view lies inside one frame.
 type PhysMem struct {
-	frames []*[PageSize4K]byte
+	frames []*[PageSize4K]byte // the indexed prefix; nil for no backing
+	n      int                 // configured frames
 }
+
+// indexChunk is the frame index's growth unit: one 2 MiB run.
+const indexChunk = Pages4KPer2M
 
 // NewPhysMem creates a simulated physical memory with the given number of
 // 4 KiB frames. It panics if frames is not positive.
@@ -28,14 +33,14 @@ func NewPhysMem(frames int) *PhysMem {
 	if frames <= 0 {
 		panic("hw: PhysMem needs at least one frame")
 	}
-	return &PhysMem{frames: make([]*[PageSize4K]byte, frames)}
+	return &PhysMem{n: frames}
 }
 
 // Frames returns the number of 4 KiB frames.
-func (m *PhysMem) Frames() int { return len(m.frames) }
+func (m *PhysMem) Frames() int { return m.n }
 
 // Size returns the total size in bytes.
-func (m *PhysMem) Size() uint64 { return uint64(len(m.frames)) * PageSize4K }
+func (m *PhysMem) Size() uint64 { return uint64(m.n) * PageSize4K }
 
 // Contains reports whether [addr, addr+n) lies inside physical memory.
 func (m *PhysMem) Contains(addr PhysAddr, n uint64) bool {
@@ -55,8 +60,20 @@ func split(addr PhysAddr) (int, uint64) {
 	return int(uint64(addr) / PageSize4K), uint64(addr) % PageSize4K
 }
 
+// frame returns frame i's backing, or nil if it has none.
+func (m *PhysMem) frame(i int) *[PageSize4K]byte {
+	if i < len(m.frames) {
+		return m.frames[i]
+	}
+	return nil
+}
+
 // back returns frame i's backing, allocating it first if it has none.
 func (m *PhysMem) back(i int) *[PageSize4K]byte {
+	if i >= len(m.frames) {
+		n := min((i/indexChunk+1)*indexChunk, m.n)
+		m.frames = append(m.frames, make([]*[PageSize4K]byte, n-len(m.frames))...)
+	}
 	if m.frames[i] == nil {
 		m.frames[i] = new([PageSize4K]byte)
 	}
@@ -80,7 +97,7 @@ func (m *PhysMem) ReadU64(addr PhysAddr) uint64 {
 	if off > PageSize4K-8 { // the word straddles two frames
 		return binary.LittleEndian.Uint64(m.Read(addr, 8))
 	}
-	if f := m.frames[i]; f != nil {
+	if f := m.frame(i); f != nil {
 		return binary.LittleEndian.Uint64(f[off:])
 	}
 	return 0
@@ -94,7 +111,7 @@ func (m *PhysMem) WriteU64(addr PhysAddr, v uint64) {
 		m.Write(addr, binary.LittleEndian.AppendUint64(nil, v))
 		return
 	}
-	if m.frames[i] != nil || v != 0 {
+	if v != 0 || m.frame(i) != nil {
 		binary.LittleEndian.PutUint64(m.back(i)[off:], v)
 	}
 }
@@ -106,7 +123,7 @@ func (m *PhysMem) Read(addr PhysAddr, n uint64) []byte {
 	for dst := out; len(dst) > 0; {
 		i, off := split(addr)
 		c := min(uint64(len(dst)), PageSize4K-off)
-		if f := m.frames[i]; f != nil { // an unbacked frame reads as zero
+		if f := m.frame(i); f != nil { // an unbacked frame reads as zero
 			copy(dst[:c], f[off:])
 		}
 		dst, addr = dst[c:], addr+PhysAddr(c)
@@ -122,7 +139,7 @@ func (m *PhysMem) Write(addr PhysAddr, src []byte) {
 	for len(src) > 0 {
 		i, off := split(addr)
 		c := min(uint64(len(src)), PageSize4K-off)
-		if m.frames[i] != nil || !allZero(src[:c]) {
+		if m.frame(i) != nil || !allZero(src[:c]) {
 			copy(m.back(i)[off:], src[:c])
 		}
 		src, addr = src[c:], addr+PhysAddr(c)
@@ -149,15 +166,15 @@ func (m *PhysMem) ZeroPage(addr PhysAddr) {
 		panic(fmt.Sprintf("hw: ZeroPage of unaligned address %#x", addr))
 	}
 	m.check(addr, PageSize4K)
-	if f := m.frames[uint64(addr)/PageSize4K]; f != nil {
+	if f := m.frame(int(uint64(addr) / PageSize4K)); f != nil {
 		clear(f[:])
 	}
 }
 
 // FrameAddr returns the physical address of frame index i.
 func (m *PhysMem) FrameAddr(i int) PhysAddr {
-	if i < 0 || i >= len(m.frames) {
-		panic(fmt.Sprintf("hw: frame index %d out of range %d", i, len(m.frames)))
+	if i < 0 || i >= m.n {
+		panic(fmt.Sprintf("hw: frame index %d out of range %d", i, m.n))
 	}
 	return PhysAddr(uint64(i) * PageSize4K)
 }

@@ -395,6 +395,37 @@ func TestIPCEndpointTransfer(t *testing.T) {
 	}
 }
 
+// TestKillScrubsPendingEndpointTransfer parks a sender on a surviving
+// endpoint with a message that transfers an endpoint of a child
+// container, then kills the child. The kill destroys the transferred
+// endpoint, so the receiver that then takes the message gets its
+// scalars and no descriptor: the dead endpoint is scrubbed from the
+// pending message, not delivered as a dangling pointer.
+func TestKillScrubsPendingEndpointTransfer(t *testing.T) {
+	k, a, b := ipcPair(t)
+	cntr := pm.Ptr(mustOK(t, k.SysNewContainer(0, a, 60, []int{0})).Vals[0])
+	proc := pm.Ptr(mustOK(t, k.SysNewProcessIn(0, a, cntr)).Vals[0])
+	owner := pm.Ptr(mustOK(t, k.SysNewThreadIn(0, a, proc, 0)).Vals[0])
+	doomed := pm.Ptr(mustOK(t, k.SysNewEndpoint(0, owner, 0)).Vals[0])
+	k.PM.Thrd(a).Endpoints[1] = doomed
+	k.PM.EndpointIncRef(doomed, 1)
+	if r := k.SysSend(0, a, 0, SendArgs{Regs: [4]uint64{7}, SendEdpt: true, EdptSlot: 1}); r.Errno != EWOULDBLOCK {
+		t.Fatalf("send: %v", r.Errno)
+	}
+	mustOK(t, k.SysKillContainer(0, b, cntr))
+	if _, alive := k.PM.TryEdpt(doomed); alive {
+		t.Fatal("the kill left the child's endpoint alive")
+	}
+	if r := mustOK(t, k.SysRecv(0, b, 0, RecvArgs{EdptSlot: -1})); r.Vals[0] != 7 {
+		t.Fatalf("recv regs = %v", r.Vals)
+	}
+	for slot, e := range k.PM.Thrd(b).Endpoints {
+		if e != pm.NoEndpoint && slot != 0 {
+			t.Fatalf("receiver got a descriptor to %#x in slot %d", e, slot)
+		}
+	}
+}
+
 func TestIPCCallReply(t *testing.T) {
 	k, a, b := ipcPair(t)
 	// Server b waits.

@@ -81,9 +81,18 @@ type PageObserver func(op PageOp, p hw.PhysAddr, sc SizeClass)
 type Allocator struct {
 	mem   *hw.PhysMem
 	clock *hw.Clock
-	pages []PageMeta
-	// free list heads per size class, frame indices.
-	head [3]int32
+	// pages holds the metadata of the touched prefix of the page array.
+	// Every frame past it is free, 4 KiB and unowned, and in ascending
+	// order those frames are the tail of the 4 KiB free list, following
+	// its last touched member. The prefix grows in whole chunks when a
+	// pop or a merge first reaches past it, so a boot's host memory does
+	// not grow with configured RAM, and no pop order, scan or charge
+	// differs from a page array covering every frame.
+	pages  []PageMeta
+	frames int // configured frames: the touched prefix plus the tail
+	// free list heads and tails per size class, frame indices; the tail
+	// lets a new chunk append to the 4 KiB list in order.
+	head, tail [3]int32
 	// counts per size class for O(1) stats.
 	freeCount [3]int
 	// reserved counts frames permanently held by boot (frame 0 and the
@@ -117,23 +126,59 @@ func NewAllocator(mem *hw.PhysMem, clock *hw.Clock, reservedFrames int) *Allocat
 		panic("mem: reserving more frames than exist")
 	}
 	a := &Allocator{
-		mem:      mem,
-		clock:    clock,
-		pages:    make([]PageMeta, mem.Frames()),
-		head:     [3]int32{nilIdx, nilIdx, nilIdx},
-		reserved: reservedFrames,
+		mem:       mem,
+		clock:     clock,
+		pages:     make([]PageMeta, reservedFrames),
+		frames:    mem.Frames(),
+		head:      [3]int32{nilIdx, nilIdx, nilIdx},
+		tail:      [3]int32{nilIdx, nilIdx, nilIdx},
+		freeCount: [3]int{mem.Frames() - reservedFrames, 0, 0},
+		reserved:  reservedFrames,
 	}
 	for i := range a.pages {
 		a.pages[i] = PageMeta{State: StateAllocated, Owner: OwnerBoot, Size: Size4K, Head: nilIdx, Prev: nilIdx, Next: nilIdx}
 	}
-	// Free everything above the reservation, highest first so the free
+	// Everything above the reservation is the untouched tail: the free
 	// list pops low addresses first (deterministic, cache-friendly).
-	for i := mem.Frames() - 1; i >= reservedFrames; i-- {
-		a.pages[i].State = StateFree
-		a.pages[i].Owner = OwnerNone
-		a.pushFree(Size4K, int32(i))
-	}
 	return a
+}
+
+// chunkFrames is the touched prefix's growth unit: one 2 MiB run.
+const chunkFrames = hw.Pages4KPer2M
+
+// grow extends the touched prefix over frame n-1, rounded up to a whole
+// chunk, appending the new frames to the 4 KiB free list's tail in
+// ascending order: the place they already held as untouched frames.
+func (a *Allocator) grow(n int) {
+	old := len(a.pages)
+	n = min((n+chunkFrames-1)/chunkFrames*chunkFrames, a.frames)
+	if n <= old {
+		return
+	}
+	a.pages = append(a.pages, make([]PageMeta, n-old)...)
+	for i := int32(old); i < int32(n); i++ {
+		a.pages[i] = PageMeta{State: StateFree, Size: Size4K, Owner: OwnerNone, Head: nilIdx, Prev: a.tail[Size4K], Next: nilIdx}
+		if a.tail[Size4K] == nilIdx {
+			a.head[Size4K] = i
+		} else {
+			a.pages[a.tail[Size4K]].Next = i
+		}
+		a.tail[Size4K] = i
+	}
+}
+
+// untouched returns the metadata of frame i past the touched prefix:
+// a free 4 KiB page linked between its neighbours on the free list's
+// tail, exactly as a page array covering every frame would hold it.
+func (a *Allocator) untouched(i int32) PageMeta {
+	pg := PageMeta{State: StateFree, Size: Size4K, Owner: OwnerNone, Head: nilIdx, Prev: i - 1, Next: i + 1}
+	if int(i) == len(a.pages) {
+		pg.Prev = a.tail[Size4K]
+	}
+	if int(i)+1 == a.frames {
+		pg.Next = nilIdx
+	}
+	return pg
 }
 
 // Mem returns the physical memory the allocator manages.
@@ -164,7 +209,12 @@ func (a *Allocator) injectFail() bool {
 }
 
 // Frames returns the number of managed frames.
-func (a *Allocator) Frames() int { return len(a.pages) }
+func (a *Allocator) Frames() int { return a.frames }
+
+// Touched returns the length of the touched prefix: the frames with
+// metadata of their own. Frames from Touched() to Frames() are free
+// 4 KiB pages, the tail of the 4 KiB free list in ascending order.
+func (a *Allocator) Touched() int { return len(a.pages) }
 
 // FreeCount4K returns the number of free 4 KiB pages.
 func (a *Allocator) FreeCount4K() int { return a.freeCount[Size4K] }
@@ -182,25 +232,54 @@ func (a *Allocator) idx(p hw.PhysAddr) (int32, error) {
 	return int32(uint64(p) / hw.PageSize4K), nil
 }
 
+// page returns frame p's index and metadata. A frame past the touched
+// prefix gets a copy of its untouched metadata: no transition accepts a
+// free 4 KiB page by address, so each fails its state check on the copy
+// before it writes anything.
+func (a *Allocator) page(p hw.PhysAddr) (int32, *PageMeta, error) {
+	i, err := a.idx(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	if int(i) >= len(a.pages) {
+		pg := a.untouched(i)
+		return i, &pg, nil
+	}
+	return i, &a.pages[i], nil
+}
+
 // Meta returns a copy of the metadata for page p (for the verifier and
-// tests; mutation goes through the allocator API only).
+// tests; mutation goes through the allocator API only), as a page array
+// covering every frame would hold it: the 4 KiB list's last touched
+// member links on to the first untouched frame.
 func (a *Allocator) Meta(p hw.PhysAddr) (PageMeta, error) {
 	i, err := a.idx(p)
 	if err != nil {
 		return PageMeta{}, err
 	}
-	return a.pages[i], nil
+	if int(i) >= len(a.pages) {
+		return a.untouched(i), nil
+	}
+	pg := a.pages[i]
+	if i == a.tail[Size4K] && len(a.pages) < a.frames {
+		pg.Next = int32(len(a.pages))
+	}
+	return pg, nil
 }
 
 // FrameMeta returns frame i's metadata in place, for the verifier's
 // walk over the page array: a read-only view, since every transition
-// goes through the allocator API. i must be below Frames().
+// goes through the allocator API. i must be below Touched().
 func (a *Allocator) FrameMeta(i int) *PageMeta { return &a.pages[i] }
 
-// FreeListHead returns the frame at the head of sc's free list, or -1
-// when the list is empty; each member's Next names the following frame,
-// and the last member's Next is -1.
+// FreeListHead and FreeListTail return the first and last frames of the
+// touched part of sc's free list, or -1 when it is empty; each member's
+// Next names the following frame, and the last member's Next is -1. The
+// untouched frames follow the 4 KiB list's last member.
 func (a *Allocator) FreeListHead(sc SizeClass) int { return int(a.head[sc]) }
+
+// FreeListTail: see FreeListHead.
+func (a *Allocator) FreeListTail(sc SizeClass) int { return int(a.tail[sc]) }
 
 // --- intrusive free lists -------------------------------------------------
 
@@ -211,6 +290,8 @@ func (a *Allocator) pushFree(sc SizeClass, i int32) {
 	pg.Next = a.head[sc]
 	if a.head[sc] != nilIdx {
 		a.pages[a.head[sc]].Prev = i
+	} else {
+		a.tail[sc] = i
 	}
 	a.head[sc] = i
 	a.freeCount[sc]++
@@ -228,12 +309,17 @@ func (a *Allocator) unlinkFree(sc SizeClass, i int32) {
 	}
 	if pg.Next != nilIdx {
 		a.pages[pg.Next].Prev = pg.Prev
+	} else {
+		a.tail[sc] = pg.Prev
 	}
 	pg.Prev, pg.Next = nilIdx, nilIdx
 	a.freeCount[sc]--
 }
 
 func (a *Allocator) popFree(sc SizeClass) (int32, bool) {
+	if sc == Size4K && a.head[sc] == nilIdx && len(a.pages) < a.frames {
+		a.grow(len(a.pages) + 1)
+	}
 	i := a.head[sc]
 	if i == nilIdx {
 		return 0, false
@@ -311,11 +397,10 @@ func (a *Allocator) AllocUserPage(sc SizeClass) (hw.PhysAddr, error) {
 
 // IncRef adds one mapping reference to a mapped page (shared memory).
 func (a *Allocator) IncRef(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	_, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateMapped {
 		return fmt.Errorf("%w: incref of %v page %#x", ErrWrongState, pg.State, p)
 	}
@@ -327,22 +412,21 @@ func (a *Allocator) IncRef(p hw.PhysAddr) error {
 
 // RefCount returns the mapping reference count of p.
 func (a *Allocator) RefCount(p hw.PhysAddr) (uint32, error) {
-	i, err := a.idx(p)
+	_, pg, err := a.page(p)
 	if err != nil {
 		return 0, err
 	}
-	return a.pages[i].RefCount, nil
+	return pg.RefCount, nil
 }
 
 // DecRef drops one mapping reference; on the last reference the page
 // returns to its size class's free list. Returns true if the page was
 // freed.
 func (a *Allocator) DecRef(p hw.PhysAddr) (bool, error) {
-	i, err := a.idx(p)
+	i, pg, err := a.page(p)
 	if err != nil {
 		return false, err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateMapped || pg.RefCount == 0 {
 		return false, fmt.Errorf("%w: decref of %v page %#x (ref %d)", ErrWrongState, pg.State, p, pg.RefCount)
 	}
@@ -365,11 +449,10 @@ func (a *Allocator) DecRef(p hw.PhysAddr) (bool, error) {
 // calling (in the Go port: the caller must have removed the object from
 // its flat permission map).
 func (a *Allocator) FreePage(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	i, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateAllocated {
 		return fmt.Errorf("%w: free of %v page %#x", ErrWrongState, pg.State, p)
 	}
@@ -418,11 +501,10 @@ func (a *Allocator) MoveFreeToCache() (hw.PhysAddr, error) {
 // cache-hot — this is the cycles the per-core cache removes from under
 // the big lock relative to AllocUserPage4K's cold-list path.
 func (a *Allocator) CacheToUser(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	_, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateAllocated || pg.Owner != OwnerPCache {
 		return fmt.Errorf("%w: cache hand-out of %v/%v page %#x", ErrWrongState, pg.State, pg.Owner, p)
 	}
@@ -440,11 +522,10 @@ func (a *Allocator) CacheToUser(p hw.PhysAddr) error {
 // list — the core-local free path. The page must be mapped with
 // refcount exactly 1 (shared pages go through DecRef).
 func (a *Allocator) UserToCache(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	_, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateMapped || pg.RefCount != 1 || pg.Size != Size4K {
 		return fmt.Errorf("%w: cache take-back of %v page %#x (ref %d, %v)",
 			ErrWrongState, pg.State, p, pg.RefCount, pg.Size)
@@ -460,11 +541,10 @@ func (a *Allocator) UserToCache(p hw.PhysAddr) error {
 // CacheToFree returns a cached page to the global 4 KiB free list — the
 // drain step, run under the big lock when a core's cache overflows.
 func (a *Allocator) CacheToFree(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	i, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateAllocated || pg.Owner != OwnerPCache {
 		return fmt.Errorf("%w: cache drain of %v/%v page %#x", ErrWrongState, pg.State, pg.Owner, p)
 	}
@@ -486,18 +566,21 @@ func (a *Allocator) Merge2M() (hw.PhysAddr, error) {
 	return a.merge(Size2M, hw.Pages4KPer2M)
 }
 
-// Merge1G forms a 1 GiB superpage from 262144 contiguous free 4 KiB
-// pages (they may already be partially merged into free 2 MiB pages;
-// only fully free ranges qualify).
+// Merge1G scans the page array the same way for a naturally aligned
+// run of 262144 free 4 KiB pages and pushes its head onto the 1 GiB
+// free list. A range holding a free 2 MiB superpage does not qualify:
+// every one of its 4 KiB frames must itself be free.
 func (a *Allocator) Merge1G() (hw.PhysAddr, error) {
 	return a.merge(Size1G, hw.Pages4KPer1G)
 }
 
 func (a *Allocator) merge(sc SizeClass, frames int) (hw.PhysAddr, error) {
-	n := len(a.pages)
-	for start := 0; start+frames <= n; start += frames {
+	for start := 0; start+frames <= a.frames; start += frames {
+		// Only the range's touched frames need a look: the rest are free
+		// 4 KiB pages, each charged the same touch.
+		touched := min(max(len(a.pages)-start, 0), frames)
 		ok := true
-		for i := start; i < start+frames; i++ {
+		for i := start; i < start+touched; i++ {
 			pg := &a.pages[i]
 			if pg.State != StateFree || pg.Size != Size4K {
 				ok = false
@@ -508,6 +591,8 @@ func (a *Allocator) merge(sc SizeClass, frames int) (hw.PhysAddr, error) {
 		if !ok {
 			continue
 		}
+		a.clock.Charge(uint64(frames-touched) * hw.CostCacheTouch)
+		a.grow(start + frames)
 		for i := start; i < start+frames; i++ {
 			a.unlinkFree(Size4K, int32(i)) // constant time via back pointer
 			a.clock.Charge(hw.CostCacheTouch)
@@ -529,11 +614,10 @@ func (a *Allocator) merge(sc SizeClass, frames int) (hw.PhysAddr, error) {
 // Split returns a free superpage's constituent 4 KiB pages to the 4 KiB
 // free list.
 func (a *Allocator) Split(p hw.PhysAddr) error {
-	i, err := a.idx(p)
+	i, pg, err := a.page(p)
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
 	if pg.State != StateFree || pg.Size == Size4K {
 		return fmt.Errorf("%w: split of %v/%v page %#x", ErrWrongState, pg.State, pg.Size, p)
 	}
@@ -555,8 +639,9 @@ func (a *Allocator) Split(p hw.PhysAddr) error {
 
 // Snapshot is the abstract state of the allocator: the page sets the
 // paper's specifications quantify over. Each set is a frame bitmap, so
-// building it is one pass over the page array plus O(frames/64) words
-// per set; the kernel exposes it to the verifier, never to hot paths.
+// building it is one pass over the touched prefix plus O(frames/64)
+// words per set; the kernel exposes it to the verifier, never to hot
+// paths.
 type Snapshot struct {
 	Free4K    *PageSet
 	Free2M    *PageSet
@@ -580,7 +665,7 @@ func (a *Allocator) Snapshot() (s Snapshot) { a.SnapshotInto(&s); return s }
 // sets get one backing array sized to the frame count, so a fresh
 // snapshot allocates the same few objects whatever the machine size.
 func (a *Allocator) SnapshotInto(s *Snapshot) {
-	nw := wordsFor(len(a.pages))
+	nw := wordsFor(a.frames)
 	all := [8]**PageSet{&s.Free4K, &s.Free2M, &s.Free1G, &s.Allocated,
 		&s.Mapped, &s.Merged, &s.Boot, &s.PCache}
 	reuse := true
@@ -629,4 +714,5 @@ func (a *Allocator) SnapshotInto(s *Snapshot) {
 			s.Merged.addFrame(i)
 		}
 	}
+	s.Free4K.addRange(len(a.pages), a.frames)
 }

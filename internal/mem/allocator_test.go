@@ -336,8 +336,9 @@ func checkPartition(t *testing.T, a *Allocator) {
 	}
 }
 
-// freeList returns the frames on sc's free list, failing the test if
-// the list repeats a frame.
+// freeList returns the frames on sc's free list, the 4 KiB list's
+// untouched tail included, failing the test if the list repeats a
+// frame.
 func freeList(t *testing.T, a *Allocator, sc SizeClass) *PageSet {
 	t.Helper()
 	s := NewPageSet()
@@ -347,6 +348,11 @@ func freeList(t *testing.T, a *Allocator, sc SizeClass) *PageSet {
 			t.Fatalf("%v free list repeats %#x", sc, p)
 		}
 		s.Insert(p)
+	}
+	if sc == Size4K {
+		for i := a.Touched(); i < a.Frames(); i++ {
+			s.Insert(a.mem.FrameAddr(i))
+		}
 	}
 	return s
 }

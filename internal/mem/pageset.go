@@ -61,6 +61,19 @@ func (s *PageSet) addFrame(i int) {
 	}
 }
 
+// addRange adds frames lo..hi-1, which must lie inside the bitmap, a
+// word at a time.
+func (s *PageSet) addRange(lo, hi int) {
+	for lo < hi {
+		w, b := lo/64, lo%64
+		n := min(64-b, hi-lo)
+		mask := ^uint64(0) >> (64 - n) << b
+		s.n += bits.OnesCount64(mask &^ s.words[w])
+		s.words[w] |= mask
+		lo += n
+	}
+}
+
 // locate returns p's word index and bit, or false when p is misaligned
 // or beyond the bitmap (and so not in the set).
 func (s *PageSet) locate(p hw.PhysAddr) (int, uint64, bool) {

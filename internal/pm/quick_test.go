@@ -194,7 +194,7 @@ func TestPropObjectPagesMatchPermissions(t *testing.T) {
 		objPages.Insert(p)
 	}
 	a, owned := m.Alloc(), mem.NewPageSet()
-	for i := 0; i < a.Frames(); i++ {
+	for i := 0; i < a.Touched(); i++ {
 		if pg := a.FrameMeta(i); pg.State == mem.StateAllocated && pg.Owner == mem.OwnerProcessMgr {
 			owned.Insert(a.Mem().FrameAddr(i))
 		}

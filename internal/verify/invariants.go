@@ -270,10 +270,18 @@ func ThreadsWF(k *kernel.Kernel) error {
 func EndpointsWF(k *kernel.Kernel) error {
 	pmgr := k.PM
 	refs := make(map[pm.Ptr]int, len(pmgr.EdptPerms))
-	for _, t := range pmgr.ThrdPerms {
+	for ptr, t := range pmgr.ThrdPerms {
 		for _, e := range t.Endpoints {
 			if e != pm.NoEndpoint {
 				refs[e]++
+			}
+		}
+		// A pending send transfers only a live endpoint: destroying an
+		// endpoint scrubs it from every message that carries it, or a
+		// later rendezvous would install a dangling descriptor.
+		if m := &t.IPC.Msg; t.State == pm.ThreadBlockedSend && m.HasEndpoint {
+			if _, ok := pmgr.EdptPerms[m.Endpoint]; !ok {
+				return fmt.Errorf("thread %#x pending message carries dead endpoint %#x", ptr, m.Endpoint)
 			}
 		}
 	}
@@ -459,6 +467,9 @@ func (s *scratch) memoryWF(k *kernel.Kernel) error {
 	if !freeListIs(a, mem.Size2M, w.free[mem.Size2M]) {
 		return fmt.Errorf("2M free list disagrees with page states")
 	}
+	if !freeListIs(a, mem.Size1G, w.free[mem.Size1G]) {
+		return fmt.Errorf("1G free list disagrees with page states")
+	}
 	// Each closure is exactly its owner's allocated pages. The
 	// virtual-memory closure is the union of the per-process table
 	// closures, which are pairwise disjoint.
@@ -588,16 +599,20 @@ type frameWalk struct {
 	mismatch int
 }
 
-// walkFrames makes the one pass over the page array: it counts the
-// frames in each state, checks every allocated frame against its
-// owner's closure, and finds the lowest mapped frame whose reference
-// count differs from s.refs.
+// walkFrames makes the one pass over the page array's touched prefix:
+// it counts the frames in each state, checks every allocated frame
+// against its owner's closure, and finds the lowest mapped frame whose
+// reference count differs from s.refs. The untouched frames past the
+// prefix are free 4 KiB pages by construction and are counted, not
+// visited.
 func (s *scratch) walkFrames(a *mem.Allocator) (w frameWalk) {
 	// Counters live in locals, not in w, so the loop keeps them in
 	// registers.
-	var states, free4K, free2M, free1G, allocated, referenced int
+	untouched := a.Frames() - a.Touched()
+	states, free4K := untouched, untouched
+	var free2M, free1G, allocated, referenced int
 	w.mismatch = -1
-	for i, n := 0, a.Frames(); i < n; i++ {
+	for i, n := 0, a.Touched(); i < n; i++ {
 		pg := a.FrameMeta(i)
 		switch pg.State {
 		case mem.StateFree:
@@ -649,23 +664,28 @@ func (s *scratch) walkFrames(a *mem.Allocator) (w frameWalk) {
 }
 
 // freeListIs reports whether sc's free list holds exactly the free
-// frames of size class sc, of which the walk counted want: the list
-// visits only such frames and ends after exactly want of them. No frame
-// can be listed twice: a repeat is a cycle, and a cyclic walk never
-// ends, so it fails once it outruns want.
+// frames of size class sc, of which the walk counted want: the list's
+// touched part visits only such frames of the touched prefix, ends at
+// the allocator's recorded tail, and holds exactly want of them less
+// the untouched frames that follow it on the 4 KiB list. No frame can
+// be listed twice: a repeat is a cycle, and a cyclic walk never ends,
+// so it fails once it outruns want.
 func freeListIs(a *mem.Allocator, sc mem.SizeClass, want int) bool {
-	n, frames := 0, a.Frames()
+	n, last, touched := 0, -1, a.Touched()
+	if sc == mem.Size4K {
+		want -= a.Frames() - touched
+	}
 	for i := a.FreeListHead(sc); i >= 0; n++ {
-		if n == want || i >= frames {
+		if n >= want || i >= touched {
 			return false
 		}
 		pg := a.FrameMeta(i)
 		if pg.State != mem.StateFree || pg.Size != sc {
 			return false
 		}
-		i = int(pg.Next)
+		last, i = i, int(pg.Next)
 	}
-	return n == want
+	return n == want && last == a.FreeListTail(sc)
 }
 
 // QuotaWF: every container's UsedPages is at most its quota and equals

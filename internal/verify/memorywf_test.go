@@ -299,7 +299,8 @@ func TestMemoryWFNamesLowestCorruptProcess(t *testing.T) {
 
 // TestFreeListIs walks a free list against a count: an intact list
 // passes, and one that runs short, runs long, lists a frame in another
-// state, or cycles fails, without looping.
+// state, cycles, or ends before its recorded tail fails, without
+// looping.
 func TestFreeListIs(t *testing.T) {
 	k, _, err := kernel.Boot(cfg())
 	if err != nil {
@@ -334,6 +335,16 @@ func TestFreeListIs(t *testing.T) {
 	if !freeListIs(a, mem.Size4K, n) {
 		t.Fatal("restored free list rejected")
 	}
+	// End the list one node early: the count can be made to agree, but
+	// the list no longer ends at the tail the allocator records, where a
+	// new chunk would be appended.
+	tail := a.FreeListTail(mem.Size4K)
+	prev := pages[tail].Prev
+	pages[prev].Next = -1
+	if freeListIs(a, mem.Size4K, n-1) {
+		t.Fatal("list ending before its recorded tail accepted")
+	}
+	pages[prev].Next = int32(tail)
 }
 
 // TestTotalWFConcurrent runs the invariant suite on several kernels at
@@ -357,4 +368,57 @@ func TestTotalWFConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOneGiBMmapOnSparseBoot runs the 1 GiB path on a 524,288-frame
+// (2 GiB) boot. The low 1 GiB range holds the boot's frames, so the mmap
+// merges the high one, every frame of which lies past the allocator's
+// touched prefix; it maps that page and charges 262,144 pages plus the
+// table nodes it adds. The munmap returns the page to the 1 GiB free
+// list and credits the pages back. TotalWF holds after each.
+func TestOneGiBMmapOnSparseBoot(t *testing.T) {
+	k, init, err := kernel.Boot(hw.Config{Frames: 2 * hw.Pages4KPer1G, Cores: 2, TLBSlots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := k.Alloc
+	if a.Touched() >= hw.Pages4KPer1G {
+		t.Fatalf("boot touched %d frames, want the high 1 GiB untouched", a.Touched())
+	}
+	root := k.PM.Cntr(k.PM.RootContainer)
+	table := k.PM.Proc(k.PM.Thrd(init).OwningProc).PageTable
+	used, nodes := root.UsedPages, table.NodeCount()
+	const va, head = hw.VirtAddr(hw.PageSize1G), hw.PhysAddr(hw.PageSize1G)
+	if r := k.SysMmap(0, init, va, 1, hw.Size1G, pt.RW); r.Errno != kernel.OK {
+		t.Fatalf("1 GiB mmap: %v", r.Errno)
+	}
+	if e, ok := table.Lookup(va); !ok || e.Phys != head || e.Size != hw.Size1G {
+		t.Fatalf("1 GiB mmap maps %+v (%v), want the page at %#x", e, ok, head)
+	}
+	if m, _ := a.Meta(head); m.State != mem.StateMapped || m.Size != mem.Size1G || m.RefCount != 1 {
+		t.Fatalf("1 GiB head meta %+v", m)
+	}
+	if m, _ := a.Meta(head + hw.PageSize1G - hw.PageSize4K); m.State != mem.StateMerged || m.Head != hw.Pages4KPer1G {
+		t.Fatalf("1 GiB last constituent meta %+v", m)
+	}
+	added := uint64(table.NodeCount() - nodes)
+	if got := root.UsedPages - used; got != hw.Pages4KPer1G+added {
+		t.Fatalf("1 GiB mmap charged %d pages, want %d plus %d table nodes", got, hw.Pages4KPer1G, added)
+	}
+	if err := TotalWF(k); err != nil {
+		t.Fatalf("after 1 GiB mmap: %v", err)
+	}
+	if r := k.SysMunmap(0, init, va, 1, hw.Size1G); r.Errno != kernel.OK {
+		t.Fatalf("1 GiB munmap: %v", r.Errno)
+	}
+	if m, _ := a.Meta(head); a.FreeCount1G() != 1 || a.FreeListHead(mem.Size1G) != hw.Pages4KPer1G ||
+		m.State != mem.StateFree || m.Size != mem.Size1G {
+		t.Fatalf("after munmap: %d free 1 GiB pages, head meta %+v", a.FreeCount1G(), m)
+	}
+	if got := root.UsedPages - used; got != added {
+		t.Fatalf("after munmap the container is charged %d pages, want its %d table nodes", got, added)
+	}
+	if err := TotalWF(k); err != nil {
+		t.Fatalf("after 1 GiB munmap: %v", err)
+	}
 }

@@ -546,3 +546,45 @@ func TestMemoryWFReportsLowestRefcountMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpointsWFPendingTransferOfKilledEndpoint parks a sender on a
+// surviving endpoint with a message transferring a child container's
+// endpoint, then kills the child. The kill scrubs the dead endpoint from
+// the pending message, so TotalWF holds; put back, the dangling
+// transfer fails EndpointsWF.
+func TestEndpointsWFPendingTransferOfKilledEndpoint(t *testing.T) {
+	k, init, err := kernel.Boot(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(r kernel.Ret) kernel.Ret {
+		t.Helper()
+		if r.Errno != kernel.OK {
+			t.Fatalf("setup syscall failed: %v", r.Errno)
+		}
+		return r
+	}
+	recv := pm.Ptr(must(k.SysNewThread(0, init, 0)).Vals[0])
+	ep := pm.Ptr(must(k.SysNewEndpoint(0, init, 0)).Vals[0])
+	k.PM.Thrd(recv).Endpoints[0] = ep
+	k.PM.EndpointIncRef(ep, 1)
+	cntr := pm.Ptr(must(k.SysNewContainer(0, init, 60, []int{0})).Vals[0])
+	proc := pm.Ptr(must(k.SysNewProcessIn(0, init, cntr)).Vals[0])
+	owner := pm.Ptr(must(k.SysNewThreadIn(0, init, proc, 0)).Vals[0])
+	doomed := pm.Ptr(must(k.SysNewEndpoint(0, owner, 0)).Vals[0])
+	k.PM.Thrd(init).Endpoints[1] = doomed
+	k.PM.EndpointIncRef(doomed, 1)
+	if r := k.SysSend(0, init, 0, kernel.SendArgs{SendEdpt: true, EdptSlot: 1}); r.Errno != kernel.EWOULDBLOCK {
+		t.Fatalf("send: %v", r.Errno)
+	}
+	must(k.SysKillContainer(0, recv, cntr))
+	if err := TotalWF(k); err != nil {
+		t.Fatalf("after the kill: %v", err)
+	}
+	msg := &k.PM.Thrd(init).IPC.Msg
+	msg.HasEndpoint, msg.Endpoint = true, doomed
+	want := fmt.Sprintf("thread %#x pending message carries dead endpoint %#x", init, doomed)
+	if err := EndpointsWF(k); err == nil || err.Error() != want {
+		t.Fatalf("EndpointsWF = %v, want %q", err, want)
+	}
+}
