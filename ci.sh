@@ -36,6 +36,7 @@ echo "== fuzz smoke (10s per target)"
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzDiff$' -fuzztime 10s
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzChecked$' -fuzztime 10s
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzDiffBatch$' -fuzztime 10s
+go test ./internal/hw/ -run '^$' -fuzz '^FuzzPhysMemDense$' -fuzztime 10s
 
 echo "== docs relative-link check"
 # Every relative link in docs/*.md must resolve (fragment stripped);

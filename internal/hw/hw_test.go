@@ -73,15 +73,21 @@ func TestPhysMemSliceAliases(t *testing.T) {
 	}
 }
 
-// backed counts the frames that have host memory.
-func (m *PhysMem) backed() int {
-	n := 0
-	for _, f := range m.frames {
-		if f != nil {
-			n++
+// backing counts the frames that have host memory and the blocks backed
+// in them.
+func (m *PhysMem) backing() (frames, blocks int) {
+	for _, t := range m.frames {
+		if t == nil {
+			continue
+		}
+		frames++
+		for _, b := range t.blocks {
+			if b != nil {
+				blocks++
+			}
 		}
 	}
-	return n
+	return frames, blocks
 }
 
 func TestPhysMemUnbackedReadsZero(t *testing.T) {
@@ -98,25 +104,33 @@ func TestPhysMemUnbackedReadsZero(t *testing.T) {
 	m.WriteU64(2*PageSize4K-4, 0)
 	m.Write(3*PageSize4K-8, make([]byte, 16))
 	m.ZeroPage(3 * PageSize4K)
-	if n := m.backed(); n != 0 {
-		t.Fatalf("reads, zero writes and ZeroPage backed %d frames", n)
+	if f, b := m.backing(); f != 0 || b != 0 {
+		t.Fatalf("reads, zero writes and ZeroPage backed %d blocks in %d frames", b, f)
 	}
 }
 
 func TestPhysMemFirstWriteBacksOneFrame(t *testing.T) {
 	m := NewPhysMem(4)
 	m.WriteU64(2*PageSize4K+8, 1)
-	if n := m.backed(); n != 1 || m.frames[2] == nil {
-		t.Fatalf("a first non-zero WriteU64 backed %d frames (frame 2: %v)", n, m.frames[2] != nil)
+	if f, b := m.backing(); f != 1 || b != 1 || m.blockAt(2, 8) == nil {
+		t.Fatalf("a first non-zero WriteU64 backed %d blocks in %d frames (frame 2's block 0: %v)",
+			b, f, m.blockAt(2, 8) != nil)
 	}
 	m.Write(PageSize4K+100, []byte{0, 0, 7})
-	if n := m.backed(); n != 2 || m.frames[1] == nil {
-		t.Fatalf("a first non-zero Write backed %d frames in all (frame 1: %v)", n, m.frames[1] != nil)
+	if f, b := m.backing(); f != 2 || b != 2 || m.blockAt(1, 100) == nil {
+		t.Fatalf("a first non-zero Write backed %d blocks in %d frames in all (frame 1's block 0: %v)",
+			b, f, m.blockAt(1, 100) != nil)
 	}
-	// Zeros into a backed frame still land.
+	// Zeros into a backed block still land; zeros bound for an unbacked
+	// block of a backed frame back nothing.
 	m.WriteU64(2*PageSize4K+8, 0)
 	if got := m.ReadU64(2*PageSize4K + 8); got != 0 {
-		t.Fatalf("zero write into a backed frame lost: %#x", got)
+		t.Fatalf("zero write into a backed block lost: %#x", got)
+	}
+	m.WriteU64(2*PageSize4K+blockSize, 0)
+	m.Write(2*PageSize4K+3*blockSize, make([]byte, blockSize))
+	if f, b := m.backing(); f != 2 || b != 2 {
+		t.Fatalf("zero writes into a backed frame's unbacked blocks backed %d blocks in %d frames", b, f)
 	}
 }
 
@@ -146,13 +160,16 @@ func TestPhysMemIndexGrowsWithBacking(t *testing.T) {
 func TestPhysMemZeroPageKeepsBacking(t *testing.T) {
 	m := NewPhysMem(2)
 	m.WriteU64(PageSize4K+16, 0xff)
-	f := m.frames[1]
+	tab, b := m.frames[1], m.blockAt(1, 16)
 	m.ZeroPage(PageSize4K)
-	if m.frames[1] != f {
+	if m.frames[1] != tab || m.blockAt(1, 16) != b {
 		t.Fatal("ZeroPage dropped or replaced a backed frame's backing")
 	}
 	if got := m.ReadU64(PageSize4K + 16); got != 0 {
 		t.Fatalf("ZeroPage left %#x", got)
+	}
+	if _, n := m.backing(); n != 1 {
+		t.Fatalf("ZeroPage left %d blocks backed, want 1", n)
 	}
 	m.ZeroPage(0)
 	if m.frames[0] != nil {
@@ -178,8 +195,10 @@ func TestPhysMemCrossFrameRoundTrip(t *testing.T) {
 	if got := m.Read(PageSize4K+PageSize4K/2, uint64(len(src))); string(got) != string(src) {
 		t.Fatal("Write/Read across a frame boundary do not round-trip")
 	}
-	if m.backed() != 3 {
-		t.Fatalf("backed frames = %d, want 3", m.backed())
+	// The word backs frame 0's last block and frame 1's first; src backs
+	// frame 1's last four blocks and frame 2's first five.
+	if f, b := m.backing(); f != 3 || b != 11 {
+		t.Fatalf("backed %d blocks in %d frames, want 11 in 3", b, f)
 	}
 }
 

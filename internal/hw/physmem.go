@@ -11,21 +11,42 @@ import (
 // NIC and NVMe devices DMA directly into it, so the kernel's pointer
 // arithmetic is exercised for real rather than mocked.
 //
-// RAM is sparse: a frame with no backing reads as zero and gets its
-// 4 KiB of host memory on its first non-zero write, so a machine's host
-// footprint scales with what it writes rather than with its configured
-// RAM. The frame index itself covers only a prefix of the frames, which
-// grows in whole 2 MiB chunks on a frame's first backing. Reads and
-// writes of zeros never create backing, and a backed frame keeps it for
-// the machine's lifetime. Read, Write, ReadU64 and WriteU64 copy across
-// frame boundaries; a Slice view lies inside one frame.
+// RAM is sparse and backed in 512-byte blocks, eight to a frame: a block
+// with no backing reads as zero and gets its host memory on its first
+// non-zero write, so a machine's host footprint scales with what it
+// writes rather than with its configured RAM, and a page-table node that
+// holds a few entries, or a user page touched in one word, costs one
+// block rather than a frame. The frame index covers only a prefix of the
+// frames, which grows in whole 2 MiB chunks on a frame's first backing;
+// each entry points at the frame's table of eight block pointers. Reads
+// and writes of zeros never create backing, and a backed block keeps it
+// for the machine's lifetime. Read, Write, ReadU64 and WriteU64 copy
+// across block and frame boundaries. A Slice view lies inside one frame,
+// and Slice makes that frame contiguous once (see dense).
 type PhysMem struct {
-	frames []*[PageSize4K]byte // the indexed prefix; nil for no backing
-	n      int                 // configured frames
+	frames []*blockTable // the indexed prefix; nil for a frame with no backing
+	n      int           // configured frames
 }
 
-// indexChunk is the frame index's growth unit: one 2 MiB run.
-const indexChunk = Pages4KPer2M
+const (
+	// blockSize is the unit of backing.
+	blockSize = 512
+	// blocksPerFrame is the number of blocks in one 4 KiB frame.
+	blocksPerFrame = PageSize4K / blockSize
+	// indexChunk is the frame index's growth unit: one 2 MiB run.
+	indexChunk = Pages4KPer2M
+)
+
+// block is one 512-byte unit of backing.
+type block = [blockSize]byte
+
+// blockTable is one frame's backing: a pointer per block, nil for a block
+// that reads as zero. Once Slice has made the frame dense, all eight
+// pointers aim into dense, in order.
+type blockTable struct {
+	blocks [blocksPerFrame]*block
+	dense  *[PageSize4K]byte
+}
 
 // NewPhysMem creates a simulated physical memory with the given number of
 // 4 KiB frames. It panics if frames is not positive.
@@ -54,30 +75,81 @@ func (m *PhysMem) check(addr PhysAddr, n uint64) {
 	}
 }
 
+// checkFrame checks that addr is a frame-aligned address inside physical
+// memory, naming op in the panic if it is not, and returns its frame
+// index.
+func (m *PhysMem) checkFrame(op string, addr PhysAddr) int {
+	if !Aligned4K(uint64(addr)) {
+		panic(fmt.Sprintf("hw: %s of unaligned address %#x", op, addr))
+	}
+	m.check(addr, PageSize4K)
+	return int(uint64(addr) / PageSize4K)
+}
+
 // split returns the index of the frame holding addr and addr's offset
 // inside it.
 func split(addr PhysAddr) (int, uint64) {
 	return int(uint64(addr) / PageSize4K), uint64(addr) % PageSize4K
 }
 
-// frame returns frame i's backing, or nil if it has none.
-func (m *PhysMem) frame(i int) *[PageSize4K]byte {
+// tableAt returns frame i's block table, or nil if it has no backing.
+func (m *PhysMem) tableAt(i int) *blockTable {
 	if i < len(m.frames) {
 		return m.frames[i]
 	}
 	return nil
 }
 
-// back returns frame i's backing, allocating it first if it has none.
-func (m *PhysMem) back(i int) *[PageSize4K]byte {
+// blockAt returns the block holding offset off of frame i, or nil if it
+// has no backing.
+func (m *PhysMem) blockAt(i int, off uint64) *block {
+	if t := m.tableAt(i); t != nil {
+		return t.blocks[off/blockSize]
+	}
+	return nil
+}
+
+// backTable returns frame i's block table, growing the index over it and
+// allocating the table first if need be.
+func (m *PhysMem) backTable(i int) *blockTable {
 	if i >= len(m.frames) {
 		n := min((i/indexChunk+1)*indexChunk, m.n)
-		m.frames = append(m.frames, make([]*[PageSize4K]byte, n-len(m.frames))...)
+		m.frames = append(m.frames, make([]*blockTable, n-len(m.frames))...)
 	}
 	if m.frames[i] == nil {
-		m.frames[i] = new([PageSize4K]byte)
+		m.frames[i] = new(blockTable)
 	}
 	return m.frames[i]
+}
+
+// backBlock returns the block holding offset off of frame i, allocating
+// it first if it has no backing.
+func (m *PhysMem) backBlock(i int, off uint64) *block {
+	b := &m.backTable(i).blocks[off/blockSize]
+	if *b == nil {
+		*b = new(block)
+	}
+	return *b
+}
+
+// dense returns frame i as one contiguous 4 KiB array. The first call for
+// a frame allocates the array, copies the frame's backed blocks into it
+// and re-aims all eight block pointers into it, so reads and writes
+// through the blocks and every Slice view see the same bytes from then
+// on.
+func (m *PhysMem) dense(i int) *[PageSize4K]byte {
+	t := m.backTable(i)
+	if t.dense == nil {
+		d := new([PageSize4K]byte)
+		for j, b := range t.blocks {
+			if b != nil {
+				copy(d[j*blockSize:], b[:])
+			}
+			t.blocks[j] = (*block)(d[j*blockSize:])
+		}
+		t.dense = d
+	}
+	return t.dense
 }
 
 // allZero reports whether b holds only zeros.
@@ -90,15 +162,19 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// straddles reports whether the word at addr crosses a block boundary,
+// and with it every frame boundary.
+func straddles(addr PhysAddr) bool { return uint64(addr)%blockSize > blockSize-8 }
+
 // ReadU64 reads a little-endian 64-bit word at addr.
 func (m *PhysMem) ReadU64(addr PhysAddr) uint64 {
 	m.check(addr, 8)
-	i, off := split(addr)
-	if off > PageSize4K-8 { // the word straddles two frames
+	if straddles(addr) {
 		return binary.LittleEndian.Uint64(m.Read(addr, 8))
 	}
-	if f := m.frame(i); f != nil {
-		return binary.LittleEndian.Uint64(f[off:])
+	i, off := split(addr)
+	if b := m.blockAt(i, off); b != nil {
+		return binary.LittleEndian.Uint64(b[off%blockSize:])
 	}
 	return 0
 }
@@ -106,14 +182,19 @@ func (m *PhysMem) ReadU64(addr PhysAddr) uint64 {
 // WriteU64 writes a little-endian 64-bit word at addr.
 func (m *PhysMem) WriteU64(addr PhysAddr, v uint64) {
 	m.check(addr, 8)
-	i, off := split(addr)
-	if off > PageSize4K-8 { // the word straddles two frames
+	if straddles(addr) {
 		m.Write(addr, binary.LittleEndian.AppendUint64(nil, v))
 		return
 	}
-	if v != 0 || m.frame(i) != nil {
-		binary.LittleEndian.PutUint64(m.back(i)[off:], v)
+	i, off := split(addr)
+	b := m.blockAt(i, off)
+	if b == nil {
+		if v == 0 {
+			return // an unbacked block already reads as zero
+		}
+		b = m.backBlock(i, off)
 	}
+	binary.LittleEndian.PutUint64(b[off%blockSize:], v)
 }
 
 // Read copies n bytes starting at addr into a fresh slice.
@@ -122,53 +203,83 @@ func (m *PhysMem) Read(addr PhysAddr, n uint64) []byte {
 	out := make([]byte, n)
 	for dst := out; len(dst) > 0; {
 		i, off := split(addr)
-		c := min(uint64(len(dst)), PageSize4K-off)
-		if f := m.frame(i); f != nil { // an unbacked frame reads as zero
-			copy(dst[:c], f[off:])
+		c := min(uint64(len(dst)), blockSize-off%blockSize)
+		if b := m.blockAt(i, off); b != nil { // an unbacked block reads as zero
+			copy(dst[:c], b[off%blockSize:])
 		}
 		dst, addr = dst[c:], addr+PhysAddr(c)
 	}
 	return out
 }
 
-// Write copies src into physical memory at addr, frame by frame. Zeros
-// bound for an unbacked frame are already in place, so that chunk backs
+// Write copies src into physical memory at addr, block by block. Zeros
+// bound for an unbacked block are already in place, so that chunk backs
 // nothing.
 func (m *PhysMem) Write(addr PhysAddr, src []byte) {
 	m.check(addr, uint64(len(src)))
 	for len(src) > 0 {
 		i, off := split(addr)
-		c := min(uint64(len(src)), PageSize4K-off)
-		if m.frame(i) != nil || !allZero(src[:c]) {
-			copy(m.back(i)[off:], src[:c])
+		c := min(uint64(len(src)), blockSize-off%blockSize)
+		b := m.blockAt(i, off)
+		if b == nil && !allZero(src[:c]) {
+			b = m.backBlock(i, off)
+		}
+		if b != nil {
+			copy(b[off%blockSize:], src[:c])
 		}
 		src, addr = src[c:], addr+PhysAddr(c)
 	}
 }
 
 // Slice returns a live view of [addr, addr+n), which must lie inside one
-// frame; the frame gets backing if it has none. Devices use it for DMA;
-// the kernel proper never holds live views across syscalls.
+// frame; the frame is made dense first (see dense). Devices use it for
+// DMA; the kernel proper never holds live views across syscalls.
 func (m *PhysMem) Slice(addr PhysAddr, n uint64) []byte {
 	m.check(addr, n)
 	i, off := split(addr)
 	if n > PageSize4K-off {
 		panic(fmt.Sprintf("hw: Slice [%#x,+%d) crosses a frame boundary", addr, n))
 	}
-	return m.back(i)[off : off+n : off+n]
+	return m.dense(i)[off : off+n : off+n]
 }
 
 // ZeroPage clears the 4 KiB frame at addr, which must be frame-aligned.
-// A backed frame is cleared in place and keeps its backing, so live
-// Slice views of it stay valid.
+// Backed blocks are cleared in place and keep their backing, so live
+// Slice views of the frame stay valid.
 func (m *PhysMem) ZeroPage(addr PhysAddr) {
-	if !Aligned4K(uint64(addr)) {
-		panic(fmt.Sprintf("hw: ZeroPage of unaligned address %#x", addr))
+	if t := m.tableAt(m.checkFrame("ZeroPage", addr)); t != nil {
+		for _, b := range t.blocks {
+			if b != nil {
+				clear(b[:])
+			}
+		}
 	}
-	m.check(addr, PageSize4K)
-	if f := m.frame(int(uint64(addr) / PageSize4K)); f != nil {
-		clear(f[:])
+}
+
+// EachWord calls fn with the index and value of each non-zero aligned
+// 64-bit word of the 4 KiB frame at addr, which must be frame-aligned, in
+// ascending index order, and returns the first error fn returns. It
+// checks the frame's bounds once and skips its unbacked blocks, so a
+// page-table node holding a few entries costs a scan of the blocks they
+// lie in. fn must not write the frame.
+func (m *PhysMem) EachWord(addr PhysAddr, fn func(i int, w uint64) error) error {
+	t := m.tableAt(m.checkFrame("EachWord", addr))
+	if t == nil {
+		return nil
 	}
+	for j, b := range t.blocks {
+		if b == nil {
+			continue
+		}
+		for k := 0; k < blockSize; k += 8 {
+			if w := binary.LittleEndian.Uint64(b[k:]); w != 0 {
+				if err := fn((j*blockSize+k)/8, w); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // FrameAddr returns the physical address of frame index i.

@@ -91,12 +91,15 @@ func deriveBops(seed uint64) []bop {
 // drive), then replays exactly the drained prefix — as reported by the
 // posted CQEs — through the spec interpreter. This is the batch oracle:
 // Abstract(kernel) after the batch must equal spec.Interp over the
-// flattened op sequence, with each op's errno pinned by its CQE.
-func runBatch(k *kernel.Kernel, ip *spec.Interp, c call) (kernel.Ret, error) {
-	mem := hw.NewPhysMem(2)
+// flattened op sequence, with each op's errno pinned by its CQE. The
+// rings live in rings, two frames the run reuses for every batch: both
+// are zeroed first, so each batch starts from the same empty rings.
+func runBatch(k *kernel.Kernel, ip *spec.Interp, rings *hw.PhysMem, c call) (kernel.Ret, error) {
+	rings.ZeroPage(0)
+	rings.ZeroPage(hw.PageSize4K)
 	clk := &k.Machine.Core(c.core).Clock
-	sq := shmring.New(mem, clk, 0, shmring.SlotsPerPage())
-	cq := shmring.New(mem, clk, hw.PageSize4K, shmring.SlotsPerPage())
+	sq := shmring.New(rings, clk, 0, shmring.SlotsPerPage())
+	cq := shmring.New(rings, clk, hw.PageSize4K, shmring.SlotsPerPage())
 	bops := deriveBops(c.seed)
 	for i, b := range bops {
 		if err := shmring.EncodeSQE(sq, b.op, 0, uint16(i), b.args[:]...); err != nil {

@@ -345,6 +345,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 		return &DiffResult{Step: -1, Err: fmt.Errorf("rendezvous setup: %w", err)}, st, nil
 	}
 	rendezvous := pm.Ptr(rret.Vals[0])
+	rings := hw.NewPhysMem(2) // every KBatch op's submission and completion rings
 
 	for i, op := range p.Ops {
 		c, ok := resolve(k, regs, op, cores)
@@ -354,7 +355,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 		var ret kernel.Ret
 		if c.kind == KBatch {
 			var err error
-			ret, err = runBatch(k, ip, c)
+			ret, err = runBatch(k, ip, rings, c)
 			st.record(c.kind.String(), ret)
 			if err != nil {
 				return &DiffResult{Step: i, Op: op, Err: err}, st, nil

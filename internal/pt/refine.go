@@ -18,50 +18,28 @@ import (
 // the first error fn returns. This is the "resolve_mapping" side of the
 // §6.2 forall, visited in place rather than materialized.
 func (t *PageTable) eachMapping(fn func(va hw.VirtAddr, e MapEntry) error) error {
-	m := t.alloc.Mem()
-	for i4 := 0; i4 < hw.EntriesPerTable; i4++ {
-		e4 := m.ReadU64(slotAddr(t.cr3, i4))
-		if e4&hw.PtePresent == 0 {
-			continue
+	return t.eachLeaf(t.cr3, 4, [4]int{}, fn)
+}
+
+// leafSize is the size of a terminal mapping at each level below the
+// root.
+var leafSize = [4]hw.PageSize{1: hw.Size4K, 2: hw.Size2M, 3: hw.Size1G}
+
+// eachLeaf calls fn on the terminal mappings below table, a node at
+// level (4 is the root), whose own index at each level above it is in
+// idx. It visits only the entries written into the node
+// (hw.PhysMem.EachWord); a root entry is never terminal.
+func (t *PageTable) eachLeaf(table hw.PhysAddr, level int, idx [4]int, fn func(va hw.VirtAddr, e MapEntry) error) error {
+	return t.alloc.Mem().EachWord(table, func(i int, e uint64) error {
+		if e&hw.PtePresent == 0 {
+			return nil
 		}
-		l3 := hw.PhysAddr(e4 & hw.PteAddrMask)
-		for i3 := 0; i3 < hw.EntriesPerTable; i3++ {
-			e3 := m.ReadU64(slotAddr(l3, i3))
-			if e3&hw.PtePresent == 0 {
-				continue
-			}
-			if e3&hw.PteHuge != 0 {
-				if err := fn(hw.VAFromIndices(i4, i3, 0, 0), entryFromPte(e3, hw.Size1G)); err != nil {
-					return err
-				}
-				continue
-			}
-			l2 := hw.PhysAddr(e3 & hw.PteAddrMask)
-			for i2 := 0; i2 < hw.EntriesPerTable; i2++ {
-				e2 := m.ReadU64(slotAddr(l2, i2))
-				if e2&hw.PtePresent == 0 {
-					continue
-				}
-				if e2&hw.PteHuge != 0 {
-					if err := fn(hw.VAFromIndices(i4, i3, i2, 0), entryFromPte(e2, hw.Size2M)); err != nil {
-						return err
-					}
-					continue
-				}
-				l1 := hw.PhysAddr(e2 & hw.PteAddrMask)
-				for i1 := 0; i1 < hw.EntriesPerTable; i1++ {
-					e1 := m.ReadU64(slotAddr(l1, i1))
-					if e1&hw.PtePresent == 0 {
-						continue
-					}
-					if err := fn(hw.VAFromIndices(i4, i3, i2, i1), entryFromPte(e1, hw.Size4K)); err != nil {
-						return err
-					}
-				}
-			}
+		idx[4-level] = i
+		if level == 1 || (level < 4 && e&hw.PteHuge != 0) {
+			return fn(hw.VAFromIndices(idx[0], idx[1], idx[2], idx[3]), entryFromPte(e, leafSize[level]))
 		}
-	}
-	return nil
+		return t.eachLeaf(hw.PhysAddr(e&hw.PteAddrMask), level-1, idx, fn)
+	})
 }
 
 // CheckRefinement validates both directions of the refinement theorem:
@@ -173,13 +151,16 @@ func (t *PageTable) checkNode(table hw.PhysAddr) error {
 }
 
 // checkSubtree checks the nodes below table, a node at level (4 is the
-// root), adding each to seen once it passes checkNode.
+// root), adding each to seen once it passes checkNode. It visits only
+// the entries written into the node (hw.PhysMem.EachWord), and a level-1
+// node's entries are all terminal mappings.
 func (t *PageTable) checkSubtree(seen *mem.PageSet, table hw.PhysAddr, level int) error {
-	m := t.alloc.Mem()
-	for i := 0; i < hw.EntriesPerTable; i++ {
-		e := m.ReadU64(slotAddr(table, i))
-		if e&hw.PtePresent == 0 || level == 1 || e&hw.PteHuge != 0 {
-			continue // empty, or a terminal mapping rather than a node
+	if level == 1 {
+		return nil
+	}
+	return t.alloc.Mem().EachWord(table, func(_ int, e uint64) error {
+		if e&hw.PtePresent == 0 || e&hw.PteHuge != 0 {
+			return nil // empty, or a terminal mapping rather than a node
 		}
 		next := hw.PhysAddr(e & hw.PteAddrMask)
 		if seen.Contains(next) {
@@ -189,9 +170,6 @@ func (t *PageTable) checkSubtree(seen *mem.PageSet, table hw.PhysAddr, level int
 			return err
 		}
 		seen.Insert(next)
-		if err := t.checkSubtree(seen, next, level-1); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t.checkSubtree(seen, next, level-1)
+	})
 }

@@ -133,38 +133,41 @@ func PTRefinementRecursive(table *pt.PageTable, mmu *hw.MMU) error {
 // table node and re-validates every mapping it returns against the MMU
 // — at each level, so an entry at depth d is re-checked d times, as the
 // unrolled recursive proof re-establishes subtree properties per level.
+// Like the flat walk, it visits only the entries written into each node
+// (hw.PhysMem.EachWord), so the two differ in formulation only.
 func recurseLevel(table *pt.PageTable, mmu *hw.MMU, node hw.PhysAddr, level int, vaBase uint64) (map[hw.VirtAddr]pt.MapEntry, error) {
 	out := make(map[hw.VirtAddr]pt.MapEntry)
-	m := table.Mem()
 	shift := uint(12 + 9*(level-1))
-	for i := 0; i < hw.EntriesPerTable; i++ {
-		e := m.ReadU64(node + hw.PhysAddr(i*hw.PtrSize))
+	if err := table.Mem().EachWord(node, func(i int, e uint64) error {
 		if e&hw.PtePresent == 0 {
-			continue
+			return nil
 		}
 		va := vaBase | uint64(i)<<shift
 		if level == 1 || e&hw.PteHuge != 0 {
 			cva := canonical(va)
 			entry, ok := table.Lookup(cva)
 			if !ok {
-				return nil, fmt.Errorf("recursive refinement: concrete leaf %#x missing from ghost", cva)
+				return fmt.Errorf("recursive refinement: concrete leaf %#x missing from ghost", cva)
 			}
 			out[cva] = entry
-			continue
+			return nil
 		}
 		sub, err := recurseLevel(table, mmu, hw.PhysAddr(e&hw.PteAddrMask), level-1, va)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Merge the child's set and re-validate it at this level (the
 		// per-level re-derivation flat storage avoids).
 		for sva, se := range sub {
 			tr, ok := mmu.Walk(table.CR3(), sva)
 			if !ok || tr.Phys != se.Phys {
-				return nil, fmt.Errorf("recursive refinement: MMU disagrees at %#x (level %d)", sva, level)
+				return fmt.Errorf("recursive refinement: MMU disagrees at %#x (level %d)", sva, level)
 			}
 			out[sva] = se
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
