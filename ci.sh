@@ -37,6 +37,7 @@ go test ./internal/mck/ -run '^$' -fuzz '^FuzzDiff$' -fuzztime 10s
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzChecked$' -fuzztime 10s
 go test ./internal/mck/ -run '^$' -fuzz '^FuzzDiffBatch$' -fuzztime 10s
 go test ./internal/hw/ -run '^$' -fuzz '^FuzzPhysMemDense$' -fuzztime 10s
+go test ./internal/mem/ -run '^$' -fuzz '^FuzzAllocatorDense$' -fuzztime 10s
 
 echo "== docs relative-link check"
 # Every relative link in docs/*.md must resolve (fragment stripped);

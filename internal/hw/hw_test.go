@@ -135,7 +135,7 @@ func TestPhysMemFirstWriteBacksOneFrame(t *testing.T) {
 }
 
 // The frame index covers only a prefix of the frames, grown in whole
-// 2 MiB chunks up to the highest frame backed; reads, zero writes and
+// PrefixStep steps up to the highest frame backed; reads, zero writes and
 // ZeroPage past it leave it alone, and the configured size is kept.
 func TestPhysMemIndexGrowsWithBacking(t *testing.T) {
 	const frames = 1 << 20
@@ -148,8 +148,8 @@ func TestPhysMemIndexGrowsWithBacking(t *testing.T) {
 		t.Fatalf("index %d frames, Frames %d, Size %#x", len(m.frames), m.Frames(), m.Size())
 	}
 	m.WriteU64(700*PageSize4K, 1)
-	if len(m.frames) != 2*Pages4KPer2M {
-		t.Fatalf("backing frame 700 grew the index to %d frames, want %d", len(m.frames), 2*Pages4KPer2M)
+	if want := 11 * PrefixStep; len(m.frames) != want {
+		t.Fatalf("backing frame 700 grew the index to %d frames, want %d", len(m.frames), want)
 	}
 	m.WriteU64(last, 1)
 	if len(m.frames) != frames || m.ReadU64(last) != 1 || m.ReadU64(700*PageSize4K) != 1 {

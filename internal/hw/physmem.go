@@ -17,12 +17,13 @@ import (
 // writes rather than with its configured RAM, and a page-table node that
 // holds a few entries, or a user page touched in one word, costs one
 // block rather than a frame. The frame index covers only a prefix of the
-// frames, which grows in whole 2 MiB chunks on a frame's first backing;
-// each entry points at the frame's table of eight block pointers. Reads
-// and writes of zeros never create backing, and a backed block keeps it
-// for the machine's lifetime. Read, Write, ReadU64 and WriteU64 copy
-// across block and frame boundaries. A Slice view lies inside one frame,
-// and Slice makes that frame contiguous once (see dense).
+// frames, which grows PrefixStep frames at a time on a frame's first
+// backing; each entry points at the frame's table of eight block
+// pointers. Reads and writes of zeros never create backing, and a backed
+// block keeps it for the machine's lifetime. Read, Write, ReadU64 and
+// WriteU64 copy across block and frame boundaries. A Slice view lies
+// inside one frame, and Slice makes that frame contiguous once (see
+// dense).
 type PhysMem struct {
 	frames []*blockTable // the indexed prefix; nil for a frame with no backing
 	n      int           // configured frames
@@ -33,9 +34,13 @@ const (
 	blockSize = 512
 	// blocksPerFrame is the number of blocks in one 4 KiB frame.
 	blocksPerFrame = PageSize4K / blockSize
-	// indexChunk is the frame index's growth unit: one 2 MiB run.
-	indexChunk = Pages4KPer2M
 )
+
+// PrefixStep is the growth unit of a touched prefix: PhysMem's frame
+// index and mem.Allocator's page metadata cover only the frames a run
+// has reached, and extend over a new frame in steps of this many frames,
+// one word of a mem.PageSet bitmap.
+const PrefixStep = 64
 
 // block is one 512-byte unit of backing.
 type block = [blockSize]byte
@@ -113,7 +118,7 @@ func (m *PhysMem) blockAt(i int, off uint64) *block {
 // allocating the table first if need be.
 func (m *PhysMem) backTable(i int) *blockTable {
 	if i >= len(m.frames) {
-		n := min((i/indexChunk+1)*indexChunk, m.n)
+		n := min((i/PrefixStep+1)*PrefixStep, m.n)
 		m.frames = append(m.frames, make([]*blockTable, n-len(m.frames))...)
 	}
 	if m.frames[i] == nil {

@@ -26,8 +26,9 @@ type denseView struct {
 }
 
 // denseFrames are the configured sizes the op stream picks from: one
-// frame, a few, and one frame past the frame index's first chunk.
-var denseFrames = []int{1, 2, 3, 8, Pages4KPer2M + 1}
+// frame, a few, and one frame past the frame index's eighth step, so the
+// last step is short.
+var denseFrames = []int{1, 2, 3, 8, 8*PrefixStep + 1}
 
 // maxViews bounds the Slice views held at once; older ones are dropped.
 const maxViews = 6
@@ -50,12 +51,13 @@ func (r *opReader) byte() byte {
 func (r *opReader) u16() int { return int(r.byte())<<8 | int(r.byte()) }
 
 // addr picks an address for an access of n bytes: a frame near the start
-// or end of memory or at the index's chunk boundary, and an offset that
-// is random, word-aligned, or just short of a block or frame boundary,
-// so words and ranges straddle both. It is pulled back to fit n.
+// or end of memory or at the index's first step boundary, and an offset
+// that is random, word-aligned, or just short of a block or frame
+// boundary, so words and ranges straddle both. It is pulled back to fit
+// n.
 func (d *densePhysMem) addr(r *opReader, n uint64) PhysAddr {
 	frames := d.m.Frames()
-	hot := [...]int{0, 1, 2, frames - 1, frames - 2, Pages4KPer2M - 1, Pages4KPer2M}
+	hot := [...]int{0, 1, 2, frames - 1, frames - 2, PrefixStep - 1, PrefixStep}
 	f := hot[int(r.byte())%len(hot)]
 	if f < 0 || f >= frames {
 		f = 0

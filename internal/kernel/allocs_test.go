@@ -118,10 +118,10 @@ func TestKillAllocationsFlatInPages(t *testing.T) {
 // the boot touches, and TLB slots come with a core's first Insert. The
 // least of three boots at 8,192 frames, the shape every mck run boots,
 // and the least of three at 524,288 frames (2 GiB) must lie within
-// 1 KiB of each other. The least of three is taken, so a stray runtime
-// allocation cannot fail the pin.
+// 1 KiB of each other, and each within 8 KiB. The least of three is
+// taken, so a stray runtime allocation cannot fail the pin.
 func TestBootBytesPerFrame(t *testing.T) {
-	const slack = 1 << 10
+	const slack, ceiling = 1 << 10, 8 << 10
 	leastBoot := func(frames int) uint64 {
 		var least uint64
 		for i := 0; i < 3; i++ {
@@ -141,6 +141,9 @@ func TestBootBytesPerFrame(t *testing.T) {
 	if max(small, large)-min(small, large) > slack {
 		t.Fatalf("Boot allocated %d bytes at 8,192 frames and %d at 524,288, want within %d of each other",
 			small, large, slack)
+	}
+	if max(small, large) > ceiling {
+		t.Fatalf("Boot allocated %d bytes at 8,192 frames and %d at 524,288, want at most %d", small, large, ceiling)
 	}
 	t.Logf("boot allocated %d bytes at 8,192 frames, %d at 524,288", small, large)
 }

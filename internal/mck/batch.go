@@ -26,14 +26,16 @@ const (
 )
 
 // deriveBops expands a KBatch op's packed seed into a deterministic
-// submission sequence. The derivation is a pure function of the seed —
-// a replayed program re-derives the identical batch — and is weighted
-// toward the IPC ops whose batched interleavings (grants mid-drain,
-// blocking stops, buffered pops) are the interesting surface.
-func deriveBops(seed uint64) []bop {
+// submission sequence, written over buf's elements and returned, so a
+// run reuses one buffer for all its batches. The derivation is a pure
+// function of the seed — a replayed program re-derives the identical
+// batch — and is weighted toward the IPC ops whose batched
+// interleavings (grants mid-drain, blocking stops, buffered pops) are
+// the interesting surface.
+func deriveBops(seed uint64, buf []bop) []bop {
 	r := hw.NewRand(seed)
 	n := 1 + r.Intn(8)
-	bops := make([]bop, 0, n)
+	bops := buf[:0]
 	grantVA := func() uint64 {
 		if r.Intn(2) == 0 {
 			return 0 // scalars only
@@ -86,21 +88,20 @@ func deriveBops(seed uint64) []bop {
 }
 
 // runBatch drives one KBatch op differentially: it encodes the derived
-// submission sequence into scratch rings, rings SysBatchRings directly
-// (the kernel-internal doorbell the model checker is documented to
-// drive), then replays exactly the drained prefix — as reported by the
-// posted CQEs — through the spec interpreter. This is the batch oracle:
-// Abstract(kernel) after the batch must equal spec.Interp over the
-// flattened op sequence, with each op's errno pinned by its CQE. The
+// submission sequence bops into scratch rings, rings SysBatchRings
+// directly (the kernel-internal doorbell the model checker is documented
+// to drive), then replays exactly the drained prefix — as reported by
+// the posted CQEs — through the spec interpreter. This is the batch
+// oracle: Abstract(kernel) after the batch must equal spec.Interp over
+// the flattened op sequence, with each op's errno pinned by its CQE. The
 // rings live in rings, two frames the run reuses for every batch: both
 // are zeroed first, so each batch starts from the same empty rings.
-func runBatch(k *kernel.Kernel, ip *spec.Interp, rings *hw.PhysMem, c call) (kernel.Ret, error) {
+func runBatch(k *kernel.Kernel, ip *spec.Interp, rings *hw.PhysMem, bops []bop, c call) (kernel.Ret, error) {
 	rings.ZeroPage(0)
 	rings.ZeroPage(hw.PageSize4K)
 	clk := &k.Machine.Core(c.core).Clock
 	sq := shmring.New(rings, clk, 0, shmring.SlotsPerPage())
 	cq := shmring.New(rings, clk, hw.PageSize4K, shmring.SlotsPerPage())
-	bops := deriveBops(c.seed)
 	for i, b := range bops {
 		if err := shmring.EncodeSQE(sq, b.op, 0, uint16(i), b.args[:]...); err != nil {
 			return kernel.Ret{}, fmt.Errorf("batch encode %d: %v", i, err)

@@ -46,12 +46,20 @@ func RunChecked(p Program, opt Options) (Stats, error) {
 		c.K.PM.EndpointIncRef(rendezvous, 1)
 	}
 
+	var bops []bop // every KBatch op's derived submissions
 	for _, op := range p.Ops {
 		rc, ok := resolve(c.K, regs, op, cores)
 		if !ok {
 			continue
 		}
-		ret, err := dispatchChecked(c, rc)
+		var ret kernel.Ret
+		var err error
+		if rc.kind == KBatch {
+			bops = deriveBops(rc.seed, bops)
+			ret, err = dispatchCheckedBatch(c, rc, bops)
+		} else {
+			ret, err = dispatchChecked(c, rc)
+		}
 		st.record(rc.kind.String(), ret)
 		if err != nil {
 			return st, err
@@ -106,19 +114,17 @@ func dispatchChecked(c *verify.Checker, rc call) (kernel.Ret, error) {
 			args.GrantPage, args.PageVA = true, rc.grantVA
 		}
 		return c.SendAsync(rc.core, rc.tid, rc.slot, args)
-	case KBatch:
-		return dispatchCheckedBatch(c, rc)
 	}
 	panic("mck: unhandled kind " + rc.kind.String())
 }
 
-// dispatchCheckedBatch runs a KBatch op's derived submissions as
+// dispatchCheckedBatch runs a KBatch op's derived submissions bops as
 // individual checked syscalls: the checked oracle is per-transition
 // predicates, so the flattened sequence is exactly what it validates
 // (the ring framing itself is the differential runner's concern).
-func dispatchCheckedBatch(c *verify.Checker, rc call) (kernel.Ret, error) {
+func dispatchCheckedBatch(c *verify.Checker, rc call, bops []bop) (kernel.Ret, error) {
 	var last kernel.Ret
-	for _, b := range deriveBops(rc.seed) {
+	for _, b := range bops {
 		var err error
 		switch b.op {
 		case kernel.BopNop:

@@ -14,7 +14,9 @@ import (
 // endpoints and unmap pages, a State reused across steps by Load equals
 // a fresh Abstract, and one reused by LoadObjects equals it apart from
 // Mem. The corpus must also free an object's page and bring it back as
-// an object of another kind, so a stale entry under the old kind shows.
+// an object of another kind, so a stale entry under the old kind shows,
+// and grow the allocator's touched prefix after a program's first Load,
+// so a reused Ψ is compared after its page sets were resized.
 func TestLoadMatchesAbstract(t *testing.T) {
 	// Teardown and page reuse in a fixed order (actor 0 is init; see
 	// resolve for how A, B, C map onto arguments), then random programs.
@@ -42,16 +44,22 @@ func TestLoadMatchesAbstract(t *testing.T) {
 	}
 	okCalls := map[string]int{}
 	kindOf := map[pm.Ptr]string{}
-	reborn := 0
+	reborn, resized := 0, 0
 	for i, prog := range progs {
 		var loaded, objects spec.State
+		var alloc *mem.Allocator
+		firstTouched := 0
 		hook := func(k *kernel.Kernel) {
+			alloc = k.Alloc
 			k.PostSyscall = func(name string, _ pm.Ptr, ret kernel.Ret) {
 				if ret.Errno == kernel.OK {
 					okCalls[name]++
 				}
 				fresh := spec.Abstract(k.PM, k.Alloc, k.IOMMU)
 				loaded.Load(k.PM, k.Alloc, k.IOMMU)
+				if firstTouched == 0 {
+					firstTouched = k.Alloc.Touched()
+				}
 				if !statesEqual(fresh, loaded) {
 					t.Fatalf("program %d after %s: Load into a reused State differs from Abstract", i, name)
 				}
@@ -84,6 +92,9 @@ func TestLoadMatchesAbstract(t *testing.T) {
 		if err != nil || res != nil {
 			t.Fatalf("program %d: %v %v", i, err, res)
 		}
+		if alloc.Touched() > firstTouched {
+			resized++
+		}
 		clear(kindOf)
 	}
 	for _, name := range []string{"kill_proc", "kill_container", "close_endpoint", "munmap"} {
@@ -93,6 +104,9 @@ func TestLoadMatchesAbstract(t *testing.T) {
 	}
 	if reborn == 0 {
 		t.Error("no object's page came back as an object of another kind")
+	}
+	if resized == 0 {
+		t.Error("no program grew the touched prefix after its first Load")
 	}
 }
 

@@ -346,6 +346,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	}
 	rendezvous := pm.Ptr(rret.Vals[0])
 	rings := hw.NewPhysMem(2) // every KBatch op's submission and completion rings
+	var bops []bop            // every KBatch op's derived submissions
 
 	for i, op := range p.Ops {
 		c, ok := resolve(k, regs, op, cores)
@@ -355,7 +356,8 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 		var ret kernel.Ret
 		if c.kind == KBatch {
 			var err error
-			ret, err = runBatch(k, ip, rings, c)
+			bops = deriveBops(c.seed, bops)
+			ret, err = runBatch(k, ip, rings, bops, c)
 			st.record(c.kind.String(), ret)
 			if err != nil {
 				return &DiffResult{Step: i, Op: op, Err: err}, st, nil

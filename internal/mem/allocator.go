@@ -84,14 +84,14 @@ type Allocator struct {
 	// pages holds the metadata of the touched prefix of the page array.
 	// Every frame past it is free, 4 KiB and unowned, and in ascending
 	// order those frames are the tail of the 4 KiB free list, following
-	// its last touched member. The prefix grows in whole chunks when a
-	// pop or a merge first reaches past it, so a boot's host memory does
-	// not grow with configured RAM, and no pop order, scan or charge
-	// differs from a page array covering every frame.
+	// its last touched member. The prefix grows in whole hw.PrefixStep
+	// steps when a pop or a merge first reaches past it, so a boot's host
+	// memory does not grow with configured RAM, and no pop order, scan or
+	// charge differs from a page array covering every frame.
 	pages  []PageMeta
 	frames int // configured frames: the touched prefix plus the tail
 	// free list heads and tails per size class, frame indices; the tail
-	// lets a new chunk append to the 4 KiB list in order.
+	// lets a new step of the prefix append to the 4 KiB list in order.
 	head, tail [3]int32
 	// counts per size class for O(1) stats.
 	freeCount [3]int
@@ -143,15 +143,12 @@ func NewAllocator(mem *hw.PhysMem, clock *hw.Clock, reservedFrames int) *Allocat
 	return a
 }
 
-// chunkFrames is the touched prefix's growth unit: one 2 MiB run.
-const chunkFrames = hw.Pages4KPer2M
-
 // grow extends the touched prefix over frame n-1, rounded up to a whole
-// chunk, appending the new frames to the 4 KiB free list's tail in
-// ascending order: the place they already held as untouched frames.
+// hw.PrefixStep, appending the new frames to the 4 KiB free list's tail
+// in ascending order: the place they already held as untouched frames.
 func (a *Allocator) grow(n int) {
 	old := len(a.pages)
-	n = min((n+chunkFrames-1)/chunkFrames*chunkFrames, a.frames)
+	n = min((n+hw.PrefixStep-1)/hw.PrefixStep*hw.PrefixStep, a.frames)
 	if n <= old {
 		return
 	}
@@ -640,8 +637,11 @@ func (a *Allocator) Split(p hw.PhysAddr) error {
 // Snapshot is the abstract state of the allocator: the page sets the
 // paper's specifications quantify over. Each set is a frame bitmap, so
 // building it is one pass over the touched prefix plus O(frames/64)
-// words per set; the kernel exposes it to the verifier, never to hot
-// paths.
+// words for Free4K; the kernel exposes it to the verifier, never to hot
+// paths. Free4K covers every frame, since the untouched tail is free;
+// every other set covers only the touched prefix, past which it can hold
+// no frame. PageSet compares, unions and clones sets of different
+// lengths, so a set's length carries no meaning.
 type Snapshot struct {
 	Free4K    *PageSet
 	Free2M    *PageSet
@@ -661,16 +661,20 @@ type Snapshot struct {
 func (a *Allocator) Snapshot() (s Snapshot) { a.SnapshotInto(&s); return s }
 
 // SnapshotInto refills s with the allocator's abstract state. It reuses
-// s's eight sets when they already cover the frame count; otherwise the
-// sets get one backing array sized to the frame count, so a fresh
-// snapshot allocates the same few objects whatever the machine size.
+// s's eight sets when Free4K already covers every frame and the others
+// the touched prefix; otherwise the sets get one backing array of those
+// sizes, so a fresh snapshot allocates the same few objects whatever the
+// machine size, and its bytes grow with RAM only through Free4K.
 func (a *Allocator) SnapshotInto(s *Snapshot) {
-	nw := wordsFor(a.frames)
 	all := [8]**PageSet{&s.Free4K, &s.Free2M, &s.Free1G, &s.Allocated,
 		&s.Mapped, &s.Merged, &s.Boot, &s.PCache}
+	words := [8]int{wordsFor(a.frames)} // Free4K covers every frame
+	for i := 1; i < len(words); i++ {
+		words[i] = wordsFor(len(a.pages)) // the rest stop at the prefix
+	}
 	reuse := true
-	for _, set := range all {
-		reuse = reuse && *set != nil && len((*set).words) >= nw
+	for i, set := range all {
+		reuse = reuse && *set != nil && len((*set).words) >= words[i]
 	}
 	if reuse {
 		for _, set := range all {
@@ -678,12 +682,13 @@ func (a *Allocator) SnapshotInto(s *Snapshot) {
 			(*set).n = 0
 		}
 	} else {
-		slab := make([]uint64, 8*nw)
+		slab := make([]uint64, words[0]+7*words[1])
 		sets := new([8]PageSet)
 		for i, set := range all {
-			// Capacity is capped so an Insert past the last frame
+			// Capacity is capped so an Insert past the set's last frame
 			// reallocates instead of writing into the neighbouring set.
-			sets[i].words = slab[i*nw : (i+1)*nw : (i+1)*nw]
+			sets[i].words = slab[:words[i]:words[i]]
+			slab = slab[words[i]:]
 			*set = &sets[i]
 		}
 	}

@@ -1,5 +1,5 @@
 // Package mem implements Atmosphere's physical page allocator (§4.2):
-// a page metadata array covering every 4 KiB frame, three doubly-linked
+// a page metadata array over the touched 4 KiB frames, three doubly-linked
 // free lists (4 KiB, 2 MiB, 1 GiB) with constant-time unlink via back
 // pointers stored in the metadata array, superpage merge and split, and
 // the four-state page lifecycle (free, mapped, merged, allocated).

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -149,18 +150,43 @@ func TestPageSetInsertMisalignedPanics(t *testing.T) {
 	NewPageSet().Insert(hw.PageSize4K + 1)
 }
 
+// snapshotSink keeps the measured snapshots alive.
+var snapshotSink Snapshot
+
 // Snapshot allocates the same few objects whatever the frame count: the
-// eight page sets share one bitmap slab.
+// eight page sets share one bitmap slab. Only Free4K covers every frame,
+// so with the same frames touched, a snapshot of a machine eight times
+// larger costs only Free4K's extra bitmap more. Go rounds each allocation
+// up to its size class, by less than a quarter at these sizes.
 func TestSnapshotAllocsIndependentOfFrames(t *testing.T) {
+	frames := []int{4096, 32768}
 	var allocs []float64
-	for _, frames := range []int{4096, 32768} {
-		a := newTestAlloc(frames)
+	var bytes []uint64
+	for _, n := range frames {
+		a := newTestAlloc(n)
 		if _, err := a.AllocPage4K(OwnerProcessMgr); err != nil {
 			t.Fatal(err)
 		}
-		allocs = append(allocs, testing.AllocsPerRun(20, func() { _ = a.Snapshot() }))
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { snapshotSink = a.Snapshot() }))
+		var least uint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			snapshotSink = a.Snapshot()
+			runtime.ReadMemStats(&after)
+			if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < least {
+				least = b
+			}
+		}
+		bytes = append(bytes, least)
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 2 {
 		t.Fatalf("Snapshot allocs at 4096/32768 frames = %v/%v, want the same and at most 2", allocs[0], allocs[1])
 	}
+	extra := uint64(wordsFor(frames[1])-wordsFor(frames[0])) * 8 // 3,584 B
+	if bytes[1] < bytes[0] || bytes[1]-bytes[0] > extra+extra/4 {
+		t.Fatalf("Snapshot allocated %d bytes at 4096 frames and %d at 32768, want at most %d more (Free4K's extra bitmap)",
+			bytes[0], bytes[1], extra)
+	}
+	t.Logf("Snapshot allocated %d bytes at 4096 frames and %d at 32768", bytes[0], bytes[1])
 }

@@ -2,11 +2,17 @@
 
 package verify
 
-import "testing"
+import (
+	"testing"
+
+	"atmosphere/internal/kernel"
+	"atmosphere/internal/pm"
+)
 
 // Every invariant in WFChecks allocates nothing on a warm kernel,
-// memory_wf's per-table refinement walks included. (The race runtime
-// may allocate on its own, so this file builds without -race.)
+// memory_wf's per-table refinement walks included, and nothing on a
+// crowded one either. (The race runtime may allocate on its own, so this
+// file builds without -race.)
 func TestWFChecksAllocateNothing(t *testing.T) {
 	k := warmKernel(t).k
 	var mappings int
@@ -16,12 +22,56 @@ func TestWFChecksAllocateNothing(t *testing.T) {
 	if n := len(k.PM.ProcPerms); n < 3 || mappings < 64 {
 		t.Fatalf("warm kernel has %d processes and %d mappings, want at least 3 and 64", n, mappings)
 	}
-	for _, c := range WFChecks() {
-		if err := c.Check(k); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if n := testing.AllocsPerRun(20, func() { _ = c.Check(k) }); n != 0 {
-			t.Errorf("%s allocates %.2f times per call on a warm kernel, want 0", c.Name, n)
+	for _, kk := range []struct {
+		name string
+		k    *kernel.Kernel
+	}{{"warm", k}, {"crowded", crowdedKernel(t)}} {
+		for _, c := range WFChecks() {
+			if err := c.Check(kk.k); err != nil {
+				t.Fatalf("%s kernel: %s: %v", kk.name, c.Name, err)
+			}
+			if n := testing.AllocsPerRun(20, func() { _ = c.Check(kk.k) }); n != 0 {
+				t.Errorf("%s allocates %.2f times per call on a %s kernel, want 0", c.Name, n, kk.name)
+			}
 		}
 	}
+}
+
+// crowdedKernel returns a kernel on which the thread and endpoint checks
+// hold more than eight keys in each set or count they build: ten threads
+// owned by the root container, ten live endpoints, and nine threads
+// queued on one of them. Go keeps a map of at most eight keys that does
+// not escape on the stack, so only such a kernel shows a map made per
+// call. It has one container, so the container-tree check's map stays
+// small.
+func crowdedKernel(t *testing.T) *kernel.Kernel {
+	t.Helper()
+	k, init, err := kernel.Boot(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(r kernel.Ret, want kernel.Errno) kernel.Ret {
+		t.Helper()
+		if r.Errno != want {
+			t.Fatalf("crowding syscall returned %v, want %v", r.Errno, want)
+		}
+		return r
+	}
+	ep := pm.Ptr(must(k.SysNewEndpoint(0, init, 0), kernel.OK).Vals[0])
+	for slot := 1; slot < 10; slot++ {
+		must(k.SysNewEndpoint(0, init, slot), kernel.OK)
+	}
+	proc := k.PM.Thrd(init).OwningProc
+	for i := 0; i < 9; i++ {
+		th := pm.Ptr(must(k.SysNewThreadIn(0, init, proc, i%cfg().Cores), kernel.OK).Vals[0])
+		k.PM.Thrd(th).Endpoints[0] = ep
+		k.PM.EndpointIncRef(ep, 1)
+		must(k.SysRecv(k.PM.Thrd(th).Core, th, 0, kernel.RecvArgs{EdptSlot: -1}), kernel.EWOULDBLOCK)
+	}
+	if n, q := len(k.PM.CntrPerms[k.PM.RootContainer].OwnedThreads), len(k.PM.Edpt(ep).Queue); n != 10 || q != 9 ||
+		len(k.PM.EdptPerms) != 10 || len(k.PM.CntrPerms) > 8 {
+		t.Fatalf("crowded kernel has %d threads, %d queued, %d endpoints and %d containers",
+			n, q, len(k.PM.EdptPerms), len(k.PM.CntrPerms))
+	}
+	return k
 }

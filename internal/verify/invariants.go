@@ -135,7 +135,9 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 // ProcessesWF checks the process objects and the per-container process
 // trees: ownership symmetry, parent/child symmetry within one container,
 // and the owned_thrds ghost exactness.
-func ProcessesWF(k *kernel.Kernel) error {
+func ProcessesWF(k *kernel.Kernel) error { return withScratch(k, (*scratch).processesWF) }
+
+func (s *scratch) processesWF(k *kernel.Kernel) error {
 	pmgr := k.PM
 	for ptr, p := range pmgr.ProcPerms {
 		c, ok := pmgr.CntrPerms[p.Owner]
@@ -185,10 +187,11 @@ func ProcessesWF(k *kernel.Kernel) error {
 			}
 		}
 		// owned_thrds ghost == union of the threads of its processes.
-		want := make(map[pm.Ptr]struct{})
+		want := s.thrds
+		clear(want)
 		for pp := range c.Procs {
 			for _, th := range pmgr.ProcPerms[pp].Threads {
-				want[th] = struct{}{}
+				want[th] = true
 			}
 		}
 		if len(want) != len(c.OwnedThreads) {
@@ -207,9 +210,12 @@ func ProcessesWF(k *kernel.Kernel) error {
 // ThreadsWF is the paper's threads_wf: every thread is well-formed —
 // live ownership links, a core within the container's reservation, and
 // blocking state consistent with exactly one endpoint queue.
-func ThreadsWF(k *kernel.Kernel) error {
+func ThreadsWF(k *kernel.Kernel) error { return withScratch(k, (*scratch).threadsWF) }
+
+func (s *scratch) threadsWF(k *kernel.Kernel) error {
 	pmgr := k.PM
-	queued := make(map[pm.Ptr]pm.Ptr) // thread -> endpoint that queues it
+	queued := s.queued
+	clear(queued)
 	for eptr, e := range pmgr.EdptPerms {
 		for _, th := range e.Queue {
 			if prev, dup := queued[th]; dup {
@@ -267,9 +273,12 @@ func ThreadsWF(k *kernel.Kernel) error {
 // EndpointsWF: refcounts equal the number of descriptor slots referencing
 // the endpoint, owners are live, queues are homogeneous and reference
 // blocked threads.
-func EndpointsWF(k *kernel.Kernel) error {
+func EndpointsWF(k *kernel.Kernel) error { return withScratch(k, (*scratch).endpointsWF) }
+
+func (s *scratch) endpointsWF(k *kernel.Kernel) error {
 	pmgr := k.PM
-	refs := make(map[pm.Ptr]int, len(pmgr.EdptPerms))
+	refs := s.edptRefs
+	clear(refs)
 	for ptr, t := range pmgr.ThrdPerms {
 		for _, e := range t.Endpoints {
 			if e != pm.NoEndpoint {
@@ -304,7 +313,8 @@ func EndpointsWF(k *kernel.Kernel) error {
 		if e.RefCount <= 0 {
 			return fmt.Errorf("endpoint %#x alive with refcount %d", eptr, e.RefCount)
 		}
-		seen := make(map[pm.Ptr]bool, len(e.Queue))
+		seen := s.thrds
+		clear(seen)
 		for _, th := range e.Queue {
 			if seen[th] {
 				return fmt.Errorf("endpoint %#x queues thread %#x twice", eptr, th)
@@ -343,10 +353,18 @@ type scratch struct {
 	// queue and placed serve SchedulerWF.
 	queue  []pm.Ptr
 	placed map[pm.Ptr]placement
+	// thrds is a set of threads: one container's in ProcessesWF, one
+	// endpoint queue's in EndpointsWF.
+	thrds map[pm.Ptr]bool
+	// queued maps each queued thread to its endpoint (ThreadsWF).
+	queued map[pm.Ptr]pm.Ptr
+	// edptRefs counts each endpoint's descriptors (EndpointsWF).
+	edptRefs map[pm.Ptr]int
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{refs: make(map[hw.PhysAddr]uint32), placed: make(map[pm.Ptr]placement)}
+	return &scratch{refs: make(map[hw.PhysAddr]uint32), placed: make(map[pm.Ptr]placement),
+		thrds: make(map[pm.Ptr]bool), queued: make(map[pm.Ptr]pm.Ptr), edptRefs: make(map[pm.Ptr]int)}
 }}
 
 // withScratch runs check with a scratch from the pool.
