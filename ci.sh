@@ -57,10 +57,12 @@ for f in docs/*.md; do
 done
 
 echo "== atmo-fuzz -diff smoke"
-# 128 seeds: as many as fit in the wall time 24 seeds took (~5 s on 2
-# vCPUs) before the differential oracle stopped snapshotting the
-# allocator and rebuilding Ψ on every step.
-go run ./cmd/atmo-fuzz -diff -seeds 128 -steps 2000
+# 256 seeds: 3.3-4.1 CPU s on 2 vCPUs since Interp.Diff reads the kernel
+# in place, about what 128 seeds took (2.9-3.8 s) when every step copied
+# the kernel's abstract state first, and 24 seeds (~5 s) before the
+# oracle stopped snapshotting the allocator and rebuilding that state on
+# every step.
+go run ./cmd/atmo-fuzz -diff -seeds 256 -steps 2000
 
 echo "== atmo-fuzz checked and -chaos sweeps"
 # The two oracle sweeps docs/TESTING.md documents: four 2,000-op seeds

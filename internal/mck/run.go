@@ -313,15 +313,16 @@ func applyInterp(ip *spec.Interp, c call, ret kernel.Ret) error {
 }
 
 // RunDiff executes the program in lockstep on a freshly booted kernel
-// and on the pure spec interpreter, comparing Abstract(kernel) against
-// the independently evolved Ψ′ after every step. It returns the first
+// and on the pure spec interpreter, comparing the kernel against the
+// independently evolved Ψ′ after every step. It returns the first
 // divergence (nil if the whole program agrees), the run's coverage, and
 // a boot error if the machine could not be constructed.
 //
-// The kernel's Ψ is refilled in place each step, and without the
-// allocator snapshot: Diff compares objects and address spaces, not
-// page sets. Allocator state is checked by TotalWF every WFEvery steps
-// and after the last op, so no step goes unchecked.
+// Diff reads the kernel in place, one object at a time through the
+// abstraction function; no copy of its Ψ is kept. It compares objects
+// and address spaces, not page sets. Allocator state is checked by
+// TotalWF every WFEvery steps and after the last op, so no step goes
+// unchecked.
 func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	st := newStats()
 	frames, cores := opt.shape(p)
@@ -332,8 +333,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	if opt.Hook != nil {
 		opt.Hook(k)
 	}
-	ip := spec.NewInterp(spec.Abstract(k.PM, k.Alloc, k.IOMMU))
-	var psi spec.State
+	ip := spec.NewInterp(k.PM, k.IOMMU)
 	regs := bootRegistries(k, init)
 
 	// Shared rendezvous endpoint in init's slot 0, adopted by every new
@@ -369,8 +369,7 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 				return &DiffResult{Step: i, Op: op, Err: err}, st, nil
 			}
 		}
-		psi.LoadObjects(k.PM, k.IOMMU)
-		if err := ip.Diff(psi); err != nil {
+		if err := ip.Diff(k.PM, k.IOMMU); err != nil {
 			return &DiffResult{Step: i, Op: op, Err: err}, st, nil
 		}
 		regs.record(c, ret)

@@ -151,6 +151,19 @@ func (t *PageTable) AddressSpaceInto(out map[hw.VirtAddr]MapEntry) map[hw.VirtAd
 	return out
 }
 
+// Mapping returns the abstract mapping whose base is exactly va, looking
+// up 1G, then 2M, then 4K: the entry AddressSpace holds for va.
+func (t *PageTable) Mapping(va hw.VirtAddr) (MapEntry, bool) {
+	if e, ok := t.ghost1G[va]; ok {
+		return e, true
+	}
+	if e, ok := t.ghost2M[va]; ok {
+		return e, true
+	}
+	e, ok := t.ghost4K[va]
+	return e, ok
+}
+
 // MappedCount returns the number of abstract mappings.
 func (t *PageTable) MappedCount() int {
 	return len(t.ghost4K) + len(t.ghost2M) + len(t.ghost1G)

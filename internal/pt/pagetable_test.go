@@ -377,6 +377,40 @@ func TestLookupCoversSuperpages(t *testing.T) {
 	}
 }
 
+// Mapping reads the abstract maps in place: it finds exactly the entries
+// AddressSpace holds, by base VA only.
+func TestMappingMatchesAddressSpace(t *testing.T) {
+	f := newFixture(t, 64)
+	for _, m := range []struct {
+		va   hw.VirtAddr
+		phys hw.PhysAddr
+		size hw.PageSize
+	}{
+		{0x1000, f.userPage(t), hw.Size4K},
+		{0x3000, f.userPage(t), hw.Size4K},
+		{6 << 21, 0x400000, hw.Size2M},
+		{3 << 30, 1 << 30, hw.Size1G},
+	} {
+		if err := f.pt.Map(m.va, m.phys, m.size, RX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as := f.pt.AddressSpace()
+	for va, want := range as {
+		if e, ok := f.pt.Mapping(va); !ok || e != want {
+			t.Errorf("Mapping(%#x) = %+v, %v; want %+v", uint64(va), e, ok, want)
+		}
+	}
+	for _, va := range []hw.VirtAddr{0, 0x2000, 6<<21 + 0x1000, 3<<30 + 2<<21} {
+		if e, ok := f.pt.Mapping(va); ok {
+			t.Errorf("Mapping(%#x) = %+v at a VA that is no mapping's base, want none", uint64(va), e)
+		}
+	}
+	if len(as) != 4 || f.pt.MappedCount() != len(as) {
+		t.Fatalf("AddressSpace holds %d mappings, MappedCount %d, want 4", len(as), f.pt.MappedCount())
+	}
+}
+
 func TestPruneEmpty(t *testing.T) {
 	f := newFixture(t, 128)
 	// Build mappings in two distinct regions, then unmap one region:

@@ -12,7 +12,8 @@ import (
 
 // The per-step refinement oracles allocate nothing on a warm kernel:
 // Load refills a warm State in place, SnapshotInto reuses a warm
-// Snapshot's sets, and Diff sorts nothing when kernel and spec agree.
+// Snapshot's sets, and Diff loads each kernel object into its reused
+// scratch and sorts nothing when kernel and spec agree.
 // (The invariant suite's pin is verify.TestWFChecksAllocateNothing. The
 // race runtime may allocate on its own, so this file builds without
 // -race.)
@@ -32,8 +33,8 @@ func TestOracleRefillsAllocateNothing(t *testing.T) {
 	}
 	var st State
 	st.Load(k.PM, k.Alloc, k.IOMMU)
-	ip := NewInterp(abs(k))
-	if err := ip.Diff(st); err != nil {
+	ip := NewInterp(k.PM, k.IOMMU)
+	if err := ip.Diff(k.PM, k.IOMMU); err != nil {
 		t.Fatal(err)
 	}
 	snap := k.Alloc.Snapshot()
@@ -43,7 +44,7 @@ func TestOracleRefillsAllocateNothing(t *testing.T) {
 	}{
 		{"State.Load", func() { st.Load(k.PM, k.Alloc, k.IOMMU) }},
 		{"Allocator.SnapshotInto", func() { k.Alloc.SnapshotInto(&snap) }},
-		{"Interp.Diff", func() { _ = ip.Diff(st) }},
+		{"Interp.Diff", func() { _ = ip.Diff(k.PM, k.IOMMU) }},
 	} {
 		if n := testing.AllocsPerRun(20, pin.f); n != 0 {
 			t.Errorf("%s allocates %.2f times per call on a warm kernel, want 0", pin.name, n)

@@ -126,67 +126,96 @@ func (st *State) LoadObjects(p *pm.ProcessManager, iom *iommu.IOMMU) {
 	st.RootContainer = p.RootContainer
 	st.Containers = prune(st.Containers, p.CntrPerms)
 	for ptr, c := range p.CntrPerms {
-		old := st.Containers[ptr]
-		st.Containers[ptr] = Container{
-			Parent:       c.Parent,
-			Children:     append(old.Children[:0], c.Children...),
-			Depth:        c.Depth,
-			Path:         append(old.Path[:0], c.Path...),
-			Subtree:      refillSet(old.Subtree, c.Subtree),
-			QuotaPages:   c.QuotaPages,
-			UsedPages:    c.UsedPages,
-			CPUs:         append(old.CPUs[:0], c.CPUs...),
-			Procs:        refillSet(old.Procs, c.Procs),
-			OwnedThreads: refillSet(old.OwnedThreads, c.OwnedThreads),
-		}
+		ac := st.Containers[ptr]
+		loadContainer(&ac, c)
+		st.Containers[ptr] = ac
 	}
 	st.Procs = prune(st.Procs, p.ProcPerms)
 	st.AddressSpaces = prune(st.AddressSpaces, p.ProcPerms)
 	for ptr, pr := range p.ProcPerms {
-		old := st.Procs[ptr]
-		st.Procs[ptr] = Proc{
-			Owner:       pr.Owner,
-			Parent:      pr.Parent,
-			Children:    append(old.Children[:0], pr.Children...),
-			Threads:     append(old.Threads[:0], pr.Threads...),
-			IOMMUDomain: pr.IOMMUDomain,
-		}
+		ap := st.Procs[ptr]
+		loadProc(&ap, pr)
+		st.Procs[ptr] = ap
 		st.AddressSpaces[ptr] = pr.PageTable.AddressSpaceInto(st.AddressSpaces[ptr])
 	}
 	st.Threads = prune(st.Threads, p.ThrdPerms)
 	for ptr, t := range p.ThrdPerms {
-		st.Threads[ptr] = Thread{
-			OwningProc: t.OwningProc,
-			OwningCntr: t.OwningCntr,
-			State:      t.State,
-			Core:       t.Core,
-			Endpoints:  t.Endpoints,
-			WaitingOn:  t.IPC.WaitingOn,
-		}
+		st.Threads[ptr] = loadThread(t)
 	}
 	st.Endpoints = prune(st.Endpoints, p.EdptPerms)
 	for ptr, e := range p.EdptPerms {
-		old := st.Endpoints[ptr]
-		buf := old.Buffered[:0]
-		for _, m := range e.Buffer {
-			buf = append(buf, BufMsg{HasPage: m.HasPage, Size: m.PageSize, Perm: m.PagePerm})
-		}
-		st.Endpoints[ptr] = Endpoint{
-			Queue:      append(old.Queue[:0], e.Queue...),
-			QueuedRecv: e.QueuedRecv,
-			RefCount:   e.RefCount,
-			OwnerCntr:  e.OwnerCntr,
-			Buffered:   buf,
-		}
+		ae := st.Endpoints[ptr]
+		loadEndpoint(&ae, e)
+		st.Endpoints[ptr] = ae
 	}
-	var domains map[iommu.DomainID]*iommu.Domain
-	if iom != nil {
-		domains = iom.Domains()
-	}
+	domains := domainsOf(iom)
 	st.DMASpaces = prune(st.DMASpaces, domains)
 	for id, d := range domains {
 		st.DMASpaces[id] = d.Table.AddressSpaceInto(st.DMASpaces[id])
 	}
+}
+
+// The loaders are the abstraction function of one kernel object each,
+// shared by LoadObjects and Interp.Diff. Each overwrites every field of
+// dst, reusing its slices and sets; a thread holds none, so loadThread
+// returns its view.
+
+func loadContainer(dst *Container, c *pm.Container) {
+	*dst = Container{
+		Parent:       c.Parent,
+		Children:     append(dst.Children[:0], c.Children...),
+		Depth:        c.Depth,
+		Path:         append(dst.Path[:0], c.Path...),
+		Subtree:      refillSet(dst.Subtree, c.Subtree),
+		QuotaPages:   c.QuotaPages,
+		UsedPages:    c.UsedPages,
+		CPUs:         append(dst.CPUs[:0], c.CPUs...),
+		Procs:        refillSet(dst.Procs, c.Procs),
+		OwnedThreads: refillSet(dst.OwnedThreads, c.OwnedThreads),
+	}
+}
+
+func loadProc(dst *Proc, pr *pm.Process) {
+	*dst = Proc{
+		Owner:       pr.Owner,
+		Parent:      pr.Parent,
+		Children:    append(dst.Children[:0], pr.Children...),
+		Threads:     append(dst.Threads[:0], pr.Threads...),
+		IOMMUDomain: pr.IOMMUDomain,
+	}
+}
+
+func loadThread(t *pm.Thread) Thread {
+	return Thread{
+		OwningProc: t.OwningProc,
+		OwningCntr: t.OwningCntr,
+		State:      t.State,
+		Core:       t.Core,
+		Endpoints:  t.Endpoints,
+		WaitingOn:  t.IPC.WaitingOn,
+	}
+}
+
+func loadEndpoint(dst *Endpoint, e *pm.Endpoint) {
+	buf := dst.Buffered[:0]
+	for _, m := range e.Buffer {
+		buf = append(buf, BufMsg{HasPage: m.HasPage, Size: m.PageSize, Perm: m.PagePerm})
+	}
+	*dst = Endpoint{
+		Queue:      append(dst.Queue[:0], e.Queue...),
+		QueuedRecv: e.QueuedRecv,
+		RefCount:   e.RefCount,
+		OwnerCntr:  e.OwnerCntr,
+		Buffered:   buf,
+	}
+}
+
+// domainsOf returns the IOMMU's live domains, none for a nil IOMMU.
+func domainsOf(iom *iommu.IOMMU) map[iommu.DomainID]*iommu.Domain {
+	if iom == nil {
+		return nil
+	}
+	return iom.Domains()
 }
 
 // prune returns m with every key absent from live deleted, or a new map

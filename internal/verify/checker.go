@@ -42,11 +42,13 @@ func NewChecker(cfg hw.Config) (*Checker, pm.Ptr, error) {
 	return c, init, nil
 }
 
-func (c *Checker) report(name string, err error) error {
+// report prefixes a failed check's error with the syscall's name and
+// the check's, building the prefix only on failure.
+func (c *Checker) report(name, check string, err error) error {
 	if err == nil {
 		return nil
 	}
-	return fmt.Errorf("%s: %w", name, err)
+	return fmt.Errorf("%s %s: %w", name, check, err)
 }
 
 // step runs one syscall between snapshots and applies the spec predicate.
@@ -56,11 +58,11 @@ func (c *Checker) step(name string, do func() kernel.Ret,
 	ret := do()
 	c.new.Load(c.K.PM, c.K.Alloc, c.K.IOMMU)
 	c.Transitions++
-	if err := c.report(name+" spec", post(c.old, c.new, ret)); err != nil {
+	if err := c.report(name, "spec", post(c.old, c.new, ret)); err != nil {
 		return ret, err
 	}
 	if !c.SkipWF {
-		if err := c.report(name+" wf", TotalWF(c.K)); err != nil {
+		if err := c.report(name, "wf", TotalWF(c.K)); err != nil {
 			return ret, err
 		}
 	}
