@@ -40,16 +40,18 @@ go test ./internal/hw/ -run '^$' -fuzz '^FuzzPhysMemDense$' -fuzztime 10s
 go test ./internal/mem/ -run '^$' -fuzz '^FuzzAllocatorDense$' -fuzztime 10s
 
 echo "== docs relative-link check"
-# Every relative link in docs/*.md must resolve (fragment stripped);
-# http(s)/mailto and pure in-page anchors are skipped.
-for f in docs/*.md; do
+# Every relative link in README.md, DESIGN.md and docs/*.md must resolve
+# from its own file's directory (fragment stripped); http(s)/mailto and
+# pure in-page anchors are skipped.
+for f in README.md DESIGN.md docs/*.md; do
+    dir=$(dirname "$f")
     grep -o '](\([^)]*\))' "$f" | sed 's/^](//; s/)$//' | while IFS= read -r link; do
         case "$link" in
             http://*|https://*|mailto:*|'#'*) continue ;;
         esac
         target=${link%%#*}
         [ -n "$target" ] || continue
-        if [ ! -e "docs/$target" ]; then
+        if [ ! -e "$dir/$target" ]; then
             echo "$f: dead relative link ($link)" >&2
             exit 1
         fi

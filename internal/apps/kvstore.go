@@ -138,6 +138,15 @@ func (s *KVStore) Get(clk *hw.Clock, key []byte) ([]byte, bool) {
 // Used returns the number of live entries.
 func (s *KVStore) Used() uint64 { return s.used }
 
+// Reset empties the store in place: every slot and counter reads as in
+// a fresh NewKVStore of the same shape, and nothing is allocated or
+// charged.
+func (s *KVStore) Reset() {
+	clear(s.slots)
+	s.used = 0
+	s.Gets, s.Sets, s.Hits, s.Misses = 0, 0, 0, 0
+}
+
 // --- wire protocol -----------------------------------------------------------
 
 // BuildKVRequest writes "op klen key [vlen value]" into buf.

@@ -29,12 +29,17 @@ type Maglev struct {
 	// the repopulated table disrupts a minimal fraction of positions —
 	// Maglev's headline property.
 	active []bool
+	perms  []perm // by backend index, computed once per backend
 	m      uint64 // table size, prime
 	table  []int32
 
 	// Stats.
 	Forwarded uint64
 }
+
+// perm is one backend's permutation of table positions — position j is
+// (offset + j·skip) mod m — and populate's cursor j into it.
+type perm struct{ offset, skip, next uint64 }
 
 // DefaultTableSize is a small prime (Maglev's paper uses 65537 for
 // evaluation); it trades memory for balance quality.
@@ -49,10 +54,15 @@ func NewMaglev(backends []string, addrs []netproto.IPv4, tableSize uint64) (*Mag
 	if tableSize == 0 {
 		tableSize = DefaultTableSize
 	}
-	m := &Maglev{backends: backends, vips: addrs, m: tableSize}
-	m.active = make([]bool, len(backends))
-	for i := range m.active {
+	m := &Maglev{
+		backends: backends, vips: addrs, m: tableSize,
+		active: make([]bool, len(backends)),
+		perms:  make([]perm, 0, len(backends)),
+		table:  make([]int32, tableSize),
+	}
+	for i, b := range backends {
 		m.active[i] = true
+		m.permute(b)
 	}
 	m.populate()
 	return m, nil
@@ -69,42 +79,45 @@ func hash64(s string, seed uint64) uint64 {
 	return h.Sum64()
 }
 
+// permute appends a new backend's permutation: its offset and skip
+// from two hashes of its name.
+func (m *Maglev) permute(name string) {
+	m.perms = append(m.perms, perm{
+		offset: hash64(name, 0xc0ffee) % m.m,
+		skip:   hash64(name, 0xdecade)%(m.m-1) + 1,
+	})
+}
+
 // populate is the algorithm from §3.4 of the Maglev paper: round-robin
 // over the active backends, each taking its next preferred free slot.
-// With no active backend the table is all -1 and Lookup returns -1.
+// The permutations are computed once per backend (permute), so populate
+// only refills the table and the cursors in place. With no active
+// backend the table is all -1 and Lookup returns -1.
 func (m *Maglev) populate() {
-	n := len(m.backends)
-	offsets := make([]uint64, n)
-	skips := make([]uint64, n)
-	next := make([]uint64, n)
-	live := 0
-	for i, b := range m.backends {
-		offsets[i] = hash64(b, 0xc0ffee) % m.m
-		skips[i] = hash64(b, 0xdecade)%(m.m-1) + 1
-		if m.active[i] {
-			live++
-		}
-	}
-	m.table = make([]int32, m.m)
 	for i := range m.table {
 		m.table[i] = -1
 	}
-	if live == 0 {
+	if m.ActiveBackends() == 0 {
 		return
 	}
+	for i := range m.perms {
+		m.perms[i].next = 0
+	}
+	n := len(m.backends)
 	filled := uint64(0)
 	for filled < m.m {
 		for i := 0; i < n && filled < m.m; i++ {
 			if !m.active[i] {
 				continue
 			}
-			c := (offsets[i] + next[i]*skips[i]) % m.m
+			p := &m.perms[i]
+			c := (p.offset + p.next*p.skip) % m.m
 			for m.table[c] >= 0 {
-				next[i]++
-				c = (offsets[i] + next[i]*skips[i]) % m.m
+				p.next++
+				c = (p.offset + p.next*p.skip) % m.m
 			}
 			m.table[c] = int32(i)
-			next[i]++
+			p.next++
 			filled++
 		}
 	}
@@ -130,6 +143,7 @@ func (m *Maglev) AddBackend(name string, addr netproto.IPv4) error {
 	m.backends = append(m.backends, name)
 	m.vips = append(m.vips, addr)
 	m.active = append(m.active, true)
+	m.permute(name)
 	m.populate()
 	return nil
 }

@@ -145,3 +145,20 @@ func TestMaglevBalanceAfterRemoval(t *testing.T) {
 		}
 	}
 }
+
+// TestMaglevGraftMatchesFresh: a backend appended by AddBackend gets
+// the permutation NewMaglev would have given it, so the grown table is
+// the table of a balancer built over every name at once.
+func TestMaglevGraftMatchesFresh(t *testing.T) {
+	grown := testMaglev(t, 4, 251)
+	if err := grown.AddBackend("backend-04", netproto.IPv4{172, 16, 0, 5}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := testMaglev(t, 5, 251)
+	want := fresh.TableSnapshot()
+	for i, b := range grown.TableSnapshot() {
+		if b != want[i] {
+			t.Fatalf("position %d: grown table has backend %d, fresh %d", i, b, want[i])
+		}
+	}
+}

@@ -299,9 +299,9 @@ func (c *Cluster) killMachine(m *machine) {
 }
 
 // supervise respawns dead machines after the respawn delay: a fresh
-// kernel boot and an empty store (state died with the machine — the
-// client's read-repair refills it), with stats cumulative across
-// generations like the driver supervisors.
+// kernel boot and the store emptied in place (state died with the
+// machine — the client's read-repair refills it), with stats cumulative
+// across generations like the driver supervisors.
 func (c *Cluster) supervise() {
 	for _, m := range c.machines {
 		if m.alive || c.tick < m.diedAt+c.cfg.RespawnDelayTicks {

@@ -1,7 +1,5 @@
 package cluster
 
-import "fmt"
-
 // health is the front tier's backend prober: a UDP ping per backend
 // every ProbeEvery ticks, DeadAfter consecutive misses evicts the
 // backend from the Maglev table, LiveAfter consecutive replies after a
@@ -88,7 +86,7 @@ func (h *health) reply(c *Cluster, b int, tick uint64) {
 }
 
 func (h *health) evict(c *Cluster, b int, tick uint64) {
-	if err := c.maglev.RemoveBackend(fmt.Sprintf("backend-%d", b)); err != nil {
+	if err := c.maglev.RemoveBackend(c.machines[1+b].name); err != nil {
 		return
 	}
 	h.inTable[b] = false
@@ -101,7 +99,7 @@ func (h *health) evict(c *Cluster, b int, tick uint64) {
 }
 
 func (h *health) reinstate(c *Cluster, b int, tick uint64) {
-	if err := c.maglev.AddBackend(fmt.Sprintf("backend-%d", b), backendIP(b)); err != nil {
+	if err := c.maglev.AddBackend(c.machines[1+b].name, backendIP(b)); err != nil {
 		return
 	}
 	h.inTable[b] = true

@@ -25,11 +25,10 @@ type machine struct {
 	id   int // 1-based node id (fault target)
 	name string
 
-	k        *kernel.Kernel
-	tid      pm.Ptr
-	mac      netproto.MAC
-	store    *apps.KVStore // nil on the LB
-	storeCap uint64
+	k     *kernel.Kernel
+	tid   pm.Ptr
+	mac   netproto.MAC
+	store *apps.KVStore // nil on the LB
 
 	inbox        [][]byte
 	alive        bool
@@ -44,18 +43,27 @@ type machine struct {
 	Kills, Stalls     uint64
 }
 
+// newMachine boots a machine's first generation; a backend
+// (storeCap > 0) allocates the one store every generation serves from.
 func newMachine(id int, name string, storeCap uint64) (*machine, error) {
 	m := &machine{
-		id: id, name: name, storeCap: storeCap,
+		id: id, name: name,
 		mac: netproto.MAC{2, 0, 0, 0, 0, byte(id)},
 	}
 	if err := m.boot(); err != nil {
 		return nil, err
 	}
+	if storeCap > 0 {
+		s, err := apps.NewKVStore(storeCap, 8, 8)
+		if err != nil {
+			return nil, err
+		}
+		m.store = s
+	}
 	return m, nil
 }
 
-// boot starts a fresh generation: new kernel, new (empty) store.
+// boot starts a generation on a freshly booted kernel.
 func (m *machine) boot() error {
 	k, tid, err := kernel.Boot(machineConfig())
 	if err != nil {
@@ -63,25 +71,22 @@ func (m *machine) boot() error {
 	}
 	m.k = k
 	m.tid = tid
-	if m.storeCap > 0 {
-		s, err := apps.NewKVStore(m.storeCap, 8, 8)
-		if err != nil {
-			return err
-		}
-		m.store = s
-	}
 	m.alive = true
 	m.stalledUntil = 0
 	m.inbox = m.inbox[:0]
 	return nil
 }
 
-// respawn replaces the dead generation. Store state is NOT carried
-// over: a machine's memory dies with it, which is exactly what the
-// client's read-repair path exists to absorb.
+// respawn replaces the dead generation: it empties the dead
+// generation's store in place and boots a fresh kernel. No entry is
+// carried over: a machine's memory dies with it, so clients see an
+// empty store whose GETs miss until read-repair refills them.
 func (m *machine) respawn() error {
 	m.retiredCycles += m.k.Machine.TotalCycles()
 	m.gen++
+	if m.store != nil {
+		m.store.Reset()
+	}
 	return m.boot()
 }
 

@@ -12,8 +12,9 @@ import (
 
 // The per-step refinement oracles allocate nothing on a warm kernel:
 // Load refills a warm State in place, SnapshotInto reuses a warm
-// Snapshot's sets, and Diff loads each kernel object into its reused
-// scratch and sorts nothing when kernel and spec agree.
+// Snapshot's sets, and Diff compares containers in place, loads every
+// other kernel object into its reused scratch and sorts nothing when
+// kernel and spec agree.
 // (The invariant suite's pin is verify.TestWFChecksAllocateNothing. The
 // race runtime may allocate on its own, so this file builds without
 // -race.)

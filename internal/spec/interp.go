@@ -65,10 +65,9 @@ type Interp struct {
 	// Thread.IPC.RecvVA.
 	recvVA map[Ptr]hw.VirtAddr
 
-	// kc, kp and ke hold the kernel object Diff is comparing, one
-	// reused scratch value per kind that owns storage (a thread owns
-	// none).
-	kc Container
+	// kp and ke hold the kernel object Diff is comparing, one reused
+	// scratch value per kind that owns slices (a thread owns none, and a
+	// container is compared in place).
 	kp Proc
 	ke Endpoint
 }
@@ -1368,8 +1367,7 @@ func (ip *Interp) Diff(p *pm.ProcessManager, iom *iommu.IOMMU) error {
 		if !ok {
 			return fmt.Errorf("container %#x: missing in kernel", ptr)
 		}
-		loadContainer(&ip.kc, c)
-		return diffContainer(ptr, ip.kc, sc)
+		return diffContainer(ptr, c, sc)
 	}); err != nil {
 		return err
 	}
@@ -1448,7 +1446,10 @@ func (ip *Interp) Diff(p *pm.ProcessManager, iom *iommu.IOMMU) error {
 // The field checks of Diff, one per object kind: each reports the first
 // field of the kernel's abstract object k that differs from the spec's s.
 
-func diffContainer(p Ptr, k, s Container) error {
+// diffContainer reads the kernel container in place: its sets are
+// compared with the spec's without being loaded, and sorted only to
+// format a divergence.
+func diffContainer(p Ptr, k *pm.Container, s Container) error {
 	switch {
 	case k.Parent != s.Parent:
 		return fmt.Errorf("container %#x: parent kernel=%#x spec=%#x", p, k.Parent, s.Parent)

@@ -156,9 +156,10 @@ func (st *State) LoadObjects(p *pm.ProcessManager, iom *iommu.IOMMU) {
 }
 
 // The loaders are the abstraction function of one kernel object each,
-// shared by LoadObjects and Interp.Diff. Each overwrites every field of
-// dst, reusing its slices and sets; a thread holds none, so loadThread
-// returns its view.
+// used by LoadObjects and, for every kind but containers (compared in
+// place), by Interp.Diff. Each overwrites every field of dst, reusing
+// its slices and sets; a thread holds none, so loadThread returns its
+// view.
 
 func loadContainer(dst *Container, c *pm.Container) {
 	*dst = Container{
@@ -271,7 +272,9 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-func setsEqual(a, b map[Ptr]bool) bool {
+// setsEqual compares a pointer set of any value type (a kernel set
+// holds empty structs) with a spec set: length first, then membership.
+func setsEqual[V any](a map[Ptr]V, b map[Ptr]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -477,7 +480,7 @@ func MemEqual(a, b mem.Snapshot) bool {
 }
 
 // SortedPtrs returns the keys of a pointer set in ascending order.
-func SortedPtrs(s map[Ptr]bool) []Ptr {
+func SortedPtrs[V any](s map[Ptr]V) []Ptr {
 	out := make([]Ptr, 0, len(s))
 	for p := range s {
 		out = append(out, p)
