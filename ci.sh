@@ -68,11 +68,11 @@ go run ./cmd/atmo-fuzz -diff -seeds 256 -steps 2000
 
 echo "== atmo-fuzz checked and -chaos sweeps"
 # The two oracle sweeps docs/TESTING.md documents: four 2,000-op seeds
-# with the per-syscall specs and every invariant checked after every
-# step, and sixteen seeds of the differential sweep with one allocation
-# in ten refused (409 faults in all). Seeds 1 and 9 inject faults, and
-# their fault traces are pinned. A change that moves a pin edits it and
-# records before -> after in CHANGES.md.
+# stepped through the spec interpreter with every invariant checked
+# after every step, and sixteen seeds of the differential sweep with
+# one allocation in ten refused (409 faults in all). Seeds 1 and 9
+# inject faults, and their fault traces are pinned. A change that
+# moves a pin edits it and records before -> after in CHANGES.md.
 go run ./cmd/atmo-fuzz -seeds 4 -steps 2000
 chaos=$(go run ./cmd/atmo-fuzz -chaos -seeds 16)
 printf '%s\n' "$chaos"

@@ -13,12 +13,13 @@
 //	atmo-fuzz -repro f.repro       # replay a minimized repro file
 //	atmo-fuzz -chaos -seeds 16     # the differential sweep under injected faults
 //
-// The default (checked) mode validates every transition against its
-// per-syscall specification predicate plus the full invariant suite.
+// Every mode runs each program in lockstep with the pure spec
+// interpreter through verify.Checker: after every syscall the kernel's
+// abstraction Ψ is compared field-by-field against the
+// independently-evolved Ψ′. The default (checked) mode also runs the
+// full invariant suite after every transition (mck.RunChecked).
 //
-// With -diff each program instead runs in lockstep with the pure spec
-// interpreter: after every syscall the kernel's abstraction Ψ is
-// compared field-by-field against the independently-evolved Ψ′. On
+// With -diff the invariant suite runs every 256 ops instead. On
 // divergence the failing program is delta-debugged down to a minimal
 // op sequence and written as a self-contained repro file; replay it
 // with -repro.
@@ -86,9 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // out holds the command's two streams.
 type out struct{ stdout, stderr io.Writer }
 
-// runChecked is the default mode: every generated program runs on a
-// kernel wrapped by verify.Checker, so each transition is validated
-// against its specification predicate and the invariant suite.
+// runChecked is the default mode: every generated program runs through
+// the differential oracle with the invariant suite after every
+// transition.
 func (o out) runChecked(first uint64, seeds, steps int) int {
 	total := mck.Stats{Ops: map[string]int{}, Errnos: map[string]int{}}
 	for s := 0; s < seeds; s++ {

@@ -108,9 +108,9 @@ func run(args []string, stdout io.Writer) error {
 	if _, err := ok(c.NewEndpoint(0, init, 0)); err != nil {
 		return err
 	}
-	ep := k.PM.Thrd(init).Endpoints[0]
-	k.PM.Thrd(worker).Endpoints[0] = ep
-	k.PM.EndpointIncRef(ep, 1)
+	if err := c.InstallEndpoint(worker, 0, k.PM.Thrd(init).Endpoints[0]); err != nil {
+		return err
+	}
 	if _, err := ok(c.Recv(1, worker, 0, kernel.RecvArgs{PageVA: 0x9000, EdptSlot: -1})); err != nil {
 		return err
 	}

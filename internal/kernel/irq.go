@@ -67,7 +67,9 @@ func (k *Kernel) SysIrqUnregister(core int, tid pm.Ptr, irq int) Ret {
 // SysIrqWait is the handler's wait: if interrupts are pending on the
 // line, they are consumed immediately (the count returned in Vals[1]);
 // otherwise the caller blocks receiving on the bound endpoint and is
-// woken by the next interrupt.
+// woken by the next interrupt. With senders queued on that endpoint it
+// returns EAGAIN instead: a receiver queued behind them would mix the
+// queue's directions, so the handler receives them first.
 func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 	defer k.enterPlan(core, func() lockPlan { return k.planIrqWait(core, tid, irq) })()
 	t, okk := k.callerThread(tid)
@@ -88,6 +90,9 @@ func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
 		return k.post("irq_wait", tid, ok(uint64(irq), n))
 	}
 	ep := k.PM.Edpt(st.endpoint)
+	if !ep.QueuedRecv && len(ep.Queue) > 0 {
+		return k.post("irq_wait", tid, fail(EAGAIN))
+	}
 	t.IPC.RecvVA = 0
 	t.IPC.RecvEdptSlot = -1
 	k.kclock.Charge(hw.CostEndpointOp)

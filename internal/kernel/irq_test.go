@@ -52,6 +52,27 @@ func TestIrqRegisterValidation(t *testing.T) {
 	}
 }
 
+// An irq_wait with nothing pending and senders queued on the line's
+// endpoint returns EAGAIN and leaves the queue to its senders; it once
+// queued the handler as a receiver behind them, mixing the queue's
+// directions.
+func TestIrqWaitBehindSenders(t *testing.T) {
+	k, init := irqSetup(t)
+	sender := mustOK(t, k.SysNewThread(0, init, 0)).Vals[0]
+	ep := k.PM.Thrd(init).Endpoints[0]
+	k.PM.Thrd(pm.Ptr(sender)).Endpoints[0] = ep
+	k.PM.EndpointIncRef(ep, 1)
+	if r := k.SysSend(0, pm.Ptr(sender), 0, SendArgs{}); r.Errno != EWOULDBLOCK {
+		t.Fatalf("send should block: %v", r.Errno)
+	}
+	if r := k.SysIrqWait(0, init, 9); r.Errno != EAGAIN {
+		t.Fatalf("irq_wait behind a sender: %v, want EAGAIN", r.Errno)
+	}
+	if e := k.PM.Edpt(ep); e.QueuedRecv || len(e.Queue) != 1 || k.PM.Thrd(init).State == pm.ThreadBlockedRecv {
+		t.Fatalf("queue %v (receivers %v), handler %v", e.Queue, e.QueuedRecv, k.PM.Thrd(init).State)
+	}
+}
+
 func TestIrqWakesBlockedHandler(t *testing.T) {
 	k, init := irqSetup(t)
 	// A second runnable thread keeps the core busy while init waits.

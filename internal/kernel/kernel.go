@@ -5,8 +5,9 @@
 // Every syscall follows the same shape as the paper's verified functions:
 // validate arguments against the caller's authority, perform the state
 // transition, and keep the ghost/abstract state in lock-step with the
-// concrete state. internal/spec defines the executable postcondition of
-// each syscall; internal/verify checks them, together with the global
+// concrete state. internal/spec's Interp is the executable
+// specification, one step per syscall; internal/verify's Checker steps
+// it and compares the kernel against it, together with the global
 // well-formedness invariants, after every transition.
 package kernel
 
@@ -516,6 +517,24 @@ const (
 	// reserved cores keep the stale translations (each IPI is still
 	// charged). The TLB-coherence oracle must catch them.
 	MutantShootdownLocalOnly
+	// MutantMmapAlias maps an mmap's second page onto its first page's
+	// frame, taking a reference, instead of a fresh frame: the two
+	// mappings alias with consistent reference counts, so only the
+	// spec's fresh-frame witness sees it.
+	MutantMmapAlias
+	// MutantMmapReuse maps an mmap's first page onto the frame the
+	// caller already maps just below it, taking a reference: a page that
+	// was not free, again with consistent reference counts.
+	MutantMmapReuse
+	// MutantMunmapRemap moves the page mapped just past a munmap'd
+	// range onto a fresh frame: a surviving mapping changes frame with
+	// consistent reference counts and quota, which only the spec's
+	// frames see.
+	MutantMunmapRemap
+	// MutantIommuWrongFrame pins the frame mapped at va+4K instead of
+	// va's: a consistent pin on the wrong page, which only the spec's
+	// copied source frame sees.
+	MutantIommuWrongFrame
 )
 
 // SetMutantForTest plants m, replacing any mutant planted before (the

@@ -59,12 +59,18 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 	if err != nil {
 		return k.post("iommu_map", tid, fail(errnoOf(err)))
 	}
+	phys := e.Phys
+	if k.mutant == MutantIommuWrongFrame {
+		if next, ok := proc.PageTable.Lookup(va + hw.PageSize4K); ok {
+			phys = next.Phys
+		}
+	}
 	nodesBefore := d.Table.NodeCount()
-	if err := k.Alloc.IncRef(e.Phys); err != nil {
+	if err := k.Alloc.IncRef(phys); err != nil {
 		return k.post("iommu_map", tid, fail(EINVAL))
 	}
-	if err := k.IOMMU.Map(proc.IOMMUDomain, va, e.Phys); err != nil {
-		if _, derr := k.Alloc.DecRef(e.Phys); derr != nil {
+	if err := k.IOMMU.Map(proc.IOMMUDomain, va, phys); err != nil {
+		if _, derr := k.Alloc.DecRef(phys); derr != nil {
 			panic(derr)
 		}
 		return k.post("iommu_map", tid, fail(errnoOf(err)))
@@ -76,7 +82,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 			if uerr := k.IOMMU.Unmap(proc.IOMMUDomain, va); uerr != nil {
 				panic(uerr)
 			}
-			if _, derr := k.Alloc.DecRef(e.Phys); derr != nil {
+			if _, derr := k.Alloc.DecRef(phys); derr != nil {
 				panic(derr)
 			}
 			k.pruneNodes(proc.Owner, d.Table, nodesBefore)

@@ -74,7 +74,13 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 			rollback()
 			return k.post("mmap", tid, fail(EQUOTA))
 		}
-		phys, err := k.allocUser(core, size)
+		phys, planted := k.mutantFrame(table, va, i)
+		var err error
+		if planted {
+			err = k.Alloc.IncRef(phys)
+		} else {
+			phys, err = k.allocUser(core, size)
+		}
 		if err != nil {
 			k.PM.CreditPages(cntr, pagesIn4K(size))
 			rollback()
@@ -99,6 +105,20 @@ func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size h
 		}
 	}
 	return k.post("mmap", tid, ok(uint64(va)))
+}
+
+// mutantFrame returns the frame a planted mmap mutant maps the range's
+// page i onto instead of a fresh one (SetMutantForTest), if any.
+func (k *Kernel) mutantFrame(table *pt.PageTable, va hw.VirtAddr, i int) (hw.PhysAddr, bool) {
+	switch {
+	case k.mutant == MutantMmapAlias && i == 1:
+		e, _ := table.Lookup(va)
+		return e.Phys, true
+	case k.mutant == MutantMmapReuse && i == 0:
+		e, ok := table.Lookup(va - hw.PageSize4K)
+		return e.Phys, ok
+	}
+	return 0, false
 }
 
 // pruneNodes is the node half of every map site's rollback, run once
@@ -202,7 +222,30 @@ func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size
 		}
 		k.freeUser(core, e.Phys, size)
 	}
+	if k.mutant == MutantMunmapRemap {
+		k.remap(core, table, va+hw.VirtAddr(count)*step, size)
+	}
 	return k.post("munmap", tid, ok())
+}
+
+// remap moves the mapping of the given size at va, if any, onto a
+// fresh frame (MutantMunmapRemap).
+func (k *Kernel) remap(core int, table *pt.PageTable, va hw.VirtAddr, size hw.PageSize) {
+	e, mapped := table.Mapping(va)
+	if !mapped || e.Size != size {
+		return
+	}
+	fresh, err := k.allocUser(core, size)
+	if err != nil {
+		return
+	}
+	if _, err := table.Unmap(va); err != nil {
+		panic(err)
+	}
+	k.freeUser(core, e.Phys, size)
+	if err := table.Map(va, fresh, size, e.Perm); err != nil {
+		panic(err)
+	}
 }
 
 // flushAfterRelease reports whether an unmap's shootdown of phys may

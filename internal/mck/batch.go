@@ -6,8 +6,10 @@ import (
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
+	"atmosphere/internal/pt"
 	"atmosphere/internal/shmring"
 	"atmosphere/internal/spec"
+	"atmosphere/internal/verify"
 )
 
 // bop is one derived batch submission: an opcode plus the four argument
@@ -88,18 +90,19 @@ func deriveBops(seed uint64, buf []bop) []bop {
 }
 
 // runBatch drives one KBatch op differentially: it encodes the derived
-// submission sequence bops into scratch rings, rings SysBatchRings
-// directly (the kernel-internal doorbell the model checker is documented
-// to drive), then replays exactly the drained prefix — as reported by
-// the posted CQEs — through the spec interpreter. This is the batch
-// oracle: Abstract(kernel) after the batch must equal spec.Interp over
-// the flattened op sequence, with each op's errno pinned by its CQE. The
-// rings live in rings, two frames the run reuses for every batch: both
-// are zeroed first, so each batch starts from the same empty rings.
-func runBatch(k *kernel.Kernel, ip *spec.Interp, rings *hw.PhysMem, bops []bop, c call) (kernel.Ret, error) {
+// submission sequence bops into scratch rings and rings them through the
+// Checker's doorbell (SysBatchRings, the kernel-internal entry the model
+// checker is documented to drive), which replays exactly the drained
+// prefix — as reported by the posted CQEs — through the spec interpreter
+// before comparing the kernel against Ψ′: Ψ after the batch must equal
+// spec.Interp over the flattened op sequence, with each op's errno
+// pinned by its CQE. The rings live in rings, two frames the run reuses
+// for every batch: both are zeroed first, so each batch starts from the
+// same empty rings.
+func runBatch(c *verify.Checker, rings *hw.PhysMem, bops []bop, rc call) (kernel.Ret, error) {
 	rings.ZeroPage(0)
 	rings.ZeroPage(hw.PageSize4K)
-	clk := &k.Machine.Core(c.core).Clock
+	clk := &c.K.Machine.Core(rc.core).Clock
 	sq := shmring.New(rings, clk, 0, shmring.SlotsPerPage())
 	cq := shmring.New(rings, clk, hw.PageSize4K, shmring.SlotsPerPage())
 	for i, b := range bops {
@@ -107,34 +110,37 @@ func runBatch(k *kernel.Kernel, ip *spec.Interp, rings *hw.PhysMem, bops []bop, 
 			return kernel.Ret{}, fmt.Errorf("batch encode %d: %v", i, err)
 		}
 	}
-	ret := k.SysBatchRings(c.core, c.tid, sq, cq, 0)
-	drained := int(ret.Vals[0])
-	if drained > len(bops) {
-		return ret, fmt.Errorf("batch drained %d of %d submissions", drained, len(bops))
-	}
-	for i := 0; i < drained; i++ {
-		cqe, err := shmring.PopCQE(cq)
-		if err != nil {
-			return ret, fmt.Errorf("batch completion %d: %v", i, err)
+	return c.BatchRings(rc.core, rc.tid, sq, cq, 0, func(ip *spec.Interp, ret kernel.Ret) error {
+		drained := int(ret.Vals[0])
+		if drained > len(bops) {
+			return fmt.Errorf("batch drained %d of %d submissions", drained, len(bops))
 		}
-		if cqe.Token != uint16(i) || cqe.Op != bops[i].op {
-			return ret, fmt.Errorf("batch completion %d: token %d op %d, want %d/%d",
-				i, cqe.Token, cqe.Op, i, bops[i].op)
+		for i := 0; i < drained; i++ {
+			cqe, err := shmring.PopCQE(cq)
+			if err != nil {
+				return fmt.Errorf("batch completion %d: %v", i, err)
+			}
+			if cqe.Token != uint16(i) || cqe.Op != bops[i].op {
+				return fmt.Errorf("batch completion %d: token %d op %d, want %d/%d",
+					i, cqe.Token, cqe.Op, i, bops[i].op)
+			}
+			bret := kernel.Ret{Errno: kernel.Errno(cqe.Errno), Vals: [4]uint64{cqe.Val}}
+			if err := applyBop(ip, rc.core, rc.tid, bops[i], bret); err != nil {
+				return fmt.Errorf("batch op %d (%d): %w", i, bops[i].op, err)
+			}
 		}
-		bret := kernel.Ret{Errno: kernel.Errno(cqe.Errno), Vals: [4]uint64{cqe.Val}}
-		if err := applyBop(ip, c.tid, bops[i], bret); err != nil {
-			return ret, fmt.Errorf("batch op %d (%d): %w", i, bops[i].op, err)
+		if _, err := shmring.PopCQE(cq); err != shmring.ErrEmpty {
+			return fmt.Errorf("batch posted more completions than Vals[0]=%d", drained)
 		}
-	}
-	if _, err := shmring.PopCQE(cq); err != shmring.ErrEmpty {
-		return ret, fmt.Errorf("batch posted more completions than Vals[0]=%d", drained)
-	}
-	return ret, nil
+		return nil
+	})
 }
 
 // applyBop applies one drained submission's specification, mirroring
-// batchDispatch's argument decoding exactly.
-func applyBop(ip *spec.Interp, tid pm.Ptr, b bop, ret kernel.Ret) error {
+// batchDispatch's argument decoding exactly: a send-family op grants
+// the page at its fourth word unless that word is zero.
+func applyBop(ip *spec.Interp, core int, tid pm.Ptr, b bop, ret kernel.Ret) error {
+	send := kernel.SendArgs{GrantPage: b.args[3] != 0, PageVA: hw.VirtAddr(b.args[3])}
 	switch b.op {
 	case kernel.BopNop:
 		if ret.Errno != kernel.OK {
@@ -142,19 +148,20 @@ func applyBop(ip *spec.Interp, tid pm.Ptr, b bop, ret kernel.Ret) error {
 		}
 		return nil
 	case kernel.BopMmap:
-		return ip.Mmap(tid, hw.VirtAddr(b.args[0]), int(b.args[1]), ret)
+		return ip.Mmap(core, tid, hw.VirtAddr(b.args[0]), int(b.args[1]), hw.Size4K, pt.RW, ret)
 	case kernel.BopMunmap:
-		return ip.Munmap(tid, hw.VirtAddr(b.args[0]), int(b.args[1]), ret)
+		return ip.Munmap(core, tid, hw.VirtAddr(b.args[0]), int(b.args[1]), hw.Size4K, ret)
 	case kernel.BopSend:
-		return ip.Send(tid, int(b.args[0]), false, 0, hw.VirtAddr(b.args[3]), ret)
+		return ip.Send(core, tid, int(b.args[0]), send, ret)
 	case kernel.BopSendAsync:
-		return ip.SendAsync(tid, int(b.args[0]), hw.VirtAddr(b.args[3]), ret)
+		return ip.SendAsync(core, tid, int(b.args[0]), send, ret)
 	case kernel.BopCall:
-		return ip.Call(tid, int(b.args[0]), false, 0, hw.VirtAddr(b.args[3]), ret)
+		return ip.Call(core, tid, int(b.args[0]), send, ret)
 	case kernel.BopRecv:
-		return ip.Recv(tid, int(b.args[0]), int(b.args[2])-1, hw.VirtAddr(b.args[1]), ret)
+		return ip.Recv(core, tid, int(b.args[0]),
+			kernel.RecvArgs{PageVA: hw.VirtAddr(b.args[1]), EdptSlot: int(b.args[2]) - 1}, ret)
 	case kernel.BopYield:
-		return ip.Yield(tid, ret)
+		return ip.Yield(core, tid, ret)
 	}
 	return fmt.Errorf("unhandled bop %d", b.op)
 }

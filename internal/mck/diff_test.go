@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"atmosphere/internal/faults"
+	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
 )
@@ -97,25 +98,31 @@ func TestDiffRefusedPageDelivery(t *testing.T) {
 	}
 }
 
-// TestRunDiffChecksFinalState plants a refcount leak after the first
-// successful mmap. The differential oracle cannot see it (Diff compares
-// objects and address spaces, not page counts), so only TotalWF can,
-// and a 200-op program never reaches the first periodic check at
-// WFEvery 256: only the check after the last op catches it. The
-// program then shrinks to the one mmap.
+// TestRunDiffChecksFinalState plants a refcount leak on the first
+// successful mmap's frame during the syscall after it. The spec steps
+// cannot see it (Diff compares objects and address spaces, not
+// reference counts, and mmap counts its fresh frames' references at the
+// mmap itself), so only TotalWF can, and a 200-op program never reaches
+// the first periodic check at WFEvery 256: only the check after the
+// last op catches it. The program then shrinks to the mmap and one
+// syscall after it.
 func TestRunDiffChecksFinalState(t *testing.T) {
 	opt := Options{WFEvery: 256, Hook: func(k *kernel.Kernel) {
+		var frame hw.PhysAddr
 		leaked := false
 		k.PostSyscall = func(name string, caller pm.Ptr, ret kernel.Ret) {
-			if leaked || name != "mmap" || ret.Errno != kernel.OK {
-				return
-			}
-			leaked = true
-			for _, e := range k.PM.Proc(k.PM.Thrd(caller).OwningProc).PageTable.AddressSpace() {
-				if err := k.Alloc.IncRef(e.Phys); err != nil {
+			switch {
+			case leaked:
+			case frame != 0:
+				leaked = true
+				if err := k.Alloc.IncRef(frame); err != nil {
 					t.Error(err)
 				}
-				return
+			case name == "mmap" && ret.Errno == kernel.OK:
+				for _, e := range k.PM.Proc(k.PM.Thrd(caller).OwningProc).PageTable.AddressSpace() {
+					frame = e.Phys
+					break
+				}
 			}
 		}
 	}}
@@ -131,13 +138,13 @@ func TestRunDiffChecksFinalState(t *testing.T) {
 		t.Fatalf("caught as %v, want the final check's refcount report", res)
 	}
 	min := Shrink(p, func(q Program) bool { return Fails(q, opt) })
-	if len(min.Ops) != 1 || min.Ops[0].Kind != KMmap {
-		t.Fatalf("shrunk to %d ops, want the one mmap:\n%s", len(min.Ops), min.EncodeRepro())
+	if len(min.Ops) != 2 || min.Ops[0].Kind != KMmap {
+		t.Fatalf("shrunk to %d ops, want the mmap and one op after it:\n%s", len(min.Ops), min.EncodeRepro())
 	}
 }
 
-// TestRunCheckedSeeds drives the same generator through the per-syscall
-// spec predicates plus the invariant suite.
+// TestRunCheckedSeeds drives the same generator through the
+// differential oracle with the invariant suite after every step.
 func TestRunCheckedSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed

@@ -1,9 +1,9 @@
 // Package mck is the model-checking harness around the executable
 // specification: a seeded, typed syscall-program generator (swarm
 // profiles over the op vocabulary), a differential runner that executes
-// each program in lockstep on the concrete kernel and on the pure spec
-// interpreter (spec.Interp) and reports the first field-level divergence
-// of Ψ, a delta-debugging shrinker that reduces a failing program to a
+// each program through verify.Checker, in lockstep on the concrete
+// kernel and on the pure spec interpreter (spec.Interp), and reports
+// the first field-level divergence of Ψ, a delta-debugging shrinker that reduces a failing program to a
 // minimal self-contained repro, and a schedule explorer that perturbs
 // the big-lock hand-off order and work-stealing victims per seed.
 //
@@ -21,8 +21,8 @@ import (
 	"strings"
 )
 
-// Kind enumerates the syscall vocabulary the generator emits. The
-// interpreter in internal/spec models exactly this set.
+// Kind enumerates the syscall vocabulary the generator emits, a subset
+// of the syscalls the interpreter in internal/spec models.
 type Kind uint8
 
 const (

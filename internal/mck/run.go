@@ -7,7 +7,6 @@ import (
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
-	"atmosphere/internal/spec"
 	"atmosphere/internal/verify"
 )
 
@@ -223,125 +222,89 @@ func resolve(k *kernel.Kernel, regs *registries, op Op, cores int) (call, bool) 
 	return c, true
 }
 
-// dispatchKernel issues the resolved call against the concrete kernel.
-func dispatchKernel(k *kernel.Kernel, c call) kernel.Ret {
-	switch c.kind {
+// dispatch issues the resolved call through the Checker, which applies
+// the same call's specification to Ψ′ and compares the kernel against
+// it. A KBatch op rings its derived submissions bops through the
+// doorbell (runBatch).
+func dispatch(c *verify.Checker, rc call, rings *hw.PhysMem, bops []bop) (kernel.Ret, error) {
+	switch rc.kind {
 	case KMmap:
-		return k.SysMmap(c.core, c.tid, c.va, c.count, hw.Size4K, pt.RW)
+		return c.Mmap(rc.core, rc.tid, rc.va, rc.count, hw.Size4K, pt.RW)
 	case KMunmap:
-		return k.SysMunmap(c.core, c.tid, c.va, c.count, hw.Size4K)
+		return c.Munmap(rc.core, rc.tid, rc.va, rc.count, hw.Size4K)
 	case KNewContainer:
-		return k.SysNewContainer(c.core, c.tid, c.quota, c.cpus)
+		return c.NewContainer(rc.core, rc.tid, rc.quota, rc.cpus)
 	case KNewProcess:
-		return k.SysNewProcess(c.core, c.tid)
+		return c.NewProcess(rc.core, rc.tid)
 	case KNewProcessIn:
-		return k.SysNewProcessIn(c.core, c.tid, c.cntr)
+		return c.NewProcessIn(rc.core, rc.tid, rc.cntr)
 	case KNewThreadIn:
-		return k.SysNewThreadIn(c.core, c.tid, c.proc, c.onCore)
+		return c.NewThreadIn(rc.core, rc.tid, rc.proc, rc.onCore)
 	case KExitThread:
-		return k.SysExitThread(c.core, c.tid)
+		return c.ExitThread(rc.core, rc.tid)
 	case KNewEndpoint:
-		return k.SysNewEndpoint(c.core, c.tid, c.slot)
+		return c.NewEndpoint(rc.core, rc.tid, rc.slot)
 	case KCloseEndpoint:
-		return k.SysCloseEndpoint(c.core, c.tid, c.slot)
+		return c.CloseEndpoint(rc.core, rc.tid, rc.slot)
 	case KSend:
-		return k.SysSend(c.core, c.tid, c.slot,
-			kernel.SendArgs{Regs: [4]uint64{c.reg}, SendEdpt: c.sendEdpt, EdptSlot: c.xferSlot})
+		return c.Send(rc.core, rc.tid, rc.slot,
+			kernel.SendArgs{Regs: [4]uint64{rc.reg}, SendEdpt: rc.sendEdpt, EdptSlot: rc.xferSlot})
 	case KRecv:
-		return k.SysRecv(c.core, c.tid, c.slot, kernel.RecvArgs{EdptSlot: c.reqSlot})
+		return c.Recv(rc.core, rc.tid, rc.slot, kernel.RecvArgs{EdptSlot: rc.reqSlot})
 	case KCall:
-		return k.SysCall(c.core, c.tid, c.slot,
-			kernel.SendArgs{Regs: [4]uint64{c.reg}, SendEdpt: c.sendEdpt, EdptSlot: c.xferSlot})
+		return c.Call(rc.core, rc.tid, rc.slot,
+			kernel.SendArgs{Regs: [4]uint64{rc.reg}, SendEdpt: rc.sendEdpt, EdptSlot: rc.xferSlot})
 	case KSendAsync:
-		args := kernel.SendArgs{Regs: [4]uint64{c.reg}}
-		if c.grantVA != 0 {
-			args.GrantPage, args.PageVA = true, c.grantVA
+		args := kernel.SendArgs{Regs: [4]uint64{rc.reg}}
+		if rc.grantVA != 0 {
+			args.GrantPage, args.PageVA = true, rc.grantVA
 		}
-		return k.SysSendAsync(c.core, c.tid, c.slot, args)
+		return c.SendAsync(rc.core, rc.tid, rc.slot, args)
 	case KYield:
-		return k.SysYield(c.core, c.tid)
+		return c.Yield(rc.core, rc.tid)
 	case KKillProcess:
-		return k.SysKillProcess(c.core, c.tid, c.proc)
+		return c.KillProcess(rc.core, rc.tid, rc.proc)
 	case KKillContainer:
-		return k.SysKillContainer(c.core, c.tid, c.cntr)
+		return c.KillContainer(rc.core, rc.tid, rc.cntr)
 	case KIommuCreate:
-		return k.SysIommuCreateDomain(c.core, c.tid)
+		return c.IommuCreateDomain(rc.core, rc.tid)
+	case KBatch:
+		return runBatch(c, rings, bops, rc)
 	}
-	panic("mck: unhandled kind " + c.kind.String())
+	panic("mck: unhandled kind " + rc.kind.String())
 }
 
-// applyInterp applies the same call's specification to Ψ′, checking the
-// kernel's return value against the spec's prediction.
-func applyInterp(ip *spec.Interp, c call, ret kernel.Ret) error {
-	switch c.kind {
-	case KMmap:
-		return ip.Mmap(c.tid, c.va, c.count, ret)
-	case KMunmap:
-		return ip.Munmap(c.tid, c.va, c.count, ret)
-	case KNewContainer:
-		return ip.NewContainer(c.tid, c.quota, c.cpus, ret)
-	case KNewProcess:
-		return ip.NewProcess(c.tid, ret)
-	case KNewProcessIn:
-		return ip.NewProcessIn(c.tid, c.cntr, ret)
-	case KNewThreadIn:
-		return ip.NewThreadIn(c.tid, c.proc, c.onCore, ret)
-	case KExitThread:
-		return ip.ExitThread(c.tid, ret)
-	case KNewEndpoint:
-		return ip.NewEndpoint(c.tid, c.slot, ret)
-	case KCloseEndpoint:
-		return ip.CloseEndpoint(c.tid, c.slot, ret)
-	case KSend:
-		return ip.Send(c.tid, c.slot, c.sendEdpt, c.xferSlot, c.grantVA, ret)
-	case KRecv:
-		return ip.Recv(c.tid, c.slot, c.reqSlot, 0, ret)
-	case KCall:
-		return ip.Call(c.tid, c.slot, c.sendEdpt, c.xferSlot, c.grantVA, ret)
-	case KSendAsync:
-		return ip.SendAsync(c.tid, c.slot, c.grantVA, ret)
-	case KYield:
-		return ip.Yield(c.tid, ret)
-	case KKillProcess:
-		return ip.KillProcess(c.tid, c.proc, ret)
-	case KKillContainer:
-		return ip.KillContainer(c.tid, c.cntr, ret)
-	case KIommuCreate:
-		return ip.IommuCreate(c.tid, ret)
-	}
-	panic("mck: unhandled kind " + c.kind.String())
-}
-
-// RunDiff executes the program in lockstep on a freshly booted kernel
-// and on the pure spec interpreter, comparing the kernel against the
-// independently evolved Ψ′ after every step. It returns the first
-// divergence (nil if the whole program agrees), the run's coverage, and
-// a boot error if the machine could not be constructed.
+// RunDiff executes the program on a freshly booted kernel driven through
+// a verify.Checker, which steps the pure spec interpreter in lockstep
+// and compares the kernel against the independently evolved Ψ′ after
+// every step. It returns the first divergence (nil if the whole program
+// agrees), the run's coverage, and a boot error if the machine could not
+// be constructed.
 //
 // Diff reads the kernel in place, one object at a time through the
 // abstraction function; no copy of its Ψ is kept. It compares objects
-// and address spaces, not page sets. Allocator state is checked by
-// TotalWF every WFEvery steps and after the last op, so no step goes
-// unchecked.
+// and address spaces, frames included, not the allocator's page sets.
+// Allocator state is checked by TotalWF every WFEvery steps and after the
+// last op, so no step goes unchecked.
 func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	st := newStats()
 	frames, cores := opt.shape(p)
-	k, init, err := kernel.Boot(hw.Config{Frames: frames, Cores: cores, TLBSlots: 256})
+	c, init, err := verify.NewChecker(hw.Config{Frames: frames, Cores: cores, TLBSlots: 256})
 	if err != nil {
 		return nil, st, err
 	}
+	c.SkipWF = true
 	if opt.Hook != nil {
-		opt.Hook(k)
+		opt.Hook(c.K)
 	}
-	ip := spec.NewInterp(k.PM, k.IOMMU)
-	regs := bootRegistries(k, init)
+	regs := bootRegistries(c.K, init)
 
-	// Shared rendezvous endpoint in init's slot 0, adopted by every new
+	// Shared rendezvous endpoint in init's slot 0, installed in every new
 	// thread: without one seeded shared descriptor no two threads ever
 	// hold the same endpoint (transfer itself needs a rendezvous), and
 	// the whole IPC delivery surface would go unexercised.
-	rret := k.SysNewEndpoint(0, init, 0)
-	if err := ip.NewEndpoint(init, 0, rret); err != nil {
+	rret, err := c.NewEndpoint(0, init, 0)
+	if err != nil {
 		return &DiffResult{Step: -1, Err: fmt.Errorf("rendezvous setup: %w", err)}, st, nil
 	}
 	rendezvous := pm.Ptr(rret.Vals[0])
@@ -349,41 +312,34 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	var bops []bop            // every KBatch op's derived submissions
 
 	for i, op := range p.Ops {
-		c, ok := resolve(k, regs, op, cores)
+		rc, ok := resolve(c.K, regs, op, cores)
 		if !ok {
 			continue // no thread left to issue calls
 		}
-		var ret kernel.Ret
-		if c.kind == KBatch {
-			var err error
-			bops = deriveBops(c.seed, bops)
-			ret, err = runBatch(k, ip, rings, bops, c)
-			st.record(c.kind.String(), ret)
-			if err != nil {
-				return &DiffResult{Step: i, Op: op, Err: err}, st, nil
-			}
-		} else {
-			ret = dispatchKernel(k, c)
-			st.record(c.kind.String(), ret)
-			if err := applyInterp(ip, c, ret); err != nil {
-				return &DiffResult{Step: i, Op: op, Err: err}, st, nil
-			}
+		if rc.kind == KBatch {
+			bops = deriveBops(rc.seed, bops)
 		}
-		if err := ip.Diff(k.PM, k.IOMMU); err != nil {
+		ret, err := dispatch(c, rc, rings, bops)
+		st.record(rc.kind.String(), ret)
+		if err != nil {
 			return &DiffResult{Step: i, Op: op, Err: err}, st, nil
 		}
-		regs.record(c, ret)
-		if c.kind == KNewThreadIn && ret.Errno == kernel.OK {
-			adopt(k, ip, rendezvous, pm.Ptr(ret.Vals[0]))
+		regs.record(rc, ret)
+		if rc.kind == KNewThreadIn && ret.Errno == kernel.OK {
+			// Nothing once the endpoint has died; if its page was reused
+			// for a new endpoint, kernel and spec install the same one.
+			if err := c.InstallEndpoint(pm.Ptr(ret.Vals[0]), 0, rendezvous); err != nil {
+				return &DiffResult{Step: i, Op: op, Err: err}, st, nil
+			}
 		}
 		if opt.WFEvery > 0 && (i+1)%opt.WFEvery == 0 {
-			if err := verify.TotalWF(k); err != nil {
+			if err := verify.TotalWF(c.K); err != nil {
 				return &DiffResult{Step: i, Op: op, Err: fmt.Errorf("invariants: %w", err)}, st, nil
 			}
 		}
 	}
 	if opt.WFEvery > 0 {
-		if err := verify.TotalWF(k); err != nil {
+		if err := verify.TotalWF(c.K); err != nil {
 			res := &DiffResult{Step: len(p.Ops) - 1, Err: fmt.Errorf("invariants: %w", err)}
 			if res.Step >= 0 {
 				res.Op = p.Ops[res.Step]
@@ -394,21 +350,19 @@ func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	return nil, st, nil
 }
 
-// adopt installs the shared rendezvous endpoint into a new thread's
-// slot 0 on both sides (a reference is taken). No-ops once the endpoint
-// has died; if its page was reused for a new endpoint, both sides see
-// the same pointer and stay in agreement.
-func adopt(k *kernel.Kernel, ip *spec.Interp, ep, tid pm.Ptr) {
-	if _, alive := k.PM.TryEdpt(ep); !alive {
-		return
+// RunChecked executes the program through the differential oracle with
+// the full invariant suite after every step: RunDiff with WFEvery 1.
+// This is the harness behind atmo-fuzz's default mode.
+func RunChecked(p Program, opt Options) (Stats, error) {
+	opt.WFEvery = 1
+	res, st, err := RunDiff(p, opt)
+	if err != nil {
+		return st, err
 	}
-	t := k.PM.Thrd(tid)
-	if t.Endpoints[0] != pm.NoEndpoint {
-		return
+	if res != nil {
+		return st, res
 	}
-	t.Endpoints[0] = ep
-	k.PM.EndpointIncRef(ep, 1)
-	ip.Adopt(tid, ep)
+	return st, nil
 }
 
 // Fails reports whether the program fails the differential oracle. A

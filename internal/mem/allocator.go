@@ -658,39 +658,25 @@ type Snapshot struct {
 }
 
 // Snapshot captures the allocator's abstract state in a fresh Snapshot.
-func (a *Allocator) Snapshot() (s Snapshot) { a.SnapshotInto(&s); return s }
-
-// SnapshotInto refills s with the allocator's abstract state. It reuses
-// s's eight sets when Free4K already covers every frame and the others
-// the touched prefix; otherwise the sets get one backing array of those
-// sizes, so a fresh snapshot allocates the same few objects whatever the
-// machine size, and its bytes grow with RAM only through Free4K.
-func (a *Allocator) SnapshotInto(s *Snapshot) {
+// Its eight sets share one backing array, Free4K covering every frame
+// and the others the touched prefix, so a snapshot allocates the same
+// few objects whatever the machine size, and its bytes grow with RAM
+// only through Free4K.
+func (a *Allocator) Snapshot() (s Snapshot) {
 	all := [8]**PageSet{&s.Free4K, &s.Free2M, &s.Free1G, &s.Allocated,
 		&s.Mapped, &s.Merged, &s.Boot, &s.PCache}
 	words := [8]int{wordsFor(a.frames)} // Free4K covers every frame
 	for i := 1; i < len(words); i++ {
 		words[i] = wordsFor(len(a.pages)) // the rest stop at the prefix
 	}
-	reuse := true
+	slab := make([]uint64, words[0]+7*words[1])
+	sets := new([8]PageSet)
 	for i, set := range all {
-		reuse = reuse && *set != nil && len((*set).words) >= words[i]
-	}
-	if reuse {
-		for _, set := range all {
-			clear((*set).words)
-			(*set).n = 0
-		}
-	} else {
-		slab := make([]uint64, words[0]+7*words[1])
-		sets := new([8]PageSet)
-		for i, set := range all {
-			// Capacity is capped so an Insert past the set's last frame
-			// reallocates instead of writing into the neighbouring set.
-			sets[i].words = slab[:words[i]:words[i]]
-			slab = slab[words[i]:]
-			*set = &sets[i]
-		}
+		// Capacity is capped so an Insert past the set's last frame
+		// reallocates instead of writing into the neighbouring set.
+		sets[i].words = slab[:words[i]:words[i]]
+		slab = slab[words[i]:]
+		*set = &sets[i]
 	}
 	for i := range a.pages {
 		pg := &a.pages[i]
@@ -720,4 +706,5 @@ func (a *Allocator) SnapshotInto(s *Snapshot) {
 		}
 	}
 	s.Free4K.addRange(len(a.pages), a.frames)
+	return s
 }

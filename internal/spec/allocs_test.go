@@ -10,11 +10,9 @@ import (
 	"atmosphere/internal/pt"
 )
 
-// The per-step refinement oracles allocate nothing on a warm kernel:
-// Load refills a warm State in place, SnapshotInto reuses a warm
-// Snapshot's sets, and Diff compares containers in place, loads every
-// other kernel object into its reused scratch and sorts nothing when
-// kernel and spec agree.
+// The per-step refinement oracle allocates nothing on a warm kernel:
+// Diff compares containers in place, loads every other kernel object
+// into its reused scratch and sorts nothing when kernel and spec agree.
 // (The invariant suite's pin is verify.TestWFChecksAllocateNothing. The
 // race runtime may allocate on its own, so this file builds without
 // -race.)
@@ -32,23 +30,11 @@ func TestOracleRefillsAllocateNothing(t *testing.T) {
 			t.Fatal(r.Errno)
 		}
 	}
-	var st State
-	st.Load(k.PM, k.Alloc, k.IOMMU)
-	ip := NewInterp(k.PM, k.IOMMU)
-	if err := ip.Diff(k.PM, k.IOMMU); err != nil {
+	ip := NewInterp(k)
+	if err := ip.Diff(); err != nil {
 		t.Fatal(err)
 	}
-	snap := k.Alloc.Snapshot()
-	for _, pin := range []struct {
-		name string
-		f    func()
-	}{
-		{"State.Load", func() { st.Load(k.PM, k.Alloc, k.IOMMU) }},
-		{"Allocator.SnapshotInto", func() { k.Alloc.SnapshotInto(&snap) }},
-		{"Interp.Diff", func() { _ = ip.Diff(k.PM, k.IOMMU) }},
-	} {
-		if n := testing.AllocsPerRun(20, pin.f); n != 0 {
-			t.Errorf("%s allocates %.2f times per call on a warm kernel, want 0", pin.name, n)
-		}
+	if n := testing.AllocsPerRun(20, func() { _ = ip.Diff() }); n != 0 {
+		t.Errorf("Interp.Diff allocates %.2f times per call on a warm kernel, want 0", n)
 	}
 }

@@ -23,6 +23,7 @@ type diffKernel struct {
 	init, run, recv  Ptr // threads: init, and proc1's runnable and blocked ones
 	buffered, queued Ptr // endpoints
 	dom0, dom1       iommu.DomainID
+	frame, dmaFrame  hw.PhysAddr // the frames init maps at 0x401000 and dom1 pins at 0x800000
 }
 
 func bootDiffKernel(t *testing.T) diffKernel {
@@ -55,12 +56,16 @@ func bootDiffKernel(t *testing.T) diffKernel {
 	must(k.SysMmap(0, d.run, 0x800000, 1, hw.Size4K, pt.RW), kernel.OK)
 	d.dom1 = iommu.DomainID(must(k.SysIommuCreateDomain(0, d.run), kernel.OK))
 	must(k.SysIommuMap(0, d.run, 0x800000), kernel.OK)
+	e, _ := k.PM.Proc(d.proc0).PageTable.Mapping(0x401000)
+	d.frame = e.Phys
+	e, _ = k.IOMMU.Domains()[d.dom1].Table.Mapping(0x800000)
+	d.dmaFrame = e.Phys
 	return d
 }
 
 // Diff reports every field it compares, an object missing on either
-// side, and an address or DMA space that differs in a VA, a size or a
-// permission, each with its own message. Where several keys diverge it
+// side, and an address or DMA space that differs in a VA, a size, a
+// permission or a frame, each with its own message. Where several keys diverge it
 // reports the lowest, whatever order it ranges a map in, so each case
 // is diffed repeatedly.
 func TestDiffReportsEachField(t *testing.T) {
@@ -187,6 +192,12 @@ func TestDiffReportsEachField(t *testing.T) {
 			fmt.Sprintf("address space %#x: va 0x401000 kernel=(4KiB,{true true false}) spec=(2MiB,{true true false})", p0)},
 		{"perm mismatch", func(s *State) { s.AddressSpaces[p1][0x800000] = pt.MapEntry{Size: hw.Size4K, Perm: pt.RX} },
 			fmt.Sprintf("address space %#x: va 0x800000 kernel=(4KiB,{true true false}) spec=(4KiB,{false true true})", p1)},
+		{"frame mismatch", func(s *State) {
+			e := s.AddressSpaces[p0][0x401000]
+			e.Phys ^= 1 << 20
+			s.AddressSpaces[p0][0x401000] = e
+		}, fmt.Sprintf("address space %#x: va 0x401000 frame kernel=%#x spec=%#x", p0,
+			uint64(d.frame), uint64(d.frame^1<<20))},
 		{"equal-count swap", func(s *State) {
 			delete(s.AddressSpaces[p0], 0x403000)
 			s.AddressSpaces[p0][0x900000] = e4K
@@ -200,6 +211,12 @@ func TestDiffReportsEachField(t *testing.T) {
 			delete(s.DMASpaces, d.dom1)
 			delete(s.DMASpaces, d.dom0)
 		}, fmt.Sprintf("dma space %d: present in kernel, absent in spec", min(d.dom0, d.dom1))},
+		{"DMA frame mismatch", func(s *State) {
+			e := s.DMASpaces[d.dom1][0x800000]
+			e.Phys ^= 1 << 20
+			s.DMASpaces[d.dom1][0x800000] = e
+		}, fmt.Sprintf("dma space %d: va 0x800000 frame kernel=%#x spec=%#x", d.dom1,
+			uint64(d.dmaFrame), uint64(d.dmaFrame^1<<20))},
 		{"DMA space diverging", func(s *State) { delete(s.DMASpaces[d.dom1], 0x800000) },
 			fmt.Sprintf("dma space %d: va 0x800000 mapped in kernel, not in spec", d.dom1)},
 		{"diverging DMA domains", func(s *State) {
@@ -208,10 +225,10 @@ func TestDiffReportsEachField(t *testing.T) {
 		}, fmt.Sprintf("dma space %d: va 0x1000 mapped in spec, not in kernel", min(d.dom0, d.dom1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ip := NewInterp(d.k.PM, d.k.IOMMU)
+			ip := NewInterp(d.k)
 			tc.plant(&ip.St)
 			for i := 0; i < 20; i++ {
-				err := ip.Diff(d.k.PM, d.k.IOMMU)
+				err := ip.Diff()
 				if got := fmt.Sprint(err); err == nil && tc.want != "" || err != nil && got != tc.want {
 					t.Fatalf("call %d: Diff = %v, want %q", i, err, tc.want)
 				}

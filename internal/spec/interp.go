@@ -1,31 +1,34 @@
 package spec
 
-// The pure spec interpreter: it evolves Ψ by applying each syscall's
-// specification directly, with no concrete kernel underneath. The
-// differential oracle (internal/mck) runs a generated program in lockstep
-// on a booted kernel and on an Interp seeded from the boot kernel's Ψ,
-// then compares the kernel, read through the abstraction function,
-// against the independently evolved Ψ′ after every step — the dynamic
-// analogue of the refinement theorem run in both directions at once:
-// the kernel must land exactly where the specification says it lands.
+// The executable specification: Interp evolves Ψ by applying each
+// syscall's specification directly, with no concrete kernel underneath.
+// internal/verify's Checker steps it after every syscall it issues, and
+// the differential oracle (internal/mck) drives generated programs
+// through that Checker; after each step Diff compares the kernel, read
+// through the abstraction function, against the independently evolved
+// Ψ′ — the dynamic analogue of the refinement theorem run in both
+// directions at once: the kernel must land exactly where the
+// specification says it lands.
 //
 // Nondeterminism is handled with witnesses: the kernel's returned object
-// pointers (fresh pages) and IOMMU domain identifiers are taken from Ret
-// and validated for freshness, and ENOMEM is trusted whenever argument
-// validation has already passed (allocator exhaustion is below Ψ's
-// abstraction line — the failed syscall must still leave Ψ unchanged, or
-// roll back to the specified prune transition for mmap).
+// pointers and IOMMU domain identifiers are taken from Ret and validated
+// for freshness, the frames mmap maps are read from the kernel and must
+// each hold exactly one reference, and ENOMEM is trusted whenever
+// argument validation has already passed (allocator exhaustion is below
+// Ψ's abstraction line — the failed syscall must still leave Ψ unchanged,
+// or roll back to the specified prune transition). Every other frame in
+// Ψ′ is copied from its source: a shared or granted page lands on the
+// sender's frame, and iommu_map pins the frame the caller's address
+// space maps.
 //
-// Scope: the interpreter covers the op set the program generator emits.
-// Page grants over IPC (SendArgs.GrantPage, 4 KiB) are modeled — the
-// page leaves the sender's space at send and lands in the receiver's at
-// delivery. Shared page transfers (SendArgs.SendPage) and IOMMU
-// map/unmap are not — the generator never produces them.
+// Scope: every syscall the Checker exposes, plus the two kernel writes
+// no syscall expresses — a parent installing an endpoint descriptor in a
+// child's slot (Install) and a device raising an interrupt (RaiseIRQ).
 
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/iommu"
@@ -39,31 +42,42 @@ import (
 type Interp struct {
 	St State
 
+	// k is the kernel Diff compares against and the frame witnesses are
+	// read from.
+	k *kernel.Kernel
+
 	// keys tracks, per process, the non-root page-table node pages that
 	// have been materialized (and charged) — encoded as level<<58 | va
 	// prefix. Nodes outlive their mappings (munmap leaves them charged),
 	// so this is ghost state: it cannot be recomputed from AddressSpaces.
-	keys map[Ptr]map[uint64]bool
+	// dmaKeys is the same for each IOMMU domain's translation table.
+	keys    map[Ptr]map[uint64]bool
+	dmaKeys map[iommu.DomainID]map[uint64]bool
 
-	// recvSlot records, for a thread blocked receiving, the descriptor
-	// slot it asked an incoming endpoint to be installed in (-1: first
-	// free) — the abstract image of Thread.IPC.RecvEdptSlot.
+	// devices binds each attached device to its domain.
+	devices map[iommu.DeviceID]iommu.DomainID
+
+	// irqs is the interrupt binding table: each bound line's endpoint
+	// (the binding holds a reference) and its pending, coalesced count.
+	irqs map[int]*irqLine
+
+	// dying holds the containers an unfinished bounded kill has frozen.
+	dying map[Ptr]bool
+
+	// recvSlot and recvVA record, for a thread blocked receiving, where
+	// it asked an incoming endpoint descriptor (-1: first free slot) and
+	// an incoming page to land — the abstract image of Thread.IPC's
+	// RecvEdptSlot and RecvVA.
 	recvSlot map[Ptr]int
+	recvVA   map[Ptr]hw.VirtAddr
 
-	// sendEdpt records, for a thread blocked sending, the endpoint its
-	// pending message transfers (0: scalars only) — the abstract image of
-	// Thread.IPC.Msg.Endpoint.
-	sendEdpt map[Ptr]Ptr
+	// sent records, for a thread blocked sending, its pending message's
+	// capabilities — the abstract image of Thread.IPC.Msg.
+	sent map[Ptr]message
 
-	// sendPage records, for a thread blocked sending, the granted page
-	// riding its pending message — the abstract image of
-	// Thread.IPC.Msg's page half (grants only; shares are unmodeled).
-	sendPage map[Ptr]BufMsg
-
-	// recvVA records, for a thread blocked receiving, where it asked an
-	// incoming page to be mapped — the abstract image of
-	// Thread.IPC.RecvVA.
-	recvVA map[Ptr]hw.VirtAddr
+	// bufFrames holds, per endpoint, the frame of each buffered message
+	// in Buffered's order (0 for a scalar-only message).
+	bufFrames map[Ptr][]hw.PhysAddr
 
 	// kp and ke hold the kernel object Diff is comparing, one reused
 	// scratch value per kind that owns slices (a thread owns none, and a
@@ -72,35 +86,58 @@ type Interp struct {
 	ke Endpoint
 }
 
-// NewInterp builds an interpreter whose Ψ′ starts as the kernel's Ψ
-// without the allocator snapshot. Its IPC ghost state starts empty, so
-// it steps correctly only from a kernel with no thread blocked yet.
-// Physical addresses are erased: they are witnesses below the
-// specification's abstraction line, as the allocator snapshot is.
-func NewInterp(p *pm.ProcessManager, iom *iommu.IOMMU) *Interp {
-	ip := &Interp{
-		keys:     make(map[Ptr]map[uint64]bool, len(p.ProcPerms)),
-		recvSlot: make(map[Ptr]int),
-		sendEdpt: make(map[Ptr]Ptr),
-		sendPage: make(map[Ptr]BufMsg),
-		recvVA:   make(map[Ptr]hw.VirtAddr),
-	}
-	ip.St.LoadObjects(p, iom)
-	for proc, as := range ip.St.AddressSpaces {
-		ip.keys[proc] = closureKeys(as)
-		erasePhys(as)
-	}
-	for _, as := range ip.St.DMASpaces {
-		erasePhys(as)
-	}
-	return ip
+// irqLine is one bound interrupt line.
+type irqLine struct {
+	ep      Ptr
+	pending uint64
 }
 
-func erasePhys(as map[hw.VirtAddr]pt.MapEntry) {
-	for va, e := range as {
-		e.Phys = 0
-		as[va] = e
+// message is the capability payload of a resolved message: a page (with
+// the frame it maps) and a transferred endpoint (0: none).
+type message struct {
+	page  BufMsg
+	frame hw.PhysAddr
+	xfer  Ptr
+}
+
+// NewInterp builds an interpreter whose Ψ′ starts as the kernel's Ψ and
+// whose ghost state starts as the kernel's bindings: its page-table and
+// DMA nodes, devices and interrupt lines. Its IPC ghost state and dying
+// set start empty and its lines' pending counts at zero, so it steps
+// correctly only from a kernel with no thread blocked, no bounded kill
+// unfinished and no interrupt pending.
+func NewInterp(k *kernel.Kernel) *Interp {
+	ip := &Interp{
+		k:         k,
+		keys:      make(map[Ptr]map[uint64]bool, len(k.PM.ProcPerms)),
+		dmaKeys:   make(map[iommu.DomainID]map[uint64]bool),
+		devices:   make(map[iommu.DeviceID]iommu.DomainID),
+		irqs:      make(map[int]*irqLine),
+		dying:     make(map[Ptr]bool),
+		recvSlot:  make(map[Ptr]int),
+		recvVA:    make(map[Ptr]hw.VirtAddr),
+		sent:      make(map[Ptr]message),
+		bufFrames: make(map[Ptr][]hw.PhysAddr),
 	}
+	ip.St.LoadObjects(k.PM, k.IOMMU)
+	for proc, as := range ip.St.AddressSpaces {
+		ip.keys[proc] = closureKeys(as)
+	}
+	for id, ds := range ip.St.DMASpaces {
+		ip.dmaKeys[id] = closureKeys(ds)
+		for dev := range k.IOMMU.Domains()[id].Devices {
+			ip.devices[dev] = id
+		}
+	}
+	for irq, ep := range k.IRQBindings() {
+		ip.irqs[irq] = &irqLine{ep: ep}
+	}
+	for ep, e := range k.PM.EdptPerms {
+		for _, m := range e.Buffer {
+			ip.bufFrames[ep] = append(ip.bufFrames[ep], m.Page)
+		}
+	}
+	return ip
 }
 
 // nodeKeys returns the ghost keys of the table nodes a mapping of the
@@ -117,6 +154,20 @@ func nodeKeys(va hw.VirtAddr, size hw.PageSize) (ks [3]uint64, n int) {
 	return ks, 3
 }
 
+// conflicts reports whether a superpage at va would land on a table
+// node its leaf slot already points at (pt.ErrConflict): an L1 table
+// under a 2 MiB page, an L2 table under a 1 GiB one, mapped or empty.
+func conflicts(kset map[uint64]bool, va hw.VirtAddr, size hw.PageSize) bool {
+	ks, _ := nodeKeys(va, hw.Size4K)
+	switch size {
+	case hw.Size2M:
+		return kset[ks[2]]
+	case hw.Size1G:
+		return kset[ks[1]]
+	}
+	return false
+}
+
 // closureKeys computes the exact node set a standing address space needs —
 // what the concrete table holds right after a PruneEmpty.
 func closureKeys(as map[hw.VirtAddr]pt.MapEntry) map[uint64]bool {
@@ -130,19 +181,38 @@ func closureKeys(as map[hw.VirtAddr]pt.MapEntry) map[uint64]bool {
 	return out
 }
 
+// newKeys adds to need the keys of a mapping at va that kset lacks.
+func newKeys(need, kset map[uint64]bool, va hw.VirtAddr, size hw.PageSize) {
+	ks, n := nodeKeys(va, size)
+	for _, k := range ks[:n] {
+		if !kset[k] {
+			need[k] = true
+		}
+	}
+}
+
 // --- small state helpers ----------------------------------------------------
 
-// caller mirrors kernel.callerThread: the invoking thread must exist and
-// be schedulable (not exited, not blocked on an endpoint).
-func (ip *Interp) caller(tid Ptr) (Thread, bool) {
+// caller mirrors kernel.runnable: the invoking thread must exist, must
+// not be blocked on an endpoint, must not belong to a container an
+// unfinished bounded kill has frozen, and must trap on a core its
+// container reserves.
+func (ip *Interp) caller(core int, tid Ptr) (Thread, bool) {
 	t, ok := ip.St.Threads[tid]
-	if !ok {
+	if !ok || t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv || ip.dying[t.OwningCntr] {
 		return t, false
 	}
-	if t.State != pm.ThreadRunnable && t.State != pm.ThreadRunning {
-		return t, false
+	return t, slices.Contains(ip.St.Containers[t.OwningCntr].CPUs, core)
+}
+
+// callerEndpoint mirrors kernel.callerEndpoint: a valid caller and the
+// endpoint its descriptor slot names.
+func (ip *Interp) callerEndpoint(core int, tid Ptr, slot int) (Thread, Ptr, bool) {
+	t, ok := ip.caller(core, tid)
+	if !ok || slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
+		return t, 0, false
 	}
-	return t, true
+	return t, t.Endpoints[slot], true
 }
 
 // fresh reports whether a returned object-pointer witness is usable: it
@@ -192,9 +262,9 @@ func (ip *Interp) credit(cntr Ptr, n uint64) {
 	ip.St.Containers[cntr] = c
 }
 
-// decref mirrors pm.EndpointDecRef: the endpoint dies (and its page is
-// credited to its owner) when the last reference drops and no thread is
-// queued.
+// decref mirrors pm.EndpointDecRef: the endpoint dies (its buffered
+// messages with it, and its page is credited to its owner) when the last
+// reference drops and no thread is queued.
 func (ip *Interp) decref(ep Ptr) {
 	e, ok := ip.St.Endpoints[ep]
 	if !ok {
@@ -206,6 +276,7 @@ func (ip *Interp) decref(ep Ptr) {
 		return
 	}
 	delete(ip.St.Endpoints, ep)
+	delete(ip.bufFrames, ep)
 	ip.credit(e.OwnerCntr, 1)
 }
 
@@ -246,15 +317,6 @@ func expect(op string, want kernel.Errno, ret kernel.Ret) error {
 	return nil
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func removePtrOnce(s []Ptr, p Ptr) []Ptr {
 	for i, v := range s {
 		if v == p {
@@ -264,52 +326,75 @@ func removePtrOnce(s []Ptr, p Ptr) []Ptr {
 	return s
 }
 
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func validSize(size hw.PageSize) bool {
+	return size == hw.Size4K || size == hw.Size2M || size == hw.Size1G
+}
+
+// pages is a mapping's charge in 4 KiB pages.
+func pages(size hw.PageSize) uint64 { return size.Bytes() / hw.PageSize4K }
+
 // --- memory -----------------------------------------------------------------
 
-// Mmap applies the mmap specification for count 4 KiB RW pages at va.
-func (ip *Interp) Mmap(tid Ptr, va hw.VirtAddr, count int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("mmap", kernel.EINVAL, ret)
-	}
-	if count <= 0 || count > 1<<20 {
-		return expect("mmap", kernel.EINVAL, ret)
-	}
-	if va&(hw.PageSize4K-1) != 0 {
+// Mmap applies the mmap specification (Listing 1): count fresh pages of
+// the given size and permission at consecutive addresses from va. The
+// kernel charges each page before it maps it and the table nodes the
+// range materialized at the end, and a superpage whose leaf slot holds a
+// table fails to map; any failure after validation rolls back to the
+// prune transition. Each new mapping's frame is the kernel's witness,
+// which must hold exactly one reference: no other mapping, pin or
+// message may share a freshly allocated page. A batch's mmaps are
+// stepped after its doorbell returns, so a page the same batch already
+// unmapped or granted away has no frame left to witness: Ψ′ records
+// frame 0, which boot reserves, and the page takes the kernel's frame
+// where it lands again (deliverPage).
+func (ip *Interp) Mmap(core int, tid Ptr, va hw.VirtAddr, count int, size hw.PageSize, perm pt.Perm, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
+	if !okc || count <= 0 || count > 1<<20 || !validSize(size) || va&hw.VirtAddr(size.Bytes()-1) != 0 {
 		return expect("mmap", kernel.EINVAL, ret)
 	}
 	proc := t.OwningProc
 	owner := ip.St.Procs[proc].Owner
 	as := ip.St.AddressSpaces[proc]
-	for i := 0; i < count; i++ {
-		if spaceCovers(as, va+hw.VirtAddr(i)*hw.PageSize4K) {
-			return expect("mmap", kernel.EALREADY, ret)
-		}
+	step := hw.VirtAddr(size.Bytes())
+	if rangeCovered(as, va, count, step) {
+		return expect("mmap", kernel.EALREADY, ret)
 	}
-	// Node pages the mapping would materialize beyond the ghost set.
-	kset := ip.keys[proc]
-	need := make(map[uint64]bool)
-	for i := 0; i < count; i++ {
-		ks, n := nodeKeys(va+hw.VirtAddr(i)*hw.PageSize4K, hw.Size4K)
-		for _, k := range ks[:n] {
-			if !kset[k] {
-				need[k] = true
-			}
-		}
-	}
-	delta := uint64(len(need))
 	if ret.Errno == kernel.ENOMEM {
 		// Allocator exhaustion after validation: trusted; the rollback
 		// ran and pruned every empty node.
-		ip.mmapPrune(proc, owner)
+		ip.prune(proc, owner)
 		return nil
 	}
-	if !ip.chargeFits(owner, uint64(count)+delta) {
-		if err := expect("mmap", kernel.EQUOTA, ret); err != nil {
-			return err
+	kset := ip.keys[proc]
+	need := make(map[uint64]bool)
+	for i := 0; i < count; i++ {
+		dst := va + hw.VirtAddr(i)*step
+		errno := kernel.OK
+		switch {
+		case !ip.chargeFits(owner, uint64(i+1)*pages(size)):
+			errno = kernel.EQUOTA
+		case conflicts(kset, dst, size):
+			errno = kernel.EINVAL
 		}
-		ip.mmapPrune(proc, owner)
-		return nil
+		if errno != kernel.OK {
+			ip.prune(proc, owner)
+			return expect("mmap", errno, ret)
+		}
+		newKeys(need, kset, dst, size)
+	}
+	if !ip.chargeFits(owner, uint64(count)*pages(size)+uint64(len(need))) {
+		ip.prune(proc, owner)
+		return expect("mmap", kernel.EQUOTA, ret)
 	}
 	if err := expect("mmap", kernel.OK, ret); err != nil {
 		return err
@@ -317,63 +402,103 @@ func (ip *Interp) Mmap(tid Ptr, va hw.VirtAddr, count int, ret kernel.Ret) error
 	if ret.Vals[0] != uint64(va) {
 		return fmt.Errorf("mmap: returned va %#x, want %#x", ret.Vals[0], uint64(va))
 	}
-	if as == nil {
-		as = make(map[hw.VirtAddr]pt.MapEntry)
-		ip.St.AddressSpaces[proc] = as
-	}
+	table := ip.k.PM.ProcPerms[proc].PageTable
 	for i := 0; i < count; i++ {
-		as[va+hw.VirtAddr(i)*hw.PageSize4K] = pt.MapEntry{Size: hw.Size4K, Perm: pt.RW}
+		dst := va + hw.VirtAddr(i)*step
+		// A kernel that maps nothing at dst after a lone mmap shows in
+		// Diff.
+		e, _ := table.Mapping(dst)
+		if e.Phys != 0 {
+			if refs, err := ip.k.Alloc.RefCount(e.Phys); err != nil || refs != 1 {
+				return fmt.Errorf("mmap: va %#x maps frame %#x holding %d references (%v), want a fresh frame",
+					uint64(dst), uint64(e.Phys), refs, err)
+			}
+		}
+		as[dst] = pt.MapEntry{Phys: e.Phys, Size: size, Perm: perm}
 	}
 	for k := range need {
 		kset[k] = true
 	}
-	ip.charge(owner, uint64(count)+delta)
+	ip.charge(owner, uint64(count)*pages(size)+uint64(len(need)))
 	return nil
 }
 
 // spaceCovers reports whether dst falls inside any standing mapping.
 func spaceCovers(as map[hw.VirtAddr]pt.MapEntry, dst hw.VirtAddr) bool {
-	if e, ok := as[dst&^(hw.PageSize4K-1)]; ok && e.Size == hw.Size4K {
-		return true
+	_, _, ok := lookup(as, dst)
+	return ok
+}
+
+// rangeCovered reports whether a standing mapping covers any of count
+// page bases step apart from va, as the kernel's per-page Lookup finds
+// them. It visits the pages or the mappings, whichever are fewer, so a
+// huge refused range costs what the address space holds.
+func rangeCovered(as map[hw.VirtAddr]pt.MapEntry, va hw.VirtAddr, count int, step hw.VirtAddr) bool {
+	if count <= len(as) {
+		for i := 0; i < count; i++ {
+			if spaceCovers(as, va+hw.VirtAddr(i)*step) {
+				return true
+			}
+		}
+		return false
 	}
-	if e, ok := as[dst&^(hw.PageSize2M-1)]; ok && e.Size == hw.Size2M {
-		return true
-	}
-	if e, ok := as[dst&^(hw.PageSize1G-1)]; ok && e.Size == hw.Size1G {
-		return true
+	end := va + hw.VirtAddr(count)*step
+	for base, e := range as {
+		first := va // the first page base at or above the mapping's base
+		if base > va {
+			first += (base - va + step - 1) / step * step
+		}
+		if first < end && first < base+hw.VirtAddr(e.Size.Bytes()) {
+			return true
+		}
 	}
 	return false
 }
 
-// mmapPrune applies the failed-mmap rollback transition: the address
-// space is untouched, but the rollback's PruneEmpty dropped every node no
+// lookup mirrors pt.Lookup: the mapping covering va, and its base.
+func lookup(as map[hw.VirtAddr]pt.MapEntry, va hw.VirtAddr) (hw.VirtAddr, pt.MapEntry, bool) {
+	for _, size := range [...]hw.PageSize{hw.Size4K, hw.Size2M, hw.Size1G} {
+		base := va &^ hw.VirtAddr(size.Bytes()-1)
+		if e, ok := as[base]; ok && e.Size == size {
+			return base, e, true
+		}
+	}
+	return 0, pt.MapEntry{}, false
+}
+
+// prune applies the failed-mmap rollback transition: the address space
+// is untouched, but the rollback's PruneEmpty dropped every node no
 // standing mapping needs (including stale ones older munmaps left
 // behind), crediting them back to the owner.
-func (ip *Interp) mmapPrune(proc, owner Ptr) {
-	old := ip.keys[proc]
-	now := closureKeys(ip.St.AddressSpaces[proc])
+func (ip *Interp) prune(proc, owner Ptr) {
+	ip.keys[proc] = ip.pruneKeys(ip.keys[proc], ip.St.AddressSpaces[proc], owner)
+}
+
+// pruneKeys returns the node keys a table holds after PruneEmpty, its
+// standing mappings' closure, crediting owner the nodes it dropped.
+func (ip *Interp) pruneKeys(old map[uint64]bool, as map[hw.VirtAddr]pt.MapEntry, owner Ptr) map[uint64]bool {
+	now := closureKeys(as)
 	if len(now) < len(old) {
 		ip.credit(owner, uint64(len(old)-len(now)))
 	}
-	ip.keys[proc] = now
+	return now
 }
 
-// Munmap applies the munmap specification for count 4 KiB pages at va
-// (aligned down, as the kernel does).
-func (ip *Interp) Munmap(tid Ptr, va hw.VirtAddr, count int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
+// Munmap applies the munmap specification for count pages of the given
+// size at va (aligned down, as the kernel does): every base must be
+// mapped at exactly that size. Table nodes stay installed and charged.
+func (ip *Interp) Munmap(core int, tid Ptr, va hw.VirtAddr, count int, size hw.PageSize, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
+	if !okc || count <= 0 || !validSize(size) {
 		return expect("munmap", kernel.EINVAL, ret)
 	}
-	if count <= 0 {
-		return expect("munmap", kernel.EINVAL, ret)
-	}
-	va &^= hw.PageSize4K - 1
+	va &^= hw.VirtAddr(size.Bytes() - 1)
+	step := hw.VirtAddr(size.Bytes())
 	proc := t.OwningProc
 	as := ip.St.AddressSpaces[proc]
 	for i := 0; i < count; i++ {
-		e, ok := as[va+hw.VirtAddr(i)*hw.PageSize4K]
-		if !ok || e.Size != hw.Size4K {
+		e, ok := as[va+hw.VirtAddr(i)*step]
+		if !ok || e.Size != size {
 			return expect("munmap", kernel.ENOENT, ret)
 		}
 	}
@@ -381,18 +506,17 @@ func (ip *Interp) Munmap(tid Ptr, va hw.VirtAddr, count int, ret kernel.Ret) err
 		return err
 	}
 	for i := 0; i < count; i++ {
-		delete(as, va+hw.VirtAddr(i)*hw.PageSize4K)
+		delete(as, va+hw.VirtAddr(i)*step)
 	}
-	// Table nodes stay installed and stay charged.
-	ip.credit(ip.St.Procs[proc].Owner, uint64(count))
+	ip.credit(ip.St.Procs[proc].Owner, uint64(count)*pages(size))
 	return nil
 }
 
 // --- containers, processes, threads ----------------------------------------
 
-// NewContainer applies the new_container specification.
-func (ip *Interp) NewContainer(tid Ptr, quota uint64, cpus []int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+// NewContainer applies the new_container specification (Listing 3).
+func (ip *Interp) NewContainer(core int, tid Ptr, quota uint64, cpus []int, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
 	if !okc {
 		return expect("new_container", kernel.EINVAL, ret)
 	}
@@ -402,7 +526,7 @@ func (ip *Interp) NewContainer(tid Ptr, quota uint64, cpus []int, ret kernel.Ret
 		return expect("new_container", kernel.EQUOTA, ret)
 	}
 	for _, cpu := range cpus {
-		if !containsInt(pc.CPUs, cpu) {
+		if !slices.Contains(pc.CPUs, cpu) {
 			return expect("new_container", kernel.EINVAL, ret)
 		}
 	}
@@ -435,9 +559,7 @@ func (ip *Interp) NewContainer(tid Ptr, quota uint64, cpus []int, ret kernel.Ret
 		OwnedThreads: make(map[Ptr]bool),
 	}
 	for _, anc := range cc.Path {
-		ac := ip.St.Containers[anc]
-		ac.Subtree[child] = true
-		ip.St.Containers[anc] = ac
+		ip.St.Containers[anc].Subtree[child] = true
 	}
 	ip.St.Containers[child] = cc
 	return nil
@@ -460,9 +582,7 @@ func (ip *Interp) newProcessIn(op string, cntr, parentProc Ptr, ret kernel.Ret) 
 	}
 	ip.charge(cntr, 2)
 	ip.St.Procs[proc] = Proc{Owner: cntr, Parent: parentProc}
-	c := ip.St.Containers[cntr]
-	c.Procs[proc] = true
-	ip.St.Containers[cntr] = c
+	ip.St.Containers[cntr].Procs[proc] = true
 	if parentProc != 0 {
 		pp := ip.St.Procs[parentProc]
 		pp.Children = append(pp.Children, proc)
@@ -475,8 +595,8 @@ func (ip *Interp) newProcessIn(op string, cntr, parentProc Ptr, ret kernel.Ret) 
 
 // NewProcess applies the new_proc specification (child of the caller's
 // process, in the caller's container).
-func (ip *Interp) NewProcess(tid Ptr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+func (ip *Interp) NewProcess(core int, tid Ptr, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
 	if !okc {
 		return expect("new_proc", kernel.EINVAL, ret)
 	}
@@ -485,8 +605,8 @@ func (ip *Interp) NewProcess(tid Ptr, ret kernel.Ret) error {
 
 // NewProcessIn applies the new_proc_in specification (first process of a
 // descendant container; no process parent).
-func (ip *Interp) NewProcessIn(tid Ptr, cntr Ptr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+func (ip *Interp) NewProcessIn(core int, tid Ptr, cntr Ptr, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
 	if !okc {
 		return expect("new_proc_in", kernel.EINVAL, ret)
 	}
@@ -499,55 +619,64 @@ func (ip *Interp) NewProcessIn(tid Ptr, cntr Ptr, ret kernel.Ret) error {
 	return ip.newProcessIn("new_proc_in", cntr, 0, ret)
 }
 
-// NewThreadIn applies the new_thread_in specification.
-func (ip *Interp) NewThreadIn(tid Ptr, proc Ptr, onCore int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+// NewThread applies the new_thread specification: a thread in the
+// caller's own process.
+func (ip *Interp) NewThread(core int, tid Ptr, onCore int, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
+	if !okc {
+		return expect("new_thread", kernel.EINVAL, ret)
+	}
+	return ip.newThread("new_thread", t.OwningProc, onCore, ret)
+}
+
+// NewThreadIn applies the new_thread_in specification: a thread in a
+// process the caller controls.
+func (ip *Interp) NewThreadIn(core int, tid Ptr, proc Ptr, onCore int, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
 	if !okc {
 		return expect("new_thread_in", kernel.EINVAL, ret)
 	}
-	target, ok := ip.St.Procs[proc]
-	if !ok {
+	if _, ok := ip.St.Procs[proc]; !ok {
 		return expect("new_thread_in", kernel.ENOENT, ret)
 	}
 	if !ip.controls(t.OwningProc, proc) {
 		return expect("new_thread_in", kernel.EPERM, ret)
 	}
-	cn := ip.St.Containers[target.Owner]
-	if !containsInt(cn.CPUs, onCore) {
-		return expect("new_thread_in", kernel.EINVAL, ret)
+	return ip.newThread("new_thread_in", proc, onCore, ret)
+}
+
+// newThread is the shared thread creation transition (pm.NewThread): a
+// runnable thread on a core its container reserves, charged one page.
+func (ip *Interp) newThread(op string, proc Ptr, onCore int, ret kernel.Ret) error {
+	owner := ip.St.Procs[proc].Owner
+	if !slices.Contains(ip.St.Containers[owner].CPUs, onCore) {
+		return expect(op, kernel.EINVAL, ret)
 	}
-	if !ip.chargeFits(target.Owner, 1) {
-		return expect("new_thread_in", kernel.EQUOTA, ret)
+	if !ip.chargeFits(owner, 1) {
+		return expect(op, kernel.EQUOTA, ret)
 	}
 	if ret.Errno == kernel.ENOMEM {
 		return nil
 	}
-	if err := expect("new_thread_in", kernel.OK, ret); err != nil {
+	if err := expect(op, kernel.OK, ret); err != nil {
 		return err
 	}
 	th := Ptr(ret.Vals[0])
 	if !ip.fresh(th) {
-		return fmt.Errorf("new_thread_in: stale witness %#x", th)
+		return fmt.Errorf("%s: stale witness %#x", op, th)
 	}
-	ip.charge(target.Owner, 1)
-	ip.St.Threads[th] = Thread{
-		OwningProc: proc,
-		OwningCntr: target.Owner,
-		State:      pm.ThreadRunnable,
-		Core:       onCore,
-	}
-	target = ip.St.Procs[proc]
-	target.Threads = append(target.Threads, th)
-	ip.St.Procs[proc] = target
-	cn = ip.St.Containers[target.Owner]
-	cn.OwnedThreads[th] = true
-	ip.St.Containers[target.Owner] = cn
+	ip.charge(owner, 1)
+	ip.St.Threads[th] = Thread{OwningProc: proc, OwningCntr: owner, State: pm.ThreadRunnable, Core: onCore}
+	p := ip.St.Procs[proc]
+	p.Threads = append(p.Threads, th)
+	ip.St.Procs[proc] = p
+	ip.St.Containers[owner].OwnedThreads[th] = true
 	return nil
 }
 
 // ExitThread applies the exit_thread specification.
-func (ip *Interp) ExitThread(tid Ptr, ret kernel.Ret) error {
-	if _, okc := ip.caller(tid); !okc {
+func (ip *Interp) ExitThread(core int, tid Ptr, ret kernel.Ret) error {
+	if _, okc := ip.caller(core, tid); !okc {
 		return expect("exit_thread", kernel.EINVAL, ret)
 	}
 	if err := expect("exit_thread", kernel.OK, ret); err != nil {
@@ -577,26 +706,25 @@ func (ip *Interp) freeThread(th Ptr) {
 	p := ip.St.Procs[t.OwningProc]
 	p.Threads = removePtrOnce(p.Threads, th)
 	ip.St.Procs[t.OwningProc] = p
-	c := ip.St.Containers[t.OwningCntr]
-	delete(c.OwnedThreads, th)
-	ip.St.Containers[t.OwningCntr] = c
+	delete(ip.St.Containers[t.OwningCntr].OwnedThreads, th)
 	delete(ip.St.Threads, th)
 	ip.credit(t.OwningCntr, 1)
+	ip.forget(th)
+}
+
+// forget drops a thread's IPC ghost state: it waits for nothing now.
+func (ip *Interp) forget(th Ptr) {
 	delete(ip.recvSlot, th)
-	delete(ip.sendEdpt, th)
-	delete(ip.sendPage, th)
 	delete(ip.recvVA, th)
+	delete(ip.sent, th)
 }
 
 // --- endpoints and IPC ------------------------------------------------------
 
 // NewEndpoint applies the new_endpoint specification.
-func (ip *Interp) NewEndpoint(tid Ptr, slot int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("new_endpoint", kernel.EINVAL, ret)
-	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] != 0 {
+func (ip *Interp) NewEndpoint(core int, tid Ptr, slot int, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
+	if !okc || slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] != 0 {
 		return expect("new_endpoint", kernel.EINVAL, ret)
 	}
 	cntr := ip.St.Procs[t.OwningProc].Owner
@@ -620,59 +748,68 @@ func (ip *Interp) NewEndpoint(tid Ptr, slot int, ret kernel.Ret) error {
 	return nil
 }
 
-// Adopt mirrors the harness's boot-style channel setup: a freshly
-// created thread receives a descriptor to the shared rendezvous
-// endpoint in slot 0, taking a reference. Not a syscall — the
-// differential runner applies the same installation to both sides so
-// generated programs can actually rendezvous.
-func (ip *Interp) Adopt(tid, ep Ptr) {
+// Install specifies the one descriptor write no syscall performs: a
+// parent setting up a channel puts a descriptor to ep in tid's slot,
+// taking a reference. It does nothing unless ep is alive, tid exists and
+// the slot is empty, and reports whether it installed one.
+func (ip *Interp) Install(tid Ptr, slot int, ep Ptr) bool {
 	e, alive := ip.St.Endpoints[ep]
-	if !alive {
-		return
-	}
 	t, ok := ip.St.Threads[tid]
-	if !ok || t.Endpoints[0] != 0 {
-		return
+	if !alive || !ok || slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] != 0 {
+		return false
 	}
-	t.Endpoints[0] = ep
+	t.Endpoints[slot] = ep
 	ip.St.Threads[tid] = t
 	e.RefCount++
 	ip.St.Endpoints[ep] = e
+	return true
 }
 
 // CloseEndpoint applies the close_endpoint specification.
-func (ip *Interp) CloseEndpoint(tid Ptr, slot int, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+func (ip *Interp) CloseEndpoint(core int, tid Ptr, slot int, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
 	if !okc {
-		return expect("close_endpoint", kernel.EINVAL, ret)
-	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
 		return expect("close_endpoint", kernel.EINVAL, ret)
 	}
 	if err := expect("close_endpoint", kernel.OK, ret); err != nil {
 		return err
 	}
-	ep := t.Endpoints[slot]
 	t.Endpoints[slot] = 0
 	ip.St.Threads[tid] = t
 	ip.decref(ep)
 	return nil
 }
 
-// resolveGrant mirrors the grant half of kernel.resolveMsg for the
-// 4 KiB mappings generated programs grant: the page leaves the sender's
-// address space and its quota at send time; the reference riding the
-// ledger's InFlight container is below the abstraction line.
-func (ip *Interp) resolveGrant(op string, proc Ptr, va hw.VirtAddr, ret kernel.Ret) (BufMsg, error, bool) {
-	as := ip.St.AddressSpaces[proc]
-	base := va &^ (hw.PageSize4K - 1)
-	e, ok := as[base]
-	if !ok || e.Size != hw.Size4K {
-		return BufMsg{}, expect(op, kernel.ENOENT, ret), false
+// resolveMsg mirrors kernel.resolveMsg: a shared or granted page is the
+// mapping covering args.PageVA, at any size, and a grant revokes it from
+// the sender's address space and quota at once; an endpoint transfer
+// names the endpoint in the sender's args.EdptSlot. A failed endpoint
+// half leaves a grant standing: the page is simply gone with the
+// message.
+func (ip *Interp) resolveMsg(op string, t Thread, args kernel.SendArgs, ret kernel.Ret) (message, error, bool) {
+	var m message
+	if args.SendPage || args.GrantPage {
+		as := ip.St.AddressSpaces[t.OwningProc]
+		base, e, ok := lookup(as, args.PageVA)
+		if !ok {
+			return m, expect(op, kernel.ENOENT, ret), false
+		}
+		m.page = BufMsg{HasPage: true, Size: e.Size, Perm: e.Perm}
+		m.frame = e.Phys
+		if args.GrantPage {
+			delete(as, base)
+			ip.credit(ip.St.Procs[t.OwningProc].Owner, pages(e.Size))
+		}
 	}
-	delete(as, base)
-	ip.credit(ip.St.Procs[proc].Owner, 1)
-	return BufMsg{HasPage: true, Size: hw.Size4K, Perm: e.Perm}, nil, true
+	if args.SendEdpt {
+		if args.EdptSlot < 0 || args.EdptSlot >= pm.MaxEndpoints {
+			return m, expect(op, kernel.EINVAL, ret), false
+		}
+		if m.xfer = t.Endpoints[args.EdptSlot]; m.xfer == 0 {
+			return m, expect(op, kernel.ENOENT, ret), false
+		}
+	}
+	return m, nil, true
 }
 
 // deliverPage mirrors the page half of kernel.deliver, with the
@@ -685,85 +822,55 @@ func (ip *Interp) resolveGrant(op string, proc Ptr, va hw.VirtAddr, ret kernel.R
 // node is needed, and Ψ stays as it was, since the kernel's failed map
 // leaves the table unchanged. A failed delivery drops the message's
 // page reference below the abstraction line.
-func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m BufMsg, refused bool) kernel.Errno {
+func (ip *Interp) deliverPage(proc Ptr, va hw.VirtAddr, m message, refused bool) kernel.Errno {
 	owner := ip.St.Procs[proc].Owner
-	pages := m.Size.Bytes() / hw.PageSize4K
-	if !ip.chargeFits(owner, pages) {
+	n := pages(m.page.Size)
+	if !ip.chargeFits(owner, n) {
 		return kernel.EQUOTA
 	}
 	as := ip.St.AddressSpaces[proc]
-	if va&hw.VirtAddr(m.Size.Bytes()-1) != 0 || spaceCovers(as, va) {
+	kset := ip.keys[proc]
+	if va&hw.VirtAddr(m.page.Size.Bytes()-1) != 0 || spaceCovers(as, va) || conflicts(kset, va, m.page.Size) {
 		return kernel.EINVAL
 	}
-	kset := ip.keys[proc]
 	need := make(map[uint64]bool)
-	ks, n := nodeKeys(va, m.Size)
-	for _, k := range ks[:n] {
-		if !kset[k] {
-			need[k] = true
-		}
-	}
+	newKeys(need, kset, va, m.page.Size)
 	if refused && len(need) > 0 {
 		return kernel.ENOMEM
 	}
-	if !ip.chargeFits(owner, pages+uint64(len(need))) {
-		ip.mmapPrune(proc, owner)
+	if !ip.chargeFits(owner, n+uint64(len(need))) {
+		ip.prune(proc, owner)
 		return kernel.EQUOTA
 	}
-	if as == nil {
-		as = make(map[hw.VirtAddr]pt.MapEntry)
-		ip.St.AddressSpaces[proc] = as
+	frame := m.frame
+	if frame == 0 {
+		// A page its batch mapped and sent on unwitnessed (Mmap).
+		e, _ := ip.k.PM.ProcPerms[proc].PageTable.Mapping(va)
+		frame = e.Phys
 	}
-	as[va] = pt.MapEntry{Size: m.Size, Perm: m.Perm}
+	as[va] = pt.MapEntry{Phys: frame, Size: m.page.Size, Perm: m.page.Perm}
 	for k := range need {
 		kset[k] = true
 	}
-	ip.charge(owner, pages+uint64(len(need)))
+	ip.charge(owner, n+uint64(len(need)))
 	return kernel.OK
 }
 
-// deliverTo mirrors kernel.deliver for a woken receiver: the page lands
-// first (its failure voids the endpoint install — the kernel returns
-// early), then the endpoint descriptor. The woken receiver's errno is
-// below the abstraction line (it surfaces through its own syscall's
-// return, which the harness does not observe for a wake), so no
-// refused node can be witnessed here.
-func (ip *Interp) deliverTo(rptr Ptr, msg BufMsg, xfer Ptr) {
-	if msg.HasPage {
-		rt := ip.St.Threads[rptr]
-		if ip.deliverPage(rt.OwningProc, ip.recvVA[rptr], msg, false) != kernel.OK {
-			return
+// deliver mirrors kernel.deliver to receiver rptr: the page lands first
+// at the receiver's recvVA (its failure voids the rest — the kernel
+// returns early), then the endpoint descriptor in its requested slot
+// (-1: first free), taking a reference. A transferred endpoint that has
+// died since the send, or no usable slot, is EDEADOBJ; the page stands.
+func (ip *Interp) deliver(rptr Ptr, m message, recvVA hw.VirtAddr, reqSlot int, refused bool) kernel.Errno {
+	if m.page.HasPage {
+		if errno := ip.deliverPage(ip.St.Threads[rptr].OwningProc, recvVA, m, refused); errno != kernel.OK {
+			return errno
 		}
 	}
-	ip.installEdpt(rptr, ip.recvSlot[rptr], xfer)
-}
-
-// resolveXfer mirrors the endpoint half of kernel.resolveMsg: validates
-// the transfer slot and reads the endpoint it names (0 when no transfer
-// was requested).
-func (ip *Interp) resolveXfer(op string, t Thread, sendEdpt bool, xferSlot int, ret kernel.Ret) (Ptr, error, bool) {
-	if !sendEdpt {
-		return 0, nil, true
+	if m.xfer == 0 {
+		return kernel.OK
 	}
-	if xferSlot < 0 || xferSlot >= pm.MaxEndpoints {
-		return 0, expect(op, kernel.EINVAL, ret), false
-	}
-	xfer := t.Endpoints[xferSlot]
-	if xfer == 0 {
-		return 0, expect(op, kernel.ENOENT, ret), false
-	}
-	return xfer, nil, true
-}
-
-// installEdpt mirrors the endpoint half of kernel.deliver: the incoming
-// descriptor lands in the receiver's requested slot (-1: first free),
-// taking a reference. A zero xfer is a scalar-only message (trivially
-// delivered). Returns false when no usable slot exists — the kernel
-// reports ErrEndpointDead to whichever side observes the delivery.
-func (ip *Interp) installEdpt(rptr Ptr, reqSlot int, xfer Ptr) bool {
-	if xfer == 0 {
-		return true
-	}
+	e, alive := ip.St.Endpoints[m.xfer]
 	rt := ip.St.Threads[rptr]
 	slot := reqSlot
 	if slot < 0 {
@@ -774,532 +881,330 @@ func (ip *Interp) installEdpt(rptr Ptr, reqSlot int, xfer Ptr) bool {
 			}
 		}
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || rt.Endpoints[slot] != 0 {
-		return false
+	if !alive || slot < 0 || slot >= pm.MaxEndpoints || rt.Endpoints[slot] != 0 {
+		return kernel.EDEADOBJ
 	}
-	rt.Endpoints[slot] = xfer
+	rt.Endpoints[slot] = m.xfer
 	ip.St.Threads[rptr] = rt
-	e := ip.St.Endpoints[xfer]
 	e.RefCount++
-	ip.St.Endpoints[xfer] = e
-	return true
+	ip.St.Endpoints[m.xfer] = e
+	return kernel.OK
 }
 
-// wake mirrors pm.Wake: the thread becomes runnable.
+// wake mirrors pm.Wake: the thread waits on nothing and is runnable.
 func (ip *Interp) wake(th Ptr) {
 	t := ip.St.Threads[th]
 	t.State = pm.ThreadRunnable
+	t.WaitingOn = 0
 	ip.St.Threads[th] = t
+	ip.forget(th)
 }
 
-// Send applies the send specification: scalar registers plus an optional
-// endpoint transfer from the caller's xferSlot and an optional page
-// grant of the 4 KiB mapping at grantVA (0: no grant).
-func (ip *Interp) Send(tid Ptr, slot int, sendEdpt bool, xferSlot int, grantVA hw.VirtAddr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("send", kernel.EINVAL, ret)
-	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
-		return expect("send", kernel.EINVAL, ret)
-	}
-	ep := t.Endpoints[slot]
-	var msg BufMsg
-	if grantVA != 0 {
-		m, err, okg := ip.resolveGrant("send", t.OwningProc, grantVA, ret)
-		if !okg {
-			return err
-		}
-		msg = m
-	}
-	xfer, err, okx := ip.resolveXfer("send", t, sendEdpt, xferSlot, ret)
-	if !okx {
-		// The grant stands: the kernel resolves the page half first, and
-		// a failed endpoint half drops the in-flight message — the
-		// granted page is simply gone.
-		return err
-	}
+// handOff mirrors kernel.handOff: it pops the receiver at the head of
+// ep's queue, delivers m to it and wakes it. The woken receiver's errno
+// is below the abstraction line (it surfaces through its own syscall's
+// return, which no caller observes for a wake), so no refused node can
+// be witnessed here. It returns the receiver.
+func (ip *Interp) handOff(ep Ptr, m message) Ptr {
 	e := ip.St.Endpoints[ep]
-	if e.QueuedRecv && len(e.Queue) > 0 {
-		// Rendezvous: the head receiver is woken; a failed page or
-		// endpoint delivery is reported to the receiver, not the sender.
-		if err := expect("send", kernel.OK, ret); err != nil {
-			return err
-		}
-		rptr := e.Queue[0]
-		e.Queue = e.Queue[1:]
-		ip.St.Endpoints[ep] = e
-		ip.deliverTo(rptr, msg, xfer)
-		rt := ip.St.Threads[rptr]
-		rt.WaitingOn = 0
-		ip.St.Threads[rptr] = rt
-		ip.wake(rptr)
-		delete(ip.recvSlot, rptr)
-		delete(ip.recvVA, rptr)
-		return nil
-	}
-	if err := expect("send", kernel.EWOULDBLOCK, ret); err != nil {
-		return err
-	}
-	t.State = pm.ThreadBlockedSend
-	t.WaitingOn = ep
-	ip.St.Threads[tid] = t
-	e.QueuedRecv = false
-	e.Queue = append(e.Queue, tid)
+	rptr := e.Queue[0]
+	e.Queue = e.Queue[1:]
+	// Write the pop back before delivering: when the transferred
+	// endpoint is ep itself, deliver bumps ip.St.Endpoints[ep] and a
+	// stale local copy written afterwards would lose that reference.
 	ip.St.Endpoints[ep] = e
-	if xfer != 0 {
-		ip.sendEdpt[tid] = xfer
-	}
-	if msg.HasPage {
-		ip.sendPage[tid] = msg
-	}
-	return nil
+	ip.deliver(rptr, m, ip.recvVA[rptr], ip.recvSlot[rptr], false)
+	ip.wake(rptr)
+	return rptr
 }
 
-// SendAsync applies the send_async specification: never blocks — a
-// parked receiver gets an ordinary rendezvous delivery, otherwise the
-// message joins the endpoint's bounded buffer (EAGAIN when full,
-// refused before the grant resolves). Endpoint transfers are not part
-// of send_async's surface (the kernel rejects them with EINVAL).
-func (ip *Interp) SendAsync(tid Ptr, slot int, grantVA hw.VirtAddr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("send_async", kernel.EINVAL, ret)
-	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
-		return expect("send_async", kernel.EINVAL, ret)
-	}
-	ep := t.Endpoints[slot]
+// receive mirrors kernel.receive for caller tid: a buffered message
+// first (just the buffer pop), else the head sender's pending one, which
+// wakes that sender. It returns the delivery's errno, and false when
+// nothing waits.
+func (ip *Interp) receive(tid, ep Ptr, args kernel.RecvArgs, refused bool) (kernel.Errno, bool) {
 	e := ip.St.Endpoints[ep]
-	rendezvous := e.QueuedRecv && len(e.Queue) > 0
-	if !rendezvous && len(e.Buffered) >= pm.MaxEndpointBuffer {
-		return expect("send_async", kernel.EAGAIN, ret)
-	}
-	var msg BufMsg
-	if grantVA != 0 {
-		m, err, okg := ip.resolveGrant("send_async", t.OwningProc, grantVA, ret)
-		if !okg {
-			return err
-		}
-		msg = m
-	}
-	if err := expect("send_async", kernel.OK, ret); err != nil {
-		return err
-	}
-	if rendezvous {
-		rptr := e.Queue[0]
-		e.Queue = e.Queue[1:]
-		ip.St.Endpoints[ep] = e
-		ip.deliverTo(rptr, msg, 0)
-		rt := ip.St.Threads[rptr]
-		rt.WaitingOn = 0
-		ip.St.Threads[rptr] = rt
-		ip.wake(rptr)
-		delete(ip.recvSlot, rptr)
-		delete(ip.recvVA, rptr)
-		return nil
-	}
-	e.Buffered = append(e.Buffered, msg)
-	ip.St.Endpoints[ep] = e
-	return nil
-}
-
-// Recv applies the recv specification; reqSlot is where an incoming
-// endpoint descriptor should land (-1: first free) and recvVA is where
-// an incoming page should be mapped.
-func (ip *Interp) Recv(tid Ptr, slot int, reqSlot int, recvVA hw.VirtAddr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("recv", kernel.EINVAL, ret)
-	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
-		return expect("recv", kernel.EINVAL, ret)
-	}
-	ep := t.Endpoints[slot]
-	e := ip.St.Endpoints[ep]
-	if len(e.Buffered) > 0 {
-		// Asynchronously buffered messages drain ahead of any blocked
-		// senders: no partner to wake, just the buffer pop. A granted
-		// page lands in the caller's space; its delivery failure is the
-		// caller's errno.
-		m := e.Buffered[0]
+	var m message
+	switch {
+	case len(e.Buffered) > 0:
+		m.page = e.Buffered[0]
 		e.Buffered = e.Buffered[1:]
+		frames := ip.bufFrames[ep]
+		m.frame, ip.bufFrames[ep] = frames[0], frames[1:]
 		ip.St.Endpoints[ep] = e
-		if m.HasPage {
-			if errno := ip.deliverPage(t.OwningProc, recvVA, m, ret.Errno == kernel.ENOMEM); errno != kernel.OK {
-				return expect("recv", errno, ret)
-			}
-		}
-		return expect("recv", kernel.OK, ret)
-	}
-	if !e.QueuedRecv && len(e.Queue) > 0 {
-		// Rendezvous: take the head sender's pending message; the sender
-		// is woken cleanly either way, a failed page delivery or install
-		// surfaces as the receiver's errno. The page lands before the
-		// endpoint descriptor, and its failure voids the install.
+	case !e.QueuedRecv && len(e.Queue) > 0:
 		sptr := e.Queue[0]
 		e.Queue = e.Queue[1:]
 		ip.St.Endpoints[ep] = e
-		xfer := ip.sendEdpt[sptr]
-		delete(ip.sendEdpt, sptr)
-		page, hadPage := ip.sendPage[sptr]
-		delete(ip.sendPage, sptr)
-		st := ip.St.Threads[sptr]
-		st.WaitingOn = 0
-		ip.St.Threads[sptr] = st
+		m = ip.sent[sptr]
 		ip.wake(sptr)
-		if hadPage {
-			if errno := ip.deliverPage(t.OwningProc, recvVA, page, ret.Errno == kernel.ENOMEM); errno != kernel.OK {
-				return expect("recv", errno, ret)
-			}
-		}
-		installed := ip.installEdpt(tid, reqSlot, xfer)
-		if !installed {
-			return expect("recv", kernel.EDEADOBJ, ret)
-		}
-		return expect("recv", kernel.OK, ret)
+	default:
+		return kernel.OK, false
 	}
-	if err := expect("recv", kernel.EWOULDBLOCK, ret); err != nil {
-		return err
-	}
-	t.State = pm.ThreadBlockedRecv
+	return ip.deliver(tid, m, args.PageVA, args.EdptSlot, refused), true
+}
+
+// block mirrors kernel.block: tid parks at the tail of ep's queue in
+// state, which sets the queue's direction.
+func (ip *Interp) block(tid, ep Ptr, state pm.ThreadState) {
+	t := ip.St.Threads[tid]
+	t.State = state
 	t.WaitingOn = ep
 	ip.St.Threads[tid] = t
-	e.QueuedRecv = true
+	e := ip.St.Endpoints[ep]
+	e.QueuedRecv = state == pm.ThreadBlockedRecv
 	e.Queue = append(e.Queue, tid)
 	ip.St.Endpoints[ep] = e
-	ip.recvSlot[tid] = reqSlot
-	ip.recvVA[tid] = recvVA
-	return nil
+}
+
+// blockRecv parks tid receiving on ep, recording where its message
+// lands.
+func (ip *Interp) blockRecv(tid, ep Ptr, args kernel.RecvArgs) {
+	ip.block(tid, ep, pm.ThreadBlockedRecv)
+	ip.recvVA[tid] = args.PageVA
+	ip.recvSlot[tid] = args.EdptSlot
+}
+
+// rendezvous reports whether a receiver waits at ep.
+func (ip *Interp) rendezvous(ep Ptr) bool {
+	e := ip.St.Endpoints[ep]
+	return e.QueuedRecv && len(e.Queue) > 0
+}
+
+// Send applies the send specification: with a receiver waiting the
+// message is handed off and the send completes; otherwise the caller
+// blocks with its message pending.
+func (ip *Interp) Send(core int, tid Ptr, slot int, args kernel.SendArgs, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc {
+		return expect("send", kernel.EINVAL, ret)
+	}
+	m, err, ok := ip.resolveMsg("send", t, args, ret)
+	if !ok {
+		return err
+	}
+	if ip.rendezvous(ep) {
+		ip.handOff(ep, m)
+		return expect("send", kernel.OK, ret)
+	}
+	ip.block(tid, ep, pm.ThreadBlockedSend)
+	ip.sent[tid] = m
+	return expect("send", kernel.EWOULDBLOCK, ret)
+}
+
+// SendAsync applies the send_async specification: it never blocks — a
+// parked receiver gets an ordinary hand-off, otherwise the message joins
+// the endpoint's bounded buffer (EAGAIN when full, refused before the
+// message resolves). Endpoint transfers are refused with EINVAL.
+func (ip *Interp) SendAsync(core int, tid Ptr, slot int, args kernel.SendArgs, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc || args.SendEdpt {
+		return expect("send_async", kernel.EINVAL, ret)
+	}
+	rendezvous := ip.rendezvous(ep)
+	if !rendezvous && len(ip.St.Endpoints[ep].Buffered) >= pm.MaxEndpointBuffer {
+		return expect("send_async", kernel.EAGAIN, ret)
+	}
+	m, err, ok := ip.resolveMsg("send_async", t, args, ret)
+	if !ok {
+		return err
+	}
+	if rendezvous {
+		ip.handOff(ep, m)
+	} else {
+		e := ip.St.Endpoints[ep]
+		e.Buffered = append(e.Buffered, m.page)
+		ip.St.Endpoints[ep] = e
+		ip.bufFrames[ep] = append(ip.bufFrames[ep], m.frame)
+	}
+	return expect("send_async", kernel.OK, ret)
+}
+
+// Recv applies the recv specification: a waiting message is delivered
+// at once, its failure the caller's errno; otherwise the caller blocks.
+func (ip *Interp) Recv(core int, tid Ptr, slot int, args kernel.RecvArgs, ret kernel.Ret) error {
+	_, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc {
+		return expect("recv", kernel.EINVAL, ret)
+	}
+	if errno, got := ip.receive(tid, ep, args, ret.Errno == kernel.ENOMEM); got {
+		return expect("recv", errno, ret)
+	}
+	ip.blockRecv(tid, ep, args)
+	return expect("recv", kernel.EWOULDBLOCK, ret)
 }
 
 // Call applies the call specification: it requires a server already
-// blocked receiving, delivers (including an optional page grant), and
-// leaves the caller blocked awaiting the reply on the same endpoint.
-func (ip *Interp) Call(tid Ptr, slot int, sendEdpt bool, xferSlot int, grantVA hw.VirtAddr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+// blocked receiving, hands the request off to it, and leaves the caller
+// blocked awaiting the reply on the same endpoint (reported
+// EWOULDBLOCK).
+func (ip *Interp) Call(core int, tid Ptr, slot int, args kernel.SendArgs, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
 	if !okc {
 		return expect("call", kernel.EINVAL, ret)
 	}
-	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == 0 {
-		return expect("call", kernel.EINVAL, ret)
-	}
-	ep := t.Endpoints[slot]
-	e := ip.St.Endpoints[ep]
-	if !e.QueuedRecv || len(e.Queue) == 0 {
+	if !ip.rendezvous(ep) {
 		return expect("call", kernel.EWOULDBLOCK, ret)
 	}
-	var msg BufMsg
-	if grantVA != 0 {
-		m, err, okg := ip.resolveGrant("call", t.OwningProc, grantVA, ret)
-		if !okg {
-			return err
-		}
-		msg = m
-	}
-	xfer, err, okx := ip.resolveXfer("call", t, sendEdpt, xferSlot, ret)
-	if !okx {
-		return err // the grant stands, as in Send
-	}
-	// The fastpath's "blocked awaiting reply" is reported EWOULDBLOCK.
-	if err := expect("call", kernel.EWOULDBLOCK, ret); err != nil {
+	m, err, ok := ip.resolveMsg("call", t, args, ret)
+	if !ok {
 		return err
 	}
-	server := e.Queue[0]
-	e.Queue = e.Queue[1:]
-	// Write the pop back before deliverTo: when the transferred endpoint
-	// is ep itself, installEdpt bumps ip.St.Endpoints[ep] and a stale
-	// local copy written afterwards would lose that reference.
-	ip.St.Endpoints[ep] = e
-	ip.deliverTo(server, msg, xfer)
-	sst := ip.St.Threads[server]
-	sst.WaitingOn = 0
-	ip.St.Threads[server] = sst
-	ip.wake(server)
-	delete(ip.recvSlot, server)
-	delete(ip.recvVA, server)
-	t = ip.St.Threads[tid]
-	t.State = pm.ThreadBlockedRecv
-	t.WaitingOn = ep
-	ip.St.Threads[tid] = t
-	e = ip.St.Endpoints[ep]
-	e.QueuedRecv = true
-	e.Queue = append(e.Queue, tid)
-	ip.St.Endpoints[ep] = e
-	ip.recvSlot[tid] = -1
-	delete(ip.recvVA, tid)
-	return nil
+	ip.handOff(ep, m)
+	ip.blockRecv(tid, ep, kernel.RecvArgs{EdptSlot: -1})
+	return expect("call", kernel.EWOULDBLOCK, ret)
+}
+
+// Reply applies the reply specification: it hands the reply off to a
+// client blocked receiving.
+func (ip *Interp) Reply(core int, tid Ptr, slot int, args kernel.SendArgs, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc {
+		return expect("reply", kernel.EINVAL, ret)
+	}
+	if !ip.rendezvous(ep) {
+		return expect("reply", kernel.EWOULDBLOCK, ret)
+	}
+	m, err, ok := ip.resolveMsg("reply", t, args, ret)
+	if !ok {
+		return err
+	}
+	ip.handOff(ep, m)
+	return expect("reply", kernel.OK, ret)
+}
+
+// ReplyRecv applies the reply_recv specification: the reply half of
+// Reply when a client waits, then the receive half of Recv.
+func (ip *Interp) ReplyRecv(core int, tid Ptr, slot int, args kernel.SendArgs, recv kernel.RecvArgs, ret kernel.Ret) error {
+	t, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc {
+		return expect("reply_recv", kernel.EINVAL, ret)
+	}
+	if ip.rendezvous(ep) {
+		m, err, ok := ip.resolveMsg("reply_recv", t, args, ret)
+		if !ok {
+			return err
+		}
+		ip.handOff(ep, m)
+	}
+	if errno, got := ip.receive(tid, ep, recv, ret.Errno == kernel.ENOMEM); got {
+		return expect("reply_recv", errno, ret)
+	}
+	ip.blockRecv(tid, ep, recv)
+	return expect("reply_recv", kernel.EWOULDBLOCK, ret)
 }
 
 // Yield applies the yield specification: scheduling only, Ψ unchanged.
-func (ip *Interp) Yield(tid Ptr, ret kernel.Ret) error {
-	if _, okc := ip.caller(tid); !okc {
+func (ip *Interp) Yield(core int, tid Ptr, ret kernel.Ret) error {
+	if _, okc := ip.caller(core, tid); !okc {
 		return expect("yield", kernel.EINVAL, ret)
 	}
 	return expect("yield", kernel.OK, ret)
 }
 
-// --- revocation -------------------------------------------------------------
+// --- interrupts -------------------------------------------------------------
 
-// unlink mirrors kernel.unlinkFromEndpoint for a blocked thread being
-// reaped: it leaves the queue it waits on and its pending message dies
-// with it.
-func (ip *Interp) unlink(th Ptr) {
-	t := ip.St.Threads[th]
-	if t.WaitingOn != 0 {
-		if e, ok := ip.St.Endpoints[t.WaitingOn]; ok {
-			e.Queue = removePtrOnce(e.Queue, th)
-			ip.St.Endpoints[t.WaitingOn] = e
-		}
-		t.WaitingOn = 0
-		ip.St.Threads[th] = t
+// IrqRegister applies the irq_register specification: the line binds
+// to the endpoint in the caller's slot, and the binding takes a
+// reference.
+func (ip *Interp) IrqRegister(core int, tid Ptr, irq, slot int, ret kernel.Ret) error {
+	_, ep, okc := ip.callerEndpoint(core, tid, slot)
+	if !okc || irq < 0 || irq >= 256 {
+		return expect("irq_register", kernel.EINVAL, ret)
 	}
-	delete(ip.sendEdpt, th)
-	delete(ip.recvSlot, th)
-	// A blocked sender's granted page dies with the message
-	// (kernel.unlinkFromEndpoint drops the pending Msg).
-	delete(ip.sendPage, th)
-	delete(ip.recvVA, th)
-}
-
-// reapThread mirrors kernel.reapThread.
-func (ip *Interp) reapThread(th Ptr) {
-	t := ip.St.Threads[th]
-	if t.State == pm.ThreadBlockedSend || t.State == pm.ThreadBlockedRecv {
-		ip.unlink(th)
+	if _, bound := ip.irqs[irq]; bound {
+		return expect("irq_register", kernel.EALREADY, ret)
 	}
-	ip.freeThread(th)
-}
-
-// releaseSpace specifies the page phase of the kernel's teardown
-// (kernel.reapSpace): every mapping is released and its pages credited;
-// table nodes stay charged until the process dies.
-func (ip *Interp) releaseSpace(v Ptr) {
-	as := ip.St.AddressSpaces[v]
-	var total uint64
-	for _, e := range as {
-		total += e.Size.Bytes() / hw.PageSize4K
-	}
-	ip.St.AddressSpaces[v] = make(map[hw.VirtAddr]pt.MapEntry)
-	ip.credit(ip.St.Procs[v].Owner, total)
-}
-
-// destroyDomainProc mirrors kernel.reapDomain for the only shape
-// the generator produces: an empty domain whose table is a bare root.
-func (ip *Interp) destroyDomainProc(v Ptr) {
-	p := ip.St.Procs[v]
-	if p.IOMMUDomain == 0 {
-		return
-	}
-	delete(ip.St.DMASpaces, p.IOMMUDomain)
-	ip.credit(p.Owner, 1)
-	p.IOMMUDomain = 0
-	ip.St.Procs[v] = p
-}
-
-// freeProcess mirrors pm.FreeProcess: table nodes (ghost keys plus the
-// root) and the object page are credited, the process leaves its parent
-// and container.
-func (ip *Interp) freeProcess(v Ptr) {
-	p, ok := ip.St.Procs[v]
-	if !ok {
-		return
-	}
-	ip.credit(p.Owner, uint64(len(ip.keys[v]))+1)
-	if p.Parent != 0 {
-		if pp, okp := ip.St.Procs[p.Parent]; okp {
-			pp.Children = removePtrOnce(pp.Children, v)
-			ip.St.Procs[p.Parent] = pp
-		}
-	}
-	c := ip.St.Containers[p.Owner]
-	delete(c.Procs, v)
-	ip.St.Containers[p.Owner] = c
-	delete(ip.St.Procs, v)
-	delete(ip.St.AddressSpaces, v)
-	delete(ip.keys, v)
-	ip.credit(p.Owner, 1)
-}
-
-// procSubtree mirrors kernel.processSubtree (preorder).
-func (ip *Interp) procSubtree(proc Ptr) []Ptr {
-	var out []Ptr
-	var rec func(p Ptr)
-	rec = func(p Ptr) {
-		out = append(out, p)
-		for _, ch := range ip.St.Procs[p].Children {
-			rec(ch)
-		}
-	}
-	rec(proc)
-	return out
-}
-
-// KillProcess applies the kill_proc specification.
-func (ip *Interp) KillProcess(tid Ptr, proc Ptr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
-	if !okc {
-		return expect("kill_proc", kernel.EINVAL, ret)
-	}
-	if _, ok := ip.St.Procs[proc]; !ok {
-		return expect("kill_proc", kernel.ENOENT, ret)
-	}
-	if proc == t.OwningProc || !ip.controls(t.OwningProc, proc) {
-		return expect("kill_proc", kernel.EPERM, ret)
-	}
-	if err := expect("kill_proc", kernel.OK, ret); err != nil {
+	if err := expect("irq_register", kernel.OK, ret); err != nil {
 		return err
 	}
-	victims := ip.procSubtree(proc)
-	for _, v := range victims {
-		for _, th := range append([]Ptr(nil), ip.St.Procs[v].Threads...) {
-			ip.reapThread(th)
-		}
-		ip.releaseSpace(v)
-		ip.destroyDomainProc(v)
-	}
-	for i := len(victims) - 1; i >= 0; i-- {
-		ip.freeProcess(victims[i])
-	}
+	ip.irqs[irq] = &irqLine{ep: ep}
+	e := ip.St.Endpoints[ep]
+	e.RefCount++
+	ip.St.Endpoints[ep] = e
 	return nil
 }
 
-// destroyEndpointDying specifies the death of an endpoint owned by a
-// dying container: outside waiters wake with EDEADOBJ, dying waiters
-// stay blocked until their threads are freed (the kernel frees them
-// first, so its destroyEndpoint sees none), every descriptor naming the
-// endpoint is revoked (in any thread, dying or not), pending send
-// transfers of it are scrubbed, and the endpoint's page returns to its
-// (dying) owner.
-func (ip *Interp) destroyEndpointDying(eptr Ptr, killed map[Ptr]bool) {
-	e := ip.St.Endpoints[eptr]
-	for _, q := range e.Queue {
-		qt := ip.St.Threads[q]
-		qt.WaitingOn = 0
-		if !killed[qt.OwningCntr] {
-			qt.State = pm.ThreadRunnable
-		}
-		ip.St.Threads[q] = qt
-		delete(ip.sendEdpt, q)
-		delete(ip.recvSlot, q)
-		delete(ip.sendPage, q)
-		delete(ip.recvVA, q)
-	}
-	for _, th := range sortedPtrKeys(ip.St.Threads) {
-		tt := ip.St.Threads[th]
-		changed := false
-		for i := 0; i < pm.MaxEndpoints; i++ {
-			if tt.Endpoints[i] == eptr {
-				tt.Endpoints[i] = 0
-				changed = true
-			}
-		}
-		if changed {
-			ip.St.Threads[th] = tt
-		}
-	}
-	for th, x := range ip.sendEdpt {
-		if x == eptr {
-			delete(ip.sendEdpt, th)
-		}
-	}
-	delete(ip.St.Endpoints, eptr)
-	ip.credit(e.OwnerCntr, 1)
-}
-
-// freeProcTree frees v and its descendant processes, children first, as
-// the kernel's teardown does.
-func (ip *Interp) freeProcTree(v Ptr) {
-	p, ok := ip.St.Procs[v]
-	if !ok {
-		return
-	}
-	for _, ch := range append([]Ptr(nil), p.Children...) {
-		ip.freeProcTree(ch)
-	}
-	ip.freeProcess(v)
-}
-
-// KillContainer applies the kill_container specification: the paper's
-// terminate-and-harvest revocation (§3).
-func (ip *Interp) KillContainer(tid Ptr, cntr Ptr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+// boundLine validates a caller's use of line irq: it must be bound to
+// an endpoint the caller holds a descriptor to.
+func (ip *Interp) boundLine(op string, core int, tid Ptr, irq int, ret kernel.Ret) (*irqLine, error, bool) {
+	t, okc := ip.caller(core, tid)
 	if !okc {
-		return expect("kill_container", kernel.EINVAL, ret)
+		return nil, expect(op, kernel.EINVAL, ret), false
 	}
-	c, ok := ip.St.Containers[cntr]
+	line, bound := ip.irqs[irq]
+	if !bound {
+		return nil, expect(op, kernel.ENOENT, ret), false
+	}
+	if !slices.Contains(t.Endpoints[:], line.ep) {
+		return nil, expect(op, kernel.EPERM, ret), false
+	}
+	return line, nil, true
+}
+
+// IrqUnregister applies the irq_unregister specification: the binding
+// goes and drops its reference.
+func (ip *Interp) IrqUnregister(core int, tid Ptr, irq int, ret kernel.Ret) error {
+	line, err, ok := ip.boundLine("irq_unregister", core, tid, irq, ret)
 	if !ok {
-		return expect("kill_container", kernel.ENOENT, ret)
-	}
-	if !ip.isAncestor(ip.St.Procs[t.OwningProc].Owner, cntr) {
-		return expect("kill_container", kernel.EPERM, ret)
-	}
-	if err := expect("kill_container", kernel.OK, ret); err != nil {
 		return err
 	}
-	killed := map[Ptr]bool{cntr: true}
-	for s := range c.Subtree {
-		killed[s] = true
+	if err := expect("irq_unregister", kernel.OK, ret); err != nil {
+		return err
 	}
-	// 1. Destroy endpoints owned by the dying subtree, in pointer order.
-	for _, eptr := range sortedPtrKeys(ip.St.Endpoints) {
-		e, still := ip.St.Endpoints[eptr]
-		if !still || !killed[e.OwnerCntr] {
-			continue
-		}
-		ip.destroyEndpointDying(eptr, killed)
-	}
-	// 2. Reap every process of the subtree, then free them children-first.
-	var procs []Ptr
-	for v, p := range ip.St.Procs {
-		if killed[p.Owner] {
-			procs = append(procs, v)
-		}
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	for _, v := range procs {
-		for _, th := range append([]Ptr(nil), ip.St.Procs[v].Threads...) {
-			ip.reapThread(th)
-		}
-		ip.releaseSpace(v)
-		ip.destroyDomainProc(v)
-	}
-	for _, v := range procs {
-		ip.freeProcTree(v)
-	}
-	// 3. Unlink the containers deepest-first so parents empty out.
-	var order []Ptr
-	for kc := range killed {
-		order = append(order, kc)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := ip.St.Containers[order[i]], ip.St.Containers[order[j]]
-		if ci.Depth != cj.Depth {
-			return ci.Depth > cj.Depth
-		}
-		return order[i] < order[j]
-	})
-	for _, kc := range order {
-		kcc := ip.St.Containers[kc]
-		if pc, okp := ip.St.Containers[kcc.Parent]; okp {
-			pc.Children = removePtrOnce(pc.Children, kc)
-			ip.St.Containers[kcc.Parent] = pc
-		}
-		for _, anc := range kcc.Path {
-			if ac, oka := ip.St.Containers[anc]; oka {
-				delete(ac.Subtree, kc)
-				ip.St.Containers[anc] = ac
-			}
-		}
-		delete(ip.St.Containers, kc)
-		ip.credit(kcc.Parent, kcc.QuotaPages)
-	}
+	delete(ip.irqs, irq)
+	ip.decref(line.ep)
 	return nil
 }
+
+// IrqWait applies the irq_wait specification: pending interrupts are
+// consumed at once and their count returned; with senders queued on the
+// bound endpoint the wait is refused with EAGAIN; otherwise the caller
+// blocks receiving on it.
+func (ip *Interp) IrqWait(core int, tid Ptr, irq int, ret kernel.Ret) error {
+	line, err, ok := ip.boundLine("irq_wait", core, tid, irq, ret)
+	if !ok {
+		return err
+	}
+	if line.pending > 0 {
+		if err := expect("irq_wait", kernel.OK, ret); err != nil {
+			return err
+		}
+		if ret.Vals[0] != uint64(irq) || ret.Vals[1] != line.pending {
+			return fmt.Errorf("irq_wait: returned line %d count %d, want %d and %d",
+				ret.Vals[0], ret.Vals[1], irq, line.pending)
+		}
+		line.pending = 0
+		return nil
+	}
+	if e := ip.St.Endpoints[line.ep]; !e.QueuedRecv && len(e.Queue) > 0 {
+		return expect("irq_wait", kernel.EAGAIN, ret)
+	}
+	ip.blockRecv(tid, line.ep, kernel.RecvArgs{EdptSlot: -1})
+	return expect("irq_wait", kernel.EWOULDBLOCK, ret)
+}
+
+// RaiseIRQ specifies an interrupt on line irq: an unbound line drops
+// it; a bound one hands a scalar message to a waiting receiver, or
+// pends the edge.
+func (ip *Interp) RaiseIRQ(irq int) {
+	line, bound := ip.irqs[irq]
+	if !bound {
+		return
+	}
+	if ip.rendezvous(line.ep) {
+		ip.handOff(line.ep, message{})
+		line.pending = 0
+		return
+	}
+	line.pending++
+}
+
+// --- IOMMU ------------------------------------------------------------------
 
 // IommuCreate applies the iommu_create specification.
-func (ip *Interp) IommuCreate(tid Ptr, ret kernel.Ret) error {
-	t, okc := ip.caller(tid)
+func (ip *Interp) IommuCreate(core int, tid Ptr, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
 	if !okc {
 		return expect("iommu_create", kernel.EINVAL, ret)
 	}
@@ -1327,258 +1232,390 @@ func (ip *Interp) IommuCreate(tid Ptr, ret kernel.Ret) error {
 	p.IOMMUDomain = id
 	ip.St.Procs[t.OwningProc] = p
 	ip.St.DMASpaces[id] = make(map[hw.VirtAddr]pt.MapEntry)
+	ip.dmaKeys[id] = make(map[uint64]bool)
 	return nil
 }
 
-// --- the differential oracle ------------------------------------------------
-
-// normState folds the scheduler's Runnable/Running distinction, which is
-// below the specification's abstraction line (PickNext is not specified).
-func normState(s pm.ThreadState) pm.ThreadState {
-	if s == pm.ThreadRunning {
-		return pm.ThreadRunnable
+// domainOf validates an IOMMU caller: it must have a domain.
+func (ip *Interp) domainOf(op string, core int, tid Ptr, ret kernel.Ret) (Thread, iommu.DomainID, error, bool) {
+	t, okc := ip.caller(core, tid)
+	if !okc {
+		return t, 0, expect(op, kernel.EINVAL, ret), false
 	}
-	return s
+	dom := ip.St.Procs[t.OwningProc].IOMMUDomain
+	if dom == 0 {
+		return t, 0, expect(op, kernel.ENOENT, ret), false
+	}
+	return t, dom, nil, true
 }
 
-func sortedPtrKeys[V any](m map[Ptr]V) []Ptr {
-	out := make([]Ptr, 0, len(m))
-	for p := range m {
-		out = append(out, p)
+// IommuMap applies the iommu_map specification: the 4 KiB page the
+// caller maps at va is pinned into its domain at the same address, on
+// the same frame. The domain's table nodes are charged like page-table
+// nodes, and a refused charge rolls back to the prune transition.
+func (ip *Interp) IommuMap(core int, tid Ptr, va hw.VirtAddr, ret kernel.Ret) error {
+	t, dom, err, ok := ip.domainOf("iommu_map", core, tid, ret)
+	if !ok {
+		return err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	_, e, covered := lookup(ip.St.AddressSpaces[t.OwningProc], va)
+	if !covered || e.Size != hw.Size4K {
+		return expect("iommu_map", kernel.ENOENT, ret)
+	}
+	ds := ip.St.DMASpaces[dom]
+	if va&(hw.PageSize4K-1) != 0 || spaceCovers(ds, va) {
+		return expect("iommu_map", kernel.EINVAL, ret)
+	}
+	kset := ip.dmaKeys[dom]
+	need := make(map[uint64]bool)
+	newKeys(need, kset, va, hw.Size4K)
+	if ret.Errno == kernel.ENOMEM && len(need) > 0 {
+		return nil
+	}
+	owner := ip.St.Procs[t.OwningProc].Owner
+	if !ip.chargeFits(owner, uint64(len(need))) {
+		ip.dmaKeys[dom] = ip.pruneKeys(kset, ds, owner)
+		return expect("iommu_map", kernel.EQUOTA, ret)
+	}
+	if err := expect("iommu_map", kernel.OK, ret); err != nil {
+		return err
+	}
+	ds[va] = pt.MapEntry{Phys: e.Phys, Size: hw.Size4K, Perm: pt.RW}
+	for k := range need {
+		kset[k] = true
+	}
+	ip.charge(owner, uint64(len(need)))
+	return nil
+}
+
+// IommuUnmap applies the iommu_unmap specification: the DMA mapping
+// based at va goes and unpins its page; the table's nodes stay charged.
+func (ip *Interp) IommuUnmap(core int, tid Ptr, va hw.VirtAddr, ret kernel.Ret) error {
+	_, dom, err, ok := ip.domainOf("iommu_unmap", core, tid, ret)
+	if !ok {
+		return err
+	}
+	ds := ip.St.DMASpaces[dom]
+	base, _, covered := lookup(ds, va)
+	if !covered {
+		return expect("iommu_unmap", kernel.ENOENT, ret)
+	}
+	if base != va {
+		return expect("iommu_unmap", kernel.EINVAL, ret)
+	}
+	if err := expect("iommu_unmap", kernel.OK, ret); err != nil {
+		return err
+	}
+	delete(ds, va)
+	return nil
+}
+
+// IommuAttach applies the iommu_attach specification: an unbound device
+// binds to the caller's domain.
+func (ip *Interp) IommuAttach(core int, tid Ptr, dev iommu.DeviceID, ret kernel.Ret) error {
+	_, dom, err, ok := ip.domainOf("iommu_attach", core, tid, ret)
+	if !ok {
+		return err
+	}
+	if _, bound := ip.devices[dev]; bound {
+		return expect("iommu_attach", kernel.EINVAL, ret)
+	}
+	if err := expect("iommu_attach", kernel.OK, ret); err != nil {
+		return err
+	}
+	ip.devices[dev] = dom
+	return nil
+}
+
+// --- revocation -------------------------------------------------------------
+
+// KillProcess applies the kill_proc specification: the target and its
+// descendant processes are reaped.
+func (ip *Interp) KillProcess(core int, tid Ptr, proc Ptr, ret kernel.Ret) error {
+	t, okc := ip.caller(core, tid)
+	if !okc {
+		return expect("kill_proc", kernel.EINVAL, ret)
+	}
+	if _, ok := ip.St.Procs[proc]; !ok {
+		return expect("kill_proc", kernel.ENOENT, ret)
+	}
+	if proc == t.OwningProc || !ip.controls(t.OwningProc, proc) {
+		return expect("kill_proc", kernel.EPERM, ret)
+	}
+	ip.reap(nil, ip.procSubtree(nil, proc), -1)
+	return expect("kill_proc", kernel.OK, ret)
+}
+
+// killable validates a container kill: cntr must be a strict descendant
+// of the caller's container.
+func (ip *Interp) killable(op string, core int, tid, cntr Ptr, ret kernel.Ret) (error, bool) {
+	t, okc := ip.caller(core, tid)
+	if !okc {
+		return expect(op, kernel.EINVAL, ret), false
+	}
+	if _, ok := ip.St.Containers[cntr]; !ok {
+		return expect(op, kernel.ENOENT, ret), false
+	}
+	if !ip.isAncestor(ip.St.Procs[t.OwningProc].Owner, cntr) {
+		return expect(op, kernel.EPERM, ret), false
+	}
+	return nil, true
+}
+
+// KillContainer applies the kill_container specification: the paper's
+// terminate-and-harvest revocation (§3), the whole subtree reaped at
+// once.
+func (ip *Interp) KillContainer(core int, tid Ptr, cntr Ptr, ret kernel.Ret) error {
+	if err, ok := ip.killable("kill_container", core, tid, cntr, ret); !ok {
+		return err
+	}
+	dying, procs := ip.victims(cntr)
+	ip.reap(dying, procs, -1)
+	return expect("kill_container", kernel.OK, ret)
+}
+
+// KillContainerBounded applies the kill_container_bounded
+// specification: the first installment freezes the subtree, and each
+// one does at most budget units of the same walk kill_container runs,
+// reporting EAGAIN until the subtree is gone.
+func (ip *Interp) KillContainerBounded(core int, tid Ptr, cntr Ptr, budget int, ret kernel.Ret) error {
+	if _, okc := ip.caller(core, tid); !okc || budget <= 0 {
+		return expect("kill_container_bounded", kernel.EINVAL, ret)
+	}
+	if err, ok := ip.killable("kill_container_bounded", core, tid, cntr, ret); !ok {
+		return err
+	}
+	dying, procs := ip.victims(cntr)
+	if !ip.dying[cntr] {
+		for c := range dying {
+			ip.dying[c] = true
+		}
+	}
+	if ip.reap(dying, procs, budget) {
+		return expect("kill_container_bounded", kernel.OK, ret)
+	}
+	return expect("kill_container_bounded", kernel.EAGAIN, ret)
+}
+
+// victims mirrors kernel.subtreeVictims: cntr's subtree, and its
+// processes container by container in pointer order, each process tree
+// in preorder.
+func (ip *Interp) victims(cntr Ptr) (map[Ptr]bool, []Ptr) {
+	dying := map[Ptr]bool{cntr: true}
+	for c := range ip.St.Containers[cntr].Subtree {
+		dying[c] = true
+	}
+	var procs []Ptr
+	for _, c := range sortedKeys(dying) {
+		for _, p := range sortedKeys(ip.St.Containers[c].Procs) {
+			if ip.St.Procs[p].Parent == 0 {
+				procs = ip.procSubtree(procs, p)
+			}
+		}
+	}
+	return dying, procs
+}
+
+// procSubtree appends proc and its descendant processes to out, parents
+// before children.
+func (ip *Interp) procSubtree(out []Ptr, proc Ptr) []Ptr {
+	out = append(out, proc)
+	for _, ch := range ip.St.Procs[proc].Children {
+		out = ip.procSubtree(out, ch)
+	}
 	return out
 }
 
-// Diff compares the concrete kernel against the interpreter's Ψ′ and
-// reports the first field-level divergence in a deterministic order:
-// object kind by kind, lowest key first. It reads the kernel in place,
-// through the same abstraction function as LoadObjects, one object at a
-// time. Physical addresses, the allocator, and the Runnable/Running
-// distinction are outside the comparison — they are witnesses below the
-// specification.
-func (ip *Interp) Diff(p *pm.ProcessManager, iom *iommu.IOMMU) error {
-	s := &ip.St
-	if p.RootContainer != s.RootContainer {
-		return fmt.Errorf("root container: kernel %#x, spec %#x", p.RootContainer, s.RootContainer)
-	}
-	if err := lowest(s.Containers, func(ptr Ptr, sc Container) error {
-		c, ok := p.CntrPerms[ptr]
-		if !ok {
-			return fmt.Errorf("container %#x: missing in kernel", ptr)
+// reap specifies kernel.reap, the one teardown walk every kill runs: at
+// most budget units (negative: unbounded) in the kernel's unit order —
+// every thread; every endpoint a dying container owns, by pointer; each
+// process's pages by address, then its domain's devices, DMA pages and
+// the domain itself; the processes, children first; the containers,
+// deepest first, then by pointer. It reports whether it finished.
+func (ip *Interp) reap(dying map[Ptr]bool, procs []Ptr, budget int) bool {
+	unit := func() bool {
+		if budget == 0 {
+			return false
 		}
-		return diffContainer(ptr, c, sc)
-	}); err != nil {
-		return err
+		budget--
+		return true
 	}
-	if err := kernelOnly(p.CntrPerms, s.Containers, "container %#x: present in kernel, absent in spec"); err != nil {
-		return err
-	}
-	if err := lowest(s.Procs, func(ptr Ptr, sp Proc) error {
-		pr, ok := p.ProcPerms[ptr]
-		if !ok {
-			return fmt.Errorf("proc %#x: missing in kernel", ptr)
+	for _, p := range procs {
+		for len(ip.St.Procs[p].Threads) > 0 {
+			if !unit() {
+				return false
+			}
+			ip.reapThread(ip.St.Procs[p].Threads[0])
 		}
-		loadProc(&ip.kp, pr)
-		return diffProc(ptr, ip.kp, sp)
-	}); err != nil {
-		return err
 	}
-	if err := kernelOnly(p.ProcPerms, s.Procs, "proc %#x: present in kernel, absent in spec"); err != nil {
-		return err
-	}
-	if err := lowest(s.Threads, func(ptr Ptr, st Thread) error {
-		t, ok := p.ThrdPerms[ptr]
-		if !ok {
-			return fmt.Errorf("thread %#x: missing in kernel", ptr)
+	if len(dying) > 0 {
+		for _, ep := range sortedKeys(ip.St.Endpoints) {
+			if !dying[ip.St.Endpoints[ep].OwnerCntr] {
+				continue
+			}
+			if !unit() {
+				return false
+			}
+			ip.destroyEndpoint(ep)
 		}
-		return diffThread(ptr, loadThread(t), st)
-	}); err != nil {
-		return err
 	}
-	if err := kernelOnly(p.ThrdPerms, s.Threads, "thread %#x: present in kernel, absent in spec"); err != nil {
-		return err
-	}
-	if err := lowest(s.Endpoints, func(ptr Ptr, se Endpoint) error {
-		e, ok := p.EdptPerms[ptr]
-		if !ok {
-			return fmt.Errorf("endpoint %#x: missing in kernel", ptr)
+	for _, p := range procs {
+		owner := ip.St.Procs[p].Owner
+		as := ip.St.AddressSpaces[p]
+		for _, va := range sortedKeys(as) {
+			if !unit() {
+				return false
+			}
+			ip.credit(owner, pages(as[va].Size))
+			delete(as, va)
 		}
-		loadEndpoint(&ip.ke, e)
-		return diffEndpoint(ptr, ip.ke, se)
-	}); err != nil {
-		return err
-	}
-	if err := kernelOnly(p.EdptPerms, s.Endpoints, "endpoint %#x: present in kernel, absent in spec"); err != nil {
-		return err
-	}
-	if err := lowest(s.AddressSpaces, func(ptr Ptr, sas map[hw.VirtAddr]pt.MapEntry) error {
-		pr, ok := p.ProcPerms[ptr]
-		if !ok {
-			return fmt.Errorf("address space %#x: missing in kernel", ptr)
+		if !ip.reapDomain(p, unit) {
+			return false
 		}
-		if err := diffSpace(pr.PageTable, sas); err != nil {
-			return fmt.Errorf("address space %#x: %w", ptr, err)
-		}
-		return nil
-	}); err != nil {
-		return err
 	}
-	if err := kernelOnly(p.ProcPerms, s.AddressSpaces, "address space %#x: present in kernel, absent in spec"); err != nil {
-		return err
-	}
-	domains := domainsOf(iom)
-	if err := lowest(s.DMASpaces, func(id iommu.DomainID, sd map[hw.VirtAddr]pt.MapEntry) error {
-		d, ok := domains[id]
-		if !ok {
-			return fmt.Errorf("dma space %d: missing in kernel", id)
+	for i := len(procs) - 1; i >= 0; i-- {
+		if !unit() {
+			return false
 		}
-		if err := diffSpace(d.Table, sd); err != nil {
-			return fmt.Errorf("dma space %d: %w", id, err)
-		}
-		return nil
-	}); err != nil {
-		return err
+		ip.freeProcess(procs[i])
 	}
-	return kernelOnly(domains, s.DMASpaces, "dma space %d: present in kernel, absent in spec")
+	for _, c := range ip.unlinkOrder(dying) {
+		if !unit() {
+			return false
+		}
+		ip.unlinkContainer(c)
+		delete(ip.dying, c)
+	}
+	return true
 }
 
-// The field checks of Diff, one per object kind: each reports the first
-// field of the kernel's abstract object k that differs from the spec's s.
-
-// diffContainer reads the kernel container in place: its sets are
-// compared with the spec's without being loaded, and sorted only to
-// format a divergence.
-func diffContainer(p Ptr, k *pm.Container, s Container) error {
-	switch {
-	case k.Parent != s.Parent:
-		return fmt.Errorf("container %#x: parent kernel=%#x spec=%#x", p, k.Parent, s.Parent)
-	case k.Depth != s.Depth:
-		return fmt.Errorf("container %#x: depth kernel=%d spec=%d", p, k.Depth, s.Depth)
-	case k.QuotaPages != s.QuotaPages:
-		return fmt.Errorf("container %#x: quota_pages kernel=%d spec=%d", p, k.QuotaPages, s.QuotaPages)
-	case k.UsedPages != s.UsedPages:
-		return fmt.Errorf("container %#x: used_pages kernel=%d spec=%d", p, k.UsedPages, s.UsedPages)
-	case !ptrsEqual(k.Children, s.Children):
-		return fmt.Errorf("container %#x: children kernel=%v spec=%v", p, k.Children, s.Children)
-	case !ptrsEqual(k.Path, s.Path):
-		return fmt.Errorf("container %#x: path kernel=%v spec=%v", p, k.Path, s.Path)
-	case !setsEqual(k.Subtree, s.Subtree):
-		return fmt.Errorf("container %#x: subtree kernel=%v spec=%v", p, SortedPtrs(k.Subtree), SortedPtrs(s.Subtree))
-	case !intsEqual(k.CPUs, s.CPUs):
-		return fmt.Errorf("container %#x: cpus kernel=%v spec=%v", p, k.CPUs, s.CPUs)
-	case !setsEqual(k.Procs, s.Procs):
-		return fmt.Errorf("container %#x: procs kernel=%v spec=%v", p, SortedPtrs(k.Procs), SortedPtrs(s.Procs))
-	case !setsEqual(k.OwnedThreads, s.OwnedThreads):
-		return fmt.Errorf("container %#x: owned_threads kernel=%v spec=%v", p, SortedPtrs(k.OwnedThreads), SortedPtrs(s.OwnedThreads))
+// reapThread mirrors kernel.reapThread: a blocked thread leaves the
+// queue it waits on, its pending message dying with it, then it is
+// freed.
+func (ip *Interp) reapThread(th Ptr) {
+	if t := ip.St.Threads[th]; t.WaitingOn != 0 {
+		if e, ok := ip.St.Endpoints[t.WaitingOn]; ok {
+			e.Queue = removePtrOnce(e.Queue, th)
+			ip.St.Endpoints[t.WaitingOn] = e
+		}
+		t.WaitingOn = 0
+		ip.St.Threads[th] = t
 	}
-	return nil
+	ip.freeThread(th)
 }
 
-func diffProc(p Ptr, k, s Proc) error {
-	switch {
-	case k.Owner != s.Owner:
-		return fmt.Errorf("proc %#x: owner kernel=%#x spec=%#x", p, k.Owner, s.Owner)
-	case k.Parent != s.Parent:
-		return fmt.Errorf("proc %#x: parent kernel=%#x spec=%#x", p, k.Parent, s.Parent)
-	case !ptrsEqual(k.Children, s.Children):
-		return fmt.Errorf("proc %#x: children kernel=%v spec=%v", p, k.Children, s.Children)
-	case !ptrsEqual(k.Threads, s.Threads):
-		return fmt.Errorf("proc %#x: threads kernel=%v spec=%v", p, k.Threads, s.Threads)
-	case k.IOMMUDomain != s.IOMMUDomain:
-		return fmt.Errorf("proc %#x: iommu_domain kernel=%d spec=%d", p, k.IOMMUDomain, s.IOMMUDomain)
+// reapDomain mirrors kernel.reapDomain: a unit per attached device,
+// detached by device number, one per DMA page by address, and one to
+// destroy the domain, crediting its root and table nodes.
+func (ip *Interp) reapDomain(p Ptr, unit func() bool) bool {
+	pr := ip.St.Procs[p]
+	dom := pr.IOMMUDomain
+	if dom == 0 {
+		return true
 	}
-	return nil
-}
-
-func diffThread(p Ptr, k, s Thread) error {
-	switch {
-	case k.OwningProc != s.OwningProc:
-		return fmt.Errorf("thread %#x: owning_proc kernel=%#x spec=%#x", p, k.OwningProc, s.OwningProc)
-	case k.OwningCntr != s.OwningCntr:
-		return fmt.Errorf("thread %#x: owning_cntr kernel=%#x spec=%#x", p, k.OwningCntr, s.OwningCntr)
-	case normState(k.State) != normState(s.State):
-		return fmt.Errorf("thread %#x: state kernel=%v spec=%v", p, k.State, s.State)
-	case k.Core != s.Core:
-		return fmt.Errorf("thread %#x: core kernel=%d spec=%d", p, k.Core, s.Core)
-	case k.Endpoints != s.Endpoints:
-		return fmt.Errorf("thread %#x: endpoints kernel=%v spec=%v", p, k.Endpoints, s.Endpoints)
-	case k.WaitingOn != s.WaitingOn:
-		return fmt.Errorf("thread %#x: waiting_on kernel=%#x spec=%#x", p, k.WaitingOn, s.WaitingOn)
-	}
-	return nil
-}
-
-func diffEndpoint(p Ptr, k, s Endpoint) error {
-	switch {
-	case !ptrsEqual(k.Queue, s.Queue):
-		return fmt.Errorf("endpoint %#x: queue kernel=%v spec=%v", p, k.Queue, s.Queue)
-	case k.QueuedRecv != s.QueuedRecv:
-		return fmt.Errorf("endpoint %#x: queued_recv kernel=%v spec=%v", p, k.QueuedRecv, s.QueuedRecv)
-	case k.RefCount != s.RefCount:
-		return fmt.Errorf("endpoint %#x: refcount kernel=%d spec=%d", p, k.RefCount, s.RefCount)
-	case k.OwnerCntr != s.OwnerCntr:
-		return fmt.Errorf("endpoint %#x: owner_cntr kernel=%#x spec=%#x", p, k.OwnerCntr, s.OwnerCntr)
-	case !bufsEqual(k.Buffered, s.Buffered):
-		return fmt.Errorf("endpoint %#x: buffered kernel=%v spec=%v", p, k.Buffered, s.Buffered)
-	}
-	return nil
-}
-
-// lowest returns the error check reports for the lowest key of m it
-// fails on: ranging a map in any order, it reports what a loop over
-// sorted keys would report first, without sorting.
-func lowest[K cmp.Ordered, V any](m map[K]V, check func(K, V) error) error {
-	var low K
-	var lowErr error
-	for key, v := range m {
-		if lowErr != nil && key > low {
+	for _, dev := range sortedKeys(ip.devices) {
+		if ip.devices[dev] != dom {
 			continue
 		}
-		if err := check(key, v); err != nil {
-			low, lowErr = key, err
+		if !unit() {
+			return false
 		}
+		delete(ip.devices, dev)
 	}
-	return lowErr
+	ds := ip.St.DMASpaces[dom]
+	for _, va := range sortedKeys(ds) {
+		if !unit() {
+			return false
+		}
+		delete(ds, va)
+	}
+	if !unit() {
+		return false
+	}
+	ip.credit(pr.Owner, 1+uint64(len(ip.dmaKeys[dom])))
+	delete(ip.St.DMASpaces, dom)
+	delete(ip.dmaKeys, dom)
+	pr.IOMMUDomain = 0
+	ip.St.Procs[p] = pr
+	return true
 }
 
-// kernelOnly reports the lowest key of k that s lacks, formatted into
-// format. Diff calls it once every key of s has been found in k, so k
-// holds another key only if it holds more keys.
-func kernelOnly[K cmp.Ordered, V, W any](k map[K]V, s map[K]W, format string) error {
-	if len(k) == len(s) {
-		return nil
+// destroyEndpoint mirrors kernel.destroyEndpoint for an endpoint whose
+// owner is dying: every queued waiter wakes, the buffered messages die,
+// every descriptor naming it is revoked, in any thread, the interrupt
+// lines bound to it go silent, pending messages that transfer it are
+// scrubbed, and its page returns to its owner.
+func (ip *Interp) destroyEndpoint(ep Ptr) {
+	e := ip.St.Endpoints[ep]
+	for _, q := range e.Queue {
+		ip.wake(q)
 	}
-	return lowest(k, func(key K, _ V) error {
-		if _, ok := s[key]; !ok {
-			return fmt.Errorf(format, key)
+	for th, t := range ip.St.Threads {
+		changed := false
+		for i := range t.Endpoints {
+			if t.Endpoints[i] == ep {
+				t.Endpoints[i] = 0
+				changed = true
+			}
 		}
-		return nil
+		if changed {
+			ip.St.Threads[th] = t
+		}
+	}
+	for irq, line := range ip.irqs {
+		if line.ep == ep {
+			delete(ip.irqs, irq)
+		}
+	}
+	for th, m := range ip.sent {
+		if m.xfer == ep {
+			m.xfer = 0
+			ip.sent[th] = m
+		}
+	}
+	delete(ip.St.Endpoints, ep)
+	delete(ip.bufFrames, ep)
+	ip.credit(e.OwnerCntr, 1)
+}
+
+// freeProcess mirrors pm.FreeProcess: table nodes (ghost keys plus the
+// root) and the object page are credited, the process leaves its parent
+// and container.
+func (ip *Interp) freeProcess(v Ptr) {
+	p := ip.St.Procs[v]
+	ip.credit(p.Owner, uint64(len(ip.keys[v]))+1)
+	if pp, ok := ip.St.Procs[p.Parent]; ok && p.Parent != 0 {
+		pp.Children = removePtrOnce(pp.Children, v)
+		ip.St.Procs[p.Parent] = pp
+	}
+	delete(ip.St.Containers[p.Owner].Procs, v)
+	delete(ip.St.Procs, v)
+	delete(ip.St.AddressSpaces, v)
+	delete(ip.keys, v)
+	ip.credit(p.Owner, 1)
+}
+
+// unlinkOrder mirrors kernel.unlinkOrder: the dying containers deepest
+// first, then by pointer.
+func (ip *Interp) unlinkOrder(dying map[Ptr]bool) []Ptr {
+	order := sortedKeys(dying)
+	slices.SortStableFunc(order, func(a, b Ptr) int {
+		return cmp.Compare(ip.St.Containers[b].Depth, ip.St.Containers[a].Depth)
 	})
+	return order
 }
 
-// diffSpace compares a kernel table's abstract map against a spec
-// address space modulo physical addresses, reading the table in place,
-// and reports the lowest diverging VA: a spec VA first, then a
-// kernel-only one.
-func diffSpace(t *pt.PageTable, sas map[hw.VirtAddr]pt.MapEntry) error {
-	if err := lowest(sas, func(va hw.VirtAddr, se pt.MapEntry) error {
-		ke, ok := t.Mapping(va)
-		if !ok {
-			return fmt.Errorf("va %#x mapped in spec, not in kernel", uint64(va))
-		}
-		if ke.Size != se.Size || ke.Perm != se.Perm {
-			return fmt.Errorf("va %#x kernel=(%v,%v) spec=(%v,%v)",
-				uint64(va), ke.Size, ke.Perm, se.Size, se.Perm)
-		}
-		return nil
-	}); err != nil {
-		return err
+// unlinkContainer mirrors pm.UnlinkContainer: the empty container leaves
+// its parent and every ancestor's subtree, and its carved quota returns
+// to the parent.
+func (ip *Interp) unlinkContainer(c Ptr) {
+	cc := ip.St.Containers[c]
+	pc := ip.St.Containers[cc.Parent]
+	pc.Children = removePtrOnce(pc.Children, c)
+	ip.St.Containers[cc.Parent] = pc
+	for _, anc := range cc.Path {
+		delete(ip.St.Containers[anc].Subtree, c)
 	}
-	// The kernel maps every spec VA, so it maps another only if it
-	// holds more mappings; only then is its address space built.
-	if t.MappedCount() == len(sas) {
-		return nil
-	}
-	return kernelOnly(t.AddressSpace(), sas, "va %#x mapped in kernel, not in spec")
+	delete(ip.St.Containers, c)
+	ip.credit(cc.Parent, cc.QuotaPages)
 }

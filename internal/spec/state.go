@@ -4,10 +4,12 @@
 // In the paper, the abstract state is ghost data maintained by Verus and
 // the syscall specifications are spec functions discharged statically by
 // the SMT solver. Here the abstract state is a plain value produced by an
-// abstraction function over the concrete kernel, and each specification
-// is an executable predicate over (Ψ, Ψ', args, ret). internal/verify
-// evaluates these predicates after every transition of a checked trace —
-// the dynamic analogue of the refinement theorem (§4).
+// abstraction function over the concrete kernel, and the specification
+// is one executable interpreter, Interp: each syscall's step fixes Ψ′
+// from Ψ, the arguments and the kernel's witnesses, and Diff compares
+// the kernel against Ψ′. internal/verify's Checker steps it after every
+// transition of a checked trace — the dynamic analogue of the refinement
+// theorem (§4).
 //
 // The specifications are deliberately written in the paper's "flat" style:
 // they quantify over the flat object maps directly (all threads, all
@@ -19,7 +21,6 @@ import (
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/iommu"
-	"atmosphere/internal/mem"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -94,34 +95,13 @@ type State struct {
 
 	// DMASpaces maps each IOMMU domain to its translation map.
 	DMASpaces map[iommu.DomainID]map[hw.VirtAddr]pt.MapEntry
-
-	// Mem is the allocator's abstract state (free/allocated/mapped/
-	// merged page sets).
-	Mem mem.Snapshot
 }
 
-// Abstract is the abstraction function: it builds a fresh Ψ from the
-// concrete kernel components. It performs deep copies so a retained
-// State is a true snapshot.
-func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) (st State) {
-	st.Load(p, alloc, iom)
-	return st
-}
-
-// Load refills st in place with Ψ of the concrete kernel components,
-// reusing the maps and slices a previous Load left in it. Their contents
-// are overwritten by the next Load, so a loaded State must not be kept
-// (or shared with anything that keeps it) past the next Load into it;
-// take Abstract for a snapshot that outlives the step.
-func (st *State) Load(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) {
-	st.LoadObjects(p, iom)
-	alloc.SnapshotInto(&st.Mem)
-}
-
-// LoadObjects is Load without the allocator: it refills everything in Ψ
-// except Mem, which it leaves as it was. Every entry is overwritten and
-// the entries of dead objects are deleted, so st ends up equal to a
-// fresh Abstract apart from Mem.
+// LoadObjects is the abstraction function: it fills st with Ψ of the
+// concrete kernel components, deep-copied, reusing the maps and slices a
+// previous LoadObjects left in it. Every entry is overwritten and the
+// entries of dead objects are deleted, so a reused st ends up equal to a
+// fresh one.
 func (st *State) LoadObjects(p *pm.ProcessManager, iom *iommu.IOMMU) {
 	st.RootContainer = p.RootContainer
 	st.Containers = prune(st.Containers, p.CntrPerms)
@@ -246,7 +226,7 @@ func refillSet[V any](set map[Ptr]bool, src map[Ptr]V) map[Ptr]bool {
 	return set
 }
 
-// --- equality helpers (the frame conditions of every specification) ---------
+// --- equality helpers (Diff's field comparisons) ----------------------------
 
 func ptrsEqual(a, b []Ptr) bool {
 	if len(a) != len(b) {
@@ -286,27 +266,6 @@ func setsEqual[V any](a map[Ptr]V, b map[Ptr]bool) bool {
 	return true
 }
 
-// ContainerEqual reports full equality of two abstract containers.
-func ContainerEqual(a, b Container) bool {
-	return a.Parent == b.Parent && a.Depth == b.Depth &&
-		a.QuotaPages == b.QuotaPages && a.UsedPages == b.UsedPages &&
-		ptrsEqual(a.Children, b.Children) && ptrsEqual(a.Path, b.Path) &&
-		setsEqual(a.Subtree, b.Subtree) && intsEqual(a.CPUs, b.CPUs) &&
-		setsEqual(a.Procs, b.Procs) && setsEqual(a.OwnedThreads, b.OwnedThreads)
-}
-
-// ProcEqual reports full equality of two abstract processes.
-func ProcEqual(a, b Proc) bool {
-	return a.Owner == b.Owner && a.Parent == b.Parent &&
-		a.IOMMUDomain == b.IOMMUDomain &&
-		ptrsEqual(a.Children, b.Children) && ptrsEqual(a.Threads, b.Threads)
-}
-
-// ThreadEqual reports full equality of two abstract threads.
-func ThreadEqual(a, b Thread) bool {
-	return a == b
-}
-
 func bufsEqual(a, b []BufMsg) bool {
 	if len(a) != len(b) {
 		return false
@@ -317,166 +276,6 @@ func bufsEqual(a, b []BufMsg) bool {
 		}
 	}
 	return true
-}
-
-// EndpointEqual reports full equality of two abstract endpoints.
-func EndpointEqual(a, b Endpoint) bool {
-	return a.QueuedRecv == b.QueuedRecv && a.RefCount == b.RefCount &&
-		a.OwnerCntr == b.OwnerCntr && ptrsEqual(a.Queue, b.Queue) &&
-		bufsEqual(a.Buffered, b.Buffered)
-}
-
-// SpaceEqual reports equality of two abstract address spaces.
-func SpaceEqual(a, b map[hw.VirtAddr]pt.MapEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for va, e := range a {
-		if be, ok := b[va]; !ok || be != e {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainersUnchangedExcept checks the container frame condition: every
-// container not listed in except is present in both states and equal.
-func ContainersUnchangedExcept(old, new State, except ...Ptr) bool {
-	ex := make(map[Ptr]bool, len(except))
-	for _, p := range except {
-		ex[p] = true
-	}
-	for ptr, oc := range old.Containers {
-		if ex[ptr] {
-			continue
-		}
-		nc, ok := new.Containers[ptr]
-		if !ok || !ContainerEqual(oc, nc) {
-			return false
-		}
-	}
-	for ptr := range new.Containers {
-		if !ex[ptr] {
-			if _, ok := old.Containers[ptr]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ProcsUnchangedExcept checks the process frame condition.
-func ProcsUnchangedExcept(old, new State, except ...Ptr) bool {
-	ex := make(map[Ptr]bool, len(except))
-	for _, p := range except {
-		ex[p] = true
-	}
-	for ptr, op := range old.Procs {
-		if ex[ptr] {
-			continue
-		}
-		np, ok := new.Procs[ptr]
-		if !ok || !ProcEqual(op, np) {
-			return false
-		}
-	}
-	for ptr := range new.Procs {
-		if !ex[ptr] {
-			if _, ok := old.Procs[ptr]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ThreadsUnchangedExcept checks the Listing 1 thread frame condition:
-// thread_dom() is preserved (modulo except) and every unexcepted thread
-// is unchanged.
-func ThreadsUnchangedExcept(old, new State, except ...Ptr) bool {
-	ex := make(map[Ptr]bool, len(except))
-	for _, p := range except {
-		ex[p] = true
-	}
-	for ptr, ot := range old.Threads {
-		if ex[ptr] {
-			continue
-		}
-		nt, ok := new.Threads[ptr]
-		if !ok || !ThreadEqual(ot, nt) {
-			return false
-		}
-	}
-	for ptr := range new.Threads {
-		if !ex[ptr] {
-			if _, ok := old.Threads[ptr]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EndpointsUnchangedExcept checks the endpoint frame condition.
-func EndpointsUnchangedExcept(old, new State, except ...Ptr) bool {
-	ex := make(map[Ptr]bool, len(except))
-	for _, p := range except {
-		ex[p] = true
-	}
-	for ptr, oe := range old.Endpoints {
-		if ex[ptr] {
-			continue
-		}
-		ne, ok := new.Endpoints[ptr]
-		if !ok || !EndpointEqual(oe, ne) {
-			return false
-		}
-	}
-	for ptr := range new.Endpoints {
-		if !ex[ptr] {
-			if _, ok := old.Endpoints[ptr]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SpacesUnchangedExcept checks the address-space frame condition.
-func SpacesUnchangedExcept(old, new State, except ...Ptr) bool {
-	ex := make(map[Ptr]bool, len(except))
-	for _, p := range except {
-		ex[p] = true
-	}
-	for ptr, os := range old.AddressSpaces {
-		if ex[ptr] {
-			continue
-		}
-		ns, ok := new.AddressSpaces[ptr]
-		if !ok || !SpaceEqual(os, ns) {
-			return false
-		}
-	}
-	return true
-}
-
-// Unchanged reports that old and new are observationally identical:
-// every object map, address space, and the memory snapshot agree.
-func Unchanged(old, new State) bool {
-	return ContainersUnchangedExcept(old, new) &&
-		ProcsUnchangedExcept(old, new) &&
-		ThreadsUnchangedExcept(old, new) &&
-		EndpointsUnchangedExcept(old, new) &&
-		SpacesUnchangedExcept(old, new) &&
-		MemEqual(old.Mem, new.Mem)
-}
-
-// MemEqual compares two allocator snapshots.
-func MemEqual(a, b mem.Snapshot) bool {
-	return a.Free4K.Equal(b.Free4K) && a.Free2M.Equal(b.Free2M) &&
-		a.Free1G.Equal(b.Free1G) && a.Allocated.Equal(b.Allocated) &&
-		a.Mapped.Equal(b.Mapped) && a.Merged.Equal(b.Merged) &&
-		a.Boot.Equal(b.Boot) && a.PCache.Equal(b.PCache)
 }
 
 // SortedPtrs returns the keys of a pointer set in ascending order.

@@ -7,6 +7,7 @@ import (
 
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
+	"atmosphere/internal/spec"
 )
 
 // Every invariant in WFChecks allocates nothing on a warm kernel,
@@ -77,11 +78,10 @@ func crowdedKernel(t *testing.T) *kernel.Kernel {
 }
 
 // A checked syscall that passes builds no error text: on a warm kernel a
-// checked yield (two refills of Ψ, its postcondition and TotalWF)
-// allocates nothing.
+// checked yield (its spec step, Diff and TotalWF) allocates nothing.
 func TestCheckedYieldAllocatesNothing(t *testing.T) {
 	w := warmKernel(t)
-	c := &Checker{K: w.k}
+	c := &Checker{K: w.k, ip: spec.NewInterp(w.k)}
 	core := w.k.PM.Thrd(w.init).Core
 	if _, err := c.Yield(core, w.init); err != nil {
 		t.Fatal(err)

@@ -8,15 +8,17 @@ import (
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
+	"atmosphere/internal/shmring"
 	"atmosphere/internal/spec"
 )
 
-// Checker wraps a kernel so that every syscall is checked against its
+// Checker wraps a kernel so that every syscall is checked against the
 // executable specification and the full well-formedness suite — the
 // dynamic counterpart of "the implementation refines the specification"
-// (§4). Each method loads the abstract state Ψ, performs the syscall,
-// loads Ψ', and evaluates the spec predicate plus TotalWF. Ψ and Ψ' are
-// refilled in place on every step, so a predicate must not keep them.
+// (§4). It seeds a spec.Interp from the boot kernel; each method performs
+// the syscall, applies the matching interpreter step to the kernel's
+// Ret, compares the kernel against the interpreter's Ψ′ (Interp.Diff),
+// and runs TotalWF unless SkipWF is set.
 type Checker struct {
 	K *kernel.Kernel
 	// Transitions counts checked syscalls.
@@ -25,8 +27,7 @@ type Checker struct {
 	// workloads where O(state) scans per step are too slow.
 	SkipWF bool
 
-	// old and new hold Ψ and Ψ' of the current step.
-	old, new spec.State
+	ip *spec.Interp
 }
 
 // NewChecker boots a kernel under checking and validates the boot state.
@@ -35,268 +36,228 @@ func NewChecker(cfg hw.Config) (*Checker, pm.Ptr, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	c := &Checker{K: k}
 	if err := TotalWF(k); err != nil {
 		return nil, 0, fmt.Errorf("boot state ill-formed: %w", err)
 	}
-	return c, init, nil
+	return &Checker{K: k, ip: spec.NewInterp(k)}, init, nil
 }
 
-// report prefixes a failed check's error with the syscall's name and
-// the check's, building the prefix only on failure.
-func (c *Checker) report(name, check string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%s %s: %w", name, check, err)
-}
-
-// step runs one syscall between snapshots and applies the spec predicate.
-func (c *Checker) step(name string, do func() kernel.Ret,
-	post func(old, new spec.State, ret kernel.Ret) error) (kernel.Ret, error) {
-	c.old.Load(c.K.PM, c.K.Alloc, c.K.IOMMU)
-	ret := do()
-	c.new.Load(c.K.PM, c.K.Alloc, c.K.IOMMU)
+// check counts one transition and runs its checks in order: the spec
+// step's verdict on the kernel's return, the kernel against Ψ′, then the
+// invariants. It builds an error's text only on failure.
+func (c *Checker) check(name string, step error) error {
 	c.Transitions++
-	if err := c.report(name, "spec", post(c.old, c.new, ret)); err != nil {
-		return ret, err
+	return c.verify(name, step)
+}
+
+// verify runs check's checks without counting a transition.
+func (c *Checker) verify(name string, step error) error {
+	if step != nil {
+		return fmt.Errorf("%s spec: %w", name, step)
+	}
+	if err := c.ip.Diff(); err != nil {
+		return fmt.Errorf("%s spec: %w", name, err)
 	}
 	if !c.SkipWF {
-		if err := c.report(name, "wf", TotalWF(c.K)); err != nil {
-			return ret, err
+		if err := TotalWF(c.K); err != nil {
+			return fmt.Errorf("%s wf: %w", name, err)
 		}
 	}
-	return ret, nil
+	return nil
 }
 
 // Mmap is the checked SysMmap.
 func (c *Checker) Mmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize, perm pt.Perm) (kernel.Ret, error) {
-	return c.step("mmap",
-		func() kernel.Ret { return c.K.SysMmap(core, tid, va, count, size, perm) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.MmapSpec(old, new, tid, va, count, size, perm, ret)
-		})
+	ret := c.K.SysMmap(core, tid, va, count, size, perm)
+	return ret, c.check("mmap", c.ip.Mmap(core, tid, va, count, size, perm, ret))
 }
 
 // Munmap is the checked SysMunmap.
 func (c *Checker) Munmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize) (kernel.Ret, error) {
-	return c.step("munmap",
-		func() kernel.Ret { return c.K.SysMunmap(core, tid, va, count, size) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.MunmapSpec(old, new, tid, va, count, size, ret)
-		})
+	ret := c.K.SysMunmap(core, tid, va, count, size)
+	return ret, c.check("munmap", c.ip.Munmap(core, tid, va, count, size, ret))
 }
 
 // NewContainer is the checked SysNewContainer.
 func (c *Checker) NewContainer(core int, tid pm.Ptr, quota uint64, cpus []int) (kernel.Ret, error) {
-	return c.step("new_container",
-		func() kernel.Ret { return c.K.SysNewContainer(core, tid, quota, cpus) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.NewContainerSpec(old, new, tid, quota, cpus, ret)
-		})
+	ret := c.K.SysNewContainer(core, tid, quota, cpus)
+	return ret, c.check("new_container", c.ip.NewContainer(core, tid, quota, cpus, ret))
 }
 
 // NewProcess is the checked SysNewProcess.
 func (c *Checker) NewProcess(core int, tid pm.Ptr) (kernel.Ret, error) {
-	var cntr, parent pm.Ptr
-	if t, ok := c.K.PM.TryThrd(tid); ok {
-		parent = t.OwningProc
-		cntr = c.K.PM.Proc(t.OwningProc).Owner
-	}
-	return c.step("new_proc",
-		func() kernel.Ret { return c.K.SysNewProcess(core, tid) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.NewProcSpec(old, new, tid, cntr, parent, ret)
-		})
+	ret := c.K.SysNewProcess(core, tid)
+	return ret, c.check("new_proc", c.ip.NewProcess(core, tid, ret))
 }
 
 // NewProcessIn is the checked SysNewProcessIn.
 func (c *Checker) NewProcessIn(core int, tid pm.Ptr, cntr pm.Ptr) (kernel.Ret, error) {
-	return c.step("new_proc_in",
-		func() kernel.Ret { return c.K.SysNewProcessIn(core, tid, cntr) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.NewProcSpec(old, new, tid, cntr, 0, ret)
-		})
+	ret := c.K.SysNewProcessIn(core, tid, cntr)
+	return ret, c.check("new_proc_in", c.ip.NewProcessIn(core, tid, cntr, ret))
+}
+
+// NewThread is the checked SysNewThread.
+func (c *Checker) NewThread(core int, tid pm.Ptr, onCore int) (kernel.Ret, error) {
+	ret := c.K.SysNewThread(core, tid, onCore)
+	return ret, c.check("new_thread", c.ip.NewThread(core, tid, onCore, ret))
 }
 
 // NewThreadIn is the checked SysNewThreadIn.
 func (c *Checker) NewThreadIn(core int, tid pm.Ptr, proc pm.Ptr, onCore int) (kernel.Ret, error) {
-	return c.step("new_thread",
-		func() kernel.Ret { return c.K.SysNewThreadIn(core, tid, proc, onCore) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.NewThreadSpec(old, new, tid, proc, onCore, ret)
-		})
+	ret := c.K.SysNewThreadIn(core, tid, proc, onCore)
+	return ret, c.check("new_thread_in", c.ip.NewThreadIn(core, tid, proc, onCore, ret))
 }
 
 // NewEndpoint is the checked SysNewEndpoint.
 func (c *Checker) NewEndpoint(core int, tid pm.Ptr, slot int) (kernel.Ret, error) {
-	return c.step("new_endpoint",
-		func() kernel.Ret { return c.K.SysNewEndpoint(core, tid, slot) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.NewEndpointSpec(old, new, tid, slot, ret)
-		})
+	ret := c.K.SysNewEndpoint(core, tid, slot)
+	return ret, c.check("new_endpoint", c.ip.NewEndpoint(core, tid, slot, ret))
 }
 
-// Send is the checked SysSend.
-func (c *Checker) Send(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
-	return c.step("send",
-		func() kernel.Ret { return c.K.SysSend(core, tid, slot, args) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.SendSpec(old, new, tid, slot, args, ret)
-		})
-}
-
-// SendAsync is the checked SysSendAsync.
-func (c *Checker) SendAsync(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
-	return c.step("send_async",
-		func() kernel.Ret { return c.K.SysSendAsync(core, tid, slot, args) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.SendAsyncSpec(old, new, tid, slot, args, ret)
-		})
-}
-
-// Recv is the checked SysRecv.
-func (c *Checker) Recv(core int, tid pm.Ptr, slot int, args kernel.RecvArgs) (kernel.Ret, error) {
-	return c.step("recv",
-		func() kernel.Ret { return c.K.SysRecv(core, tid, slot, args) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.RecvSpec(old, new, tid, slot, args, ret)
-		})
-}
-
-// Call is the checked SysCall.
-func (c *Checker) Call(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
-	return c.step("call",
-		func() kernel.Ret { return c.K.SysCall(core, tid, slot, args) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.CallReplySpec(old, new, tid, slot, args.GrantPage, ret)
-		})
-}
-
-// Reply is the checked SysReply.
-func (c *Checker) Reply(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
-	return c.step("reply",
-		func() kernel.Ret { return c.K.SysReply(core, tid, slot, args) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			if ret.Errno != kernel.OK {
-				return nil
-			}
-			return nil // reply delivery is covered by RecvSpec-side state + WF
-		})
-}
-
-// ReplyRecv is the checked SysReplyRecv.
-func (c *Checker) ReplyRecv(core int, tid pm.Ptr, slot int, args kernel.SendArgs, recv kernel.RecvArgs) (kernel.Ret, error) {
-	return c.step("reply_recv",
-		func() kernel.Ret { return c.K.SysReplyRecv(core, tid, slot, args, recv) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.ReplyRecvSpec(old, new, tid, slot, ret)
-		})
-}
-
-// ExitThread is the checked SysExitThread.
-func (c *Checker) ExitThread(core int, tid pm.Ptr) (kernel.Ret, error) {
-	return c.step("exit_thread",
-		func() kernel.Ret { return c.K.SysExitThread(core, tid) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.ExitThreadSpec(old, new, tid, ret)
-		})
-}
-
-// KillProcess is the checked SysKillProcess.
-func (c *Checker) KillProcess(core int, tid pm.Ptr, proc pm.Ptr) (kernel.Ret, error) {
-	return c.step("kill_proc",
-		func() kernel.Ret { return c.K.SysKillProcess(core, tid, proc) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.KillProcessSpec(old, new, tid, proc, ret)
-		})
-}
-
-// KillContainer is the checked SysKillContainer.
-func (c *Checker) KillContainer(core int, tid pm.Ptr, cntr pm.Ptr) (kernel.Ret, error) {
-	return c.step("kill_container",
-		func() kernel.Ret { return c.K.SysKillContainer(core, tid, cntr) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.KillContainerSpec(old, new, tid, cntr, ret)
-		})
-}
-
-// KillContainerBounded is the checked SysKillContainerBounded: every
-// bounded invocation must leave the kernel well-formed (the extension's
-// whole point is that intermediate states are sound).
-func (c *Checker) KillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budget int) (kernel.Ret, error) {
-	return c.step("kill_container_bounded",
-		func() kernel.Ret { return c.K.SysKillContainerBounded(core, tid, cntr, budget) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			if ret.Errno != kernel.OK {
-				return nil // progress states are covered by WF
-			}
-			return spec.KillContainerSpec(old, new, tid, cntr, kernel.Ret{Errno: kernel.OK})
-		})
-}
-
-// IrqRegister is the checked SysIrqRegister (WF-only).
-func (c *Checker) IrqRegister(core int, tid pm.Ptr, irq, slot int) (kernel.Ret, error) {
-	return c.step("irq_register",
-		func() kernel.Ret { return c.K.SysIrqRegister(core, tid, irq, slot) },
-		func(old, new spec.State, ret kernel.Ret) error { return nil })
-}
-
-// IrqWait is the checked SysIrqWait (WF-only).
-func (c *Checker) IrqWait(core int, tid pm.Ptr, irq int) (kernel.Ret, error) {
-	return c.step("irq_wait",
-		func() kernel.Ret { return c.K.SysIrqWait(core, tid, irq) },
-		func(old, new spec.State, ret kernel.Ret) error { return nil })
+// InstallEndpoint is the checked form of the one descriptor write no
+// syscall performs: a parent setting up a channel puts a descriptor to ep
+// in tid's slot, taking a reference, on the kernel and the spec alike.
+// It does nothing unless ep is alive, tid exists and the slot is empty.
+// It is not a syscall, so it counts no transition.
+func (c *Checker) InstallEndpoint(tid pm.Ptr, slot int, ep pm.Ptr) error {
+	if c.ip.Install(tid, slot, ep) {
+		c.K.PM.Thrd(tid).Endpoints[slot] = ep
+		c.K.PM.EndpointIncRef(ep, 1)
+	}
+	return c.verify("install_endpoint", nil)
 }
 
 // CloseEndpoint is the checked SysCloseEndpoint.
 func (c *Checker) CloseEndpoint(core int, tid pm.Ptr, slot int) (kernel.Ret, error) {
-	return c.step("close_endpoint",
-		func() kernel.Ret { return c.K.SysCloseEndpoint(core, tid, slot) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.CloseEndpointSpec(old, new, tid, slot, ret)
-		})
+	ret := c.K.SysCloseEndpoint(core, tid, slot)
+	return ret, c.check("close_endpoint", c.ip.CloseEndpoint(core, tid, slot, ret))
+}
+
+// Send is the checked SysSend.
+func (c *Checker) Send(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
+	ret := c.K.SysSend(core, tid, slot, args)
+	return ret, c.check("send", c.ip.Send(core, tid, slot, args, ret))
+}
+
+// SendAsync is the checked SysSendAsync.
+func (c *Checker) SendAsync(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
+	ret := c.K.SysSendAsync(core, tid, slot, args)
+	return ret, c.check("send_async", c.ip.SendAsync(core, tid, slot, args, ret))
+}
+
+// Recv is the checked SysRecv.
+func (c *Checker) Recv(core int, tid pm.Ptr, slot int, args kernel.RecvArgs) (kernel.Ret, error) {
+	ret := c.K.SysRecv(core, tid, slot, args)
+	return ret, c.check("recv", c.ip.Recv(core, tid, slot, args, ret))
+}
+
+// Call is the checked SysCall.
+func (c *Checker) Call(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
+	ret := c.K.SysCall(core, tid, slot, args)
+	return ret, c.check("call", c.ip.Call(core, tid, slot, args, ret))
+}
+
+// Reply is the checked SysReply.
+func (c *Checker) Reply(core int, tid pm.Ptr, slot int, args kernel.SendArgs) (kernel.Ret, error) {
+	ret := c.K.SysReply(core, tid, slot, args)
+	return ret, c.check("reply", c.ip.Reply(core, tid, slot, args, ret))
+}
+
+// ReplyRecv is the checked SysReplyRecv.
+func (c *Checker) ReplyRecv(core int, tid pm.Ptr, slot int, args kernel.SendArgs, recv kernel.RecvArgs) (kernel.Ret, error) {
+	ret := c.K.SysReplyRecv(core, tid, slot, args, recv)
+	return ret, c.check("reply_recv", c.ip.ReplyRecv(core, tid, slot, args, recv, ret))
+}
+
+// BatchRings is the checked SysBatchRings: the doorbell drains sq into
+// cq, and replay then applies each drained submission's spec step from
+// its completion, as the differential oracle's batch runner does, before
+// the kernel is compared against Ψ′.
+func (c *Checker) BatchRings(core int, tid pm.Ptr, sq, cq *shmring.Ring, max int,
+	replay func(ip *spec.Interp, ret kernel.Ret) error) (kernel.Ret, error) {
+	ret := c.K.SysBatchRings(core, tid, sq, cq, max)
+	return ret, c.check("batch", replay(c.ip, ret))
+}
+
+// ExitThread is the checked SysExitThread.
+func (c *Checker) ExitThread(core int, tid pm.Ptr) (kernel.Ret, error) {
+	ret := c.K.SysExitThread(core, tid)
+	return ret, c.check("exit_thread", c.ip.ExitThread(core, tid, ret))
+}
+
+// KillProcess is the checked SysKillProcess.
+func (c *Checker) KillProcess(core int, tid pm.Ptr, proc pm.Ptr) (kernel.Ret, error) {
+	ret := c.K.SysKillProcess(core, tid, proc)
+	return ret, c.check("kill_proc", c.ip.KillProcess(core, tid, proc, ret))
+}
+
+// KillContainer is the checked SysKillContainer.
+func (c *Checker) KillContainer(core int, tid pm.Ptr, cntr pm.Ptr) (kernel.Ret, error) {
+	ret := c.K.SysKillContainer(core, tid, cntr)
+	return ret, c.check("kill_container", c.ip.KillContainer(core, tid, cntr, ret))
+}
+
+// KillContainerBounded is the checked SysKillContainerBounded: every
+// installment, EAGAIN or OK, must land where the specification's
+// budgeted walk does and leave the kernel well-formed.
+func (c *Checker) KillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budget int) (kernel.Ret, error) {
+	ret := c.K.SysKillContainerBounded(core, tid, cntr, budget)
+	return ret, c.check("kill_container_bounded", c.ip.KillContainerBounded(core, tid, cntr, budget, ret))
+}
+
+// IrqRegister is the checked SysIrqRegister.
+func (c *Checker) IrqRegister(core int, tid pm.Ptr, irq, slot int) (kernel.Ret, error) {
+	ret := c.K.SysIrqRegister(core, tid, irq, slot)
+	return ret, c.check("irq_register", c.ip.IrqRegister(core, tid, irq, slot, ret))
+}
+
+// IrqUnregister is the checked SysIrqUnregister.
+func (c *Checker) IrqUnregister(core int, tid pm.Ptr, irq int) (kernel.Ret, error) {
+	ret := c.K.SysIrqUnregister(core, tid, irq)
+	return ret, c.check("irq_unregister", c.ip.IrqUnregister(core, tid, irq, ret))
+}
+
+// IrqWait is the checked SysIrqWait.
+func (c *Checker) IrqWait(core int, tid pm.Ptr, irq int) (kernel.Ret, error) {
+	ret := c.K.SysIrqWait(core, tid, irq)
+	return ret, c.check("irq_wait", c.ip.IrqWait(core, tid, irq, ret))
+}
+
+// RaiseIRQ is the checked device-side interrupt (kernel.RaiseIRQ). The
+// spec cannot see an edge the kernel's IRQFilter drops, so a checked
+// kernel runs none. It is not a syscall, so it counts no transition.
+func (c *Checker) RaiseIRQ(core, irq int) error {
+	c.K.RaiseIRQ(core, irq)
+	c.ip.RaiseIRQ(irq)
+	return c.verify("raise_irq", nil)
 }
 
 // Yield is the checked SysYield.
 func (c *Checker) Yield(core int, tid pm.Ptr) (kernel.Ret, error) {
-	return c.step("yield",
-		func() kernel.Ret { return c.K.SysYield(core, tid) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.YieldSpec(old, new, tid, ret)
-		})
+	ret := c.K.SysYield(core, tid)
+	return ret, c.check("yield", c.ip.Yield(core, tid, ret))
 }
 
 // IommuCreateDomain is the checked SysIommuCreateDomain.
 func (c *Checker) IommuCreateDomain(core int, tid pm.Ptr) (kernel.Ret, error) {
-	return c.step("iommu_create",
-		func() kernel.Ret { return c.K.SysIommuCreateDomain(core, tid) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.IommuCreateSpec(old, new, tid, ret)
-		})
+	ret := c.K.SysIommuCreateDomain(core, tid)
+	return ret, c.check("iommu_create", c.ip.IommuCreate(core, tid, ret))
 }
 
 // IommuMap is the checked SysIommuMap.
 func (c *Checker) IommuMap(core int, tid pm.Ptr, va hw.VirtAddr) (kernel.Ret, error) {
-	return c.step("iommu_map",
-		func() kernel.Ret { return c.K.SysIommuMap(core, tid, va) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.IommuMapSpec(old, new, tid, va, ret)
-		})
+	ret := c.K.SysIommuMap(core, tid, va)
+	return ret, c.check("iommu_map", c.ip.IommuMap(core, tid, va, ret))
 }
 
 // IommuUnmap is the checked SysIommuUnmap.
 func (c *Checker) IommuUnmap(core int, tid pm.Ptr, va hw.VirtAddr) (kernel.Ret, error) {
-	return c.step("iommu_unmap",
-		func() kernel.Ret { return c.K.SysIommuUnmap(core, tid, va) },
-		func(old, new spec.State, ret kernel.Ret) error {
-			return spec.IommuUnmapSpec(old, new, tid, va, ret)
-		})
+	ret := c.K.SysIommuUnmap(core, tid, va)
+	return ret, c.check("iommu_unmap", c.ip.IommuUnmap(core, tid, va, ret))
 }
 
-// IommuAttach is the checked SysIommuAttach (WF-only).
+// IommuAttach is the checked SysIommuAttach.
 func (c *Checker) IommuAttach(core int, tid pm.Ptr, dev iommu.DeviceID) (kernel.Ret, error) {
-	return c.step("iommu_attach",
-		func() kernel.Ret { return c.K.SysIommuAttach(core, tid, dev) },
-		func(old, new spec.State, ret kernel.Ret) error { return nil })
+	ret := c.K.SysIommuAttach(core, tid, dev)
+	return ret, c.check("iommu_attach", c.ip.IommuAttach(core, tid, dev, ret))
 }

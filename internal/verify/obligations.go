@@ -226,16 +226,12 @@ func Obligations() []Obligation {
 			return expectOK(c.NewThreadIn(0, init, c.K.PM.Thrd(init).OwningProc, 0))
 		}),
 		syscallObligation("new_endpoint", "process_manager", 10, func(c *Checker, init pm.Ptr, i int) error {
-			th := c.K.PM.Thrd(init)
-			for s, e := range th.Endpoints {
+			for s, e := range c.K.PM.Thrd(init).Endpoints {
 				if e == pm.NoEndpoint {
 					return expectOK(c.NewEndpoint(0, init, s))
 				}
-				if s == pm.MaxEndpoints-1 {
-					th.Endpoints = [pm.MaxEndpoints]pm.Ptr{th.Endpoints[0]}
-				}
 			}
-			return nil
+			return fmt.Errorf("no free descriptor slot")
 		}),
 		syscallObligation("exit_thread", "process_manager", 8, func(c *Checker, init pm.Ptr, i int) error {
 			r, err := c.NewThreadIn(0, init, c.K.PM.Thrd(init).OwningProc, 0)
@@ -329,7 +325,9 @@ func Obligations() []Obligation {
 					return err
 				}
 			}
-			c.K.RaiseIRQ(0, 40)
+			if err := c.RaiseIRQ(0, 40); err != nil {
+				return err
+			}
 			return expectOK(c.IrqWait(0, init, 40))
 		}),
 		syscallObligation("kill_container_bounded", "process_manager", 3, func(c *Checker, init pm.Ptr, i int) error {
@@ -433,9 +431,9 @@ func ipcObligation(callReply bool, iters int) func() error {
 		if err != nil {
 			return err
 		}
-		ep := pm.Ptr(re.Vals[0])
-		c.K.PM.Thrd(server).Endpoints[1] = ep
-		c.K.PM.EndpointIncRef(ep, 1)
+		if err := c.InstallEndpoint(server, 1, pm.Ptr(re.Vals[0])); err != nil {
+			return err
+		}
 		if callReply {
 			// The Table 3 server loop: one initial receive, then the
 			// checked call/reply_recv fastpath per round.

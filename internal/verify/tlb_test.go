@@ -47,16 +47,14 @@ func TestTLBWFCatchesLocalOnlyShootdown(t *testing.T) {
 			cntr := pm.Ptr(m(c.NewContainer(0, init, 1024, []int{1, 2})).Vals[0])
 			proc := pm.Ptr(m(c.NewProcessIn(0, init, cntr)).Vals[0])
 			th := pm.Ptr(m(c.NewThreadIn(0, init, proc, 1)).Vals[0])
-			// Unchecked: the relational mmap spec covers 4 KiB pages only.
-			if r := c.K.SysMmap(1, th, va, 1, tc.size, pt.RW); r.Errno != kernel.OK {
-				t.Fatalf("%s: mmap: %v", tc.name, r.Errno)
-			}
+			m(c.Mmap(1, th, va, 1, tc.size, pt.RW))
 			if tc.name == "grant" {
 				q := pm.Ptr(m(c.NewProcessIn(0, init, cntr)).Vals[0])
 				rcv := pm.Ptr(m(c.NewThreadIn(0, init, q, 2)).Vals[0])
 				m(c.NewEndpoint(1, th, 0))
-				c.K.PM.Thrd(rcv).Endpoints[0] = c.K.PM.Thrd(th).Endpoints[0]
-				c.K.PM.EndpointIncRef(c.K.PM.Thrd(th).Endpoints[0], 1)
+				if err := c.InstallEndpoint(rcv, 0, c.K.PM.Thrd(th).Endpoints[0]); err != nil {
+					t.Fatal(err)
+				}
 				m(c.Recv(2, rcv, 0, kernel.RecvArgs{PageVA: va, EdptSlot: -1}))
 			}
 			cr3 := c.K.PM.Proc(proc).PageTable.CR3()

@@ -65,9 +65,7 @@ func TestCheckedLifecycleTrace(t *testing.T) {
 	// A second thread in the same process to talk to.
 	r = musts(t)(c.NewThreadIn(0, init, procA, 0))
 	tidB := pm.Ptr(r.Vals[0])
-	c.K.PM.Thrd(tidB).Endpoints[0] = c.K.PM.Thrd(tidA).Endpoints[0]
-	c.K.PM.EndpointIncRef(c.K.PM.Thrd(tidA).Endpoints[0], 1)
-	if err := TotalWF(c.K); err != nil {
+	if err := c.InstallEndpoint(tidB, 0, c.K.PM.Thrd(tidA).Endpoints[0]); err != nil {
 		t.Fatal(err)
 	}
 	r = musts(t)(c.Recv(0, tidB, 0, kernel.RecvArgs{PageVA: 0x9000, EdptSlot: -1}))
@@ -98,9 +96,9 @@ func TestCheckedCallReply(t *testing.T) {
 	r := musts(t)(c.NewThreadIn(0, init, c.K.PM.Thrd(init).OwningProc, 0))
 	server := pm.Ptr(r.Vals[0])
 	musts(t)(c.NewEndpoint(0, init, 0))
-	ep := c.K.PM.Thrd(init).Endpoints[0]
-	c.K.PM.Thrd(server).Endpoints[0] = ep
-	c.K.PM.EndpointIncRef(ep, 1)
+	if err := c.InstallEndpoint(server, 0, c.K.PM.Thrd(init).Endpoints[0]); err != nil {
+		t.Fatal(err)
+	}
 	musts(t)(c.Recv(0, server, 0, kernel.RecvArgs{EdptSlot: -1}))
 	musts(t)(c.Call(0, init, 0, kernel.SendArgs{Regs: [4]uint64{7}}))
 	musts(t)(c.Reply(0, server, 0, kernel.SendArgs{Regs: [4]uint64{8}}))
@@ -404,8 +402,9 @@ func TestCheckedIterativeKillBlockedWaiter(t *testing.T) {
 		m(c.NewEndpoint(0, victim, 0))
 		ep := c.K.PM.Thrd(victim).Endpoints[0]
 		waiter := pm.Ptr(m(c.NewThreadIn(0, init, proc, 0)).Vals[0])
-		c.K.PM.Thrd(waiter).Endpoints[0] = ep
-		c.K.PM.EndpointIncRef(ep, 1)
+		if err := c.InstallEndpoint(waiter, 0, ep); err != nil {
+			t.Fatal(err)
+		}
 		if r := m(c.Recv(0, waiter, 0, kernel.RecvArgs{EdptSlot: -1})); r.Errno != kernel.EWOULDBLOCK {
 			t.Fatalf("recv: %v", r.Errno)
 		}
@@ -429,10 +428,10 @@ func TestCheckedIrqFlow(t *testing.T) {
 	musts(t)(c.NewEndpoint(0, init, 0))
 	musts(t)(c.IrqRegister(0, init, 11, 0))
 	// Pend interrupts while the handler is busy, then consume.
-	c.K.RaiseIRQ(0, 11)
-	c.K.RaiseIRQ(0, 11)
-	if err := TotalWF(c.K); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := c.RaiseIRQ(0, 11); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := musts(t)(c.IrqWait(0, init, 11))
 	if r.Errno != kernel.OK || r.Vals[1] != 2 {
@@ -451,9 +450,9 @@ func TestCheckedReplyRecvLoop(t *testing.T) {
 	r := musts(t)(c.NewThreadIn(0, init, c.K.PM.Thrd(init).OwningProc, 0))
 	server := pm.Ptr(r.Vals[0])
 	musts(t)(c.NewEndpoint(0, init, 0))
-	ep := c.K.PM.Thrd(init).Endpoints[0]
-	c.K.PM.Thrd(server).Endpoints[0] = ep
-	c.K.PM.EndpointIncRef(ep, 1)
+	if err := c.InstallEndpoint(server, 0, c.K.PM.Thrd(init).Endpoints[0]); err != nil {
+		t.Fatal(err)
+	}
 	musts(t)(c.Recv(0, server, 0, kernel.RecvArgs{EdptSlot: -1}))
 	for i := 0; i < 5; i++ {
 		musts(t)(c.Call(0, init, 0, kernel.SendArgs{Regs: [4]uint64{uint64(i)}}))
@@ -480,8 +479,9 @@ func TestMutationQueueDirectionCaught(t *testing.T) {
 	other := pm.Ptr(r.Vals[0])
 	musts(t)(c.NewEndpoint(0, init, 0))
 	ep := c.K.PM.Thrd(init).Endpoints[0]
-	c.K.PM.Thrd(other).Endpoints[0] = ep
-	c.K.PM.EndpointIncRef(ep, 1)
+	if err := c.InstallEndpoint(other, 0, ep); err != nil {
+		t.Fatal(err)
+	}
 	musts(t)(c.Recv(0, other, 0, kernel.RecvArgs{EdptSlot: -1}))
 	// Corrupt: flip the queue direction behind the kernel's back.
 	c.K.PM.Edpt(ep).QueuedRecv = false
