@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repository gate: vet, build, the full test suite, a race-detector
-# shard over the packages that start goroutines, the benchmark module's
-# tests, and CLI smoke runs.
+# Repository gate: vet (the benchmark module too), build, the full test
+# suite, a race-detector shard over the packages that start goroutines,
+# the benchmark module's tests, and CLI smoke runs.
 # Run from the repo root; any failure fails the script.
 set -eu
 
@@ -17,6 +17,10 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== (cd perf && go vet ./...)"
+# perf/ is its own module, so the root's ./... does not reach it.
+(cd perf && go vet ./...)
 
 echo "== go build ./..."
 go build ./...

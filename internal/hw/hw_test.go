@@ -196,9 +196,9 @@ func TestPhysMemCrossFrameRoundTrip(t *testing.T) {
 		t.Fatal("Write/Read across a frame boundary do not round-trip")
 	}
 	// The word backs frame 0's last block and frame 1's first; src backs
-	// frame 1's last four blocks and frame 2's first five.
-	if f, b := m.backing(); f != 3 || b != 11 {
-		t.Fatalf("backed %d blocks in %d frames, want 11 in 3", b, f)
+	// frame 1's last eight blocks and frame 2's first nine.
+	if f, b := m.backing(); f != 3 || b != 19 {
+		t.Fatalf("backed %d blocks in %d frames, want 19 in 3", b, f)
 	}
 }
 

@@ -11,27 +11,32 @@ import (
 // NIC and NVMe devices DMA directly into it, so the kernel's pointer
 // arithmetic is exercised for real rather than mocked.
 //
-// RAM is sparse and backed in 512-byte blocks, eight to a frame: a block
-// with no backing reads as zero and gets its host memory on its first
-// non-zero write, so a machine's host footprint scales with what it
+// RAM is sparse and backed in 256-byte blocks, sixteen to a frame: a
+// block with no backing reads as zero and gets its host memory on its
+// first non-zero write, so a machine's host footprint scales with what it
 // writes rather than with its configured RAM, and a page-table node that
 // holds a few entries, or a user page touched in one word, costs one
-// block rather than a frame. The frame index covers only a prefix of the
-// frames, which grows PrefixStep frames at a time on a frame's first
-// backing; each entry points at the frame's table of eight block
-// pointers. Reads and writes of zeros never create backing, and a backed
-// block keeps it for the machine's lifetime. Read, Write, ReadU64 and
-// WriteU64 copy across block and frame boundaries. A Slice view lies
-// inside one frame, and Slice makes that frame contiguous once (see
-// dense).
+// block and its frame's table (400 bytes) rather than a frame. The frame
+// index covers only a prefix of the frames, which grows PrefixStep frames
+// at a time on a frame's first backing; each entry points at the frame's
+// table of sixteen block pointers. Reads and writes of zeros never create
+// backing, and a backed block keeps it for the machine's lifetime. Read,
+// Write, ReadU64 and WriteU64 copy across block and frame boundaries. A
+// Slice view lies inside one frame, and Slice makes that frame contiguous
+// once (see dense).
 type PhysMem struct {
 	frames []*blockTable // the indexed prefix; nil for a frame with no backing
 	n      int           // configured frames
 }
 
 const (
-	// blockSize is the unit of backing.
-	blockSize = 512
+	// blockSize is the unit of backing. At 256 bytes a frame's block
+	// table (sixteen block pointers and the dense pointer) fills a
+	// 144-byte size class, so a frame written in one line costs 400
+	// bytes, the least of any block size: the table grows as the block
+	// shrinks (128-byte blocks cost 416, 512-byte blocks 592). A frame
+	// written whole costs 4,240.
+	blockSize = 256
 	// blocksPerFrame is the number of blocks in one 4 KiB frame.
 	blocksPerFrame = PageSize4K / blockSize
 )
@@ -42,11 +47,11 @@ const (
 // one word of a mem.PageSet bitmap.
 const PrefixStep = 64
 
-// block is one 512-byte unit of backing.
+// block is one 256-byte unit of backing.
 type block = [blockSize]byte
 
 // blockTable is one frame's backing: a pointer per block, nil for a block
-// that reads as zero. Once Slice has made the frame dense, all eight
+// that reads as zero. Once Slice has made the frame dense, all sixteen
 // pointers aim into dense, in order.
 type blockTable struct {
 	blocks [blocksPerFrame]*block
@@ -139,7 +144,7 @@ func (m *PhysMem) backBlock(i int, off uint64) *block {
 
 // dense returns frame i as one contiguous 4 KiB array. The first call for
 // a frame allocates the array, copies the frame's backed blocks into it
-// and re-aims all eight block pointers into it, so reads and writes
+// and re-aims all sixteen block pointers into it, so reads and writes
 // through the blocks and every Slice view see the same bytes from then
 // on.
 func (m *PhysMem) dense(i int) *[PageSize4K]byte {

@@ -286,24 +286,53 @@ func TestPhysMemEachWord(t *testing.T) {
 	m.EachWord(f+8, func(int, uint64) error { return nil })
 }
 
-// One non-zero word in a fresh frame costs one block and the frame's
-// block table, not a frame.
-func TestPhysMemFirstWordBytes(t *testing.T) {
-	const limit = 600
-	m := NewPhysMem(16)
-	m.WriteU64(0, 1) // the index's first chunk
+// leastAllocBytes returns the fewest bytes allocated by fill over three
+// fresh frames, 1 to 3, of m, which must already index them.
+func leastAllocBytes(m *PhysMem, fill func(frame PhysAddr)) uint64 {
 	least := uint64(0)
 	for i := 1; i <= 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m.WriteU64(PhysAddr(i)*PageSize4K+PhysAddr(i)*blockSize+8, 1)
+		fill(PhysAddr(i) * PageSize4K)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; i == 1 || n < least {
 			least = n
 		}
 	}
+	return least
+}
+
+// One non-zero word in a fresh frame costs one 256-byte block and the
+// frame's 144-byte block table, not a frame.
+func TestPhysMemFirstWordBytes(t *testing.T) {
+	const limit = 400
+	m := NewPhysMem(16)
+	m.WriteU64(0, 1) // the index's first chunk
+	least := leastAllocBytes(m, func(f PhysAddr) {
+		m.WriteU64(f+PhysAddr(uint64(f)/PageSize4K)*blockSize+8, 1)
+	})
 	if least > limit {
 		t.Fatalf("a first non-zero word in a fresh frame allocated %d bytes, want at most %d", least, limit)
 	}
 	t.Logf("a first non-zero word in a fresh frame allocated %d bytes", least)
+}
+
+// A fresh frame written word by word, the way kv-batch's client fills a
+// request page, costs its sixteen blocks and one block table.
+func TestPhysMemWholeFrameBytes(t *testing.T) {
+	const limit = 4240
+	m := NewPhysMem(16)
+	m.WriteU64(0, 1) // the index's first chunk
+	least := leastAllocBytes(m, func(f PhysAddr) {
+		for j := 0; j < EntriesPerTable; j++ {
+			m.WriteU64(f+PhysAddr(8*j), uint64(j)|1)
+		}
+	})
+	if f, b := m.backing(); f != 4 || b != 1+3*blocksPerFrame {
+		t.Fatalf("backed %d blocks in %d frames, want %d in 4", b, f, 1+3*blocksPerFrame)
+	}
+	if least > limit {
+		t.Fatalf("a fresh frame written whole allocated %d bytes, want at most %d", least, limit)
+	}
+	t.Logf("a fresh frame written whole allocated %d bytes", least)
 }

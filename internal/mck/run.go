@@ -91,6 +91,7 @@ type registries struct {
 	procs   []pm.Ptr
 	cntrs   []pm.Ptr
 	live    []pm.Ptr // resolve's reused buffer: the threads still alive, in creation order
+	cpus    []int    // resolve's reused buffer: new_container's CPU list, which pm and the spec copy
 }
 
 func bootRegistries(k *kernel.Kernel, init pm.Ptr) *registries {
@@ -170,11 +171,13 @@ func resolve(k *kernel.Kernel, regs *registries, op Op, cores int) (call, bool) 
 		c.count = int(op.B%16) - 1 // <= 0 probes EINVAL
 	case KNewContainer:
 		c.quota = uint64(op.A % 40) // 0 probes EQUOTA
+		c.cpus = regs.cpus[:0]
 		for i := 0; i < cores+2; i++ {
 			if op.B>>i&1 != 0 {
 				c.cpus = append(c.cpus, i) // >= cores probes EINVAL
 			}
 		}
+		regs.cpus = c.cpus
 	case KNewProcessIn, KKillContainer:
 		c.cntr = regs.cntrs[int(op.A)%len(regs.cntrs)]
 	case KNewThreadIn:

@@ -156,12 +156,12 @@ func (m *ProcessManager) TryEdpt(p Ptr) (*Endpoint, bool) {
 
 // --- quota accounting -------------------------------------------------------
 
-// ChargePages charges n pages against the container's quota.
+// ChargePages charges n pages against the container's quota, or returns
+// ErrQuotaExceeded, unwrapped, if they do not fit.
 func (m *ProcessManager) ChargePages(cntr Ptr, n uint64) error {
 	c := m.Cntr(cntr)
 	if c.UsedPages+n > c.QuotaPages {
-		return fmt.Errorf("%w: container %#x used %d + %d > quota %d",
-			ErrQuotaExceeded, cntr, c.UsedPages, n, c.QuotaPages)
+		return ErrQuotaExceeded
 	}
 	c.UsedPages += n
 	return nil
@@ -238,12 +238,13 @@ func (m *ProcessManager) freeObjectPageNoCredit(page Ptr) {
 }
 
 // NewThread creates a thread in proc affine to core. The core must be in
-// the owning container's reservation.
+// the owning container's reservation; if it is not, NewThread returns
+// ErrBadCPU, unwrapped.
 func (m *ProcessManager) NewThread(proc Ptr, core int) (Ptr, error) {
 	p := m.Proc(proc)
 	c := m.Cntr(p.Owner)
 	if !c.Reserves(core) {
-		return 0, fmt.Errorf("%w: core %d not in container %#x", ErrBadCPU, core, p.Owner)
+		return 0, ErrBadCPU
 	}
 	page, err := m.allocObjectPage(p.Owner)
 	if err != nil {

@@ -15,15 +15,17 @@ import (
 // NewContainer creates a child of parent with the given quota carved out
 // of the parent's reservation and a CPU set that must be a subset of the
 // parent's. The child's own object page is paid from the child's quota
-// (so quota must be at least 1).
+// (so quota must be at least 1). A zero quota returns ErrQuotaExceeded
+// and a CPU the parent does not reserve ErrBadCPU, unwrapped, so a
+// rejected call allocates nothing. The child keeps a copy of cpus.
 func (m *ProcessManager) NewContainer(parent Ptr, quota uint64, cpus []int) (Ptr, error) {
 	pc := m.Cntr(parent)
 	if quota < 1 {
-		return 0, fmt.Errorf("%w: child quota must cover the container object", ErrQuotaExceeded)
+		return 0, ErrQuotaExceeded
 	}
 	for _, cpu := range cpus {
 		if !pc.Reserves(cpu) {
-			return 0, fmt.Errorf("%w: core %d not reserved by parent %#x", ErrBadCPU, cpu, parent)
+			return 0, ErrBadCPU
 		}
 	}
 	// Carve the child's quota out of the parent's.

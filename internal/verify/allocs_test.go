@@ -90,3 +90,47 @@ func TestCheckedYieldAllocatesNothing(t *testing.T) {
 		t.Errorf("a checked yield allocates %.2f times per call on a warm kernel, want 0", n)
 	}
 }
+
+// A rejected creation builds no error text either: on a warm kernel a
+// checked new_container with a zero quota, a quota the parent cannot
+// carve, or a CPU the parent does not reserve, and a checked new_thread
+// or new_thread_in on a core outside the container, allocate nothing.
+func TestCheckedRejectedCreationAllocatesNothing(t *testing.T) {
+	w := warmKernel(t)
+	c := &Checker{K: w.k, ip: spec.NewInterp(w.k)}
+	core := w.k.PM.Thrd(w.init).Core
+	outside := cfg().Cores
+	cpus := []int{0, outside}
+	for _, tc := range []struct {
+		name string
+		want kernel.Errno
+		call func() (kernel.Ret, error)
+	}{
+		{"new_container zero quota", kernel.EQUOTA, func() (kernel.Ret, error) {
+			return c.NewContainer(core, w.init, 0, cpus[:1])
+		}},
+		{"new_container over quota", kernel.EQUOTA, func() (kernel.Ret, error) {
+			return c.NewContainer(core, w.init, 1<<40, cpus[:1])
+		}},
+		{"new_container unreserved CPU", kernel.EINVAL, func() (kernel.Ret, error) {
+			return c.NewContainer(core, w.init, 4, cpus)
+		}},
+		{"new_thread outside core", kernel.EINVAL, func() (kernel.Ret, error) {
+			return c.NewThread(core, w.init, outside)
+		}},
+		{"new_thread_in outside core", kernel.EINVAL, func() (kernel.Ret, error) {
+			return c.NewThreadIn(core, w.init, w.procs[1], outside)
+		}},
+	} {
+		ret, err := tc.call()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ret.Errno != tc.want {
+			t.Fatalf("%s returned %v, want %v", tc.name, ret.Errno, tc.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = tc.call() }); n != 0 {
+			t.Errorf("a checked %s allocates %.2f times per call on a warm kernel, want 0", tc.name, n)
+		}
+	}
+}
