@@ -13,61 +13,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"atmosphere/internal/ni"
 	"atmosphere/internal/verify"
 )
 
 func main() {
-	steps := flag.Int("steps", 2000, "fuzzed transitions")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	flag.Parse()
-
-	fmt.Printf("building A/B/V scenario, fuzzing %d transitions (seed %d)...\n", *steps, *seed)
-	f, err := ni.NewFuzzer(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "atmo-ni:", err)
 		os.Exit(1)
 	}
+}
+
+// run is the whole command: it parses args, fuzzes A/B/V, replays the
+// seed and narrates every check to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	steps := fs.Int("steps", 2000, "fuzzed transitions")
+	seed := fs.Uint64("seed", 1, "deterministic seed")
+	fs.Parse(args)
+
+	fmt.Fprintf(stdout, "building A/B/V scenario, fuzzing %d transitions (seed %d)...\n", *steps, *seed)
+	s, err := ni.Build(2, true)
+	if err != nil {
+		return err
+	}
+	f := ni.NewFuzzer(s, *seed)
 	if err := f.Run(*steps); err != nil {
-		fmt.Fprintf(os.Stderr, "checker failure: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("checker failure: %w", err)
 	}
 	if len(f.SCViolations) > 0 {
-		fmt.Fprintf(os.Stderr, "STEP CONSISTENCY VIOLATED (%d):\n", len(f.SCViolations))
-		for _, v := range f.SCViolations {
-			fmt.Fprintln(os.Stderr, "  "+v)
-		}
-		os.Exit(1)
+		return fmt.Errorf("STEP CONSISTENCY VIOLATED (%d):\n  %s",
+			len(f.SCViolations), strings.Join(f.SCViolations, "\n  "))
 	}
 	acted := map[string]int{}
 	for _, rec := range f.Trace {
 		acted[rec.Domain]++
 	}
-	fmt.Printf("step consistency: OK across %d transitions (A:%d B:%d V:%d)\n",
+	fmt.Fprintf(stdout, "step consistency: OK across %d transitions (A:%d B:%d V:%d)\n",
 		len(f.Trace), acted["A"], acted["B"], acted["V"])
-	fmt.Printf("isolation invariants (memory_iso, endpoint_iso): held at every step\n")
-	fmt.Printf("service V: handled %d requests, released %d pages, correctness held\n",
+	fmt.Fprintf(stdout, "isolation invariants (memory_iso, endpoint_iso): held at every step\n")
+	fmt.Fprintf(stdout, "service V: handled %d requests, released %d pages, correctness held\n",
 		f.V.Handled, f.V.Released)
 
 	// Output consistency: replay and compare.
-	fmt.Printf("checking output consistency (replaying seed %d)...\n", *seed)
-	t2, err := ni.ReplayTrace(*seed, *steps)
+	fmt.Fprintf(stdout, "checking output consistency (replaying seed %d)...\n", *seed)
+	replay, err := f.Replay()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if eq, diff := ni.TracesEqual(f.Trace, t2); !eq {
-		fmt.Fprintf(os.Stderr, "OUTPUT CONSISTENCY VIOLATED: %s\n", diff)
-		os.Exit(1)
+	if eq, diff := ni.TracesEqual(f.Trace, replay); !eq {
+		return fmt.Errorf("OUTPUT CONSISTENCY VIOLATED: %s", diff)
 	}
-	fmt.Println("output consistency: OK (bit-identical replay)")
-	fmt.Println("local respect: subsumed by step consistency in this configuration (§4.3)")
+	fmt.Fprintln(stdout, "output consistency: OK (bit-identical replay)")
+	fmt.Fprintln(stdout, "local respect: subsumed by step consistency in this configuration (§4.3)")
 
 	if err := verify.TotalWF(f.S.K); err != nil {
-		fmt.Fprintf(os.Stderr, "final state ill-formed: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("final state ill-formed: %w", err)
 	}
-	fmt.Println("final kernel state: well-formed")
+	fmt.Fprintln(stdout, "final kernel state: well-formed")
+	return nil
 }

@@ -77,9 +77,9 @@ func ClusterChaos(s Sinks) (Result, error) {
 	)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d backends, %d flows, %d arrivals/tick, %d ticks of %d cycles, seed %d",
-			cfg.Backends, cfg.Flows, cfg.Rate, cfg.Ticks, cluster.TickCycles, cfg.Seed),
+			cfg.Backends, cluster.Flows, cluster.Rate, cfg.Ticks, cluster.TickCycles, cfg.Seed),
 		fmt.Sprintf("chaos kills backend 1 at tick %d; respawn after %d ticks; probes every %d ticks evict after %d misses",
-			clusterKillTick, cfg.RespawnDelayTicks, cfg.ProbeEvery, cfg.DeadAfter),
+			clusterKillTick, cluster.RespawnDelayTicks, cluster.ProbeEvery, cluster.DeadAfter),
 		fmt.Sprintf("in flight at kill %d, lost %d (<5%% SLO); trace hashes steady %#x chaos %#x",
 			chaos.InFlightAtKill, chaos.GaveUp, steady.TraceHash, chaos.TraceHash),
 	)

@@ -1,5 +1,5 @@
 // Package clitest runs the repository's narrated programs — the
-// examples and atmo-sim — the way their tests do: twice in one process,
+// examples, atmo-sim and atmo-ni — the way their tests do: twice in one process,
 // requiring the same non-empty output both times and a line that begins
 // with a given anchor.
 package clitest

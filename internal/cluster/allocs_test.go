@@ -47,7 +47,7 @@ func TestRespawnCycleAllocatesOnlyTheBoot(t *testing.T) {
 	cycle := func() {
 		c.killMachine(m)
 		c.health.evict(c, b, c.tick)
-		c.tick += c.cfg.RespawnDelayTicks
+		c.tick += RespawnDelayTicks
 		c.supervise()
 		c.health.reinstate(c, b, c.tick)
 		if !m.alive || c.maglev.ActiveBackends() != c.cfg.Backends {

@@ -57,7 +57,7 @@ func newClient(c *Cluster) *client {
 		ip:  netproto.IPv4{10, 0, 0, 9},
 		mac: netproto.MAC{2, 0, 0, 0, 0, 9},
 	}
-	cl.flows = make([]flow, c.cfg.Flows)
+	cl.flows = make([]flow, Flows)
 	for i := range cl.flows {
 		cl.flows[i].needsSet = true // first request seeds the key
 	}
@@ -79,7 +79,7 @@ func flowPort(i int) uint16 { return uint16(40000 + i) }
 // the retry state machine over in-flight flows in index order.
 func (cl *client) step(tick uint64) {
 	c := cl.c
-	for n := 0; n < c.cfg.Rate; n++ {
+	for n := 0; n < Rate; n++ {
 		i, ok := cl.nextIdle()
 		if !ok {
 			c.rep.Shed++
@@ -87,7 +87,7 @@ func (cl *client) step(tick uint64) {
 		}
 		f := &cl.flows[i]
 		f.op = apps.KVGet
-		if f.needsSet || c.rand.Float64() < c.cfg.SetFraction {
+		if f.needsSet || c.rand.Float64() < setFraction {
 			f.op = apps.KVSet
 		}
 		f.state = flowWaiting
@@ -101,12 +101,12 @@ func (cl *client) step(tick uint64) {
 		f := &cl.flows[i]
 		switch f.state {
 		case flowWaiting:
-			if tick-f.sentAt < c.cfg.DeadlineTicks {
+			if tick-f.sentAt < deadlineTicks {
 				continue
 			}
 			c.rep.Timeouts++
 			c.mix(evTimeout, uint64(i), tick)
-			if f.attempts >= c.cfg.RetryBudget {
+			if f.attempts >= retryBudget {
 				c.rep.GaveUp++
 				c.mix(evGaveUp, uint64(i), tick)
 				c.dist.Abandon(i, tick)
@@ -114,9 +114,9 @@ func (cl *client) step(tick uint64) {
 				continue
 			}
 			f.attempts++
-			backoff := c.cfg.BackoffTicks << (f.attempts - 1)
-			if backoff > c.cfg.BackoffCapTicks {
-				backoff = c.cfg.BackoffCapTicks
+			backoff := backoffTicks << (f.attempts - 1)
+			if backoff > backoffCapTicks {
+				backoff = backoffCapTicks
 			}
 			f.nextTryAt = tick + backoff
 			f.state = flowBackoff

@@ -29,34 +29,39 @@ const TickCycles = 20_000
 // ProbePort is the UDP port the front tier health-checks backends on.
 const ProbePort = 9
 
-// Config shapes a cluster run. Durations are in ticks (multiply by
-// TickCycles for cycles); the fault plan stays in cycles like every
-// other injector user.
+// Every cluster run shares this shape; a Config varies only the backend
+// count, run length, seed, faults and observers. Durations are in ticks
+// (multiply by TickCycles for cycles).
+const (
+	Flows        int     = 1024    // concurrent client flows (one request in flight each)
+	Rate         int     = 8       // open-loop arrivals per tick
+	tableSize    uint64  = 4093    // Maglev table size (prime)
+	storeEntries uint64  = 1 << 13 // per-backend kvstore capacity
+	setFraction  float64 = 0.1     // share of new requests that are SETs
+
+	// Client retry policy.
+	deadlineTicks   uint64 = 16
+	backoffTicks    uint64 = 8
+	backoffCapTicks uint64 = 64
+	retryBudget     int    = 3
+
+	// Front-tier health checking.
+	ProbeEvery   uint64 = 5
+	probeTimeout uint64 = 4
+	DeadAfter    int    = 2 // consecutive probe misses before removal
+	liveAfter    int    = 2 // consecutive probe replies before reinstatement
+
+	// RespawnDelayTicks is the supervisor's respawn delay.
+	RespawnDelayTicks uint64 = 300
+)
+
+// Config shapes a cluster run. The fault plan stays in cycles like
+// every other injector user.
 type Config struct {
-	Name         string // metric-name prefix ("cluster" when empty)
-	Backends     int    // backend machine count
-	Flows        int    // concurrent client flows (one request in flight each)
-	Rate         int    // open-loop arrivals per tick
-	Ticks        uint64 // run length
-	Seed         uint64
-	TableSize    uint64 // Maglev table size (prime)
-	StoreEntries uint64 // per-backend kvstore capacity
-	SetFraction  float64
-
-	// Client retry policy, in ticks.
-	DeadlineTicks   uint64
-	BackoffTicks    uint64
-	BackoffCapTicks uint64
-	RetryBudget     int
-
-	// Front-tier health checking, in ticks.
-	ProbeEvery   uint64
-	ProbeTimeout uint64
-	DeadAfter    int // consecutive probe misses before removal
-	LiveAfter    int // consecutive probe replies before reinstatement
-
-	// Supervisor respawn delay, in ticks.
-	RespawnDelayTicks uint64
+	Name     string // metric-name prefix ("cluster" when empty)
+	Backends int    // backend machine count
+	Ticks    uint64 // run length
+	Seed     uint64
 
 	// Distributed tracing (internal/obs/dist): when on, every request
 	// carries a 16-byte trace header, each machine records per-hop
@@ -72,30 +77,12 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig is the bench topology: 4 backends, 1024 flows, 8
-// arrivals/tick.
+// DefaultConfig is the bench topology: 4 backends, 2,000 ticks.
 func DefaultConfig() Config {
 	return Config{
-		Backends:     4,
-		Flows:        1024,
-		Rate:         8,
-		Ticks:        2000,
-		Seed:         1107,
-		TableSize:    4093,
-		StoreEntries: 1 << 13,
-		SetFraction:  0.1,
-
-		DeadlineTicks:   16,
-		BackoffTicks:    8,
-		BackoffCapTicks: 64,
-		RetryBudget:     3,
-
-		ProbeEvery:   5,
-		ProbeTimeout: 4,
-		DeadAfter:    2,
-		LiveAfter:    2,
-
-		RespawnDelayTicks: 300,
+		Backends: 4,
+		Ticks:    2000,
+		Seed:     1107,
 	}
 }
 
@@ -156,8 +143,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Backends < 1 {
 		return nil, fmt.Errorf("cluster: need at least one backend")
 	}
-	if cfg.Flows < 1 || cfg.Rate < 1 || cfg.Ticks == 0 {
-		return nil, fmt.Errorf("cluster: flows, rate, and ticks must be positive")
+	if cfg.Ticks == 0 {
+		return nil, fmt.Errorf("cluster: ticks must be positive")
 	}
 	c := &Cluster{cfg: cfg, rand: hw.NewRand(cfg.Seed), hash: hw.FNVOffset}
 	inj, err := faults.NewInjector(cfg.Seed+1, cfg.Plan, func() uint64 { return c.tick * TickCycles })
@@ -183,7 +170,7 @@ func New(cfg Config) (*Cluster, error) {
 		names[i] = fmt.Sprintf("backend-%d", i)
 		addrs[i] = backendIP(i)
 	}
-	c.maglev, err = apps.NewMaglev(names, addrs, cfg.TableSize)
+	c.maglev, err = apps.NewMaglev(names, addrs, tableSize)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +181,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.machines = append(c.machines, lb)
 	for i := 0; i < cfg.Backends; i++ {
-		m, err := newMachine(firstBackend+i, names[i], cfg.StoreEntries)
+		m, err := newMachine(firstBackend+i, names[i], storeEntries)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +196,7 @@ func New(cfg Config) (*Cluster, error) {
 		participants := append([]string{"client", "lb"}, names...)
 		c.dist = dist.New(
 			dist.Config{EventCap: cfg.DistEventCap, TickCycles: TickCycles, Seed: cfg.Seed},
-			participants, cfg.Flows)
+			participants, Flows)
 	}
 	return c, nil
 }
@@ -304,7 +291,7 @@ func (c *Cluster) killMachine(m *machine) {
 // across generations like the driver supervisors.
 func (c *Cluster) supervise() {
 	for _, m := range c.machines {
-		if m.alive || c.tick < m.diedAt+c.cfg.RespawnDelayTicks {
+		if m.alive || c.tick < m.diedAt+RespawnDelayTicks {
 			continue
 		}
 		if err := m.respawn(); err != nil {

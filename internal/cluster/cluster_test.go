@@ -229,9 +229,8 @@ func TestMachineStallRecovers(t *testing.T) {
 
 func TestLBKillAndRespawn(t *testing.T) {
 	cfg := DefaultConfig()
-	// The outage (150 ticks) outlasts the full retry window (~120
-	// ticks), so requests caught in it exhaust their budgets.
-	cfg.RespawnDelayTicks = 150
+	// The outage (RespawnDelayTicks, 300) outlasts the full retry window
+	// (~120 ticks), so requests caught in it exhaust their budgets.
 	cfg.Plan = faults.Plan{Rules: []faults.Rule{{
 		Kind: faults.MachineKill, Period: 600 * TickCycles, Until: 601 * TickCycles,
 		Target: lbNode,

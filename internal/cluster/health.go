@@ -54,16 +54,16 @@ func (h *health) step(c *Cluster, tick uint64) {
 		return
 	}
 	for b := range h.inTable {
-		if h.outstanding[b] && tick-h.sentAt[b] >= c.cfg.ProbeTimeout {
+		if h.outstanding[b] && tick-h.sentAt[b] >= probeTimeout {
 			h.outstanding[b] = false
 			h.oks[b] = 0
 			h.misses[b]++
 			c.mix(evProbeMiss, uint64(b), tick)
-			if h.inTable[b] && h.misses[b] >= c.cfg.DeadAfter {
+			if h.inTable[b] && h.misses[b] >= DeadAfter {
 				h.evict(c, b, tick)
 			}
 		}
-		if tick%c.cfg.ProbeEvery == 0 && !h.outstanding[b] {
+		if tick%ProbeEvery == 0 && !h.outstanding[b] {
 			h.outstanding[b] = true
 			h.sentAt[b] = tick
 			h.seq++
@@ -80,7 +80,7 @@ func (h *health) reply(c *Cluster, b int, tick uint64) {
 	h.outstanding[b] = false
 	h.misses[b] = 0
 	h.oks[b]++
-	if !h.inTable[b] && h.oks[b] >= c.cfg.LiveAfter {
+	if !h.inTable[b] && h.oks[b] >= liveAfter {
 		h.reinstate(c, b, tick)
 	}
 }

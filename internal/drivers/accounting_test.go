@@ -32,7 +32,7 @@ func ledgeredChaos(t *testing.T, seed uint64, ops int) (*ChaosReport, sinks) {
 	t.Helper()
 	s := sinks{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry(), Ledger: account.NewLedger()}
 	rep, err := RunChaosKV(ChaosConfig{
-		Seed: seed, Ops: ops, Plan: DefaultChaosPlan(), Batch: 4, QSize: 16,
+		Seed: seed, Ops: ops, Plan: DefaultChaosPlan(),
 		Attach: s.attach,
 	})
 	if err != nil {
@@ -119,13 +119,13 @@ func TestAccountingAcrossRespawn(t *testing.T) {
 // ledger must not move a single simulated cycle or fault decision.
 func TestAccountingUnchangedByLedger(t *testing.T) {
 	plain, err := RunChaosKV(ChaosConfig{
-		Seed: 9, Ops: 150, Plan: DefaultChaosPlan(), Batch: 4, QSize: 16,
+		Seed: 9, Ops: 150, Plan: DefaultChaosPlan(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ledgered, err := RunChaosKV(ChaosConfig{
-		Seed: 9, Ops: 150, Plan: DefaultChaosPlan(), Batch: 4, QSize: 16,
+		Seed: 9, Ops: 150, Plan: DefaultChaosPlan(),
 		Attach: sinks{Ledger: account.NewLedger()}.attach,
 	})
 	if err != nil {

@@ -26,17 +26,9 @@ import (
 
 // ChaosConfig parameterizes one chaos run.
 type ChaosConfig struct {
-	Seed  uint64
-	Plan  faults.Plan
-	Ops   int // KV operations to perform
-	Batch int // log records per NVMe flush
-	QSize int // driver queue depth
-
-	// VerifyEveryOps runs the full invariant suite every Nth operation
-	// on top of the per-syscall step watcher (0 = every 16).
-	VerifyEveryOps int
-	// HeartbeatTimeout overrides the supervisor deadline (cycles).
-	HeartbeatTimeout uint64
+	Seed uint64
+	Plan faults.Plan
+	Ops  int // KV operations to perform
 
 	// Attach, when set, wires observers into the booted kernel before
 	// anything runs. The harness reads them back from the kernel: the
@@ -111,13 +103,16 @@ func DefaultChaosPlan() faults.Plan {
 
 // Chaos-harness tuning.
 const (
-	chaosDriverQuota = 300 // pages per driver container generation
-	chaosDriverCore  = 1   // driver thread's core
-	wedgeThreshold   = 3   // consecutive poll timeouts before declaring a wedge
-	maxWedgeEvents   = 32  // recoveries before the run gives up
-	spuriousIRQLine  = 77  // unbound line raised by IRQSpurious
-	recordSize       = 64  // log record bytes
-	defaultHeartbeat = 2_000_000
+	chaosDriverQuota = 300       // pages per driver container generation
+	chaosDriverCore  = 1         // driver thread's core
+	chaosBatch       = 4         // log records per NVMe flush
+	chaosQSize       = 16        // driver queue depth
+	chaosVerifyEvery = 16        // ops between full invariant checks, on top of the step watcher
+	chaosHeartbeat   = 2_000_000 // supervisor deadline, cycles
+	wedgeThreshold   = 3         // consecutive poll timeouts before declaring a wedge
+	maxWedgeEvents   = 32        // recoveries before the run gives up
+	spuriousIRQLine  = 77        // unbound line raised by IRQSpurious
+	recordSize       = 64        // log record bytes
 )
 
 type chaosHarness struct {
@@ -147,21 +142,6 @@ type chaosHarness struct {
 func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 200
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 4
-	}
-	if cfg.QSize <= 0 {
-		cfg.QSize = 16
-	}
-	if cfg.VerifyEveryOps <= 0 {
-		cfg.VerifyEveryOps = 16
-	}
-	if cfg.HeartbeatTimeout == 0 {
-		cfg.HeartbeatTimeout = defaultHeartbeat
-	}
-	if cfg.Batch >= cfg.QSize {
-		return nil, fmt.Errorf("drivers: chaos batch %d must be < qsize %d", cfg.Batch, cfg.QSize)
 	}
 
 	k, init, err := kernel.Boot(hw.Config{Frames: 8192, Cores: 4, TLBSlots: 512})
@@ -196,7 +176,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// The supervisor runs as the init thread; every bounded-kill step is
 	// invariant-checked.
-	h.sup = kernel.NewSupervisor(k, init, cfg.HeartbeatTimeout)
+	h.sup = kernel.NewSupervisor(k, init, chaosHeartbeat)
 	h.sup.OnStep = func() error { return verify.TotalWF(k) }
 
 	// First driver generation comes up fault-free (the plan arms only
@@ -218,7 +198,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	appClk := &k.Machine.Core(0).Clock
 
-	records := make([][]byte, 0, cfg.Batch)
+	records := make([][]byte, 0, chaosBatch)
 	lba := uint64(0)
 	var key [8]byte
 	var val [16]byte
@@ -250,11 +230,11 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 		copy(rec[8:], key[:])
 		copy(rec[16:], val[:])
 		records = append(records, rec)
-		if len(records) == cfg.Batch {
+		if len(records) == chaosBatch {
 			if err := h.flush(records, lba); err != nil {
 				return &h.report, err
 			}
-			lba = (lba + uint64(cfg.Batch)) % 1024
+			lba = (lba + chaosBatch) % 1024
 			records = records[:0]
 		}
 		// Interrupt noise: spurious edges on an unbound line must be
@@ -262,7 +242,7 @@ func RunChaosKV(cfg ChaosConfig) (*ChaosReport, error) {
 		if h.inj.Hit(faults.IRQSpurious) {
 			k.RaiseIRQ(0, spuriousIRQLine)
 		}
-		if op%cfg.VerifyEveryOps == 0 {
+		if op%chaosVerifyEvery == 0 {
 			h.report.Checked++
 			if err := verify.TotalWF(k); err != nil {
 				h.report.Violations++
@@ -385,7 +365,7 @@ func (h *chaosHarness) recoverWedge() error {
 		}
 		clk := &h.k.Machine.Core(0).Clock
 		waitStart := clk.Cycles()
-		clk.Charge(h.cfg.HeartbeatTimeout / 8)
+		clk.Charge(chaosHeartbeat / 8)
 		if h.tr != nil {
 			h.tr.Span(h.harnessTrack, h.nWait, waitStart, clk.Cycles())
 		}
@@ -427,7 +407,7 @@ func (h *chaosHarness) spawnDriver() (pm.Ptr, *NvmeDriver, error) {
 	if rt.Errno != kernel.OK {
 		return fail(fmt.Errorf("drivers: chaos thread: %v", rt.Errno))
 	}
-	drv, err := SetupNvme(k, pm.Ptr(rt.Vals[0]), chaosDriverCore, h.dev, h.cfg.QSize, true)
+	drv, err := SetupNvme(k, pm.Ptr(rt.Vals[0]), chaosDriverCore, h.dev, chaosQSize, true)
 	if err != nil {
 		return fail(fmt.Errorf("drivers: chaos setup: %w", err))
 	}

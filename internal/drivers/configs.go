@@ -256,7 +256,7 @@ func (e *NetEnv) RunRx(totalPackets, batch int, work AppWork) (NetRates, error) 
 			done += n
 		}
 	case CfgC2:
-		if err := e.runPipelined(totalPackets, batch, work, &done, nil); err != nil {
+		if err := e.runPipelined(totalPackets, batch, work, &done); err != nil {
 			return NetRates{}, err
 		}
 	case CfgC1:
@@ -277,7 +277,7 @@ func (e *NetEnv) RunRx(totalPackets, batch int, work AppWork) (NetRates, error) 
 // runPipelined is the c2 data path: the driver core receives frames and
 // publishes descriptors on the shared ring; the application core
 // consumes them and optionally publishes TX descriptors back.
-func (e *NetEnv) runPipelined(totalPackets, batch int, work AppWork, done *int, _ any) error {
+func (e *NetEnv) runPipelined(totalPackets, batch int, work AppWork, done *int) error {
 	mem := e.K.Machine.Mem
 	entries := make([]shmring.Entry, batch)
 	for *done < totalPackets {

@@ -113,7 +113,7 @@ func TestNvmeStallTimeout(t *testing.T) {
 // least one supervisor-driven driver restart.
 func TestChaosKVAcceptance(t *testing.T) {
 	rep, err := RunChaosKV(ChaosConfig{
-		Seed: 42, Plan: DefaultChaosPlan(), Ops: 300, Batch: 4, QSize: 16,
+		Seed: 42, Plan: DefaultChaosPlan(), Ops: 300,
 	})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v (report: %v)", err, rep)
@@ -141,7 +141,7 @@ func TestChaosKVAcceptance(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	run := func(seed uint64) *ChaosReport {
 		rep, err := RunChaosKV(ChaosConfig{
-			Seed: seed, Plan: DefaultChaosPlan(), Ops: 200, Batch: 4, QSize: 16,
+			Seed: seed, Plan: DefaultChaosPlan(), Ops: 200,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

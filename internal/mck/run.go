@@ -12,9 +12,6 @@ import (
 
 // Options configures a program run.
 type Options struct {
-	// Frames/Cores override the program's machine shape when nonzero.
-	Frames int
-	Cores  int
 	// Hook runs after boot, before the first op: the one way to arm
 	// anything on the run's kernel. The mutation self-test installs a
 	// kernel.PostSyscall perturbation with it, WithLockOrder attaches
@@ -27,14 +24,10 @@ type Options struct {
 	WFEvery int
 }
 
-func (o Options) shape(p Program) (frames, cores int) {
+// shape is the machine p runs on: its own shape, or the default where
+// it sets none.
+func (p Program) shape() (frames, cores int) {
 	frames, cores = p.Frames, p.Cores
-	if o.Frames > 0 {
-		frames = o.Frames
-	}
-	if o.Cores > 0 {
-		cores = o.Cores
-	}
 	if frames <= 0 {
 		frames = DefaultFrames
 	}
@@ -291,7 +284,7 @@ func dispatch(c *verify.Checker, rc call, rings *hw.PhysMem, bops []bop) (kernel
 // last op, so no step goes unchecked.
 func RunDiff(p Program, opt Options) (*DiffResult, Stats, error) {
 	st := newStats()
-	frames, cores := opt.shape(p)
+	frames, cores := p.shape()
 	c, init, err := verify.NewChecker(hw.Config{Frames: frames, Cores: cores, TLBSlots: 256})
 	if err != nil {
 		return nil, st, err

@@ -72,8 +72,8 @@ func ExploreSchedules(seeds []uint64, rounds int, opt Options) (*ScheduleReport,
 // runSchedule drives one seeded run and returns the per-core trace
 // hashes plus the run's steal and contention counts.
 func runSchedule(seed uint64, rounds int, opt Options) (hashes []uint64, steals, contended uint64, err error) {
-	frames, cores := opt.shape(Program{})
-	k, init, err := kernel.Boot(hw.Config{Frames: frames, Cores: cores, TLBSlots: 256})
+	const cores = DefaultCores
+	k, init, err := kernel.Boot(hw.Config{Frames: DefaultFrames, Cores: cores, TLBSlots: 256})
 	if err != nil {
 		return nil, 0, 0, err
 	}

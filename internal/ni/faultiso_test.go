@@ -20,7 +20,7 @@ func TestFaultInjectionDoesNotPerturbB(t *testing.T) {
 	// driveA issues a fixed syscall trace from A's thread: mmaps (some
 	// of which fail under injection), munmaps, endpoint create/close.
 	driveA := func(s *Scenario, preStep func(), postStep func(step int)) {
-		k := s.K
+		k, a := s.K, s.Clients[0]
 		step := 0
 		do := func(f func() kernel.Ret) {
 			preStep()
@@ -31,29 +31,29 @@ func TestFaultInjectionDoesNotPerturbB(t *testing.T) {
 		base := hw.VirtAddr(0x700000000)
 		for i := 0; i < 24; i++ {
 			va := base + hw.VirtAddr(i*hw.PageSize4K)
-			do(func() kernel.Ret { return k.SysMmap(1, s.TA, va, 1, hw.Size4K, pt.RW) })
+			do(func() kernel.Ret { return k.SysMmap(a.Core, a.Thread, va, 1, hw.Size4K, pt.RW) })
 			if i%3 == 0 {
-				do(func() kernel.Ret { return k.SysMunmap(1, s.TA, va, 1, hw.Size4K) })
+				do(func() kernel.Ret { return k.SysMunmap(a.Core, a.Thread, va, 1, hw.Size4K) })
 			}
 			if i%5 == 0 {
-				do(func() kernel.Ret { return k.SysNewEndpoint(1, s.TA, 3) })
-				do(func() kernel.Ret { return k.SysCloseEndpoint(1, s.TA, 3) })
+				do(func() kernel.Ret { return k.SysNewEndpoint(a.Core, a.Thread, 3) })
+				do(func() kernel.Ret { return k.SysCloseEndpoint(a.Core, a.Thread, 3) })
 			}
 		}
 	}
 
 	// Fault-free reference run.
-	ref, err := Build(DefaultConfig())
+	ref, err := Build(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveA(ref, func() {}, func(int) {})
-	refB := Observe(ref.K, ref.B)
+	refB := Observe(ref.K, ref.Clients[1].Cntr)
 
 	// Faulty run: allocator exhaustion armed only while A executes,
 	// plus an IRQ filter that deterministically drops edges (nothing
 	// binds IRQs here, so it guards the dispatch path stays inert).
-	s, err := Build(DefaultConfig())
+	s, err := Build(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestFaultInjectionDoesNotPerturbB(t *testing.T) {
 	}
 	s.K.IRQFilter = func(core, irq int) bool { return !inj.Hit(faults.IRQDrop) }
 
-	before := Observe(s.K, s.B)
+	before := Observe(s.K, s.Clients[1].Cntr)
 	driveA(s,
 		func() { s.K.Alloc.SetFaultHook(func() bool { return inj.Hit(faults.AllocExhaust) }) },
 		func(step int) {
 			s.K.Alloc.SetFaultHook(nil)
-			after := Observe(s.K, s.B)
+			after := Observe(s.K, s.Clients[1].Cntr)
 			if eq, diff := ViewEqual(before, after); !eq {
 				t.Fatalf("faulty A step %d perturbed B: %s", step, diff)
 			}
@@ -81,7 +81,7 @@ func TestFaultInjectionDoesNotPerturbB(t *testing.T) {
 	}
 
 	// Cross-run: B's view is identical whether or not A was faulted.
-	if eq, diff := ViewEqual(refB, Observe(s.K, s.B)); !eq {
+	if eq, diff := ViewEqual(refB, Observe(s.K, s.Clients[1].Cntr)); !eq {
 		t.Fatalf("fault injection in A changed B across runs: %s", diff)
 	}
 }

@@ -76,10 +76,18 @@ func EndpointIso(k *kernel.Kernel, a, b pm.Ptr) error {
 	return nil
 }
 
-// CheckIsolation runs both invariants for the scenario's A and B.
+// CheckIsolation runs both invariants for every client pair.
 func (s *Scenario) CheckIsolation() error {
-	if err := MemoryIso(s.K, s.A, s.B); err != nil {
-		return err
+	for i, a := range s.Clients {
+		for j := i + 1; j < len(s.Clients); j++ {
+			b := s.Clients[j]
+			if err := MemoryIso(s.K, a.Cntr, b.Cntr); err != nil {
+				return fmt.Errorf("%s/%s: %w", clientName(i), clientName(j), err)
+			}
+			if err := EndpointIso(s.K, a.Cntr, b.Cntr); err != nil {
+				return fmt.Errorf("%s/%s: %w", clientName(i), clientName(j), err)
+			}
+		}
 	}
-	return EndpointIso(s.K, s.A, s.B)
+	return nil
 }

@@ -12,83 +12,99 @@ import (
 	"atmosphere/internal/verify"
 )
 
-func build(t *testing.T) *Scenario {
+// build assembles A/B/V: two clients plus V.
+func build(t *testing.T) (s *Scenario, a, b Domain) {
 	t.Helper()
-	s, err := Build(DefaultConfig())
+	s, err := Build(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, s.Clients[0], s.Clients[1]
+}
+
+// fuzz runs steps fuzzed transitions over a fresh scenario of n clients,
+// plus V when withV is set.
+func fuzz(t *testing.T, n int, withV bool, seed uint64, steps int) *Fuzzer {
+	t.Helper()
+	s, err := Build(n, withV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFuzzer(s, seed)
+	if err := f.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestScenarioShape(t *testing.T) {
-	s := build(t)
+	s, a, b := build(t)
 	if err := verify.TotalWF(s.K); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CheckIsolation(); err != nil {
 		t.Fatal(err)
 	}
-	if s.DomainOf(s.TA) != "A" || s.DomainOf(s.TB) != "B" || s.DomainOf(s.TV) != "V" {
+	if s.DomainOf(a.Thread) != "A" || s.DomainOf(b.Thread) != "B" || s.DomainOf(s.V.Thread) != "V" {
 		t.Fatal("domain attribution wrong")
 	}
-	// A and B share no endpoint; both share one with V.
-	ta, tb, tv := s.K.PM.Thrd(s.TA), s.K.PM.Thrd(s.TB), s.K.PM.Thrd(s.TV)
-	if ta.Endpoints[s.SlotAV] != tv.Endpoints[s.SlotAV] {
+	// A and B share no endpoint; both share one with V, in slots 0 and 1.
+	ta, tb, tv := s.K.PM.Thrd(a.Thread), s.K.PM.Thrd(b.Thread), s.K.PM.Thrd(s.V.Thread)
+	if ta.Endpoints[0] != tv.Endpoints[0] || ta.Endpoints[0] != a.Endpoint {
 		t.Fatal("A-V endpoint not shared")
 	}
-	if tb.Endpoints[s.SlotBV] != tv.Endpoints[s.SlotBV] {
+	if tb.Endpoints[1] != tv.Endpoints[1] || tb.Endpoints[1] != b.Endpoint {
 		t.Fatal("B-V endpoint not shared")
 	}
 }
 
 func TestMemoryIsoDetectsSharing(t *testing.T) {
-	s := build(t)
+	s, a, b := build(t)
 	// Map a page in A, then forcibly map the same frame into B's table
 	// (bypassing the kernel): memory_iso must fire.
-	r := s.K.SysMmap(1, s.TA, 0x10000, 1, hw.Size4K, pt.RW)
+	r := s.K.SysMmap(a.Core, a.Thread, 0x10000, 1, hw.Size4K, pt.RW)
 	if r.Errno != kernel.OK {
 		t.Fatal(r.Errno)
 	}
-	e, _ := s.K.PM.Proc(s.PA).PageTable.Lookup(0x10000)
-	if err := MemoryIso(s.K, s.A, s.B); err != nil {
+	e, _ := s.K.PM.Proc(a.Proc).PageTable.Lookup(0x10000)
+	if err := MemoryIso(s.K, a.Cntr, b.Cntr); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.K.PM.Proc(s.PB).PageTable.Map4K(0x10000, e.Phys, pt.RW); err != nil {
+	if err := s.K.PM.Proc(b.Proc).PageTable.Map4K(0x10000, e.Phys, pt.RW); err != nil {
 		t.Fatal(err)
 	}
-	if err := MemoryIso(s.K, s.A, s.B); err == nil {
+	if err := MemoryIso(s.K, a.Cntr, b.Cntr); err == nil {
 		t.Fatal("forced shared frame not detected")
 	}
 }
 
 func TestEndpointIsoDetectsSharing(t *testing.T) {
-	s := build(t)
-	if err := EndpointIso(s.K, s.A, s.B); err != nil {
+	s, a, b := build(t)
+	if err := EndpointIso(s.K, a.Cntr, b.Cntr); err != nil {
 		t.Fatal(err)
 	}
 	// Forcibly install A's service endpoint into B.
-	s.K.PM.Thrd(s.TB).Endpoints[7] = s.EpAV
-	s.K.PM.EndpointIncRef(s.EpAV, 1)
-	if err := EndpointIso(s.K, s.A, s.B); err == nil {
+	s.K.PM.Thrd(b.Thread).Endpoints[7] = a.Endpoint
+	s.K.PM.EndpointIncRef(a.Endpoint, 1)
+	if err := EndpointIso(s.K, a.Cntr, b.Cntr); err == nil {
 		t.Fatal("forced shared endpoint not detected")
 	}
 }
 
 func TestServiceRoundTrip(t *testing.T) {
-	s := build(t)
+	s, a, _ := build(t)
 	v := NewService(s)
 	// V posts a receive on A's channel.
 	if err := v.Step(); err != nil {
 		t.Fatal(err)
 	}
 	// A maps a page, writes a request, calls V.
-	if r := s.K.SysMmap(1, s.TA, 0x40000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
+	if r := s.K.SysMmap(a.Core, a.Thread, 0x40000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
 		t.Fatal(r.Errno)
 	}
-	procA := s.K.PM.Proc(s.PA)
+	procA := s.K.PM.Proc(a.Proc)
 	s.K.Machine.MMU.Store(procA.PageTable.CR3(), 0x40000, []byte{41, 0, 0, 0, 0, 0, 0, 0})
-	if r := s.K.SysCall(1, s.TA, s.SlotAV, kernel.SendArgs{
+	if r := s.K.SysCall(a.Core, a.Thread, 0, kernel.SendArgs{
 		Regs: [4]uint64{7}, SendPage: true, PageVA: 0x40000}); r.Errno != kernel.EWOULDBLOCK {
 		t.Fatalf("call: %v", r.Errno)
 	}
@@ -100,7 +116,7 @@ func TestServiceRoundTrip(t *testing.T) {
 		t.Fatalf("handled=%d released=%d", v.Handled, v.Released)
 	}
 	// A got the reply and sees the response in its shared page.
-	ta := s.K.PM.Thrd(s.TA)
+	ta := s.K.PM.Thrd(a.Thread)
 	if ta.IPC.Msg.Regs[0] != 8 {
 		t.Fatalf("reply regs = %v", ta.IPC.Msg.Regs)
 	}
@@ -117,20 +133,20 @@ func TestServiceRoundTrip(t *testing.T) {
 }
 
 func TestServiceReleasesOnClientDeath(t *testing.T) {
-	s := build(t)
+	s, a, _ := build(t)
 	v := NewService(s)
 	if err := v.Step(); err != nil { // V waits on A
 		t.Fatal(err)
 	}
-	if r := s.K.SysMmap(1, s.TA, 0x40000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
+	if r := s.K.SysMmap(a.Core, a.Thread, 0x40000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
 		t.Fatal(r.Errno)
 	}
-	if r := s.K.SysCall(1, s.TA, s.SlotAV, kernel.SendArgs{
+	if r := s.K.SysCall(a.Core, a.Thread, 0, kernel.SendArgs{
 		SendPage: true, PageVA: 0x40000}); r.Errno != kernel.EWOULDBLOCK {
 		t.Fatalf("call: %v", r.Errno)
 	}
 	// A dies before V handles the request.
-	if r := s.K.SysKillContainer(0, s.Init, s.A); r.Errno != kernel.OK {
+	if r := s.K.SysKillContainer(0, s.Init, a.Cntr); r.Errno != kernel.OK {
 		t.Fatalf("kill: %v", r.Errno)
 	}
 	// V still handles and releases the page (its mapping holds the last
@@ -150,23 +166,17 @@ func TestServiceReleasesOnClientDeath(t *testing.T) {
 }
 
 func TestPeerKillDenied(t *testing.T) {
-	s := build(t)
-	if r := s.K.SysKillContainer(1, s.TA, s.B); r.Errno != kernel.EPERM {
+	s, a, b := build(t)
+	if r := s.K.SysKillContainer(a.Core, a.Thread, b.Cntr); r.Errno != kernel.EPERM {
 		t.Fatalf("A killing B: %v", r.Errno)
 	}
-	if r := s.K.SysKillContainer(2, s.TB, s.A); r.Errno != kernel.EPERM {
+	if r := s.K.SysKillContainer(b.Core, b.Thread, a.Cntr); r.Errno != kernel.EPERM {
 		t.Fatalf("B killing A: %v", r.Errno)
 	}
 }
 
 func TestStepConsistencyFuzz(t *testing.T) {
-	f, err := NewFuzzer(4242)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Run(500); err != nil {
-		t.Fatal(err)
-	}
+	f := fuzz(t, 2, true, 4242, 500)
 	if len(f.SCViolations) > 0 {
 		t.Fatalf("step consistency violated:\n%s", strings.Join(f.SCViolations, "\n"))
 	}
@@ -184,36 +194,29 @@ func TestStepConsistencyFuzz(t *testing.T) {
 }
 
 func TestOutputConsistency(t *testing.T) {
-	t1, err := ReplayTrace(777, 300)
+	f := fuzz(t, 2, true, 777, 300)
+	replay, err := f.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := ReplayTrace(777, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq, diff := TracesEqual(t1, t2); !eq {
+	if eq, diff := TracesEqual(f.Trace, replay); !eq {
 		t.Fatalf("output consistency violated: %s", diff)
 	}
 	// Different seeds diverge (the comparison is not vacuous).
-	t3, err := ReplayTrace(778, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq, _ := TracesEqual(t1, t3); eq {
+	if eq, _ := TracesEqual(f.Trace, fuzz(t, 2, true, 778, 300).Trace); eq {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
 
 func TestObserveDetectsContentChange(t *testing.T) {
-	s := build(t)
-	if r := s.K.SysMmap(2, s.TB, 0x50000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
+	s, _, b := build(t)
+	if r := s.K.SysMmap(b.Core, b.Thread, 0x50000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
 		t.Fatal(r.Errno)
 	}
-	before := Observe(s.K, s.B)
-	procB := s.K.PM.Proc(s.PB)
+	before := Observe(s.K, b.Cntr)
+	procB := s.K.PM.Proc(b.Proc)
 	s.K.Machine.MMU.Store(procB.PageTable.CR3(), 0x50000, []byte{1})
-	after := Observe(s.K, s.B)
+	after := Observe(s.K, b.Cntr)
 	if eq, _ := ViewEqual(before, after); eq {
 		t.Fatal("page content change invisible to Observe")
 	}
@@ -252,17 +255,17 @@ func TestPageHashSuperpage(t *testing.T) {
 }
 
 func TestDomainOfNestedContainers(t *testing.T) {
-	s := build(t)
-	r := s.K.SysNewContainer(1, s.TA, 10, []int{1})
+	s, a, _ := build(t)
+	r := s.K.SysNewContainer(a.Core, a.Thread, 10, []int{a.Core})
 	if r.Errno != kernel.OK {
 		t.Fatal(r.Errno)
 	}
 	child := pm.Ptr(r.Vals[0])
-	rp := s.K.SysNewProcessIn(1, s.TA, child)
+	rp := s.K.SysNewProcessIn(a.Core, a.Thread, child)
 	if rp.Errno != kernel.OK {
 		t.Fatal(rp.Errno)
 	}
-	rt := s.K.SysNewThreadIn(1, s.TA, pm.Ptr(rp.Vals[0]), 1)
+	rt := s.K.SysNewThreadIn(a.Core, a.Thread, pm.Ptr(rp.Vals[0]), a.Core)
 	if rt.Errno != kernel.OK {
 		t.Fatal(rt.Errno)
 	}
@@ -271,50 +274,64 @@ func TestDomainOfNestedContainers(t *testing.T) {
 	}
 }
 
+// TestMultiDomainIsolation runs the Fuzzer over five clients without V:
+// every pair stays isolated and step consistent.
 func TestMultiDomainIsolation(t *testing.T) {
-	m, err := BuildMulti(5, 256)
-	if err != nil {
-		t.Fatal(err)
+	f := fuzz(t, 5, false, 606, 400)
+	if len(f.SCViolations) > 0 {
+		t.Fatalf("step consistency violated across %d clients:\n%s",
+			len(f.S.Clients), f.SCViolations[0])
 	}
-	if err := m.CheckPairwiseIsolation(); err != nil {
-		t.Fatal(err)
-	}
-	violations, executed, err := m.FuzzSC(606, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) > 0 {
-		t.Fatalf("step consistency violated across %d domains:\n%s",
-			len(m.Domains), violations[0])
+	executed := 0
+	for _, rec := range f.Trace {
+		if rec.Op != "stalled" {
+			executed++
+		}
 	}
 	if executed < 300 {
 		t.Fatalf("only %d steps executed", executed)
 	}
-	if err := verify.TotalWF(m.K); err != nil {
+	if err := verify.TotalWF(f.S.K); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMultiDomainRejectsDegenerate(t *testing.T) {
-	if _, err := BuildMulti(1, 64); err == nil {
-		t.Fatal("single-domain scenario accepted")
+	if _, err := Build(1, false); err == nil {
+		t.Fatal("single-client scenario accepted")
 	}
 }
 
 func TestMultiDomainDetectsForcedSharing(t *testing.T) {
-	m, err := BuildMulti(3, 128)
+	s, err := Build(3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forcibly map one frame into two domains: pairwise iso must fire.
-	if r := m.K.SysMmap(m.Cores[0], m.Threads[0], 0x10000000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
-		t.Fatal(r.Errno)
-	}
-	e, _ := m.K.PM.Proc(m.Procs[0]).PageTable.Lookup(0x10000000)
-	if err := m.K.PM.Proc(m.Procs[2]).PageTable.Map4K(0x10000000, e.Phys, pt.RW); err != nil {
+	if err := s.CheckIsolation(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckPairwiseIsolation(); err == nil {
-		t.Fatal("forced cross-domain frame not detected")
+	// Forcibly map one frame into two clients: pairwise iso must fire.
+	c0, c2 := s.Clients[0], s.Clients[2]
+	if r := s.K.SysMmap(c0.Core, c0.Thread, 0x10000000, 1, hw.Size4K, pt.RW); r.Errno != kernel.OK {
+		t.Fatal(r.Errno)
+	}
+	e, _ := s.K.PM.Proc(c0.Proc).PageTable.Lookup(0x10000000)
+	if err := s.K.PM.Proc(c2.Proc).PageTable.Map4K(0x10000000, e.Phys, pt.RW); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckIsolation(); err == nil {
+		t.Fatal("forced cross-client frame not detected")
+	}
+}
+
+// TestServiceKeepsServing pins V's handled count at atmo-ni's default
+// seed and length as a floor. Before a client's first thread kept its
+// channel to V (randomSyscall's rule), V handled 4 requests here, the
+// last at step 71: its receive then waited for the rest of the run on
+// A's channel, whose descriptor A had closed.
+func TestServiceKeepsServing(t *testing.T) {
+	f := fuzz(t, 2, true, 1, 2000)
+	if f.V.Handled < 35 {
+		t.Fatalf("V handled %d requests in 2000 steps, want at least 35", f.V.Handled)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // Mapped page *contents* are included (as hashes): if a syscall from A
 // could change bytes that B can read, SC must fail. Pages shared with V
 // are the deliberate communication channel and are attributed to V, so
-// they are excluded from A's and B's views exactly when V holds them.
+// they are excluded from a client's view exactly when V holds them.
 
 // Observe builds the observable view of the container subtree rooted at
 // cntr.

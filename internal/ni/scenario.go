@@ -1,23 +1,27 @@
 // Package ni implements the paper's isolation and non-interference
 // argument (§4.3) as an executable checker.
 //
-// The system configuration is the paper's running example: two
-// untrusted, isolated containers A and B, and a verified shared service
-// container V. A and B may each talk to V over a dedicated endpoint but
-// have no channel to each other. The checker drives arbitrary system
-// calls with arbitrary arguments from A's and B's threads and validates:
+// A Scenario is n mutually isolated client containers and, when asked,
+// a verified shared service container V that talks to each client over
+// a dedicated endpoint; the clients have no channel to each other. The
+// paper's running example, A/B/V, is two clients plus V. Without V it is
+// the §4.3 discussion's generalization: "in the case when any number of
+// isolated containers do not communicate, the proof is a strict subset
+// of the proof presented here." A Fuzzer drives arbitrary system calls
+// with arbitrary arguments from the clients' threads and validates:
 //
-//   - memory_iso and endpoint_iso (the §4.3 invariants) after every step;
-//   - step consistency (SC): a step by A leaves B's observable state
-//     bit-identical, and vice versa;
+//   - memory_iso and endpoint_iso (the §4.3 invariants) for every client
+//     pair after every step;
+//   - step consistency (SC): a step by one client leaves every other
+//     client's observable state bit-identical;
 //   - output consistency (OC): the kernel is a deterministic function of
 //     its pre-state — replaying a trace reproduces every return value
 //     and every observable state;
 //   - local respect (LR): subsumed by SC in this configuration, as in
 //     the paper.
 //
-// V's functional correctness — it never leaks memory between A and B and
-// always releases pages it receives, even when a client dies — is
+// V's functional correctness — it never leaks memory between clients
+// and always releases pages it receives, even when a client dies — is
 // checked by the Service type's own invariants (service.go).
 package ni
 
@@ -29,111 +33,129 @@ import (
 	"atmosphere/internal/pm"
 )
 
-// Scenario is the instantiated A/B/V configuration.
+// Every scenario boots the same machine size and gives every container
+// the same quota.
+const (
+	scenarioFrames = 8192
+	domainQuota    = 512 // pages
+)
+
+// Domain is one top-level container of a scenario: the container, its
+// initial process and thread, and the one core it reserves.
+type Domain struct {
+	Cntr, Proc, Thread pm.Ptr
+	Core               int
+	// Endpoint is a client's channel to V (pm.NoEndpoint without V).
+	// Client i holds it in descriptor slot i of its thread, and V in
+	// slot i of its own.
+	Endpoint pm.Ptr
+}
+
+// Scenario is an instantiated configuration.
 type Scenario struct {
 	K    *kernel.Kernel
 	Init pm.Ptr // root container's setup thread
 
-	A, B, V    pm.Ptr // containers
-	PA, PB, PV pm.Ptr // initial processes
-	TA, TB, TV pm.Ptr // initial threads
-
-	// EpAV and EpBV are the two service endpoints: V <-> A and V <-> B.
-	EpAV, EpBV pm.Ptr
-
-	// Slot assignments (same on both sides).
-	SlotAV, SlotBV int
+	// Clients[i] is named clientName(i) and runs on core i+1.
+	Clients []Domain
+	// V is the shared service, on the core after the clients'; nil when
+	// the scenario has none.
+	V *Domain
 }
 
-// Config sizes the scenario: the machine Build boots and each
-// container's quota.
-type Config struct {
-	QuotaA   uint64
-	QuotaB   uint64
-	QuotaV   uint64
-	HWConfig hw.Config
-}
-
-// DefaultConfig returns the standard scenario sizing.
-func DefaultConfig() Config {
-	return Config{
-		HWConfig: hw.Config{Frames: 8192, Cores: 4, TLBSlots: 256},
-		QuotaA:   512, QuotaB: 512, QuotaV: 512,
+// Build boots a kernel and assembles n isolated clients, plus V when
+// withV is set. The trusted parent (the root container's init thread)
+// creates each container with one process and one thread on a core of
+// its own; with V, V creates one endpoint per client and the parent
+// installs each into its client — the boot-time channel setup the
+// paper's configuration assumes.
+//
+// Exclusive cores are not optional: the checker itself demonstrates
+// that two isolated domains time-sharing a core observe each other
+// through scheduler state (running vs runnable), the classic CPU covert
+// channel separation kernels close by partitioning cores.
+func Build(n int, withV bool) (*Scenario, error) {
+	// V holds one descriptor slot per client, and client names run
+	// from A to P.
+	if n < 2 || n > pm.MaxEndpoints {
+		return nil, fmt.Errorf("ni: need 2 to %d clients, not %d", pm.MaxEndpoints, n)
 	}
-}
-
-// Build boots a kernel and assembles the A/B/V configuration. The
-// trusted parent (the root container's init thread) creates the three
-// containers, one process and thread each, and installs the two service
-// endpoints — the boot-time channel setup the paper's configuration
-// assumes. A gets core 1, B core 2, V core 3 (complete CPU separation).
-func Build(cfg Config) (*Scenario, error) {
-	k, init, err := kernel.Boot(cfg.HWConfig)
+	cores := 1 + n
+	if withV {
+		cores++
+	}
+	k, init, err := kernel.Boot(hw.Config{Frames: scenarioFrames, Cores: cores, TLBSlots: 256})
 	if err != nil {
 		return nil, err
 	}
-	s := &Scenario{K: k, Init: init, SlotAV: 0, SlotBV: 1}
+	s := &Scenario{K: k, Init: init}
 
-	mk := func(quota uint64, core int) (cntr, proc, thrd pm.Ptr, err error) {
-		r := k.SysNewContainer(0, init, quota, []int{core})
+	mk := func(name string, core int) (Domain, error) {
+		d := Domain{Core: core}
+		r := k.SysNewContainer(0, init, domainQuota, []int{core})
 		if r.Errno != kernel.OK {
-			return 0, 0, 0, fmt.Errorf("new_container: %v", r.Errno)
+			return d, fmt.Errorf("ni: %s new_container: %v", name, r.Errno)
 		}
-		cntr = pm.Ptr(r.Vals[0])
-		r = k.SysNewProcessIn(0, init, cntr)
+		d.Cntr = pm.Ptr(r.Vals[0])
+		r = k.SysNewProcessIn(0, init, d.Cntr)
 		if r.Errno != kernel.OK {
-			return 0, 0, 0, fmt.Errorf("new_proc_in: %v", r.Errno)
+			return d, fmt.Errorf("ni: %s new_proc_in: %v", name, r.Errno)
 		}
-		proc = pm.Ptr(r.Vals[0])
-		r = k.SysNewThreadIn(0, init, proc, core)
+		d.Proc = pm.Ptr(r.Vals[0])
+		r = k.SysNewThreadIn(0, init, d.Proc, core)
 		if r.Errno != kernel.OK {
-			return 0, 0, 0, fmt.Errorf("new_thread_in: %v", r.Errno)
+			return d, fmt.Errorf("ni: %s new_thread_in: %v", name, r.Errno)
 		}
-		thrd = pm.Ptr(r.Vals[0])
-		return cntr, proc, thrd, nil
+		d.Thread = pm.Ptr(r.Vals[0])
+		return d, nil
 	}
-	if s.A, s.PA, s.TA, err = mk(cfg.QuotaA, 1); err != nil {
+	for i := 0; i < n; i++ {
+		c, err := mk(clientName(i), 1+i)
+		if err != nil {
+			return nil, err
+		}
+		s.Clients = append(s.Clients, c)
+	}
+	if !withV {
+		return s, nil
+	}
+	v, err := mk("V", 1+n)
+	if err != nil {
 		return nil, err
 	}
-	if s.B, s.PB, s.TB, err = mk(cfg.QuotaB, 2); err != nil {
-		return nil, err
+	s.V = &v
+	for i := range s.Clients {
+		c := &s.Clients[i]
+		r := k.SysNewEndpoint(v.Core, v.Thread, i)
+		if r.Errno != kernel.OK {
+			return nil, fmt.Errorf("ni: endpoint V-%s: %v", clientName(i), r.Errno)
+		}
+		c.Endpoint = pm.Ptr(r.Vals[0])
+		k.PM.Thrd(c.Thread).Endpoints[i] = c.Endpoint
+		k.PM.EndpointIncRef(c.Endpoint, 1)
 	}
-	if s.V, s.PV, s.TV, err = mk(cfg.QuotaV, 3); err != nil {
-		return nil, err
-	}
-
-	// V creates the two service endpoints; the trusted parent installs
-	// the matching descriptors into A and B (boot-time channel setup).
-	r := k.SysNewEndpoint(3, s.TV, s.SlotAV)
-	if r.Errno != kernel.OK {
-		return nil, fmt.Errorf("endpoint AV: %v", r.Errno)
-	}
-	s.EpAV = pm.Ptr(r.Vals[0])
-	r = k.SysNewEndpoint(3, s.TV, s.SlotBV)
-	if r.Errno != kernel.OK {
-		return nil, fmt.Errorf("endpoint BV: %v", r.Errno)
-	}
-	s.EpBV = pm.Ptr(r.Vals[0])
-	k.PM.Thrd(s.TA).Endpoints[s.SlotAV] = s.EpAV
-	k.PM.EndpointIncRef(s.EpAV, 1)
-	k.PM.Thrd(s.TB).Endpoints[s.SlotBV] = s.EpBV
-	k.PM.EndpointIncRef(s.EpBV, 1)
 	return s, nil
 }
 
-// DomainOf reports which top-level domain a thread belongs to ("A", "B",
-// "V", or "root").
+// clientName names client i in traces and reports: A, B, C, ...
+func clientName(i int) string { return string(rune('A' + i)) }
+
+// DomainOf reports which top-level domain a thread belongs to: a
+// client's name, "V", or "root".
 func (s *Scenario) DomainOf(tid pm.Ptr) string {
 	t, ok := s.K.PM.TryThrd(tid)
 	if !ok {
 		return "?"
 	}
-	switch {
-	case t.OwningCntr == s.A || s.K.PM.IsAncestor(s.A, t.OwningCntr):
-		return "A"
-	case t.OwningCntr == s.B || s.K.PM.IsAncestor(s.B, t.OwningCntr):
-		return "B"
-	case t.OwningCntr == s.V || s.K.PM.IsAncestor(s.V, t.OwningCntr):
+	in := func(d Domain) bool {
+		return t.OwningCntr == d.Cntr || s.K.PM.IsAncestor(d.Cntr, t.OwningCntr)
+	}
+	for i, c := range s.Clients {
+		if in(c) {
+			return clientName(i)
+		}
+	}
+	if s.V != nil && in(*s.V) {
 		return "V"
 	}
 	return "root"

@@ -11,8 +11,8 @@ import (
 
 // Service is V, the verified shared service of §4.3: a single container
 // with one process running one thread, implemented as an event-driven
-// state machine. It alternates waiting on its two client endpoints;
-// when a request arrives — scalars plus optionally a shared page and/or
+// state machine. It waits on its client endpoints in turn; when a
+// request arrives — scalars plus optionally a shared page and/or
 // an endpoint capability — it computes a response (for pages: response
 // word = request word + 1, written back into the shared page), replies,
 // and then releases everything it received.
@@ -21,7 +21,7 @@ import (
 // step by CheckCorrectness:
 //
 //  1. no leak between clients: V never forwards a capability, and no
-//     page is ever reachable from both A's and B's subtrees;
+//     page or endpoint is ever reachable from two clients' subtrees;
 //  2. full release: between transactions V's address space and
 //     descriptor table equal its baseline, even when the client died
 //     mid-transaction.
@@ -31,7 +31,7 @@ type Service struct {
 	// recvVA is where incoming pages land in V's address space.
 	recvVA hw.VirtAddr
 
-	// nextSlot alternates which endpoint V waits on.
+	// nextSlot is the endpoint V waits on next; slot i is client i's.
 	nextSlot int
 	// waitingOn is the slot V last posted a receive on (-1: none).
 	waitingOn int
@@ -50,19 +50,17 @@ type Service struct {
 // NewService initializes V's event loop state.
 func NewService(s *Scenario) *Service {
 	v := &Service{s: s, recvVA: 0x7f0000000, waitingOn: -1}
-	v.baselineEndpoints = s.K.PM.Thrd(s.TV).Endpoints
-	v.baselineMappings = len(s.K.PM.Proc(s.PV).PageTable.AddressSpace())
+	v.baselineEndpoints = s.K.PM.Thrd(s.V.Thread).Endpoints
+	v.baselineMappings = len(s.K.PM.Proc(s.V.Proc).PageTable.AddressSpace())
 	return v
 }
-
-const vCore = 3
 
 // Step advances V's state machine by one action: post a receive, or
 // handle a delivered message (respond, reply, release). It is safe to
 // call whenever; a blocked V simply keeps waiting.
 func (v *Service) Step() error {
 	k := v.s.K
-	t := k.PM.Thrd(v.s.TV)
+	t := k.PM.Thrd(v.s.V.Thread)
 	switch {
 	case t.State == pm.ThreadBlockedRecv:
 		// Still waiting for a client.
@@ -79,13 +77,13 @@ func (v *Service) Step() error {
 		}
 		return v.handle(slot)
 	default:
-		// Idle: post a receive on the next endpoint, alternating.
+		// Idle: post a receive on the next endpoint in turn.
 		slot := v.nextSlot
-		v.nextSlot = 1 - v.nextSlot
+		v.nextSlot = (v.nextSlot + 1) % len(v.s.Clients)
 		if t.Endpoints[slot] == pm.NoEndpoint {
-			return nil // channel revoked (client died); keep serving the other
+			return nil // channel revoked (client died); keep serving the others
 		}
-		r := k.SysRecv(vCore, v.s.TV, slot, kernel.RecvArgs{PageVA: v.recvVA, EdptSlot: -1})
+		r := k.SysRecv(v.s.V.Core, v.s.V.Thread, slot, kernel.RecvArgs{PageVA: v.recvVA, EdptSlot: -1})
 		switch r.Errno {
 		case kernel.EWOULDBLOCK, kernel.OK:
 			v.waitingOn = slot
@@ -101,9 +99,9 @@ func (v *Service) Step() error {
 // handle processes the message in V's IPC state for the given slot.
 func (v *Service) handle(slot int) error {
 	k := v.s.K
-	t := k.PM.Thrd(v.s.TV)
+	t := k.PM.Thrd(v.s.V.Thread)
 	msg := t.IPC.Msg
-	proc := k.PM.Proc(v.s.PV)
+	proc := k.PM.Proc(v.s.V.Proc)
 
 	reply := kernel.SendArgs{Regs: [4]uint64{msg.Regs[0] + 1, uint64(v.Handled)}}
 	if msg.HasPage {
@@ -122,7 +120,7 @@ func (v *Service) handle(slot int) error {
 	// Reply to the caller if one awaits (a crashed client simply has no
 	// reply queued; EWOULDBLOCK is fine).
 	if t.Endpoints[slot] != pm.NoEndpoint {
-		r := k.SysReply(vCore, v.s.TV, slot, reply)
+		r := k.SysReply(v.s.V.Core, v.s.V.Thread, slot, reply)
 		if r.Errno != kernel.OK && r.Errno != kernel.EWOULDBLOCK {
 			return fmt.Errorf("service reply: %v", r.Errno)
 		}
@@ -130,14 +128,14 @@ func (v *Service) handle(slot int) error {
 	// Release everything received — page first, then any endpoint
 	// capability (V never retains or forwards client resources).
 	if msg.HasPage {
-		if r := k.SysMunmap(vCore, v.s.TV, v.recvVA, 1, msg.PageSize); r.Errno != kernel.OK {
+		if r := k.SysMunmap(v.s.V.Core, v.s.V.Thread, v.recvVA, 1, msg.PageSize); r.Errno != kernel.OK {
 			return fmt.Errorf("service release page: %v", r.Errno)
 		}
 		v.Released++
 	}
 	for i, e := range t.Endpoints {
 		if e != pm.NoEndpoint && e != v.baselineEndpoints[i] {
-			if r := k.SysCloseEndpoint(vCore, v.s.TV, i); r.Errno != kernel.OK {
+			if r := k.SysCloseEndpoint(v.s.V.Core, v.s.V.Thread, i); r.Errno != kernel.OK {
 				return fmt.Errorf("service release endpoint: %v", r.Errno)
 			}
 		}
@@ -151,8 +149,8 @@ func (v *Service) handle(slot int) error {
 // between transactions it must be exactly at its baseline.
 func (v *Service) CheckCorrectness() error {
 	k := v.s.K
-	t := k.PM.Thrd(v.s.TV)
-	space := k.PM.Proc(v.s.PV).PageTable.AddressSpace()
+	t := k.PM.Thrd(v.s.V.Thread)
+	space := k.PM.Proc(v.s.V.Proc).PageTable.AddressSpace()
 	extra := len(space) - v.baselineMappings
 	inFlight := v.waitingOn >= 0 &&
 		t.State != pm.ThreadBlockedRecv // woken with an unprocessed message
@@ -170,8 +168,7 @@ func (v *Service) CheckCorrectness() error {
 			}
 		}
 	}
-	// V never bridges its clients: no physical page reachable from both
-	// A's and B's subtrees (this is memory_iso, rechecked from V's
-	// perspective).
-	return MemoryIso(k, v.s.A, v.s.B)
+	// V never bridges its clients: memory_iso and endpoint_iso, rechecked
+	// from V's perspective.
+	return v.s.CheckIsolation()
 }

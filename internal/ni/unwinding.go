@@ -3,6 +3,7 @@ package ni
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 
 	"atmosphere/internal/hw"
@@ -12,12 +13,14 @@ import (
 )
 
 // The unwinding-condition checker (§4.3). A Fuzzer drives arbitrary
-// system calls with arbitrary arguments from A's and B's threads
-// (interleaved with V's event loop) and validates:
+// system calls with arbitrary arguments from the clients' threads
+// (interleaved with V's event loop, when the scenario has V) and
+// validates:
 //
-//   SC  — after every step by one isolated domain, the other domain's
+//   SC  — after every step by one client, every other client's
 //         observable state is bit-identical;
-//   iso — memory_iso and endpoint_iso hold after every step;
+//   iso — memory_iso and endpoint_iso hold for every client pair after
+//         every step;
 //   OC  — replaying a seed reproduces every return value and every
 //         observable state hash (the kernel is a function of its
 //         pre-state; see TestOutputConsistency);
@@ -26,18 +29,18 @@ import (
 
 // StepRecord is one fuzzed transition's observable outcome.
 type StepRecord struct {
-	Domain string
+	Domain string // the acting client's name, or "V"
 	Op     string
 	Errno  kernel.Errno
 	Val    uint64
-	ObsA   uint64
-	ObsB   uint64
+	// Obs hashes every client's observable view after the step.
+	Obs uint64
 }
 
-// Fuzzer drives the scenario.
+// Fuzzer drives a scenario.
 type Fuzzer struct {
 	S *Scenario
-	V *Service
+	V *Service // nil when S has no V
 	R *hw.Rand
 
 	// Trace records every step for output-consistency comparison.
@@ -47,26 +50,30 @@ type Fuzzer struct {
 	// correct kernel).
 	SCViolations []string
 
-	// vaNext allocates fresh mapping addresses per domain.
-	vaNext map[string]uint64
-	// mapped tracks live user mappings per domain for munmap/send.
-	mapped map[string][]hw.VirtAddr
-	// children tracks killable child containers per domain.
-	children map[string][]pm.Ptr
+	seed uint64
+	// Per client: the next fresh mapping address, the live user
+	// mappings for munmap/send, and the killable child containers.
+	vaNext   []uint64
+	mapped   [][]hw.VirtAddr
+	children [][]pm.Ptr
 }
 
-// NewFuzzer builds a scenario and fuzzer from a seed.
-func NewFuzzer(seed uint64) (*Fuzzer, error) {
-	s, err := Build(DefaultConfig())
-	if err != nil {
-		return nil, err
+// NewFuzzer fuzzes s from a seed.
+func NewFuzzer(s *Scenario, seed uint64) *Fuzzer {
+	n := len(s.Clients)
+	f := &Fuzzer{
+		S: s, R: hw.NewRand(seed), seed: seed,
+		vaNext:   make([]uint64, n),
+		mapped:   make([][]hw.VirtAddr, n),
+		children: make([][]pm.Ptr, n),
 	}
-	return &Fuzzer{
-		S: s, V: NewService(s), R: hw.NewRand(seed),
-		vaNext:   map[string]uint64{"A": 0x10000000, "B": 0x20000000},
-		mapped:   map[string][]hw.VirtAddr{},
-		children: map[string][]pm.Ptr{},
-	}, nil
+	for i := range f.vaNext {
+		f.vaNext[i] = 0x10000000 * uint64(i+1)
+	}
+	if s.V != nil {
+		f.V = NewService(s)
+	}
+	return f
 }
 
 // runnableThreads returns the domain's threads able to issue syscalls,
@@ -83,105 +90,128 @@ func (f *Fuzzer) runnableThreads(cntr pm.Ptr) []pm.Ptr {
 	return out
 }
 
-func hashView(v string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(v))
-	return h.Sum64()
-}
-
-// Step performs one fuzzed transition and applies the SC and isolation
-// checks. It returns an error only for checker-internal failures;
-// property violations are collected in SCViolations.
+// Step performs one fuzzed transition — each client is drawn twice as
+// often as V — and applies the SC and isolation checks. It returns an
+// error only for checker-internal failures and broken invariants; SC
+// violations are collected in SCViolations.
 func (f *Fuzzer) Step() error {
-	k := f.S.K
-	switch f.R.Intn(5) {
-	case 0, 1: // A acts; B must be unaffected.
-		if err := f.domainStep("A", f.S.A, 1, f.S.B, "B"); err != nil {
-			return err
-		}
-	case 2, 3: // B acts; A must be unaffected.
-		if err := f.domainStep("B", f.S.B, 2, f.S.A, "A"); err != nil {
-			return err
-		}
-	default: // V serves.
+	n := len(f.S.Clients)
+	draws := 2 * n
+	if f.V != nil {
+		draws++
+	}
+	if d := f.R.Intn(draws); d < 2*n {
+		f.clientStep(d / 2)
+	} else {
 		if err := f.V.Step(); err != nil {
 			return err
 		}
-		f.record("V", "service", kernel.OK, 0)
+		f.record("V", "service", kernel.Ret{}, f.views())
 	}
-	if err := f.S.CheckIsolation(); err != nil {
-		return err
+	if f.V != nil {
+		return f.V.CheckCorrectness() // isolation included: V never bridges its clients
 	}
-	if err := f.V.CheckCorrectness(); err != nil {
-		return err
-	}
-	_ = k
-	return nil
+	return f.S.CheckIsolation()
 }
 
-func (f *Fuzzer) record(domain, op string, errno kernel.Errno, val uint64) {
+// record appends a step to the trace; views are every client's
+// observable views after it.
+func (f *Fuzzer) record(domain, op string, ret kernel.Ret, views []string) {
+	h := fnv.New64a()
+	for _, v := range views {
+		io.WriteString(h, v)
+	}
 	f.Trace = append(f.Trace, StepRecord{
-		Domain: domain, Op: op, Errno: errno, Val: val,
-		ObsA: hashView(Observe(f.S.K, f.S.A)),
-		ObsB: hashView(Observe(f.S.K, f.S.B)),
+		Domain: domain, Op: op, Errno: ret.Errno, Val: ret.Vals[0], Obs: h.Sum64(),
 	})
 }
 
-// domainStep performs one arbitrary syscall from the acting domain and
-// checks the other domain's observable state is untouched.
-func (f *Fuzzer) domainStep(name string, cntr pm.Ptr, core int, other pm.Ptr, otherName string) error {
-	threads := f.runnableThreads(cntr)
+// views renders every client's observable view.
+func (f *Fuzzer) views() []string {
+	out := make([]string, len(f.S.Clients))
+	for i, c := range f.S.Clients {
+		out[i] = Observe(f.S.K, c.Cntr)
+	}
+	return out
+}
+
+// clientStep performs one arbitrary syscall from a runnable thread of
+// client i and checks every other client's observable state is
+// untouched.
+func (f *Fuzzer) clientStep(i int) {
+	name := clientName(i)
+	threads := f.runnableThreads(f.S.Clients[i].Cntr)
 	if len(threads) == 0 {
-		f.record(name, "stalled", kernel.OK, 0)
-		return nil
+		f.record(name, "stalled", kernel.Ret{}, f.views())
+		return
 	}
 	tid := threads[f.R.Intn(len(threads))]
-	before := Observe(f.S.K, other)
-	op, ret := f.randomSyscall(name, cntr, core, tid)
-	after := Observe(f.S.K, other)
-	if eq, diff := ViewEqual(before, after); !eq {
-		f.SCViolations = append(f.SCViolations,
-			fmt.Sprintf("SC violated: %s's %s changed %s's observable state: %s",
-				name, op, otherName, diff))
+	before := make([]string, len(f.S.Clients))
+	for j, c := range f.S.Clients {
+		if j != i {
+			before[j] = Observe(f.S.K, c.Cntr)
+		}
 	}
-	f.record(name, op, ret.Errno, ret.Vals[0])
-	return nil
+	op, ret := f.randomSyscall(i, tid)
+	after := f.views()
+	for j := range f.S.Clients {
+		if j == i {
+			continue
+		}
+		if eq, diff := ViewEqual(before[j], after[j]); !eq {
+			f.SCViolations = append(f.SCViolations,
+				fmt.Sprintf("SC violated: %s's %s changed %s's observable state: %s",
+					name, op, clientName(j), diff))
+		}
+	}
+	f.record(name, op, ret, after)
 }
 
 // randomSyscall issues one random syscall (possibly with invalid
-// arguments — the theorem quantifies over arbitrary calls).
-func (f *Fuzzer) randomSyscall(name string, cntr pm.Ptr, core int, tid pm.Ptr) (string, kernel.Ret) {
-	k := f.S.K
-	r := f.R
-	serviceSlot := f.S.SlotAV
-	if name == "B" {
-		serviceSlot = f.S.SlotBV
+// arguments — the theorem quantifies over arbitrary calls) from thread
+// tid of client c. The client's channel to V, if any, is slot c.
+//
+// One rule bounds the arguments: a client's first thread, which holds
+// its channel to V, is never stranded. The fuzzer never exits it, never
+// closes its descriptor for V, and never has it send on any other
+// endpoint, where no receiver ever comes (clients never receive). It can
+// block only on V, and V answers, so no client stalls for good and V's
+// blocking receive never waits for good on a client's channel.
+func (f *Fuzzer) randomSyscall(c int, tid pm.Ptr) (string, kernel.Ret) {
+	k, r := f.S.K, f.R
+	me := f.S.Clients[c]
+	cntr, core, first := me.Cntr, me.Core, tid == me.Thread
+	// strands reports whether a send on slot would block the first
+	// thread for good.
+	strands := func(slot int) bool {
+		ep := k.PM.Thrd(tid).Endpoints[slot]
+		return first && ep != pm.NoEndpoint && ep != me.Endpoint
 	}
 	switch r.Intn(16) {
 	case 0: // mmap fresh range
 		count := 1 + r.Intn(3)
-		va := hw.VirtAddr(f.vaNext[name])
-		f.vaNext[name] += uint64(count+1) * hw.PageSize4K
+		va := hw.VirtAddr(f.vaNext[c])
+		f.vaNext[c] += uint64(count+1) * hw.PageSize4K
 		ret := k.SysMmap(core, tid, va, count, hw.Size4K, pt.RW)
 		if ret.Errno == kernel.OK {
 			for i := 0; i < count; i++ {
-				f.mapped[name] = append(f.mapped[name], va+hw.VirtAddr(i)*hw.PageSize4K)
+				f.mapped[c] = append(f.mapped[c], va+hw.VirtAddr(i)*hw.PageSize4K)
 			}
 		}
 		return "mmap", ret
 	case 1: // munmap a live mapping (or a bogus address)
-		if m := f.mapped[name]; len(m) > 0 && r.Bool() {
+		if m := f.mapped[c]; len(m) > 0 && r.Bool() {
 			i := r.Intn(len(m))
 			va := m[i]
 			ret := k.SysMunmap(core, tid, va, 1, hw.Size4K)
 			if ret.Errno == kernel.OK {
-				f.mapped[name] = append(m[:i], m[i+1:]...)
+				f.mapped[c] = append(m[:i], m[i+1:]...)
 			}
 			return "munmap", ret
 		}
 		return "munmap", k.SysMunmap(core, tid, hw.VirtAddr(r.Uint64n(1<<32))&^0xfff, 1, hw.Size4K)
 	case 2: // write into an own mapping (user-level step; must not affect the peer)
-		if m := f.mapped[name]; len(m) > 0 {
+		if m := f.mapped[c]; len(m) > 0 {
 			va := m[r.Intn(len(m))]
 			proc := k.PM.Proc(k.PM.Thrd(tid).OwningProc)
 			var buf [16]byte
@@ -192,23 +222,20 @@ func (f *Fuzzer) randomSyscall(name string, cntr pm.Ptr, core int, tid pm.Ptr) (
 	case 3: // new child container
 		ret := k.SysNewContainer(core, tid, uint64(4+r.Intn(12)), []int{core})
 		if ret.Errno == kernel.OK {
-			f.children[name] = append(f.children[name], pm.Ptr(ret.Vals[0]))
+			f.children[c] = append(f.children[c], pm.Ptr(ret.Vals[0]))
 		}
 		return "new_container", ret
 	case 4: // kill a child container
-		if ch := f.children[name]; len(ch) > 0 {
+		if ch := f.children[c]; len(ch) > 0 {
 			i := r.Intn(len(ch))
 			ret := k.SysKillContainer(core, tid, ch[i])
 			if ret.Errno == kernel.OK {
-				f.children[name] = append(ch[:i], ch[i+1:]...)
+				f.children[c] = append(ch[:i], ch[i+1:]...)
 			}
 			return "kill_container", ret
 		}
-		// Arbitrary kill attempt against the peer: must be denied.
-		target := f.S.B
-		if name == "B" {
-			target = f.S.A
-		}
+		// Arbitrary kill attempt against the next client: must be denied.
+		target := f.S.Clients[(c+1)%len(f.S.Clients)].Cntr
 		return "kill_container(peer)", k.SysKillContainer(core, tid, target)
 	case 5: // new process
 		return "new_proc", k.SysNewProcess(core, tid)
@@ -217,41 +244,52 @@ func (f *Fuzzer) randomSyscall(name string, cntr pm.Ptr, core int, tid pm.Ptr) (
 	case 7: // new endpoint in a random slot (may collide -> EINVAL)
 		return "new_endpoint", k.SysNewEndpoint(core, tid, r.Intn(pm.MaxEndpoints+2)-1)
 	case 8: // close a random slot
-		return "close_endpoint", k.SysCloseEndpoint(core, tid, r.Intn(pm.MaxEndpoints))
+		slot := r.Intn(pm.MaxEndpoints)
+		if first && slot == c && f.V != nil {
+			return "close_endpoint(noop)", kernel.Ret{}
+		}
+		return "close_endpoint", k.SysCloseEndpoint(core, tid, slot)
 	case 9: // call the service, sometimes sharing a page
 		args := kernel.SendArgs{Regs: [4]uint64{r.Uint64() % 1000}}
-		if m := f.mapped[name]; len(m) > 0 && r.Bool() {
+		if m := f.mapped[c]; len(m) > 0 && r.Bool() {
 			args.SendPage = true
 			args.PageVA = m[r.Intn(len(m))]
 		}
-		return "call(V)", k.SysCall(core, tid, serviceSlot, args)
+		return "call(V)", k.SysCall(core, tid, c, args)
 	case 10: // plain send on the service slot (may block this thread)
 		args := kernel.SendArgs{Regs: [4]uint64{r.Uint64() % 1000}}
-		if m := f.mapped[name]; len(m) > 0 && r.Bool() {
+		if m := f.mapped[c]; len(m) > 0 && r.Bool() {
 			args.SendPage = true
 			args.PageVA = m[r.Intn(len(m))]
 		}
-		return "send(V)", k.SysSend(core, tid, serviceSlot, args)
+		if strands(c) {
+			return "send(noop)", kernel.Ret{}
+		}
+		return "send(V)", k.SysSend(core, tid, c, args)
 	case 11: // send on a random (often invalid) slot with garbage
-		return "send(junk)", k.SysSend(core, tid, r.Intn(pm.MaxEndpoints),
-			kernel.SendArgs{SendPage: r.Bool(), PageVA: hw.VirtAddr(r.Uint64n(1 << 33)),
-				SendEdpt: r.Bool(), EdptSlot: r.Intn(pm.MaxEndpoints)})
+		slot := r.Intn(pm.MaxEndpoints)
+		args := kernel.SendArgs{SendPage: r.Bool(), PageVA: hw.VirtAddr(r.Uint64n(1 << 33)),
+			SendEdpt: r.Bool(), EdptSlot: r.Intn(pm.MaxEndpoints)}
+		if strands(slot) {
+			return "send(noop)", kernel.Ret{}
+		}
+		return "send(junk)", k.SysSend(core, tid, slot, args)
 	case 12: // yield
 		return "yield", k.SysYield(core, tid)
 	case 13: // bounded (iterative) kill of an own child container
-		if ch := f.children[name]; len(ch) > 0 {
+		if ch := f.children[c]; len(ch) > 0 {
 			i := r.Intn(len(ch))
 			ret := k.SysKillContainerBounded(core, tid, ch[i], 1+r.Intn(3))
 			if ret.Errno == kernel.OK {
-				f.children[name] = append(ch[:i], ch[i+1:]...)
+				f.children[c] = append(ch[:i], ch[i+1:]...)
 			}
 			return "kill_container_bounded", ret
 		}
 		return "kill_container_bounded(noop)", kernel.Ret{}
 	case 14: // exit a spare thread (never the domain's last runnable one)
 		runnable := f.runnableThreads(cntr)
-		if len(runnable) > 1 && runnable[len(runnable)-1] != tid {
-			return "exit_thread", k.SysExitThread(core, runnable[len(runnable)-1])
+		if last := runnable[len(runnable)-1]; len(runnable) > 1 && last != tid && last != me.Thread {
+			return "exit_thread", k.SysExitThread(core, last)
 		}
 		return "exit_thread(noop)", kernel.Ret{}
 	default: // mmap with hostile arguments
@@ -270,21 +308,22 @@ func (f *Fuzzer) Run(n int) error {
 	return nil
 }
 
-// ReplayTrace runs a fresh fuzzer with the same seed and step count and
-// returns its trace — output consistency (OC) holds iff two replays
-// produce identical traces.
-func ReplayTrace(seed uint64, steps int) ([]StepRecord, error) {
-	f, err := NewFuzzer(seed)
+// Replay runs a fresh fuzzer over a new scenario of S's shape, from f's
+// seed, for as many steps as f has taken, and returns its trace —
+// output consistency (OC) holds iff the two traces are equal.
+func (f *Fuzzer) Replay() ([]StepRecord, error) {
+	s, err := Build(len(f.S.Clients), f.S.V != nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Run(steps); err != nil {
+	g := NewFuzzer(s, f.seed)
+	if err := g.Run(len(f.Trace)); err != nil {
 		return nil, err
 	}
-	if len(f.SCViolations) > 0 {
-		return nil, fmt.Errorf("step consistency violated: %s", f.SCViolations[0])
+	if len(g.SCViolations) > 0 {
+		return nil, fmt.Errorf("step consistency violated: %s", g.SCViolations[0])
 	}
-	return f.Trace, nil
+	return g.Trace, nil
 }
 
 // TracesEqual compares two traces and reports the first divergence.
